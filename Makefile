@@ -52,6 +52,15 @@ profile-smoke: build
 	        if (bv > 64000000) { print "profile-smoke: mempool.alloc_bytes " bv " exceeds the 64 MB ceiling"; exit 1 }; \
 	        if (lv > 64000000) { print "profile-smoke: mempool.bytes_live high-water " lv " exceeds the 64 MB ceiling"; exit 1 }; \
 	        print "profile-smoke: buffer reuse OK (hits=" hv ", alloc=" bv " bytes, live_hw=" lv " bytes)" }' results/profile-w.txt
+	# Every force of the solve must store or replay a plan.  An
+	# uncacheable force re-runs fusion, lowering, clustering and kernel
+	# choice on every V-cycle; stolen periodic borders and bindings
+	# released mid-force used to make 480 forces per class-W solve
+	# uncacheable.
+	awk '/^  plan_cache\.uncacheable /{u=$$2; seen=1} \
+	  END { if (!seen) { print "profile-smoke: no plan_cache.uncacheable line in the report"; exit 1 }; \
+	        if (u+0 != 0) { print "profile-smoke: " u " uncacheable forces (expected 0)"; exit 1 }; \
+	        print "profile-smoke: plan cache OK (uncacheable=0)" }' results/profile-w.txt
 	# The arena alloc/recycle fast path must never take the registry
 	# mutex: the only "mempool:lock" spans a trace may contain are the
 	# cold paths (one arena registration per spawned worker domain,

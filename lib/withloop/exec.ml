@@ -66,6 +66,10 @@ let rec release_sources ~pooling (n : Ir.node) =
     let consume src =
       Ir.decr_refs src;
       match src with
+      | Ir.Node p when p.Ir.refs <= 0 && (not p.Ir.escaped) && p.Ir.pin <> 0 ->
+          (* Its pinning force's parts still read the buffer: leave the
+             recycle to [unpin]. *)
+          Ir.set_pin p (-abs p.Ir.pin)
       | Ir.Node p when p.Ir.refs <= 0 && not p.Ir.escaped -> (
           match p.Ir.cache with
           | Some arr ->
@@ -92,6 +96,40 @@ let rec release_sources ~pooling (n : Ir.node) =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Pins ([Ir.node.pin]): a force pins each source it materialises,
+   under its own node id, until its compiled parts have run.  Fusion
+   may fold a consumer [c] of source [p] into the forced node's parts
+   (which then read [p]'s buffer directly) while another part
+   materialises [c], whose release consumes [p]'s last edge — so
+   [release_sources] only marks a pinned node (negated pin), and
+   [unpin] performs the recycle it deferred.  A force that raises
+   leaves its pins set: those nodes are never recycled into the pool
+   (the GC frees them with the graph) nor stolen or reused in place,
+   which costs buffers, not correctness. *)
+
+let pinned_elsewhere (m : Ir.node) ~owner = m.Ir.pin <> 0 && abs m.Ir.pin <> owner
+
+(* Pin [m] for [owner], unless an enclosing force already holds it. *)
+let pin ~owner pinned (m : Ir.node) =
+  if m.Ir.pin = 0 then begin
+    Ir.set_pin m owner;
+    pinned := m :: !pinned
+  end
+
+let unpin ~pooling (pinned : Ir.node list) =
+  List.iter
+    (fun (m : Ir.node) ->
+      let deferred = m.Ir.pin < 0 in
+      Ir.set_pin m 0;
+      if deferred then
+        match m.Ir.cache with
+        | Some arr ->
+            Ir.clear_cache m;
+            Mempool.recycle ~pooling arr
+        | None -> ())
+    pinned
+
+(* ------------------------------------------------------------------ *)
 (* Buffer reuse: a dying operand whose buffer the output may alias.
 
    Legal when the operand is a direct node source of [n] with a cached
@@ -100,7 +138,8 @@ let rec release_sources ~pooling (n : Ir.node) =
    consume, and whose reads in the compiled parts are all identity
    ([Plan.safe_to_alias]).  The edge count per source mirrors
    [release_sources]: one for a modarray base plus one per part whose
-   deduplicated source list contains the node. *)
+   deduplicated source list contains the node.  An operand pinned by an
+   enclosing force is still read by that force's parts. *)
 
 let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
   let base, parts =
@@ -135,6 +174,7 @@ let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
             match p.Ir.cache with
             | Some arr
               when (not p.Ir.escaped)
+                   && (not (pinned_elsewhere p ~owner:n.Ir.nid))
                    && arr.Ndarray.shape = shape
                    && p.Ir.refs = edges_of p
                    && Plan.safe_to_alias arr.Ndarray.data compiled ->
@@ -193,10 +233,10 @@ let rec force st (n : Ir.node) : Ndarray.t =
               force_slow st n None
           | None -> force_slow st n (Some (key, bindings))))
 
-and force_source st = function Ir.Arr a -> a | Ir.Node n -> force st n
-
-(* The cached fast path: bind the plan's slots to this graph's buffers
-   (forcing producers on demand) and run the stored loop nests. *)
+(* The cached fast path: force the plan's slots in the order the
+   compiling force materialised them, pinning each, then produce the
+   output buffer and run the stored loop nests against those
+   buffers. *)
 and force_replay st (n : Ir.node) (p : Plan.cplan) (bindings : Ir.source array) : Ndarray.t =
   let timed = observing st in
   let sp = span_start st in
@@ -205,16 +245,23 @@ and force_replay st (n : Ir.node) (p : Plan.cplan) (bindings : Ir.source array) 
   if timed then child_time := 0.0;
   let t0 = if timed then Clock.now () else 0.0 in
   let shape = n.Ir.nshape in
+  let owner = n.Ir.nid in
+  let pinned = ref [] in
   let memo : Ndarray.buffer option array = Array.make (Array.length bindings) None in
-  let get_buf i =
-    match memo.(i) with
-    | Some b -> b
-    | None ->
-        let arr = force_source st bindings.(i) in
-        let b = arr.Ndarray.data in
-        memo.(i) <- Some b;
-        b
+  let hold i =
+    let arr =
+      match bindings.(i) with
+      | Ir.Arr a -> a
+      | Ir.Node m ->
+          let arr = force st m in
+          pin ~owner pinned m;
+          arr
+    in
+    memo.(i) <- Some arr.Ndarray.data;
+    arr
   in
+  let get_buf i = match memo.(i) with Some b -> b | None -> (hold i).Ndarray.data in
+  Array.iter (fun i -> ignore (hold i)) p.Plan.corder;
   let inplace = ref false in
   let out =
     match p.Plan.cmode with
@@ -224,40 +271,44 @@ and force_replay st (n : Ir.node) (p : Plan.cplan) (bindings : Ir.source array) 
         Ndarray.fill out d;
         out
     | Plan.OBlit i ->
-        let base = force_source st bindings.(i) in
-        memo.(i) <- Some base.Ndarray.data;
+        let base = hold i in
         let out = Mempool.alloc ~pooling:st.pooling shape in
         Ndarray.blit ~src:base ~dst:out;
         out
     | Plan.OComplement (i, lb, ub) ->
-        let base = force_source st bindings.(i) in
-        memo.(i) <- Some base.Ndarray.data;
+        let base = hold i in
         let out = Mempool.alloc ~pooling:st.pooling shape in
         Lower.copy_complement base out lb ub;
         out
     | Plan.OSteal i -> (
+        let base = hold i in
         match bindings.(i) with
-        | Ir.Node b ->
-            let arr = force st b in
-            (* Bind the slot before clearing so cluster reads of the
-               base resolve to the stolen buffer, as on the slow path. *)
-            memo.(i) <- Some arr.Ndarray.data;
+        | Ir.Node b when not (pinned_elsewhere b ~owner) ->
+            (* The slot stays bound to the stolen buffer, so cluster
+               reads of the base resolve to it, as on the slow path. *)
             Ir.clear_cache b;
             inplace := true;
-            arr
-        | Ir.Arr _ -> invalid_arg "Exec: steal plan bound to a leaf array")
+            base
+        | _ ->
+            (* An enclosing force still reads the base: update a
+               copy.  The barrier's parts read outside their write
+               sets, so the result is the same. *)
+            let out = Mempool.alloc ~pooling:st.pooling shape in
+            Ndarray.blit ~src:base ~dst:out;
+            out)
     | Plan.OReuse { slot = i; edges } -> (
         (* The stored aliasing decision replays only when this graph's
            binding is still a dying unescaped node with exactly the
            edges the decision assumed — the cache key records shape and
            strides of a cached operand, not its liveness, so a replay
-           may see the operand live, escaped, or bound to a leaf.  Any
-           mismatch downgrades to a fresh allocation (reuse is a pure
-           optimisation; results are bitwise identical). *)
+           may see the operand live, escaped, pinned by an enclosing
+           force, or bound to a leaf.  Any mismatch downgrades to a
+           fresh allocation (reuse is a pure optimisation; results are
+           bitwise identical). *)
         match bindings.(i) with
-        | Ir.Node b when (not b.Ir.escaped) && b.Ir.refs = edges ->
-            let arr = force st b in
-            memo.(i) <- Some arr.Ndarray.data;
+        | Ir.Node b
+          when (not b.Ir.escaped) && b.Ir.refs = edges && not (pinned_elsewhere b ~owner) ->
+            let arr = hold i in
             Ir.clear_cache b;
             if Mempool.get_debug () then
               Mempool.assert_unpooled arr.Ndarray.data ~ctx:"replayed reuse output";
@@ -275,6 +326,7 @@ and force_replay st (n : Ir.node) (p : Plan.cplan) (bindings : Ir.source array) 
   in
   exec_parts st out parts;
   Ir.set_cache n out;
+  unpin ~pooling:st.pooling !pinned;
   release_sources ~pooling:st.pooling n;
   Plan_cache.note_hit st.cache ~saved:p.Plan.ccompile;
   if timed then begin
@@ -313,10 +365,26 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
   if timed then child_time := 0.0;
   let t0 = if timed then Clock.now () else 0.0 in
   let shape = n.Ir.nshape in
+  let owner = n.Ir.nid in
+  let pinned = ref [] in
+  (* Every node this force materialises, with the buffer it had then,
+     newest first: the plan's slots resolve through these buffers, and
+     their order is the replay's forcing order. *)
+  let recorded = ref [] in
+  let hold (m : Ir.node) =
+    let arr = force st m in
+    pin ~owner pinned m;
+    recorded := (m, arr.Ndarray.data) :: !recorded;
+    arr
+  in
   let bindings_opt = Option.map snd record in
   let cacheable = ref (record <> None) in
   let mode = ref Plan.OFresh in
-  let reused : Ir.node option ref = ref None in
+  (* The source whose buffer the output takes over (stolen base or
+     reused operand).  Its cache is cleared only after the plan is
+     assembled and before [release_sources] runs, which would
+     otherwise recycle the buffer out from under [n]. *)
+  let inplace : Ir.node option ref = ref None in
   (* Resolve a source to its binding slot for the stored plan's output
      mode; an unresolvable source makes the plan uncacheable. *)
   let record_mode src f =
@@ -344,11 +412,7 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
                    (Ir.expr_sources p.Ir.body))
                parts)
         in
-        if b.Ir.refs = 1 + base_readers then begin
-          let arr = force st b in
-          Some (b, arr)
-        end
-        else None
+        if b.Ir.refs = 1 + base_readers then Some (b, hold b) else None
     | _ -> None
   in
   (* Lower modarray to a fully-covering genarray when all parts are
@@ -364,7 +428,7 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
           (parts @ Lower.complement_parts shape base parts, None, 0.0)
         else (parts, Some base, 0.0)
   in
-  let base_arr = Option.map (force_source st) base_src in
+  let base_arr = Option.map (function Ir.Arr a -> a | Ir.Node m -> hold m) base_src in
   (* Optimise and compile, separating the pipeline's own cost from
      nested producer forces — it is what a later cache hit saves.
      These two clock reads are kept even when observation is off: they
@@ -375,7 +439,7 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
   let parts =
     span_scoped st ~name:"wl:fusion" (fun () ->
         List.concat_map
-          (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:(force st) p.Ir.gen p.Ir.body)
+          (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:hold p.Ir.gen p.Ir.body)
           raw_parts)
   in
   let ostrides = Shape.strides shape in
@@ -394,11 +458,7 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
   let out =
     match stolen with
     | Some (b, arr) ->
-        (* Reads of [b] inside the optimised parts resolved to the
-           same buffer via its cache; clearing the cache afterwards
-           makes any later force recompute instead of observing the
-           in-place update. *)
-        Ir.clear_cache b;
+        inplace := Some b;
         record_mode (Ir.Node b) (fun i -> Plan.OSteal i);
         arr
     | None ->
@@ -406,12 +466,8 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
         if fully_covered then begin
           match if st.reuse then reuse_candidate n shape compiled else None with
           | Some (p, arr, edges) ->
-              (* Write through the dying operand's buffer.  Its cache
-                 stays set until the plan is assembled below (the slot
-                 mapping resolves the identity clusters through it) and
-                 is cleared before [release_sources] runs, which would
-                 otherwise recycle the buffer out from under [n]. *)
-              reused := Some p;
+              (* Write through the dying operand's buffer. *)
+              inplace := Some p;
               record_mode (Ir.Node p) (fun i -> Plan.OReuse { slot = i; edges });
               if Mempool.get_debug () then begin
                 Mempool.assert_unpooled arr.Ndarray.data ~ctx:"reuse output";
@@ -447,15 +503,17 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
   in
   exec_parts st out compiled;
   Ir.set_cache n out;
-  (* Store the plan while producer caches are still alive (the slot
-     mapping below reads them); [release_sources] may recycle them. *)
+  (* Store the plan before the pins drop: [unpin] and
+     [release_sources] may recycle the producers' buffers. *)
   let outcome = ref "uncacheable" in
   (match record with
   | None -> ()
   | Some (key, bindings) ->
       let entry =
         if not !cacheable then None
-        else Plan.assemble ~bindings ~mode:!mode ~elements ~compile_cost compiled
+        else
+          Plan.assemble ~bindings ~recorded:(List.rev !recorded) ~mode:!mode ~elements
+            ~compile_cost compiled
       in
       match entry with
       | Some p ->
@@ -465,11 +523,10 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
       | None ->
           Plan_cache.add st.cache key Plan.Uncacheable;
           Plan_cache.note_uncacheable st.cache);
-  (* Only now may the reused operand forget its (overwritten) buffer:
-     the assembly above resolved the identity clusters through its
-     cache, and [release_sources] must not recycle a buffer that is
-     live as [n]'s value. *)
-  (match !reused with Some p -> Ir.clear_cache p | None -> ());
+  (* Only now may the in-place source forget its (overwritten)
+     buffer, which is live as [n]'s value. *)
+  Option.iter Ir.clear_cache !inplace;
+  unpin ~pooling:st.pooling !pinned;
   release_sources ~pooling:st.pooling n;
   if timed then begin
     let total = Clock.now () -. t0 in
@@ -481,9 +538,7 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
             (match n.Ir.spec with Ir.Genarray _ -> "wl:genarray" | Ir.Modarray _ -> "wl:modarray");
           elements;
           seq_seconds = self;
-          bytes_alloc =
-            (if stolen = None && Option.is_none !reused then 8 * Shape.num_elements shape
-             else 0);
+          bytes_alloc = (if Option.is_none !inplace then 8 * Shape.num_elements shape else 0);
           parallel = true;
           level_extent = (if Shape.rank shape > 0 then shape.(0) else 0);
         }

@@ -22,6 +22,7 @@ and node = {
   mutable refs : int;
   mutable escaped : bool;
   mutable released : bool;
+  mutable pin : int;
   mutable cache : Ndarray.t option;
 }
 
@@ -88,6 +89,7 @@ let set_cache n a = n.cache <- Some a
 let clear_cache n = n.cache <- None
 let mark_escaped n = n.escaped <- true
 let mark_released n = n.released <- true
+let set_pin n owner = n.pin <- owner
 
 let validate_part shp { gen; body = _ } =
   if Generator.rank gen <> Shape.rank shp then
@@ -113,6 +115,7 @@ let genarray ?(barrier = false) ?(default = 0.0) shp parts =
     refs = 0;
     escaped = false;
     released = false;
+    pin = 0;
     cache = None;
   }
 
@@ -128,6 +131,7 @@ let modarray ?(barrier = false) base parts =
     refs = 0;
     escaped = false;
     released = false;
+    pin = 0;
     cache = None;
   }
 

@@ -51,6 +51,14 @@ and node = private {
           recompute of the node must not decrement its sources again,
           or the counts undercount live consumers and the in-place
           (steal/reuse) liveness checks fire on live buffers. *)
+  mutable pin : int;
+      (** [0], or the id of the node whose force materialised this one
+          and whose compiled parts still read its buffer — negated once
+          the node's last consumer edge is consumed while pinned (a
+          nested force of a folded-away consumer), which defers its
+          recycle to the unpin.  A pinned node is not recycled, stolen
+          or reused in place by any other force.  Not a reference
+          count: fusion and plan keys never read it. *)
   mutable cache : Ndarray.t option;
 }
 
@@ -105,6 +113,9 @@ val decr_refs : source -> unit
 
 val mark_escaped : node -> unit
 val mark_released : node -> unit
+
+val set_pin : node -> int -> unit
+(** Set {!node.pin} ([0] drops the pin). *)
 
 val validate_part : Shape.t -> part -> unit
 (** @raise Invalid_argument if the generator escapes the shape. *)

@@ -86,6 +86,9 @@ type cplan = {
   cparts : (cpart * int array) array;
       (** Compiled parts with, per cluster, the binding slot its buffer
           comes from.  Stored templates have their buffers stripped. *)
+  corder : int array;
+      (** Binding slots the compiling force materialised, in the order
+          it materialised them; replay forces them in the same order. *)
   celements : int;
   ccompile : float;  (** Seconds of optimisation/compilation a hit skips. *)
 }
@@ -199,10 +202,12 @@ let slot_of_source (bindings : Ir.source array) (s : Ir.source) =
 (* Build the storable plan for one force: resolve each cluster buffer
    to the binding slot it came from and strip the templates.  [None]
    when a part stayed on the closure path or some buffer is not a
-   binding's (the force is uncacheable).  Must run while producer
-   caches are still alive — the executor may recycle them right
-   after. *)
-let assemble ~(bindings : Ir.source array) ~mode ~elements ~compile_cost compiled =
+   binding's (the force is uncacheable).  A node binding resolves
+   through the buffer [recorded] says the force materialised it with,
+   not through its cache: by assembly time a nested force may have
+   consumed the node's last edge, or an in-place steal cleared it. *)
+let assemble ~(bindings : Ir.source array) ~(recorded : (Ir.node * Ndarray.buffer) list) ~mode
+    ~elements ~compile_cost compiled =
   (* Buffer -> slot, skipping slot 0: that is the forced node itself,
      whose buffer coincides with a cluster's only through stealing, and
      replaying through it would recurse. *)
@@ -212,8 +217,8 @@ let assemble ~(bindings : Ir.source array) ~mode ~elements ~compile_cost compile
       match bindings.(i) with
       | Ir.Arr a -> acc := (a.Ndarray.data, i) :: !acc
       | Ir.Node m -> (
-          match m.Ir.cache with
-          | Some arr -> acc := (arr.Ndarray.data, i) :: !acc
+          match List.assq_opt m recorded with
+          | Some b -> acc := (b, i) :: !acc
           | None -> ())
     done;
     !acc
@@ -242,10 +247,17 @@ let assemble ~(bindings : Ir.source array) ~mode ~elements ~compile_cost compile
             Some (strip_cpart cp, slots))
       compiled
   in
+  let corder =
+    List.fold_left
+      (fun acc (_, b) ->
+        match slot_of_buf b with Some i when not (List.mem i acc) -> i :: acc | _ -> acc)
+      [] recorded
+  in
   if !ok then
     Some
       { cmode = mode;
         cparts = Array.of_list cparts;
+        corder = Array.of_list (List.rev corder);
         celements = elements;
         ccompile = compile_cost;
       }

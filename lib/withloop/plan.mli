@@ -68,6 +68,12 @@ type cplan = {
   cparts : (cpart * int array) array;
       (** Compiled parts with, per cluster, the binding slot its buffer
           comes from. *)
+  corder : int array;
+      (** Binding slots the compiling force materialised, in the order
+          it materialised them.  Replay forces and pins them in this
+          order before running the parts, so a slot whose last
+          consumer edge a nested force consumes still holds its
+          buffer when the parts read it. *)
   celements : int;
   ccompile : float;  (** Seconds of optimisation/compilation a hit skips. *)
 }
@@ -98,15 +104,20 @@ val slot_of_source : Ir.source array -> Ir.source -> int option
 
 val assemble :
   bindings:Ir.source array ->
+  recorded:(Ir.node * Ndarray.buffer) list ->
   mode:out_mode ->
   elements:int ->
   compile_cost:float ->
   compiled list ->
   cplan option
 (** Build the storable plan for one force: resolve each cluster buffer
-    to its binding slot and strip the templates.  [None] when a part
-    stayed on the closure path or a buffer is no binding's (the force
-    is uncacheable).  Must run while producer caches are alive. *)
+    to its binding slot and strip the templates.  [recorded] lists, in
+    materialisation order, each node the force materialised with the
+    buffer it had then; node bindings resolve only through it, so a
+    node released or stolen mid-force still maps to its slot, and it
+    becomes the plan's {!cplan.corder}.  [None] when a part stayed on
+    the closure path or a buffer is no binding's (the force is
+    uncacheable). *)
 
 type cache_entry = Cached of cplan | Uncacheable
 (** One {!Plan_cache} slot of an engine: a stored plan, or a tombstone

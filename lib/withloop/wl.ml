@@ -10,9 +10,13 @@ type opt_level = Engine.opt_level = O0 | O1 | O2 | O3
    not computation — dominate small grids.  SAC's runtime ships its
    own free-list allocator for exactly this reason (§5 of the paper);
    our analogue is relaxed custom-block ratios, set once when the
-   engine is first used.  An Atomic exchange, not Lazy: concurrent
-   engines may force from two fresh domains at once, and Lazy.force
-   is not domain-safe. *)
+   engine is first used.  [space_overhead] stays at OCaml's default
+   (or OCAMLRUNPARAM's [o]): a served load whose forces all replay
+   cached plans makes too little short-lived garbage to pace the
+   major GC's sweeping, so raising it grows the major heap and the
+   peak RSS (EXPERIMENTS.md E16).  An Atomic exchange, not Lazy:
+   concurrent engines may force from two fresh domains at once, and
+   Lazy.force is not domain-safe. *)
 let gc_tuned = Atomic.make false
 
 let tune_gc () =
@@ -23,7 +27,6 @@ let tune_gc () =
         Gc.custom_major_ratio = 300;
         custom_minor_ratio = 300;
         custom_minor_max_size = 1 lsl 16;
-        space_overhead = 200;
       }
   end
 

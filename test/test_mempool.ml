@@ -175,6 +175,43 @@ let test_reuse_alias_survives_reset () =
   let expect = Ndarray.fill_value shp 15.0 in
   Alcotest.(check bool) "aliased result intact after reset" true (Ndarray.equal ~eps:0.0 r expect)
 
+(* A force may materialise a source and then, in a nested force,
+   consume that source's last edge before its own parts have read it.
+   Here the root's first part folds the selection [s] and reads the
+   barrier [b] directly; the second part is too small to split, so it
+   materialises [s], whose release drops [b]'s last edge.  Outside any
+   scope a recycled buffer goes straight back to the free slots, and
+   the root's output has [b]'s size: [b] must stay pinned until the
+   root's parts have run, on the cold force and on the replay. *)
+let pin_graph src =
+  let shp = Ndarray.shape src in
+  let n = shp.(0) in
+  let b = Mg_arraylib.Border.setup_periodic_border (Wl.of_ndarray src) in
+  let s = Wl.genarray ~default:0.0 shp [ (Generator.interior shp 1, E.read b) ] in
+  Wl.genarray ~default:0.0 shp
+    [ (Generator.make ~lb:[| 1; 1 |] ~ub:[| (n / 2) - 1; n - 1 |] (), E.read_offset s [| 1; 0 |]);
+      (Generator.make ~lb:[| n / 2; 0 |] ~ub:[| n; n |] (), E.read s);
+    ]
+
+let test_pinned_source_outside_scope () =
+  Wl.with_pooling true @@ fun () ->
+  Mempool.clear ();
+  Mempool.set_debug true;
+  Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
+  Wl.cache_clear ();
+  Alcotest.(check int) "no scope open" 0 (Mempool.scope_depth ());
+  let src = Ndarray.init [| 12; 12 |] (fun iv -> float_of_int (1 + iv.(0) + (16 * iv.(1)))) in
+  let want = Wl.run_reference (pin_graph src) in
+  let cold = Wl.force (pin_graph src) in
+  let s1 = Wl.cache_stats () in
+  let warm = Wl.force (pin_graph src) in
+  let s2 = Wl.cache_stats () in
+  Alcotest.(check bool) "cold force matches the reference" true (Ndarray.equal ~eps:0.0 cold want);
+  Alcotest.(check bool) "replay matches the reference" true (Ndarray.equal ~eps:0.0 warm want);
+  Alcotest.(check int) "replay compiled nothing" 0
+    ((s2.Plan_cache.misses + s2.Plan_cache.uncacheable)
+    - (s1.Plan_cache.misses + s1.Plan_cache.uncacheable))
+
 (* The headline property: the solver is bitwise identical with pooling
    on and off (the arena only changes *which* buffers carry values,
    never the values). *)
@@ -238,6 +275,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_scopes_shadow_model;
       Alcotest.test_case "escape through reset" `Quick test_escape_through_reset;
       Alcotest.test_case "reuse alias survives reset" `Quick test_reuse_alias_survives_reset;
+      Alcotest.test_case "pinned source outside a scope" `Quick test_pinned_source_outside_scope;
       Alcotest.test_case "solver bitwise across pooling" `Quick test_solver_bitwise_pooling_on_off;
       Alcotest.test_case "kill-switch inert" `Quick test_kill_switch_inert;
       Alcotest.test_case "scoped concurrent hammer" `Quick test_scoped_concurrent_hammer;

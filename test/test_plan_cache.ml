@@ -170,6 +170,57 @@ let test_cache_clear_resets () =
   Alcotest.(check bool) "recompiles correctly" true
     (Ndarray.max_abs_diff again (oracle src 1.0) < 1e-12)
 
+(* A periodic-border barrier whose base has no other consumer updates
+   the base's buffer in place (steals it).  The stored plan must
+   resolve the stolen buffer to the base's binding slot, so a second,
+   structurally identical graph replays the steal instead of being
+   recompiled on every force. *)
+let border_graph src =
+  let shp = Ndarray.shape src in
+  let w = Wl.of_ndarray src in
+  let base =
+    Wl.genarray ~default:0.0 shp
+      [ (Generator.interior shp 1, E.((const 0.5 * read_offset w [| 1; 0 |]) + (const 0.25 * read w))) ]
+  in
+  Mg_arraylib.Border.setup_periodic_border base
+
+let test_steal_replays () =
+  Wl.cache_clear ();
+  let src = src_of_seed [| 12; 12 |] 9 in
+  let want = Wl.run_reference (border_graph src) in
+  let cold = Wl.force (border_graph src) in
+  let s1 = Wl.cache_stats () in
+  let warm = Wl.force (border_graph src) in
+  let s2 = Wl.cache_stats () in
+  check_exact "cold force matches the reference" want cold;
+  check_exact "replay bitwise-identical to the cold force" cold warm;
+  Alcotest.(check int) "border and base both replayed" 2 (s2.Plan_cache.hits - s1.Plan_cache.hits);
+  Alcotest.(check int) "nothing recompiled" 0 (s2.Plan_cache.misses - s1.Plan_cache.misses);
+  Alcotest.(check int) "nothing uncacheable" 0
+    (s2.Plan_cache.uncacheable - s1.Plan_cache.uncacheable)
+
+(* Every force of a warm V-cycle replays a stored plan: from the second
+   class-S solve on, an engine compiles nothing and meets no
+   uncacheable force.  The engine takes its configuration from the
+   environment, so each CI leg (threads, reuse, pooling, native) checks
+   its own configuration. *)
+let test_warm_solve_all_hits () =
+  let e = Engine.create () in
+  Fun.protect ~finally:(fun () -> Engine.shutdown e) @@ fun () ->
+  let solve () =
+    (Mg_core.Driver.run ~engine:e ~impl:Mg_core.Driver.Sac ~cls:Mg_core.Classes.class_s ())
+      .Mg_core.Driver.rnm2
+  in
+  let cold = solve () in
+  let s1 = Engine.cache_stats e in
+  let warm = solve () in
+  let s2 = Engine.cache_stats e in
+  Alcotest.(check bool) "rnm2 bitwise-identical" true (Int64.bits_of_float cold = Int64.bits_of_float warm);
+  Alcotest.(check bool) "warm solve hit the cache" true (s2.Plan_cache.hits > s1.Plan_cache.hits);
+  Alcotest.(check int) "warm solve: no misses" 0 (s2.Plan_cache.misses - s1.Plan_cache.misses);
+  Alcotest.(check int) "warm solve: no uncacheable forces" 0
+    (s2.Plan_cache.uncacheable - s1.Plan_cache.uncacheable)
+
 (* The qcheck spec machinery from the oracle suite, replayed: any
    random linear with-loop forced twice must produce bitwise-identical
    results, with the second force served by the cache whenever the
@@ -192,5 +243,7 @@ let suite =
       Alcotest.test_case "line-buffer setting splits the env" `Quick test_line_buffers_env_split;
       Alcotest.test_case "native setting splits the env" `Quick test_native_env_split;
       Alcotest.test_case "cache_clear resets store and stats" `Quick test_cache_clear_resets;
+      Alcotest.test_case "stolen border base replays" `Quick test_steal_replays;
+      Alcotest.test_case "warm class-S solve all hits" `Quick test_warm_solve_all_hits;
       QCheck_alcotest.to_alcotest qcheck_replay_matches_cold;
     ] )
