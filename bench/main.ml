@@ -19,6 +19,7 @@ open Toolkit
 open Mg_ndarray
 open Mg_core
 module Wl = Mg_withloop.Wl
+module Engine = Mg_withloop.Engine
 module Json = Mg_bench_util.Bench_util.Json
 module Env = Mg_bench_util.Bench_util.Env
 
@@ -71,14 +72,14 @@ let stencil_tests () =
   let r = Ndarray.create shp in
   let a = Stencil.to_array Stencil.a in
   let wl ?(linebuf = false) level () =
-    Wl.with_line_buffers linebuf (fun () ->
-        Wl.with_opt_level level (fun () ->
-            ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u)))))
+    Wl.with_config
+      (fun c -> { c with Engine.line_buffers = linebuf; opt_level = level })
+      (fun () -> ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u))))
   in
   Test.make_grouped ~name:"stencil"
-    [ Test.make ~name:"wl_naive_O0" (Staged.stage (wl Wl.O0));
-      Test.make ~name:"wl_factored_O1" (Staged.stage (wl Wl.O1));
-      Test.make ~name:"wl_linebuf_O1" (Staged.stage (wl ~linebuf:true Wl.O1));
+    [ Test.make ~name:"wl_naive_O0" (Staged.stage (wl Engine.O0));
+      Test.make ~name:"wl_factored_O1" (Staged.stage (wl Engine.O1));
+      Test.make ~name:"wl_linebuf_O1" (Staged.stage (wl ~linebuf:true Engine.O1));
       Test.make ~name:"c_unbuffered" (Staged.stage (fun () -> Mg_c.resid ~u ~v ~r ~a));
       Test.make ~name:"f77_line_buffers" (Staged.stage (fun () -> Mg_f77.resid ~u ~v ~r ~a));
     ]
@@ -88,8 +89,8 @@ let stencil_tests () =
 let fusion_tests () =
   let run level () = ignore (Driver.run ~opt:level ~impl:Driver.Sac ~cls:tiny ()) in
   Test.make_grouped ~name:"fusion"
-    [ Test.make ~name:"tiny_O0" (Staged.stage (run Wl.O0));
-      Test.make ~name:"tiny_O3" (Staged.stage (run Wl.O3));
+    [ Test.make ~name:"tiny_O0" (Staged.stage (run Engine.O0));
+      Test.make ~name:"tiny_O3" (Staged.stage (run Engine.O3));
     ]
 
 (* --- Fig. 10 array library building blocks -------------------------- *)
@@ -154,26 +155,15 @@ let report results =
 (* MG_KERNELS selects the dispatch tier for bodies no fixed kernel
    recognises (generic | cfun | native; default cfun, the O2+
    default), so CI's profile-smoke can sample each tier with the same
-   binary.  Native keeps cfun on underneath as its degradation
-   target. *)
+   binary. *)
 let kernel_tier =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "MG_KERNELS") with
-  | Some "generic" -> "generic"
-  | Some "native" -> "native"
-  | _ -> "cfun"
+  Option.value ~default:Engine.Cfun (Option.bind (Sys.getenv_opt "MG_KERNELS") Engine.tier_of_string)
 
 let () =
   Printf.printf "sac_mg benchmark suite (scaled-down classes; see bin/fig*.exe for full sizes)\n";
   (* Per-kernel ns/elt histograms ride along in the metrics section. *)
-  Wl.set_kernel_timing true;
-  (match kernel_tier with
-  | "generic" ->
-      Wl.set_cfun false;
-      Wl.set_native false
-  | "native" ->
-      Wl.set_cfun true;
-      Wl.set_native true
-  | _ -> ());
+  Mg_withloop.Kernel.set_timing true;
+  Wl.with_config (Engine.with_tier kernel_tier) @@ fun () ->
   let all =
     List.concat_map
       (fun (tests, cfg) ->
@@ -188,17 +178,18 @@ let () =
       ]
   in
   let cstats = Wl.cache_stats () in
+  let c = Engine.config (Engine.current ()) in
   let json =
     Json.Obj
       [ ("schema", Json.Int 1);
         ("suite", Json.String "sac_mg_bench");
         ("unix_time", Json.Float (Unix.time ()));
         ("env", Json.String (Env.description ()));
-        ("sched_policy", Json.String (Mg_smp.Sched_policy.to_string (Wl.get_sched_policy ())));
-        ("backend", Json.String (Mg_withloop.Backend.name (Wl.get_backend ())));
-        ("reuse", Json.String (if Wl.get_reuse () then "on" else "off"));
-        ("pooling", Json.String (if Wl.get_pooling () then "on" else "off"));
-        ("kernel_tier", Json.String kernel_tier);
+        ("sched_policy", Json.String (Mg_smp.Sched_policy.to_string c.Engine.sched));
+        ("backend", Json.String (Mg_withloop.Backend.name c.Engine.backend));
+        ("reuse", Json.String (if c.Engine.reuse then "on" else "off"));
+        ("pooling", Json.String (if c.Engine.pooling then "on" else "off"));
+        ("kernel_tier", Json.String (Engine.tier_to_string kernel_tier));
         ("kernels",
          Json.Obj
            (List.map

@@ -27,6 +27,7 @@
 open Mg_ndarray
 open Mg_core
 module Wl = Mg_withloop.Wl
+module Engine = Mg_withloop.Engine
 module Table = Mg_bench_util.Bench_util.Table
 module Timing = Mg_bench_util.Bench_util.Timing
 module Trace = Mg_smp.Trace
@@ -43,14 +44,14 @@ let stencil_ablation n =
   let a = Stencil.to_array Stencil.a in
   let elements = float_of_int (n * n * n) in
   let wl_variant ?(linebuf = false) level () =
-    Wl.with_line_buffers linebuf (fun () ->
-        Wl.with_opt_level level (fun () ->
-            ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u)))))
+    Wl.with_config
+      (fun c -> { c with Engine.line_buffers = linebuf; opt_level = level })
+      (fun () -> ignore (Wl.force (Mg_sac.relax_kernel Stencil.a (Wl.of_ndarray u))))
   in
   let variants =
-    [ ("with-loop, naive (O0)", fun () -> wl_variant Wl.O0 ());
-      ("with-loop, factored (O1)", fun () -> wl_variant Wl.O1 ());
-      ("with-loop, line-buffered (O1)", fun () -> wl_variant ~linebuf:true Wl.O1 ());
+    [ ("with-loop, naive (O0)", fun () -> wl_variant Engine.O0 ());
+      ("with-loop, factored (O1)", fun () -> wl_variant Engine.O1 ());
+      ("with-loop, line-buffered (O1)", fun () -> wl_variant ~linebuf:true Engine.O1 ());
       ("C port (factored, unbuffered)", fun () -> Mg_c.resid ~u ~v ~r ~a);
       ("Fortran port (line buffers)", fun () -> Mg_f77.resid ~u ~v ~r ~a);
     ]
@@ -84,20 +85,19 @@ let kernel_ablation n =
   let c_generic = Mg_obs.Metrics.counter "kernel.generic" in
   let c_cfun = Mg_obs.Metrics.counter "kernel.cfun" in
   let c_native = Mg_obs.Metrics.counter "kernel.native" in
-  let sweep ~cfun ~native () =
-    Wl.with_cfun cfun (fun () ->
-        Wl.with_native native (fun () ->
-            Wl.with_opt_level Wl.O3 (fun () ->
-                ignore (Wl.force (Mg_sac.coarse2fine (Wl.of_ndarray z))))))
+  let sweep tier () =
+    Wl.with_config
+      (fun c -> Engine.with_tier tier { c with Engine.opt_level = Engine.O3 })
+      (fun () -> ignore (Wl.force (Mg_sac.coarse2fine (Wl.of_ndarray z))))
   in
   let elements = float_of_int (n * n * n) in
   let rows =
     List.map
-      (fun (name, cfun, native) ->
+      (fun (name, tier) ->
         let g0 = Mg_obs.Metrics.value c_generic
         and f0 = Mg_obs.Metrics.value c_cfun
         and n0 = Mg_obs.Metrics.value c_native in
-        let t, () = Timing.best_of ~warmup:1 ~times:5 (sweep ~cfun ~native) in
+        let t, () = Timing.best_of ~warmup:1 ~times:5 (sweep tier) in
         let g1 = Mg_obs.Metrics.value c_generic
         and f1 = Mg_obs.Metrics.value c_cfun
         and n1 = Mg_obs.Metrics.value c_native in
@@ -108,9 +108,9 @@ let kernel_ablation n =
           string_of_int (f1 - f0);
           string_of_int (n1 - n0);
         ])
-      [ ("generic cluster nest", false, false);
-        ("compiled cfun closures", true, false);
-        ("AOT native kernels", true, true);
+      [ ("generic cluster nest", Engine.Generic);
+        ("compiled cfun closures", Engine.Cfun);
+        ("AOT native kernels", Engine.Native);
       ]
   in
   Table.render Format.std_formatter
@@ -129,13 +129,13 @@ let fusion_ablation (cls : Classes.t) =
         let bytes =
           List.fold_left (fun acc (e : Trace.event) -> acc + e.Trace.bytes_alloc) 0 r.Driver.events
         in
-        [ Wl.opt_level_to_string level;
+        [ Engine.opt_level_to_string level;
           Printf.sprintf "%.3f" r.Driver.seconds;
           string_of_int loops;
           Printf.sprintf "%.1f MB" (float_of_int bytes /. 1e6);
           Format.asprintf "%a" Verify.pp_status r.Driver.status;
         ])
-      [ Wl.O0; Wl.O1; Wl.O2; Wl.O3 ]
+      [ Engine.O0; Engine.O1; Engine.O2; Engine.O3 ]
   in
   Table.render Format.std_formatter
     ~header:[ "level"; "seconds"; "loops"; "allocated"; "verification" ]
@@ -225,7 +225,7 @@ let reuse_ablation (cls : Classes.t) =
         let h0 = Mg_obs.Metrics.value c_hits and b0 = Mg_obs.Metrics.value c_bytes in
         let mw0 = (Gc.quick_stat ()).Gc.minor_words in
         let r =
-          Wl.with_cfun cfun (fun () -> Driver.run ~reuse ~impl:Driver.Sac ~cls ())
+          Driver.run ~cfun ~reuse ~impl:Driver.Sac ~cls ()
         in
         let h1 = Mg_obs.Metrics.value c_hits and b1 = Mg_obs.Metrics.value c_bytes in
         let mw1 = (Gc.quick_stat ()).Gc.minor_words in
@@ -293,15 +293,9 @@ let run stencil fusion memory periodic kernelpath reuse kernels n cls =
     periodic_ablation cls
   end
   in
-  (* A scoped engine derivation, not Wl.set_cfun: the override is
-     gone when the sections return, and the binary stays usable under
-     MG_ENGINE_STRICT=1.  Native keeps cfun on underneath as its
-     degradation target. *)
-  (match kernels with
-  | Some `Generic -> Wl.with_cfun false (fun () -> Wl.with_native false run_sections)
-  | Some `Cfun -> Wl.with_cfun true (fun () -> Wl.with_native false run_sections)
-  | Some `Native -> Wl.with_cfun true (fun () -> Wl.with_native true run_sections)
-  | None -> run_sections ());
+  (* A scoped engine derivation: the override is gone when the sections
+     return. *)
+  Exp_common.with_kernels kernels run_sections;
   0
 
 open Cmdliner
@@ -318,12 +312,10 @@ let reuse_arg =
   Arg.(value & flag & info [ "reuse" ] ~doc:"Buffer-reuse (in-place update) ablation only.")
 
 let kernels_arg =
-  Arg.(value
-       & opt (some (enum [ ("generic", `Generic); ("cfun", `Cfun); ("native", `Native) ])) None
-       & info [ "kernels" ] ~docv:"PATH"
-           ~doc:"Force the kernel path for unrecognised bodies in every section: \
-                 $(b,generic) (interpreted cluster nest), $(b,cfun) (staged compiled \
-                 closures, the O2+ default) or $(b,native) (AOT shared-object kernels).")
+  Exp_common.kernels_arg
+    ~doc:"Force the kernel path for unrecognised bodies in every section: \
+          $(b,generic) (interpreted cluster nest), $(b,cfun) (staged compiled \
+          closures, the O2+ default) or $(b,native) (AOT shared-object kernels)."
 
 let n_arg = Arg.(value & opt int 64 & info [ "n"; "extent" ] ~docv:"N" ~doc:"Grid extent for the stencil ablation.")
 

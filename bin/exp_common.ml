@@ -45,6 +45,18 @@ let sched_arg =
           "Loop scheduling policy for parallel with-loop parts: block (one static chunk per \
            worker) or chunked:M (M dynamically claimed chunks per worker).")
 
+(* --kernels: the kernel tier for bodies no fixed kernel recognises. *)
+let kernels_arg ~doc =
+  let tiers = List.map (fun t -> (Mg_withloop.Engine.tier_to_string t, t)) Mg_withloop.Engine.tiers in
+  Cmdliner.Arg.(value & opt (some (enum tiers)) None & info [ "kernels" ] ~docv:"PATH" ~doc)
+
+(* Run [f] on an engine derived with the tier's cfun/native flags;
+   without a tier the current engine's flags stand. *)
+let with_kernels tier f =
+  match tier with
+  | Some t -> Mg_withloop.Wl.with_config (Mg_withloop.Engine.with_tier t) f
+  | None -> f ()
+
 let profile_arg =
   Cmdliner.Arg.(
     value & flag
@@ -53,13 +65,19 @@ let profile_arg =
           "Record executor spans ({!Mg_obs}) during the measured runs and print the \
            span-based profile report after the table.")
 
+(* Span recording has two gates: the process-wide switch and the
+   engine's [observe] config.  Open both for the extent of [f]. *)
+let observed f =
+  Mg_obs.Span.with_enabled true (fun () ->
+      Mg_withloop.Wl.with_config (fun c -> { c with Mg_withloop.Engine.observe = true }) f)
+
 (* Run the whole experiment under span observation and append the
    profile report (per pipeline stage, per V-cycle level, per domain). *)
 let with_profile enabled f =
   if not enabled then f ()
   else begin
     Mg_obs.Span.clear ();
-    let r = Mg_withloop.Wl.with_observe true f in
+    let r = observed f in
     Format.printf "@.%s%!" (Mg_obs.Profile_report.render (Mg_obs.Span.events ()));
     r
   end

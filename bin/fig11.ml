@@ -14,16 +14,9 @@ module Table = Mg_bench_util.Bench_util.Table
 let run classes repeats csv kernels =
   Exp_common.header ();
   Printf.printf "# Figure 11: single-processor runtimes (best of %d)\n\n" repeats;
-  (* A scoped engine derivation (strict-safe): the SAC leg's kernel
-     tier for unrecognised bodies; F77/C are unaffected. *)
-  let with_kernels f =
-    match kernels with
-    | Some `Generic -> Mg_withloop.Wl.with_cfun false (fun () -> Mg_withloop.Wl.with_native false f)
-    | Some `Cfun -> Mg_withloop.Wl.with_cfun true (fun () -> Mg_withloop.Wl.with_native false f)
-    | Some `Native -> Mg_withloop.Wl.with_cfun true (fun () -> Mg_withloop.Wl.with_native true f)
-    | None -> f ()
-  in
-  with_kernels @@ fun () ->
+  (* The SAC leg's kernel tier for unrecognised bodies; F77/C are
+     unaffected. *)
+  Exp_common.with_kernels kernels @@ fun () ->
   let rows = ref [] in
   List.iter
     (fun (cls : Classes.t) ->
@@ -83,12 +76,10 @@ let repeats_arg =
 let csv_arg = Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Also write CSV.")
 
 let kernels_arg =
-  Arg.(value
-       & opt (some (enum [ ("generic", `Generic); ("cfun", `Cfun); ("native", `Native) ])) None
-       & info [ "kernels" ] ~docv:"PATH"
-           ~doc:"Kernel path for the SAC implementation's unrecognised bodies: \
-                 $(b,generic), $(b,cfun) (the O2+ default) or $(b,native) (AOT \
-                 shared-object kernels).")
+  Exp_common.kernels_arg
+    ~doc:"Kernel path for the SAC implementation's unrecognised bodies: \
+          $(b,generic), $(b,cfun) (the O2+ default) or $(b,native) (AOT \
+          shared-object kernels)."
 
 let cmd =
   Cmd.v

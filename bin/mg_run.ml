@@ -61,23 +61,15 @@ let run impl cls opt threads sched tile backend kernels reuse pooling profile me
   let modes = Option.value profile ~default:[] in
   let trace = List.mem Ptrace modes in
   let observe = List.exists (function Preport | Pchrome _ -> true | Ptrace -> false) modes in
-  if observe then Mg_withloop.Wl.set_kernel_timing true;
-  (* Tier ladder: native keeps cfun on underneath as its degradation
-     target; generic switches both staging tiers off. *)
-  let cfun, native =
-    match kernels with
-    | Some `Generic -> (Some false, Some false)
-    | Some `Cfun -> (Some true, Some false)
-    | Some `Native -> (Some true, Some true)
-    | None -> (None, None)
-  in
+  if observe then Mg_withloop.Kernel.set_timing true;
   let drive () =
-    Driver.run ~opt ~threads ~sched ~backend ?cfun ?native ?reuse ?pooling ~trace ~impl ~cls ()
+    Exp_common.with_kernels kernels (fun () ->
+        Driver.run ~opt ~threads ~sched ~backend ?reuse ?pooling ~trace ~impl ~cls ())
   in
   let result =
     if observe then begin
       Span.clear ();
-      Mg_withloop.Wl.with_observe true drive
+      Exp_common.observed drive
     end
     else drive ()
   in
@@ -122,11 +114,11 @@ let class_conv =
 
 let opt_conv =
   let parse s =
-    match Mg_withloop.Wl.opt_level_of_string s with
+    match Mg_withloop.Engine.opt_level_of_string s with
     | Some l -> Ok l
     | None -> Error (`Msg (Printf.sprintf "unknown optimisation level %S (O0..O3)" s))
   in
-  Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (Mg_withloop.Wl.opt_level_to_string l))
+  Arg.conv (parse, fun ppf l -> Format.pp_print_string ppf (Mg_withloop.Engine.opt_level_to_string l))
 
 let impl_arg =
   Arg.(value & opt impl_conv Driver.Sac & info [ "i"; "impl" ] ~docv:"IMPL" ~doc:"Implementation: sac, f77, c or periodic (the §7 border-free variant).")
@@ -135,7 +127,7 @@ let class_arg =
   Arg.(value & opt class_conv Classes.class_s & info [ "c"; "class" ] ~docv:"CLASS" ~doc:"Problem class (tiny, mini, S, W, W128, A, B, C).")
 
 let opt_arg =
-  Arg.(value & opt opt_conv Mg_withloop.Wl.O3 & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"With-loop optimisation level (sac only): O0..O3.")
+  Arg.(value & opt opt_conv Mg_withloop.Engine.O3 & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"With-loop optimisation level (sac only): O0..O3.")
 
 let threads_arg =
   Arg.(value & opt int 1 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Worker domains for with-loop execution.")
@@ -189,13 +181,11 @@ let backend_arg =
                  split run sequentially with per-piece trace events).")
 
 let kernels_arg =
-  Arg.(value
-       & opt (some (enum [ ("generic", `Generic); ("cfun", `Cfun); ("native", `Native) ])) None
-       & info [ "kernels" ] ~docv:"PATH"
-           ~doc:"Kernel path for bodies no fixed kernel recognises: $(b,generic) \
-                 (interpreted cluster nest), $(b,cfun) (staged compiled closures, the \
-                 O2+ default) or $(b,native) (AOT: emit C, compile to a disk-cached \
-                 shared object, dlopen; degrades to cfun when the toolchain refuses).")
+  Exp_common.kernels_arg
+    ~doc:"Kernel path for bodies no fixed kernel recognises: $(b,generic) \
+          (interpreted cluster nest), $(b,cfun) (staged compiled closures, the \
+          O2+ default) or $(b,native) (AOT: emit C, compile to a disk-cached \
+          shared object, dlopen; degrades to cfun when the toolchain refuses)."
 
 let reuse_arg =
   Arg.(value

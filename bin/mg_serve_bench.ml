@@ -156,23 +156,16 @@ let twin_check ~(cfg : Serve.config) responses =
   Hashtbl.fold
     (fun key group acc ->
       let spec, _ = List.hd group in
-      let e =
-        Mg_withloop.Engine.create
-          ~config:{ cfg.Serve.engine_config with Mg_withloop.Engine.threads = cfg.Serve.solver_threads }
-          ()
+      let config =
+        { cfg.Serve.engine_config with Mg_withloop.Engine.threads = cfg.Serve.solver_threads }
       in
-      let cfun, native =
-        match spec.Serve.tier with
-        | Some Serve.Generic -> (Some false, Some false)
-        | Some Serve.Cfun -> (Some true, Some false)
-        | Some Serve.Native -> (Some true, Some true)
-        | None -> (None, None)
-      in
+      let config = Option.fold ~none:config ~some:(fun t -> Mg_withloop.Engine.with_tier t config) spec.Serve.tier in
+      let e = Mg_withloop.Engine.create ~config () in
       let twin =
         Fun.protect
           ~finally:(fun () -> Mg_withloop.Engine.shutdown e)
           (fun () ->
-            Driver.run ~engine:e ?opt:spec.Serve.opt ?sched:spec.Serve.sched ?cfun ?native
+            Driver.run ~engine:e ?opt:spec.Serve.opt ?sched:spec.Serve.sched
               ~impl:spec.Serve.impl ~cls:spec.Serve.cls ())
       in
       let mismatches =
@@ -411,7 +404,7 @@ let impl_arg =
 
 let kernels_conv =
   let parse s =
-    let parts = List.map Serve.tier_of_string (String.split_on_char ',' (String.trim s)) in
+    let parts = List.map Mg_withloop.Engine.tier_of_string (String.split_on_char ',' (String.trim s)) in
     if parts <> [] && List.for_all Option.is_some parts then Ok (List.filter_map Fun.id parts)
     else Error (`Msg (Printf.sprintf "bad kernel mix %S (generic|cfun|native, comma-separated)" s))
   in

@@ -46,7 +46,7 @@ let run ?engine ?tenant ?opt ?threads ?sched ?backend ?cfun ?native ?reuse ?pool
           line_buffers = Option.value line_buffers ~default:c.Engine.line_buffers;
         })
   in
-  Wl.with_engine e (fun () ->
+  Engine.with_current e (fun () ->
       (* One trace context per solve: every span, labelled-metric bump
          and flight record below is attributed to this engine's label,
          even from pool worker domains (the pool mirrors the scope). *)

@@ -23,7 +23,7 @@ type result = {
 val run :
   ?engine:Engine.t ->
   ?tenant:string ->
-  ?opt:Wl.opt_level ->
+  ?opt:Engine.opt_level ->
   ?threads:int ->
   ?sched:Sched_policy.t ->
   ?backend:Backend.t ->

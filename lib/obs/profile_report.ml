@@ -235,7 +235,7 @@ let pp ?wall_seconds ppf (evs : Span.event list) =
       render_table ppf ~header:[ "lane"; "spans"; "busy ms"; "util" ] lane_rows;
       let metrics = Metrics.dump () in
       (* 4. Per-kernel piece cost (the unlabelled [kernel.ns_elt.*]
-         aggregate histograms recorded under {!Wl.set_kernel_timing}):
+         aggregate histograms recorded under [Kernel.set_timing]):
          count, mean, and interpolated p50/p90/p99. *)
       let prefix = "kernel.ns_elt." in
       let plen = String.length prefix in

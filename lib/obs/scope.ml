@@ -44,7 +44,6 @@ let make ?tenant ?(observe = true) ?(counters = []) ?(histograms = []) ~engine_i
 let solve_id s = s.solve_id
 let engine_id s = s.engine_id
 let tenant s = s.tenant
-let observing s = s.observe
 let labels s = s.labels
 
 (* ------------------------------------------------------------------ *)

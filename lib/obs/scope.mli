@@ -40,7 +40,6 @@ val make :
 val solve_id : t -> int
 val engine_id : t -> int
 val tenant : t -> string option
-val observing : t -> bool
 val labels : t -> Metrics.labels
 
 (** {1 The domain-local current scope} *)

@@ -23,16 +23,9 @@ module Metrics = Mg_obs.Metrics
 
 let now_ns () = Monotonic_clock.now ()
 
-type tier = Generic | Cfun | Native
+type tier = Engine.tier = Generic | Cfun | Native
 
-let tier_of_string s =
-  match String.lowercase_ascii s with
-  | "generic" -> Some Generic
-  | "cfun" -> Some Cfun
-  | "native" -> Some Native
-  | _ -> None
-
-let tier_to_string = function Generic -> "generic" | Cfun -> "cfun" | Native -> "native"
+let tier_to_string = Engine.tier_to_string
 
 type spec = {
   impl : Driver.impl;
@@ -116,21 +109,16 @@ let run_payload t widx (w : work) =
   match w.req.payload with
   | Custom f -> (
       try
-        let v = Wl.with_engine eng (fun () -> Mempool.with_scope ~owner:(Engine.id eng) f) in
+        let v = Engine.with_current eng (fun () -> Mempool.with_scope ~owner:(Engine.id eng) f) in
         Ok (v, true)
       with e -> Error (Printexc.to_string e))
   | Solve s -> (
-      let cfun, native =
-        match s.tier with
-        | Some Generic -> (Some false, Some false)
-        | Some Cfun -> (Some true, Some false)
-        | Some Native -> (Some true, Some true)
-        | None -> (None, None)
+      let engine =
+        match s.tier with Some t -> Engine.derive eng (Engine.with_tier t) | None -> eng
       in
       try
         let r =
-          Driver.run ~engine:eng ~tenant ?opt:s.opt ?sched:s.sched ?cfun ?native ~impl:s.impl
-            ~cls:s.cls ()
+          Driver.run ~engine ~tenant ?opt:s.opt ?sched:s.sched ~impl:s.impl ~cls:s.cls ()
         in
         Ok (r.Driver.rnm2, Verify.status_ok r.Driver.status)
       with e -> Error (Printexc.to_string e))

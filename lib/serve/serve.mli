@@ -43,11 +43,9 @@ open Mg_withloop
 open Mg_core
 
 (** Kernel tier requested for a solve, mapped onto the engine's
-    [cfun]/[native] flags ({!Native} keeps cfun on underneath as its
-    degradation target, like [mg_run --kernels]). *)
-type tier = Generic | Cfun | Native
+    [cfun]/[native] flags by {!Engine.with_tier}. *)
+type tier = Engine.tier = Generic | Cfun | Native
 
-val tier_of_string : string -> tier option
 val tier_to_string : tier -> string
 
 (** One solve order: which benchmark, at which size, under which

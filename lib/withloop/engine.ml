@@ -6,10 +6,19 @@ module Sched_policy = Mg_smp.Sched_policy
    cache, the pooling/observation gates — bundled into an explicit
    value that can be threaded through a solve.  Two engines with
    different configurations can run concurrently from separate
-   domains without trampling each other; the old global API survives
-   as a compat shim over one [default] engine. *)
+   domains without trampling each other.  A config is immutable once
+   its engine exists: reconfiguring means deriving a new engine. *)
 
 type opt_level = O0 | O1 | O2 | O3
+
+let opt_level_of_string = function
+  | "O0" | "o0" | "0" -> Some O0
+  | "O1" | "o1" | "1" -> Some O1
+  | "O2" | "o2" | "2" -> Some O2
+  | "O3" | "o3" | "3" -> Some O3
+  | _ -> None
+
+let opt_level_to_string = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"
 
 type config = {
   opt_level : opt_level;
@@ -28,6 +37,23 @@ type config = {
   sched : Sched_policy.t;
   backend : Backend.t;
 }
+
+(* The kernel tier for bodies no fixed kernel recognises.  Native keeps
+   cfun on underneath as its degradation target; generic switches both
+   staging tiers off. *)
+type tier = Generic | Cfun | Native
+
+let tiers = [ Generic; Cfun; Native ]
+let tier_to_string = function Generic -> "generic" | Cfun -> "cfun" | Native -> "native"
+
+let tier_of_string s =
+  List.find_opt (fun t -> tier_to_string t = String.lowercase_ascii s) tiers
+
+let with_tier t c =
+  match t with
+  | Generic -> { c with cfun = false; native = false }
+  | Cfun -> { c with cfun = true; native = false }
+  | Native -> { c with cfun = true; native = true }
 
 (* Literal defaults (no environment, no process atomics) so
    [config_of_env ~getenv:(fun _ -> None) ()] is deterministic
@@ -95,7 +121,7 @@ type t = {
          their own id; derived engines inherit the parent's, so the
          one-shot derivations Driver.run makes per solve all share
          one metric label instead of minting unbounded cardinality. *)
-  mutable config : config;
+  config : config;
   cache : Plan.cache_entry Plan_cache.t;
   pool_ref : pool_ref;
 }
@@ -131,25 +157,22 @@ let all () =
    owning a private execution pool — concurrent solves never contend
    for workers, but the second tenant to ask for a given graph shape
    replays the first tenant's plan. *)
-let create ?config:(c = config_of_env ()) ?share_cache () =
+(* A registered root engine: it labels its own metric shards. *)
+let make_root ~config ~cache pool_ref =
   let id = next_id () in
-  let e =
-    { id;
-      label = id;
-      config = c;
-      cache =
-        (match share_cache with Some p -> p.cache | None -> Plan_cache.create ());
-      pool_ref = Owned { pool = None; pm = Mutex.create () };
-    }
-  in
+  let e = { id; label = id; config; cache; pool_ref } in
   register e;
   e
+
+let create ?(config = config_of_env ()) ?share_cache () =
+  let cache = match share_cache with Some p -> p.cache | None -> Plan_cache.create () in
+  make_root ~config ~cache (Owned { pool = None; pm = Mutex.create () })
 
 (* A derived engine is a cheap reconfiguration of its parent: it
    shares the parent's plan cache (keys carry the optimisation
    fingerprint, so entries from different configs never collide) and
    its execution pool, but carries its own config record.  This is
-   what the scoped [Wl.with_*] combinators hand out. *)
+   what [Wl.with_config] and [Driver.run] hand out. *)
 let derive parent f =
   { id = next_id ();
     label = parent.label;
@@ -180,17 +203,8 @@ let default () =
     match !default_ref with
     | Some e -> e
     | None ->
-        let id = next_id () in
-        let e =
-          { id;
-            label = id;
-            config = config_of_env ();
-            cache = Plan_cache.create ();
-            pool_ref = Shared_global;
-          }
-        in
+        let e = make_root ~config:(config_of_env ()) ~cache:(Plan_cache.create ()) Shared_global in
         default_ref := Some e;
-        register e;
         e
   in
   Mutex.unlock default_mu;
@@ -211,36 +225,11 @@ let with_current e f =
   Fun.protect ~finally:(fun () -> cell := saved) f
 
 (* ------------------------------------------------------------------ *)
-(* Strict mode: MG_ENGINE_STRICT=1 turns every compat-shim mutation of
-   the default engine into a hard error, proving the suite runs on
-   the engine API alone. *)
-
-let strict_flag =
-  Atomic.make
-    (match Sys.getenv_opt "MG_ENGINE_STRICT" with
-    | Some v -> Option.value (bool_of_string_opt v) ~default:false
-    | None -> false)
-
-let strict () = Atomic.get strict_flag
-let set_strict b = Atomic.set strict_flag b
-
-let update_default ~shim f =
-  if Atomic.get strict_flag then
-    failwith
-      (Printf.sprintf
-         "Engine: %s mutates the default engine under MG_ENGINE_STRICT=1; use Engine.create \
-          / Engine.derive or the scoped Wl.with_* combinators"
-         shim);
-  let e = default () in
-  e.config <- f e.config
-
-(* ------------------------------------------------------------------ *)
 (* Execution plumbing                                                  *)
 
 let id e = e.id
 let label e = e.label
 let config e = e.config
-let set_config e c = e.config <- c
 
 let pool e () =
   match e.pool_ref with
@@ -319,8 +308,6 @@ let cache_clear e =
 (* ------------------------------------------------------------------ *)
 (* Solve-scoped telemetry                                              *)
 
-let opt_level_to_string_ = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"
-
 (* A compact, human-readable digest of everything that shapes a solve,
    for flight-recorder records (distinct from Exec's structural cache
    fingerprint, which is engineered for key compactness). *)
@@ -328,15 +315,16 @@ let config_fingerprint e =
   let c = e.config in
   let flag name b = if b then name else "-" ^ name in
   Printf.sprintf "%s t%d %s %s %s %s %s %s sched=%s backend=%s"
-    (opt_level_to_string_ c.opt_level)
+    (opt_level_to_string c.opt_level)
     c.threads (flag "lb" c.line_buffers) (flag "cfun" c.cfun) (flag "nt" c.native)
     (flag "reuse" c.reuse) (flag "pool" c.pooling) (flag "obs" c.observe)
     (Sched_policy.to_string c.sched)
     (Backend.name c.backend)
 
-(* The metric families sharded per engine label: the cache, mempool
-   and kernel instrumentation sites bump these through
-   [Mg_obs.Scope.bump]/[observe] next to the unlabelled aggregates. *)
+(* The counter families sharded per engine label: the cache and mempool
+   instrumentation sites bump these through [Mg_obs.Scope.bump] next to
+   the unlabelled aggregates.  The histogram families are Kernel's
+   timing table, so a new kernel kind cannot miss its shard. *)
 let scope_counters =
   [ "plan_cache.hits";
     "plan_cache.misses";
@@ -349,28 +337,10 @@ let scope_counters =
     "native.compile_failures";
   ]
 
-let scope_histograms =
-  [ "kernel.ns_elt.stencil";
-    "kernel.ns_elt.linebuf";
-    "kernel.ns_elt.copy";
-    "kernel.ns_elt.generic";
-    "kernel.ns_elt.interp";
-    "kernel.ns_elt.cfun";
-  ]
-
 let new_scope ?tenant e =
   Mg_obs.Scope.make ?tenant ~observe:e.config.observe ~counters:scope_counters
-    ~histograms:scope_histograms ~engine_id:e.label ()
+    ~histograms:Kernel.ns_elt_families ~engine_id:e.label ()
 
 let flight_log e =
   List.filter (fun (r : Mg_obs.Flight.record) -> r.Mg_obs.Flight.engine_id = e.label)
     (Mg_obs.Flight.records ())
-
-let opt_level_of_string = function
-  | "O0" | "o0" | "0" -> Some O0
-  | "O1" | "o1" | "1" -> Some O1
-  | "O2" | "o2" | "2" -> Some O2
-  | "O3" | "o3" | "3" -> Some O3
-  | _ -> None
-
-let opt_level_to_string = function O0 -> "O0" | O1 -> "O1" | O2 -> "O2" | O3 -> "O3"

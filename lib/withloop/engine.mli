@@ -7,14 +7,13 @@
     (see [Driver.run ?engine] and {!with_current}) replaces mutating
     process globals, so two engines with different settings can solve
     concurrently from separate domains — the prerequisite for the
-    multi-tenant solver service (ROADMAP item 1).
+    multi-tenant solver service.
 
-    The pre-existing [Wl.set_*]/[get_*] API survives as a compat shim
-    over the {!default} engine; [MG_ENGINE_STRICT=1] ({!strict}) turns
-    any shim mutation into a hard error so CI can prove the suite runs
-    on the engine API alone.  The scoped [Wl.with_*] combinators are
-    strict-safe: they {!derive} a reconfigured engine and install it
-    with {!with_current} instead of mutating anything. *)
+    {!config} is the only way to configure the executor — the
+    analogue of sac2c's command-line switches, Fig. 11's O0–O3
+    ablation being a choice among them.  A config is fixed for the
+    life of its engine: reconfigure by {!create}-ing or {!derive}-ing
+    another, or scope a derived one with [Wl.with_config]. *)
 
 type opt_level =
   | O0  (** Materialise everything; one multiplication per stencil term. *)
@@ -26,8 +25,12 @@ type config = {
   opt_level : opt_level;
   threads : int;  (** Execution-pool size ([>= 1]; 1 = sequential). *)
   par_threshold : int;  (** Minimum part cardinality for parallel execution. *)
-  split_threshold : int;  (** Minimum cardinality for generator splitting. *)
-  line_buffers : bool;  (** Line-buffered box-stencil kernels. *)
+  split_threshold : int;
+      (** Minimum part cardinality for generator splitting during
+          folding; smaller consumers materialise their producers. *)
+  line_buffers : bool;
+      (** Line-buffered box-stencil kernels: per-row plane sums
+          computed once and reused across the inner loop. *)
   cfun : bool;  (** Staged kernel compilation (effective at O2+). *)
   native : bool;
       (** AOT native backend: emit C for staged kernels, compile to
@@ -36,14 +39,22 @@ type config = {
   native_cache : string option;
       (** Shared-object cache directory for the native backend;
           [None] resolves to ["_mg_native"] at settings time. *)
-  reuse : bool;  (** Buffer-reuse analysis (effective at O2+). *)
-  pooling : bool;  (** Draw buffers from the {!Mempool} arenas. *)
+  reuse : bool;
+      (** Buffer-reuse analysis (effective at O2+): a sweep whose dead
+          operand is read only by identity writes through that
+          operand's buffer — SAC's update-in-place. *)
+  pooling : bool;
+      (** Draw buffers from the {!Mempool} arenas and recycle dead
+          intermediates into them; off allocates every buffer
+          fresh.  Orthogonal to [reuse]. *)
   observe : bool;
       (** Engine-level observation gate: [false] keeps this engine's
           forces out of traces/spans even when the process-wide
           switches are on. *)
-  sched : Mg_smp.Sched_policy.t;
+  sched : Mg_smp.Sched_policy.t;  (** Chunk shape for parallel with-loop parts. *)
   backend : Backend.t;
+      (** Piece-scheduling backend: the real domain pool, or the
+          sequential {!Backend.Smp_sim} split for the SMP cost model. *)
 }
 
 val default_config : config
@@ -58,6 +69,28 @@ val config_of_env : ?getenv:(string -> string option) -> unit -> config
     shared-object cache directory; blank is ignored).  This is the
     one place environment variables are parsed; pass [~getenv] to
     test the parsing hermetically. *)
+
+(** {1 Kernel tiers} *)
+
+(** The tier for rank-3 bodies no fixed kernel recognises: the
+    interpreted generic nest, staged {!Cfun} closures, or AOT
+    {!Native} shared objects.  A choice over the [cfun]/[native]
+    config flags, shared by every command-line [--kernels] switch and
+    [Mg_serve]. *)
+type tier = Generic | Cfun | Native
+
+val tiers : tier list
+val tier_to_string : tier -> string
+
+val tier_of_string : string -> tier option
+(** The inverse of {!tier_to_string}, case-insensitive. *)
+
+val with_tier : tier -> config -> config
+(** Set the [cfun]/[native] flags for a tier.  [Native] keeps [cfun]
+    on underneath as its degradation target; [Generic] switches both
+    off. *)
+
+(** {1 Engines} *)
 
 type t
 (** One engine: a config, a private plan cache, an execution pool. *)
@@ -89,8 +122,7 @@ val shutdown : t -> unit
 
 val default : unit -> t
 (** The process-default engine (created on first use from
-    {!config_of_env}; executes on the global domain pool).  This is
-    the engine the [Wl.set_*] compat shim mutates. *)
+    {!config_of_env}; executes on the global domain pool). *)
 
 val current : unit -> t
 (** The calling domain's dynamically-bound engine ({!with_current}),
@@ -130,9 +162,6 @@ val flight_log : t -> Mg_obs.Flight.record list
     oldest first. *)
 
 val config : t -> config
-val set_config : t -> config -> unit
-(** Replace the engine's config (takes effect on the next force).
-    Prefer {!derive} for scoped changes. *)
 
 val settings : t -> Exec.settings
 (** The executor settings for the engine's current config: the
@@ -152,17 +181,6 @@ val cache_length : t -> int
 val cache_clear : t -> unit
 (** Drop the engine's cached plans, zero its statistics, and release
     the (process-wide) pooled buffers. *)
-
-(** {1 Strict mode} *)
-
-val strict : unit -> bool
-(** [MG_ENGINE_STRICT] at start-up, or the last {!set_strict}. *)
-
-val set_strict : bool -> unit
-
-val update_default : shim:string -> (config -> config) -> unit
-(** Mutate the default engine's config — the compat shim's backend.
-    Raises [Failure] under {!strict}, naming [shim] as the offender. *)
 
 (** {1 Introspection} *)
 

@@ -55,8 +55,8 @@ type settings = {
           aliasing events). *)
   pooling : bool;
       (** Draw buffers from {!Mempool} arenas; [false] degrades every
-          allocation to a plain [create_uninit] (the engine-level
-          mirror of the [MG_POOLING] kill-switch). *)
+          allocation to a plain [create_uninit] (the engine config's
+          [pooling] flag, the only pooling switch). *)
   observe : bool;
       (** Engine-level observation gate: [false] skips trace/span
           emission and their clock reads even when the process-wide

@@ -1,48 +1,37 @@
 open Mg_ndarray
 open Cluster
 
-(* Executor path counters (diagnostics, tests and the bench JSON).
-   Atomic metrics rather than plain refs: [run_k3] runs concurrently on
-   pool domains, so [incr] on an [int ref] would lose updates. *)
 module Metrics = Mg_obs.Metrics
 
-let c_stencil = Metrics.counter "kernel.stencil"
-let c_linebuf = Metrics.counter "kernel.linebuf"
-let c_copy = Metrics.counter "kernel.copy"
-let c_generic = Metrics.counter "kernel.generic"
-let c_interp = Metrics.counter "kernel.interp"
-let c_cfun = Metrics.counter "kernel.cfun"
-let c_native = Metrics.counter "kernel.native"
+(* One row per kernel path: its dispatch counter [kernel.<path>] (an
+   atomic metric — [run_k3] runs concurrently on pool domains) and its
+   ns/elt log₂ histogram family [kernel.ns_elt.<path>] with the
+   unlabelled aggregate.  [Engine.new_scope] shards the same families
+   per engine ({!ns_elt_families}), so every aggregate has a labelled
+   shard. *)
+type path = { name : string; hits : Metrics.counter; family : string; ns_elt : Metrics.histogram }
 
-(* Per-kernel ns/elt histograms (log₂ buckets).  Timing is off by
-   default — two clock reads per piece would tax production runs — and
-   switched on by the profiler and the bench harness. *)
+let path name =
+  let family = "kernel.ns_elt." ^ name in
+  { name; hits = Metrics.counter ("kernel." ^ name); family; ns_elt = Metrics.histogram family }
+
+let p_stencil = path "stencil"
+let p_linebuf = path "linebuf"
+let p_copy = path "copy"
+let p_generic = path "generic"
+let p_interp = path "interp"
+let p_cfun = path "cfun"
+let p_native = path "native"
+let paths = [ p_stencil; p_linebuf; p_copy; p_generic; p_interp; p_cfun; p_native ]
+let c_cfun = p_cfun.hits
+let ns_elt_families = List.map (fun p -> p.family) paths
+let counters () = List.map (fun p -> (p.name, Metrics.value p.hits)) paths
+
+(* Timing is off by default — two clock reads per piece would tax
+   production runs — and switched on by the profiler and the bench
+   harness. *)
 let timing = Atomic.make false
 let set_timing b = Atomic.set timing b
-let get_timing () = Atomic.get timing
-
-let h_stencil = Metrics.histogram "kernel.ns_elt.stencil"
-let h_linebuf = Metrics.histogram "kernel.ns_elt.linebuf"
-let h_copy = Metrics.histogram "kernel.ns_elt.copy"
-let h_generic = Metrics.histogram "kernel.ns_elt.generic"
-let h_interp = Metrics.histogram "kernel.ns_elt.interp"
-let h_cfun = Metrics.histogram "kernel.ns_elt.cfun"
-let h_native = Metrics.histogram "kernel.ns_elt.native"
-
-let counters () =
-  [ ("stencil", Metrics.value c_stencil);
-    ("linebuf", Metrics.value c_linebuf);
-    ("copy", Metrics.value c_copy);
-    ("generic", Metrics.value c_generic);
-    ("interp", Metrics.value c_interp);
-    ("cfun", Metrics.value c_cfun);
-    ("native", Metrics.value c_native);
-  ]
-
-let reset_counters () =
-  List.iter
-    (fun c -> Metrics.set_counter c 0)
-    [ c_stencil; c_linebuf; c_copy; c_generic; c_interp; c_cfun; c_native ]
 
 (* ------------------------------------------------------------------ *)
 (* Execution of a compiled linear part                                 *)
@@ -716,7 +705,6 @@ let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~
     ~(counts : int array) =
   match k with
   | K3copy ->
-      Metrics.incr c_copy;
       let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
       let os0 = osteps.(0) and os1 = osteps.(1) in
       let cl = clusters.(0) in
@@ -730,49 +718,33 @@ let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~
         done
       done
   | K3stencil (st, _, _) ->
-      Metrics.incr c_stencil;
       run_stencil3 ~const st out ~obase ~osteps ~counts
   | K3stencil_lb (st, _, _) ->
-      Metrics.incr c_linebuf;
       run_stencil3_linebuf ~const st out ~obase ~osteps ~counts
   | K3zip ->
-      Metrics.incr c_interp;
       run_zip3 ~const clusters out ~obase ~osteps ~counts
   | K3flat ->
-      Metrics.incr c_interp;
       run_flat3 ~const clusters.(0) out ~obase ~osteps ~counts
   | K3cfun f ->
-      Metrics.incr c_cfun;
       Cfun.run f clusters out ~obase ~osteps ~counts
   | K3native nf ->
-      Metrics.incr c_native;
       Native.call nf clusters out ~obase ~counts
   | K3generic ->
-      Metrics.incr c_generic;
       run_generic3 ~const clusters out ~obase ~osteps ~counts
 
-let h_of = function
-  | K3copy -> h_copy
-  | K3stencil _ -> h_stencil
-  | K3stencil_lb _ -> h_linebuf
-  | K3zip | K3flat -> h_interp
-  | K3cfun _ -> h_cfun
-  | K3native _ -> h_native
-  | K3generic -> h_generic
-
-(* The per-engine shard of the same family, routed through the
-   installed scope's pre-interned labelled histogram. *)
-let hname_of = function
-  | K3copy -> "kernel.ns_elt.copy"
-  | K3stencil _ -> "kernel.ns_elt.stencil"
-  | K3stencil_lb _ -> "kernel.ns_elt.linebuf"
-  | K3zip | K3flat -> "kernel.ns_elt.interp"
-  | K3cfun _ -> "kernel.ns_elt.cfun"
-  | K3native _ -> "kernel.ns_elt.native"
-  | K3generic -> "kernel.ns_elt.generic"
+let path_of = function
+  | K3stencil _ -> p_stencil
+  | K3stencil_lb _ -> p_linebuf
+  | K3copy -> p_copy
+  | K3generic -> p_generic
+  | K3zip | K3flat -> p_interp
+  | K3cfun _ -> p_cfun
+  | K3native _ -> p_native
 
 let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
+  let p = path_of k in
+  Metrics.incr p.hits;
   if not (Atomic.get timing) then
     run_k3_untimed ~const k clusters out ~obase ~osteps ~counts
   else begin
@@ -781,8 +753,8 @@ let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~o
     let dt = Int64.to_int (Int64.sub (Mg_smp.Clock.now_ns ()) t0) in
     let elts = counts.(0) * counts.(1) * counts.(2) in
     if elts > 0 then begin
-      Metrics.observe (h_of k) (dt / elts);
-      Mg_obs.Scope.observe (hname_of k) (dt / elts)
+      Metrics.observe p.ns_elt (dt / elts);
+      Mg_obs.Scope.observe p.family (dt / elts)
     end
   end
 

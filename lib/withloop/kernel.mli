@@ -10,39 +10,31 @@
 
 open Mg_ndarray
 
-(** {1 Path counters}
+(** {1 Path counters and timing}
 
-    Incremented by {!run_k3} and the backends; read by tests and the
-    benchmark harness.  Backed by {!Mg_obs.Metrics} atomic counters
-    ([kernel.stencil], [kernel.linebuf], …) so concurrent bumps from
-    {!Mg_smp.Domain_pool} workers are never lost. *)
+    Every kernel path has a dispatch counter ([kernel.stencil],
+    [kernel.cfun], …; {!Mg_obs.Metrics} atomics, so concurrent bumps
+    from {!Mg_smp.Domain_pool} workers are never lost) and a
+    ns-per-element log₂ histogram family ([kernel.ns_elt.stencil],
+    [kernel.ns_elt.cfun], …), both kept in one table.  {!run_k3} bumps
+    the counter on every piece; with timing on it also records the
+    piece's truncated ns/elt into the family's unlabelled aggregate and
+    into the current {!Mg_obs.Scope}'s shard of the same family.
+    Rendered by {!Mg_obs.Profile_report} and dumped into [bench.json]. *)
 
-val c_stencil : Mg_obs.Metrics.counter
-val c_linebuf : Mg_obs.Metrics.counter
-val c_copy : Mg_obs.Metrics.counter
-val c_generic : Mg_obs.Metrics.counter
-val c_interp : Mg_obs.Metrics.counter
 val c_cfun : Mg_obs.Metrics.counter
-val c_native : Mg_obs.Metrics.counter
+(** [kernel.cfun]: also bumped by the backends' closure pieces. *)
 
 val counters : unit -> (string * int) list
 (** All counters as [(name, count)] pairs, in a stable order (names
     without the [kernel.] registry prefix). *)
 
-val reset_counters : unit -> unit
-(** Zero the kernel-path counters only (other registry instruments are
-    untouched). *)
-
-(** {1 Per-kernel timing}
-
-    When enabled, {!run_k3} times each piece and records truncated
-    ns-per-element into per-path log₂ histograms
-    ([kernel.ns_elt.stencil], [kernel.ns_elt.cfun], …), rendered by
-    {!Mg_obs.Profile_report} and dumped into [bench.json].  Off by
-    default: timing costs two monotonic clock reads per piece. *)
-
 val set_timing : bool -> unit
-val get_timing : unit -> bool
+(** Off by default: timing costs two monotonic clock reads per piece. *)
+
+val ns_elt_families : string list
+(** Every [kernel.ns_elt.*] family {!run_k3} records into; engines
+    shard exactly this list. *)
 
 (** {1 Rank-3 kernel dispatch} *)
 

@@ -75,14 +75,6 @@ let retired_reused = ref 0
 let retired_recycled = ref 0
 let retired_alloc_bytes = ref 0
 
-let pooling =
-  Atomic.make
-    (match Sys.getenv_opt "MG_POOLING" with
-    | Some ("0" | "off" | "false") -> false
-    | _ -> true)
-
-let set_pooling b = Atomic.set pooling b
-let get_pooling () = Atomic.get pooling
 let debug = Atomic.make false
 let set_debug b = Atomic.set debug b
 let get_debug () = Atomic.get debug
@@ -271,13 +263,11 @@ let trail_push a b =
   a.trail.(a.trail_len) <- b;
   a.trail_len <- a.trail_len + 1
 
-(* [?pooling] lets an engine carry its own pooling decision through
-   the executor (per-engine config); absent, the process atomic — the
-   MG_POOLING kill-switch — decides, as for direct callers. *)
-let alloc ?pooling:(p : bool option) shape =
+(* [~pooling] is the calling engine's config flag: the engine config is
+   the only pooling switch. *)
+let alloc ~pooling shape =
   let len = Shape.num_elements shape in
-  let pooled = match p with Some b -> b | None -> Atomic.get pooling in
-  if len = 0 || not pooled then begin
+  if len = 0 || not pooling then begin
     Mg_obs.Metrics.add c_alloc_bytes (8 * len);
     Mg_obs.Scope.bump "mempool.alloc_bytes" (8 * len);
     Ndarray.create_uninit shape
@@ -305,10 +295,9 @@ let in_pending a b =
   let rec scan i = i < a.trail_len && (a.trail.(i) == b || scan (i + 1)) in
   scan 0
 
-let recycle ?pooling:(p : bool option) (arr : Ndarray.t) =
+let recycle ~pooling (arr : Ndarray.t) =
   let len = Ndarray.size arr in
-  let pooled = match p with Some b -> b | None -> Atomic.get pooling in
-  if len > 0 && pooled then begin
+  if len > 0 && pooling then begin
     let a = arena () in
     let b = arr.Ndarray.data in
     if Atomic.get debug && (in_free_slot a b || in_pending a b) then
@@ -376,21 +365,16 @@ let scope_depth () = (arena ()).nmarks
    release hook skips escaped nodes and a live iterate's count never
    reaches zero.  Under debug these verify that invariant at the
    force/materialize boundary — a hit means a refcount bug upstream. *)
-let escape (arr : Ndarray.t) =
-  if Atomic.get debug && Ndarray.size arr > 0 && Atomic.get pooling then begin
+let check_unpooled what (arr : Ndarray.t) =
+  if Atomic.get debug && Ndarray.size arr > 0 then begin
     let a = arena () in
     let b = arr.Ndarray.data in
     if in_free_slot a b || in_pending a b then
-      failwith "Mempool: escape of a pooled (free) buffer"
+      failwith ("Mempool: " ^ what ^ " of a pooled (free) buffer")
   end
 
-let keep (arr : Ndarray.t) =
-  if Atomic.get debug && Ndarray.size arr > 0 && Atomic.get pooling then begin
-    let a = arena () in
-    let b = arr.Ndarray.data in
-    if in_free_slot a b || in_pending a b then
-      failwith "Mempool: keep of a pooled (free) buffer"
-  end
+let escape = check_unpooled "escape"
+let keep = check_unpooled "keep"
 
 (* {2 Cold paths} *)
 

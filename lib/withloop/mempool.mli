@@ -32,28 +32,28 @@
     so scopes cannot reclaim them — under {!set_debug}, {!escape} and
     {!keep} additionally verify that invariant.
 
-    {2 Kill-switch}
+    {2 Pooling off}
 
-    [MG_POOLING=0] in the environment (or {!set_pooling}[ false])
-    degrades every allocation to a plain [Ndarray.create_uninit] and
-    makes recycling and scopes no-ops — the A/B baseline for
-    ablation.  In-place reuse ([Plan.OReuse]) is orthogonal and stays
-    active. *)
+    Every {!alloc}/{!recycle} takes the calling engine's [pooling]
+    config flag ([Engine.config], the only pooling switch; [MG_POOLING]
+    reaches it through [Engine.config_of_env]).  [~pooling:false]
+    degrades the allocation to a plain [Ndarray.create_uninit] and
+    makes the recycle a no-op — the A/B baseline for ablation.
+    In-place reuse ([Plan.OReuse]) is orthogonal and stays active. *)
 
 open Mg_ndarray
 
-val alloc : ?pooling:bool -> Shape.t -> Ndarray.t
+val alloc : pooling:bool -> Shape.t -> Ndarray.t
 (** A (possibly recycled, uninitialised) array of the given shape,
-    drawn from the calling domain's arena.  [?pooling] carries the
-    calling engine's configuration; when omitted the process-wide
-    kill-switch default ({!set_pooling}) decides. *)
+    drawn from the calling domain's arena when [pooling] holds, fresh
+    otherwise. *)
 
-val recycle : ?pooling:bool -> Ndarray.t -> unit
-(** Return a dead buffer to the calling domain's arena.  The caller
-    must guarantee no live reference to the array remains; at most
-    {!max_per_class} buffers are kept per size class.  Inside an
-    active scope this is deferred: the buffer sits on the scope trail
-    and {!reset} reclaims it.  [?pooling] as for {!alloc}. *)
+val recycle : pooling:bool -> Ndarray.t -> unit
+(** Return a dead buffer to the calling domain's arena (no-op unless
+    [pooling]).  The caller must guarantee no live reference to the
+    array remains; at most {!max_per_class} buffers are kept per size
+    class.  Inside an active scope this is deferred: the buffer sits
+    on the scope trail and {!reset} reclaims it. *)
 
 val clear : unit -> unit
 (** Drop every pooled buffer in every arena and zero the {!stats}
@@ -110,16 +110,6 @@ val escape : Ndarray.t -> unit
 val keep : Ndarray.t -> unit
 (** The array survives the current scope pool-owned ([Wl.materialize]'s
     loop-carried iterate).  Debug-only tripwire like {!escape}. *)
-
-(** {1 Kill-switch} *)
-
-val set_pooling : bool -> unit
-(** [false] degrades {!alloc} to [Ndarray.create_uninit] and makes
-    {!recycle} and scope tracking no-ops.  Initialised from
-    [MG_POOLING] ([0]/[off]/[false] disable).  Toggle between runs,
-    not mid-scope. *)
-
-val get_pooling : unit -> bool
 
 (** {1 Diagnostics} *)
 

@@ -37,13 +37,6 @@ let c_disk_hits = Metrics.counter "native.disk_hits"
 let c_mem_hits = Metrics.counter "native.mem_hits"
 let h_compile = Metrics.histogram "native.compile_ns"
 
-let counters () =
-  [ ("compiles", Metrics.value c_compiles);
-    ("compile_failures", Metrics.value c_failures);
-    ("disk_hits", Metrics.value c_disk_hits);
-    ("mem_hits", Metrics.value c_mem_hits);
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* FFI                                                                 *)
 

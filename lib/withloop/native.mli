@@ -22,10 +22,6 @@ val c_failures : Mg_obs.Metrics.counter
 val c_disk_hits : Mg_obs.Metrics.counter
 val c_mem_hits : Mg_obs.Metrics.counter
 
-val counters : unit -> (string * int) list
-(** [native.*] counter values as [(name, count)] pairs (names without
-    the [native.] prefix), in a stable order. *)
-
 (** {1 Compilation} *)
 
 type fn

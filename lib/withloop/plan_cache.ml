@@ -20,14 +20,6 @@ let c_evictions = Metrics.counter "plan_cache.evictions"
 let c_uncacheable = Metrics.counter "plan_cache.uncacheable"
 let g_saved = Metrics.gauge "plan_cache.saved_seconds"
 
-let global_stats () =
-  { hits = Metrics.value c_hits;
-    misses = Metrics.value c_misses;
-    evictions = Metrics.value c_evictions;
-    uncacheable = Metrics.value c_uncacheable;
-    saved_seconds = Metrics.gauge_value g_saved;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Keyed store with LRU eviction.  Recency is a logical tick; eviction
    scans — capacity is small and overflow rare, so O(n) eviction beats

@@ -70,11 +70,6 @@ val key_of_graph : env:string -> fold:bool -> Ir.node -> (string * Ir.source arr
 val stats : 'a t -> stats
 val reset_stats : 'a t -> unit
 
-val global_stats : unit -> stats
-(** The process-wide aggregate across every cache instance since
-    start-up (backed by the metrics registry; {!reset_stats} does not
-    touch it). *)
-
 val note_hit : 'a t -> saved:float -> unit
 val note_miss : 'a t -> unit
 val note_uncacheable : 'a t -> unit

@@ -9,14 +9,10 @@
 
     Configuration lives in an explicit {!Engine.t} (see that module):
     {!force} consults the calling domain's current engine, so the
-    solve hot path reads no [Wl] global.  The [set_*]/[get_*] API
-    below mirrors sac2c command-line options and survives as a compat
-    shim — [set_*] mutate the {!Engine.default} engine (a hard error
-    under [MG_ENGINE_STRICT=1]), [get_*] read the current engine, and
-    the scoped [with_*] combinators derive a reconfigured engine for
-    the extent of a thunk without mutating anything.  New code should
-    pass an engine explicitly ([Driver.run ?engine] /
-    {!with_engine}). *)
+    solve hot path reads no [Wl] global.  {!Engine.config} is the only
+    configuration surface — the analogue of sac2c's command-line
+    switches.  Build an engine ([Engine.create]/[Engine.derive],
+    [Driver.run ?engine]) or scope a derived one with {!with_config}. *)
 
 open Mg_ndarray
 
@@ -91,99 +87,14 @@ val fold_reference : op:Exec.fold_op -> neutral:float -> Generator.t -> Expr.e -
 (** Reference evaluation of {!fold} (row-major per-element tree walk,
     see {!run_reference}). *)
 
-(** {1 Compiler configuration}
+(** {1 Compiler configuration} *)
 
-    The compat shim over {!Engine} (see the header comment). *)
-
-type opt_level = Engine.opt_level =
-  | O0  (** Materialise everything; one multiplication per stencil term. *)
-  | O1  (** + coefficient factoring (27 mults → 4 for NAS-MG stencils). *)
-  | O2  (** + with-loop folding (producer substitution, range splits). *)
-  | O3  (** + residue-class generator splitting for strided producers. *)
-
-val with_engine : Engine.t -> (unit -> 'a) -> 'a
-(** Run a thunk with an explicit engine as the calling domain's
-    current one (= {!Engine.with_current}) — the strict-safe way to
-    select a configuration. *)
-
-val set_opt_level : opt_level -> unit
-val get_opt_level : unit -> opt_level
-val with_opt_level : opt_level -> (unit -> 'a) -> 'a
-
-val set_threads : int -> unit
-(** Execution-pool size used by forced with-loops (the engine's pool
-    is resized lazily, on the next force). *)
-
-val get_threads : unit -> int
-val with_threads : int -> (unit -> 'a) -> 'a
-
-val set_par_threshold : int -> unit
-(** Minimum part cardinality for parallel execution (default 16384). *)
-
-val get_par_threshold : unit -> int
-val with_par_threshold : int -> (unit -> 'a) -> 'a
-
-val set_split_threshold : int -> unit
-(** Minimum part cardinality for generator splitting during folding
-    (default 2048); smaller consumers materialise their producers.
-    Tests of the splitting machinery set this to 0. *)
-
-val get_split_threshold : unit -> int
-val with_split_threshold : int -> (unit -> 'a) -> 'a
-
-val set_line_buffers : bool -> unit
-(** Enable the line-buffered box-stencil kernel (default [true]):
-    recognised stencils with edge/corner classes compute per-row plane
-    sums once and reuse them across the inner loop, the Fortran port's
-    resid/psinv technique. *)
-
-val get_line_buffers : unit -> bool
-val with_line_buffers : bool -> (unit -> 'a) -> 'a
-
-val set_cfun : bool -> unit
-(** Enable staged kernel compilation (default [true], effective at
-    O2+): rank-3 bodies no fixed kernel recognises are compiled into
-    {!Cfun} closures — delta offsets unrolled, layouts let-bound —
-    instead of the interpreted generic cluster nest.  Compiled kernels
-    are cached inside their plans. *)
-
-val get_cfun : unit -> bool
-val with_cfun : bool -> (unit -> 'a) -> 'a
-
-val set_native : bool -> unit
-(** Enable the AOT native backend (default [false], effective at
-    O2+): bodies the cfun tier would stage are instead emitted as C,
-    compiled with the system C compiler into shared objects cached
-    under [MG_NATIVE_CACHE] (default [_mg_native/]) and [dlopen]ed.
-    Compile failures degrade to the {!set_cfun} tier transparently.
-    Results are bitwise identical to every other tier. *)
-
-val get_native : unit -> bool
-val with_native : bool -> (unit -> 'a) -> 'a
-
-val set_reuse : bool -> unit
-(** Enable buffer-reuse analysis (default [true], effective at O2+):
-    a fully covered sweep whose operand's reference count shows it dies
-    at this node, and whose reads of that operand are all identity,
-    writes its result through the dead operand's buffer instead of
-    allocating — SAC's update-in-place.  [mempool.reuse_hits] counts
-    the aliasing events; results are bitwise identical either way. *)
-
-val get_reuse : unit -> bool
-val with_reuse : bool -> (unit -> 'a) -> 'a
-
-val set_pooling : bool -> unit
-(** Enable the per-domain arena allocator behind the executor (default
-    [true], also controlled by the [MG_POOLING] env var — [0]/[off]
-    disables): materialised with-loops draw their buffers from the
-    calling domain's size-class arena and dead intermediates are
-    recycled into it.  Off degrades every allocation to a plain
-    [Ndarray.create_uninit] (the ablation baseline); results are
-    bitwise identical either way.  In-place reuse ({!set_reuse}) is
-    orthogonal and unaffected. *)
-
-val get_pooling : unit -> bool
-val with_pooling : bool -> (unit -> 'a) -> 'a
+val with_config : (Engine.config -> Engine.config) -> (unit -> 'a) -> 'a
+(** [with_config f k] runs [k] with an engine derived from the calling
+    domain's current one ({!Engine.derive}: same plan cache and pool,
+    config [f c]) installed as current.  Nothing is mutated; the
+    previous engine is restored afterwards, exceptions included.
+    Read the effective config with [Engine.config (Engine.current ())]. *)
 
 val with_pool_scope : (unit -> 'a) -> 'a
 (** Bracket [f] with an arena {!Mempool.mark}/{!Mempool.reset} scope:
@@ -194,53 +105,7 @@ val with_pool_scope : (unit -> 'a) -> 'a
     OS.  Results obtained through {!force} and iterates carried
     through {!materialize} are never recycled, so a scope cannot
     reclaim them.  The solver drivers wrap each V-cycle iteration (and
-    the whole solve) in one of these.  No-op when pooling is off. *)
-
-val set_kernel_timing : bool -> unit
-(** Record per-kernel ns/elt log₂ histograms ([kernel.ns_elt.*] in
-    {!Mg_obs.Metrics}) on every piece execution.  Off by default — two
-    monotonic clock reads per piece; [mg_run --profile] and the bench
-    harness switch it on. *)
-
-val get_kernel_timing : unit -> bool
-
-val set_sched_policy : Mg_smp.Sched_policy.t -> unit
-(** Chunk shape for parallel with-loop parts (default
-    {!Mg_smp.Sched_policy.Static_block}): one block per worker, or
-    [Dynamic_chunked m] finer chunks claimed dynamically. *)
-
-val get_sched_policy : unit -> Mg_smp.Sched_policy.t
-val with_sched_policy : Mg_smp.Sched_policy.t -> (unit -> 'a) -> 'a
-
-val set_backend : Backend.t -> unit
-(** Piece-scheduling backend (default {!Backend.Pool}): the real
-    domain pool, or {!Backend.Smp_sim} — the identical split executed
-    sequentially with per-piece trace events for the SMP cost model.
-    Outputs are bitwise identical across backends. *)
-
-val get_backend : unit -> Backend.t
-val with_backend : Backend.t -> (unit -> 'a) -> 'a
-
-val set_observe : bool -> unit
-(** Switch {!Mg_obs.Span} recording on: forces, pipeline stages, pool
-    chunks and backend pieces record spans into per-domain ring
-    buffers, collectable with {!Mg_obs.Span.events} and exportable via
-    {!Mg_obs.Chrome_trace} / {!Mg_obs.Profile_report} ([mg_run
-    --profile]).  Off (the default), instrumented paths cost one atomic
-    load and branch — no clock reads.
-
-    Updates both halves of the gate together: the process-wide span
-    flag and the default engine's [observe] config (a hard error under
-    [MG_ENGINE_STRICT=1], like every [set_*] shim).  An engine whose
-    config says [observe = false] still vetoes span recording for its
-    own solves — the per-solve {!Mg_obs.Scope} carries the flag to
-    every worker domain. *)
-
-val get_observe : unit -> bool
-(** Whether a solve on the calling domain's current engine would
-    record spans: the global flag [&&] the engine's [observe] veto. *)
-
-val with_observe : bool -> (unit -> 'a) -> 'a
+    the whole solve) in one of these.  Empty when pooling is off. *)
 
 val settings : unit -> Exec.settings
 (** The executor settings of the calling domain's current engine
@@ -252,14 +117,11 @@ val settings : unit -> Exec.settings
     keys (see {!Plan_cache}); repeated forces of an identical graph
     shape — every V-cycle iteration after the first — skip the
     optimisation pipeline entirely.  These operate on the current
-    engine's cache; engines derived by the [with_*] combinators share
-    their parent's cache, so statistics accumulate across scoped
-    reconfigurations as they did with the old process-wide cache. *)
+    engine's cache; engines derived by {!with_config} share their
+    parent's cache, so statistics accumulate across scoped
+    reconfigurations. *)
 
 val cache_stats : unit -> Plan_cache.stats
 val cache_clear : unit -> unit
 (** Drop the current engine's cached plans and reset its statistics
     counters (pooled buffers are released too). *)
-
-val opt_level_of_string : string -> opt_level option
-val opt_level_to_string : opt_level -> string

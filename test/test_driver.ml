@@ -48,13 +48,13 @@ let test_untraced_has_no_events () =
    be invisible to the caller's configuration afterwards. *)
 let test_config_isolated () =
   let open Mg_withloop in
-  let opt_before = Wl.get_opt_level () in
-  let threads_before = Wl.get_threads () in
-  ignore (Driver.run ~opt:Wl.O1 ~threads:2 ~impl:Driver.Sac ~cls:Classes.tiny ());
+  let cfg () = Engine.config (Engine.current ()) in
+  let before = cfg () in
+  ignore (Driver.run ~opt:Engine.O1 ~threads:2 ~impl:Driver.Sac ~cls:Classes.tiny ());
   Alcotest.(check string) "opt untouched"
-    (Wl.opt_level_to_string opt_before)
-    (Wl.opt_level_to_string (Wl.get_opt_level ()));
-  Alcotest.(check int) "threads untouched" threads_before (Wl.get_threads ())
+    (Engine.opt_level_to_string before.Engine.opt_level)
+    (Engine.opt_level_to_string (cfg ()).Engine.opt_level);
+  Alcotest.(check int) "threads untouched" before.Engine.threads (cfg ()).Engine.threads
 
 let test_schedule_determinism () =
   let r1 = Driver.run ~impl:Driver.F77 ~cls:Classes.mini () in

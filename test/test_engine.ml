@@ -2,8 +2,8 @@
    genuinely independent plan caches, (2) make concurrent solves with
    different configurations from different domains bitwise-identical
    to their sequential counterparts — the payoff gate for the whole
-   refactor — and (3) enforce strict mode against compat-shim
-   mutation. *)
+   refactor — and (3) be the only configuration switch: pooling and
+   the per-engine telemetry shards follow the engine config alone. *)
 
 open Mg_ndarray
 open Mg_withloop
@@ -48,8 +48,8 @@ let qcheck_caches_independent =
         (fun () ->
           let src = src_of_seed [| 12; 12 |] seed in
           (* Two forces in A: miss then hit, all in A's cache. *)
-          let a1 = Wl.with_engine ea (fun () -> Wl.force (stencil_graph src c)) in
-          let a2 = Wl.with_engine ea (fun () -> Wl.force (stencil_graph src c)) in
+          let a1 = Engine.with_current ea (fun () -> Wl.force (stencil_graph src c)) in
+          let a2 = Engine.with_current ea (fun () -> Wl.force (stencil_graph src c)) in
           let sa = Engine.cache_stats ea in
           let sb = Engine.cache_stats eb in
           (* B never executed: stats zero, store empty. *)
@@ -59,7 +59,7 @@ let qcheck_caches_independent =
             && Engine.cache_length eb = 0
           in
           (* B still computes the same values from its own cold cache. *)
-          let b1 = Wl.with_engine eb (fun () -> Wl.force (stencil_graph src c)) in
+          let b1 = Engine.with_current eb (fun () -> Wl.force (stencil_graph src c)) in
           sa.Plan_cache.hits >= 1 && sa.Plan_cache.misses >= 1 && b_untouched
           && Ndarray.equal a1 a2 && Ndarray.equal a1 b1))
 
@@ -217,30 +217,88 @@ let test_concurrent_telemetry_attribution () =
         (Engine.flight_log ea))
 
 (* ------------------------------------------------------------------ *)
-(* Strict mode                                                         *)
+(* One configuration path                                              *)
 
-let test_strict_mode_rejects_shim () =
-  let saved = Engine.strict () in
+let shard_value e name =
+  Mg_obs.Metrics.value
+    (Mg_obs.Metrics.counter ~labels:[ ("engine", string_of_int (Engine.label e)) ] name)
+
+(* Pooling is decided by the engine config alone: with [pooling =
+   false] no allocation of the solve is served from an arena, whatever
+   the process environment says; with it on the arenas serve some, and
+   the norm is bitwise the same. *)
+let test_pooling_follows_config () =
+  let solve pooling =
+    Wl.with_config (fun c -> { c with Engine.pooling }) (fun () ->
+        let e = Engine.current () in
+        let h0 = shard_value e "mempool.pool_hits" in
+        let r = Driver.run ~impl:Driver.Sac ~cls:Classes.tiny () in
+        (shard_value e "mempool.pool_hits" - h0, r.Driver.rnm2))
+  in
+  let hits_off, rnm2_off = solve false in
+  let hits_on, rnm2_on = solve true in
+  Alcotest.(check int) "pooling off: no pool hits" 0 hits_off;
+  Alcotest.(check bool) (Printf.sprintf "pooling on: pool hits (%d)" hits_on) true (hits_on > 0);
+  Alcotest.(check int64) "rnm2 bitwise equal across pooling" (bits rnm2_off) (bits rnm2_on)
+
+(* Every kernel timing lands in its unlabelled aggregate and in the
+   solving engine's shard of the same family: per family, the two
+   count deltas are equal.  One timed solve per kernel tier; a native
+   solve the toolchain refused dispatches no native kernel, so its
+   family is only required to balance, not to be non-empty. *)
+let test_kernel_timing_shards_sum () =
+  let families () =
+    List.filter_map
+      (function
+        | name, Mg_obs.Metrics.Histogram _
+          when String.length name > 14 && String.sub name 0 14 = "kernel.ns_elt." ->
+            Some name
+        | _ -> None)
+      (Mg_obs.Metrics.dump ())
+  in
+  let count ?labels name =
+    (Mg_obs.Metrics.histogram_snapshot (Mg_obs.Metrics.histogram ?labels name)).Mg_obs.Metrics.count
+  in
+  let e = Engine.create () in
+  let labels = [ ("engine", string_of_int (Engine.label e)) ] in
+  let counts () = List.map (fun n -> (n, count n, count ~labels n)) (families ()) in
+  let native_kernels = Mg_obs.Metrics.counter "kernel.native" in
+  Kernel.set_timing true;
   Fun.protect
-    ~finally:(fun () -> Engine.set_strict saved)
+    ~finally:(fun () ->
+      Kernel.set_timing false;
+      Engine.shutdown e)
     (fun () ->
-      Engine.set_strict true;
-      Alcotest.(check bool) "set_opt_level raises" true
-        (try
-           Wl.set_opt_level Wl.O1;
-           false
-         with Failure _ -> true);
-      Alcotest.(check bool) "set_native raises" true
-        (try
-           Wl.set_native true;
-           false
-         with Failure _ -> true);
-      (* Scoped combinators derive instead of mutating: still legal. *)
-      let got = Wl.with_opt_level Wl.O1 (fun () -> Wl.get_opt_level ()) in
-      Alcotest.(check string) "with_opt_level works under strict" "O1"
-        (Wl.opt_level_to_string got);
-      Alcotest.(check bool) "with_native works under strict" true
-        (Wl.with_native true (fun () -> Wl.get_native ())))
+      List.iter
+        (fun tier ->
+          let tname = Engine.tier_to_string tier in
+          let before = counts () and n0 = Mg_obs.Metrics.value native_kernels in
+          ignore
+            (Driver.run ~engine:(Engine.derive e (Engine.with_tier tier)) ~impl:Driver.Sac
+               ~cls:Classes.tiny ());
+          let deltas =
+            List.map
+              (fun (name, agg, shard) ->
+                match List.find_opt (fun (n, _, _) -> n = name) before with
+                | Some (_, agg0, shard0) -> (name, agg - agg0, shard - shard0)
+                | None -> (name, agg, shard))
+              (counts ())
+          in
+          List.iter
+            (fun (name, agg, shard) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s solve: %s shard delta = aggregate delta" tname name)
+                agg shard)
+            deltas;
+          let own = "kernel.ns_elt." ^ tname in
+          if tier = Engine.Native && Mg_obs.Metrics.value native_kernels = n0 then
+            Printf.printf "native toolchain refused: %s not required\n%!" own
+          else
+            Alcotest.(check bool)
+              (Printf.sprintf "%s solve timed its own tier" tname)
+              true
+              (List.exists (fun (n, agg, _) -> n = own && agg > 0) deltas))
+        Engine.tiers)
 
 (* The native flag must show in the flight-recorder config digest, so
    two otherwise identical engines differing only in the AOT tier are
@@ -308,7 +366,7 @@ let test_derive_shares_cache () =
       Alcotest.(check bool) "same cache" true (Engine.cache d == Engine.cache e);
       Alcotest.(check bool) "fresh id" true (Engine.id d <> Engine.id e);
       let src = src_of_seed [| 10; 10 |] 3 in
-      ignore (Wl.with_engine d (fun () -> Wl.force (stencil_graph src 1.5)));
+      ignore (Engine.with_current d (fun () -> Wl.force (stencil_graph src 1.5)));
       Alcotest.(check bool) "derived force lands in parent stats" true
         ((Engine.cache_stats e).Plan_cache.misses >= 1))
 
@@ -319,7 +377,9 @@ let suite =
         test_concurrent_solves_bitwise;
       Alcotest.test_case "concurrent two-engine telemetry attribution" `Quick
         test_concurrent_telemetry_attribution;
-      Alcotest.test_case "strict mode rejects shim mutation" `Quick test_strict_mode_rejects_shim;
+      Alcotest.test_case "pooling follows the engine config" `Quick test_pooling_follows_config;
+      Alcotest.test_case "kernel timing shards equal aggregates per tier" `Quick
+        test_kernel_timing_shards_sum;
       Alcotest.test_case "native flag splits the config fingerprint" `Quick
         test_native_in_fingerprint;
       Alcotest.test_case "config_of_env parses the matrix vars" `Quick test_config_of_env;

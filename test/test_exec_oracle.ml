@@ -106,8 +106,8 @@ let qcheck_all_opt_levels =
     (fun s ->
       let results =
         List.map
-          (fun l -> Wl.with_opt_level l (fun () -> run_spec s))
-          [ Wl.O0; Wl.O1; Wl.O2; Wl.O3 ]
+          (fun l -> Wl.with_config (fun c -> { c with Engine.opt_level = l }) (fun () -> run_spec s))
+          [ Engine.O0; Engine.O1; Engine.O2; Engine.O3 ]
       in
       List.for_all (fun ok -> ok) results)
 
@@ -161,8 +161,9 @@ let qcheck_cfun_bitwise_generic =
       (* Native off: this test pins the cfun tier specifically, and an
          MG_NATIVE=1 environment would otherwise take over the rung. *)
       let force cfun =
-        Wl.with_native false (fun () ->
-            Wl.with_cfun cfun (fun () -> Wl.with_opt_level Wl.O3 (fun () -> force_spec s)))
+        Wl.with_config
+          (fun c -> { c with Engine.native = false; cfun; opt_level = Engine.O3 })
+          (fun () -> force_spec s)
       in
       let before = Mg_obs.Metrics.value c_cfun in
       let compiled = force true in
@@ -252,14 +253,11 @@ let test_policies_backends_bitwise_identical () =
     (* Fresh plans per configuration; par_threshold 1 forces the
        parallel split even on this small grid. *)
     Wl.cache_clear ();
-    Wl.with_threads threads (fun () ->
-        Wl.with_par_threshold 1 (fun () ->
-            Wl.with_cfun cfun (fun () ->
-                Wl.with_sched_policy sched (fun () ->
-                    Wl.with_backend backend (fun () ->
-                        let w = Wl.of_ndarray src in
-                        Ndarray.copy
-                          (Wl.force (Wl.genarray ~default:0.0 shp [ (gen, body w) ])))))))
+    Wl.with_config
+      (fun c -> { c with Engine.threads; par_threshold = 1; cfun; sched; backend })
+      (fun () ->
+        let w = Wl.of_ndarray src in
+        Ndarray.copy (Wl.force (Wl.genarray ~default:0.0 shp [ (gen, body w) ])))
   in
   let policies =
     [ Mg_smp.Sched_policy.Static_block;
@@ -309,7 +307,6 @@ let test_policies_backends_bitwise_identical () =
    drives it from several domains at once and checks it still hands
    out usable arrays. *)
 let test_mempool_concurrent () =
- Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let pool = Mg_smp.Domain_pool.create 4 in
   let shp = [| 17; 13 |] in
@@ -319,17 +316,17 @@ let test_mempool_concurrent () =
   Mg_smp.Domain_pool.parallel_for ~policy:(Mg_smp.Sched_policy.Dynamic_chunked 8) pool ~lo:0
     ~hi:400 (fun lo hi ->
       for i = lo to hi - 1 do
-        let a = Mempool.alloc shp in
+        let a = Mempool.alloc ~pooling:true shp in
         Ndarray.fill a (float_of_int i);
-        let b = Mempool.alloc [| 64 |] in
+        let b = Mempool.alloc ~pooling:true [| 64 |] in
         Ndarray.fill b (float_of_int (i * 2));
         (* Values written before recycling must still be there: no two
            live allocations may share a buffer. *)
         intact.(i) <-
           Ndarray.get a [| 3; 3 |] = float_of_int i
           && Ndarray.get b [| 5 |] = float_of_int (i * 2);
-        Mempool.recycle a;
-        Mempool.recycle b
+        Mempool.recycle ~pooling:true a;
+        Mempool.recycle ~pooling:true b
       done);
   Mg_smp.Domain_pool.shutdown pool;
   Alcotest.(check bool) "all live allocations intact" true (Array.for_all Fun.id intact);
@@ -338,7 +335,7 @@ let test_mempool_concurrent () =
     (Printf.sprintf "pool cycled buffers (reused %d, recycled %d)" reused recycled)
     true
     (reused > 0 && recycled > 0);
-  let a = Mempool.alloc shp in
+  let a = Mempool.alloc ~pooling:true shp in
   Ndarray.fill a 3.0;
   Alcotest.(check (float 0.0)) "still usable after hammering" 3.0 (Ndarray.get a [| 0; 0 |])
 

@@ -37,7 +37,7 @@ let star = [ (0, 0, 0.5); (-1, 0, 0.125); (1, 0, 0.125); (0, -1, 0.125); (0, 1, 
    set at module load: a toplevel assignment would leak into every
    other suite linked into the same binary and perturb their
    clustering, breaking the bitwise golden-vector tests. *)
-let at_level l f = Wl.with_split_threshold 0 (fun () -> Wl.with_opt_level l f)
+let at_level l f = Wl.with_config (fun c -> { c with Engine.split_threshold = 0; opt_level = l }) f
 
 let run_pipeline () =
   (* condense . relax — the Fine2Coarse shape. *)
@@ -45,9 +45,9 @@ let run_pipeline () =
   Wl.force (Select.condense 2 (relax star (Wl.of_ndarray a)))
 
 let test_condense_relax_equivalence () =
-  let r0 = at_level Wl.O0 run_pipeline in
-  let r2 = at_level Wl.O2 run_pipeline in
-  let r3 = at_level Wl.O3 run_pipeline in
+  let r0 = at_level Engine.O0 run_pipeline in
+  let r2 = at_level Engine.O2 run_pipeline in
+  let r3 = at_level Engine.O3 run_pipeline in
   Alcotest.check nd "O2 = O0" r0 r2;
   Alcotest.check nd "O3 = O0" r0 r3
 
@@ -57,8 +57,8 @@ let count_wl_events f =
   |> List.length
 
 let test_condense_relax_fuses () =
-  let n0 = count_wl_events (fun () -> ignore (at_level Wl.O0 run_pipeline)) in
-  let n2 = count_wl_events (fun () -> ignore (at_level Wl.O2 run_pipeline)) in
+  let n0 = count_wl_events (fun () -> ignore (at_level Engine.O0 run_pipeline)) in
+  let n2 = count_wl_events (fun () -> ignore (at_level Engine.O2 run_pipeline)) in
   Alcotest.(check bool)
     (Printf.sprintf "fewer materialisations (O0=%d, O2=%d)" n0 n2)
     true (n2 < n0)
@@ -72,9 +72,9 @@ let scatter_pipeline () =
   Wl.force (relax star t)
 
 let test_scatter_relax_equivalence () =
-  let r0 = at_level Wl.O0 scatter_pipeline in
-  let r2 = at_level Wl.O2 scatter_pipeline in
-  let r3 = at_level Wl.O3 scatter_pipeline in
+  let r0 = at_level Engine.O0 scatter_pipeline in
+  let r2 = at_level Engine.O2 scatter_pipeline in
+  let r3 = at_level Engine.O3 scatter_pipeline in
   Alcotest.check nd "O2 = O0" r0 r2;
   Alcotest.check nd "O3 = O0" r0 r3
 
@@ -84,10 +84,10 @@ let test_elementwise_chain_fuses () =
     let b = Wl.of_ndarray (ramp [| 16; 16 |]) in
     Wl.force (Ops.add (Ops.mul_scalar a 2.0) (Ops.neg b))
   in
-  let r0 = at_level Wl.O0 make in
-  let r3 = at_level Wl.O3 make in
+  let r0 = at_level Engine.O0 make in
+  let r3 = at_level Engine.O3 make in
   Alcotest.check nd "values" r0 r3;
-  let n3 = count_wl_events (fun () -> ignore (at_level Wl.O3 make)) in
+  let n3 = count_wl_events (fun () -> ignore (at_level Engine.O3 make)) in
   Alcotest.(check int) "single loop at O3" 1 n3
 
 let test_sub_relax_fusion () =
@@ -97,8 +97,8 @@ let test_sub_relax_fusion () =
     let u = Wl.of_ndarray (ramp [| 8; 8 |]) in
     Wl.force (Ops.sub v (relax star u))
   in
-  let r0 = at_level Wl.O0 make in
-  let r3 = at_level Wl.O3 make in
+  let r0 = at_level Engine.O0 make in
+  let r3 = at_level Engine.O3 make in
   Alcotest.check nd "values" r0 r3
 
 let test_embed_default_region () =
@@ -111,8 +111,8 @@ let test_embed_default_region () =
     let shp = [| 6 |] in
     Wl.force (Wl.genarray shp [ (Generator.full shp, E.(read_offset e [| 1 |] + read_offset e [| 0 |])) ])
   in
-  let r0 = at_level Wl.O0 make in
-  let r3 = at_level Wl.O3 make in
+  let r0 = at_level Engine.O0 make in
+  let r3 = at_level Engine.O3 make in
   Alcotest.check nd_exact "values" r0 r3
 
 let test_modarray_base_fallthrough () =
@@ -124,8 +124,8 @@ let test_modarray_base_fallthrough () =
     in
     Wl.force (Wl.genarray [| 7 |] [ (Generator.full [| 7 |], E.(read_offset m [| 1 |])) ])
   in
-  let r0 = at_level Wl.O0 make in
-  let r3 = at_level Wl.O3 make in
+  let r0 = at_level Engine.O0 make in
+  let r3 = at_level Engine.O3 make in
   Alcotest.check nd_exact "values" r0 r3
 
 let test_barrier_not_fused () =
@@ -135,18 +135,18 @@ let test_barrier_not_fused () =
     Wl.force (Select.take [| 4; 4 |] b)
   in
   (* The barrier node must appear as its own materialisation even at O3. *)
-  let n3 = count_wl_events (fun () -> ignore (at_level Wl.O3 make)) in
+  let n3 = count_wl_events (fun () -> ignore (at_level Engine.O3 make)) in
   Alcotest.(check bool) "barrier materialised" true (n3 >= 2)
 
 let test_shared_node_materialised_once () =
   (* An expensive node read by two consumers must not be recomputed. *)
   let a = Wl.of_ndarray (ramp [| 12; 12 |]) in
-  let r = at_level Wl.O3 (fun () -> relax star a) in
+  let r = at_level Engine.O3 (fun () -> relax star a) in
   let c1 = Ops.sub (Wl.of_ndarray (ramp [| 12; 12 |])) r in
   let c2 = Ops.add (Wl.of_ndarray (ramp [| 12; 12 |])) r in
   let events, _ =
     Trace.with_collector (fun () ->
-        at_level Wl.O3 (fun () ->
+        at_level Engine.O3 (fun () ->
             ignore (Wl.force c1);
             ignore (Wl.force c2)))
   in
@@ -197,8 +197,8 @@ let qcheck_random_selection_chains =
         let a = Wl.of_ndarray (ramp shp) in
         Wl.force (List.fold_left apply_op a ops)
       in
-      let r0 = at_level Wl.O0 run in
-      let r3 = at_level Wl.O3 run in
+      let r0 = at_level Engine.O0 run in
+      let r3 = at_level Engine.O3 run in
       (* Chains containing scalar scaling reassociate products. *)
       Ndarray.max_abs_diff r0 r3 < 1e-10)
 
@@ -213,8 +213,8 @@ let qcheck_random_stencils =
         let s = Select.scatter 2 a in
         Wl.force (relax coeffs s)
       in
-      let r0 = at_level Wl.O0 run in
-      let r3 = at_level Wl.O3 run in
+      let r0 = at_level Engine.O0 run in
+      let r3 = at_level Engine.O3 run in
       Ndarray.max_abs_diff r0 r3 < 1e-12)
 
 let suite =

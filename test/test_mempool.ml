@@ -1,5 +1,5 @@
 (* The per-domain arena allocator: scope (mark/reset) semantics, stats
-   and clear, capacity caps, the MG_POOLING kill-switch, and — the
+   and clear, capacity caps, pooling off, and — the
    property that matters — bitwise-identical results with pooling on
    and off, under arbitrary nestings of scopes. *)
 
@@ -10,16 +10,20 @@ module Driver = Mg_core.Driver
 
 let same_buffer (a : Ndarray.t) (b : Ndarray.t) = a.Ndarray.data == b.Ndarray.data
 
+(* Direct arena probes, as an engine with pooling on makes them. *)
+let alloc = Mempool.alloc ~pooling:true
+let recycle = Mempool.recycle ~pooling:true
+let pooled f = Wl.with_config (fun c -> { c with Engine.pooling = true }) f
+
 (* Satellite: [clear] must zero the reuse/recycle counters, not just
    drop the buffers — repeated bench runs read deltas from zero. *)
 let test_clear_resets_stats () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let shp = [| 11; 7 |] in
   for _ = 1 to 5 do
-    let a = Mempool.alloc shp in
-    Mempool.recycle a;
-    ignore (Mempool.alloc shp)
+    let a = alloc shp in
+    recycle a;
+    ignore (alloc shp)
   done;
   let reused, recycled = Mempool.stats () in
   Alcotest.(check bool) "counters moved before clear" true (reused > 0 && recycled > 0);
@@ -30,16 +34,15 @@ let test_clear_resets_stats () =
   Alcotest.(check int) "bytes_live zero after clear" 0 s.Mempool.bytes_live
 
 let test_capacity_cap () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let n = Mempool.max_per_class + 8 in
   let shp = [| 53 |] in
-  let live = Array.init n (fun _ -> Mempool.alloc shp) in
-  Array.iter Mempool.recycle live;
+  let live = Array.init n (fun _ -> alloc shp) in
+  Array.iter recycle live;
   let _, recycled = Mempool.stats () in
   Alcotest.(check int) "free stack capped per class" Mempool.max_per_class recycled;
   (* Draining the slot reuses exactly the capped population. *)
-  let again = Array.init n (fun _ -> Mempool.alloc shp) in
+  let again = Array.init n (fun _ -> alloc shp) in
   let reused, _ = Mempool.stats () in
   Alcotest.(check int) "reuses capped population" Mempool.max_per_class reused;
   ignore again
@@ -47,22 +50,21 @@ let test_capacity_cap () =
 (* A buffer recycled inside a scope is pending, not free: it must not
    be handed back out until the matching [reset]. *)
 let test_scope_defers_recycle () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let shp = [| 31; 3 |] in
   Mempool.mark ();
-  let a = Mempool.alloc shp in
+  let a = alloc shp in
   Ndarray.fill a 42.0;
-  Mempool.recycle a;
-  let b = Mempool.alloc shp in
+  recycle a;
+  let b = alloc shp in
   Alcotest.(check bool) "pending buffer not re-handed in scope" false (same_buffer a b);
   Alcotest.(check (float 0.0)) "dead buffer untouched while pending" 42.0
     (Ndarray.get a [| 0; 0 |]);
-  Mempool.recycle b;
+  recycle b;
   Mempool.reset ();
   Alcotest.(check int) "scope closed" 0 (Mempool.scope_depth ());
-  let c = Mempool.alloc shp in
-  let d = Mempool.alloc shp in
+  let c = alloc shp in
+  let d = alloc shp in
   Alcotest.(check bool) "reset refilled the free slots" true
     (same_buffer c a || same_buffer c b || same_buffer d a || same_buffer d b)
 
@@ -94,7 +96,6 @@ let qcheck_scopes_shadow_model =
   let arb = QCheck.make ~print:print_ops QCheck.Gen.(list_size (10 -- 80) op) in
   QCheck.Test.make ~name:"scoped arena vs shadow model (sentinels intact)" ~count:200 arb
     (fun ops ->
-      Wl.with_pooling true @@ fun () ->
       Mempool.clear ();
       let sizes = [| [| 17 |]; [| 17; 2 |]; [| 5; 7 |] |] in
       let live = ref [] in
@@ -109,7 +110,7 @@ let qcheck_scopes_shadow_model =
           (fun o ->
             (match o with
             | `Alloc i ->
-                let a = Mempool.alloc sizes.(i) in
+                let a = alloc sizes.(i) in
                 incr next;
                 let v = float_of_int !next in
                 Ndarray.fill a v;
@@ -118,7 +119,7 @@ let qcheck_scopes_shadow_model =
                 match !live with
                 | (a, _) :: rest ->
                     live := rest;
-                    Mempool.recycle a
+                    recycle a
                 | [] -> ())
             | `Mark ->
                 Mempool.mark ();
@@ -139,7 +140,7 @@ let qcheck_scopes_shadow_model =
    inside a scope must survive the [reset] — debug NaN-poisoning of
    reclaimed buffers turns any violation into a loud failure. *)
 let test_escape_through_reset () =
-  Wl.with_pooling true @@ fun () ->
+  pooled @@ fun () ->
   Mempool.clear ();
   Mempool.set_debug true;
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
@@ -159,8 +160,7 @@ let test_escape_through_reset () =
    operand's buffer (Plan.OReuse) is still a live, escaped result —
    the scope reset must not reclaim the aliased buffer. *)
 let test_reuse_alias_survives_reset () =
-  Wl.with_pooling true @@ fun () ->
-  Wl.with_reuse true @@ fun () ->
+  Wl.with_config (fun c -> { c with Engine.pooling = true; reuse = true }) @@ fun () ->
   Mempool.clear ();
   Mempool.set_debug true;
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
@@ -194,7 +194,7 @@ let pin_graph src =
     ]
 
 let test_pinned_source_outside_scope () =
-  Wl.with_pooling true @@ fun () ->
+  pooled @@ fun () ->
   Mempool.clear ();
   Mempool.set_debug true;
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
@@ -224,13 +224,12 @@ let test_solver_bitwise_pooling_on_off () =
     (Int64.bits_of_float (rnm2 true))
 
 let test_kill_switch_inert () =
-  Wl.with_pooling false @@ fun () ->
   Mempool.clear ();
   let shp = [| 13; 13 |] in
   Mempool.mark ();
-  let a = Mempool.alloc shp in
+  let a = Mempool.alloc ~pooling:false shp in
   Ndarray.fill a 7.0;
-  Mempool.recycle a;
+  Mempool.recycle ~pooling:false a;
   Mempool.reset ();
   Alcotest.(check (pair int int)) "pooling off cycles nothing" (0, 0) (Mempool.stats ());
   let s = Mempool.snapshot () in
@@ -239,7 +238,6 @@ let test_kill_switch_inert () =
 (* Satellite: the concurrent hammer, scoped — every worker brackets
    its batch in nested scopes on its own arena. *)
 let test_scoped_concurrent_hammer () =
-  Wl.with_pooling true @@ fun () ->
   Mempool.clear ();
   let pool = Mg_smp.Domain_pool.create 4 in
   let shp = [| 17; 13 |] in
@@ -248,16 +246,16 @@ let test_scoped_concurrent_hammer () =
     ~hi:400 (fun lo hi ->
       Mempool.with_scope (fun () ->
           for i = lo to hi - 1 do
-            let a = Mempool.alloc shp in
+            let a = alloc shp in
             Ndarray.fill a (float_of_int i);
             Mempool.with_scope (fun () ->
-                let b = Mempool.alloc [| 64 |] in
+                let b = alloc [| 64 |] in
                 Ndarray.fill b (float_of_int (i * 2));
                 intact.(i) <-
                   Ndarray.get a [| 3; 3 |] = float_of_int i
                   && Ndarray.get b [| 5 |] = float_of_int (i * 2);
-                Mempool.recycle b);
-            Mempool.recycle a
+                recycle b);
+            recycle a
           done));
   Mg_smp.Domain_pool.shutdown pool;
   Alcotest.(check bool) "all live allocations intact" true (Array.for_all Fun.id intact);

@@ -161,7 +161,7 @@ let test_sac_all_opt_levels_agree () =
       (fun l ->
         let r = Driver.run ~opt:l ~impl:Driver.Sac ~cls () in
         r.Driver.rnm2)
-      [ Mg_withloop.Wl.O0; Mg_withloop.Wl.O1; Mg_withloop.Wl.O2; Mg_withloop.Wl.O3 ]
+      [ Mg_withloop.Engine.O0; Mg_withloop.Engine.O1; Mg_withloop.Engine.O2; Mg_withloop.Engine.O3 ]
   in
   match norms with
   | base :: rest ->

@@ -276,7 +276,10 @@ let test_observe_bitwise_identity () =
   Wl.cache_clear ();
   let plain = Wl.force (build ()) in
   Wl.cache_clear ();
-  let observed = Wl.with_observe true (fun () -> Wl.force (build ())) in
+  let observed =
+    Span.with_enabled true (fun () ->
+        Wl.with_config (fun c -> { c with Engine.observe = true }) (fun () -> Wl.force (build ())))
+  in
   let n = Shape.num_elements shp in
   let same = ref true in
   for i = 0 to n - 1 do

@@ -37,11 +37,15 @@ let test_relax_matches_oracle () =
 
 let test_relax_all_opt_levels () =
   let a = compact_random 8 7.0 in
-  let run l = Wl.with_opt_level l (fun () -> Wl.force (Mg_periodic.relax Stencil.p (Wl.of_ndarray a))) in
-  let base = run Wl.O0 in
+  let run l =
+    Wl.with_config
+      (fun c -> { c with Engine.opt_level = l })
+      (fun () -> Wl.force (Mg_periodic.relax Stencil.p (Wl.of_ndarray a)))
+  in
+  let base = run Engine.O0 in
   List.iter
     (fun l -> Alcotest.(check bool) "agree" true (Ndarray.max_abs_diff base (run l) < 1e-12))
-    [ Wl.O1; Wl.O2; Wl.O3 ]
+    [ Engine.O1; Engine.O2; Engine.O3 ]
 
 let test_constant_field_annihilated () =
   (* A is a periodic Laplacian: constants are in its null space, with no

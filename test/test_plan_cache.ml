@@ -90,12 +90,16 @@ let test_opt_levels_do_not_collide () =
      own env fingerprint, so each compiles once and then hits. *)
   List.iter
     (fun level ->
-      let got = Wl.with_opt_level level (fun () -> Wl.force (stencil_graph src 1.5)) in
+      let got =
+        Wl.with_config
+          (fun c -> { c with Engine.opt_level = level })
+          (fun () -> Wl.force (stencil_graph src 1.5))
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "correct at %s" (Wl.opt_level_to_string level))
+        (Printf.sprintf "correct at %s" (Engine.opt_level_to_string level))
         true
         (Ndarray.max_abs_diff got want < 1e-12))
-    [ Wl.O0; Wl.O3; Wl.O1; Wl.O0; Wl.O2; Wl.O3 ]
+    [ Engine.O0; Engine.O3; Engine.O1; Engine.O0; Engine.O2; Engine.O3 ]
 
 let test_threads_round_trip () =
   Wl.cache_clear ();
@@ -106,8 +110,11 @@ let test_threads_round_trip () =
      replay — bitwise-identically — under another.  (The derived
      engines share the same cache instance, so the stats accumulate.) *)
   let s1 = Wl.cache_stats () in
-  let b = Wl.with_threads 1 (fun () -> Wl.force (stencil_graph src 0.75)) in
-  let c = Wl.with_threads 4 (fun () -> Wl.force (stencil_graph src 0.75)) in
+  let with_threads threads =
+    Wl.with_config (fun c -> { c with Engine.threads }) (fun () -> Wl.force (stencil_graph src 0.75))
+  in
+  let b = with_threads 1 in
+  let c = with_threads 4 in
   let s2 = Wl.cache_stats () in
   check_exact "1 thread replay identical" a b;
   check_exact "4 thread replay identical" a c;
@@ -118,8 +125,9 @@ let test_line_buffers_env_split () =
   let shp = [| 10; 10; 10 |] in
   let src = src_of_seed shp 6 in
   let force_with lb =
-    Wl.with_line_buffers lb (fun () ->
-        Wl.force (Mg_core.Mg_sac.relax_kernel Mg_core.Stencil.a (Wl.of_ndarray src)))
+    Wl.with_config
+      (fun c -> { c with Engine.line_buffers = lb })
+      (fun () -> Wl.force (Mg_core.Mg_sac.relax_kernel Mg_core.Stencil.a (Wl.of_ndarray src)))
   in
   let plain = force_with false in
   let buffered = force_with true in
@@ -141,8 +149,9 @@ let test_native_env_split () =
   let shp = [| 10; 10; 10 |] in
   let src = src_of_seed shp 8 in
   let force_with nt =
-    Wl.with_native nt (fun () ->
-        Wl.force (Mg_core.Mg_sac.coarse2fine (Wl.of_ndarray src)))
+    Wl.with_config
+      (fun c -> { c with Engine.native = nt })
+      (fun () -> Wl.force (Mg_core.Mg_sac.coarse2fine (Wl.of_ndarray src)))
   in
   let plain = force_with false in
   let s1 = Wl.cache_stats () in

@@ -222,7 +222,7 @@ let exec_settings ?(native = None) ~reuse ~cfun sched : Exec.settings =
     cfun;
     native;
     reuse;
-    pooling = Mempool.get_pooling ();
+    pooling = (Engine.config (Engine.current ())).Engine.pooling;
     observe = true;
     cache = Plan_cache.create ();
     pool = Mg_smp.Domain_pool.get_global;
@@ -438,21 +438,20 @@ let test_escaped_operand_not_aliased () =
    are hard failures.  Both need the pool active, whatever MG_POOLING
    the suite leg runs under. *)
 let test_debug_double_recycle () =
-  Wl.with_pooling true (fun () ->
-      with_mempool_debug (fun () ->
-          let a = Mempool.alloc [| 11; 3 |] in
-          Mempool.recycle a;
-          Alcotest.check_raises "double recycle detected"
-            (Failure "Mempool: double recycle of a pooled buffer") (fun () -> Mempool.recycle a)))
+  with_mempool_debug (fun () ->
+      let a = Mempool.alloc ~pooling:true [| 11; 3 |] in
+      Mempool.recycle ~pooling:true a;
+      Alcotest.check_raises "double recycle detected"
+        (Failure "Mempool: double recycle of a pooled buffer") (fun () ->
+          Mempool.recycle ~pooling:true a))
 
 let test_assert_unpooled () =
-  Wl.with_pooling true (fun () ->
-      let a = Mempool.alloc [| 13 |] in
-      Mempool.assert_unpooled a.Ndarray.data ~ctx:"live buffer";
-      Mempool.recycle a;
-      Alcotest.check_raises "pooled buffer flagged"
-        (Failure "Mempool: in-place output aliases a pooled (free) buffer") (fun () ->
-          Mempool.assert_unpooled a.Ndarray.data ~ctx:"in-place output"))
+  let a = Mempool.alloc ~pooling:true [| 13 |] in
+  Mempool.assert_unpooled a.Ndarray.data ~ctx:"live buffer";
+  Mempool.recycle ~pooling:true a;
+  Alcotest.check_raises "pooled buffer flagged"
+    (Failure "Mempool: in-place output aliases a pooled (free) buffer") (fun () ->
+      Mempool.assert_unpooled a.Ndarray.data ~ctx:"in-place output")
 
 (* ------------------------------------------------------------------ *)
 (* The native AOT tier: dlopen'd C kernels held to the reference
@@ -610,7 +609,7 @@ let test_native_cc_poisoned () =
    the three scheduling policies under the native tier. *)
 let test_driver_tiers_bitwise () =
   let rnm2 ~cfun ~native ~threads ~sched =
-    (Mg_core.Driver.run ~opt:Wl.O3 ~threads ~sched ~cfun ~native ~impl:Mg_core.Driver.Sac
+    (Mg_core.Driver.run ~opt:Engine.O3 ~threads ~sched ~cfun ~native ~impl:Mg_core.Driver.Sac
        ~cls:Mg_core.Classes.tiny ())
       .Mg_core.Driver.rnm2
   in

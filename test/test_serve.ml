@@ -331,23 +331,14 @@ let test_soak_bitwise () =
         List.filter_map (fun (s, r) -> if s == spec then Some r else None) ok
       in
       Alcotest.(check bool) (Printf.sprintf "spec %d exercised" i) true (served <> []);
-      let e =
-        Engine.create
-          ~config:{ cfg.Serve.engine_config with Engine.threads = cfg.Serve.solver_threads }
-          ()
-      in
-      let cfun, native =
-        match spec.Serve.tier with
-        | Some Serve.Generic -> (Some false, Some false)
-        | Some Serve.Cfun -> (Some true, Some false)
-        | Some Serve.Native -> (Some true, Some true)
-        | None -> (None, None)
-      in
+      let config = { cfg.Serve.engine_config with Engine.threads = cfg.Serve.solver_threads } in
+      let config = Option.fold ~none:config ~some:(fun t -> Engine.with_tier t config) spec.Serve.tier in
+      let e = Engine.create ~config () in
       let twin =
         Fun.protect
           ~finally:(fun () -> Engine.shutdown e)
           (fun () ->
-            Driver.run ~engine:e ?sched:spec.Serve.sched ?cfun ?native ~impl:spec.Serve.impl
+            Driver.run ~engine:e ?sched:spec.Serve.sched ~impl:spec.Serve.impl
               ~cls:spec.Serve.cls ())
       in
       List.iter
