@@ -31,10 +31,7 @@ type prepared = Pc of Plan.cpart | Pf of (Shape.t -> float)
 let prepare (c : Plan.compiled) =
   match c with
   | Plan.Ccompiled cp -> Pc cp
-  | Plan.Cclosure (gen, _, body) ->
-      if Sys.getenv_opt "WL_DEBUG_CFUN" <> None then
-        Format.eprintf "CFUN part %a body %a@." Generator.pp gen Ir.pp_expr body;
-      Pf (Lower.closure_of body)
+  | Plan.Cclosure (_, _, body) -> Pf (Lower.closure_of body)
 
 let run_closure_piece (out : Ndarray.t) (f : Shape.t -> float) (g : Generator.t) =
   Mg_obs.Metrics.incr Kernel.c_cfun;

@@ -284,6 +284,15 @@ let compile ~const (clusters : ccluster array) ~(osteps : int array) : t =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
+(* Row axis = the axis with the most elements, so per-row work
+   amortises even on degenerate pieces (border parts are m*m*1, corner
+   residues 1*1*1).  Any axis order computes the same bits: elements
+   are independent and each element's pass sequence is unchanged.  Ties
+   prefer axis 2 (contiguous output), then axis 1. *)
+let row_axis (counts : int array) =
+  let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
+  if n2 >= n0 && n2 >= n1 then 2 else if n1 >= n0 then 1 else 0
+
 let run t (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~(osteps : int array)
     ~(counts : int array) =
   let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
@@ -304,13 +313,7 @@ let run t (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~(osteps : i
     done
   end
   else begin
-    (* Row axis = the axis with the most elements, so the per-row
-       closure call amortises even on degenerate pieces (border parts
-       are m*m*1, corner residues 1*1*1).  Any axis order computes the
-       same bits: elements are independent and each element's pass
-       sequence is unchanged.  Ties prefer axis 2 (contiguous output),
-       then axis 1. *)
-    let a = if n2 >= n0 && n2 >= n1 then 2 else if n1 >= n0 then 1 else 0 in
+    let a = row_axis counts in
     let u = if a = 0 then 1 else 0 in
     let v = if a = 2 then 1 else 2 in
     let nu = counts.(u) and nv = counts.(v) and na = counts.(a) in

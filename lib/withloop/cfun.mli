@@ -44,5 +44,10 @@ val run :
 (** Execute over the live clusters (their current buffers and bases)
     into [out].  Same contract as {!Kernel.run_generic3}. *)
 
+val row_axis : int array -> int
+(** The innermost (row) axis of a rank-3 walk over [counts]: the axis
+    with the most elements, ties preferring axis 2, then axis 1.  The
+    fixed zip and flat nests ({!Kernel}) walk by the same rule. *)
+
 val reads_per_element : t -> int
 (** Total source reads per output element (diagnostics). *)

@@ -208,130 +208,215 @@ let recognize_stencil3 (clusters : ccluster array) ~(osteps : int array) =
         end
   end
 
-(* Specialised nest for a recognised stencil (+ extras).  One variant
-   per present coefficient pattern would be even faster; the single
-   variant below already keeps all offsets in registers. *)
+(* ------------------------------------------------------------------ *)
+(* Code generation for the fixed nests.  Their element loops must
+   compile like the Fortran port's (mg_f77.ml), and three rules get
+   them there under ocamlopt's Closure middle-end (DESIGN.md §3.3):
+
+   - Coefficients and [const] are unboxed locals.  A float stays in a
+     register only when it is let-bound to float arithmetic or to a
+     float-array load; a field of a mixed record ([stencil3.c0]) or a
+     float argument is a pointer to a boxed float, reloaded at every
+     use.  {!unboxed} turns such a binding into arithmetic.
+   - Row loops neither allocate nor call.  Element helpers are closed
+     top-level [@inline] functions (an inlined local closure still
+     reads what it captures through its environment block), and each
+     row kernel is its own [@inline never] function taking no unboxed
+     float, with no call in it: ocamlopt saves no register across a
+     call, so every value live across one — a call per row in an
+     enclosing loop nest, say — is read from the stack in the element
+     loop.  Extra operands
+     are reached through their [ccluster] records: an array of
+     bigarrays is a generic array, whose every read tests for a float
+     array and boxes on that path.
+   - Every element keeps the operation order of the nest it
+     specialises, and a specialised branch takes a body only when every
+     term it spells out is present in it, so the branch is
+     bitwise-identical to the general fallback by construction. *)
+
+(* [x *. 1.0] is [x] for every double (a signalling NaN comes out
+   quiet, as the arithmetic consuming it would make it anyway). *)
+let[@inline] unboxed (x : float) = x *. 1.0
+
+let[@inline] get (b : Ndarray.buffer) p = Bigarray.Array1.unsafe_get b p
+let[@inline] set (b : Ndarray.buffer) p (v : float) = Bigarray.Array1.unsafe_set b p v
+
+(* Row bases of single-read clusters at outer position ([ku], [kv])
+   along axes [u] and [v]. *)
+let row_bases (xs : ccluster array) (eb : int array) ~u ~v ku kv =
+  for e = 0 to Array.length xs - 1 do
+    let x = Array.unsafe_get xs e in
+    Array.unsafe_set eb e
+      (x.xbase + x.xdeltas.(0).(0) + (ku * Array.unsafe_get x.xsteps u)
+      + (kv * Array.unsafe_get x.xsteps v))
+  done
+
+(* One counter per row loop of the fixed nests,
+   [kernel.branch.<nest>.<body>], bumped when a part is compiled to
+   that loop ([choose_k3]; replays run the same loop).  The reference
+   oracle reads them to prove that every branch and its fallback ran.
+   Counting at compile time keeps the calls free of a second atomic. *)
+let branches = ref []
+
+let branch name =
+  let c = Metrics.counter ("kernel.branch." ^ name) in
+  branches := (name, c) :: !branches;
+  c
+
+let branch_counts () = List.rev_map (fun (name, c) -> (name, Metrics.value c)) !branches
+
+(* ------------------------------------------------------------------ *)
+(* Box stencil rows.  A row kernel computes output row ([k0], [k1]) of
+   a piece: from the source row's centre [b0], the output row [ob] and
+   the extras' rows, its element loop adds [const + c0·centre], then
+   each present distance class, then each extra, in that order. *)
+
+let[@inline] src_row (st : stencil3) k0 k1 = st.sbase + (k0 * st.s_st0) + (k1 * st.s_st1)
+let[@inline] out_row ~obase (osteps : int array) k0 k1 = obase + (k0 * osteps.(0)) + (k1 * osteps.(1))
+
+let[@inline] extra_row (x : ccluster) k0 k1 =
+  x.xbase + x.xdeltas.(0).(0) + (k0 * x.xsteps.(0)) + (k1 * x.xsteps.(1))
+
+let[@inline] faces b ~sp ~sr p =
+  get b (p - 1) +. get b (p + 1) +. get b (p - sr) +. get b (p + sr) +. get b (p - sp)
+  +. get b (p + sp)
+
+let[@inline] edges b ~sp ~sr p =
+  get b (p - sr - 1) +. get b (p - sr + 1) +. get b (p + sr - 1) +. get b (p + sr + 1)
+  +. get b (p - sp - 1) +. get b (p - sp + 1) +. get b (p + sp - 1) +. get b (p + sp + 1)
+  +. get b (p - sp - sr) +. get b (p - sp + sr) +. get b (p + sp - sr) +. get b (p + sp + sr)
+
+let[@inline] corners b ~sp ~sr p =
+  get b (p - sp - sr - 1) +. get b (p - sp - sr + 1) +. get b (p - sp + sr - 1)
+  +. get b (p - sp + sr + 1) +. get b (p + sp - sr - 1) +. get b (p + sp - sr + 1)
+  +. get b (p + sp + sr - 1) +. get b (p + sp + sr + 1)
+
+(* full 27-point operator (projection P, interpolation Q) *)
+let[@inline never] st_full_row (st : stencil3) const out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf and sp = st.s_sp and sr = st.s_sr and s = st.s_st2 in
+  let const = unboxed const and c0 = unboxed st.c0 and c1 = unboxed st.c1 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  for k = 0 to n - 1 do
+    let p = b0 + (k * s) in
+    set out (ob + (k * os))
+      (const +. (c0 *. get buf p) +. (c1 *. faces buf ~sp ~sr p) +. (c2 *. edges buf ~sp ~sr p)
+      +. (c3 *. corners buf ~sp ~sr p))
+  done
+
+let[@inline never] st_c023_row (st : stencil3) const out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf and sp = st.s_sp and sr = st.s_sr and s = st.s_st2 in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  for k = 0 to n - 1 do
+    let p = b0 + (k * s) in
+    set out (ob + (k * os))
+      (const +. (c0 *. get buf p) +. (c2 *. edges buf ~sp ~sr p) +. (c3 *. corners buf ~sp ~sr p))
+  done
+
+let[@inline never] st_c012_row (st : stencil3) const out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf and sp = st.s_sp and sr = st.s_sr and s = st.s_st2 in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c1 = unboxed st.c1 and c2 = unboxed st.c2 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  for k = 0 to n - 1 do
+    let p = b0 + (k * s) in
+    set out (ob + (k * os))
+      (const +. (c0 *. get buf p) +. (c1 *. faces buf ~sp ~sr p) +. (c2 *. edges buf ~sp ~sr p))
+  done
+
+(* residual: v - A·u *)
+let[@inline never] st_resid_row (st : stencil3) const out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf and sp = st.s_sp and sr = st.s_sr and s = st.s_st2 in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let x = st.extras.(0) in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = extra_row x k0 k1 and xs = x.xsteps.(2) in
+  for k = 0 to n - 1 do
+    let p = b0 + (k * s) in
+    set out (ob + (k * os))
+      (const +. (c0 *. get buf p) +. (c2 *. edges buf ~sp ~sr p) +. (c3 *. corners buf ~sp ~sr p)
+      +. (xc *. get xb (xp + (k * xs))))
+  done
+
+(* smoother applied into a sum: z + S·r *)
+let[@inline never] st_psinv_row (st : stencil3) const out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf and sp = st.s_sp and sr = st.s_sr and s = st.s_st2 in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c1 = unboxed st.c1 and c2 = unboxed st.c2 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let x = st.extras.(0) in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = extra_row x k0 k1 and xs = x.xsteps.(2) in
+  for k = 0 to n - 1 do
+    let p = b0 + (k * s) in
+    set out (ob + (k * os))
+      (const +. (c0 *. get buf p) +. (c1 *. faces buf ~sp ~sr p) +. (c2 *. edges buf ~sp ~sr p)
+      +. (xc *. get xb (xp + (k * xs))))
+  done
+
+(* general fallback: any coefficient pattern, any extras *)
+let[@inline never] st_any_row (st : stencil3) const out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf and sp = st.s_sp and sr = st.s_sr and s = st.s_st2 in
+  let const = unboxed const and c0 = unboxed st.c0 and c1 = unboxed st.c1 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let has_c1 = c1 <> 0.0 and has_c2 = c2 <> 0.0 and has_c3 = c3 <> 0.0 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let xs = st.extras in
+  for k = 0 to n - 1 do
+    let p = b0 + (k * s) in
+    let acc = ref (const +. (c0 *. get buf p)) in
+    if has_c1 then acc := !acc +. (c1 *. faces buf ~sp ~sr p);
+    if has_c2 then acc := !acc +. (c2 *. edges buf ~sp ~sr p);
+    if has_c3 then acc := !acc +. (c3 *. corners buf ~sp ~sr p);
+    for e = 0 to Array.length xs - 1 do
+      let x = Array.unsafe_get xs e in
+      acc :=
+        !acc
+        +. Array.unsafe_get x.xcoeffs 0
+           *. get x.xbuf (extra_row x k0 k1 + (k * Array.unsafe_get x.xsteps 2))
+    done;
+    set out (ob + (k * os)) !acc
+  done
+
+let b_st_full = branch "stencil.full"
+let b_st_c023 = branch "stencil.c023"
+let b_st_c012 = branch "stencil.c012"
+let b_st_resid = branch "stencil.resid"
+let b_st_psinv = branch "stencil.psinv"
+let b_st_any = branch "stencil.any"
+
+(* The row kernel for a stencil payload, and its counter: a branchless
+   loop per common coefficient pattern and extra count (c0/c2 are
+   present in every NAS-MG operator), the general fallback otherwise.
+   Each specialised row spells out the fallback's order for its
+   pattern, and takes a body only when every class it spells out is
+   present: the fallback skips an absent class, and adding [0 · sum]
+   instead is not exact (a -0.0 accumulator turns +0.0, an infinite
+   sum NaN). *)
+let stencil_row (st : stencil3) =
+  let ne = Array.length st.extras in
+  let has_c1 = st.c1 <> 0.0 and has_c2 = st.c2 <> 0.0 and has_c3 = st.c3 <> 0.0 in
+  if not has_c2 then (b_st_any, st_any_row)
+  else if ne = 0 && has_c1 && has_c3 then (b_st_full, st_full_row)
+  else if ne = 0 && (not has_c1) && has_c3 then (b_st_c023, st_c023_row)
+  else if ne = 0 && has_c1 && not has_c3 then (b_st_c012, st_c012_row)
+  else if ne = 1 && (not has_c1) && has_c3 then (b_st_resid, st_resid_row)
+  else if ne = 1 && has_c1 && not has_c3 then (b_st_psinv, st_psinv_row)
+  else (b_st_any, st_any_row)
+
+(* Specialised nest for a recognised stencil (+ extras). *)
 let run_stencil3 ~const (st : stencil3) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
-  let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
-  let os0 = osteps.(0) and os1 = osteps.(1) and os2 = osteps.(2) in
-  let sp = st.s_sp and sr = st.s_sr in
-  let st0 = st.s_st0 and st1 = st.s_st1 and st2 = st.s_st2 in
-  let buf = st.sbuf in
-  let c0 = st.c0 and c1 = st.c1 and c2 = st.c2 and c3 = st.c3 in
-  let ne = Array.length st.extras in
-  (* Hoist the extras' scalar layouts out of the loops. *)
-  let ebuf = Array.map (fun e -> e.xbuf) st.extras in
-  let ecoef = Array.map (fun e -> e.xcoeffs.(0)) st.extras in
-  let ebase = Array.map (fun e -> e.xbase + e.xdeltas.(0).(0)) st.extras in
-  let est0 = Array.map (fun e -> e.xsteps.(0)) st.extras in
-  let est1 = Array.map (fun e -> e.xsteps.(1)) st.extras in
-  let est2 = Array.map (fun e -> e.xsteps.(2)) st.extras in
-  let eb = Array.make ne 0 in
-  let has_c1 = c1 <> 0.0 and has_c3 = c3 <> 0.0 in
-  (* Branchless single-expression row loops, one per coefficient
-     pattern (c0/c2 are present in every NAS-MG operator).  The
-     dispatch happens once per row, keeping the element loops
-     straight-line like compiled stencil code. *)
-  let g p = Bigarray.Array1.unsafe_get buf p in
-  let faces p = g (p - 1) +. g (p + 1) +. g (p - sr) +. g (p + sr) +. g (p - sp) +. g (p + sp) in
-  let edges p =
-    g (p - sr - 1) +. g (p - sr + 1) +. g (p + sr - 1) +. g (p + sr + 1) +. g (p - sp - 1)
-    +. g (p - sp + 1)
-    +. g (p + sp - 1)
-    +. g (p + sp + 1)
-    +. g (p - sp - sr)
-    +. g (p - sp + sr)
-    +. g (p + sp - sr)
-    +. g (p + sp + sr)
-  in
-  let corners p =
-    g (p - sp - sr - 1)
-    +. g (p - sp - sr + 1)
-    +. g (p - sp + sr - 1)
-    +. g (p - sp + sr + 1)
-    +. g (p + sp - sr - 1)
-    +. g (p + sp - sr + 1)
-    +. g (p + sp + sr - 1)
-    +. g (p + sp + sr + 1)
-  in
-  for k0 = 0 to n0 - 1 do
-    for k1 = 0 to n1 - 1 do
-      let b0 = st.sbase + (k0 * st0) + (k1 * st1) in
-      let ob = obase + (k0 * os0) + (k1 * os1) in
-      for e = 0 to ne - 1 do
-        eb.(e) <- ebase.(e) + (k0 * est0.(e)) + (k1 * est1.(e))
-      done;
-      if ne = 1 && not has_c1 && has_c3 then begin
-        (* residual: v - A·u *)
-        let xb = Array.unsafe_get ebuf 0
-        and xc = Array.unsafe_get ecoef 0
-        and x0 = Array.unsafe_get eb 0
-        and xs = Array.unsafe_get est2 0 in
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + (k2 * st2) in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p) +. (c2 *. edges p) +. (c3 *. corners p)
-            +. (xc *. Bigarray.Array1.unsafe_get xb (x0 + (k2 * xs))))
-        done
-      end
-      else if ne = 1 && has_c1 && not has_c3 then begin
-        (* smoother applied into a sum: z + S·r *)
-        let xb = Array.unsafe_get ebuf 0
-        and xc = Array.unsafe_get ecoef 0
-        and x0 = Array.unsafe_get eb 0
-        and xs = Array.unsafe_get est2 0 in
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + (k2 * st2) in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p) +. (c1 *. faces p) +. (c2 *. edges p)
-            +. (xc *. Bigarray.Array1.unsafe_get xb (x0 + (k2 * xs))))
-        done
-      end
-      else if ne = 0 && has_c1 && has_c3 then
-        (* full 27-point operator (projection P, interpolation Q) *)
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + (k2 * st2) in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p) +. (c1 *. faces p) +. (c2 *. edges p) +. (c3 *. corners p))
-        done
-      else if ne = 0 && (not has_c1) && has_c3 then
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + (k2 * st2) in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p) +. (c2 *. edges p) +. (c3 *. corners p))
-        done
-      else if ne = 0 && has_c1 && not has_c3 then
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + (k2 * st2) in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p) +. (c1 *. faces p) +. (c2 *. edges p))
-        done
-      else
-        (* general fallback: any coefficient pattern, any extras *)
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + (k2 * st2) in
-          let acc = ref (const +. (c0 *. g p)) in
-          if has_c1 then acc := !acc +. (c1 *. faces p);
-          if c2 <> 0.0 then acc := !acc +. (c2 *. edges p);
-          if has_c3 then acc := !acc +. (c3 *. corners p);
-          for e = 0 to ne - 1 do
-            acc :=
-              !acc
-              +. Array.unsafe_get ecoef e
-                 *. Bigarray.Array1.unsafe_get (Array.unsafe_get ebuf e)
-                      (Array.unsafe_get eb e + (k2 * Array.unsafe_get est2 e))
-          done;
-          Bigarray.Array1.unsafe_set out (ob + (k2 * os2)) !acc
-        done
+  let _, row = stencil_row st in
+  for k0 = 0 to counts.(0) - 1 do
+    for k1 = 0 to counts.(1) - 1 do
+      row st const out ~obase ~osteps counts.(2) k0 k1
     done
   done
 
+(* ------------------------------------------------------------------ *)
 (* Line-buffered variant of the box-stencil kernel — the Fortran
    port's resid/psinv technique (mg_f77.ml).  Per output row, the four
    off-row face neighbours and the four edge diagonals of every inner
@@ -343,215 +428,370 @@ let run_stencil3 ~const (st : stencil3) (out : Ndarray.buffer) ~obase ~osteps
    too, so in-bounds-ness is inherited.  The groupings
    [u2 + u1(i-1) + u1(i+1)] and [u2(i-1) + u2(i+1)] are exactly the
    Fortran port's, which keeps the two implementations' floating-point
-   results within ulps of each other. *)
+   results within ulps of each other.  In the rows below, element [k]
+   reads the source at [b0 + k] and the buffers at [i = k + 1]. *)
+
+let[@inline] lb_faces b (u1 : float array) p i = get b (p - 1) +. get b (p + 1) +. Array.unsafe_get u1 i
+
+let[@inline] lb_edges (u1 : float array) (u2 : float array) i =
+  Array.unsafe_get u2 i +. Array.unsafe_get u1 (i - 1) +. Array.unsafe_get u1 (i + 1)
+
+let[@inline] lb_corners (u2 : float array) i = Array.unsafe_get u2 (i - 1) +. Array.unsafe_get u2 (i + 1)
+
+(* full 27-point operator *)
+let[@inline never] lb_full_row (st : stencil3) const u1 u2 out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf in
+  let const = unboxed const and c0 = unboxed st.c0 and c1 = unboxed st.c1 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let o = ref ob in
+  for k = 0 to n - 1 do
+    let p = b0 + k and i = k + 1 in
+    set out !o
+      (const +. (c0 *. get buf p) +. (c1 *. lb_faces buf u1 p i) +. (c2 *. lb_edges u1 u2 i)
+      +. (c3 *. lb_corners u2 i));
+    o := !o + os
+  done
+
+let[@inline never] lb_c023_row (st : stencil3) const u1 u2 out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let o = ref ob in
+  for k = 0 to n - 1 do
+    let p = b0 + k and i = k + 1 in
+    set out !o
+      (const +. (c0 *. get buf p) +. (c2 *. lb_edges u1 u2 i) +. (c3 *. lb_corners u2 i));
+    o := !o + os
+  done
+
+let[@inline never] lb_c012_row (st : stencil3) const u1 u2 out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c1 = unboxed st.c1 and c2 = unboxed st.c2 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let o = ref ob in
+  for k = 0 to n - 1 do
+    let p = b0 + k and i = k + 1 in
+    set out !o
+      (const +. (c0 *. get buf p) +. (c1 *. lb_faces buf u1 p i) +. (c2 *. lb_edges u1 u2 i));
+    o := !o + os
+  done
+
+(* residual: v - A·u *)
+let[@inline never] lb_resid_row (st : stencil3) const u1 u2 out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let x = st.extras.(0) in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = extra_row x k0 k1 and xs = x.xsteps.(2) in
+  let o = ref ob and q = ref xp in
+  for k = 0 to n - 1 do
+    let p = b0 + k and i = k + 1 in
+    set out !o
+      (const +. (c0 *. get buf p) +. (c2 *. lb_edges u1 u2 i) +. (c3 *. lb_corners u2 i)
+      +. (xc *. get xb !q));
+    o := !o + os;
+    q := !q + xs
+  done
+
+(* smoother applied into a sum: z + S·r *)
+let[@inline never] lb_psinv_row (st : stencil3) const u1 u2 out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c1 = unboxed st.c1 and c2 = unboxed st.c2 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let x = st.extras.(0) in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = extra_row x k0 k1 and xs = x.xsteps.(2) in
+  let o = ref ob and q = ref xp in
+  for k = 0 to n - 1 do
+    let p = b0 + k and i = k + 1 in
+    set out !o
+      (const +. (c0 *. get buf p) +. (c1 *. lb_faces buf u1 p i) +. (c2 *. lb_edges u1 u2 i)
+      +. (xc *. get xb !q));
+    o := !o + os;
+    q := !q + xs
+  done
+
+(* smoother applied into a sum of two: u + z + S·r *)
+let[@inline never] lb_psinv2_row (st : stencil3) const u1 u2 out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf in
+  let const = unboxed const and c0 = unboxed st.c0 in
+  let c1 = unboxed st.c1 and c2 = unboxed st.c2 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let x = st.extras.(0) and y = st.extras.(1) in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = extra_row x k0 k1 and xs = x.xsteps.(2) in
+  let yb = y.xbuf and yc = y.xcoeffs.(0) and yp = extra_row y k0 k1 and ys = y.xsteps.(2) in
+  let o = ref ob and q = ref xp and r = ref yp in
+  for k = 0 to n - 1 do
+    let p = b0 + k and i = k + 1 in
+    set out !o
+      (const +. (c0 *. get buf p) +. (c1 *. lb_faces buf u1 p i) +. (c2 *. lb_edges u1 u2 i)
+      +. (xc *. get xb !q)
+      +. (yc *. get yb !r));
+    o := !o + os;
+    q := !q + xs;
+    r := !r + ys
+  done
+
+(* general fallback: any coefficient pattern, any extras *)
+let[@inline never] lb_any_row (st : stencil3) const u1 u2 out ~obase ~osteps n k0 k1 =
+  let buf = st.sbuf in
+  let const = unboxed const and c0 = unboxed st.c0 and c1 = unboxed st.c1 in
+  let c2 = unboxed st.c2 and c3 = unboxed st.c3 in
+  let has_c1 = c1 <> 0.0 and has_c2 = c2 <> 0.0 and has_c3 = c3 <> 0.0 in
+  let b0 = src_row st k0 k1 and ob = out_row ~obase osteps k0 k1 and os = osteps.(2) in
+  let xs = st.extras in
+  for k = 0 to n - 1 do
+    let p = b0 + k and i = k + 1 in
+    let acc = ref (const +. (c0 *. get buf p)) in
+    if has_c1 then acc := !acc +. (c1 *. lb_faces buf u1 p i);
+    if has_c2 then acc := !acc +. (c2 *. lb_edges u1 u2 i);
+    if has_c3 then acc := !acc +. (c3 *. lb_corners u2 i);
+    for e = 0 to Array.length xs - 1 do
+      let x = Array.unsafe_get xs e in
+      acc :=
+        !acc
+        +. Array.unsafe_get x.xcoeffs 0
+           *. get x.xbuf (extra_row x k0 k1 + (k * Array.unsafe_get x.xsteps 2))
+    done;
+    set out (ob + (k * os)) !acc
+  done
+
+let b_lb_full = branch "linebuf.full"
+let b_lb_c023 = branch "linebuf.c023"
+let b_lb_c012 = branch "linebuf.c012"
+let b_lb_resid = branch "linebuf.resid"
+let b_lb_psinv = branch "linebuf.psinv"
+let b_lb_psinv2 = branch "linebuf.psinv2"
+let b_lb_any = branch "linebuf.any"
+
+(* As [stencil_row], for the line-buffered rows. *)
+let linebuf_row (st : stencil3) =
+  let ne = Array.length st.extras in
+  let has_c1 = st.c1 <> 0.0 and has_c2 = st.c2 <> 0.0 and has_c3 = st.c3 <> 0.0 in
+  if not has_c2 then (b_lb_any, lb_any_row)
+  else if ne = 0 && has_c1 && has_c3 then (b_lb_full, lb_full_row)
+  else if ne = 0 && (not has_c1) && has_c3 then (b_lb_c023, lb_c023_row)
+  else if ne = 0 && has_c1 && not has_c3 then (b_lb_c012, lb_c012_row)
+  else if ne = 1 && (not has_c1) && has_c3 then (b_lb_resid, lb_resid_row)
+  else if ne = 1 && has_c1 && not has_c3 then (b_lb_psinv, lb_psinv_row)
+  else if ne = 2 && has_c1 && not has_c3 then (b_lb_psinv2, lb_psinv2_row)
+  else (b_lb_any, lb_any_row)
+
+(* The row's plane sums, one element beyond each end. *)
+let[@inline never] fill_line_buffers (st : stencil3) (u1 : float array) (u2 : float array) k0 k1 =
+  let buf = st.sbuf and sp = st.s_sp and sr = st.s_sr and b0 = src_row st k0 k1 in
+  for i = 0 to Array.length u1 - 1 do
+    let q = b0 + i - 1 in
+    Array.unsafe_set u1 i (get buf (q - sr) +. get buf (q + sr) +. get buf (q - sp) +. get buf (q + sp));
+    Array.unsafe_set u2 i
+      (get buf (q - sp - sr) +. get buf (q - sp + sr) +. get buf (q + sp - sr)
+      +. get buf (q + sp + sr))
+  done
+
 let run_stencil3_linebuf ~const (st : stencil3) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
-  let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
-  let os0 = osteps.(0) and os1 = osteps.(1) and os2 = osteps.(2) in
-  let sp = st.s_sp and sr = st.s_sr in
-  let st0 = st.s_st0 and st1 = st.s_st1 in
-  let buf = st.sbuf in
-  let c0 = st.c0 and c1 = st.c1 and c2 = st.c2 and c3 = st.c3 in
-  let ne = Array.length st.extras in
-  let ebuf = Array.map (fun e -> e.xbuf) st.extras in
-  let ecoef = Array.map (fun e -> e.xcoeffs.(0)) st.extras in
-  let ebase = Array.map (fun e -> e.xbase + e.xdeltas.(0).(0)) st.extras in
-  let est0 = Array.map (fun e -> e.xsteps.(0)) st.extras in
-  let est1 = Array.map (fun e -> e.xsteps.(1)) st.extras in
-  let est2 = Array.map (fun e -> e.xsteps.(2)) st.extras in
-  let eb = Array.make ne 0 in
-  let has_c1 = c1 <> 0.0 and has_c3 = c3 <> 0.0 in
-  let m = n2 + 2 in
-  let u1 = Array.make m 0.0 and u2 = Array.make m 0.0 in
-  let g p = Bigarray.Array1.unsafe_get buf p in
-  for k0 = 0 to n0 - 1 do
-    for k1 = 0 to n1 - 1 do
-      let b0 = st.sbase + (k0 * st0) + (k1 * st1) in
-      let ob = obase + (k0 * os0) + (k1 * os1) in
-      (* Plane sums over the row, one element beyond each end. *)
-      for i = 0 to m - 1 do
-        let q = b0 + i - 1 in
-        Array.unsafe_set u1 i (g (q - sr) +. g (q + sr) +. g (q - sp) +. g (q + sp));
-        Array.unsafe_set u2 i
-          (g (q - sp - sr) +. g (q - sp + sr) +. g (q + sp - sr) +. g (q + sp + sr))
-      done;
-      for e = 0 to ne - 1 do
-        eb.(e) <- ebase.(e) + (k0 * est0.(e)) + (k1 * est1.(e))
-      done;
-      if ne = 1 && not has_c1 && has_c3 then begin
-        (* residual: v - A·u *)
-        let xb = Array.unsafe_get ebuf 0
-        and xc = Array.unsafe_get ecoef 0
-        and x0 = Array.unsafe_get eb 0
-        and xs = Array.unsafe_get est2 0 in
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + k2 and i = k2 + 1 in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p)
-            +. (c2
-               *. (Array.unsafe_get u2 i +. Array.unsafe_get u1 (i - 1)
-                  +. Array.unsafe_get u1 (i + 1)))
-            +. (c3 *. (Array.unsafe_get u2 (i - 1) +. Array.unsafe_get u2 (i + 1)))
-            +. (xc *. Bigarray.Array1.unsafe_get xb (x0 + (k2 * xs))))
-        done
-      end
-      else if ne = 1 && has_c1 && not has_c3 then begin
-        (* smoother applied into a sum: z + S·r *)
-        let xb = Array.unsafe_get ebuf 0
-        and xc = Array.unsafe_get ecoef 0
-        and x0 = Array.unsafe_get eb 0
-        and xs = Array.unsafe_get est2 0 in
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + k2 and i = k2 + 1 in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p)
-            +. (c1 *. (g (p - 1) +. g (p + 1) +. Array.unsafe_get u1 i))
-            +. (c2
-               *. (Array.unsafe_get u2 i +. Array.unsafe_get u1 (i - 1)
-                  +. Array.unsafe_get u1 (i + 1)))
-            +. (xc *. Bigarray.Array1.unsafe_get xb (x0 + (k2 * xs))))
-        done
-      end
-      else if ne = 0 && has_c1 && has_c3 then
-        (* full 27-point operator *)
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + k2 and i = k2 + 1 in
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const +. (c0 *. g p)
-            +. (c1 *. (g (p - 1) +. g (p + 1) +. Array.unsafe_get u1 i))
-            +. (c2
-               *. (Array.unsafe_get u2 i +. Array.unsafe_get u1 (i - 1)
-                  +. Array.unsafe_get u1 (i + 1)))
-            +. (c3 *. (Array.unsafe_get u2 (i - 1) +. Array.unsafe_get u2 (i + 1))))
-        done
-      else
-        (* general fallback: any coefficient pattern, any extras *)
-        for k2 = 0 to n2 - 1 do
-          let p = b0 + k2 and i = k2 + 1 in
-          let acc = ref (const +. (c0 *. g p)) in
-          if has_c1 then
-            acc := !acc +. (c1 *. (g (p - 1) +. g (p + 1) +. Array.unsafe_get u1 i));
-          if c2 <> 0.0 then
-            acc :=
-              !acc
-              +. c2
-                 *. (Array.unsafe_get u2 i +. Array.unsafe_get u1 (i - 1)
-                    +. Array.unsafe_get u1 (i + 1));
-          if has_c3 then
-            acc := !acc +. (c3 *. (Array.unsafe_get u2 (i - 1) +. Array.unsafe_get u2 (i + 1)));
-          for e = 0 to ne - 1 do
-            acc :=
-              !acc
-              +. Array.unsafe_get ecoef e
-                 *. Bigarray.Array1.unsafe_get (Array.unsafe_get ebuf e)
-                      (Array.unsafe_get eb e + (k2 * Array.unsafe_get est2 e))
-          done;
-          Bigarray.Array1.unsafe_set out (ob + (k2 * os2)) !acc
-        done
+  let _, row = linebuf_row st in
+  let n = counts.(2) in
+  let u1 = Array.make (n + 2) 0.0 and u2 = Array.make (n + 2) 0.0 in
+  for k0 = 0 to counts.(0) - 1 do
+    for k1 = 0 to counts.(1) - 1 do
+      fill_line_buffers st u1 u2 k0 k1;
+      row st const u1 u2 out ~obase ~osteps n k0 k1
     done
   done
 
+(* ------------------------------------------------------------------ *)
 (* Flat-weighted kernel: one cluster with few reads (the specialised
    interpolation bodies that residue splitting produces).  Coefficients
-   are pre-multiplied into per-read weights, trading the factored
-   grouping for a single tight loop — profitable only when the read
-   count is small, hence the cap at recognition time. *)
+   are pre-multiplied into per-read weights [w] at read offsets [d],
+   trading the factored grouping for a single tight loop — profitable
+   only when the read count is small, hence the cap at recognition
+   time.  A row adds [w·x] terms to [const] in read order: unrolled for
+   the prolongation's 2-, 4- and 8-read parity classes (its 1-read
+   class is a zip), looped otherwise.  [s] is the source's row step.
+   Flat and zip pieces walk their longest axis innermost
+   ({!Cfun.row_axis}), so a 64×64×1 border face runs 64 rows of 64,
+   not 4096 rows of one. *)
+
+let[@inline never] flat_row2 (buf : Ndarray.buffer) const (w : float array) (d : int array) b s
+    out ob os n =
+  let const = unboxed const and w0 = w.(0) and w1 = w.(1) and d0 = d.(0) and d1 = d.(1) in
+  for k = 0 to n - 1 do
+    let p = b + (k * s) in
+    set out (ob + (k * os)) (const +. (w0 *. get buf (p + d0)) +. (w1 *. get buf (p + d1)))
+  done
+
+let[@inline never] flat_row4 (buf : Ndarray.buffer) const (w : float array) (d : int array) b s
+    out ob os n =
+  let const = unboxed const and w0 = w.(0) and w1 = w.(1) and w2 = w.(2) and w3 = w.(3) in
+  let d0 = d.(0) and d1 = d.(1) and d2 = d.(2) and d3 = d.(3) in
+  for k = 0 to n - 1 do
+    let p = b + (k * s) in
+    set out (ob + (k * os))
+      (const +. (w0 *. get buf (p + d0)) +. (w1 *. get buf (p + d1)) +. (w2 *. get buf (p + d2))
+      +. (w3 *. get buf (p + d3)))
+  done
+
+let[@inline never] flat_row8 (buf : Ndarray.buffer) const (w : float array) (d : int array) b s
+    out ob os n =
+  let const = unboxed const and w0 = w.(0) and w1 = w.(1) and w2 = w.(2) and w3 = w.(3) in
+  let w4 = w.(4) and w5 = w.(5) and w6 = w.(6) and w7 = w.(7) in
+  let d0 = d.(0) and d1 = d.(1) and d2 = d.(2) and d3 = d.(3) in
+  let d4 = d.(4) and d5 = d.(5) and d6 = d.(6) and d7 = d.(7) in
+  for k = 0 to n - 1 do
+    let p = b + (k * s) in
+    set out (ob + (k * os))
+      (const +. (w0 *. get buf (p + d0)) +. (w1 *. get buf (p + d1)) +. (w2 *. get buf (p + d2))
+      +. (w3 *. get buf (p + d3))
+      +. (w4 *. get buf (p + d4))
+      +. (w5 *. get buf (p + d5))
+      +. (w6 *. get buf (p + d6))
+      +. (w7 *. get buf (p + d7)))
+  done
+
+let[@inline never] flat_rown (buf : Ndarray.buffer) const (w : float array) (d : int array) b s
+    out ob os n =
+  let const = unboxed const in
+  for k = 0 to n - 1 do
+    let p = b + (k * s) in
+    let acc = ref const in
+    for t = 0 to Array.length w - 1 do
+      acc := !acc +. (Array.unsafe_get w t *. get buf (p + Array.unsafe_get d t))
+    done;
+    set out (ob + (k * os)) !acc
+  done
+
+let b_flat2 = branch "flat.2"
+let b_flat4 = branch "flat.4"
+let b_flat8 = branch "flat.8"
+let b_flatn = branch "flat.n"
+
+let flat_row reads =
+  match reads with
+  | 2 -> (b_flat2, flat_row2)
+  | 4 -> (b_flat4, flat_row4)
+  | 8 -> (b_flat8, flat_row8)
+  | _ -> (b_flatn, flat_rown)
+
 let run_flat3 ~const (cl : ccluster) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
-  let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
-  let os0 = osteps.(0) and os1 = osteps.(1) and os2 = osteps.(2) in
-  let nw = Array.fold_left (fun acc ds -> acc + Array.length ds) 0 cl.xdeltas in
-  let wdeltas = Array.make nw 0 and weights = Array.make nw 0.0 in
-  let t = ref 0 in
-  Array.iteri
-    (fun gi ds ->
-      Array.iter
-        (fun d ->
-          wdeltas.(!t) <- d;
-          weights.(!t) <- cl.xcoeffs.(gi);
-          incr t)
-        ds)
-    cl.xdeltas;
-  let buf = cl.xbuf in
-  let st0 = cl.xsteps.(0) and st1 = cl.xsteps.(1) and st2 = cl.xsteps.(2) in
-  for k0 = 0 to n0 - 1 do
-    for k1 = 0 to n1 - 1 do
-      let b0 = cl.xbase + (k0 * st0) + (k1 * st1) in
+  let d = Array.concat (Array.to_list cl.xdeltas) in
+  let w =
+    Array.concat
+      (Array.to_list (Array.mapi (fun gi ds -> Array.map (fun _ -> cl.xcoeffs.(gi)) ds) cl.xdeltas))
+  in
+  let _, row = flat_row (Array.length w) in
+  let a = Cfun.row_axis counts in
+  let u = if a = 0 then 1 else 0 and v = if a = 2 then 1 else 2 in
+  let xsu = cl.xsteps.(u) and xsv = cl.xsteps.(v) and s = cl.xsteps.(a) in
+  let osu = osteps.(u) and osv = osteps.(v) and os = osteps.(a) and n = counts.(a) in
+  for ku = 0 to counts.(u) - 1 do
+    for kv = 0 to counts.(v) - 1 do
+      row cl.xbuf const w d
+        (cl.xbase + (ku * xsu) + (kv * xsv))
+        s out
+        (obase + (ku * osu) + (kv * osv))
+        os n
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Element-wise kernel: every cluster is a single read (maps, zips and
+   the affine combinations fusion builds from them).  A row adds
+   [c·x] terms to [const] in cluster order; [eb] holds the clusters'
+   row bases and [a] is the row axis. *)
+
+let[@inline never] zip_row1 (xs : ccluster array) const eb a out ob os n =
+  let x = xs.(0) in
+  let const = unboxed const in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = eb.(0) and s = x.xsteps.(a) in
+  for k = 0 to n - 1 do
+    set out (ob + (k * os)) (const +. (xc *. get xb (xp + (k * s))))
+  done
+
+let[@inline never] zip_row2 (xs : ccluster array) const eb a out ob os n =
+  let x = xs.(0) and y = xs.(1) in
+  let const = unboxed const in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = eb.(0) and xst = x.xsteps.(a) in
+  let yb = y.xbuf and yc = y.xcoeffs.(0) and yp = eb.(1) and yst = y.xsteps.(a) in
+  for k = 0 to n - 1 do
+    set out (ob + (k * os))
+      (const +. (xc *. get xb (xp + (k * xst))) +. (yc *. get yb (yp + (k * yst))))
+  done
+
+let[@inline never] zip_row3 (xs : ccluster array) const eb a out ob os n =
+  let x = xs.(0) and y = xs.(1) and z = xs.(2) in
+  let const = unboxed const in
+  let xb = x.xbuf and xc = x.xcoeffs.(0) and xp = eb.(0) and xst = x.xsteps.(a) in
+  let yb = y.xbuf and yc = y.xcoeffs.(0) and yp = eb.(1) and yst = y.xsteps.(a) in
+  let zb = z.xbuf and zc = z.xcoeffs.(0) and zp = eb.(2) and zst = z.xsteps.(a) in
+  for k = 0 to n - 1 do
+    set out (ob + (k * os))
+      (const +. (xc *. get xb (xp + (k * xst))) +. (yc *. get yb (yp + (k * yst)))
+      +. (zc *. get zb (zp + (k * zst))))
+  done
+
+let[@inline never] zip_rown (xs : ccluster array) const eb a out ob os n =
+  let const = unboxed const in
+  for k = 0 to n - 1 do
+    let acc = ref const in
+    for e = 0 to Array.length xs - 1 do
+      let x = Array.unsafe_get xs e in
+      acc :=
+        !acc
+        +. Array.unsafe_get x.xcoeffs 0
+           *. get x.xbuf (Array.unsafe_get eb e + (k * Array.unsafe_get x.xsteps a))
+    done;
+    set out (ob + (k * os)) !acc
+  done
+
+let b_zip1 = branch "zip.1"
+let b_zip2 = branch "zip.2"
+let b_zip3 = branch "zip.3"
+let b_zipn = branch "zip.n"
+
+let zip_row (clusters : ccluster array) =
+  match Array.length clusters with
+  | 1 -> (b_zip1, zip_row1)
+  | 2 -> (b_zip2, zip_row2)
+  | 3 -> (b_zip3, zip_row3)
+  | _ -> (b_zipn, zip_rown)
+
+let run_zip3 ~const (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
+    ~(counts : int array) =
+  let _, row = zip_row clusters in
+  let a = Cfun.row_axis counts in
+  let u = if a = 0 then 1 else 0 and v = if a = 2 then 1 else 2 in
+  let osu = osteps.(u) and osv = osteps.(v) and os = osteps.(a) and n = counts.(a) in
+  let eb = Array.make (Array.length clusters) 0 in
+  for ku = 0 to counts.(u) - 1 do
+    for kv = 0 to counts.(v) - 1 do
+      row_bases clusters eb ~u ~v ku kv;
+      row clusters const eb a out (obase + (ku * osu) + (kv * osv)) os n
+    done
+  done
+
+(* Identity copy: a plain unit-stride loop per row (a [Bigarray.blit]
+   would allocate two [sub] proxies per row).  Moving a double through
+   a register keeps its bits. *)
+let run_copy3 (src : ccluster) (out : Ndarray.buffer) ~obase ~osteps ~(counts : int array) =
+  let n2 = counts.(2) and os0 = osteps.(0) and os1 = osteps.(1) in
+  let buf = src.xbuf and delta = src.xbase - obase in
+  for k0 = 0 to counts.(0) - 1 do
+    for k1 = 0 to counts.(1) - 1 do
       let ob = obase + (k0 * os0) + (k1 * os1) in
-      for k2 = 0 to n2 - 1 do
-        let b = b0 + (k2 * st2) in
-        let acc = ref const in
-        for w = 0 to nw - 1 do
-          acc :=
-            !acc
-            +. Array.unsafe_get weights w
-               *. Bigarray.Array1.unsafe_get buf (b + Array.unsafe_get wdeltas w)
-        done;
-        Bigarray.Array1.unsafe_set out (ob + (k2 * os2)) !acc
+      for o = ob to ob + n2 - 1 do
+        set out o (get buf (o + delta))
       done
     done
   done
 
-(* Element-wise kernel: every cluster is a single read (maps, zips and
-   the affine combinations fusion builds from them). *)
-let run_zip3 ~const (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
-    ~(counts : int array) =
-  let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
-  let os0 = osteps.(0) and os1 = osteps.(1) and os2 = osteps.(2) in
-  let ne = Array.length clusters in
-  let ebuf = Array.map (fun e -> e.xbuf) clusters in
-  let ecoef = Array.map (fun e -> e.xcoeffs.(0)) clusters in
-  let ebase = Array.map (fun e -> e.xbase + e.xdeltas.(0).(0)) clusters in
-  let est0 = Array.map (fun e -> e.xsteps.(0)) clusters in
-  let est1 = Array.map (fun e -> e.xsteps.(1)) clusters in
-  let est2 = Array.map (fun e -> e.xsteps.(2)) clusters in
-  if ne = 2 then begin
-    let b0 = ebuf.(0) and b1 = ebuf.(1) in
-    let c0 = ecoef.(0) and c1 = ecoef.(1) in
-    let s02 = est2.(0) and s12 = est2.(1) in
-    for k0 = 0 to n0 - 1 do
-      for k1 = 0 to n1 - 1 do
-        let p0 = ebase.(0) + (k0 * est0.(0)) + (k1 * est1.(0)) in
-        let p1 = ebase.(1) + (k0 * est0.(1)) + (k1 * est1.(1)) in
-        let ob = obase + (k0 * os0) + (k1 * os1) in
-        for k2 = 0 to n2 - 1 do
-          Bigarray.Array1.unsafe_set out
-            (ob + (k2 * os2))
-            (const
-            +. (c0 *. Bigarray.Array1.unsafe_get b0 (p0 + (k2 * s02)))
-            +. (c1 *. Bigarray.Array1.unsafe_get b1 (p1 + (k2 * s12))))
-        done
-      done
-    done
-  end
-  else begin
-    let eb = Array.make ne 0 in
-    for k0 = 0 to n0 - 1 do
-      for k1 = 0 to n1 - 1 do
-        for e = 0 to ne - 1 do
-          eb.(e) <- ebase.(e) + (k0 * est0.(e)) + (k1 * est1.(e))
-        done;
-        let ob = obase + (k0 * os0) + (k1 * os1) in
-        for k2 = 0 to n2 - 1 do
-          let acc = ref const in
-          for e = 0 to ne - 1 do
-            acc :=
-              !acc
-              +. Array.unsafe_get ecoef e
-                 *. Bigarray.Array1.unsafe_get (Array.unsafe_get ebuf e)
-                      (Array.unsafe_get eb e + (k2 * Array.unsafe_get est2 e))
-          done;
-          Bigarray.Array1.unsafe_set out (ob + (k2 * os2)) !acc
-        done
-      done
-    done
-  end
-
 (* Identity-copy detection: a part that just moves a contiguous row of
-   one source is executed as a blit. *)
+   one source is executed as a row copy ({!run_copy3}). *)
 let is_plain_copy ~const (clusters : ccluster array) ~(osteps : int array) =
   const = 0.0
   && Array.length clusters = 1
@@ -636,23 +876,7 @@ let rebind_k3 (clusters : ccluster array) ~koff0 ~koff1 = function
           si,
           eidx )
 
-(* Debug aid: dump the cluster structure of parts that fall to the
-   generic nest (WL_DEBUG_KERNEL=1), to see what cfun must cover. *)
-let debug_generic (clusters : ccluster array) =
-  if Sys.getenv_opt "WL_DEBUG_KERNEL" <> None then
-    Format.eprintf "GENERIC nc=%d %s@." (Array.length clusters)
-      (String.concat " | "
-         (Array.to_list
-            (Array.map
-               (fun cl ->
-                 Printf.sprintf "steps=%s groups=%s"
-                   (Shape.to_string cl.xsteps)
-                   (String.concat ";"
-                      (Array.to_list
-                         (Array.map2
-                            (fun c ds -> Printf.sprintf "%g*%d" c (Array.length ds))
-                            cl.xcoeffs cl.xdeltas))))
-               clusters)))
+let flat_reads (cl : ccluster) = Array.fold_left (fun acc ds -> acc + Array.length ds) 0 cl.xdeltas
 
 (* [native] carries the AOT cache directory when the native tier is
    on.  The tier ladder for unrecognised bodies is native → cfun →
@@ -675,13 +899,19 @@ let choose_k3 ~line_buffers ~cfun ~native ~const (clusters : ccluster array) ~os
         (* Line buffering pays when the plane sums are reused across the
            inner loop — i.e. when edge or corner classes are present —
            and needs a unit inner walk step. *)
-        if line_buffers && s.s_st2 = 1 && (s.c2 <> 0.0 || s.c3 <> 0.0) then
+        if line_buffers && s.s_st2 = 1 && (s.c2 <> 0.0 || s.c3 <> 0.0) then begin
+          Metrics.incr (fst (linebuf_row s));
           K3stencil_lb (s, !si, eidx)
-        else K3stencil (s, !si, eidx)
-    | None when Array.length clusters > 0 && Array.for_all is_single_read clusters -> K3zip
-    | None
-      when Array.length clusters = 1
-           && Array.fold_left (fun acc ds -> acc + Array.length ds) 0 clusters.(0).xdeltas <= 8 ->
+        end
+        else begin
+          Metrics.incr (fst (stencil_row s));
+          K3stencil (s, !si, eidx)
+        end
+    | None when Array.length clusters > 0 && Array.for_all is_single_read clusters ->
+        Metrics.incr (fst (zip_row clusters));
+        K3zip
+    | None when Array.length clusters = 1 && flat_reads clusters.(0) <= 8 ->
+        Metrics.incr (fst (flat_row (flat_reads clusters.(0))));
         K3flat
     | None when cfun || native <> None -> (
         let natively =
@@ -692,31 +922,14 @@ let choose_k3 ~line_buffers ~cfun ~native ~const (clusters : ccluster array) ~os
         match natively with
         | Some nf -> K3native nf
         | None ->
-            if cfun then K3cfun (Cfun.compile ~const clusters ~osteps)
-            else begin
-              debug_generic clusters;
-              K3generic
-            end)
-    | None ->
-        debug_generic clusters;
-        K3generic
+            if cfun then K3cfun (Cfun.compile ~const clusters ~osteps) else K3generic)
+    | None -> K3generic
 
 let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
   match k with
   | K3copy ->
-      let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
-      let os0 = osteps.(0) and os1 = osteps.(1) in
-      let cl = clusters.(0) in
-      let delta = cl.xbase - obase in
-      for k0 = 0 to n0 - 1 do
-        for k1 = 0 to n1 - 1 do
-          let ob = obase + (k0 * os0) + (k1 * os1) in
-          Bigarray.Array1.blit
-            (Bigarray.Array1.sub cl.xbuf (ob + delta) n2)
-            (Bigarray.Array1.sub out ob n2)
-        done
-      done
+      run_copy3 clusters.(0) out ~obase ~osteps ~counts
   | K3stencil (st, _, _) ->
       run_stencil3 ~const st out ~obase ~osteps ~counts
   | K3stencil_lb (st, _, _) ->

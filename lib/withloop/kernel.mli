@@ -3,7 +3,7 @@
     A compiled part's clusters are inspected once, when the part is
     compiled, and dispatched to one of the specialised rank-3 nests —
     box stencil, line-buffered box stencil, element-wise zip,
-    flat-weighted, row blit — or the generic cluster nest.  The choice
+    flat-weighted, row copy — or the generic cluster nest.  The choice
     is reified as an opaque {!k3} value that the plan cache stores and
     replay rebinds, so recognition never runs twice for the same
     with-loop. *)
@@ -31,6 +31,14 @@ val counters : unit -> (string * int) list
 
 val set_timing : bool -> unit
 (** Off by default: timing costs two monotonic clock reads per piece. *)
+
+val branch_counts : unit -> (string * int) list
+(** The fixed nests' per-branch call counters
+    ([kernel.branch.<nest>.<body>], e.g. [linebuf.resid],
+    [flat.8], [zip.3], [stencil.any]) as
+    [(name, count)] pairs, one per row loop: {!choose_k3} bumps the
+    counter of the loop a part is compiled to, and every execution of
+    the part (cached replays included) runs that loop. *)
 
 val ns_elt_families : string list
 (** Every [kernel.ns_elt.*] family {!run_k3} records into; engines

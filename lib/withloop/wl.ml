@@ -7,11 +7,19 @@ type t = Ir.source
    after only ~dozens of such allocations, which makes collection —
    not computation — dominate small grids.  SAC's runtime ships its
    own free-list allocator for exactly this reason (§5 of the paper);
-   our analogue is relaxed custom-block ratios, set once when the
-   engine is first used.  [space_overhead] stays at OCaml's default
-   (or OCAMLRUNPARAM's [o]): a served load whose forces all replay
-   cached plans makes too little short-lived garbage to pace the
-   major GC's sweeping, so raising it grows the major heap and the
+   our analogues are the pooled arenas (Mempool) and relaxed
+   custom-block ratios, set once when the engine is first used.  With
+   the arenas recycling with-loop buffers, the Bigarrays still
+   allocated are mostly ones that die with a solve (the initial grid,
+   escaped results, the F77 port's grids), so [custom_major_ratio]
+   stays at 100, not 300: their bytes then pace the major GC enough to
+   sweep a solve's garbage — its graphs and those grids — within the
+   next solve.  At 300 the cycles lagged: once the fixed kernels
+   stopped allocating per row, two class-W solves' garbage piled up in
+   the major heap (EXPERIMENTS.md E17).  [space_overhead] stays at
+   OCaml's default (or OCAMLRUNPARAM's [o]): a served load whose forces
+   all replay cached plans makes too little short-lived garbage to pace
+   the major GC's sweeping, so raising it grows the major heap and the
    peak RSS (EXPERIMENTS.md E16).  An Atomic exchange, not Lazy:
    concurrent engines may force from two fresh domains at once, and
    Lazy.force is not domain-safe. *)
@@ -22,7 +30,7 @@ let tune_gc () =
     let g = Gc.get () in
     Gc.set
       { g with
-        Gc.custom_major_ratio = 300;
+        Gc.custom_major_ratio = 100;
         custom_minor_ratio = 300;
         custom_minor_max_size = 1 lsl 16;
       }

@@ -634,6 +634,358 @@ let test_driver_tiers_bitwise () =
         (Int64.equal (bits got) (bits want)))
     scheds
 
+(* ------------------------------------------------------------------ *)
+(* The fixed kernels' branches.  Kernel picks one row loop per call
+   from the body's shape: a box stencil's coefficient pattern and extra
+   count (plain and line-buffered), a flat body's read count, a zip's
+   cluster count.  Every
+   specialised loop must equal the general fallback bitwise, and the
+   oracle checks that through the reference interpreter: the bodies
+   below spell out each kernel's own association — the stencil classes
+   summed in the kernel's order, then each extra — with every
+   coefficient distinct, so factoring makes one group per class and
+   one cluster per extra, and the tree evaluates in the kernel's
+   order.  Degenerate m×m×1, m×1×m and 1×m×m pieces exercise the zip
+   and flat row selection; output stride 2 (reads divided by 2) and
+   extras read at stride 2 walk the rows with non-unit steps. *)
+
+let fixed_settings ~line_buffers sched : Exec.settings =
+  { (exec_settings ~reuse:false ~cfun:true sched) with Exec.factor = true; line_buffers }
+
+(* Output stride along the row axis: [Unit]; [Out2], output step 2
+   with reads divided by 2 (the prolongation's layout); [Extras2],
+   extras read at twice the output index. *)
+type layout = Unit | Out2 | Extras2
+
+let layout_name = function Unit -> "unit" | Out2 -> "out2" | Extras2 -> "extras2"
+
+type fixed =
+  | Fstencil of {
+      classes : bool * bool * bool;  (* c1 faces, c2 edges, c3 corners *)
+      extras : int;
+      layout : layout;
+      line_buffers : bool;
+      dims : int array;  (* the source's shape *)
+    }
+  | Fflat of { offsets : int list list; box : int array; step2 : bool }
+  | Fzip of { offsets : int list list; box : int array; step2 : bool }
+
+let print_fixed = function
+  | Fstencil { classes = c1, c2, c3; extras; layout; line_buffers; dims } ->
+      Printf.sprintf "stencil c1=%b c2=%b c3=%b extras=%d layout=%s line_buffers=%b dims=%s" c1 c2
+        c3 extras (layout_name layout) line_buffers (Shape.to_string dims)
+  | Fflat { offsets; box; step2 } ->
+      Printf.sprintf "flat reads=%d box=%s step2=%b" (List.length offsets) (Shape.to_string box) step2
+  | Fzip { offsets; box; step2 } ->
+      Printf.sprintf "zip clusters=%d box=%s step2=%b" (List.length offsets) (Shape.to_string box)
+        step2
+
+let sum = function [] -> invalid_arg "sum" | e :: es -> List.fold_left (fun a b -> Ir.Add (a, b)) e es
+let axpy acc c e = Ir.Add (acc, Ir.Mul (Ir.Const c, e))
+
+(* Distinct coefficients: [coeff i] for the i-th term of a body. *)
+let coeff i = (if i mod 2 = 0 then 1.0 else -1.0) *. (0.3125 +. (float_of_int i *. 0.0859375))
+
+(* The plain nest's class sums ([Kernel.faces]/[edges]/[corners]). *)
+let faces_plain r =
+  sum (List.map r [ [ 0; 0; -1 ]; [ 0; 0; 1 ]; [ 0; -1; 0 ]; [ 0; 1; 0 ]; [ -1; 0; 0 ]; [ 1; 0; 0 ] ])
+
+let edges_plain r =
+  sum
+    (List.map r
+       [ [ 0; -1; -1 ]; [ 0; -1; 1 ]; [ 0; 1; -1 ]; [ 0; 1; 1 ]; [ -1; 0; -1 ]; [ -1; 0; 1 ];
+         [ 1; 0; -1 ]; [ 1; 0; 1 ]; [ -1; -1; 0 ]; [ -1; 1; 0 ]; [ 1; -1; 0 ]; [ 1; 1; 0 ] ])
+
+let corners_plain r =
+  sum
+    (List.map r
+       [ [ -1; -1; -1 ]; [ -1; -1; 1 ]; [ -1; 1; -1 ]; [ -1; 1; 1 ]; [ 1; -1; -1 ]; [ 1; -1; 1 ];
+         [ 1; 1; -1 ]; [ 1; 1; 1 ] ])
+
+(* The line-buffered nest's: plane sums [u1]/[u2] at inner offset [d]
+   combined as [lb_faces]/[lb_edges]/[lb_corners] combine them. *)
+let u1 r d = sum (List.map r [ [ 0; -1; d ]; [ 0; 1; d ]; [ -1; 0; d ]; [ 1; 0; d ] ])
+let u2 r d = sum (List.map r [ [ -1; -1; d ]; [ -1; 1; d ]; [ 1; -1; d ]; [ 1; 1; d ] ])
+let faces_lb r = Ir.Add (Ir.Add (r [ 0; 0; -1 ], r [ 0; 0; 1 ]), u1 r 0)
+let edges_lb r = Ir.Add (Ir.Add (u2 r 0, u1 r (-1)), u1 r 1)
+let corners_lb r = Ir.Add (u2 r (-1), u2 r 1)
+
+(* A read of [a] at neighbour offset [d]; with [div2] the last axis is
+   divided by 2 (offsets scale with it). *)
+let read ?(div2 = false) a d =
+  let d = Array.of_list d in
+  let map =
+    if div2 then Ixmap.make ~offset:[| d.(0); d.(1); 2 * d.(2) |] ~div:[| 1; 1; 2 |] 3
+    else Ixmap.offset d
+  in
+  Ir.Read (Ir.Arr a, map)
+
+(* With [inf], the stencil's source holds one infinite element. *)
+let build_fixed ?(inf = false) seed = function
+  | Fstencil { classes = c1, c2, c3; extras; layout; line_buffers; dims } ->
+      let src = src_of_seed dims seed in
+      if inf then Ndarray.set src [| 2; 2; 3 |] infinity;
+      let lb = line_buffers && (c2 || c3) in
+      let r = read ~div2:(layout = Out2) src in
+      let shp = if layout = Out2 then [| dims.(0); dims.(1); 2 * dims.(2) |] else dims in
+      let gen =
+        if layout = Out2 then
+          Generator.make ~step:[| 1; 1; 2 |] ~lb:[| 1; 1; 2 |]
+            ~ub:[| dims.(0) - 1; dims.(1) - 1; 2 * (dims.(2) - 1) |]
+            ()
+        else Generator.interior shp 1
+      in
+      let body = axpy (Ir.Const 0.375) (coeff 0) (r [ 0; 0; 0 ]) in
+      let body = if c1 then axpy body (coeff 1) ((if lb then faces_lb else faces_plain) r) else body in
+      let body = if c2 then axpy body (coeff 2) ((if lb then edges_lb else edges_plain) r) else body in
+      let body =
+        if c3 then axpy body (coeff 3) ((if lb then corners_lb else corners_plain) r) else body
+      in
+      let body =
+        List.fold_left
+          (fun body e ->
+            let x =
+              if layout = Extras2 then
+                Ir.Read
+                  ( Ir.Arr (src_of_seed [| shp.(0); shp.(1); 2 * shp.(2) |] (seed + e + 1)),
+                    Ixmap.make ~scale:[| 1; 1; 2 |] 3 )
+              else read (src_of_seed shp (seed + e + 1)) [ 0; 0; 0 ]
+            in
+            axpy body (coeff (4 + e)) x)
+          body (List.init extras Fun.id)
+      in
+      Ir.genarray shp [ { Ir.gen; body } ]
+  | Fflat { offsets; box; step2 } | Fzip { offsets; box; step2 } as f ->
+      let dims = Array.map (fun n -> n + 2) box in
+      let shp = if step2 then Array.map (fun n -> 2 * n) dims else dims in
+      let gen =
+        if step2 then
+          Generator.make ~step:[| 2; 2; 2 |] ~lb:[| 2; 2; 2 |]
+            ~ub:(Array.map (fun n -> (2 * n) + 2) box)
+            ()
+        else Generator.make ~lb:[| 1; 1; 1 |] ~ub:(Array.map (fun n -> n + 1) box) ()
+      in
+      let map d =
+        if step2 then
+          Ixmap.make ~offset:(Array.map (fun d -> 2 * d) (Array.of_list d)) ~div:[| 2; 2; 2 |] 3
+        else Ixmap.offset (Array.of_list d)
+      in
+      let flat = match f with Fflat _ -> true | _ -> false in
+      let src = src_of_seed dims seed in
+      let body =
+        List.fold_left
+          (fun body (i, d) ->
+            let a = if flat then src else src_of_seed dims (seed + i + 1) in
+            axpy body (coeff i) (Ir.Read (Ir.Arr a, map d)))
+          (Ir.Const 0.375)
+          (List.mapi (fun i d -> (i, d)) offsets)
+      in
+      Ir.genarray shp [ { Ir.gen; body } ]
+
+let run_fixed ?(scheds = scheds) ?inf seed f =
+  let line_buffers = match f with Fstencil { line_buffers; _ } -> line_buffers | _ -> false in
+  let want = Reference.run (Ir.Node (build_fixed ?inf seed f)) in
+  List.filter_map
+    (fun (sname, sched) ->
+      let st = fixed_settings ~line_buffers sched in
+      (* Cold compile, then a replay of the cached plan. *)
+      let got = List.init 2 (fun _ -> Exec.force st (build_fixed ?inf seed f)) in
+      if List.for_all (fun g -> arr_bits_equal g want) got then None
+      else
+        Some
+          (Printf.sprintf "%s sched=%s: %s" (print_fixed f) sname
+             (first_diff (Rarr (List.find (fun g -> not (arr_bits_equal g want)) got)) (Rarr want))))
+    scheds
+
+let neighbours =
+  List.concat_map
+    (fun a -> List.concat_map (fun b -> List.map (fun c -> [ a; b; c ]) [ -1; 0; 1 ]) [ -1; 0; 1 ])
+    [ -1; 0; 1 ]
+
+(* The prolongation's read pattern: its 8-read class, in order. *)
+let cube =
+  [ [ 0; 0; 0 ]; [ 0; 0; 1 ]; [ 0; 1; 0 ]; [ 0; 1; 1 ];
+    [ 1; 0; 0 ]; [ 1; 0; 1 ]; [ 1; 1; 0 ]; [ 1; 1; 1 ] ]
+
+let zip_offsets = [ [ 0; 0; 0 ]; [ 0; 0; 1 ]; [ -1; 0; 0 ]; [ 0; 1; -1 ] ]
+
+let degenerate m = [ [| m; m; m |]; [| m; m; 1 |]; [| m; 1; m |]; [| 1; m; m |] ]
+
+(* Every branch and fallback: all 8 class patterns x 0-3 extras x the
+   three layouts x line buffers on/off; flat with 2-8 reads and zip
+   with 1-4 clusters on each degenerate box, unit and step 2. *)
+let fixed_cases =
+  let bools = [ false; true ] in
+  List.concat_map
+    (fun c1 ->
+      List.concat_map
+        (fun c2 ->
+          List.concat_map
+            (fun c3 ->
+              List.concat_map
+                (fun extras ->
+                  List.concat_map
+                    (fun layout ->
+                      List.map
+                        (fun line_buffers ->
+                          Fstencil
+                            { classes = (c1, c2, c3);
+                              extras;
+                              layout;
+                              line_buffers;
+                              dims = [| 4; 5; 6 |];
+                            })
+                        bools)
+                    [ Unit; Out2; Extras2 ])
+                [ 0; 1; 2; 3 ])
+            bools)
+        bools)
+    bools
+  @ List.concat_map
+      (fun box ->
+        List.concat_map
+          (fun step2 ->
+            List.init 7 (fun i ->
+                Fflat { offsets = List.filteri (fun j _ -> j < i + 2) cube; box; step2 })
+            @ List.init 4 (fun i ->
+                  Fzip { offsets = List.filteri (fun j _ -> j <= i) zip_offsets; box; step2 }))
+          [ false; true ])
+      (degenerate 5)
+
+(* A body without edges goes to the fallback, which skips the absent
+   class: adding [0 · edges] instead would turn an infinite edge sum
+   into NaN (and a -0.0 sum into +0.0).  These run with one infinite
+   source element, in every pattern that spells out the other
+   classes. *)
+let absent_edge_cases =
+  List.concat_map
+    (fun (c1, c3) ->
+      List.concat_map
+        (fun extras ->
+          List.map
+            (fun line_buffers ->
+              Fstencil
+                { classes = (c1, false, c3); extras; layout = Unit; line_buffers; dims = [| 4; 5; 6 |] })
+            [ false; true ])
+        [ 0; 1; 2 ])
+    [ (true, true); (false, true); (true, false) ]
+
+let test_fixed_branches_bitwise () =
+  let before = Kernel.branch_counts () in
+  let failures =
+    List.concat_map (run_fixed 3) fixed_cases
+    @ List.concat_map (run_fixed ~inf:true 3) absent_edge_cases
+  in
+  if failures <> [] then
+    Alcotest.failf "fixed kernels deviate from the reference interpreter:\n  %s"
+      (String.concat "\n  " failures);
+  List.iter2
+    (fun (name, n0) (_, n1) ->
+      Alcotest.(check bool) (Printf.sprintf "branch %s ran" name) true (n1 > n0))
+    before (Kernel.branch_counts ())
+
+(* The same property over random bodies: random source values and
+   shapes, any class pattern, extra count and layout, flat bodies on 2-8
+   of the 27 neighbours and zips of 1-4 clusters at random offsets,
+   over random (possibly degenerate) boxes. *)
+let gen_fixed =
+  QCheck.Gen.(
+    let box =
+      let* m = 1 -- 6 and* n = 1 -- 6 and* k = 1 -- 6 in
+      oneofl [ [| m; n; k |]; [| m; n; 1 |]; [| m; 1; k |]; [| 1; n; k |] ]
+    in
+    let* seed = 0 -- 10000 in
+    let* f =
+      frequency
+        [ ( 3,
+            let* c1 = bool and* c2 = bool and* c3 = bool and* extras = 0 -- 3 in
+            let* layout = oneofl [ Unit; Out2; Extras2 ] and* line_buffers = bool in
+            (* At least two inner positions: a one-element row has step 0
+               and is no box stencil. *)
+            let* d0 = 3 -- 7 and* d1 = 3 -- 7 and* d2 = 4 -- 7 in
+            let dims = [| d0; d1; d2 |] in
+            return (Fstencil { classes = (c1, c2, c3); extras; layout; line_buffers; dims }) );
+          ( 2,
+            let* n = 2 -- 8 and* offsets = shuffle_l neighbours in
+            let* box = box and* step2 = bool in
+            return (Fflat { offsets = List.filteri (fun j _ -> j < n) offsets; box; step2 }) );
+          ( 1,
+            let* n = 1 -- 4 and* offsets = list_repeat 4 (oneofl neighbours) in
+            let* box = box and* step2 = bool in
+            return (Fzip { offsets = List.filteri (fun j _ -> j < n) offsets; box; step2 }) );
+        ]
+    in
+    return (seed, f))
+
+let qcheck_fixed_matches_reference =
+  QCheck.Test.make ~name:"fixed-kernel bodies bitwise match the reference interpreter" ~count:200
+    (QCheck.make ~print:(fun (seed, f) -> Printf.sprintf "seed=%d %s" seed (print_fixed f)) gen_fixed)
+    (fun (seed, f) ->
+      match run_fixed seed f with
+      | [] -> true
+      | failures -> QCheck.Test.fail_reportf "%s" (String.concat "\n  " failures))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard: a warm replay of each fixed kernel kind allocates
+   the same minor words over a 66^3 box as over a 34^3 one — no row
+   loop allocates.  The only per-call allocation that grows with the
+   box is the line-buffered nest's two row buffers, 2(n+2) floats.  One
+   piece on the calling domain: Gc.minor_words counts only its own
+   allocation. *)
+
+let kernel_kinds n =
+  let dims = [| n; n; n |] in
+  let resid line_buffers =
+    Fstencil { classes = (false, true, true); extras = 1; layout = Unit; line_buffers; dims }
+  in
+  let box = [| n - 2; n - 2; n - 2 |] in
+  [ ( "copy", "copy", false,
+      fun () ->
+        Ir.genarray dims
+          [ { Ir.gen = Generator.full dims;
+              body = Ir.Read (Ir.Arr (src_of_seed dims 5), Ixmap.identity 3);
+            }
+          ] );
+    ("linebuf", "linebuf", true, fun () -> build_fixed 5 (resid true));
+    ("stencil", "stencil", false, fun () -> build_fixed 5 (resid false));
+    ("flat", "interp", false, fun () -> build_fixed 5 (Fflat { offsets = cube; box; step2 = false }));
+    ( "zip", "interp", false,
+      fun () ->
+        build_fixed 5
+          (Fzip { offsets = List.filteri (fun j _ -> j < 3) zip_offsets; box; step2 = false }) );
+  ]
+
+let test_fixed_kernels_allocation_free () =
+  let path_count name = List.assoc name (Kernel.counters ()) in
+  let warm_words n =
+    List.map
+      (fun (kind, path, line_buffers, build) ->
+        let st =
+          { (fixed_settings ~line_buffers Mg_smp.Sched_policy.Static_block) with
+            par_threshold = max_int;
+          }
+        in
+        ignore (Exec.force st (build ()));
+        ignore (Exec.force st (build ()));
+        let g = build () in
+        let hits = path_count path in
+        let w0 = Gc.minor_words () in
+        ignore (Exec.force st g);
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s ran on the %s path" kind path)
+          true
+          (path_count path > hits);
+        (kind, words))
+      (kernel_kinds n)
+  in
+  List.iter2
+    (fun (kind, small) (_, large) ->
+      if large -. small > 256.0 then
+        Alcotest.failf "%s: a warm force allocates %.0f minor words over 66^3, %.0f over 34^3" kind
+          large small)
+    (warm_words 34) (warm_words 66)
+
 let suite =
   ( "reference_oracle",
     [ QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
@@ -653,4 +1005,9 @@ let suite =
       Alcotest.test_case "poisoned compiler degrades to cfun" `Quick test_native_cc_poisoned;
       Alcotest.test_case "driver tiers bitwise-identical on class tiny" `Quick
         test_driver_tiers_bitwise;
+      Alcotest.test_case "every fixed-kernel branch bitwise matches the reference" `Quick
+        test_fixed_branches_bitwise;
+      QCheck_alcotest.to_alcotest qcheck_fixed_matches_reference;
+      Alcotest.test_case "fixed kernels allocate nothing per row" `Quick
+        test_fixed_kernels_allocation_free;
     ] )
