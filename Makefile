@@ -27,7 +27,7 @@ MG_KERNELS ?= cfun
 
 profile-smoke: build
 	mkdir -p results
-	dune exec bin/mg_run.exe -- --impl sac --class W --threads $(MG_THREADS) --kernels $(MG_KERNELS) --profile=report,chrome:results/trace.json > results/profile-w.txt
+	dune exec bin/mg_run.exe -- --impl sac --class W --threads $(MG_THREADS) --kernels $(MG_KERNELS) --profile=report,chrome:results/trace.json --metrics-out=results/profile-w.om > results/profile-w.txt
 	cat results/profile-w.txt
 	awk -v tier=$(MG_KERNELS) \
 	  '/^  kernel\.cfun /{c=$$2} /^  kernel\.native /{n=$$2} /^  kernel\.generic /{g=$$2} \
@@ -69,13 +69,12 @@ profile-smoke: build
 	  if [ "$$locks" -gt 8 ]; then \
 	    echo "profile-smoke: $$locks mempool:lock spans in results/trace.json (alloc path is locking)"; exit 1; \
 	  else echo "profile-smoke: mempool lock spans OK ($$locks cold-path spans)"; fi
-	# Per-engine cache statistics must be reported in results/bench.json:
-	# a tiny-quota bench run, then assert the "engines" array exists and
-	# some engine recorded plan-cache hits.
-	MG_BENCH_QUOTA=0.05 dune exec bench/main.exe > /dev/null
-	awk '/"engines":/{f=1} f && /"hits":/{ if ($$2+0 > 0) ok=1 } /"results":/{f=0} \
-	  END { if (!ok) { print "profile-smoke: no per-engine cache hits in results/bench.json"; exit 1 }; \
-	        print "profile-smoke: per-engine cache stats OK" }' results/bench.json
+	# Per-engine cache statistics must be exported: some engine's
+	# labelled plan_cache_hits series in the run's OpenMetrics file
+	# must count hits.
+	awk '/^plan_cache_hits_total\{engine="[^"]*"\} /{ if ($$2+0 > 0) ok=1 } \
+	  END { if (!ok) { print "profile-smoke: no per-engine plan-cache hits in results/profile-w.om"; exit 1 }; \
+	        print "profile-smoke: per-engine cache stats OK" }' results/profile-w.om
 
 # Exercise the metrics export pipeline end to end: a class-S run with
 # the registry written as OpenMetrics text and as JSON-lines, the

@@ -192,17 +192,7 @@ let memory_ablation (cls : Classes.t) =
     cstats.Mg_withloop.Plan_cache.hits cstats.Mg_withloop.Plan_cache.misses
     (if total = 0 then 0.0 else 100.0 *. float_of_int cstats.Mg_withloop.Plan_cache.hits /. float_of_int total)
     cstats.Mg_withloop.Plan_cache.evictions cstats.Mg_withloop.Plan_cache.uncacheable
-    (cstats.Mg_withloop.Plan_cache.saved_seconds *. 1e3);
-  if Sys.getenv_opt "WL_DEBUG_COUNTERS" <> None then
-    List.iter
-      (fun (k, v) ->
-        match v with
-        | Mg_obs.Metrics.Counter n -> Printf.printf "# counter %-24s %d\n" k n
-        | Mg_obs.Metrics.Gauge g -> Printf.printf "# gauge   %-24s %g\n" k g
-        | Mg_obs.Metrics.Histogram h ->
-            Printf.printf "# histo   %-24s count=%d sum=%d\n" k h.Mg_obs.Metrics.count
-              h.Mg_obs.Metrics.sum)
-      (Mg_obs.Metrics.dump ())
+    (cstats.Mg_withloop.Plan_cache.saved_seconds *. 1e3)
 
 (* E11: the in-place-update story — the full benchmark with the
    executor's buffer-reuse analysis on and off, crossed with the kernel

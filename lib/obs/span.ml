@@ -120,13 +120,6 @@ let stop ?(attrs = []) ~name t =
     r.depth <- max 0 (r.depth - 1)
   end
 
-let instant ?(attrs = []) ~name () =
-  if Atomic.get flag && Scope.local_observe () then begin
-    let r = get_ring () in
-    let now = Monotonic_clock.now () in
-    record r name attrs now now (r.depth + 1)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
 

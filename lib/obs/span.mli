@@ -35,7 +35,7 @@ type event = {
   lane : int;  (** Domain id of the recording domain (one trace lane). *)
   depth : int;  (** Nesting depth on that lane at record time (>= 1). *)
   start_ns : int64;
-  end_ns : int64;  (** Equal to [start_ns] for {!instant} markers. *)
+  end_ns : int64;  (** Equal to [start_ns] for a zero-duration marker. *)
   attrs : (string * string) list;
   scope : Scope.t option;
       (** The recording domain's solve scope at record time ([None]
@@ -72,9 +72,6 @@ val stop : ?attrs:(string * string) list -> name:string -> timer -> unit
 (** Close the span opened by {!start}.  Every started timer must be
     stopped exactly once (an unstopped timer only skews the depth
     bookkeeping of its lane, it cannot corrupt the ring). *)
-
-val instant : ?attrs:(string * string) list -> name:string -> unit -> unit
-(** Record a zero-duration marker event (plan-cache hit/miss, …). *)
 
 (** {1 Collection} *)
 

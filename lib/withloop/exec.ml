@@ -10,8 +10,9 @@ module Span = Mg_obs.Span
    clusters), Kernel (recognition and loop nests), Plan (compiled
    parts and cached plans), Backend (piece scheduling), Mempool
    (buffer recycling).  This module wires them: it owns graph
-   traversal, the plan-cache fast path, output-buffer production and
-   trace emission. *)
+   traversal, the plan-cache lookup, output-buffer production and
+   trace emission.  Hits and misses share one force path: only where
+   the compiled parts come from differs. *)
 
 type settings = {
   fusion : Fusion.config;
@@ -39,7 +40,6 @@ type fold_op = Fadd | Fmul | Fmax | Fmin | Fcustom of (float -> float -> float)
    forces. *)
 let observing st = st.observe && (Trace.enabled () || Span.enabled ())
 
-let span_start st = if st.observe then Span.start () else Span.null
 let span_scoped st ~name f = if st.observe then Span.with_ ~name f else f ()
 
 (* ------------------------------------------------------------------ *)
@@ -178,7 +178,7 @@ let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
                    && arr.Ndarray.shape = shape
                    && p.Ir.refs = edges_of p
                    && Plan.safe_to_alias arr.Ndarray.data compiled ->
-                Some (p, arr, p.Ir.refs)
+                Some p
             | _ -> None
           end)
     srcs
@@ -197,11 +197,51 @@ let env_of st =
     st.factor st.line_buffers st.cfun st.reuse (st.native <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Forcing                                                             *)
+(* Observation: one wrapper for forces and folds                       *)
 
 (* Per-domain (DLS, not a plain ref): concurrent engines forcing from
    separate domains each keep their own nested-force accounting. *)
 let child_time_key = Domain.DLS.new_key (fun () -> ref 0.0)
+
+(* An open observation of one force or fold.  Unobserved work shares
+   [unwatched], so it allocates nothing and reads no clock. *)
+type watch = { sp : Span.timer; t0 : float; saved_child : float }
+
+let unwatched = { sp = Span.null; t0 = 0.0; saved_child = 0.0 }
+
+let watch st =
+  if not (observing st) then unwatched
+  else begin
+    let sp = Span.start () in
+    let child_time = Domain.DLS.get child_time_key in
+    let saved_child = !child_time in
+    child_time := 0.0;
+    { sp; t0 = Clock.now (); saved_child }
+  end
+
+(* Close [w]: emit the trace event with the work's self time (nested
+   forces excluded) and stop its span; [attrs] is only called for an
+   active span. *)
+let unwatch w ~name ~tag ~elements ~extent ~bytes_alloc attrs =
+  if w != unwatched then begin
+    let child_time = Domain.DLS.get child_time_key in
+    let total = Clock.now () -. w.t0 in
+    let self = total -. !child_time in
+    child_time := w.saved_child +. total;
+    if Trace.enabled () then
+      Trace.emit
+        { Trace.tag;
+          elements;
+          seq_seconds = self;
+          bytes_alloc;
+          parallel = true;
+          level_extent = extent;
+        };
+    if Span.active w.sp then
+      Span.stop
+        ~attrs:(("elements", string_of_int elements) :: ("extent", string_of_int extent) :: attrs ())
+        ~name w.sp
+  end
 
 (* Distinct kernel paths of a force, for the span's [kernel] attribute
    (only built when a span is active). *)
@@ -217,183 +257,134 @@ let kernels_of (parts : Plan.compiled list) =
             | Plan.Cclosure _ -> "cfun")
           parts))
 
+(* ------------------------------------------------------------------ *)
+(* Output buffers                                                      *)
+
+(* The output buffer of a force, hit or miss.  [hold] materialises a
+   base source; every base the mode names is already held, so it only
+   reads the pinned buffer.
+
+   The cache key records a cached operand's shape and strides, not its
+   liveness, so a reuse replays only when this graph's operand is still
+   a dying unescaped node with exactly the edges the decision assumed;
+   otherwise the force writes a fresh buffer (reuse is a pure
+   optimisation: results are bitwise identical).  A steal needs no such
+   check: the key records that its base is unmaterialised and that all
+   of the base's reference-count edges are this node's, so no other
+   force has materialised, let alone pinned, it. *)
+let produce st ~owner ~hold shape parts (mode : Ir.source Plan.out_mode) =
+  let fresh () = Mempool.alloc ~pooling:st.pooling shape in
+  match mode with
+  | Plan.OFresh -> fresh ()
+  | Plan.OFill d ->
+      let out = fresh () in
+      Ndarray.fill out d;
+      out
+  | Plan.OBlit src ->
+      let out = fresh () in
+      Ndarray.blit ~src:(hold src) ~dst:out;
+      out
+  | Plan.OComplement (src, lb, ub) ->
+      let out = fresh () in
+      Lower.copy_complement (hold src) out lb ub;
+      out
+  | Plan.OSteal src -> hold src
+  | Plan.OReuse { slot = Ir.Node b as src; edges }
+    when (not b.Ir.escaped) && b.Ir.refs = edges && not (pinned_elsewhere b ~owner) ->
+      let arr = hold src in
+      if Mempool.get_debug () then begin
+        Mempool.assert_unpooled arr.Ndarray.data ~ctx:"reuse output";
+        if not (Plan.safe_to_alias arr.Ndarray.data parts) then
+          failwith "Exec: hazardous in-place aliasing decision"
+      end;
+      Mempool.note_reuse ();
+      arr
+  | Plan.OReuse _ -> fresh ()
+
+(* The source whose buffer [out] took over (stolen base or reused
+   operand), if any. *)
+let taken_over (mode : Ir.source Plan.out_mode) out =
+  match mode with
+  | Plan.OSteal (Ir.Node b) | Plan.OReuse { slot = Ir.Node b; _ } -> (
+      match b.Ir.cache with Some a when a == out -> Some b | _ -> None)
+  | _ -> None
+
+let mode_name : _ Plan.out_mode -> string = function
+  | Plan.OFresh -> "fresh"
+  | Plan.OFill _ -> "fill"
+  | Plan.OBlit _ -> "blit"
+  | Plan.OComplement _ -> "complement"
+  | Plan.OSteal _ -> "steal"
+  | Plan.OReuse _ -> "reuse"
+
+(* ------------------------------------------------------------------ *)
+(* Forcing
+
+   Every force goes one way: the plan cache either supplies a stored
+   plan ([replay]) or the pipeline compiles one ([compile]); both hand
+   their parts and output mode to [finish], which produces the output,
+   runs the parts and releases the force's sources. *)
+
+(* Where a force's parts came from: a stored plan, or the pipeline —
+   with the key and bindings to store the result under when the graph
+   is cacheable. *)
+type origin =
+  | Hit of Plan.cplan
+  | Compiled of {
+      record : (string * Ir.source array) option;
+      recorded : (Ir.node * Ndarray.buffer) list;
+      compile_cost : float;
+    }
+
 let rec force st (n : Ir.node) : Ndarray.t =
   match n.Ir.cache with
   | Some a -> a
   | None -> (
-      match Plan_cache.key_of_graph ~env:(env_of st) ~fold:st.fusion.Fusion.fold n with
-      | None ->
-          Plan_cache.note_uncacheable st.cache;
-          force_slow st n None
-      | Some (key, bindings) -> (
-          match Plan_cache.find st.cache key with
-          | Some (Plan.Cached p) -> force_replay st n p bindings
-          | Some Plan.Uncacheable ->
-              Plan_cache.note_uncacheable st.cache;
-              force_slow st n None
-          | None -> force_slow st n (Some (key, bindings))))
-
-(* The cached fast path: force the plan's slots in the order the
-   compiling force materialised them, pinning each, then produce the
-   output buffer and run the stored loop nests against those
-   buffers. *)
-and force_replay st (n : Ir.node) (p : Plan.cplan) (bindings : Ir.source array) : Ndarray.t =
-  let timed = observing st in
-  let sp = span_start st in
-  let child_time = Domain.DLS.get child_time_key in
-  let saved_child = !child_time in
-  if timed then child_time := 0.0;
-  let t0 = if timed then Clock.now () else 0.0 in
-  let shape = n.Ir.nshape in
-  let owner = n.Ir.nid in
-  let pinned = ref [] in
-  let memo : Ndarray.buffer option array = Array.make (Array.length bindings) None in
-  let hold i =
-    let arr =
-      match bindings.(i) with
-      | Ir.Arr a -> a
-      | Ir.Node m ->
-          let arr = force st m in
-          pin ~owner pinned m;
-          arr
-    in
-    memo.(i) <- Some arr.Ndarray.data;
-    arr
-  in
-  let get_buf i = match memo.(i) with Some b -> b | None -> (hold i).Ndarray.data in
-  Array.iter (fun i -> ignore (hold i)) p.Plan.corder;
-  let inplace = ref false in
-  let out =
-    match p.Plan.cmode with
-    | Plan.OFresh -> Mempool.alloc ~pooling:st.pooling shape
-    | Plan.OFill d ->
-        let out = Mempool.alloc ~pooling:st.pooling shape in
-        Ndarray.fill out d;
-        out
-    | Plan.OBlit i ->
-        let base = hold i in
-        let out = Mempool.alloc ~pooling:st.pooling shape in
-        Ndarray.blit ~src:base ~dst:out;
-        out
-    | Plan.OComplement (i, lb, ub) ->
-        let base = hold i in
-        let out = Mempool.alloc ~pooling:st.pooling shape in
-        Lower.copy_complement base out lb ub;
-        out
-    | Plan.OSteal i -> (
-        let base = hold i in
-        match bindings.(i) with
-        | Ir.Node b when not (pinned_elsewhere b ~owner) ->
-            (* The slot stays bound to the stolen buffer, so cluster
-               reads of the base resolve to it, as on the slow path. *)
-            Ir.clear_cache b;
-            inplace := true;
-            base
-        | _ ->
-            (* An enclosing force still reads the base: update a
-               copy.  The barrier's parts read outside their write
-               sets, so the result is the same. *)
-            let out = Mempool.alloc ~pooling:st.pooling shape in
-            Ndarray.blit ~src:base ~dst:out;
-            out)
-    | Plan.OReuse { slot = i; edges } -> (
-        (* The stored aliasing decision replays only when this graph's
-           binding is still a dying unescaped node with exactly the
-           edges the decision assumed — the cache key records shape and
-           strides of a cached operand, not its liveness, so a replay
-           may see the operand live, escaped, pinned by an enclosing
-           force, or bound to a leaf.  Any mismatch downgrades to a
-           fresh allocation (reuse is a pure optimisation; results are
-           bitwise identical). *)
-        match bindings.(i) with
-        | Ir.Node b
-          when (not b.Ir.escaped) && b.Ir.refs = edges && not (pinned_elsewhere b ~owner) ->
-            let arr = hold i in
-            Ir.clear_cache b;
-            if Mempool.get_debug () then
-              Mempool.assert_unpooled arr.Ndarray.data ~ctx:"replayed reuse output";
-            Mempool.note_reuse ();
-            inplace := true;
+      let key = Plan_cache.key_of_graph ~env:(env_of st) ~fold:st.fusion.Fusion.fold n in
+      let w = watch st in
+      let pinned = ref [] in
+      (* Materialise a source of [n] and pin it until [n]'s parts have
+         run. *)
+      let hold = function
+        | Ir.Arr a -> a
+        | Ir.Node m ->
+            let arr = force st m in
+            pin ~owner:n.Ir.nid pinned m;
             arr
-        | _ -> Mempool.alloc ~pooling:st.pooling shape)
-  in
-  let parts =
-    Array.to_list
-      (Array.map
-         (fun ((cpt : Plan.cpart), slots) ->
-           Plan.Ccompiled (Plan.rebind_cpart cpt (fun j -> get_buf slots.(j))))
-         p.Plan.cparts)
-  in
-  exec_parts st out parts;
-  Ir.set_cache n out;
-  unpin ~pooling:st.pooling !pinned;
-  release_sources ~pooling:st.pooling n;
-  Plan_cache.note_hit st.cache ~saved:p.Plan.ccompile;
-  if timed then begin
-    let total = Clock.now () -. t0 in
-    let self = total -. !child_time in
-    child_time := saved_child +. total;
-    if Trace.enabled () then
-      Trace.emit
-        { Trace.tag =
-            (match n.Ir.spec with Ir.Genarray _ -> "wl:genarray" | Ir.Modarray _ -> "wl:modarray");
-          elements = p.Plan.celements;
-          seq_seconds = self;
-          bytes_alloc = (if !inplace then 0 else 8 * Shape.num_elements shape);
-          parallel = true;
-          level_extent = (if Shape.rank shape > 0 then shape.(0) else 0);
-        }
-  end;
-  if Span.active sp then
-    Span.stop
-      ~attrs:
-        [ ("cache", "hit");
-          ("elements", string_of_int p.Plan.celements);
-          ("extent", string_of_int (if Shape.rank shape > 0 then shape.(0) else 0));
-          ("kernel", kernels_of parts);
-        ]
-      ~name:"wl:force" sp;
-  out
+      in
+      match Option.map (fun (k, bindings) -> (Plan_cache.find st.cache k, bindings)) key with
+      | Some (Some (Plan.Cached p), bindings) -> replay st w n ~hold pinned p bindings
+      | Some (None, _) -> compile st w n ~hold pinned key
+      | Some (Some Plan.Uncacheable, _) | None ->
+          Plan_cache.note_uncacheable st.cache;
+          compile st w n ~hold pinned None)
 
-(* The full pipeline; when [record] carries this graph's key and
-   bindings, the compiled result is stored for later replays. *)
-and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : Ndarray.t =
-  let timed = observing st in
-  let sp = span_start st in
-  let child_time = Domain.DLS.get child_time_key in
-  let saved_child = !child_time in
-  if timed then child_time := 0.0;
-  let t0 = if timed then Clock.now () else 0.0 in
+(* A hit: hold the plan's slots in the order the compiling force
+   materialised them, then rebind the stored parts to those buffers. *)
+and replay st w n ~hold pinned (p : Plan.cplan) bindings =
+  Array.iter (fun i -> ignore (hold bindings.(i))) p.Plan.corder;
+  let parts =
+    Array.fold_right
+      (fun ((cpt : Plan.cpart), slots) acc ->
+        Plan.Ccompiled (Plan.rebind_cpart cpt (fun j -> (hold bindings.(slots.(j))).Ndarray.data))
+        :: acc)
+      p.Plan.cparts []
+  in
+  finish st w n ~hold pinned parts ~elements:p.Plan.celements
+    (Plan.map_mode (Array.get bindings) p.Plan.cmode)
+    (Hit p)
+
+(* A miss, or an uncacheable graph: the full pipeline. *)
+and compile st w (n : Ir.node) ~hold pinned record =
   let shape = n.Ir.nshape in
-  let owner = n.Ir.nid in
-  let pinned = ref [] in
   (* Every node this force materialises, with the buffer it had then,
      newest first: the plan's slots resolve through these buffers, and
      their order is the replay's forcing order. *)
   let recorded = ref [] in
-  let hold (m : Ir.node) =
-    let arr = force st m in
-    pin ~owner pinned m;
+  let hold_node m =
+    let arr = hold (Ir.Node m) in
     recorded := (m, arr.Ndarray.data) :: !recorded;
     arr
-  in
-  let bindings_opt = Option.map snd record in
-  let cacheable = ref (record <> None) in
-  let mode = ref Plan.OFresh in
-  (* The source whose buffer the output takes over (stolen base or
-     reused operand).  Its cache is cleared only after the plan is
-     assembled and before [release_sources] runs, which would
-     otherwise recycle the buffer out from under [n]. *)
-  let inplace : Ir.node option ref = ref None in
-  (* Resolve a source to its binding slot for the stored plan's output
-     mode; an unresolvable source makes the plan uncacheable. *)
-  let record_mode src f =
-    match bindings_opt with
-    | None -> ()
-    | Some bindings -> (
-        match Plan.slot_of_source bindings src with
-        | Some i -> mode := f i
-        | None -> cacheable := false)
   in
   (* Update-in-place: a barrier modarray (the periodic-border nodes
      of the array library, whose parts provably read outside their
@@ -412,7 +403,11 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
                    (Ir.expr_sources p.Ir.body))
                parts)
         in
-        if b.Ir.refs = 1 + base_readers then Some (b, hold b) else None
+        if b.Ir.refs = 1 + base_readers then begin
+          ignore (hold_node b);
+          Some b
+        end
+        else None
     | _ -> None
   in
   (* Lower modarray to a fully-covering genarray when all parts are
@@ -428,18 +423,23 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
           (parts @ Lower.complement_parts shape base parts, None, 0.0)
         else (parts, Some base, 0.0)
   in
-  let base_arr = Option.map (function Ir.Arr a -> a | Ir.Node m -> hold m) base_src in
-  (* Optimise and compile, separating the pipeline's own cost from
-     nested producer forces — it is what a later cache hit saves.
-     These two clock reads are kept even when observation is off: they
-     feed the plan cache's [saved_seconds] accounting and only run on
-     the (already expensive) miss path. *)
+  (match base_src with Some (Ir.Node m) -> ignore (hold_node m) | _ -> ());
+  (* Optimise and compile.  What a later hit saves is the pipeline's
+     own time: fusion's producer forces are timed and subtracted.
+     These clock reads run whether or not the force is observed, but
+     only on the (already expensive) miss path. *)
+  let held = ref 0.0 in
+  let fusion_hold m =
+    let t = Clock.now () in
+    let arr = hold_node m in
+    held := !held +. (Clock.now () -. t);
+    arr
+  in
   let cstart = Clock.now () in
-  let child0 = !child_time in
   let parts =
     span_scoped st ~name:"wl:fusion" (fun () ->
         List.concat_map
-          (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:hold p.Ir.gen p.Ir.body)
+          (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:fusion_hold p.Ir.gen p.Ir.body)
           raw_parts)
   in
   let ostrides = Shape.strides shape in
@@ -453,105 +453,69 @@ and force_slow st (n : Ir.node) (record : (string * Ir.source array) option) : N
                ~native:st.native ~ostrides p))
       parts
   in
-  let compile_cost = Clock.now () -. cstart -. (!child_time -. child0) in
+  let compile_cost = Clock.now () -. cstart -. !held in
   let elements = List.fold_left (fun acc c -> acc + Plan.compiled_card c) 0 compiled in
-  let out =
-    match stolen with
-    | Some (b, arr) ->
-        inplace := Some b;
-        record_mode (Ir.Node b) (fun i -> Plan.OSteal i);
-        arr
-    | None ->
-        let fully_covered = elements >= Shape.num_elements shape && base_src = None in
-        if fully_covered then begin
-          match if st.reuse then reuse_candidate n shape compiled else None with
-          | Some (p, arr, edges) ->
-              (* Write through the dying operand's buffer. *)
-              inplace := Some p;
-              record_mode (Ir.Node p) (fun i -> Plan.OReuse { slot = i; edges });
-              if Mempool.get_debug () then begin
-                Mempool.assert_unpooled arr.Ndarray.data ~ctx:"reuse output";
-                if not (Plan.safe_to_alias arr.Ndarray.data compiled) then
-                  failwith "Exec: hazardous in-place aliasing decision"
-              end;
-              Mempool.note_reuse ();
-              arr
-          | None -> Mempool.alloc ~pooling:st.pooling shape
-        end
-        else begin
-          match (base_arr, base_src) with
-          | Some base, Some src ->
-              let out = Mempool.alloc ~pooling:st.pooling shape in
-              (match compiled with
-              | [ c ] when Generator.is_dense (Plan.compiled_gen c) ->
-                  (* Non-lowered modarray with one dense part: only
-                     the complement of the part needs the base. *)
-                  let g = Plan.compiled_gen c in
-                  Lower.copy_complement base out g.Generator.lb g.Generator.ub;
-                  record_mode src (fun i ->
-                      Plan.OComplement (i, Array.copy g.Generator.lb, Array.copy g.Generator.ub))
-              | _ ->
-                  Ndarray.blit ~src:base ~dst:out;
-                  record_mode src (fun i -> Plan.OBlit i));
-              out
-          | _ ->
-              let out = Mempool.alloc ~pooling:st.pooling shape in
-              Ndarray.fill out default;
-              mode := Plan.OFill default;
-              out
-        end
+  let mode =
+    match (stolen, base_src, compiled) with
+    | Some b, _, _ -> Plan.OSteal (Ir.Node b)
+    | None, None, _ when elements >= Shape.num_elements shape -> (
+        match if st.reuse then reuse_candidate n shape compiled else None with
+        | Some p -> Plan.OReuse { slot = Ir.Node p; edges = p.Ir.refs }
+        | None -> Plan.OFresh)
+    | None, None, _ -> Plan.OFill default
+    | None, Some src, [ c ] when Generator.is_dense (Plan.compiled_gen c) ->
+        (* Non-lowered modarray with one dense part: only the
+           complement of the part needs the base. *)
+        let g = Plan.compiled_gen c in
+        Plan.OComplement (src, Array.copy g.Generator.lb, Array.copy g.Generator.ub)
+    | None, Some src, _ -> Plan.OBlit src
   in
-  exec_parts st out compiled;
+  finish st w n ~hold pinned compiled ~elements mode
+    (Compiled { record; recorded = List.rev !recorded; compile_cost })
+
+(* Shared by hits and misses: produce the output, run the parts, store
+   a compiled plan, then let the in-place source, the pins and the
+   source edges go. *)
+and finish st w (n : Ir.node) ~hold pinned parts ~elements mode origin =
+  let shape = n.Ir.nshape in
+  let out = produce st ~owner:n.Ir.nid ~hold shape parts mode in
+  let inplace = taken_over mode out in
+  exec_parts st out parts;
   Ir.set_cache n out;
   (* Store the plan before the pins drop: [unpin] and
      [release_sources] may recycle the producers' buffers. *)
-  let outcome = ref "uncacheable" in
-  (match record with
-  | None -> ()
-  | Some (key, bindings) ->
-      let entry =
-        if not !cacheable then None
-        else
-          Plan.assemble ~bindings ~recorded:(List.rev !recorded) ~mode:!mode ~elements
-            ~compile_cost compiled
-      in
-      match entry with
-      | Some p ->
-          Plan_cache.add st.cache key (Plan.Cached p);
-          Plan_cache.note_miss st.cache;
-          outcome := "miss"
-      | None ->
-          Plan_cache.add st.cache key Plan.Uncacheable;
-          Plan_cache.note_uncacheable st.cache);
-  (* Only now may the in-place source forget its (overwritten)
-     buffer, which is live as [n]'s value. *)
-  Option.iter Ir.clear_cache !inplace;
+  let outcome =
+    match origin with
+    | Hit p ->
+        Plan_cache.note_hit st.cache ~saved:p.Plan.ccompile;
+        "hit"
+    | Compiled { record = None; _ } -> "uncacheable"
+    | Compiled { record = Some (key, bindings); recorded; compile_cost } -> (
+        match Plan.assemble ~bindings ~recorded ~mode ~elements ~compile_cost parts with
+        | Some p ->
+            Plan_cache.add st.cache key (Plan.Cached p);
+            Plan_cache.note_miss st.cache;
+            "miss"
+        | None ->
+            Plan_cache.add st.cache key Plan.Uncacheable;
+            Plan_cache.note_uncacheable st.cache;
+            "uncacheable")
+  in
+  (* Only now may the in-place source forget its (overwritten) buffer,
+     which is live as [n]'s value. *)
+  Option.iter Ir.clear_cache inplace;
   unpin ~pooling:st.pooling !pinned;
   release_sources ~pooling:st.pooling n;
-  if timed then begin
-    let total = Clock.now () -. t0 in
-    let self = total -. !child_time in
-    child_time := saved_child +. total;
-    if Trace.enabled () then
-      Trace.emit
-        { Trace.tag =
-            (match n.Ir.spec with Ir.Genarray _ -> "wl:genarray" | Ir.Modarray _ -> "wl:modarray");
-          elements;
-          seq_seconds = self;
-          bytes_alloc = (if Option.is_none !inplace then 8 * Shape.num_elements shape else 0);
-          parallel = true;
-          level_extent = (if Shape.rank shape > 0 then shape.(0) else 0);
-        }
-  end;
-  if Span.active sp then
-    Span.stop
-      ~attrs:
-        [ ("cache", !outcome);
-          ("elements", string_of_int elements);
-          ("extent", string_of_int (if Shape.rank shape > 0 then shape.(0) else 0));
-          ("kernel", kernels_of compiled);
-        ]
-      ~name:"wl:force" sp;
+  unwatch w ~name:"wl:force"
+    ~tag:(match n.Ir.spec with Ir.Genarray _ -> "wl:genarray" | Ir.Modarray _ -> "wl:modarray")
+    ~elements
+    ~extent:(if Shape.rank shape > 0 then shape.(0) else 0)
+    ~bytes_alloc:(if Option.is_none inplace then 8 * Shape.num_elements shape else 0)
+    (fun () ->
+      [ ("cache", outcome);
+        ("kernel", kernels_of parts);
+        ("out", match (mode, inplace) with Plan.OReuse _, None -> "fresh" | _ -> mode_name mode);
+      ]);
   out
 
 (* ------------------------------------------------------------------ *)
@@ -565,12 +529,7 @@ let apply_op = function
   | Fcustom f -> f
 
 let eval_fold st ~op ~neutral gen body =
-  let timed = observing st in
-  let sp = span_start st in
-  let child_time = Domain.DLS.get child_time_key in
-  let saved_child = !child_time in
-  if timed then child_time := 0.0;
-  let t0 = if timed then Clock.now () else 0.0 in
+  let w = watch st in
   let parts =
     span_scoped st ~name:"wl:fusion" (fun () ->
         Fusion.optimize st.fusion ~force:(force st) gen body)
@@ -600,30 +559,9 @@ let eval_fold st ~op ~neutral gen body =
             !acc)
       neutral parts
   in
-  if timed then begin
-    let total = Clock.now () -. t0 in
-    let self = total -. !child_time in
-    child_time := saved_child +. total;
-    if Trace.enabled () then
-      Trace.emit
-        { Trace.tag = "wl:fold";
-          elements = Generator.cardinal gen;
-          seq_seconds = self;
-          bytes_alloc = 0;
-          parallel = true;
-          level_extent =
-            (let c = Generator.counts gen in
-             if Array.length c = 0 then 0 else c.(0));
-        }
-  end;
-  if Span.active sp then
-    Span.stop
-      ~attrs:
-        [ ("elements", string_of_int (Generator.cardinal gen));
-          ("extent",
-           string_of_int
-             (let c = Generator.counts gen in
-              if Array.length c = 0 then 0 else c.(0)));
-        ]
-      ~name:"wl:fold" sp;
+  let counts = Generator.counts gen in
+  unwatch w ~name:"wl:fold" ~tag:"wl:fold" ~elements:(Generator.cardinal gen)
+    ~extent:(if Array.length counts = 0 then 0 else counts.(0))
+    ~bytes_alloc:0
+    (fun () -> []);
   result

@@ -11,21 +11,32 @@
     owning graph traversal, the plan-cache fast path, output-buffer
     production and trace emission.
 
-    Every force emits one {!Mg_smp.Trace} event carrying the node's own
-    (self) execution time, excluding nested producer forces, and opens
-    one [wl:force] {!Mg_obs.Span} (attributes: cache outcome, elements,
-    level extent, kernel paths).  With both tracing and spans disabled
-    a force performs no monotonic-clock reads on the replay path.
-    Kernel-path dispatch counts live in {!Kernel.counters} /
-    {!Mg_obs.Metrics} ([kernel.*]).
-
     Compiled parts are memoised in the engine's {!Plan_cache} (the
     [cache] field of {!settings}): the second and later forces of a
     structurally identical graph skip the optimisation pipeline and
-    replay the stored loop nests against freshly bound buffers.  The
-    executor holds no module-level mutable state of its own — every
-    per-solve knob arrives through {!settings}, so concurrent engines
-    on separate domains never interfere. *)
+    replay the stored loop nests against freshly bound buffers.  Every
+    force takes one path.  A hit holds its stored plan's slots and
+    rebinds the stored parts; a miss (or an uncacheable graph) runs
+    the pipeline.  Either way the result is a list of compiled parts
+    and a {!Plan.out_mode} over the graph's own sources, and from
+    there one function produces the output buffer (re-checking a
+    reuse's liveness, falling back to a fresh buffer), runs the parts,
+    stores a newly compiled plan, and releases the force's pins and
+    source edges.
+
+    Every force and fold goes through one observation wrapper: it
+    emits one {!Mg_smp.Trace} event carrying the node's own (self)
+    execution time, excluding nested producer forces, and opens one
+    [wl:force] (or [wl:fold]) {!Mg_obs.Span} (attributes: elements,
+    level extent and, for a force, cache outcome, kernel paths and the
+    output mode taken).  With both tracing and spans disabled a hit
+    performs no monotonic-clock reads; a miss reads the clock to time
+    its compilation for {!Plan_cache.stats}' [saved_seconds].
+    Kernel-path dispatch counts live in {!Kernel.counters} /
+    {!Mg_obs.Metrics} ([kernel.*]).  The executor holds no
+    module-level mutable state of its own — every per-solve knob
+    arrives through {!settings}, so concurrent engines on separate
+    domains never interfere. *)
 
 open Mg_ndarray
 

@@ -67,22 +67,31 @@ let compile_part ~factor ~line_buffers ~cfun ~native ~ostrides (p : Ir.part) : c
 (* ------------------------------------------------------------------ *)
 (* Cached plans                                                        *)
 
-(* How the output buffer of a force is produced, with base sources
-   referenced by binding slot. *)
-type out_mode =
+(* How the output buffer of a force is produced.  The slot names a base
+   source: a binding slot in a stored plan, the source itself in the
+   form the executor runs. *)
+type 's out_mode =
   | OFresh  (** Fully covered: uninitialised allocation. *)
   | OFill of float  (** Partial genarray: fill with the default. *)
-  | OBlit of int  (** Modarray: copy the whole base first. *)
-  | OComplement of int * Shape.t * Shape.t
+  | OBlit of 's  (** Modarray: copy the whole base first. *)
+  | OComplement of 's * Shape.t * Shape.t
       (** Modarray with one dense part: copy the base outside [lb,ub). *)
-  | OSteal of int  (** Barrier modarray: update the base in place. *)
-  | OReuse of { slot : int; edges : int }
+  | OSteal of 's  (** Barrier modarray: update the base in place. *)
+  | OReuse of { slot : 's; edges : int }
       (** Fully covered sweep whose dead operand's buffer is written
           through in place ([edges] = reference-count edges this node
-          holds on the operand; replay re-checks them). *)
+          holds on the operand; the executor re-checks them). *)
+
+let map_mode f = function
+  | OFresh -> OFresh
+  | OFill d -> OFill d
+  | OBlit s -> OBlit (f s)
+  | OComplement (s, lb, ub) -> OComplement (f s, lb, ub)
+  | OSteal s -> OSteal (f s)
+  | OReuse { slot; edges } -> OReuse { slot = f slot; edges }
 
 type cplan = {
-  cmode : out_mode;
+  cmode : int out_mode;
   cparts : (cpart * int array) array;
       (** Compiled parts with, per cluster, the binding slot its buffer
           comes from.  Stored templates have their buffers stripped. *)
@@ -199,15 +208,27 @@ let slot_of_source (bindings : Ir.source array) (s : Ir.source) =
   in
   go 0
 
-(* Build the storable plan for one force: resolve each cluster buffer
-   to the binding slot it came from and strip the templates.  [None]
-   when a part stayed on the closure path or some buffer is not a
-   binding's (the force is uncacheable).  A node binding resolves
-   through the buffer [recorded] says the force materialised it with,
-   not through its cache: by assembly time a nested force may have
-   consumed the node's last edge, or an in-place steal cleared it. *)
+(* Build the storable plan for one force: resolve the output mode's
+   source and each cluster buffer to the binding slot it came from and
+   strip the templates.  [None] when a part stayed on the closure path
+   or some source or buffer is not a binding's (the force is
+   uncacheable).  A node binding resolves through the buffer [recorded]
+   says the force materialised it with, not through its cache: by
+   assembly time a nested force may have consumed the node's last
+   edge. *)
 let assemble ~(bindings : Ir.source array) ~(recorded : (Ir.node * Ndarray.buffer) list) ~mode
     ~elements ~compile_cost compiled =
+  let ok = ref true in
+  let cmode =
+    map_mode
+      (fun src ->
+        match slot_of_source bindings src with
+        | Some i -> i
+        | None ->
+            ok := false;
+            0)
+      mode
+  in
   (* Buffer -> slot, skipping slot 0: that is the forced node itself,
      whose buffer coincides with a cluster's only through stealing, and
      replaying through it would recurse. *)
@@ -226,7 +247,6 @@ let assemble ~(bindings : Ir.source array) ~(recorded : (Ir.node * Ndarray.buffe
   let slot_of_buf b =
     List.find_map (fun (b', i) -> if b' == b then Some i else None) slot_buf
   in
-  let ok = ref true in
   let cparts =
     List.filter_map
       (function
@@ -255,7 +275,7 @@ let assemble ~(bindings : Ir.source array) ~(recorded : (Ir.node * Ndarray.buffe
   in
   if !ok then
     Some
-      { cmode = mode;
+      { cmode;
         cparts = Array.of_list cparts;
         corder = Array.of_list (List.rev corder);
         celements = elements;

@@ -47,24 +47,28 @@ val compile_part :
 
 (** {1 Cached plans} *)
 
-(** How the output buffer of a force is produced, with base sources
-    referenced by binding slot. *)
-type out_mode =
+(** How the output buffer of a force is produced.  The slot names each
+    base source: a binding slot ([int]) in a stored plan, the
+    {!Ir.source} itself in the form {!Exec} runs, so a hit and a miss
+    produce their output through the same code. *)
+type 's out_mode =
   | OFresh  (** Fully covered: uninitialised allocation. *)
   | OFill of float  (** Partial genarray: fill with the default. *)
-  | OBlit of int  (** Modarray: copy the whole base first. *)
-  | OComplement of int * Shape.t * Shape.t
+  | OBlit of 's  (** Modarray: copy the whole base first. *)
+  | OComplement of 's * Shape.t * Shape.t
       (** Modarray with one dense part: copy the base outside [lb,ub). *)
-  | OSteal of int  (** Barrier modarray: update the base in place. *)
-  | OReuse of { slot : int; edges : int }
+  | OSteal of 's  (** Barrier modarray: update the base in place. *)
+  | OReuse of { slot : 's; edges : int }
       (** Fully covered sweep writing through a dead operand's buffer
           in place; [edges] is the number of reference-count edges the
-          forced node holds on the operand, re-checked at replay (a
-          replayed graph may keep the operand live or escaped, in which
-          case the plan falls back to a fresh allocation). *)
+          forced node holds on the operand, re-checked on every force
+          (a replayed graph may keep the operand live or escaped, in
+          which case the force falls back to a fresh allocation). *)
+
+val map_mode : ('a -> 'b) -> 'a out_mode -> 'b out_mode
 
 type cplan = {
-  cmode : out_mode;
+  cmode : int out_mode;
   cparts : (cpart * int array) array;
       (** Compiled parts with, per cluster, the binding slot its buffer
           comes from. *)
@@ -98,25 +102,23 @@ val safe_to_alias : Ndarray.buffer -> compiled list -> bool
     output buffer mid-accumulation.  Conservative: unknowable reads
     (opaque bodies, unforced node reads) reject. *)
 
-val slot_of_source : Ir.source array -> Ir.source -> int option
-(** Index of a source among the key's bindings (physical identity,
-    including a materialised node deduplicated against a leaf). *)
-
 val assemble :
   bindings:Ir.source array ->
   recorded:(Ir.node * Ndarray.buffer) list ->
-  mode:out_mode ->
+  mode:Ir.source out_mode ->
   elements:int ->
   compile_cost:float ->
   compiled list ->
   cplan option
-(** Build the storable plan for one force: resolve each cluster buffer
-    to its binding slot and strip the templates.  [recorded] lists, in
+(** Build the storable plan for one force: resolve the output mode's
+    source and each cluster buffer to its binding slot (physical
+    identity, including a materialised node deduplicated against a
+    leaf) and strip the templates.  [recorded] lists, in
     materialisation order, each node the force materialised with the
     buffer it had then; node bindings resolve only through it, so a
-    node released or stolen mid-force still maps to its slot, and it
-    becomes the plan's {!cplan.corder}.  [None] when a part stayed on
-    the closure path or a buffer is no binding's (the force is
+    node released mid-force still maps to its slot, and it becomes the
+    plan's {!cplan.corder}.  [None] when a part stayed on the closure
+    path or a source or buffer is no binding's (the force is
     uncacheable). *)
 
 type cache_entry = Cached of cplan | Uncacheable

@@ -1,6 +1,5 @@
 open Mg_ndarray
 module Metrics = Mg_obs.Metrics
-module Span = Mg_obs.Span
 
 type stats = {
   hits : int;
@@ -126,14 +125,12 @@ let note_hit c ~saved:s =
       c.s_saved <- c.s_saved +. s);
   Metrics.incr c_hits;
   Mg_obs.Scope.bump "plan_cache.hits" 1;
-  Metrics.add_gauge g_saved s;
-  Span.instant ~name:"plan-cache:hit" ()
+  Metrics.add_gauge g_saved s
 
 let note_miss c =
   locked c (fun () -> c.s_misses <- c.s_misses + 1);
   Metrics.incr c_misses;
-  Mg_obs.Scope.bump "plan_cache.misses" 1;
-  Span.instant ~name:"plan-cache:miss" ()
+  Mg_obs.Scope.bump "plan_cache.misses" 1
 
 let note_uncacheable c =
   locked c (fun () -> c.s_uncacheable <- c.s_uncacheable + 1);

@@ -208,6 +208,108 @@ let test_steal_replays () =
   Alcotest.(check int) "nothing uncacheable" 0
     (s2.Plan_cache.uncacheable - s1.Plan_cache.uncacheable)
 
+(* Hit/miss parity per output mode.  Each case builds a fresh graph per
+   force; the cold force compiles and stores a plan, the warm force of
+   a structurally identical graph replays it.  Both must equal the
+   reference interpreter bitwise, and each must take the named output
+   mode — read from the root force's [wl:force] span ([out]), its trace
+   event ([bytes_alloc] is 0 exactly when the output took over a
+   source's buffer) and the [mempool.reuse_hits] delta.
+
+   The two reuse fallbacks replay a reuse plan on a graph whose operand
+   is escaped or still has another consumer: the cache key records a
+   cached operand's shape and strides, not its liveness, so the warm
+   force hits and must write a fresh buffer instead.  A steal has no
+   fallback: its base is unmaterialised when the force is keyed and no
+   other node reads it, so nothing else can have pinned it. *)
+let mode_cases () =
+  let shp = [| 8; 8 |] in
+  let src = src_of_seed shp 10 in
+  let leaf = Wl.of_ndarray src in
+  let full = Generator.full shp in
+  let strided ub = Generator.make ~step:[| 2; 2 |] ~lb:[| 1; 1 |] ~ub () in
+  let scaled () = Wl.genarray shp [ (full, E.(const 2.0 * read leaf)) ] in
+  let consumer a = Wl.genarray shp [ (full, E.(read a + const 1.0)) ] in
+  let reuse () = consumer (Wl.materialize (scaled ())) in
+  (* The same graph cold and warm, taking mode [name] both times. *)
+  let same name graph = (name, graph, graph, name, name) in
+  [ same "fresh" scaled;
+    same "fill" (fun () ->
+        Wl.genarray ~default:7.0 shp [ (Generator.interior shp 1, E.(const 2.0 * read leaf)) ]);
+    same "blit" (fun () -> Wl.modarray leaf [ (strided [| 7; 7 |], E.(const 3.0 * read leaf)) ]);
+    (* The empty strided part keeps the modarray from being lowered to a
+       genarray; only the dense part is compiled. *)
+    same "complement" (fun () ->
+        Wl.modarray leaf
+          [ (Generator.interior shp 1, E.(const 3.0 * read leaf)); (strided [| 1; 1 |], E.const 0.0) ]);
+    same "steal" (fun () -> border_graph src);
+    same "reuse" reuse;
+    ( "reuse of an escaped operand",
+      reuse,
+      (fun () ->
+        let a = scaled () in
+        ignore (Wl.force a);
+        consumer a),
+      "reuse",
+      "fresh" );
+    ( "reuse of a live operand",
+      reuse,
+      (fun () ->
+        let a = Wl.materialize (scaled ()) in
+        ignore (Wl.genarray shp [ (full, E.(const 3.0 * read a)) ]);
+        consumer a),
+      "reuse",
+      "fresh" );
+  ]
+
+type observed = { out : Ndarray.t; cache : string; mode : string; bytes : int; reused : int }
+
+let test_modes_hit_miss_parity () =
+  let c_reuse = Mg_obs.Metrics.counter "mempool.reuse_hits" in
+  (* Force [g] observed; the root force is the first span opened and the
+     last trace event emitted. *)
+  let observed g =
+    Mg_obs.Span.clear ();
+    let r0 = Mg_obs.Metrics.value c_reuse in
+    let events, out =
+      Mg_smp.Trace.with_collector (fun () -> Mg_obs.Span.with_enabled true (fun () -> Wl.force g))
+    in
+    let span =
+      List.find (fun (e : Mg_obs.Span.event) -> e.Mg_obs.Span.name = "wl:force") (Mg_obs.Span.events ())
+    in
+    let attr k = Option.value ~default:"" (List.assoc_opt k span.Mg_obs.Span.attrs) in
+    { out;
+      cache = attr "cache";
+      mode = attr "out";
+      bytes = (List.nth events (List.length events - 1)).Mg_smp.Trace.bytes_alloc;
+      reused = Mg_obs.Metrics.value c_reuse - r0;
+    }
+  in
+  let check name phase o ~cache ~mode =
+    let msg what = Printf.sprintf "%s, %s force: %s" name phase what in
+    Alcotest.(check string) (msg "cache outcome") cache o.cache;
+    Alcotest.(check string) (msg "output mode") mode o.mode;
+    let inplace = mode = "steal" || mode = "reuse" in
+    Alcotest.(check int) (msg "bytes allocated") (if inplace then 0 else 8 * Ndarray.size o.out) o.bytes;
+    Alcotest.(check int) (msg "reuse hits") (if mode = "reuse" then 1 else 0) o.reused
+  in
+  Wl.with_config
+    (fun c -> { c with Engine.opt_level = Engine.O3; reuse = true; observe = true })
+    (fun () ->
+      List.iter
+        (fun (name, cold_graph, warm_graph, cold_mode, warm_mode) ->
+          Wl.cache_clear ();
+          let g = cold_graph () in
+          let want = Wl.run_reference g in
+          let cold = observed g in
+          check name "cold" cold ~cache:"miss" ~mode:cold_mode;
+          check_exact (name ^ ": cold force matches the reference") want cold.out;
+          let warm = observed (warm_graph ()) in
+          check name "warm" warm ~cache:"hit" ~mode:warm_mode;
+          check_exact (name ^ ": replay bitwise-identical to the cold force") cold.out warm.out)
+        (mode_cases ()));
+  Mg_obs.Span.clear ()
+
 (* Every force of a warm V-cycle replays a stored plan: from the second
    class-S solve on, an engine compiles nothing and meets no
    uncacheable force.  The engine takes its configuration from the
@@ -229,6 +331,32 @@ let test_warm_solve_all_hits () =
   Alcotest.(check int) "warm solve: no misses" 0 (s2.Plan_cache.misses - s1.Plan_cache.misses);
   Alcotest.(check int) "warm solve: no uncacheable forces" 0
     (s2.Plan_cache.uncacheable - s1.Plan_cache.uncacheable)
+
+(* A hit credits the compile time it skipped, and nothing else: the
+   producer forces that fusion triggers while compiling are excluded,
+   whether or not the forces are observed.  The producer is a barrier
+   whose opaque body sleeps 20 ms per element, so it is uncacheable and
+   costs 80 ms at every force; the linear consumer is stored once and
+   replayed once, with spans and traces off. *)
+let test_saved_excludes_producers () =
+  Wl.cache_clear ();
+  let shp = [| 4 |] in
+  let graph () =
+    let slow =
+      Wl.genarray ~barrier:true shp
+        [ (Generator.full shp, E.of_fun (fun _ -> Unix.sleepf 0.02; 1.0)) ]
+    in
+    Wl.genarray shp [ (Generator.full shp, E.(const 2.0 * read slow)) ]
+  in
+  let cold = Wl.force (graph ()) in
+  let warm = Wl.force (graph ()) in
+  let s = Wl.cache_stats () in
+  check_exact "replay identical" cold warm;
+  Alcotest.(check int) "consumer replayed" 1 s.Plan_cache.hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "saved %.1f ms < 20 ms" (s.Plan_cache.saved_seconds *. 1e3))
+    true
+    (s.Plan_cache.saved_seconds < 0.02)
 
 (* The qcheck spec machinery from the oracle suite, replayed: any
    random linear with-loop forced twice must produce bitwise-identical
@@ -254,5 +382,8 @@ let suite =
       Alcotest.test_case "cache_clear resets store and stats" `Quick test_cache_clear_resets;
       Alcotest.test_case "stolen border base replays" `Quick test_steal_replays;
       Alcotest.test_case "warm class-S solve all hits" `Quick test_warm_solve_all_hits;
+      Alcotest.test_case "every output mode: hit equals miss" `Quick test_modes_hit_miss_parity;
+      Alcotest.test_case "saved seconds exclude producer forces" `Quick
+        test_saved_excludes_producers;
       QCheck_alcotest.to_alcotest qcheck_replay_matches_cold;
     ] )
