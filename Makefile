@@ -71,10 +71,16 @@ profile-smoke: build
 	  else echo "profile-smoke: mempool lock spans OK ($$locks cold-path spans)"; fi
 	# Per-engine cache statistics must be exported: some engine's
 	# labelled plan_cache_hits series in the run's OpenMetrics file
-	# must count hits.
-	awk '/^plan_cache_hits_total\{engine="[^"]*"\} /{ if ($$2+0 > 0) ok=1 } \
+	# must count hits.  Each hit is written once, to its engine's
+	# series; the unlabelled series is the total derived from them.
+	# Plan-cache events always have an engine and this run shuts none
+	# down, so the total equals the sum of the engine series exactly.
+	awk '/^plan_cache_hits_total\{engine="[^"]*"\} /{ if ($$2+0 > 0) ok=1; sum += $$2 } \
+	  /^plan_cache_hits_total /{ total = $$2; seen = 1 } \
 	  END { if (!ok) { print "profile-smoke: no per-engine plan-cache hits in results/profile-w.om"; exit 1 }; \
-	        print "profile-smoke: per-engine cache stats OK" }' results/profile-w.om
+	        if (!seen) { print "profile-smoke: no unlabelled plan_cache_hits_total in results/profile-w.om"; exit 1 }; \
+	        if (total + 0 != sum) { print "profile-smoke: plan_cache_hits_total " total " != sum of engine series " sum; exit 1 }; \
+	        print "profile-smoke: per-engine cache stats OK (total " total " = sum of engine series)" }' results/profile-w.om
 
 # Exercise the metrics export pipeline end to end: a class-S run with
 # the registry written as OpenMetrics text and as JSON-lines, the

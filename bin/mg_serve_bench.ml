@@ -252,9 +252,15 @@ let run duration workers threads capacity tenants clients rate cls impl kernels 
       Printf.printf "serve_bench: tenant %-8s completed=%-5d p50=%.1fms p99=%.1fms\n" name c
         (ms_of_ns (tp 0.5)) (ms_of_ns (tp 0.99)))
     tenants;
-  (* Shared plan cache across tenants: the whole point. *)
-  let cstats = Mg_withloop.Engine.cache_stats (List.hd (Serve.engines server)) in
-  let hits = cstats.Mg_withloop.Plan_cache.hits and misses = cstats.Mg_withloop.Plan_cache.misses in
+  (* Shared plan cache across tenants: the whole point.  Statistics are
+     per engine, so the shared cache's are the sum over the workers. *)
+  let hits, misses =
+    List.fold_left
+      (fun (h, m) e ->
+        let s = Mg_withloop.Engine.cache_stats e in
+        (h + s.Mg_withloop.Plan_cache.hits, m + s.Mg_withloop.Plan_cache.misses))
+      (0, 0) (Serve.engines server)
+  in
   let hit_rate = if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses) in
   Printf.printf "serve_bench: shared plan cache hits=%d misses=%d hit_rate=%.4f\n" hits misses
     hit_rate;

@@ -8,7 +8,6 @@
    each: classical multigrid convergence, about one order of magnitude
    per cycle, independent of the grid size. *)
 
-open Mg_ndarray
 open Mg_withloop
 open Mg_arraylib
 open Mg_core

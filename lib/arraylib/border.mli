@@ -14,7 +14,6 @@
     {e barrier}: like the paper's benchmark, border arrays are always
     materialised. *)
 
-open Mg_ndarray
 open Mg_withloop
 
 val setup_periodic_border : Wl.t -> Wl.t

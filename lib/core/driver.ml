@@ -52,14 +52,14 @@ let run ?engine ?tenant ?opt ?threads ?sched ?backend ?cfun ?native ?reuse ?pool
          even from pool worker domains (the pool mirrors the scope). *)
       let scope = Engine.new_scope ?tenant e in
       Mg_obs.Scope.with_scope scope (fun () ->
-          (* Per-solve deltas of the labelled shards: snapshot before,
-             subtract after.  Cheap — the scope's cells are pre-interned. *)
-          let cell name = Mg_obs.Scope.counter_value scope name in
-          let h0 = cell "plan_cache.hits"
-          and m0 = cell "plan_cache.misses"
-          and p0 = cell "mempool.pool_hits"
-          and r0 = cell "mempool.reuse_hits"
-          and a0 = cell "mempool.alloc_bytes" in
+          (* Per-solve deltas of the engine's cells: snapshot before,
+             subtract after.  Cheap — the cells are pre-interned. *)
+          let cell f = Mg_obs.Metrics.value (Mg_obs.Scope.here f) in
+          let h0 = cell Plan_cache.hits
+          and m0 = cell Plan_cache.misses
+          and p0 = cell Mempool.pool_hits
+          and r0 = cell Mempool.reuse_hits
+          and a0 = cell Mempool.alloc_bytes in
           let body () =
             Mg_obs.Span.with_
               ~attrs:[ ("impl", impl_to_string impl); ("class", cls.Classes.name) ]
@@ -93,11 +93,11 @@ let run ?engine ?tenant ?opt ?threads ?sched ?backend ?cfun ?native ?reuse ?pool
             ~tenant ~config:(Engine.config_fingerprint e)
             ~wall_ns:(Int64.of_float (seconds *. 1e9))
             ~stages:(Mg_obs.Scope.stages scope)
-            ~cache_hits:(cell "plan_cache.hits" - h0)
-            ~cache_misses:(cell "plan_cache.misses" - m0)
-            ~pool_hits:(cell "mempool.pool_hits" - p0)
-            ~reuse_hits:(cell "mempool.reuse_hits" - r0)
-            ~alloc_bytes:(cell "mempool.alloc_bytes" - a0)
+            ~cache_hits:(cell Plan_cache.hits - h0)
+            ~cache_misses:(cell Plan_cache.misses - m0)
+            ~pool_hits:(cell Mempool.pool_hits - p0)
+            ~reuse_hits:(cell Mempool.reuse_hits - r0)
+            ~alloc_bytes:(cell Mempool.alloc_bytes - a0)
             ~bytes_live_hw:(Mempool.snapshot ()).Mempool.bytes_live_hw
             ~rnm2 ~verified:(Verify.status_ok status) ();
           { impl; cls; rnm2; seconds; status; events }))

@@ -46,8 +46,9 @@ val run :
     each call its own {!Engine.create}d engine (derived engines share
     their parent's execution pool, which is not reentrant).
 
-    Every solve runs under a fresh {!Mg_obs.Scope} (labelled with the
-    engine's {!Engine.label} and the optional [tenant]) and leaves one
+    Every solve runs under a fresh {!Mg_obs.Scope} (stamped with the
+    engine's {!Engine.label} and the optional [tenant], writing to the
+    engine's metric shards) and leaves one
     {!Mg_obs.Flight} record behind — even when spans are off.  It also
     runs inside a per-request {!Mg_withloop.Mempool} arena scope owned
     by the one-shot engine, so requests multiplexed onto one serving

@@ -19,52 +19,89 @@ type histogram = {
 }
 
 type instrument = C of counter | G of gauge | H of histogram
+type histogram_snapshot = { buckets : int array; count : int; sum : int }
+type value = Counter of int | Gauge of float | Histogram of histogram_snapshot
 
-(* Keyed by name + canonical labels; a separate kind table enforces
-   one instrument kind per family name across all label sets (an
-   OpenMetrics family has exactly one type). *)
-let registry : (string, instrument) Hashtbl.t = Hashtbl.create 32
-let kinds : (string, string) Hashtbl.t = Hashtbl.create 32
+(* A family is every cell of one name: the unlabelled cell, the live
+   labelled cells, and the summed value of the labelled cells retired
+   so far.  A write touches exactly one cell; the family total — what
+   an unlabelled read returns — is derived from all of them under the
+   registry mutex, so a retirement (cell value moved into [retired])
+   is never seen half done.  One family has one kind: an OpenMetrics
+   family has exactly one type. *)
+type family = {
+  kind : string;
+  cells : (labels, instrument) Hashtbl.t;
+  mutable retired : value;
+}
+
+let families : (string, family) Hashtbl.t = Hashtbl.create 32
 let registry_m = Mutex.create ()
 
-let key_of name = function
-  | [] -> name
-  | ls ->
-      let buf = Buffer.create (String.length name + 16) in
-      Buffer.add_string buf name;
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_char buf '\x00';
-          Buffer.add_string buf k;
-          Buffer.add_char buf '\x01';
-          Buffer.add_string buf v)
-        ls;
-      Buffer.contents buf
+let locked f =
+  Mutex.lock registry_m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock registry_m) f
+
+let zero_of = function
+  | "counter" -> Counter 0
+  | "gauge" -> Gauge 0.0
+  | _ -> Histogram { buckets = [||]; count = 0; sum = 0 }
 
 let intern ~kind name labels make =
-  let key = key_of name labels in
-  Mutex.lock registry_m;
-  let bad =
-    match Hashtbl.find_opt kinds name with
-    | Some k when k <> kind -> true
-    | _ ->
-        Hashtbl.replace kinds name kind;
-        false
-  in
-  if bad then begin
-    Mutex.unlock registry_m;
-    invalid_arg (Printf.sprintf "Metrics.%s: %S is not a %s" kind name kind)
-  end;
-  let i =
-    match Hashtbl.find_opt registry key with
-    | Some i -> i
-    | None ->
-        let i = make () in
-        Hashtbl.add registry key i;
-        i
-  in
-  Mutex.unlock registry_m;
-  i
+  locked (fun () ->
+      let f =
+        match Hashtbl.find_opt families name with
+        | Some f when f.kind <> kind ->
+            invalid_arg (Printf.sprintf "Metrics.%s: %S is not a %s" kind name kind)
+        | Some f -> f
+        | None ->
+            let f = { kind; cells = Hashtbl.create 4; retired = zero_of kind } in
+            Hashtbl.add families name f;
+            f
+      in
+      match Hashtbl.find_opt f.cells labels with
+      | Some i -> i
+      | None ->
+          let i = make () in
+          Hashtbl.add f.cells labels i;
+          i)
+
+(* ------------------------------------------------------------------ *)
+(* Cell reads and family totals                                        *)
+
+let cell_snapshot (h : histogram) =
+  let raw = Array.map Atomic.get h.buckets in
+  let last = ref (-1) in
+  Array.iteri (fun i c -> if c > 0 then last := i) raw;
+  let buckets = Array.sub raw 0 (!last + 1) in
+  { buckets; count = Array.fold_left ( + ) 0 buckets; sum = Atomic.get h.sum }
+
+let cell_value = function
+  | C c -> Counter (Atomic.get c.cell)
+  | G g -> Gauge (Int64.float_of_bits (Atomic.get g.bits))
+  | H h -> Histogram (cell_snapshot h)
+
+(* Summing two trimmed snapshots bucket-wise keeps the result trimmed:
+   the longer one ends in a non-empty bucket. *)
+let sum_values a b =
+  match (a, b) with
+  | Counter x, Counter y -> Counter (x + y)
+  | Gauge x, Gauge y -> Gauge (x +. y)
+  | Histogram x, Histogram y ->
+      let get (s : histogram_snapshot) i = if i < Array.length s.buckets then s.buckets.(i) else 0 in
+      let n = max (Array.length x.buckets) (Array.length y.buckets) in
+      Histogram
+        { buckets = Array.init n (fun i -> get x i + get y i);
+          count = x.count + y.count;
+          sum = x.sum + y.sum;
+        }
+  | _ -> invalid_arg "Metrics: mixed kinds in one family"
+
+(* Called under the registry mutex. *)
+let family_total f = Hashtbl.fold (fun _ i acc -> sum_values acc (cell_value i)) f.cells f.retired
+
+let total name =
+  locked (fun () -> Option.map family_total (Hashtbl.find_opt families name))
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -80,9 +117,11 @@ let counter ?(labels = []) name =
 
 let incr c = ignore (Atomic.fetch_and_add c.cell 1)
 let add c d = ignore (Atomic.fetch_and_add c.cell d)
-let value c = Atomic.get c.cell
-let set_counter c v = Atomic.set c.cell v
-let counter_name c = c.cname
+
+let value c =
+  if c.clabels <> [] then Atomic.get c.cell
+  else match total c.cname with Some (Counter n) -> n | _ -> 0
+
 let counter_labels c = c.clabels
 
 (* ------------------------------------------------------------------ *)
@@ -107,7 +146,9 @@ let add_gauge g d =
   in
   go ()
 
-let gauge_value g = Int64.float_of_bits (Atomic.get g.bits)
+let gauge_value g =
+  if g.glabels <> [] then Int64.float_of_bits (Atomic.get g.bits)
+  else match total g.gname with Some (Gauge v) -> v | _ -> 0.0
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -136,18 +177,15 @@ let bucket_of v =
 
 let bucket_lo i = if i <= 0 then 0 else 1 lsl i
 
-let observe h v =
+let observe (h : histogram) v =
   ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1);
   ignore (Atomic.fetch_and_add h.sum (max 0 v))
 
-type histogram_snapshot = { buckets : int array; count : int; sum : int }
+let empty_snapshot = { buckets = [||]; count = 0; sum = 0 }
 
 let histogram_snapshot (h : histogram) =
-  let raw = Array.map Atomic.get h.buckets in
-  let last = ref (-1) in
-  Array.iteri (fun i c -> if c > 0 then last := i) raw;
-  let buckets = Array.sub raw 0 (!last + 1) in
-  { buckets; count = Array.fold_left ( + ) 0 buckets; sum = Atomic.get h.sum }
+  if h.hlabels <> [] then cell_snapshot h
+  else match total h.hname with Some (Histogram s) -> s | _ -> empty_snapshot
 
 (* Bucket edges as floats: exact for every bucket (2^i < 2^63 fits a
    float's exponent range) where [bucket_lo]'s [1 lsl i] would
@@ -181,55 +219,45 @@ let quantile (s : histogram_snapshot) q =
    make "was anything recorded?" indistinguishable from "nothing
    registered"). *)
 let quantile_of ?(labels = []) name q =
-  let key = key_of name (canon labels) in
-  Mutex.lock registry_m;
-  let i = Hashtbl.find_opt registry key in
-  Mutex.unlock registry_m;
-  match i with
-  | Some (H h) ->
-      let s = histogram_snapshot h in
-      if s.count = 0 then None else Some (quantile s q)
+  let labels = canon labels in
+  let v =
+    locked (fun () ->
+        match Hashtbl.find_opt families name with
+        | None -> None
+        | Some f when labels = [] -> Some (family_total f)
+        | Some f -> Option.map cell_value (Hashtbl.find_opt f.cells labels))
+  in
+  match v with
+  | Some (Histogram s) when s.count > 0 -> Some (quantile s q)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 
-type value = Counter of int | Gauge of float | Histogram of histogram_snapshot
-
-let value_of = function
-  | C c -> Counter (value c)
-  | G g -> Gauge (gauge_value g)
-  | H h -> Histogram (histogram_snapshot h)
-
-let labels_of = function C c -> c.clabels | G g -> g.glabels | H h -> h.hlabels
-let name_of = function C c -> c.cname | G g -> g.gname | H h -> h.hname
-
-let all_instruments () =
-  Mutex.lock registry_m;
-  let all = Hashtbl.fold (fun _ i acc -> i :: acc) registry [] in
-  Mutex.unlock registry_m;
-  all
-
 let dump () =
-  all_instruments ()
-  |> List.filter_map (fun i ->
-         if labels_of i = [] then Some (name_of i, value_of i) else None)
+  locked (fun () -> Hashtbl.fold (fun name f acc -> (name, family_total f) :: acc) families [])
   |> List.sort compare
 
 let dump_all () =
-  all_instruments ()
-  |> List.map (fun i -> (name_of i, labels_of i, value_of i))
+  locked (fun () ->
+      Hashtbl.fold
+        (fun name f acc ->
+          Hashtbl.fold
+            (fun labels i acc -> if labels = [] then acc else (name, labels, cell_value i) :: acc)
+            f.cells
+            ((name, [], family_total f) :: acc))
+        families [])
   |> List.sort compare
 
-let reset () =
-  Mutex.lock registry_m;
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | C c -> Atomic.set c.cell 0
-      | G g -> Atomic.set g.bits 0L
-      | H h ->
-          Array.iter (fun b -> Atomic.set b 0) h.buckets;
-          Atomic.set h.sum 0)
-    registry;
-  Mutex.unlock registry_m
+let retire labels =
+  let labels = canon labels in
+  if labels <> [] then
+    locked (fun () ->
+        Hashtbl.iter
+          (fun _ f ->
+            match Hashtbl.find_opt f.cells labels with
+            | Some i ->
+                f.retired <- sum_values f.retired (cell_value i);
+                Hashtbl.remove f.cells labels
+            | None -> ())
+          families)

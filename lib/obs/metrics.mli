@@ -1,23 +1,28 @@
 (** Typed metrics registry: atomic counters, gauges and log-bucketed
     histograms, optionally labelled.
 
-    This subsumes the former ad-hoc diagnostics — the [Kernel.hits_*]
-    [int ref]s (which raced when bumped from pool domains) and the
-    [Trace] named-counter table — behind one process-wide registry.
     All mutation is on {!Stdlib.Atomic} cells, so instruments may be
     bumped concurrently from {!Mg_smp.Domain_pool} workers; creation
     interns by [(name, labels)] under a mutex, so [counter name]
     returns the same cell everywhere.
 
-    {2 Labels}
+    {2 Families and labels}
 
-    An instrument may carry a label set (e.g. [("engine", "3")]):
-    each distinct [(name, labels)] pair is its own cell, so a
-    per-engine shard of [plan_cache.hits] accumulates independently
-    of the unlabelled process-wide aggregate.  Label order is
-    canonicalised at interning.  One {e kind} per family name is
-    enforced across all label sets — registering [gauge "x"] after
-    [counter ~labels "x"] raises. *)
+    Every cell of one name forms a {e family}: the unlabelled cell,
+    any number of labelled cells (e.g. [("engine", "3")]; label order
+    is canonicalised at interning), and the retired total of labelled
+    cells dropped by {!retire}.  An event is written once, to one
+    cell: the engine's shard when one can be named (see
+    [Scope.shards]), else the unlabelled cell.  Reading a labelled
+    instrument returns its own cell; reading an {e unlabelled} one
+    ({!value}, {!gauge_value}, {!histogram_snapshot},
+    [quantile_of name], {!dump} and the unlabelled rows of
+    {!dump_all}) returns the family total: the unlabelled cell plus
+    every live labelled cell plus the retired total.  Totals are
+    therefore monotone for counters and histograms, whatever is
+    retired.  One {e kind} per family is enforced across all label
+    sets — registering [gauge "x"] after [counter ~labels "x"]
+    raises. *)
 
 type labels = (string * string) list
 
@@ -29,13 +34,14 @@ type histogram
 
 val counter : ?labels:labels -> string -> counter
 (** Find-or-create the counter for [(name, labels)] (atomic int,
-    starts at 0); [labels] defaults to the unlabelled aggregate. *)
+    starts at 0); [labels] defaults to the family's unlabelled cell. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val set_counter : counter -> int -> unit
-val counter_name : counter -> string
+(** A labelled counter's own cell; an unlabelled counter's family
+    total. *)
+
 val counter_labels : counter -> labels
 
 (** {1 Gauges} *)
@@ -49,6 +55,8 @@ val add_gauge : gauge -> float -> unit
 (** Atomic accumulate (CAS loop). *)
 
 val gauge_value : gauge -> float
+(** A labelled gauge's own cell; an unlabelled gauge's family total
+    (the sum of its cells). *)
 
 (** {1 Histograms}
 
@@ -71,7 +79,9 @@ val bucket_lo : int -> int
 type histogram_snapshot = { buckets : int array; count : int; sum : int }
 
 val histogram_snapshot : histogram -> histogram_snapshot
-(** [buckets] is trimmed to the last non-empty bucket. *)
+(** A labelled histogram's own cell; an unlabelled histogram's family
+    total, bucket by bucket.  [buckets] is trimmed to the last
+    non-empty bucket. *)
 
 val quantile : histogram_snapshot -> float -> float
 (** [quantile s q] estimates the [q]-quantile ([0 <= q <= 1]) of the
@@ -81,8 +91,9 @@ val quantile : histogram_snapshot -> float -> float
 
 val quantile_of : ?labels:labels -> string -> float -> float option
 (** [quantile_of name q]: {!quantile} over the current snapshot of the
-    registered histogram [(name, labels)] — a read-only lookup that
-    never interns.  [None] when no such histogram exists or it has no
+    registered histogram [(name, labels)] (the family total when
+    [labels] is empty) — a read-only lookup that never interns.
+    [None] when no such histogram exists or it has no
     observations (the serving harness reads per-tenant latency
     quantiles through this without perturbing the registry). *)
 
@@ -94,12 +105,16 @@ type value =
   | Histogram of histogram_snapshot
 
 val dump : unit -> (string * value) list
-(** Every {e unlabelled} instrument with its current value, sorted by
-    name (the pre-label API; labelled shards are in {!dump_all}). *)
+(** Every family with its total, sorted by name. *)
 
 val dump_all : unit -> (string * labels * value) list
-(** Every registered instrument — labelled or not — with its current
-    value, sorted by name then labels. *)
+(** Every family's total (with empty labels) and every live labelled
+    cell, sorted by name then labels. *)
 
-val reset : unit -> unit
-(** Zero every registered instrument (registrations are kept). *)
+val retire : labels -> unit
+(** Fold every cell carrying exactly [labels] (non-empty) into its
+    family's retired total and drop it from the registry: family
+    totals are unchanged, and the series no longer appear in
+    {!dump_all}.  A handle to a retired cell must not be written
+    afterwards — its writes would reach no total.  [Engine.shutdown]
+    retires the engine's shards this way. *)

@@ -4,47 +4,90 @@
    record carries the submitter's scope).  Everything a concurrent
    serving layer needs to attribute telemetry hangs off it: the solve
    id, the engine (label) id, an optional tenant tag, the per-engine
-   observation gate, and the pre-interned labelled metric shards.
+   observation gate, and the engine's shard table.
 
-   Shard cells are interned once, at scope creation (cold path, takes
-   the registry mutex); [bump]/[observe] then reach them by a short
-   array scan over immutable strings — no lock, no hashtable — so
-   attribution costs a DLS read plus a few string compares on paths
-   that already pay an atomic metric update. *)
+   Shard tables: each instrumented module declares its sharded
+   families once, at initialisation, and gets back a handle holding
+   the family's slot.  A root engine interns one table — one
+   [engine]-labelled cell per declared family — at creation, and
+   retires it at shutdown.  A write picks its cell by an array index
+   into the table (or, without one, takes the unlabelled cell): no
+   lock, no hashtable, no name comparison on the hot path. *)
+
+type _ kind =
+  | Counter : Metrics.counter kind
+  | Gauge : Metrics.gauge kind
+  | Histogram : Metrics.histogram kind
+
+type 'a family = { kind : 'a kind; slot : int; total : 'a }
+
+(* Declared family names per kind, newest first: slot [i] of a kind is
+   the [i]-th declaration. *)
+let declared_m = Mutex.create ()
+let counters = ref []
+let gauges = ref []
+let histograms = ref []
+
+let declare (type a) (kind : a kind) names (make : string -> a) name : a family =
+  Mutex.lock declared_m;
+  let slot = List.length !names in
+  names := name :: !names;
+  Mutex.unlock declared_m;
+  { kind; slot; total = make name }
+
+let counter_family = declare Counter counters (fun n -> Metrics.counter n)
+let gauge_family = declare Gauge gauges (fun n -> Metrics.gauge n)
+let histogram_family = declare Histogram histograms (fun n -> Metrics.histogram n)
+let total f = f.total
+
+type shards = {
+  shard_labels : Metrics.labels;
+  scounters : Metrics.counter array;
+  sgauges : Metrics.gauge array;
+  shistograms : Metrics.histogram array;
+}
+
+let unattributed = { shard_labels = []; scounters = [||]; sgauges = [||]; shistograms = [||] }
+
+let shards ~engine_id =
+  let labels = [ ("engine", string_of_int engine_id) ] in
+  Mutex.lock declared_m;
+  let c = !counters and g = !gauges and h = !histograms in
+  Mutex.unlock declared_m;
+  { shard_labels = labels;
+    scounters = Array.of_list (List.rev_map (fun n -> Metrics.counter ~labels n) c);
+    sgauges = Array.of_list (List.rev_map (fun n -> Metrics.gauge ~labels n) g);
+    shistograms = Array.of_list (List.rev_map (fun n -> Metrics.histogram ~labels n) h);
+  }
+
+let retire t = Metrics.retire t.shard_labels
+
+(* A family declared after the table was interned has no slot in it:
+   its events go to the unlabelled cell. *)
+let shard (type a) t (f : a family) : a =
+  let pick (cells : a array) = if f.slot < Array.length cells then cells.(f.slot) else f.total in
+  match f.kind with
+  | Counter -> pick t.scounters
+  | Gauge -> pick t.sgauges
+  | Histogram -> pick t.shistograms
 
 type t = {
   solve_id : int;
   engine_id : int;
   tenant : string option;
   observe : bool;
-  labels : Metrics.labels;
-  counters : (string * Metrics.counter) array;
-  histograms : (string * Metrics.histogram) array;
+  shards : shards;
   mutable stages : (string * int64) list;  (* reversed; driver domain only *)
 }
 
 let solve_ids = Atomic.make 0
 
-let make ?tenant ?(observe = true) ?(counters = []) ?(histograms = []) ~engine_id () =
-  let labels =
-    ("engine", string_of_int engine_id)
-    :: (match tenant with Some t -> [ ("tenant", t) ] | None -> [])
-  in
-  { solve_id = Atomic.fetch_and_add solve_ids 1;
-    engine_id;
-    tenant;
-    observe;
-    labels;
-    counters = Array.of_list (List.map (fun n -> (n, Metrics.counter ~labels n)) counters);
-    histograms =
-      Array.of_list (List.map (fun n -> (n, Metrics.histogram ~labels n)) histograms);
-    stages = [];
-  }
+let make ?tenant ?(observe = true) ?(shards = unattributed) ~engine_id () =
+  { solve_id = Atomic.fetch_and_add solve_ids 1; engine_id; tenant; observe; shards; stages = [] }
 
 let solve_id s = s.solve_id
 let engine_id s = s.engine_id
 let tenant s = s.tenant
-let labels s = s.labels
 
 (* ------------------------------------------------------------------ *)
 (* The domain-local current scope                                      *)
@@ -72,38 +115,7 @@ let with_scope s f = with_opt (Some s) f
 (* ------------------------------------------------------------------ *)
 (* Shard accounting                                                    *)
 
-let find_counter s name =
-  let n = Array.length s.counters in
-  let rec go i =
-    if i >= n then None
-    else
-      let nm, c = s.counters.(i) in
-      if String.equal nm name then Some c else go (i + 1)
-  in
-  go 0
-
-let find_histogram s name =
-  let n = Array.length s.histograms in
-  let rec go i =
-    if i >= n then None
-    else
-      let nm, h = s.histograms.(i) in
-      if String.equal nm name then Some h else go (i + 1)
-  in
-  go 0
-
-let bump name d =
-  match current () with
-  | None -> ()
-  | Some s -> ( match find_counter s name with Some c -> Metrics.add c d | None -> ())
-
-let observe name v =
-  match current () with
-  | None -> ()
-  | Some s -> ( match find_histogram s name with Some h -> Metrics.observe h v | None -> ())
-
-let counter_value s name =
-  match find_counter s name with Some c -> Metrics.value c | None -> 0
+let here f = shard (match current () with Some s -> s.shards | None -> unattributed) f
 
 (* ------------------------------------------------------------------ *)
 (* Stage timing (flight-recorder feed)                                 *)

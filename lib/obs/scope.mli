@@ -13,34 +13,71 @@
       {!local_observe} after the global switch, so an engine with
       [observe = false] keeps its forces out of the rings even while
       another engine records;
-    - pre-interned {e labelled metric shards} (see {!Metrics}): the
-      executor's cache/mempool/kernel instrumentation calls {!bump} /
-      {!observe} next to the process-wide aggregate update, giving
-      per-engine (and per-tenant) figures with no lock on the hot
-      path;
+    - the owning engine's {e shard table} (see {!shards}): the
+      executor's mempool, kernel-timing and native instrumentation
+      writes its one cell per event through {!here}, giving
+      per-engine figures with no lock on the hot path;
     - per-stage wall times ({!time_stage}) feeding the flight
       recorder. *)
 
+(** {1 Sharded metric families}
+
+    A family declared here is counted per engine: each event is one
+    write to the forcing engine's [engine]-labelled cell, or to the
+    family's unlabelled cell when no engine can be named.  The
+    unlabelled read is the family total (see {!Metrics}), so it needs
+    no second write. *)
+
+type 'a family
+(** A sharded family whose cells are ['a] ([Metrics.counter],
+    [Metrics.gauge] or [Metrics.histogram]). *)
+
+val counter_family : string -> Metrics.counter family
+val gauge_family : string -> Metrics.gauge family
+val histogram_family : string -> Metrics.histogram family
+(** Declare a sharded family.  Declare at module initialisation: a
+    table interned before the declaration has no cell for it, and
+    routes its events to the unlabelled cell. *)
+
+val total : 'a family -> 'a
+(** The family's unlabelled instrument: reading it gives the family
+    total; writing it is the "no engine" write. *)
+
+type shards
+(** One engine's table: one labelled cell per declared family. *)
+
+val shards : engine_id:int -> shards
+(** Intern a cell labelled [("engine", engine_id)] for every declared
+    family — a cold-path registry operation, done once per root
+    engine. *)
+
+val unattributed : shards
+(** The empty table: every family resolves to its unlabelled cell. *)
+
+val retire : shards -> unit
+(** Fold the table's cells into their families' retired totals and
+    drop them from the registry ({!Metrics.retire}).  The table must
+    not be written afterwards. *)
+
+val shard : shards -> 'a family -> 'a
+(** The table's cell of a family. *)
+
+val here : 'a family -> 'a
+(** The current scope's cell of a family: {!shard} of its table, the
+    unlabelled cell outside any scope. *)
+
+(** {1 Scopes} *)
+
 type t
 
-val make :
-  ?tenant:string ->
-  ?observe:bool ->
-  ?counters:string list ->
-  ?histograms:string list ->
-  engine_id:int ->
-  unit ->
-  t
-(** A fresh scope with a new solve id.  [counters]/[histograms] name
-    the metric families to shard: each is interned under the scope's
-    label set ([engine], plus [tenant] when given) — a cold-path
-    registry operation, done once here so {!bump} never locks.
-    [observe] (default [true]) is the per-engine span gate. *)
+val make : ?tenant:string -> ?observe:bool -> ?shards:shards -> engine_id:int -> unit -> t
+(** A fresh scope with a new solve id, writing to [shards] (default
+    {!unattributed}; an engine passes its own table).  [observe]
+    (default [true]) is the per-engine span gate. *)
 
 val solve_id : t -> int
 val engine_id : t -> int
 val tenant : t -> string option
-val labels : t -> Metrics.labels
 
 (** {1 The domain-local current scope} *)
 
@@ -56,20 +93,6 @@ val with_opt : t option -> (unit -> 'a) -> 'a
 val local_observe : unit -> bool
 (** The current scope's observation gate; [true] outside any scope.
     Consumed by [Span.enabled] after the global switch. *)
-
-(** {1 Shard accounting} *)
-
-val bump : string -> int -> unit
-(** Add to the current scope's shard of the named counter; no-op
-    outside a scope or when the scope does not shard that family. *)
-
-val observe : string -> int -> unit
-(** Observe into the current scope's shard of the named histogram;
-    no-op as for {!bump}. *)
-
-val counter_value : t -> string -> int
-(** The scope's shard value ([0] for an unsharded family) — cumulative
-    for the engine label, not per-solve; callers diff snapshots. *)
 
 (** {1 Stage timing} *)
 

@@ -32,7 +32,6 @@ type 'a entry = { id : int; tenant : string; payload : 'a; mutable state : state
    over them (O(1) cancel, lazy removal); [live] counts only Queued
    entries, so capacity and fairness never see ghosts. *)
 type 'a tenant_q = {
-  name : string;
   mutable weight : int;
   mutable credit : int;  (* dispatch slots left in the current rotation *)
   fifo : 'a entry Queue.t;
@@ -78,7 +77,7 @@ let tenant_q t name =
   match Hashtbl.find_opt t.tenants name with
   | Some q -> q
   | None ->
-      let q = { name; weight = 1; credit = 1; fifo = Queue.create (); live = 0 } in
+      let q = { weight = 1; credit = 1; fifo = Queue.create (); live = 0 } in
       Hashtbl.add t.tenants name q;
       t.rotation <- t.rotation @ [ q ];
       q

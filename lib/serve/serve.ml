@@ -70,7 +70,6 @@ type work = { req : request; submitted_ns : int64 }
 type lifecycle = Running | Stopping | Stopped
 
 type t = {
-  cfg : config;
   mu : Mutex.t;
   work_cv : Condition.t;
   done_cv : Condition.t;
@@ -79,20 +78,19 @@ type t = {
   mutable life : lifecycle;
   engines : Engine.t array;  (* one per worker; shared plan cache *)
   mutable domains : unit Domain.t array;
-  (* Counters interned once; per-tenant shards interned on first use. *)
+  (* Unlabelled instruments interned once.  The per-tenant families
+     ([serve.accepted], [.rejected], [.completed], [.latency_ns]) are
+     written only to their tenant's cell, interned on use; their
+     unlabelled reads are the totals over tenants. *)
   c_submitted : Metrics.counter;
-  c_accepted : Metrics.counter;
-  c_rejected : Metrics.counter;
-  c_completed : Metrics.counter;
   c_failed : Metrics.counter;
   c_cancelled : Metrics.counter;
   g_depth : Metrics.gauge;
   h_queue : Metrics.histogram;
   h_solve : Metrics.histogram;
-  h_latency : Metrics.histogram;
 }
 
-let tenant_labels tenant = [ ("tenant", tenant) ]
+let tenant_counter tenant name = Metrics.counter ~labels:[ ("tenant", tenant) ] name
 
 let locked t f =
   Mutex.lock t.mu;
@@ -162,14 +160,11 @@ let worker_loop t widx () =
         in
         Metrics.observe t.h_queue (Int64.to_int queue_ns);
         Metrics.observe t.h_solve (Int64.to_int solve_ns);
-        Metrics.observe t.h_latency (Int64.to_int latency_ns);
         Metrics.observe
-          (Metrics.histogram ~labels:(tenant_labels tenant) "serve.latency_ns")
+          (Metrics.histogram ~labels:[ ("tenant", tenant) ] "serve.latency_ns")
           (Int64.to_int latency_ns);
         (match outcome with
-        | Done _ ->
-            Metrics.incr t.c_completed;
-            Metrics.incr (Metrics.counter ~labels:(tenant_labels tenant) "serve.completed")
+        | Done _ -> Metrics.incr (tenant_counter tenant "serve.completed")
         | Failed _ -> Metrics.incr t.c_failed
         | Cancelled -> assert false);
         locked t (fun () ->
@@ -194,8 +189,7 @@ let create ?config () =
         if i = 0 then first else Engine.create ~config:ecfg ~share_cache:first ())
   in
   let t =
-    { cfg;
-      mu = Mutex.create ();
+    { mu = Mutex.create ();
       work_cv = Condition.create ();
       done_cv = Condition.create ();
       adm = Admission.create ~capacity:cfg.capacity ();
@@ -204,15 +198,11 @@ let create ?config () =
       engines;
       domains = [||];
       c_submitted = Metrics.counter "serve.submitted";
-      c_accepted = Metrics.counter "serve.accepted";
-      c_rejected = Metrics.counter "serve.rejected";
-      c_completed = Metrics.counter "serve.completed";
       c_failed = Metrics.counter "serve.failed";
       c_cancelled = Metrics.counter "serve.cancelled";
       g_depth = Metrics.gauge "serve.queue_depth";
       h_queue = Metrics.histogram "serve.queue_ns";
       h_solve = Metrics.histogram "serve.solve_ns";
-      h_latency = Metrics.histogram "serve.latency_ns";
     }
   in
   t.domains <- Array.init cfg.workers (fun i -> Domain.spawn (worker_loop t i));
@@ -233,13 +223,8 @@ let submit t (req : request) =
         | Error _ -> ());
         r)
   in
-  (match r with
-  | Ok _ ->
-      Metrics.incr t.c_accepted;
-      Metrics.incr (Metrics.counter ~labels:(tenant_labels req.tenant) "serve.accepted")
-  | Error _ ->
-      Metrics.incr t.c_rejected;
-      Metrics.incr (Metrics.counter ~labels:(tenant_labels req.tenant) "serve.rejected"));
+  Metrics.incr
+    (tenant_counter req.tenant (match r with Ok _ -> "serve.accepted" | Error _ -> "serve.rejected"));
   r
 
 let check_ticket t id =

@@ -28,16 +28,17 @@
 
     - [serve.submitted] / [serve.accepted] / [serve.rejected] /
       [serve.completed] / [serve.failed] / [serve.cancelled] —
-      counters, with per-tenant labelled shards of
-      [serve.accepted], [serve.rejected] and [serve.completed];
+      counters; accepted, rejected and completed requests are written
+      only to their tenant's cell ([("tenant", name)]), and the
+      unlabelled reads are the totals over tenants;
     - [serve.queue_depth] — gauge, the live queue length;
     - [serve.queue_ns] / [serve.solve_ns] / [serve.latency_ns] —
       log₂ histograms (queue wait, solve wall, submit-to-completion),
-      [serve.latency_ns] also sharded per tenant — p50/p99 via
+      [serve.latency_ns] likewise written per tenant — p50/p99 via
       {!Mg_obs.Metrics.quantile_of};
     - each solve additionally leaves the usual per-solve flight
       record and per-engine metric shards behind ([Driver.run] runs
-      under a tenant-labelled {!Mg_obs.Scope}). *)
+      under a tenant-stamped {!Mg_obs.Scope}). *)
 
 open Mg_withloop
 open Mg_core
@@ -135,7 +136,8 @@ val cancel : t -> int -> bool
 
 val stats : t -> Admission.stats
 val engines : t -> Engine.t list
-(** The worker engines (one per worker, shared plan cache). *)
+(** The worker engines (one per worker, shared plan cache; each
+    engine's {!Engine.cache_stats} counts its own forces). *)
 
 val shutdown : ?drain:bool -> t -> unit
 (** Stop the service.  New submissions are refused immediately; with

@@ -123,6 +123,11 @@ type t = {
          one metric label instead of minting unbounded cardinality. *)
   config : config;
   cache : Plan.cache_entry Plan_cache.t;
+  shards : Mg_obs.Scope.shards;
+      (* The label's metric cells, interned once by the root engine and
+         shared by its derivations like the label itself. *)
+  stats_base : Plan_cache.stats Atomic.t;
+      (* [Plan_cache.stats shards] at the last [cache_clear]. *)
   pool_ref : pool_ref;
 }
 
@@ -157,10 +162,21 @@ let all () =
    owning a private execution pool — concurrent solves never contend
    for workers, but the second tenant to ask for a given graph shape
    replays the first tenant's plan. *)
-(* A registered root engine: it labels its own metric shards. *)
+(* A registered root engine: it labels and interns its own metric
+   shards. *)
 let make_root ~config ~cache pool_ref =
   let id = next_id () in
-  let e = { id; label = id; config; cache; pool_ref } in
+  let shards = Mg_obs.Scope.shards ~engine_id:id in
+  let e =
+    { id;
+      label = id;
+      config;
+      cache;
+      shards;
+      stats_base = Atomic.make (Plan_cache.stats shards);
+      pool_ref;
+    }
+  in
   register e;
   e
 
@@ -170,16 +186,11 @@ let create ?(config = config_of_env ()) ?share_cache () =
 
 (* A derived engine is a cheap reconfiguration of its parent: it
    shares the parent's plan cache (keys carry the optimisation
-   fingerprint, so entries from different configs never collide) and
-   its execution pool, but carries its own config record.  This is
-   what [Wl.with_config] and [Driver.run] hand out. *)
-let derive parent f =
-  { id = next_id ();
-    label = parent.label;
-    config = f parent.config;
-    cache = parent.cache;
-    pool_ref = parent.pool_ref;
-  }
+   fingerprint, so entries from different configs never collide), its
+   execution pool, its label and metric shards, but carries its own
+   config record.  This is what [Wl.with_config] and [Driver.run] hand
+   out. *)
+let derive parent f = { parent with id = next_id (); config = f parent.config }
 
 let shutdown e =
   (match e.pool_ref with
@@ -189,7 +200,8 @@ let shutdown e =
       (match o.pool with Some p -> Domain_pool.shutdown p | None -> ());
       o.pool <- None;
       Mutex.unlock o.pm);
-  unregister e
+  unregister e;
+  Mg_obs.Scope.retire e.shards
 
 (* ------------------------------------------------------------------ *)
 (* The default engine and the dynamically current one                  *)
@@ -290,6 +302,7 @@ let settings e : Exec.settings =
     pooling = c.pooling;
     observe = c.observe;
     cache = e.cache;
+    shards = e.shards;
     pool = pool e;
     par_threshold = c.par_threshold;
     sched = c.sched;
@@ -297,12 +310,20 @@ let settings e : Exec.settings =
   }
 
 let cache e = e.cache
-let cache_stats e = Plan_cache.stats e.cache
 let cache_length e = Plan_cache.length e.cache
+
+let cache_stats e =
+  let s = Plan_cache.stats e.shards and b = Atomic.get e.stats_base in
+  { Plan_cache.hits = s.hits - b.hits;
+    misses = s.misses - b.misses;
+    evictions = s.evictions - b.evictions;
+    uncacheable = s.uncacheable - b.uncacheable;
+    saved_seconds = s.saved_seconds -. b.saved_seconds;
+  }
 
 let cache_clear e =
   Plan_cache.clear e.cache;
-  Plan_cache.reset_stats e.cache;
+  Atomic.set e.stats_base (Plan_cache.stats e.shards);
   Mempool.clear ()
 
 (* ------------------------------------------------------------------ *)
@@ -321,25 +342,8 @@ let config_fingerprint e =
     (Sched_policy.to_string c.sched)
     (Backend.name c.backend)
 
-(* The counter families sharded per engine label: the cache and mempool
-   instrumentation sites bump these through [Mg_obs.Scope.bump] next to
-   the unlabelled aggregates.  The histogram families are Kernel's
-   timing table, so a new kernel kind cannot miss its shard. *)
-let scope_counters =
-  [ "plan_cache.hits";
-    "plan_cache.misses";
-    "plan_cache.evictions";
-    "plan_cache.uncacheable";
-    "mempool.pool_hits";
-    "mempool.reuse_hits";
-    "mempool.alloc_bytes";
-    "native.compiles";
-    "native.compile_failures";
-  ]
-
 let new_scope ?tenant e =
-  Mg_obs.Scope.make ?tenant ~observe:e.config.observe ~counters:scope_counters
-    ~histograms:Kernel.ns_elt_families ~engine_id:e.label ()
+  Mg_obs.Scope.make ?tenant ~observe:e.config.observe ~shards:e.shards ~engine_id:e.label ()
 
 let flight_log e =
   List.filter (fun (r : Mg_obs.Flight.record) -> r.Mg_obs.Flight.engine_id = e.label)

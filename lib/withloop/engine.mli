@@ -2,8 +2,8 @@
     {!Wl}'s module globals.
 
     An {!t} bundles one complete engine: the optimisation
-    configuration ({!config}), a private {!Plan_cache} instance, and
-    an execution-pool handle.  Threading an engine through a solve
+    configuration ({!config}), a private {!Plan_cache} instance, an
+    execution-pool handle, and the engine's metric shards.  Threading an engine through a solve
     (see [Driver.run ?engine] and {!with_current}) replaces mutating
     process globals, so two engines with different settings can solve
     concurrently from separate domains — the prerequisite for the
@@ -66,9 +66,11 @@ val config_of_env : ?getenv:(string -> string option) -> unit -> config
     (thread count, [>= 1]), [MG_NATIVE], [MG_REUSE], [MG_POOLING],
     [MG_OBSERVE] (booleans: [0]/[off]/[false]/[no] and
     [1]/[on]/[true]/[yes]), and [MG_NATIVE_CACHE] (the AOT
-    shared-object cache directory; blank is ignored).  This is the
-    one place environment variables are parsed; pass [~getenv] to
-    test the parsing hermetically. *)
+    shared-object cache directory; blank is ignored).  These are the
+    only environment variables that configure an engine; {!Native}
+    also reads the toolchain settings [MG_CC] and [MG_NATIVE_CACHE_MB]
+    when it compiles.  Pass [~getenv] to test the parsing
+    hermetically. *)
 
 (** {1 Kernel tiers} *)
 
@@ -106,19 +108,23 @@ val create : ?config:config -> ?share_cache:t -> unit -> t
     compiled by any sibling replay for all of them (the cache is
     internally mutexed and keys carry the optimisation fingerprint,
     so cross-domain, cross-config sharing is sound) while every
-    sibling still owns a private execution pool.  Statistics
-    accumulate in the shared instance.  Shutting down a sibling never
-    drops the shared cache. *)
+    sibling still owns a private execution pool.  {!cache_stats} stays
+    per engine: each sibling counts the hits and misses of its own
+    forces, so the shared cache's statistics are the sum over the
+    siblings.  Shutting down a sibling never drops the shared cache. *)
 
 val derive : t -> (config -> config) -> t
 (** A cheap reconfiguration: shares the parent's plan cache (keys
-    carry the optimisation fingerprint, so configs never collide) and
-    execution pool, with its own config.  Not registered; nothing to
-    shut down. *)
+    carry the optimisation fingerprint, so configs never collide),
+    execution pool, {!label} and metric shards, with its own config.
+    Not registered; nothing to shut down. *)
 
 val shutdown : t -> unit
-(** Shut down an {!create}d engine's owned pool and drop it from
-    {!all}.  The engine must not be used afterwards. *)
+(** Shut down an {!create}d engine's owned pool, drop it from {!all}
+    and retire its metric shards: their counts fold into the family
+    totals and their series leave the registry
+    ({!Mg_obs.Scope.retire}).  The engine and its derivations must
+    not be used afterwards. *)
 
 val default : unit -> t
 (** The process-default engine (created on first use from
@@ -152,10 +158,11 @@ val config_fingerprint : t -> string
 
 val new_scope : ?tenant:string -> t -> Mg_obs.Scope.t
 (** A fresh per-solve trace context attributed to this engine's
-    {!label}, carrying pre-interned labelled shards of the
-    [plan_cache.*], [mempool.*] and [kernel.ns_elt.*] metric families
-    and the engine's [observe] setting.  [Driver.run] installs one per
-    solve with [Mg_obs.Scope.with_scope]. *)
+    {!label}, carrying the engine's shard table (interned once, at
+    {!create}, for every family declared through
+    {!Mg_obs.Scope.counter_family} and its siblings) and its
+    [observe] setting.  [Driver.run] installs one per solve with
+    [Mg_obs.Scope.with_scope]. *)
 
 val flight_log : t -> Mg_obs.Flight.record list
 (** Flight-recorder records attributed to this engine's {!label},
@@ -176,11 +183,18 @@ val pool : t -> unit -> Mg_smp.Domain_pool.t
 (** {1 Per-engine plan cache} *)
 
 val cache : t -> Plan.cache_entry Plan_cache.t
+
 val cache_stats : t -> Plan_cache.stats
+(** The plan-cache events of this engine's forces (its derivations'
+    included) since {!create} or the last {!cache_clear}: a read of
+    the engine's [plan_cache.*] shards. *)
+
 val cache_length : t -> int
+
 val cache_clear : t -> unit
-(** Drop the engine's cached plans, zero its statistics, and release
-    the (process-wide) pooled buffers. *)
+(** Drop the engine's cached plans, zero its {!cache_stats} (by
+    recording a baseline; the metric families are never lowered), and
+    release the (process-wide) pooled buffers. *)
 
 (** {1 Introspection} *)
 

@@ -24,6 +24,7 @@ type settings = {
   pooling : bool;
   observe : bool;
   cache : Plan.cache_entry Plan_cache.t;
+  shards : Mg_obs.Scope.shards;
   pool : unit -> Domain_pool.t;
   par_threshold : int;
   sched : Sched_policy.t;
@@ -356,7 +357,7 @@ let rec force st (n : Ir.node) : Ndarray.t =
       | Some (Some (Plan.Cached p), bindings) -> replay st w n ~hold pinned p bindings
       | Some (None, _) -> compile st w n ~hold pinned key
       | Some (Some Plan.Uncacheable, _) | None ->
-          Plan_cache.note_uncacheable st.cache;
+          Plan_cache.note_uncacheable st.shards;
           compile st w n ~hold pinned None)
 
 (* A hit: hold the plan's slots in the order the compiling force
@@ -487,18 +488,18 @@ and finish st w (n : Ir.node) ~hold pinned parts ~elements mode origin =
   let outcome =
     match origin with
     | Hit p ->
-        Plan_cache.note_hit st.cache ~saved:p.Plan.ccompile;
+        Plan_cache.note_hit st.shards ~saved:p.Plan.ccompile;
         "hit"
     | Compiled { record = None; _ } -> "uncacheable"
     | Compiled { record = Some (key, bindings); recorded; compile_cost } -> (
         match Plan.assemble ~bindings ~recorded ~mode ~elements ~compile_cost parts with
         | Some p ->
-            Plan_cache.add st.cache key (Plan.Cached p);
-            Plan_cache.note_miss st.cache;
+            Plan_cache.add st.cache ~shards:st.shards key (Plan.Cached p);
+            Plan_cache.note_miss st.shards;
             "miss"
         | None ->
-            Plan_cache.add st.cache key Plan.Uncacheable;
-            Plan_cache.note_uncacheable st.cache;
+            Plan_cache.add st.cache ~shards:st.shards key Plan.Uncacheable;
+            Plan_cache.note_uncacheable st.shards;
             "uncacheable")
   in
   (* Only now may the in-place source forget its (overwritten) buffer,

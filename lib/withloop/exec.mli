@@ -76,6 +76,10 @@ type settings = {
   cache : Plan.cache_entry Plan_cache.t;
       (** The owning engine's plan store ({!Plan.Cached} compiled
           plans, {!Plan.Uncacheable} negative entries). *)
+  shards : Mg_obs.Scope.shards;
+      (** The forcing engine's shard table: plan-cache events count
+          there, so a force outside any solve scope is attributed
+          too. *)
   pool : unit -> Mg_smp.Domain_pool.t;
   par_threshold : int;
       (** Minimum index-space cardinality before a part is run in

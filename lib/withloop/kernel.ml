@@ -5,15 +5,18 @@ module Metrics = Mg_obs.Metrics
 
 (* One row per kernel path: its dispatch counter [kernel.<path>] (an
    atomic metric — [run_k3] runs concurrently on pool domains) and its
-   ns/elt log₂ histogram family [kernel.ns_elt.<path>] with the
-   unlabelled aggregate.  [Engine.new_scope] shards the same families
-   per engine ({!ns_elt_families}), so every aggregate has a labelled
-   shard. *)
-type path = { name : string; hits : Metrics.counter; family : string; ns_elt : Metrics.histogram }
+   engine-sharded ns/elt log₂ histogram family [kernel.ns_elt.<path>]. *)
+type path = {
+  name : string;
+  hits : Metrics.counter;
+  ns_elt : Metrics.histogram Mg_obs.Scope.family;
+}
 
 let path name =
-  let family = "kernel.ns_elt." ^ name in
-  { name; hits = Metrics.counter ("kernel." ^ name); family; ns_elt = Metrics.histogram family }
+  { name;
+    hits = Metrics.counter ("kernel." ^ name);
+    ns_elt = Mg_obs.Scope.histogram_family ("kernel.ns_elt." ^ name);
+  }
 
 let p_stencil = path "stencil"
 let p_linebuf = path "linebuf"
@@ -24,7 +27,6 @@ let p_cfun = path "cfun"
 let p_native = path "native"
 let paths = [ p_stencil; p_linebuf; p_copy; p_generic; p_interp; p_cfun; p_native ]
 let c_cfun = p_cfun.hits
-let ns_elt_families = List.map (fun p -> p.family) paths
 let counters () = List.map (fun p -> (p.name, Metrics.value p.hits)) paths
 
 (* Timing is off by default — two clock reads per piece would tax
@@ -965,10 +967,7 @@ let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~o
     run_k3_untimed ~const k clusters out ~obase ~osteps ~counts;
     let dt = Int64.to_int (Int64.sub (Mg_smp.Clock.now_ns ()) t0) in
     let elts = counts.(0) * counts.(1) * counts.(2) in
-    if elts > 0 then begin
-      Metrics.observe p.ns_elt (dt / elts);
-      Mg_obs.Scope.observe p.family (dt / elts)
-    end
+    if elts > 0 then Metrics.observe (Mg_obs.Scope.here p.ns_elt) (dt / elts)
   end
 
 (* Generic any-rank cluster nest (parts that are not rank 3). *)

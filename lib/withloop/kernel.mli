@@ -18,8 +18,9 @@ open Mg_ndarray
     ns-per-element log₂ histogram family ([kernel.ns_elt.stencil],
     [kernel.ns_elt.cfun], …), both kept in one table.  {!run_k3} bumps
     the counter on every piece; with timing on it also records the
-    piece's truncated ns/elt into the family's unlabelled aggregate and
-    into the current {!Mg_obs.Scope}'s shard of the same family.
+    piece's truncated ns/elt, once, into the current {!Mg_obs.Scope}'s
+    engine cell of the family (the unlabelled cell outside a solve);
+    the unlabelled read is the family total.
     Rendered by {!Mg_obs.Profile_report} and dumped into [bench.json]. *)
 
 val c_cfun : Mg_obs.Metrics.counter
@@ -39,10 +40,6 @@ val branch_counts : unit -> (string * int) list
     [(name, count)] pairs, one per row loop: {!choose_k3} bumps the
     counter of the loop a part is compiled to, and every execution of
     the part (cached replays included) runs that loop. *)
-
-val ns_elt_families : string list
-(** Every [kernel.ns_elt.*] family {!run_k3} records into; engines
-    shard exactly this list. *)
 
 (** {1 Rank-3 kernel dispatch} *)
 

@@ -1,4 +1,6 @@
 open Mg_ndarray
+module Metrics = Mg_obs.Metrics
+module Scope = Mg_obs.Scope
 
 (* Per-domain typed arenas.  Each domain keeps, in domain-local
    storage, a small set-associative cache of size-class slots: [nsets]
@@ -31,7 +33,10 @@ open Mg_ndarray
    owner may be mid-allocation), so it bumps a global epoch instead:
    each arena lazily flushes itself — drops free stacks, zeroes its
    counters — when it next observes a stale epoch.  Aggregation skips
-   stale arenas, so stats read as zeroed immediately. *)
+   stale arenas, so stats read as zeroed immediately.  Pool hits are
+   not an arena counter: they are the sharded [mempool.pool_hits]
+   family, and [clear] records its total as the baseline [stats]
+   subtract. *)
 
 let empty_buf : Ndarray.buffer = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
 let fresh_buffer len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
@@ -58,9 +63,7 @@ type arena = {
   mutable owners : int array;  (* engine id per mark; -1 = anonymous *)
   mutable nmarks : int;
   (* counters: written by the owning domain only, read by any domain *)
-  st_reused : int Atomic.t;
   st_recycled : int Atomic.t;
-  st_alloc_bytes : int Atomic.t;
   st_live : int Atomic.t;
   st_live_hw : int Atomic.t;
 }
@@ -69,22 +72,21 @@ let registry : arena list ref = ref []
 let registry_m = Mutex.create ()
 let global_epoch = Atomic.make 0
 
-(* Counters of arenas whose owning domain has exited (folded in by the
+(* Recycles of arenas whose owning domain has exited (folded in by the
    domain-pool exit hook so aggregate stats stay monotone). *)
-let retired_reused = ref 0
 let retired_recycled = ref 0
-let retired_alloc_bytes = ref 0
 
 let debug = Atomic.make false
 let set_debug b = Atomic.set debug b
 let get_debug () = Atomic.get debug
-let c_reuse_hits = Mg_obs.Metrics.counter "mempool.reuse_hits"
-let c_pool_hits = Mg_obs.Metrics.counter "mempool.pool_hits"
-let c_alloc_bytes = Mg_obs.Metrics.counter "mempool.alloc_bytes"
-let g_bytes_live = Mg_obs.Metrics.gauge "mempool.bytes_live"
-let note_reuse () =
-  Mg_obs.Metrics.incr c_reuse_hits;
-  Mg_obs.Scope.bump "mempool.reuse_hits" 1
+let reuse_hits = Scope.counter_family "mempool.reuse_hits"
+let pool_hits = Scope.counter_family "mempool.pool_hits"
+let alloc_bytes = Scope.counter_family "mempool.alloc_bytes"
+let g_bytes_live = Metrics.gauge "mempool.bytes_live"
+let note_reuse () = Metrics.incr (Scope.here reuse_hits)
+
+(* [mempool.pool_hits] total at the last [clear]. *)
+let pool_hits_base = Atomic.make 0
 
 let locked f =
   let span = Mg_obs.Span.start () in
@@ -111,9 +113,7 @@ let new_arena () =
       marks = [||];
       owners = [||];
       nmarks = 0;
-      st_reused = Atomic.make 0;
       st_recycled = Atomic.make 0;
-      st_alloc_bytes = Atomic.make 0;
       st_live = Atomic.make 0;
       st_live_hw = Atomic.make 0;
     }
@@ -141,9 +141,7 @@ let sync_epoch a =
   let e = Atomic.get global_epoch in
   if Atomic.get a.epoch <> e then begin
     flush_slots a;
-    Atomic.set a.st_reused 0;
     Atomic.set a.st_recycled 0;
-    Atomic.set a.st_alloc_bytes 0;
     Atomic.set a.st_live 0;
     Atomic.set a.st_live_hw 0;
     Atomic.set a.epoch e
@@ -160,7 +158,7 @@ let live_add a d =
   let hw = Atomic.get a.st_live_hw in
   if v > hw then begin
     Atomic.set a.st_live_hw v;
-    Mg_obs.Metrics.add_gauge g_bytes_live (float_of_int (v - hw))
+    Metrics.add_gauge g_bytes_live (float_of_int (v - hw))
   end
 
 let live_sub a d =
@@ -268,8 +266,7 @@ let trail_push a b =
 let alloc ~pooling shape =
   let len = Shape.num_elements shape in
   if len = 0 || not pooling then begin
-    Mg_obs.Metrics.add c_alloc_bytes (8 * len);
-    Mg_obs.Scope.bump "mempool.alloc_bytes" (8 * len);
+    Metrics.add (Scope.here alloc_bytes) (8 * len);
     Ndarray.create_uninit shape
   end
   else begin
@@ -277,14 +274,10 @@ let alloc ~pooling shape =
     let b =
       match take a len with
       | Some b ->
-          Atomic.set a.st_reused (Atomic.get a.st_reused + 1);
-          Mg_obs.Metrics.incr c_pool_hits;
-          Mg_obs.Scope.bump "mempool.pool_hits" 1;
+          Metrics.incr (Scope.here pool_hits);
           b
       | None ->
-          Mg_obs.Metrics.add c_alloc_bytes (8 * len);
-          Mg_obs.Scope.bump "mempool.alloc_bytes" (8 * len);
-          Atomic.set a.st_alloc_bytes (Atomic.get a.st_alloc_bytes + (8 * len));
+          Metrics.add (Scope.here alloc_bytes) (8 * len);
           fresh_buffer len
     in
     live_add a (8 * len);
@@ -388,39 +381,35 @@ let assert_unpooled (b : Ndarray.buffer) ~ctx =
 
 let clear () =
   ignore (Atomic.fetch_and_add global_epoch 1);
-  locked (fun () ->
-      retired_reused := 0;
-      retired_recycled := 0;
-      retired_alloc_bytes := 0);
-  Mg_obs.Metrics.set_gauge g_bytes_live 0.0;
+  locked (fun () -> retired_recycled := 0);
+  Atomic.set pool_hits_base (Metrics.value (Scope.total pool_hits));
+  Metrics.set_gauge g_bytes_live 0.0;
   sync_epoch (Domain.DLS.get key)
 
 type snapshot = {
   reused : int;
   recycled : int;
-  alloc_bytes : int;
   bytes_live : int;
   bytes_live_hw : int;
   arenas : int;
 }
 
 let snapshot () =
+  let reused = Metrics.value (Scope.total pool_hits) - Atomic.get pool_hits_base in
   locked (fun () ->
       let e = Atomic.get global_epoch in
       List.fold_left
         (fun acc a ->
           if Atomic.get a.epoch <> e then acc (* flushes to zero on next touch *)
           else
-            { reused = acc.reused + Atomic.get a.st_reused;
+            { acc with
               recycled = acc.recycled + Atomic.get a.st_recycled;
-              alloc_bytes = acc.alloc_bytes + Atomic.get a.st_alloc_bytes;
               bytes_live = acc.bytes_live + Atomic.get a.st_live;
               bytes_live_hw = acc.bytes_live_hw + Atomic.get a.st_live_hw;
               arenas = acc.arenas + 1;
             })
-        { reused = !retired_reused;
+        { reused;
           recycled = !retired_recycled;
-          alloc_bytes = !retired_alloc_bytes;
           bytes_live = 0;
           bytes_live_hw = 0;
           arenas = 0;
@@ -441,11 +430,8 @@ let retire_local () =
   let a = Domain.DLS.get key in
   flush_slots a;
   locked (fun () ->
-      if Atomic.get a.epoch = Atomic.get global_epoch then begin
-        retired_reused := !retired_reused + Atomic.get a.st_reused;
+      if Atomic.get a.epoch = Atomic.get global_epoch then
         retired_recycled := !retired_recycled + Atomic.get a.st_recycled;
-        retired_alloc_bytes := !retired_alloc_bytes + Atomic.get a.st_alloc_bytes
-      end;
       registry := List.filter (fun x -> x != a) !registry)
 
 let () = Mg_smp.Domain_pool.set_domain_hooks ~on_start:init_local ~on_exit:retire_local

@@ -57,17 +57,18 @@ val recycle : pooling:bool -> Ndarray.t -> unit
 
 val clear : unit -> unit
 (** Drop every pooled buffer in every arena and zero the {!stats}
-    counters (remote arenas flush lazily, on their owner's next pool
-    operation). *)
+    (remote arenas flush lazily, on their owner's next pool
+    operation).  [reused] is zeroed by recording the
+    [mempool.pool_hits] total as a baseline: the metric families are
+    never lowered. *)
 
 val stats : unit -> int * int
-(** [(reused, recycled)] aggregated over all arenas, race-free; reset
-    by {!clear} (diagnostics). *)
+(** [(reused, recycled)] since the last {!clear}, race-free
+    (diagnostics). *)
 
 type snapshot = {
-  reused : int;  (** allocations served from a free slot *)
+  reused : int;  (** allocations served from a free slot ([mempool.pool_hits]) *)
   recycled : int;  (** buffers returned to a free slot (incl. by reset) *)
-  alloc_bytes : int;  (** bytes drawn from the OS allocator (misses) *)
   bytes_live : int;  (** bytes currently out of the pool's free slots *)
   bytes_live_hw : int;  (** high-water of [bytes_live] since {!clear} *)
   arenas : int;  (** registered per-domain arenas *)
@@ -111,7 +112,17 @@ val keep : Ndarray.t -> unit
 (** The array survives the current scope pool-owned ([Wl.materialize]'s
     loop-carried iterate).  Debug-only tripwire like {!escape}. *)
 
-(** {1 Diagnostics} *)
+(** {1 Diagnostics}
+
+    Allocation events are the sharded metric families
+    [mempool.pool_hits] (served from a free slot), [mempool.alloc_bytes]
+    (bytes drawn from the OS allocator) and [mempool.reuse_hits]: each
+    event is one write to the current {!Mg_obs.Scope}'s engine cell,
+    or to the unlabelled cell outside any solve. *)
+
+val pool_hits : Mg_obs.Metrics.counter Mg_obs.Scope.family
+val reuse_hits : Mg_obs.Metrics.counter Mg_obs.Scope.family
+val alloc_bytes : Mg_obs.Metrics.counter Mg_obs.Scope.family
 
 val note_reuse : unit -> unit
 (** Record one in-place aliasing event ([mempool.reuse_hits]): the

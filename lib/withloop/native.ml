@@ -31,8 +31,8 @@ open Cluster
 
 module Metrics = Mg_obs.Metrics
 
-let c_compiles = Metrics.counter "native.compiles"
-let c_failures = Metrics.counter "native.compile_failures"
+let compiles = Mg_obs.Scope.counter_family "native.compiles"
+let failures = Mg_obs.Scope.counter_family "native.compile_failures"
 let c_disk_hits = Metrics.counter "native.disk_hits"
 let c_mem_hits = Metrics.counter "native.mem_hits"
 let h_compile = Metrics.histogram "native.compile_ns"
@@ -82,8 +82,7 @@ let warn_once fmt =
 let fail fmt =
   Printf.ksprintf
     (fun reason ->
-      Metrics.incr c_failures;
-      Mg_obs.Scope.bump "native.compile_failures" 1;
+      Metrics.incr (Mg_obs.Scope.here failures);
       warn_once "%s" reason;
       None)
     fmt
@@ -188,9 +187,8 @@ let build_so ~cc ~dir ~path ~src key =
       else begin
         (try Sys.rename tmp_so path with Sys_error _ -> ());
         cleanup ();
-        Metrics.incr c_compiles;
+        Metrics.incr (Mg_obs.Scope.here compiles);
         Metrics.observe h_compile dt;
-        Mg_obs.Scope.bump "native.compiles" 1;
         trim_cache dir;
         bind_so path key
       end

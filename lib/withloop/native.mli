@@ -7,9 +7,9 @@
     (ABI version, compiler command, generated source), which is the
     part's structural fingerprint — identical kernels deduplicate
     across plans, engines, runs and processes.  Compiles, hits and
-    failures are counted in the [native.*] {!Mg_obs.Metrics} family
-    (with per-engine labelled shards via the installed scope), and
-    every failure mode — no compiler, compile error, [dlopen]/[dlsym]
+    failures are counted in the [native.*] {!Mg_obs.Metrics} families
+    (compiles and failures sharded per engine via the installed
+    scope), and every failure mode — no compiler, compile error, [dlopen]/[dlsym]
     rejection — warns once, memoises the refusal and returns [None]
     so the caller degrades to the cfun/generic tiers transparently. *)
 
@@ -17,8 +17,8 @@ open Mg_ndarray
 
 (** {1 Metrics} *)
 
-val c_compiles : Mg_obs.Metrics.counter
-val c_failures : Mg_obs.Metrics.counter
+val compiles : Mg_obs.Metrics.counter Mg_obs.Scope.family
+val failures : Mg_obs.Metrics.counter Mg_obs.Scope.family
 val c_disk_hits : Mg_obs.Metrics.counter
 val c_mem_hits : Mg_obs.Metrics.counter
 

@@ -1,5 +1,6 @@
 open Mg_ndarray
 module Metrics = Mg_obs.Metrics
+module Scope = Mg_obs.Scope
 
 type stats = {
   hits : int;
@@ -9,24 +10,24 @@ type stats = {
   saved_seconds : float;
 }
 
-(* The process-wide aggregate, backed by the metrics registry so the
-   cache shows up in metric dumps (profile report, bench JSON) without
-   separate plumbing.  Per-instance figures live on each [t] below;
-   every note_* bumps both. *)
-let c_hits = Metrics.counter "plan_cache.hits"
-let c_misses = Metrics.counter "plan_cache.misses"
-let c_evictions = Metrics.counter "plan_cache.evictions"
-let c_uncacheable = Metrics.counter "plan_cache.uncacheable"
-let g_saved = Metrics.gauge "plan_cache.saved_seconds"
+(* The statistics are engine-sharded metric families: each event is
+   one write to the forcing engine's cell (the table arrives through
+   [Exec.settings], so a force outside any solve is still attributed),
+   and [stats] reads a table's cells back. *)
+let hits = Scope.counter_family "plan_cache.hits"
+let misses = Scope.counter_family "plan_cache.misses"
+let evictions = Scope.counter_family "plan_cache.evictions"
+let uncacheable = Scope.counter_family "plan_cache.uncacheable"
+let saved = Scope.gauge_family "plan_cache.saved_seconds"
 
 (* ------------------------------------------------------------------ *)
 (* Keyed store with LRU eviction.  Recency is a logical tick; eviction
    scans — capacity is small and overflow rare, so O(n) eviction beats
-   maintaining an intrusive list.  Each instance carries its own
-   statistics and a mutex: a cache belongs to one engine, and an
-   engine may be driven from several domains (or one engine's plans
+   maintaining an intrusive list.  Each instance carries a mutex: a
+   cache belongs to one engine (or is shared by serving siblings), and
+   an engine may be driven from several domains (or one engine's plans
    replayed while another domain compiles into the same store), so
-   every store/stat operation is serialised per instance.  The lock is
+   every store operation is serialised per instance.  The lock is
    uncontended in the common one-engine-per-domain regime — one
    ownerless futex acquisition per force. *)
 
@@ -37,11 +38,6 @@ type 'a t = {
   capacity : int;
   mutable tick : int;
   m : Mutex.t;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_evictions : int;
-  mutable s_uncacheable : int;
-  mutable s_saved : float;
 }
 
 let create ?(capacity = 512) () =
@@ -49,11 +45,6 @@ let create ?(capacity = 512) () =
     capacity;
     tick = 0;
     m = Mutex.create ();
-    s_hits = 0;
-    s_misses = 0;
-    s_evictions = 0;
-    s_uncacheable = 0;
-    s_saved = 0.0;
   }
 
 let locked c f =
@@ -76,7 +67,7 @@ let find c key =
           Some e.value)
 
 (* Called under the instance lock (from [add]). *)
-let evict_lru c =
+let evict_lru c shards =
   let victim =
     Hashtbl.fold
       (fun k e acc ->
@@ -89,53 +80,33 @@ let evict_lru c =
   | None -> ()
   | Some (k, _) ->
       Hashtbl.remove c.tbl k;
-      c.s_evictions <- c.s_evictions + 1;
-      Metrics.incr c_evictions;
-      Mg_obs.Scope.bump "plan_cache.evictions" 1
+      Metrics.incr (Scope.shard shards evictions)
 
-let add c key value =
+let add c ~shards key value =
   locked c (fun () ->
-      if not (Hashtbl.mem c.tbl key) && Hashtbl.length c.tbl >= c.capacity then evict_lru c;
+      if not (Hashtbl.mem c.tbl key) && Hashtbl.length c.tbl >= c.capacity then
+        evict_lru c shards;
       c.tick <- c.tick + 1;
       Hashtbl.replace c.tbl key { value; last = c.tick })
 
 let clear c = locked c (fun () -> Hashtbl.reset c.tbl)
 let length c = locked c (fun () -> Hashtbl.length c.tbl)
 
-let stats c =
-  locked c (fun () ->
-      { hits = c.s_hits;
-        misses = c.s_misses;
-        evictions = c.s_evictions;
-        uncacheable = c.s_uncacheable;
-        saved_seconds = c.s_saved;
-      })
+let stats shards =
+  let count f = Metrics.value (Scope.shard shards f) in
+  { hits = count hits;
+    misses = count misses;
+    evictions = count evictions;
+    uncacheable = count uncacheable;
+    saved_seconds = Metrics.gauge_value (Scope.shard shards saved);
+  }
 
-let reset_stats c =
-  locked c (fun () ->
-      c.s_hits <- 0;
-      c.s_misses <- 0;
-      c.s_evictions <- 0;
-      c.s_uncacheable <- 0;
-      c.s_saved <- 0.0)
+let note_hit shards ~saved:s =
+  Metrics.incr (Scope.shard shards hits);
+  Metrics.add_gauge (Scope.shard shards saved) s
 
-let note_hit c ~saved:s =
-  locked c (fun () ->
-      c.s_hits <- c.s_hits + 1;
-      c.s_saved <- c.s_saved +. s);
-  Metrics.incr c_hits;
-  Mg_obs.Scope.bump "plan_cache.hits" 1;
-  Metrics.add_gauge g_saved s
-
-let note_miss c =
-  locked c (fun () -> c.s_misses <- c.s_misses + 1);
-  Metrics.incr c_misses;
-  Mg_obs.Scope.bump "plan_cache.misses" 1
-
-let note_uncacheable c =
-  locked c (fun () -> c.s_uncacheable <- c.s_uncacheable + 1);
-  Metrics.incr c_uncacheable;
-  Mg_obs.Scope.bump "plan_cache.uncacheable" 1
+let note_miss shards = Metrics.incr (Scope.shard shards misses)
+let note_uncacheable shards = Metrics.incr (Scope.shard shards uncacheable)
 
 (* ------------------------------------------------------------------ *)
 (* Structural keys.

@@ -27,10 +27,11 @@ type stats = {
 
 (** {1 Keyed store}
 
-    Each instance belongs to one engine and carries its own statistics.
-    All operations are serialised by an internal per-instance mutex, so
-    one cache may be shared by engines driven from different domains
-    (the lock is uncontended in the one-engine-per-domain regime). *)
+    Each instance belongs to one engine, or is shared by serving
+    siblings; it holds plans only, no statistics.  All operations are
+    serialised by an internal per-instance mutex, so one cache may be
+    shared by engines driven from different domains (the lock is
+    uncontended in the one-engine-per-domain regime). *)
 
 type 'a t
 
@@ -39,10 +40,12 @@ val create : ?capacity:int -> unit -> 'a t
     512 — a V-cycle needs a few plans per level per operator). *)
 
 val find : 'a t -> string -> 'a option
-val add : 'a t -> string -> 'a -> unit
+val add : 'a t -> shards:Mg_obs.Scope.shards -> string -> 'a -> unit
+(** Store a plan, evicting the least recently used one when full; an
+    eviction counts in [shards] (the storing engine's table). *)
+
 val clear : 'a t -> unit
-(** Drop every entry (statistics are left untouched — use
-    {!reset_stats}). *)
+(** Drop every entry. *)
 
 val length : 'a t -> int
 
@@ -63,13 +66,19 @@ val key_of_graph : env:string -> fold:bool -> Ir.node -> (string * Ir.source arr
 
 (** {1 Statistics}
 
-    Per-instance counters, plus a process-wide aggregate mirrored into
-    {!Mg_obs.Metrics} ([plan_cache.*]) so caches appear in metric dumps
-    without separate plumbing.  Every [note_*] bumps both. *)
+    Sharded metric families ([plan_cache.hits], [.misses],
+    [.evictions], [.uncacheable], [.saved_seconds]; see
+    {!Mg_obs.Scope}): every [note_*] is one write to the given engine
+    table's cell, and the unlabelled [plan_cache.*] reads are the
+    process totals derived from those cells. *)
 
-val stats : 'a t -> stats
-val reset_stats : 'a t -> unit
+val hits : Mg_obs.Metrics.counter Mg_obs.Scope.family
+val misses : Mg_obs.Metrics.counter Mg_obs.Scope.family
 
-val note_hit : 'a t -> saved:float -> unit
-val note_miss : 'a t -> unit
-val note_uncacheable : 'a t -> unit
+val stats : Mg_obs.Scope.shards -> stats
+(** The table's cumulative counts (never reset; [Engine.cache_stats]
+    subtracts the baseline its [cache_clear] recorded). *)
+
+val note_hit : Mg_obs.Scope.shards -> saved:float -> unit
+val note_miss : Mg_obs.Scope.shards -> unit
+val note_uncacheable : Mg_obs.Scope.shards -> unit

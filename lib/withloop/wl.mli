@@ -118,10 +118,10 @@ val settings : unit -> Exec.settings
     shape — every V-cycle iteration after the first — skip the
     optimisation pipeline entirely.  These operate on the current
     engine's cache; engines derived by {!with_config} share their
-    parent's cache, so statistics accumulate across scoped
-    reconfigurations. *)
+    parent's cache and metric shards, so statistics accumulate across
+    scoped reconfigurations. *)
 
 val cache_stats : unit -> Plan_cache.stats
 val cache_clear : unit -> unit
-(** Drop the current engine's cached plans and reset its statistics
-    counters (pooled buffers are released too). *)
+(** Drop the current engine's cached plans and zero its statistics
+    (pooled buffers are released too). *)

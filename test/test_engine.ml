@@ -300,6 +300,107 @@ let test_kernel_timing_shards_sum () =
               (List.exists (fun (n, agg, _) -> n = own && agg > 0) deltas))
         Engine.tiers)
 
+(* ------------------------------------------------------------------ *)
+(* One write per event: totals are derived, shutdown retires           *)
+
+module Metrics = Mg_obs.Metrics
+
+(* Family totals agree: counters and histograms exactly, gauges up to
+   float summation order (a retired gauge cell is added in a different
+   order). *)
+let same_totals a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (n, x) (n', y) ->
+         n = n'
+         &&
+         match (x, y) with
+         | Metrics.Gauge x, Metrics.Gauge y -> Float.abs (x -. y) <= 1e-9 *. Float.abs x
+         | x, y -> x = y)
+       a b
+
+(* Ten create/solve/shutdown cycles leave the registry's series count
+   where it was, and no family total moves when an engine (or a
+   2-worker server) shuts down: shutdown folds the shards into the
+   retired totals instead of leaving them behind. *)
+let test_shutdown_retires () =
+  let series () = List.length (Metrics.dump_all ()) in
+  let shutdown_keeps_totals what stop =
+    let before = Metrics.dump () in
+    stop ();
+    Alcotest.(check bool) (what ^ ": family totals unchanged by shutdown") true
+      (same_totals before (Metrics.dump ()))
+  in
+  let engine_cycle () =
+    let e = Engine.create () in
+    ignore (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.tiny ());
+    shutdown_keeps_totals "engine" (fun () -> Engine.shutdown e)
+  in
+  let serve_cycle () =
+    let server =
+      Mg_serve.Serve.create ~config:{ (Mg_serve.Serve.default_config ()) with workers = 2 } ()
+    in
+    let solve = Mg_serve.Serve.(Solve (spec ~impl:Driver.Sac ~cls:Classes.tiny ())) in
+    List.iter
+      (fun tk ->
+        match Mg_serve.Serve.await server tk with
+        | Mg_serve.Serve.Done _ -> ()
+        | _ -> Alcotest.fail "served solve failed")
+      (List.init 4 (fun _ ->
+           Result.get_ok (Mg_serve.Serve.submit server (Mg_serve.Serve.request solve))));
+    shutdown_keeps_totals "serve" (fun () -> Mg_serve.Serve.shutdown server)
+  in
+  Kernel.set_timing true;
+  Fun.protect
+    ~finally:(fun () -> Kernel.set_timing false)
+    (fun () ->
+      (* One warm-up of each: first uses intern process-wide families. *)
+      engine_cycle ();
+      serve_cycle ();
+      let s0 = series () in
+      for _ = 1 to 10 do
+        engine_cycle ()
+      done;
+      Alcotest.(check int) "no series left by 10 engines" s0 (series ());
+      serve_cycle ();
+      Alcotest.(check int) "no series left by a server" s0 (series ()))
+
+(* A solve on a fresh engine writes every sharded event to the
+   engine's own cells: per family, the total moves exactly as much as
+   the engine's shard, so the unlabelled cell moved by 0. *)
+let test_solve_writes_only_shards () =
+  let e = Engine.create () in
+  let own = [ ("engine", string_of_int (Engine.label e)) ] in
+  let shards () =
+    List.filter_map (fun (n, l, v) -> if l = own then Some (n, v) else None) (Metrics.dump_all ())
+  in
+  let totals () = Metrics.dump () in
+  let count = function
+    | Metrics.Counter n -> float_of_int n
+    | Metrics.Gauge g -> g
+    | Metrics.Histogram h -> float_of_int h.Metrics.count
+  in
+  Kernel.set_timing true;
+  Fun.protect
+    ~finally:(fun () ->
+      Kernel.set_timing false;
+      Engine.shutdown e)
+    (fun () ->
+      let s0 = shards () and t0 = totals () in
+      ignore (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.tiny ());
+      let s1 = shards () and t1 = totals () in
+      let delta name l0 l1 = count (List.assoc name l1) -. count (List.assoc name l0) in
+      List.iter
+        (fun (name, _) ->
+          let shard = delta name s0 s1 and total = delta name t0 t1 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: unlabelled cell delta 0 (total %g, shard %g)" name total shard)
+            true
+            (Float.abs (total -. shard) <= 1e-9 *. Float.max 1.0 (Float.abs total)))
+        s1;
+      Alcotest.(check bool) "the solve was counted" true
+        (delta "plan_cache.misses" s0 s1 > 0.0 && delta "mempool.alloc_bytes" s0 s1 > 0.0))
+
 (* The native flag must show in the flight-recorder config digest, so
    two otherwise identical engines differing only in the AOT tier are
    distinguishable in post-mortem records. *)
@@ -384,4 +485,7 @@ let suite =
         test_native_in_fingerprint;
       Alcotest.test_case "config_of_env parses the matrix vars" `Quick test_config_of_env;
       Alcotest.test_case "derive shares cache, create does not" `Quick test_derive_shares_cache;
+      Alcotest.test_case "shutdown retires the engine's series" `Quick test_shutdown_retires;
+      Alcotest.test_case "a solve writes only its engine's shards" `Quick
+        test_solve_writes_only_shards;
     ] )

@@ -1,4 +1,3 @@
-open Mg_ndarray
 open Mg_withloop
 
 let check_bool = Alcotest.(check bool)

@@ -122,7 +122,7 @@ let test_histogram_buckets () =
 
 let test_counter_atomicity () =
   let c = Metrics.counter "test.atomic" in
-  Metrics.set_counter c 0;
+  let c0 = Metrics.value c in
   let pool = Domain_pool.create 4 in
   let n = 100_000 in
   Fun.protect
@@ -133,12 +133,11 @@ let test_counter_atomicity () =
           for _ = lo to hi - 1 do
             Metrics.incr c
           done));
-  Alcotest.(check int) "no lost increments" n (Metrics.value c)
+  Alcotest.(check int) "no lost increments" n (Metrics.value c - c0)
 
 let test_registry () =
   let c = Metrics.counter "test.reg.counter" in
   let g = Metrics.gauge "test.reg.gauge" in
-  Metrics.set_counter c 0;
   Metrics.add c 41;
   Metrics.incr c;
   Metrics.set_gauge g 1.0;
@@ -335,36 +334,40 @@ let qcheck_quantile_bucket =
       abs (est_b - exact_b) <= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Labelled metrics: per-label cells are independent of each other and
-   of the unlabelled aggregate; kinds are enforced across label sets.  *)
+(* Labelled metrics: per-label cells are independent of each other;
+   the unlabelled read is the family total (unlabelled cell + live
+   labelled cells + retired cells), unchanged by retirement; kinds are
+   enforced across label sets.                                         *)
 
 let test_labelled_metrics () =
   let base = Metrics.counter "test.lab.counter" in
   let e1 = Metrics.counter ~labels:[ ("engine", "1") ] "test.lab.counter" in
   let e2 = Metrics.counter ~labels:[ ("tenant", "t"); ("engine", "2") ] "test.lab.counter" in
-  Metrics.set_counter base 0;
-  Metrics.set_counter e1 0;
-  Metrics.set_counter e2 0;
   Metrics.add base 1;
   Metrics.add e1 10;
   Metrics.add e2 100;
-  Alcotest.(check int) "aggregate independent" 1 (Metrics.value base);
+  Alcotest.(check int) "aggregate is the family total" 111 (Metrics.value base);
   Alcotest.(check int) "engine-1 shard independent" 10 (Metrics.value e1);
   Alcotest.(check int) "engine-2 shard independent" 100 (Metrics.value e2);
+  (* dump has one row per family; dump_all adds the live shards. *)
+  let rows () = List.filter (fun (n, _, _) -> n = "test.lab.counter") (Metrics.dump_all ()) in
+  Alcotest.(check bool) "dump is one total per family" true
+    (List.filter (fun (n, _) -> n = "test.lab.counter") (Metrics.dump ())
+    = [ ("test.lab.counter", Metrics.Counter 111) ]);
+  Alcotest.(check int) "dump_all has the total and all shards" 3 (List.length (rows ()));
+  (* Retiring the shards moves their counts into the retired total. *)
+  Metrics.retire [ ("engine", "1") ];
+  Metrics.retire [ ("engine", "2"); ("tenant", "t") ];
+  Alcotest.(check int) "total unchanged by retirement" 111 (Metrics.value base);
+  Alcotest.(check bool) "retired series dropped" true
+    (rows () = [ ("test.lab.counter", [], Metrics.Counter 111) ]);
   (* Label order is canonicalised at interning. *)
-  let e2' = Metrics.counter ~labels:[ ("engine", "2"); ("tenant", "t") ] "test.lab.counter" in
-  Metrics.incr e2';
-  Alcotest.(check int) "label order canonicalised" 101 (Metrics.value e2);
+  let e3 = Metrics.counter ~labels:[ ("tenant", "u"); ("engine", "3") ] "test.lab.counter" in
+  let e3' = Metrics.counter ~labels:[ ("engine", "3"); ("tenant", "u") ] "test.lab.counter" in
+  Metrics.incr e3';
+  Alcotest.(check int) "label order canonicalised" 1 (Metrics.value e3);
   Alcotest.(check (list (pair string string)))
-    "labels sorted" [ ("engine", "2"); ("tenant", "t") ] (Metrics.counter_labels e2);
-  (* dump hides labelled shards; dump_all shows them. *)
-  Alcotest.(check bool) "dump is unlabelled only" true
-    (List.for_all (fun (n, _) -> n <> "test.lab.counter" || true) (Metrics.dump ())
-    && List.length (List.filter (fun (n, _) -> n = "test.lab.counter") (Metrics.dump ())) = 1);
-  let shards =
-    List.filter (fun (n, _, _) -> n = "test.lab.counter") (Metrics.dump_all ())
-  in
-  Alcotest.(check int) "dump_all has all shards" 3 (List.length shards);
+    "labels sorted" [ ("engine", "3"); ("tenant", "u") ] (Metrics.counter_labels e3);
   (* One kind per family, across label sets. *)
   Alcotest.check_raises "cross-label kind mismatch rejected"
     (Invalid_argument "Metrics.gauge: \"test.lab.counter\" is not a gauge") (fun () ->
@@ -375,7 +378,6 @@ let test_labelled_metrics () =
 
 let test_openmetrics_export () =
   let c = Metrics.counter ~labels:[ ("engine", "7") ] "test.om.counter" in
-  Metrics.set_counter c 0;
   Metrics.add c 5;
   let h = Metrics.histogram "test.om.histo" in
   List.iter (Metrics.observe h) [ 1; 2; 4; 100; 5000 ];
@@ -520,24 +522,34 @@ let test_scope_veto () =
   fresh ()
 
 let test_scope_shards () =
-  let sc =
-    Scope.make ~observe:true ~counters:[ "test.sc.counter" ]
-      ~histograms:[ "test.sc.histo" ] ~engine_id:55 ()
-  in
-  (* Bumps outside any scope go nowhere (no allocation, no raise). *)
-  Scope.bump "test.sc.counter" 7;
-  Alcotest.(check int) "no ambient scope, no bump" 0 (Scope.counter_value sc "test.sc.counter");
+  let counter = Scope.counter_family "test.sc.counter" in
+  let histo = Scope.histogram_family "test.sc.histo" in
+  let shards = Scope.shards ~engine_id:55 in
+  let sc = Scope.make ~observe:true ~shards ~engine_id:55 () in
+  let shard = Metrics.counter ~labels:[ ("engine", "55") ] "test.sc.counter" in
+  let total () = Metrics.value (Scope.total counter) in
+  (* Outside any scope no engine can be named: the write lands in the
+     family's unlabelled cell. *)
+  Metrics.add (Scope.here counter) 7;
+  Alcotest.(check int) "no scope: shard untouched" 0 (Metrics.value shard);
+  Alcotest.(check int) "no scope: unlabelled cell counts" 7 (total ());
   Scope.with_scope sc (fun () ->
-      Scope.bump "test.sc.counter" 7;
-      Scope.bump "test.sc.unknown" 3;
-      (* unknown names ignored *)
-      Scope.observe "test.sc.histo" 42);
-  Alcotest.(check int) "bump lands in the scope's shard" 7
-    (Scope.counter_value sc "test.sc.counter");
-  let shard = Metrics.counter ~labels:(Scope.labels sc) "test.sc.counter" in
-  Alcotest.(check int) "shard is the labelled registry cell" 7 (Metrics.value shard);
-  Alcotest.(check (list (pair string string)))
-    "labels carry the engine id" [ ("engine", "55") ] (Scope.labels sc)
+      Metrics.add (Scope.here counter) 5;
+      Metrics.observe (Scope.here histo) 42);
+  Alcotest.(check int) "write lands in the scope's shard" 5 (Metrics.value shard);
+  Alcotest.(check bool) "shard is the labelled registry cell" true
+    (Scope.shard shards counter == shard);
+  Alcotest.(check int) "total = unlabelled cell + shard" 12 (total ());
+  Alcotest.(check int) "histogram shard observed" 1
+    (Metrics.histogram_snapshot (Scope.shard shards histo)).Metrics.count;
+  (* A family declared after the table was interned has no cell in it. *)
+  let late = Scope.counter_family "test.sc.late" in
+  Alcotest.(check bool) "late family: unlabelled cell" true
+    (Scope.shard shards late == Scope.total late);
+  Scope.retire shards;
+  Alcotest.(check int) "total kept by retirement" 12 (total ());
+  Alcotest.(check bool) "retired series dropped" false
+    (List.exists (fun (_, l, _) -> l = [ ("engine", "55") ]) (Metrics.dump_all ()))
 
 let test_scope_stages () =
   let sc = Scope.make ~observe:true ~engine_id:56 () in

@@ -225,6 +225,7 @@ let exec_settings ?(native = None) ~reuse ~cfun sched : Exec.settings =
     pooling = (Engine.config (Engine.current ())).Engine.pooling;
     observe = true;
     cache = Plan_cache.create ();
+    shards = Mg_obs.Scope.unattributed;
     pool = Mg_smp.Domain_pool.get_global;
     par_threshold = 1;
     sched;
@@ -550,18 +551,18 @@ let test_native_disk_cache_restart () =
     | Rscalar _ -> assert false
   in
   let n0 = Mg_obs.Metrics.value c_native_kernels in
-  let compiles0 = Mg_obs.Metrics.value Native.c_compiles in
+  let compiles0 = Mg_obs.Metrics.value (Mg_obs.Scope.total Native.compiles) in
   let cold = force () in
   Alcotest.(check bool) "cold force dispatched the native kernel" true
     (Mg_obs.Metrics.value c_native_kernels > n0);
   Alcotest.(check bool) "cold force invoked the compiler" true
-    (Mg_obs.Metrics.value Native.c_compiles > compiles0);
+    (Mg_obs.Metrics.value (Mg_obs.Scope.total Native.compiles) > compiles0);
   Native.reset_for_tests ();
-  let compiles1 = Mg_obs.Metrics.value Native.c_compiles in
+  let compiles1 = Mg_obs.Metrics.value (Mg_obs.Scope.total Native.compiles) in
   let disk0 = Mg_obs.Metrics.value Native.c_disk_hits in
   let warm = force () in
   Alcotest.(check int) "restart recompiled nothing" compiles1
-    (Mg_obs.Metrics.value Native.c_compiles);
+    (Mg_obs.Metrics.value (Mg_obs.Scope.total Native.compiles));
   Alcotest.(check bool) "restart loaded the cached shared object" true
     (Mg_obs.Metrics.value Native.c_disk_hits > disk0);
   Alcotest.(check bool) "cached .so bitwise identical to cold compile" true
@@ -594,11 +595,11 @@ let test_native_cc_poisoned () =
       let g () = Parr (native_graph shp src 0.6180339887) in
       let st = exec_settings ~native:(Some dir) ~reuse:false ~cfun:true
           Mg_smp.Sched_policy.Static_block in
-      let f0 = Mg_obs.Metrics.value Native.c_failures in
+      let f0 = Mg_obs.Metrics.value (Mg_obs.Scope.total Native.failures) in
       let n0 = Mg_obs.Metrics.value c_native_kernels in
       let got = run_engine st (g ()) in
       Alcotest.(check bool) "poisoned compiler counted a failure" true
-        (Mg_obs.Metrics.value Native.c_failures > f0);
+        (Mg_obs.Metrics.value (Mg_obs.Scope.total Native.failures) > f0);
       Alcotest.(check int) "no native kernel dispatched" n0
         (Mg_obs.Metrics.value c_native_kernels);
       Alcotest.(check bool) "cfun fallback bitwise matches the reference" true
