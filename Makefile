@@ -52,6 +52,16 @@ profile-smoke: build
 	        if (bv > 64000000) { print "profile-smoke: mempool.alloc_bytes " bv " exceeds the 64 MB ceiling"; exit 1 }; \
 	        if (lv > 64000000) { print "profile-smoke: mempool.bytes_live high-water " lv " exceeds the 64 MB ceiling"; exit 1 }; \
 	        print "profile-smoke: buffer reuse OK (hits=" hv ", alloc=" bv " bytes, live_hw=" lv " bytes)" }' results/profile-w.txt
+	# Ghost-shell loans: every periodic border whose base has other
+	# readers borrows the base's buffer, so no interior copy is left
+	# (there were 280 per class-W solve), and the coarse levels' fused
+	# restriction + residual bodies run the two-stencil kernel.
+	awk '/^  kernel\.copy /{c=$$2; seen=1} /^  kernel\.branch\.stencil2\.lex /{s+=$$2} /^  border\.lent /{l=$$2} \
+	  END { if (!seen) { print "profile-smoke: no kernel.copy line in the report"; exit 1 }; \
+	        if (c+0 != 0) { print "profile-smoke: " c " interior copies (expected 0)"; exit 1 }; \
+	        if (l+0 == 0) { print "profile-smoke: no border lent its base"; exit 1 }; \
+	        if (s+0 == 0) { print "profile-smoke: the two-stencil kernel never compiled"; exit 1 }; \
+	        print "profile-smoke: borders OK (lent=" l ", copies=0, stencil2 parts=" s ")" }' results/profile-w.txt
 	# Every force of the solve must store or replay a plan.  An
 	# uncacheable force re-runs fusion, lowering, clustering and kernel
 	# choice on every V-cycle; stolen periodic borders and bindings

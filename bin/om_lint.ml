@@ -7,11 +7,17 @@
      - histogram `_bucket` series are cumulative (monotone non-
        decreasing in `le` order), end in `le="+Inf"`, and the +Inf
        count equals the family's `_count`;
-     - the file ends with `# EOF`.
+     - the file ends with `# EOF`;
+     - no label of a family takes more than [max_label_values]
+       distinct values: reason codes are closed enums and engine
+       labels are bounded by the live engines, so a label minting a
+       value per solve or per request shows up here as unbounded
+       series growth.
 
    Exit 0 when clean, 1 with a per-line diagnosis otherwise. *)
 
 let errors = ref 0
+let max_label_values = 32
 
 let fail lineno fmt =
   incr errors;
@@ -113,6 +119,8 @@ let () =
   let inf_counts : (string, int) Hashtbl.t = Hashtbl.create 32 in
   let last = ref "" in
   let lineno = ref 0 in
+  (* (family, label name) -> the distinct values seen *)
+  let label_values : (string * string, (string, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 32 in
   (try
      while true do
        let line = input_line ic in
@@ -136,6 +144,20 @@ let () =
          | None -> fail ln "unparseable sample line: %s" line
          | Some (name, labels, value) -> (
              let fam = family name in
+             List.iter
+               (fun (k, v) ->
+                 if k <> "le" then begin
+                   let vs =
+                     match Hashtbl.find_opt label_values (fam, k) with
+                     | Some vs -> vs
+                     | None ->
+                         let vs = Hashtbl.create 4 in
+                         Hashtbl.add label_values (fam, k) vs;
+                         vs
+                   in
+                   Hashtbl.replace vs v ()
+                 end)
+               labels;
              (match Hashtbl.find_opt types fam with
              | None -> fail ln "sample for family %S precedes its # TYPE line" fam
              | Some kind -> (
@@ -192,6 +214,12 @@ let () =
       | None -> fail 0 "histogram %s: _bucket series without a _count sample" key
       | Some _ -> ())
     inf_counts;
+  Hashtbl.iter
+    (fun (fam, k) vs ->
+      if Hashtbl.length vs > max_label_values then
+        fail 0 "family %s: label %s takes %d values (more than %d)" fam k (Hashtbl.length vs)
+          max_label_values)
+    label_values;
   if !last <> "# EOF" then fail !lineno "file does not end with # EOF";
   if !errors > 0 then begin
     Printf.eprintf "om_lint: %d error(s) in %s\n" !errors path;

@@ -250,14 +250,17 @@ let dump_all () =
   |> List.sort compare
 
 let retire labels =
-  let labels = canon labels in
   if labels <> [] then
     locked (fun () ->
         Hashtbl.iter
           (fun _ f ->
-            match Hashtbl.find_opt f.cells labels with
-            | Some i ->
+            let carries ls = List.for_all (fun l -> List.mem l ls) labels in
+            let gone =
+              Hashtbl.fold (fun ls i acc -> if carries ls then (ls, i) :: acc else acc) f.cells []
+            in
+            List.iter
+              (fun (ls, i) ->
                 f.retired <- sum_values f.retired (cell_value i);
-                Hashtbl.remove f.cells labels
-            | None -> ())
+                Hashtbl.remove f.cells ls)
+              gone)
           families)

@@ -112,9 +112,10 @@ val dump_all : unit -> (string * labels * value) list
     cell, sorted by name then labels. *)
 
 val retire : labels -> unit
-(** Fold every cell carrying exactly [labels] (non-empty) into its
-    family's retired total and drop it from the registry: family
-    totals are unchanged, and the series no longer appear in
-    {!dump_all}.  A handle to a retired cell must not be written
-    afterwards — its writes would reach no total.  [Engine.shutdown]
-    retires the engine's shards this way. *)
+(** Fold every cell carrying all of [labels] (non-empty), and possibly
+    more, into its family's retired total and drop it from the
+    registry: family totals are unchanged, and the series no longer
+    appear in {!dump_all}.  A handle to a retired cell must not be
+    written afterwards — its writes would reach no total.
+    [Engine.shutdown] retires the engine's shards this way, the
+    reason-labelled cells of its families included. *)

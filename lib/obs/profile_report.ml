@@ -265,12 +265,32 @@ let pp ?wall_seconds ppf (evs : Span.event list) =
           ~header:[ "kernel"; "pieces"; "mean ns/elt"; "p50"; "p90"; "p99" ]
           kernel_rows
       end;
-      (* 5. Metrics registry, labelled shards included.  Labelled
+      let all_metrics = Metrics.dump_all () in
+      (* 5. Ghost-shell loans: the periodic borders that borrowed their
+         base's buffer, and the copies loans cost, by reason (summed
+         over the live cells of each reason). *)
+      let lent =
+        match List.assoc_opt "border.lent" metrics with Some (Metrics.Counter n) -> n | _ -> 0
+      in
+      let copied =
+        List.fold_left
+          (fun acc (name, labels, v) ->
+            match (name, List.assoc_opt "reason" labels, v) with
+            | "border.copied", Some r, Metrics.Counter n ->
+                (r, n + Option.value (List.assoc_opt r acc) ~default:0) :: List.remove_assoc r acc
+            | _ -> acc)
+          [] all_metrics
+      in
+      if lent > 0 || List.exists (fun (_, n) -> n > 0) copied then
+        Format.fprintf ppf "@.Ghost-shell loans: %d lent, %d copied (%s)@." lent
+          (List.fold_left (fun acc (_, n) -> acc + n) 0 copied)
+          (String.concat ", "
+             (List.map (fun (r, n) -> Printf.sprintf "%s %d" r n) (List.sort compare copied)));
+      (* 6. Metrics registry, labelled shards included.  Labelled
          entries render as [name{k="v"}] — the name immediately
          followed by the brace — so tools matching the unlabelled
          [^  name ] lines (the profile-smoke awk) never pick up a
          shard by accident. *)
-      let all_metrics = Metrics.dump_all () in
       if all_metrics <> [] then begin
         Format.fprintf ppf "@.Metrics:@.";
         List.iter

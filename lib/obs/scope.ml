@@ -21,23 +21,24 @@ type _ kind =
 
 type 'a family = { kind : 'a kind; slot : int; total : 'a }
 
-(* Declared family names per kind, newest first: slot [i] of a kind is
-   the [i]-th declaration. *)
+(* Declared families per kind, newest first, as (name, fixed labels):
+   slot [i] of a kind is the [i]-th declaration. *)
 let declared_m = Mutex.create ()
 let counters = ref []
 let gauges = ref []
 let histograms = ref []
 
-let declare (type a) (kind : a kind) names (make : string -> a) name : a family =
+let declare (type a) (kind : a kind) names (make : ?labels:Metrics.labels -> string -> a)
+    labels name : a family =
   Mutex.lock declared_m;
   let slot = List.length !names in
-  names := name :: !names;
+  names := (name, labels) :: !names;
   Mutex.unlock declared_m;
-  { kind; slot; total = make name }
+  { kind; slot; total = make ~labels name }
 
-let counter_family = declare Counter counters (fun n -> Metrics.counter n)
-let gauge_family = declare Gauge gauges (fun n -> Metrics.gauge n)
-let histogram_family = declare Histogram histograms (fun n -> Metrics.histogram n)
+let counter_family ?(labels = []) name = declare Counter counters Metrics.counter labels name
+let gauge_family = declare Gauge gauges Metrics.gauge []
+let histogram_family = declare Histogram histograms Metrics.histogram []
 let total f = f.total
 
 type shards = {
@@ -54,10 +55,11 @@ let shards ~engine_id =
   Mutex.lock declared_m;
   let c = !counters and g = !gauges and h = !histograms in
   Mutex.unlock declared_m;
+  let cells make ds = Array.of_list (List.rev_map (fun (n, ls) -> make (labels @ ls) n) ds) in
   { shard_labels = labels;
-    scounters = Array.of_list (List.rev_map (fun n -> Metrics.counter ~labels n) c);
-    sgauges = Array.of_list (List.rev_map (fun n -> Metrics.gauge ~labels n) g);
-    shistograms = Array.of_list (List.rev_map (fun n -> Metrics.histogram ~labels n) h);
+    scounters = cells (fun labels -> Metrics.counter ~labels) c;
+    sgauges = cells (fun labels -> Metrics.gauge ~labels) g;
+    shistograms = cells (fun labels -> Metrics.histogram ~labels) h;
   }
 
 let retire t = Metrics.retire t.shard_labels

@@ -32,16 +32,22 @@ type 'a family
 (** A sharded family whose cells are ['a] ([Metrics.counter],
     [Metrics.gauge] or [Metrics.histogram]). *)
 
-val counter_family : string -> Metrics.counter family
+val counter_family : ?labels:Metrics.labels -> string -> Metrics.counter family
 val gauge_family : string -> Metrics.gauge family
 val histogram_family : string -> Metrics.histogram family
 (** Declare a sharded family.  Declare at module initialisation: a
     table interned before the declaration has no cell for it, and
-    routes its events to the unlabelled cell. *)
+    routes its events to the unlabelled cell.  A counter family's
+    [labels] (default none) are fixed labels every cell of the
+    declaration carries besides [engine] — one declaration per value of
+    a closed enum, such as a reason code; declarations of one name with
+    different [labels] are cells of one registry family. *)
 
 val total : 'a family -> 'a
-(** The family's unlabelled instrument: reading it gives the family
-    total; writing it is the "no engine" write. *)
+(** The declaration's no-engine cell: writing it is the "no engine"
+    write.  Without fixed labels it is the registry family's
+    unlabelled instrument, so reading it gives the family total; with
+    them, reading it gives that cell alone. *)
 
 type shards
 (** One engine's table: one labelled cell per declared family. *)

@@ -54,6 +54,207 @@ let exec_parts st (out : Ndarray.t) (parts : Plan.compiled list) =
   B.run_parts (ctx_of st) parts ~out
 
 (* ------------------------------------------------------------------ *)
+(* Ghost-shell loans.
+
+   A barrier border node whose parts write only the ghost shell (every
+   part a one-thick slab at index 0 or n-1 on some axis) and whose base
+   has other readers does not copy the base's interior into a fresh
+   buffer: it borrows the base's buffer ([Plan.OLend]).  The base's
+   shell is saved into a pooled side buffer, the border parts run in
+   place, and from then on the two nodes share one buffer — the
+   borrower reads it whole, the base's readers need its interior and
+   its old shell.  Both nodes carry the same [Ir.loan] record until the
+   loan ends:
+
+   - the borrower dies first: its shell is restored, and the buffer is
+     the base's again ([drop]);
+   - the base dies first: the borrower inherits the buffer as is;
+   - a force holds the base while the loan is live ([hold_lent]): if no
+     pending force holds the borrower, the borrower moves to a private
+     copy and the shell is restored; else the holding force reads a
+     private restored copy of its own and the loan stays live;
+   - a force that held the base before it was lent reads the shared
+     buffer as the base, so before its parts run — or when it holds
+     the borrower too — the borrower moves to a private copy and the
+     shell is restored ([settle_loans], [hold_lent]).  No pending force
+     can hold the borrower then: the borrower was produced, and could
+     only have been held, by that force's descendants, which have
+     finished;
+   - a force from outside the executor ([force]) finds no force
+     pending: the borrower moves, or, when it escaped, the base does.
+
+   While a loan is live, neither node's buffer is a reuse or steal
+   target, and plan keys never alias the two nodes' buffers into one
+   binding.  Every copy a loan costs is counted in
+   [border.copied{reason}]: [escaped] or [lent] when [produce] cannot
+   lend (the base escaped, or already takes part in a loan), [pinned]
+   for a holding force's private copy, [base_held] when a held base
+   ends the loan. *)
+
+type copy_reason = Escaped | Pinned | Lent | Base_held
+
+let border_lent = Mg_obs.Scope.counter_family "border.lent"
+
+let border_copied =
+  List.map
+    (fun (r, name) ->
+      (r, Mg_obs.Scope.counter_family ~labels:[ ("reason", name) ] "border.copied"))
+    [ (Escaped, "escaped"); (Pinned, "pinned"); (Lent, "lent"); (Base_held, "base_held") ]
+
+let note_copied st r = Mg_obs.Metrics.incr (Mg_obs.Scope.shard st.shards (List.assoc r border_copied))
+
+let end_loan ~pooling (l : Ir.loan) =
+  Ir.set_loan l.Ir.lbase None;
+  Ir.set_loan l.Ir.lborrower None;
+  Mempool.recycle ~pooling l.Ir.lshell
+
+(* Write the base's shell back into [arr]: the shared buffer, or a copy
+   of it.  The debug tripwire checks that the interior is the one that
+   was lent. *)
+let restore (l : Ir.loan) (arr : Ndarray.t) =
+  Lower.restore_shell arr l.Ir.lshell;
+  if Mempool.get_debug () then begin
+    Mempool.assert_unpooled arr.Ndarray.data ~ctx:"restored ghost shell";
+    if Lower.interior_checksum arr <> l.Ir.lsum then
+      failwith "Exec: a lent base's interior changed during its loan"
+  end
+
+let copy_of ~pooling (a : Ndarray.t) =
+  let c = Mempool.alloc ~pooling (Ndarray.shape a) in
+  Ndarray.blit ~src:a ~dst:c;
+  c
+
+(* End the loan with the borrower on a private copy: the shared buffer
+   reads as the base again.  Legal only while no pending force holds
+   the borrower. *)
+let move_borrower ~pooling (l : Ir.loan) =
+  let b = l.Ir.lborrower in
+  if b.Ir.escaped then invalid_arg "Exec: a border escaped while its lent base was held";
+  Option.iter (fun a -> Ir.set_cache b (copy_of ~pooling a)) b.Ir.cache;
+  restore l l.Ir.lbuf;
+  end_loan ~pooling l
+
+(* End the loan with the base on a private copy, its shell restored:
+   the shared buffer is the borrower's alone.  Legal only while no
+   pending force holds the base's buffer. *)
+let move_base ~pooling (l : Ir.loan) =
+  let c = copy_of ~pooling l.Ir.lbuf in
+  restore l c;
+  Ir.set_cache l.Ir.lbase c;
+  end_loan ~pooling l
+
+let movable (b : Ir.node) = b.Ir.pin = 0 && not b.Ir.escaped
+
+(* A lent base forced from outside any force (a top-level force of the
+   base): no force is pending, so one side can always move. *)
+let reclaim st (l : Ir.loan) =
+  note_copied st Base_held;
+  if movable l.Ir.lborrower then move_borrower ~pooling:st.pooling l
+  else move_base ~pooling:st.pooling l
+
+(* ------------------------------------------------------------------ *)
+(* Pins and holds ([Ir.node.pin]): a force pins each source it
+   materialises, under its own node id, until its compiled parts have
+   run.  Fusion may fold a consumer [c] of source [p] into the forced
+   node's parts (which then read [p]'s buffer directly) while another
+   part materialises [c], whose release consumes [p]'s last edge — so
+   [release_sources] only marks a pinned node (negated pin), and
+   [unpin] performs the recycle it deferred.  A force that raises
+   leaves its pins set: those nodes are never recycled into the pool
+   (the GC frees them with the graph) nor stolen or reused in place,
+   which costs buffers, not correctness.  A fold pins its sources the
+   same way, under an id of its own. *)
+
+type holds = {
+  owner : int;
+  mutable pinned : Ir.node list;  (* nodes this force pinned *)
+  mutable held : (Ir.node * Ndarray.buffer) list;
+      (* every node it materialised, with the buffer it was handed *)
+  mutable temps : Ndarray.t list;  (* private copies it owns *)
+}
+
+let holds owner = { owner; pinned = []; held = []; temps = [] }
+let pinned_elsewhere (m : Ir.node) ~owner = m.Ir.pin <> 0 && abs m.Ir.pin <> owner
+
+(* Pin [m] for [h]'s force, unless an enclosing force already holds it. *)
+let pin h (m : Ir.node) =
+  if m.Ir.pin = 0 then begin
+    Ir.set_pin m h.owner;
+    h.pinned <- m :: h.pinned
+  end
+
+(* Drop [m]'s value: recycle its buffer, or end the loan it takes part
+   in — a dying borrower hands the buffer back to the base with its
+   shell restored, a dying base leaves it to the borrower. *)
+let drop ~pooling (m : Ir.node) =
+  match m.Ir.cache with
+  | None -> ()
+  | Some arr -> (
+      Ir.clear_cache m;
+      match m.Ir.loan with
+      | None -> Mempool.recycle ~pooling arr
+      | Some l ->
+          if l.Ir.lborrower == m then restore l l.Ir.lbuf;
+          end_loan ~pooling l)
+
+let unpin ~pooling h =
+  List.iter
+    (fun (m : Ir.node) ->
+      let deferred = m.Ir.pin < 0 in
+      Ir.set_pin m 0;
+      if deferred then drop ~pooling m)
+    h.pinned;
+  List.iter (Mempool.recycle ~pooling) h.temps
+
+(* [h]'s force holds [m], which takes part in the live loan [l]: settle
+   what the loan owes the force, and return the buffer it reads. *)
+let hold_lent st h (m : Ir.node) (l : Ir.loan) =
+  let pooling = st.pooling in
+  if l.Ir.lbase == m then
+    if movable l.Ir.lborrower then begin
+      note_copied st Base_held;
+      move_borrower ~pooling l;
+      l.Ir.lbuf
+    end
+    else
+      (* One private copy per force: its parts all read the base
+         through it. *)
+      match
+        List.find_opt
+          (fun c -> List.exists (fun (n, b) -> n == m && b == c.Ndarray.data) h.held)
+          h.temps
+      with
+      | Some c -> c
+      | None ->
+          note_copied st Pinned;
+          let c = copy_of ~pooling l.Ir.lbuf in
+          restore l c;
+          h.temps <- c :: h.temps;
+          c
+  else begin
+    (* The borrower, held by a force that reads the shared buffer as
+       the base. *)
+    if List.exists (fun (b, buf) -> b == l.Ir.lbase && buf == l.Ir.lbuf.Ndarray.data) h.held
+    then begin
+      note_copied st Base_held;
+      move_borrower ~pooling l
+    end;
+    Option.get m.Ir.cache
+  end
+
+(* Before a force's parts run: a base it held before the base was lent
+   must read as the base again. *)
+let settle_loans st h =
+  List.iter
+    (fun ((m : Ir.node), buf) ->
+      match m.Ir.loan with
+      | Some l when l.Ir.lbase == m && l.Ir.lbuf.Ndarray.data == buf ->
+          note_copied st Base_held;
+          move_borrower ~pooling:st.pooling l
+      | _ -> ())
+    h.held
+
+(* ------------------------------------------------------------------ *)
 (* Reference counting: consume one edge from [n] to each of its
    sources; recycle producer caches whose last consumer this was.      *)
 
@@ -71,19 +272,16 @@ let rec release_sources ~pooling (n : Ir.node) =
           (* Its pinning force's parts still read the buffer: leave the
              recycle to [unpin]. *)
           Ir.set_pin p (-abs p.Ir.pin)
-      | Ir.Node p when p.Ir.refs <= 0 && not p.Ir.escaped -> (
-          match p.Ir.cache with
-          | Some arr ->
-              Ir.clear_cache p;
-              Mempool.recycle ~pooling arr
-          | None ->
-              (* Dead without ever executing: fusion substituted every
-                 read of [p] into its consumers, so no execution will
-                 ever consume [p]'s own source edges.  Release them now
-                 or the producers [p] reads (fusion-materialised arrays
-                 in particular) stay pinned — and pooled buffers leak —
-                 for the life of the graph. *)
-              release_sources ~pooling p)
+      | Ir.Node p when p.Ir.refs <= 0 && not p.Ir.escaped ->
+          if p.Ir.cache <> None then drop ~pooling p
+          else
+            (* Dead without ever executing: fusion substituted every
+               read of [p] into its consumers, so no execution will
+               ever consume [p]'s own source edges.  Release them now
+               or the producers [p] reads (fusion-materialised arrays
+               in particular) stay pinned — and pooled buffers leak —
+               for the life of the graph. *)
+            release_sources ~pooling p
       | Ir.Node _ | Ir.Arr _ -> ()
     in
     let parts =
@@ -95,40 +293,6 @@ let rec release_sources ~pooling (n : Ir.node) =
     in
     List.iter (fun (p : Ir.part) -> List.iter consume (Ir.expr_sources p.Ir.body)) parts
   end
-
-(* ------------------------------------------------------------------ *)
-(* Pins ([Ir.node.pin]): a force pins each source it materialises,
-   under its own node id, until its compiled parts have run.  Fusion
-   may fold a consumer [c] of source [p] into the forced node's parts
-   (which then read [p]'s buffer directly) while another part
-   materialises [c], whose release consumes [p]'s last edge — so
-   [release_sources] only marks a pinned node (negated pin), and
-   [unpin] performs the recycle it deferred.  A force that raises
-   leaves its pins set: those nodes are never recycled into the pool
-   (the GC frees them with the graph) nor stolen or reused in place,
-   which costs buffers, not correctness. *)
-
-let pinned_elsewhere (m : Ir.node) ~owner = m.Ir.pin <> 0 && abs m.Ir.pin <> owner
-
-(* Pin [m] for [owner], unless an enclosing force already holds it. *)
-let pin ~owner pinned (m : Ir.node) =
-  if m.Ir.pin = 0 then begin
-    Ir.set_pin m owner;
-    pinned := m :: !pinned
-  end
-
-let unpin ~pooling (pinned : Ir.node list) =
-  List.iter
-    (fun (m : Ir.node) ->
-      let deferred = m.Ir.pin < 0 in
-      Ir.set_pin m 0;
-      if deferred then
-        match m.Ir.cache with
-        | Some arr ->
-            Ir.clear_cache m;
-            Mempool.recycle ~pooling arr
-        | None -> ())
-    pinned
 
 (* ------------------------------------------------------------------ *)
 (* Buffer reuse: a dying operand whose buffer the output may alias.
@@ -175,6 +339,7 @@ let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
             match p.Ir.cache with
             | Some arr
               when (not p.Ir.escaped)
+                   && p.Ir.loan = None
                    && (not (pinned_elsewhere p ~owner:n.Ir.nid))
                    && arr.Ndarray.shape = shape
                    && p.Ir.refs = edges_of p
@@ -261,20 +426,56 @@ let kernels_of (parts : Plan.compiled list) =
 (* ------------------------------------------------------------------ *)
 (* Output buffers                                                      *)
 
-(* The output buffer of a force, hit or miss.  [hold] materialises a
-   base source; every base the mode names is already held, so it only
-   reads the pinned buffer.
+(* Lend [b]'s buffer [arr] to its border [n]: save the shell, then
+   share.  Under debug, the interior's checksum is kept for the
+   restore's check, and the buffer must not sit in a free slot. *)
+let lend st (n : Ir.node) (b : Ir.node) arr =
+  let shell = Mempool.alloc ~pooling:st.pooling [| Lower.shell_size (Ndarray.shape arr) |] in
+  Lower.save_shell arr shell;
+  let lsum =
+    if Mempool.get_debug () then begin
+      Mempool.assert_unpooled arr.Ndarray.data ~ctx:"lent base";
+      Lower.interior_checksum arr
+    end
+    else 0
+  in
+  let l =
+    { Ir.lbase = b;
+      lborrower = n;
+      lbuf = arr;
+      lshell = shell;
+      lsum;
+    }
+  in
+  Ir.set_loan b (Some l);
+  Ir.set_loan n (Some l);
+  Mg_obs.Metrics.incr (Mg_obs.Scope.shard st.shards border_lent);
+  arr
+
+(* The output buffer of [n]'s force, hit or miss.  [hold] materialises
+   a base source; every base the mode names is already held, so it only
+   reads the held buffer.
 
    The cache key records a cached operand's shape and strides, not its
    liveness, so a reuse replays only when this graph's operand is still
    a dying unescaped node with exactly the edges the decision assumed;
    otherwise the force writes a fresh buffer (reuse is a pure
    optimisation: results are bitwise identical).  A steal needs no such
-   check: the key records that its base is unmaterialised and that all
+   check — the key records that its base is unmaterialised and that all
    of the base's reference-count edges are this node's, so no other
-   force has materialised, let alone pinned, it. *)
-let produce st ~owner ~hold shape parts (mode : Ir.source Plan.out_mode) =
-  let fresh () = Mempool.alloc ~pooling:st.pooling shape in
+   force has materialised, let alone pinned, it — unless the base
+   itself borrowed its buffer.  A loan is re-checked on every force: a
+   base that escaped or already takes part in a loan is copied instead
+   (the border's plan has no complement parts, so a copy of the whole
+   base is what it needs). *)
+let produce st (n : Ir.node) ~hold parts (mode : Ir.source Plan.out_mode) =
+  let fresh () = Mempool.alloc ~pooling:st.pooling n.Ir.nshape in
+  let copy reason src =
+    note_copied st reason;
+    let out = fresh () in
+    Ndarray.blit ~src ~dst:out;
+    out
+  in
   match mode with
   | Plan.OFresh -> fresh ()
   | Plan.OFill d ->
@@ -289,9 +490,19 @@ let produce st ~owner ~hold shape parts (mode : Ir.source Plan.out_mode) =
       let out = fresh () in
       Lower.copy_complement (hold src) out lb ub;
       out
-  | Plan.OSteal src -> hold src
+  | Plan.OSteal src -> (
+      let arr = hold src in
+      match src with Ir.Node b when b.Ir.loan <> None -> copy Lent arr | _ -> arr)
+  | Plan.OLend src -> (
+      let arr = hold src in
+      match src with
+      | Ir.Node b when b.Ir.escaped -> copy Escaped arr
+      | Ir.Node b when b.Ir.loan = None -> lend st n b arr
+      | Ir.Node _ -> copy Lent arr
+      | Ir.Arr _ -> copy Escaped arr)
   | Plan.OReuse { slot = Ir.Node b as src; edges }
-    when (not b.Ir.escaped) && b.Ir.refs = edges && not (pinned_elsewhere b ~owner) ->
+    when (not b.Ir.escaped) && b.Ir.refs = edges && b.Ir.loan = None
+         && not (pinned_elsewhere b ~owner:n.Ir.nid) ->
       let arr = hold src in
       if Mempool.get_debug () then begin
         Mempool.assert_unpooled arr.Ndarray.data ~ctx:"reuse output";
@@ -303,7 +514,7 @@ let produce st ~owner ~hold shape parts (mode : Ir.source Plan.out_mode) =
   | Plan.OReuse _ -> fresh ()
 
 (* The source whose buffer [out] took over (stolen base or reused
-   operand), if any. *)
+   operand), if any.  A lent base keeps its buffer. *)
 let taken_over (mode : Ir.source Plan.out_mode) out =
   match mode with
   | Plan.OSteal (Ir.Node b) | Plan.OReuse { slot = Ir.Node b; _ } -> (
@@ -316,7 +527,21 @@ let mode_name : _ Plan.out_mode -> string = function
   | Plan.OBlit _ -> "blit"
   | Plan.OComplement _ -> "complement"
   | Plan.OSteal _ -> "steal"
+  | Plan.OLend _ -> "lend"
   | Plan.OReuse _ -> "reuse"
+
+(* Whether every part writes only the ghost shell of [shape]: each
+   generator is a one-thick slab at index 0 or n-1 on some axis. *)
+let shell_parts shape (parts : Ir.part list) =
+  List.for_all
+    (fun (p : Ir.part) ->
+      let g = p.Ir.gen in
+      let slab j =
+        g.Generator.ub.(j) - g.Generator.lb.(j) = 1
+        && (g.Generator.lb.(j) = 0 || g.Generator.lb.(j) = shape.(j) - 1)
+      in
+      List.exists slab (List.init (Shape.rank shape) Fun.id))
+    parts
 
 (* ------------------------------------------------------------------ *)
 (* Forcing
@@ -337,32 +562,42 @@ type origin =
       compile_cost : float;
     }
 
+(* A force from outside the executor: a lent base must read as itself. *)
 let rec force st (n : Ir.node) : Ndarray.t =
+  (match n.Ir.loan with
+  | Some l when l.Ir.lbase == n && n.Ir.cache <> None -> reclaim st l
+  | _ -> ());
+  compute st n
+
+and compute st (n : Ir.node) =
   match n.Ir.cache with
   | Some a -> a
   | None -> (
       let key = Plan_cache.key_of_graph ~env:(env_of st) ~fold:st.fusion.Fusion.fold n in
       let w = watch st in
-      let pinned = ref [] in
-      (* Materialise a source of [n] and pin it until [n]'s parts have
-         run. *)
-      let hold = function
-        | Ir.Arr a -> a
-        | Ir.Node m ->
-            let arr = force st m in
-            pin ~owner:n.Ir.nid pinned m;
-            arr
-      in
+      let h = holds n.Ir.nid in
+      let hold = hold st h in
       match Option.map (fun (k, bindings) -> (Plan_cache.find st.cache k, bindings)) key with
-      | Some (Some (Plan.Cached p), bindings) -> replay st w n ~hold pinned p bindings
-      | Some (None, _) -> compile st w n ~hold pinned key
+      | Some (Some (Plan.Cached p), bindings) -> replay st w n ~hold h p bindings
+      | Some (None, _) -> compile st w n ~hold h key
       | Some (Some Plan.Uncacheable, _) | None ->
           Plan_cache.note_uncacheable st.shards;
-          compile st w n ~hold pinned None)
+          compile st w n ~hold h None)
+
+(* Materialise a source for [h]'s force and pin it until the force's
+   parts have run. *)
+and hold st h = function
+  | Ir.Arr a -> a
+  | Ir.Node m ->
+      let arr = compute st m in
+      let arr = match m.Ir.loan with None -> arr | Some l -> hold_lent st h m l in
+      pin h m;
+      h.held <- (m, arr.Ndarray.data) :: h.held;
+      arr
 
 (* A hit: hold the plan's slots in the order the compiling force
    materialised them, then rebind the stored parts to those buffers. *)
-and replay st w n ~hold pinned (p : Plan.cplan) bindings =
+and replay st w n ~hold h (p : Plan.cplan) bindings =
   Array.iter (fun i -> ignore (hold bindings.(i))) p.Plan.corder;
   let parts =
     Array.fold_right
@@ -371,12 +606,12 @@ and replay st w n ~hold pinned (p : Plan.cplan) bindings =
         :: acc)
       p.Plan.cparts []
   in
-  finish st w n ~hold pinned parts ~elements:p.Plan.celements
+  finish st w n ~hold h parts ~elements:p.Plan.celements
     (Plan.map_mode (Array.get bindings) p.Plan.cmode)
     (Hit p)
 
 (* A miss, or an uncacheable graph: the full pipeline. *)
-and compile st w (n : Ir.node) ~hold pinned record =
+and compile st w (n : Ir.node) ~hold h record =
   let shape = n.Ir.nshape in
   (* Every node this force materialises, with the buffer it had then,
      newest first: the plan's slots resolve through these buffers, and
@@ -391,10 +626,13 @@ and compile st w (n : Ir.node) ~hold pinned record =
      of the array library, whose parts provably read outside their
      write sets) whose base node has no consumer other than this
      node steals the base's freshly computed buffer instead of
-     copying it — SAC's reference-count-driven reuse. *)
-  let stolen =
+     copying it — SAC's reference-count-driven reuse.  When the base
+     has other readers and the parts write only its ghost shell, the
+     node borrows the buffer instead: the base is materialised, as
+     the copy path's fusion would materialise it, and lends. *)
+  let stolen, lent =
     match n.Ir.spec with
-    | Ir.Modarray { base = Ir.Node b; parts } when n.Ir.barrier && b.Ir.cache = None ->
+    | Ir.Modarray { base = Ir.Node b; parts } when n.Ir.barrier ->
         let base_readers =
           List.length
             (List.filter
@@ -404,22 +642,29 @@ and compile st w (n : Ir.node) ~hold pinned record =
                    (Ir.expr_sources p.Ir.body))
                parts)
         in
-        if b.Ir.refs = 1 + base_readers then begin
+        if b.Ir.cache = None && b.Ir.refs = 1 + base_readers then begin
           ignore (hold_node b);
-          Some b
+          (Some b, None)
         end
-        else None
-    | _ -> None
+        else if
+          shell_parts shape parts && (b.Ir.cache <> None || not (Fusion.wants_fold st.fusion b))
+        then begin
+          ignore (hold_node b);
+          (None, Some b)
+        end
+        else (None, None)
+    | _ -> (None, None)
   in
   (* Lower modarray to a fully-covering genarray when all parts are
      dense boxes: the complement reads the base element-wise, which
-     the optimiser can fold instead of copying.  A stolen base needs
-     no complement parts at all — its values are already in place. *)
+     the optimiser can fold instead of copying.  A stolen or lent base
+     needs no complement parts at all — its values are already in
+     place. *)
   let raw_parts, base_src, default =
     match n.Ir.spec with
     | Ir.Genarray { default; parts } -> (parts, None, default)
     | Ir.Modarray { base; parts } ->
-        if stolen <> None then (parts, None, 0.0)
+        if stolen <> None || lent <> None then (parts, None, 0.0)
         else if List.for_all (fun (p : Ir.part) -> Generator.is_dense p.Ir.gen) parts then
           (parts @ Lower.complement_parts shape base parts, None, 0.0)
         else (parts, Some base, 0.0)
@@ -457,30 +702,33 @@ and compile st w (n : Ir.node) ~hold pinned record =
   let compile_cost = Clock.now () -. cstart -. !held in
   let elements = List.fold_left (fun acc c -> acc + Plan.compiled_card c) 0 compiled in
   let mode =
-    match (stolen, base_src, compiled) with
-    | Some b, _, _ -> Plan.OSteal (Ir.Node b)
-    | None, None, _ when elements >= Shape.num_elements shape -> (
+    match (stolen, lent, base_src, compiled) with
+    | Some b, _, _, _ -> Plan.OSteal (Ir.Node b)
+    | None, Some b, _, _ -> Plan.OLend (Ir.Node b)
+    | None, None, None, _ when elements >= Shape.num_elements shape -> (
         match if st.reuse then reuse_candidate n shape compiled else None with
         | Some p -> Plan.OReuse { slot = Ir.Node p; edges = p.Ir.refs }
         | None -> Plan.OFresh)
-    | None, None, _ -> Plan.OFill default
-    | None, Some src, [ c ] when Generator.is_dense (Plan.compiled_gen c) ->
+    | None, None, None, _ -> Plan.OFill default
+    | None, None, Some src, [ c ] when Generator.is_dense (Plan.compiled_gen c) ->
         (* Non-lowered modarray with one dense part: only the
            complement of the part needs the base. *)
         let g = Plan.compiled_gen c in
         Plan.OComplement (src, Array.copy g.Generator.lb, Array.copy g.Generator.ub)
-    | None, Some src, _ -> Plan.OBlit src
+    | None, None, Some src, _ -> Plan.OBlit src
   in
-  finish st w n ~hold pinned compiled ~elements mode
+  finish st w n ~hold h compiled ~elements mode
     (Compiled { record; recorded = List.rev !recorded; compile_cost })
 
 (* Shared by hits and misses: produce the output, run the parts, store
    a compiled plan, then let the in-place source, the pins and the
    source edges go. *)
-and finish st w (n : Ir.node) ~hold pinned parts ~elements mode origin =
+and finish st w (n : Ir.node) ~hold h parts ~elements mode origin =
   let shape = n.Ir.nshape in
-  let out = produce st ~owner:n.Ir.nid ~hold shape parts mode in
+  settle_loans st h;
+  let out = produce st n ~hold parts mode in
   let inplace = taken_over mode out in
+  let lent = match n.Ir.loan with Some l -> l.Ir.lborrower == n | None -> false in
   exec_parts st out parts;
   Ir.set_cache n out;
   (* Store the plan before the pins drop: [unpin] and
@@ -505,17 +753,21 @@ and finish st w (n : Ir.node) ~hold pinned parts ~elements mode origin =
   (* Only now may the in-place source forget its (overwritten) buffer,
      which is live as [n]'s value. *)
   Option.iter Ir.clear_cache inplace;
-  unpin ~pooling:st.pooling !pinned;
+  unpin ~pooling:st.pooling h;
   release_sources ~pooling:st.pooling n;
   unwatch w ~name:"wl:force"
     ~tag:(match n.Ir.spec with Ir.Genarray _ -> "wl:genarray" | Ir.Modarray _ -> "wl:modarray")
     ~elements
     ~extent:(if Shape.rank shape > 0 then shape.(0) else 0)
-    ~bytes_alloc:(if Option.is_none inplace then 8 * Shape.num_elements shape else 0)
+    ~bytes_alloc:(if Option.is_none inplace && not lent then 8 * Shape.num_elements shape else 0)
     (fun () ->
       [ ("cache", outcome);
         ("kernel", kernels_of parts);
-        ("out", match (mode, inplace) with Plan.OReuse _, None -> "fresh" | _ -> mode_name mode);
+        ( "out",
+          match (mode, inplace) with
+          | Plan.OReuse _, None -> "fresh"
+          | (Plan.OSteal _ | Plan.OLend _), None when not lent -> "blit"
+          | _ -> mode_name mode );
       ]);
   out
 
@@ -529,12 +781,16 @@ let apply_op = function
   | Fmin -> Float.min
   | Fcustom f -> f
 
+(* A fold holds and pins the nodes it materialises like a force, until
+   its body has been evaluated. *)
 let eval_fold st ~op ~neutral gen body =
   let w = watch st in
+  let h = holds (Ir.next_id ()) in
   let parts =
     span_scoped st ~name:"wl:fusion" (fun () ->
-        Fusion.optimize st.fusion ~force:(force st) gen body)
+        Fusion.optimize st.fusion ~force:(fun m -> hold st h (Ir.Node m)) gen body)
   in
+  settle_loans st h;
   let f = apply_op op in
   let interp acc (p : Ir.part) body =
     let cf = Lower.closure_of body in
@@ -560,6 +816,7 @@ let eval_fold st ~op ~neutral gen body =
             !acc)
       neutral parts
   in
+  unpin ~pooling:st.pooling h;
   let counts = Generator.counts gen in
   unwatch w ~name:"wl:fold" ~tag:"wl:fold" ~elements:(Generator.cardinal gen)
     ~extent:(if Array.length counts = 0 then 0 else counts.(0))

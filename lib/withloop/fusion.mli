@@ -49,6 +49,10 @@ val optimize :
     @raise Invalid_argument if a read's index image escapes the
     producer's shape (an out-of-bounds program). *)
 
+val wants_fold : config -> Ir.node -> bool
+(** Whether {!optimize} folds a read of this node into its consumer
+    rather than materialising it. *)
+
 val subst_index : Ixmap.t -> Ir.expr -> Ir.expr
 (** [subst_index m body] is [body] with the implicit index vector
     substituted by [m]: every read map is composed with [m] and opaque

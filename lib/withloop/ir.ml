@@ -24,6 +24,15 @@ and node = {
   mutable released : bool;
   mutable pin : int;
   mutable cache : Ndarray.t option;
+  mutable loan : loan option;
+}
+
+and loan = {
+  lbase : node;
+  lborrower : node;
+  lbuf : Ndarray.t;
+  lshell : Ndarray.t;
+  lsum : int;
 }
 
 and spec =
@@ -90,6 +99,7 @@ let clear_cache n = n.cache <- None
 let mark_escaped n = n.escaped <- true
 let mark_released n = n.released <- true
 let set_pin n owner = n.pin <- owner
+let set_loan n l = n.loan <- l
 
 let validate_part shp { gen; body = _ } =
   if Generator.rank gen <> Shape.rank shp then
@@ -117,6 +127,7 @@ let genarray ?(barrier = false) ?(default = 0.0) shp parts =
     released = false;
     pin = 0;
     cache = None;
+    loan = None;
   }
 
 let modarray ?(barrier = false) base parts =
@@ -133,6 +144,7 @@ let modarray ?(barrier = false) base parts =
     released = false;
     pin = 0;
     cache = None;
+    loan = None;
   }
 
 let rec pp_expr ppf = function

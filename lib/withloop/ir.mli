@@ -60,6 +60,20 @@ and node = private {
           or reused in place by any other force.  Not a reference
           count: fusion and plan keys never read it. *)
   mutable cache : Ndarray.t option;
+  mutable loan : loan option;
+      (** The ghost-shell loan this node takes part in, as base or as
+          borrower (the same record on both nodes), while it is live. *)
+}
+
+(** A ghost-shell loan ({!Exec}): a barrier border node whose base has
+    other readers shares the base's buffer and writes its border parts
+    into the base's ghost shell, which was saved first. *)
+and loan = {
+  lbase : node;  (** Owns the shared buffer once the loan ends. *)
+  lborrower : node;
+  lbuf : Ndarray.t;  (** The shared buffer. *)
+  lshell : Ndarray.t;  (** The base's ghost shell, saved when lent. *)
+  lsum : int;  (** Checksum of the base's interior under debug, else [0]. *)
 }
 
 and spec =
@@ -117,11 +131,17 @@ val mark_released : node -> unit
 val set_pin : node -> int -> unit
 (** Set {!node.pin} ([0] drops the pin). *)
 
+val set_loan : node -> loan option -> unit
+
 val validate_part : Shape.t -> part -> unit
 (** @raise Invalid_argument if the generator escapes the shape. *)
 
 val reset_ids : unit -> unit
 (** Reset the id counter (test determinism only). *)
+
+val next_id : unit -> int
+(** A fresh id from the node counter (the executor's folds pin their
+    sources under one). *)
 
 val pp_expr : Format.formatter -> expr -> unit
 val pp_node : Format.formatter -> node -> unit

@@ -142,6 +142,61 @@ let sorted_copy a =
 let is_single_read (cl : ccluster) =
   Array.length cl.xcoeffs = 1 && Array.length cl.xdeltas.(0) = 1
 
+(* The per-cluster class test: a cluster is a box stencil when each of
+   its groups is one distance class of a 3-D box around a common
+   centre, each class at most once.  Returns the centre's offset from
+   the cluster's first read and the coefficient per class (0.0 for an
+   absent class).  Neighbour deltas are expressed in the source's own
+   strides, independent of how fast the loop walks the source. *)
+let box_classes (cl : ccluster) =
+  let sp = cl.xstrides.(0) and sr = cl.xstrides.(1) in
+  if cl.xstrides.(2) <> 1 || cl.xsteps.(2) < 1 || sr < 3 || sp < sr * 3 then None
+  else begin
+    (* Cluster deltas are relative to the first read; a box stencil is
+       symmetric, so its centre is the midpoint of the delta range. *)
+    let dmin = ref max_int and dmax = ref min_int in
+    Array.iter
+      (Array.iter (fun d ->
+           if d < !dmin then dmin := d;
+           if d > !dmax then dmax := d))
+      cl.xdeltas;
+    let centre = (!dmin + !dmax) asr 1 in
+    let coeffs = [| 0.0; 0.0; 0.0; 0.0 |] in
+    let all_match =
+      Array.for_all2
+        (fun coeff deltas ->
+          let sorted = sorted_copy (Array.map (fun d -> d - centre) deltas) in
+          let rec try_class cls =
+            if cls > 3 then false
+            else if
+              coeffs.(cls) = 0.0 && sorted = sorted_copy (Array.of_list (class_deltas ~sp ~sr cls))
+            then begin
+              coeffs.(cls) <- coeff;
+              true
+            end
+            else try_class (cls + 1)
+          in
+          try_class 0)
+        cl.xcoeffs cl.xdeltas
+    in
+    if all_match then Some (centre, coeffs) else None
+  end
+
+let stencil_payload (cl : ccluster) (centre, coeffs) extras =
+  { sbuf = cl.xbuf;
+    sbase = cl.xbase + centre;
+    s_sp = cl.xstrides.(0);
+    s_sr = cl.xstrides.(1);
+    s_st0 = cl.xsteps.(0);
+    s_st1 = cl.xsteps.(1);
+    s_st2 = cl.xsteps.(2);
+    c0 = coeffs.(0);
+    c1 = coeffs.(1);
+    c2 = coeffs.(2);
+    c3 = coeffs.(3);
+    extras;
+  }
+
 (* Recognise a box stencil on rank-3 dense axes.  The stencil cluster's
    steps must be the source strides themselves (unit-scale reads). *)
 let recognize_stencil3 (clusters : ccluster array) ~(osteps : int array) =
@@ -157,58 +212,56 @@ let recognize_stencil3 (clusters : ccluster array) ~(osteps : int array) =
     match (!ok, !stencil_cl) with
     | false, _ | _, None -> None
     | true, Some cl ->
-        (* Neighbour deltas are expressed in the source's own strides,
-           independent of how fast the loop walks the source. *)
-        let sp = cl.xstrides.(0) and sr = cl.xstrides.(1) in
-        if cl.xstrides.(2) <> 1 || cl.xsteps.(2) < 1 || sr < 3 || sp < sr * 3 then None
-        else begin
-          (* Cluster deltas are relative to the first read; a box
-             stencil is symmetric, so its centre is the midpoint of the
-             delta range. *)
-          let dmin = ref max_int and dmax = ref min_int in
-          Array.iter
-            (Array.iter (fun d ->
-                 if d < !dmin then dmin := d;
-                 if d > !dmax then dmax := d))
-            cl.xdeltas;
-          let centre = (!dmin + !dmax) asr 1 in
-          let coeffs = [| 0.0; 0.0; 0.0; 0.0 |] in
-          let all_match =
-            Array.for_all2
-              (fun coeff deltas ->
-                let sorted = sorted_copy (Array.map (fun d -> d - centre) deltas) in
-                let rec try_class cls =
-                  if cls > 3 then false
-                  else if
-                    coeffs.(cls) = 0.0
-                    && sorted = sorted_copy (Array.of_list (class_deltas ~sp ~sr cls))
-                  then begin
-                    coeffs.(cls) <- coeff;
-                    true
-                  end
-                  else try_class (cls + 1)
-                in
-                try_class 0)
-              cl.xcoeffs cl.xdeltas
-          in
-          if not all_match then None
-          else
-            Some
-              { sbuf = cl.xbuf;
-                sbase = cl.xbase + centre;
-                s_sp = sp;
-                s_sr = sr;
-                s_st0 = cl.xsteps.(0);
-                s_st1 = cl.xsteps.(1);
-                s_st2 = cl.xsteps.(2);
-                c0 = coeffs.(0);
-                c1 = coeffs.(1);
-                c2 = coeffs.(2);
-                c3 = coeffs.(3);
-                extras = Array.of_list (List.rev !extras);
-              }
-        end
+        Option.map
+          (fun classes -> stencil_payload cl classes (Array.of_list (List.rev !extras)))
+          (box_classes cl)
   end
+
+(* A class's neighbour deltas in the order a box enumerates its
+   offsets, outer axis first — the order [Stencil.body] writes them. *)
+let lex_deltas ~sp ~sr cls =
+  List.concat_map
+    (fun a ->
+      List.concat_map
+        (fun b ->
+          List.filter_map
+            (fun c ->
+              if abs a + abs b + abs c = cls then Some ((a * sp) + (b * sr) + c) else None)
+            [ -1; 0; 1 ])
+        [ -1; 0; 1 ])
+    [ -1; 0; 1 ]
+
+(* The box stencil of a cluster whose groups are its distance classes
+   in decreasing order, each with its deltas in box order and a
+   non-zero coefficient: the shape in which [Stencil.body] writes
+   every NAS-MG operator.  Its payload has no extras. *)
+let lex_stencil (cl : ccluster) =
+  match box_classes cl with
+  | None -> None
+  | Some ((centre, _) as box) ->
+      let sp = cl.xstrides.(0) and sr = cl.xstrides.(1) in
+      let cls_of ds = match Array.length ds with 1 -> 0 | 6 -> 1 | 12 -> 2 | _ -> 3 in
+      let classes = Array.map cls_of cl.xdeltas in
+      let ordered = ref true in
+      Array.iteri
+        (fun g ds ->
+          if
+            (g > 0 && classes.(g) >= classes.(g - 1))
+            || cl.xcoeffs.(g) = 0.0
+            || Array.to_list (Array.map (fun d -> d - centre) ds) <> lex_deltas ~sp ~sr classes.(g)
+          then ordered := false)
+        cl.xdeltas;
+      if !ordered then Some (stencil_payload cl box [||]) else None
+
+(* Recognise a body of exactly two box-stencil clusters, each in the
+   shape [lex_stencil] accepts on its own strides and walk steps: the
+   fused restriction + residual of a coarse level, whose restriction
+   walks the fine grid at step 2 and whose residual operator walks the
+   coarse grid at step 1.  Any other two-stencil body (another group
+   order, extras) stays on the tier ladder. *)
+let recognize_stencil2 (clusters : ccluster array) ~(osteps : int array) =
+  if Array.length osteps <> 3 || Array.exists is_single_read clusters then None
+  else match Array.map lex_stencil clusters with [| Some x; Some y |] -> Some (x, y) | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Code generation for the fixed nests.  Their element loops must
@@ -417,6 +470,65 @@ let run_stencil3 ~const (st : stencil3) (out : Ndarray.buffer) ~obase ~osteps
       row st const out ~obase ~osteps counts.(2) k0 k1
     done
   done
+
+(* ------------------------------------------------------------------ *)
+(* Two box stencils in box order ([recognize_stencil2]).  The element
+   loop replays the generic nest's sequence exactly — [const], then each
+   cluster in array order, each of its groups in group order as
+   [acc +. c *. (0.0 +. d0 +. d1 …)] with the deltas in their stored
+   order — so the body's results are the ones the cfun, native and
+   generic tiers compute for it.  What it drops is their per-group
+   machinery: each class sum spells out the box order with the
+   neighbour offsets let-bound, like the one-stencil rows, and the row
+   runs once instead of once per (cluster, group) pass.  A class is
+   present exactly when its coefficient is non-zero. *)
+
+let[@inline] lex_faces b ~sp ~sr p =
+  0.0 +. get b (p - sp) +. get b (p - sr) +. get b (p - 1) +. get b (p + 1) +. get b (p + sr)
+  +. get b (p + sp)
+
+let[@inline] lex_edges b ~sp ~sr p =
+  0.0 +. get b (p - sp - sr) +. get b (p - sp - 1) +. get b (p - sp + 1) +. get b (p - sp + sr)
+  +. get b (p - sr - 1) +. get b (p - sr + 1) +. get b (p + sr - 1) +. get b (p + sr + 1)
+  +. get b (p + sp - sr) +. get b (p + sp - 1) +. get b (p + sp + 1) +. get b (p + sp + sr)
+
+let[@inline] lex_corners b ~sp ~sr p =
+  0.0 +. get b (p - sp - sr - 1) +. get b (p - sp - sr + 1) +. get b (p - sp + sr - 1)
+  +. get b (p - sp + sr + 1) +. get b (p + sp - sr - 1) +. get b (p + sp - sr + 1)
+  +. get b (p + sp + sr - 1) +. get b (p + sp + sr + 1)
+
+let[@inline never] st2_lex_row (x : stencil3) (y : stencil3) const out ~obase ~osteps n k0 k1 =
+  let const = unboxed const in
+  let bx = x.sbuf and spx = x.s_sp and srx = x.s_sr and sx = x.s_st2 in
+  let by = y.sbuf and spy = y.s_sp and sry = y.s_sr and sy = y.s_st2 in
+  let x0 = unboxed x.c0 and x1 = unboxed x.c1 and x2 = unboxed x.c2 and x3 = unboxed x.c3 in
+  let y0 = unboxed y.c0 and y1 = unboxed y.c1 and y2 = unboxed y.c2 and y3 = unboxed y.c3 in
+  let hx0 = x0 <> 0.0 and hx1 = x1 <> 0.0 and hx2 = x2 <> 0.0 and hx3 = x3 <> 0.0 in
+  let hy0 = y0 <> 0.0 and hy1 = y1 <> 0.0 and hy2 = y2 <> 0.0 and hy3 = y3 <> 0.0 in
+  let px = src_row x k0 k1 and py = src_row y k0 k1 and ob = out_row ~obase osteps k0 k1 in
+  let os = osteps.(2) in
+  for k = 0 to n - 1 do
+    let p = px + (k * sx) and q = py + (k * sy) in
+    let acc = ref const in
+    if hx3 then acc := !acc +. (x3 *. lex_corners bx ~sp:spx ~sr:srx p);
+    if hx2 then acc := !acc +. (x2 *. lex_edges bx ~sp:spx ~sr:srx p);
+    if hx1 then acc := !acc +. (x1 *. lex_faces bx ~sp:spx ~sr:srx p);
+    if hx0 then acc := !acc +. (x0 *. (0.0 +. get bx p));
+    if hy3 then acc := !acc +. (y3 *. lex_corners by ~sp:spy ~sr:sry q);
+    if hy2 then acc := !acc +. (y2 *. lex_edges by ~sp:spy ~sr:sry q);
+    if hy1 then acc := !acc +. (y1 *. lex_faces by ~sp:spy ~sr:sry q);
+    if hy0 then acc := !acc +. (y0 *. (0.0 +. get by q));
+    set out (ob + (k * os)) !acc
+  done
+
+let run_stencil2_lex ~const x y (out : Ndarray.buffer) ~obase ~osteps ~(counts : int array) =
+  for k0 = 0 to counts.(0) - 1 do
+    for k1 = 0 to counts.(1) - 1 do
+      st2_lex_row x y const out ~obase ~osteps counts.(2) k0 k1
+    done
+  done
+
+let b_st2_lex = branch "stencil2.lex"
 
 (* ------------------------------------------------------------------ *)
 (* Line-buffered variant of the box-stencil kernel — the Fortran
@@ -834,6 +946,7 @@ type k3 =
   | K3copy
   | K3stencil of stencil3 * int * int array
   | K3stencil_lb of stencil3 * int * int array
+  | K3stencil2 of stencil3 * stencil3
   | K3zip
   | K3flat
   | K3cfun of Cfun.t
@@ -844,6 +957,7 @@ let k3_name = function
   | K3copy -> "copy"
   | K3stencil _ -> "stencil"
   | K3stencil_lb _ -> "linebuf"
+  | K3stencil2 _ -> "stencil2"
   | K3zip -> "zip"
   | K3flat -> "flat"
   | K3cfun _ -> "cfun"
@@ -857,26 +971,22 @@ let k3_name = function
    run time, so they need no rebinding at all — and native kernels
    gather buffers and bases from the live clusters at each call
    ([Native.call]), likewise. *)
+let rebind_stencil (clusters : ccluster array) ~koff0 ~koff1 s si eidx =
+  { s with
+    sbuf = clusters.(si).xbuf;
+    sbase = s.sbase + (koff0 * s.s_st0) + (koff1 * s.s_st1);
+    extras = Array.map (fun i -> clusters.(i)) eidx;
+  }
+
 let rebind_k3 (clusters : ccluster array) ~koff0 ~koff1 = function
   | (K3copy | K3zip | K3flat | K3cfun _ | K3native _ | K3generic) as k -> k
-  | K3stencil (s, si, eidx) ->
-      K3stencil
-        ( { s with
-            sbuf = clusters.(si).xbuf;
-            sbase = s.sbase + (koff0 * s.s_st0) + (koff1 * s.s_st1);
-            extras = Array.map (fun i -> clusters.(i)) eidx;
-          },
-          si,
-          eidx )
+  | K3stencil (s, si, eidx) -> K3stencil (rebind_stencil clusters ~koff0 ~koff1 s si eidx, si, eidx)
   | K3stencil_lb (s, si, eidx) ->
-      K3stencil_lb
-        ( { s with
-            sbuf = clusters.(si).xbuf;
-            sbase = s.sbase + (koff0 * s.s_st0) + (koff1 * s.s_st1);
-            extras = Array.map (fun i -> clusters.(i)) eidx;
-          },
-          si,
-          eidx )
+      K3stencil_lb (rebind_stencil clusters ~koff0 ~koff1 s si eidx, si, eidx)
+  | K3stencil2 (x, y) ->
+      K3stencil2
+        ( rebind_stencil clusters ~koff0 ~koff1 x 0 [||],
+          rebind_stencil clusters ~koff0 ~koff1 y 1 [||] )
 
 let flat_reads (cl : ccluster) = Array.fold_left (fun acc ds -> acc + Array.length ds) 0 cl.xdeltas
 
@@ -909,23 +1019,28 @@ let choose_k3 ~line_buffers ~cfun ~native ~const (clusters : ccluster array) ~os
           Metrics.incr (fst (stencil_row s));
           K3stencil (s, !si, eidx)
         end
-    | None when Array.length clusters > 0 && Array.for_all is_single_read clusters ->
-        Metrics.incr (fst (zip_row clusters));
-        K3zip
-    | None when Array.length clusters = 1 && flat_reads clusters.(0) <= 8 ->
-        Metrics.incr (fst (flat_row (flat_reads clusters.(0))));
-        K3flat
-    | None when cfun || native <> None -> (
-        let natively =
-          match native with
-          | Some cache_dir -> Native.compile ~cache_dir ~const clusters ~osteps
-          | None -> None
-        in
-        match natively with
-        | Some nf -> K3native nf
-        | None ->
-            if cfun then K3cfun (Cfun.compile ~const clusters ~osteps) else K3generic)
-    | None -> K3generic
+    | None -> (
+        match recognize_stencil2 clusters ~osteps with
+        | Some (x, y) ->
+            Metrics.incr b_st2_lex;
+            K3stencil2 (x, y)
+        | None when Array.length clusters > 0 && Array.for_all is_single_read clusters ->
+            Metrics.incr (fst (zip_row clusters));
+            K3zip
+        | None when Array.length clusters = 1 && flat_reads clusters.(0) <= 8 ->
+            Metrics.incr (fst (flat_row (flat_reads clusters.(0))));
+            K3flat
+        | None when cfun || native <> None -> (
+            let natively =
+              match native with
+              | Some cache_dir -> Native.compile ~cache_dir ~const clusters ~osteps
+              | None -> None
+            in
+            match natively with
+            | Some nf -> K3native nf
+            | None ->
+                if cfun then K3cfun (Cfun.compile ~const clusters ~osteps) else K3generic)
+        | None -> K3generic)
 
 let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
@@ -936,6 +1051,8 @@ let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~
       run_stencil3 ~const st out ~obase ~osteps ~counts
   | K3stencil_lb (st, _, _) ->
       run_stencil3_linebuf ~const st out ~obase ~osteps ~counts
+  | K3stencil2 (x, y) ->
+      run_stencil2_lex ~const x y out ~obase ~osteps ~counts
   | K3zip ->
       run_zip3 ~const clusters out ~obase ~osteps ~counts
   | K3flat ->
@@ -948,7 +1065,7 @@ let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~
       run_generic3 ~const clusters out ~obase ~osteps ~counts
 
 let path_of = function
-  | K3stencil _ -> p_stencil
+  | K3stencil _ | K3stencil2 _ -> p_stencil
   | K3stencil_lb _ -> p_linebuf
   | K3copy -> p_copy
   | K3generic -> p_generic

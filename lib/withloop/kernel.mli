@@ -2,8 +2,9 @@
 
     A compiled part's clusters are inspected once, when the part is
     compiled, and dispatched to one of the specialised rank-3 nests —
-    box stencil, line-buffered box stencil, element-wise zip,
-    flat-weighted, row copy — or the generic cluster nest.  The choice
+    box stencil, line-buffered box stencil, two box stencils,
+    element-wise zip, flat-weighted, row copy — or the generic cluster
+    nest.  The choice
     is reified as an opaque {!k3} value that the plan cache stores and
     replay rebinds, so recognition never runs twice for the same
     with-loop. *)
@@ -58,7 +59,8 @@ val choose_k3 :
   osteps:int array ->
   k3
 (** Recognise the part's kernel: identity copy, box stencil (line
-    buffered when [line_buffers] and the inner walk is unit), zip of
+    buffered when [line_buffers] and the inner walk is unit), two box
+    stencils in box order (in the generic nest's order), zip of
     single reads, flat-weighted single cluster — and for everything
     else the tier ladder: a {!Native}-compiled shared-object kernel
     when [native] carries the AOT cache directory (degrading through

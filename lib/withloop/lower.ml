@@ -96,6 +96,77 @@ let copy_complement (base : Ndarray.t) (out : Ndarray.t) (lb : Shape.t) (ub : Sh
   done
 
 (* ------------------------------------------------------------------ *)
+(* Ghost shells: the elements with a coordinate at 0 or at extent-1 on
+   some axis.  [rows shape f] calls [f off n edge] for every row along
+   the last axis, in flat order: [off] is the row's first element, [n]
+   its length, and [edge] whether the whole row lies in the shell (it
+   does when another coordinate is on the boundary, or the row has no
+   interior); otherwise only its first and last elements do. *)
+
+let rows shape f =
+  let rank = Shape.rank shape in
+  let total = Shape.num_elements shape in
+  if rank > 0 && total > 0 then begin
+    let n = shape.(rank - 1) in
+    let idx = Array.make (rank - 1) 0 in
+    for row = 0 to (total / n) - 1 do
+      let edge = ref (n <= 2) in
+      for j = 0 to rank - 2 do
+        if idx.(j) = 0 || idx.(j) = shape.(j) - 1 then edge := true
+      done;
+      f (row * n) n !edge;
+      let j = ref (rank - 2) in
+      while
+        !j >= 0
+        &&
+        (idx.(!j) <- idx.(!j) + 1;
+         idx.(!j) = shape.(!j))
+      do
+        idx.(!j) <- 0;
+        decr j
+      done
+    done
+  end
+
+let shell_size shape =
+  Shape.num_elements shape - Array.fold_left (fun acc e -> acc * max 0 (e - 2)) 1 shape
+
+(* Move the shell between [arr] and the packed side buffer [side]:
+   [~save] copies it out, otherwise back in. *)
+let move_shell ~save (arr : Ndarray.t) (side : Ndarray.t) =
+  let a = arr.Ndarray.data and b = side.Ndarray.data and k = ref 0 in
+  let run off len =
+    let d = !k - off in
+    if save then
+      for i = off to off + len - 1 do
+        Bigarray.Array1.unsafe_set b (i + d) (Bigarray.Array1.unsafe_get a i)
+      done
+    else
+      for i = off to off + len - 1 do
+        Bigarray.Array1.unsafe_set a i (Bigarray.Array1.unsafe_get b (i + d))
+      done;
+    k := !k + len
+  in
+  rows (Ndarray.shape arr) (fun off n edge ->
+      if edge then run off n
+      else begin
+        run off 1;
+        run (off + n - 1) 1
+      end)
+
+let save_shell arr side = move_shell ~save:true arr side
+let restore_shell arr side = move_shell ~save:false arr side
+
+let interior_checksum (arr : Ndarray.t) =
+  let h = ref 0 in
+  rows (Ndarray.shape arr) (fun off n edge ->
+      if not edge then
+        for i = off + 1 to off + n - 2 do
+          h := (!h * 1000003) lxor Int64.to_int (Int64.bits_of_float (Ndarray.get_flat arr i))
+        done);
+  !h
+
+(* ------------------------------------------------------------------ *)
 (* Modarray lowering: represent the base pass-through as explicit
    complement parts reading the base, so that the fusion engine can
    fold cheap bases (the SAC view of modarray as a full-partition

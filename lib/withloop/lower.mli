@@ -46,6 +46,28 @@ val subtract_box :
 val complement_boxes : Shape.t -> Ir.part list -> (Shape.t * Shape.t) list
 (** The complement of the parts' generator boxes within [shape]. *)
 
+(** {1 Ghost shells}
+
+    The shell of an array is every element with a coordinate at [0] or
+    at [extent - 1] on some axis: what the periodic-border parts write.
+    A ghost-shell loan ({!Exec}) saves a base's shell into a packed side
+    buffer of {!shell_size} elements before its borrower overwrites it,
+    and restores it when the loan ends. *)
+
+val shell_size : Shape.t -> int
+
+val save_shell : Ndarray.t -> Ndarray.t -> unit
+(** [save_shell arr side] packs [arr]'s shell into [side], in flat
+    order. *)
+
+val restore_shell : Ndarray.t -> Ndarray.t -> unit
+(** [restore_shell arr side] writes a shell packed by {!save_shell}
+    back into [arr]. *)
+
+val interior_checksum : Ndarray.t -> int
+(** A hash of the bits of every element outside the shell (the debug
+    tripwire's check that a loan left the interior alone). *)
+
 val complement_parts : Shape.t -> Ir.source -> Ir.part list -> Ir.part list
 (** Explicit identity-read parts covering {!complement_boxes} — the
     lowered form of a dense modarray's base pass-through. *)

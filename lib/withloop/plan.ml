@@ -77,6 +77,10 @@ type 's out_mode =
   | OComplement of 's * Shape.t * Shape.t
       (** Modarray with one dense part: copy the base outside [lb,ub). *)
   | OSteal of 's  (** Barrier modarray: update the base in place. *)
+  | OLend of 's
+      (** Barrier modarray writing only the ghost shell of a base that
+          has other readers: share the base's buffer, its shell saved
+          first (the executor re-checks that the base can lend). *)
   | OReuse of { slot : 's; edges : int }
       (** Fully covered sweep whose dead operand's buffer is written
           through in place ([edges] = reference-count edges this node
@@ -88,6 +92,7 @@ let map_mode f = function
   | OBlit s -> OBlit (f s)
   | OComplement (s, lb, ub) -> OComplement (f s, lb, ub)
   | OSteal s -> OSteal (f s)
+  | OLend s -> OLend (f s)
   | OReuse { slot; edges } -> OReuse { slot = f slot; edges }
 
 type cplan = {

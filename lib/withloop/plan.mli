@@ -58,6 +58,12 @@ type 's out_mode =
   | OComplement of 's * Shape.t * Shape.t
       (** Modarray with one dense part: copy the base outside [lb,ub). *)
   | OSteal of 's  (** Barrier modarray: update the base in place. *)
+  | OLend of 's
+      (** Barrier modarray whose parts write only the ghost shell of a
+          base that has other readers: share the base's buffer, saving
+          its shell first and restoring it when the loan ends.  Every
+          force re-checks that the base can lend (not escaped, not
+          already in a loan) and otherwise copies it. *)
   | OReuse of { slot : 's; edges : int }
       (** Fully covered sweep writing through a dead operand's buffer
           in place; [edges] is the number of reference-count edges the

@@ -170,11 +170,15 @@ let key_of_graph ~env ~fold (root : Ir.node) : (string * Ir.source array) option
     bindings := s :: !bindings;
     i
   in
+  (* The two nodes of a ghost-shell loan share a buffer, not values:
+     they bind by node, never aliased to each other. *)
+  let lent_slots : (Ir.node * int) list ref = ref [] in
   let bind_buffer (s : Ir.source) (a : Ndarray.t) =
+    let lent = match s with Ir.Node n when n.Ir.loan <> None -> Some n | _ -> None in
     match
-      List.find_map
-        (fun (b, i) -> if b == a.Ndarray.data then Some i else None)
-        !buf_slots
+      match lent with
+      | Some n -> List.find_map (fun (m, i) -> if m == n then Some i else None) !lent_slots
+      | None -> List.find_map (fun (b, i) -> if b == a.Ndarray.data then Some i else None) !buf_slots
     with
     | Some i ->
         Buffer.add_char buf 'A';
@@ -182,7 +186,9 @@ let key_of_graph ~env ~fold (root : Ir.node) : (string * Ir.source array) option
         Buffer.add_char buf ';'
     | None ->
         let i = fresh s in
-        buf_slots := (a.Ndarray.data, i) :: !buf_slots;
+        (match lent with
+        | Some n -> lent_slots := (n, i) :: !lent_slots
+        | None -> buf_slots := (a.Ndarray.data, i) :: !buf_slots);
         Buffer.add_char buf 'a';
         add_int i;
         add_iv (Ndarray.shape a);

@@ -175,6 +175,157 @@ let test_cfun_path_exercised () =
     (Printf.sprintf "qcheck samples dispatched compiled closures (%d did)" !cfun_dispatches)
     true (!cfun_dispatches > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Two-stencil bodies (the fused restriction + residual): a stencil
+   read at step 2 from a twice-finer source, one read at step 1, and
+   single-read extras, every term in a random order — so the delta
+   order inside each group, the group order and the cluster order all
+   vary — with classes missing at random and distinct coefficients
+   within each stencil, so each passes the class test.  A body in box
+   order without extras runs on the fused fixed kernel under every
+   tier, the others on the tier ladder; both must match the generic
+   nest, which is evaluated here: the clusters the compiler builds
+   (Cluster.clusterize of the factored linear form), walked as
+   [Kernel.run_generic3] walks them — const, then each cluster, each
+   group as [acc +. c *. (0.0 +. d0 +. d1 ...)]. *)
+
+type st2_spec = {
+  half : int;  (* output extent; the step-2 source is twice it *)
+  cls_a : bool list;  (* distance classes 0-3 of the step-2 stencil *)
+  cls_b : bool list;  (* and of the unit-step one *)
+  coeffs : float list;  (* per class: a's four, then b's four *)
+  extras : float list;  (* coefficients of the single reads *)
+  perm : int;  (* shuffles the term order *)
+  st2_const : float;
+}
+
+let print_st2 s =
+  let bl l = String.concat "" (List.map (fun b -> if b then "1" else "0") l) in
+  Printf.sprintf "half=%d a=%s b=%s coeffs=[%s] extras=[%s] perm=%d const=%h" s.half (bl s.cls_a)
+    (bl s.cls_b)
+    (String.concat ";" (List.map (Printf.sprintf "%h") s.coeffs))
+    (String.concat ";" (List.map (Printf.sprintf "%h") s.extras))
+    s.perm s.st2_const
+
+let gen_st2 =
+  QCheck.Gen.(
+    let* half = 3 -- 6 in
+    let* cls_a = list_repeat 4 bool and* cls_b = list_repeat 4 bool in
+    let distinct4 = map (List.filteri (fun i _ -> i < 4)) (shuffle_l [ 0.3; -0.7; 1.1; 2.9; -1.3; 0.45 ]) in
+    let* ca = distinct4 and* cb = distinct4 in
+    let coeffs = ca @ cb in
+    let* ne = 0 -- 2 in
+    let* extras = list_repeat ne (oneofl [ 1.0; -0.6; 0.3 ]) in
+    let* perm = 0 -- 100000 in
+    let* st2_const = oneofl [ 0.0; 0.25; -1.0 ] in
+    return { half; cls_a; cls_b; coeffs; extras; perm; st2_const })
+
+let st2_class d = List.fold_left (fun n x -> if x <> 0 then n + 1 else n) 0 d
+
+let st2_offsets =
+  List.concat_map
+    (fun a -> List.concat_map (fun b -> List.map (fun c -> [ a; b; c ]) [ -1; 0; 1 ]) [ -1; 0; 1 ])
+    [ -1; 0; 1 ]
+
+(* Sources with full 53-bit significands: the NAS generator's values
+   are multiples of 2^-46, whose short sums are exact in any order, so
+   they could not tell one read order from another. *)
+let st2_src shp seed = Wl.of_ndarray (Ndarray.map (fun x -> x /. 3.0) (src_of_seed shp seed))
+
+(* The body and its generator, terms in a seeded random order. *)
+let st2_body s =
+  let shp = [| s.half; s.half; s.half |] in
+  let fine = st2_src (Array.map (fun d -> 2 * d) shp) (s.perm + 1) in
+  let coarse = st2_src shp (s.perm + 2) in
+  let stencil src map classes coeffs =
+    List.filter_map
+      (fun d ->
+        let c = st2_class d in
+        if List.nth classes c then Some (List.nth coeffs c, E.read_at src (map d)) else None)
+      st2_offsets
+  in
+  let terms =
+    stencil fine
+      (fun d -> Ixmap.make ~scale:[| 2; 2; 2 |] ~offset:(Array.of_list d) 3)
+      s.cls_a (List.filteri (fun i _ -> i < 4) s.coeffs)
+    @ stencil coarse
+        (fun d -> Ixmap.offset (Array.of_list d))
+        s.cls_b (List.filteri (fun i _ -> i >= 4) s.coeffs)
+    @ List.mapi (fun i c -> (c, E.read (st2_src shp (s.perm + 3 + i)))) s.extras
+  in
+  (* One sample in four keeps the box order, [Stencil.body]'s. *)
+  let terms =
+    if s.perm mod 4 = 0 then terms
+    else
+      let rng = Random.State.make [| s.perm |] in
+      let keyed = List.map (fun t -> (Random.State.bits rng, t)) terms in
+      List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) keyed)
+  in
+  let body = List.fold_left (fun acc (c, r) -> E.(acc + (const c * r))) (E.const s.st2_const) terms in
+  (shp, Generator.interior shp 1, body)
+
+(* The generic nest's order over the compiler's own clusters. *)
+let st2_generic shp gen body =
+  let lf = Option.get (Linform.of_expr body) in
+  let ax = Option.get (Cluster.axes_of_gen gen) in
+  let clusters = Option.get (Cluster.clusterize ax (Lower.groups_of ~factor:true lf)) in
+  let obase, osteps = Cluster.out_layout_of ~ostrides:(Shape.strides shp) ax in
+  let out = Ndarray.create shp in
+  let c = ax.Cluster.counts in
+  for k0 = 0 to c.(0) - 1 do
+    for k1 = 0 to c.(1) - 1 do
+      for k2 = 0 to c.(2) - 1 do
+        let acc = ref lf.Linform.const in
+        Array.iter
+          (fun (cl : Cluster.ccluster) ->
+            let b =
+              cl.Cluster.xbase + (k0 * cl.Cluster.xsteps.(0)) + (k1 * cl.Cluster.xsteps.(1))
+              + (k2 * cl.Cluster.xsteps.(2))
+            in
+            Array.iteri
+              (fun g ds ->
+                let sum = ref 0.0 in
+                Array.iter (fun d -> sum := !sum +. Bigarray.Array1.get cl.Cluster.xbuf (b + d)) ds;
+                acc := !acc +. (cl.Cluster.xcoeffs.(g) *. !sum))
+              cl.Cluster.xdeltas)
+          clusters;
+        Ndarray.set_flat out (obase + (k0 * osteps.(0)) + (k1 * osteps.(1)) + (k2 * osteps.(2))) !acc
+      done
+    done
+  done;
+  out
+
+(* Samples the fused kernel took, checked after the run. *)
+let st2_lex_dispatches = ref 0
+let c_stencil2_lex = Mg_obs.Metrics.counter "kernel.branch.stencil2.lex"
+
+let qcheck_stencil2_bitwise_generic =
+  QCheck.Test.make ~name:"two-stencil bodies bitwise match the generic nest" ~count:200
+    (QCheck.make ~print:print_st2 gen_st2)
+    (fun s ->
+      (* Both stencils present: a body with one takes the single-stencil
+         kernels, whose class order is their own. *)
+      QCheck.assume (List.exists Fun.id (List.tl s.cls_a) && List.exists Fun.id (List.tl s.cls_b));
+      let shp, gen, body = st2_body s in
+      let want = st2_generic shp gen body in
+      let before_lex = Mg_obs.Metrics.value c_stencil2_lex in
+      let got =
+        List.map
+          (fun cfun ->
+            Wl.with_config
+              (fun c -> { c with Engine.native = false; cfun; opt_level = Engine.O3 })
+              (fun () -> Wl.force (Wl.genarray ~default:0.0 shp [ (gen, body) ])))
+          [ true; false ]
+      in
+      if Mg_obs.Metrics.value c_stencil2_lex > before_lex then incr st2_lex_dispatches;
+      let bits a = Array.map Int64.bits_of_float (Ndarray.to_flat_array a) in
+      List.for_all (fun g -> bits g = bits want) got)
+
+let test_stencil2_exercised () =
+  Alcotest.(check bool)
+    (Printf.sprintf "qcheck samples dispatched the two-stencil kernel (%d did)" !st2_lex_dispatches)
+    true (!st2_lex_dispatches > 0)
+
 (* Buffer recycling: a node whose cache was recycled after its last
    consumer ran must transparently recompute when forced again, and
    results obtained before recycling must never change. *)
@@ -353,6 +504,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_scaled_reads;
       QCheck_alcotest.to_alcotest qcheck_cfun_bitwise_generic;
       Alcotest.test_case "cfun path exercised by qcheck" `Quick test_cfun_path_exercised;
+      QCheck_alcotest.to_alcotest qcheck_stencil2_bitwise_generic;
+      Alcotest.test_case "two-stencil kernel exercised by qcheck" `Quick test_stencil2_exercised;
       Alcotest.test_case "recompute after recycle" `Quick test_recompute_after_recycle;
       Alcotest.test_case "escaped values stable" `Quick test_escaped_values_stable;
       Alcotest.test_case "policies/backends bitwise identical" `Quick

@@ -668,6 +668,15 @@ type fixed =
       line_buffers : bool;
       dims : int array;  (* the source's shape *)
     }
+  | Fstencil2 of {
+      patterns : (bool * bool * bool) * (bool * bool * bool);
+          (* c1, c2, c3 of the step-2 and of the unit-step stencil *)
+      extras : int;  (* single reads: the first between the stencils *)
+      box_order : bool;
+          (* classes in decreasing order, neighbours in box order:
+             [Stencil.body]'s shape *)
+      dims : int array;  (* the output's shape; the step-2 source is twice it *)
+    }
   | Fflat of { offsets : int list list; box : int array; step2 : bool }
   | Fzip of { offsets : int list list; box : int array; step2 : bool }
 
@@ -675,6 +684,9 @@ let print_fixed = function
   | Fstencil { classes = c1, c2, c3; extras; layout; line_buffers; dims } ->
       Printf.sprintf "stencil c1=%b c2=%b c3=%b extras=%d layout=%s line_buffers=%b dims=%s" c1 c2
         c3 extras (layout_name layout) line_buffers (Shape.to_string dims)
+  | Fstencil2 { patterns = (a1, a2, a3), (b1, b2, b3); extras; box_order; dims } ->
+      Printf.sprintf "stencil2 step2=%b,%b,%b unit=%b,%b,%b extras=%d box_order=%b dims=%s" a1 a2 a3
+        b1 b2 b3 extras box_order (Shape.to_string dims)
   | Fflat { offsets; box; step2 } ->
       Printf.sprintf "flat reads=%d box=%s step2=%b" (List.length offsets) (Shape.to_string box) step2
   | Fzip { offsets; box; step2 } ->
@@ -721,6 +733,12 @@ let read ?(div2 = false) a d =
   in
   Ir.Read (Ir.Arr a, map)
 
+(* The 27 offsets of a box, in box order (outer axis first). *)
+let neighbours =
+  List.concat_map
+    (fun a -> List.concat_map (fun b -> List.map (fun c -> [ a; b; c ]) [ -1; 0; 1 ]) [ -1; 0; 1 ])
+    [ -1; 0; 1 ]
+
 (* With [inf], the stencil's source holds one infinite element. *)
 let build_fixed ?(inf = false) seed = function
   | Fstencil { classes = c1, c2, c3; extras; layout; line_buffers; dims } ->
@@ -756,6 +774,36 @@ let build_fixed ?(inf = false) seed = function
           body (List.init extras Fun.id)
       in
       Ir.genarray shp [ { Ir.gen; body } ]
+  | Fstencil2 { patterns = pa, pb; extras; box_order; dims } ->
+      (* The fused restriction + residual shape: a stencil over a
+         twice-finer source at step 2, then one over an output-sized
+         source at step 1, coefficients distinct throughout, so the
+         tree's association is the generic nest's (clusters in order,
+         groups in order, each group's reads summed in order). *)
+      let fine = src_of_seed (Array.map (fun d -> 2 * d) dims) seed in
+      let fine_read d =
+        Ir.Read (Ir.Arr fine, Ixmap.make ~scale:[| 2; 2; 2 |] ~offset:(Array.of_list d) 3)
+      in
+      let stencil k r (c1, c2, c3) body =
+        if box_order then
+          let cls c = List.filter (fun d -> List.fold_left (fun n x -> n + abs x) 0 d = c) neighbours in
+          let body = if c3 then axpy body (coeff (k + 3)) (sum (List.map r (cls 3))) else body in
+          let body = if c2 then axpy body (coeff (k + 2)) (sum (List.map r (cls 2))) else body in
+          let body = if c1 then axpy body (coeff (k + 1)) (sum (List.map r (cls 1))) else body in
+          axpy body (coeff k) (r [ 0; 0; 0 ])
+        else
+          let body = axpy body (coeff k) (r [ 0; 0; 0 ]) in
+          let body = if c1 then axpy body (coeff (k + 1)) (faces_plain r) else body in
+          let body = if c2 then axpy body (coeff (k + 2)) (edges_plain r) else body in
+          if c3 then axpy body (coeff (k + 3)) (corners_plain r) else body
+      in
+      let extra e body =
+        if e < extras then axpy body (coeff (8 + e)) (read (src_of_seed dims (seed + e + 2)) [ 0; 0; 0 ])
+        else body
+      in
+      let body = stencil 0 fine_read pa (Ir.Const 0.375) |> extra 0 in
+      let body = stencil 4 (read (src_of_seed dims (seed + 1))) pb body |> extra 1 |> extra 2 in
+      Ir.genarray dims [ { Ir.gen = Generator.interior dims 1; body } ]
   | Fflat { offsets; box; step2 } | Fzip { offsets; box; step2 } as f ->
       let dims = Array.map (fun n -> n + 2) box in
       let shp = if step2 then Array.map (fun n -> 2 * n) dims else dims in
@@ -798,11 +846,6 @@ let run_fixed ?(scheds = scheds) ?inf seed f =
              (first_diff (Rarr (List.find (fun g -> not (arr_bits_equal g want)) got)) (Rarr want))))
     scheds
 
-let neighbours =
-  List.concat_map
-    (fun a -> List.concat_map (fun b -> List.map (fun c -> [ a; b; c ]) [ -1; 0; 1 ]) [ -1; 0; 1 ])
-    [ -1; 0; 1 ]
-
 (* The prolongation's read pattern: its 8-read class, in order. *)
 let cube =
   [ [ 0; 0; 0 ]; [ 0; 0; 1 ]; [ 0; 1; 0 ]; [ 0; 1; 1 ];
@@ -813,8 +856,12 @@ let zip_offsets = [ [ 0; 0; 0 ]; [ 0; 0; 1 ]; [ -1; 0; 0 ]; [ 0; 1; -1 ] ]
 let degenerate m = [ [| m; m; m |]; [| m; m; 1 |]; [| m; 1; m |]; [| 1; m; m |] ]
 
 (* Every branch and fallback: all 8 class patterns x 0-3 extras x the
-   three layouts x line buffers on/off; flat with 2-8 reads and zip
-   with 1-4 clusters on each degenerate box, unit and step 2. *)
+   three layouts x line buffers on/off; two-stencil bodies (every
+   non-empty pattern of the step-2 stencil x three of the unit-step one,
+   in box order for the fused row, and in kernel order with 0-3 extras
+   for the tier-ladder fallback); flat with 2-8
+   reads and zip with 1-4 clusters on each degenerate box, unit and
+   step 2. *)
 let fixed_cases =
   let bools = [ false; true ] in
   List.concat_map
@@ -842,6 +889,16 @@ let fixed_cases =
             bools)
         bools)
     bools
+  @ List.concat_map
+      (fun pa ->
+        List.concat_map
+          (fun pb ->
+            Fstencil2 { patterns = (pa, pb); extras = 0; box_order = true; dims = [| 4; 5; 6 |] }
+            :: List.init 4 (fun extras ->
+                   Fstencil2 { patterns = (pa, pb); extras; box_order = false; dims = [| 4; 5; 6 |] }))
+          [ (true, true, true); (false, true, true); (true, false, false) ])
+      [ (true, true, true); (true, true, false); (true, false, true); (false, true, true);
+        (true, false, false); (false, true, false); (false, false, true) ]
   @ List.concat_map
       (fun box ->
         List.concat_map
@@ -906,6 +963,14 @@ let gen_fixed =
             let* d0 = 3 -- 7 and* d1 = 3 -- 7 and* d2 = 4 -- 7 in
             let dims = [| d0; d1; d2 |] in
             return (Fstencil { classes = (c1, c2, c3); extras; layout; line_buffers; dims }) );
+          ( 1,
+            let pattern =
+              let* c1 = bool and* c2 = bool and* c3 = bool in
+              return (if c1 || c2 || c3 then (c1, c2, c3) else (true, false, false))
+            in
+            let* pa = pattern and* pb = pattern and* extras = 0 -- 3 and* box_order = bool in
+            let* d0 = 3 -- 6 and* d1 = 3 -- 6 and* d2 = 3 -- 6 in
+            return (Fstencil2 { patterns = (pa, pb); extras; box_order; dims = [| d0; d1; d2 |] }) );
           ( 2,
             let* n = 2 -- 8 and* offsets = shuffle_l neighbours in
             let* box = box and* step2 = bool in
@@ -949,6 +1014,15 @@ let kernel_kinds n =
           ] );
     ("linebuf", "linebuf", true, fun () -> build_fixed 5 (resid true));
     ("stencil", "stencil", false, fun () -> build_fixed 5 (resid false));
+    ( "stencil2.lex", "stencil", false,
+      fun () ->
+        build_fixed 5
+          (Fstencil2
+             { patterns = ((true, true, true), (false, true, true));
+               extras = 0;
+               box_order = true;
+               dims = [| n / 2; n / 2; n / 2 |];
+             }) );
     ("flat", "interp", false, fun () -> build_fixed 5 (Fflat { offsets = cube; box; step2 = false }));
     ( "zip", "interp", false,
       fun () ->
@@ -987,6 +1061,334 @@ let test_fixed_kernels_allocation_free () =
           large small)
     (warm_words 34) (warm_words 66)
 
+
+(* ------------------------------------------------------------------ *)
+(* Ghost-shell loans.  A periodic border whose base has other readers
+   borrows the base's buffer (Plan.OLend): the base's shell is saved,
+   the border parts write it in place, and the base's readers must
+   still see the old shell.  The programs below give the base 1-3 other
+   readers, forced in a random order around a consumer of the border:
+   plain readers of the whole base, stencil readers, a consumer reading
+   the border and the base in one force (either read first), a force
+   that holds the base and then a node reading the border (the border
+   then lends a base another pending force already holds), the same
+   with that node reading the base too, and a border of the border.
+   A pointwise reader of the border may be its last consumer, where the
+   in-place pass must not take the shared buffer.  The user may also
+   force the base first (it escapes before the border lends) or the
+   border itself (the borrower escapes).  Every forced value must equal
+   the reference interpreter's bitwise, and must not change afterwards,
+   under reuse on/off, the generic, cfun and native tiers, block and
+   tiled pieces, folding on/off, cold and replayed from the plan cache;
+   and every force must be cacheable. *)
+
+type reader =
+  | Rident  (* the whole base, shell included *)
+  | Rpoint  (* the whole border, pointwise: may write in place of a dying border *)
+  | Rstencil  (* offsets over the interior, identity on the shell *)
+  | Rboth of bool  (* the border and the base in one force; [true]: base read first *)
+  | Rwrap  (* holds the base, then a node reading the border *)
+  | Rwrap_both  (* holds the base, then a node reading the border and the base *)
+  | Rborder2  (* a border of the border *)
+
+type loan_spec = {
+  lext : int;
+  readers : reader list;  (* 1-3 other readers of the base *)
+  order : int list;  (* forcing order over [consumer :: readers] *)
+  base_first : bool;  (* the user forces the base before anything else *)
+  border_at : int option;  (* the user forces the border at this step *)
+  lseed : int;
+}
+
+let reader_name = function
+  | Rident -> "ident"
+  | Rpoint -> "point"
+  | Rstencil -> "stencil"
+  | Rboth b -> if b then "both(base first)" else "both(border first)"
+  | Rwrap -> "wrap"
+  | Rwrap_both -> "wrap-both"
+  | Rborder2 -> "border2"
+
+let print_loan s =
+  Printf.sprintf "ext=%d readers=[%s] order=[%s] base_first=%b border_at=%s seed=%d" s.lext
+    (String.concat ";" (List.map reader_name s.readers))
+    (String.concat ";" (List.map string_of_int s.order))
+    s.base_first
+    (match s.border_at with Some i -> string_of_int i | None -> "-")
+    s.lseed
+
+let gen_loan =
+  QCheck.Gen.(
+    let* lext = 4 -- 6 in
+    let* nr = 1 -- 3 in
+    let* readers =
+      list_repeat nr
+        (oneofl [ Rident; Rpoint; Rstencil; Rboth true; Rboth false; Rwrap; Rwrap_both; Rborder2 ])
+    in
+    let* order = shuffle_l (List.init (nr + 1) Fun.id) in
+    let* base_first = frequency [ (4, return false); (1, return true) ] in
+    let* border_at = frequency [ (3, return None); (1, map Option.some (0 -- (nr + 1))) ] in
+    let* lseed = 0 -- 10000 in
+    return { lext; readers; order; base_first; border_at; lseed })
+
+(* A full-shape genarray: the terms over the interior, identity reads
+   of [srcs] (coefficient 0.5 each) on the shell slabs. *)
+let over_interior shp terms srcs =
+  let ident = List.map (fun src -> Ir.Mul (Ir.Const 0.5, Ir.Read (src, Ixmap.identity 3))) srcs in
+  Ir.genarray shp
+    ({ Ir.gen = Generator.interior shp 1; body = sum terms }
+    :: List.map (fun g -> { Ir.gen = g; body = sum ident }) (border_slabs shp 1))
+
+let term src c d = Ir.Mul (Ir.Const c, Ir.Read (src, Ixmap.offset (Array.of_list d)))
+
+(* [Border.setup_periodic_border] on the IR: every face, edge and
+   corner slab reads the opposite interior plane. *)
+let periodic_border src =
+  let shp = Ir.source_shape src in
+  let parts =
+    List.filter_map
+      (fun sign ->
+        if List.for_all (fun x -> x = 0) sign then None
+        else
+          let sign = Array.of_list sign in
+          let lb = Array.mapi (fun i x -> if x > 0 then shp.(i) - 1 else if x = 0 then 1 else 0) sign in
+          let ub = Array.mapi (fun i x -> if x < 0 then 1 else if x = 0 then shp.(i) - 1 else shp.(i)) sign in
+          let off = Array.mapi (fun i x -> Mg_arraylib.Border.wrap_offset ~extent:shp.(i) ~sign:x) sign in
+          Some { Ir.gen = Generator.make ~lb ~ub (); body = Ir.Read (src, Ixmap.offset off) })
+      neighbours
+  in
+  Ir.Node (Ir.modarray ~barrier:true src parts)
+
+(* The program's graph, fresh per call: the base, its border and the
+   roots in forcing order. *)
+let build_loan s =
+  let shp = [| s.lext; s.lext; s.lext |] in
+  let src = src_of_seed shp s.lseed in
+  let base =
+    Ir.Node (Ir.genarray shp [ { Ir.gen = Generator.full shp; body = lin (Ir.Arr src) [ ([ 0; 0; 0 ], 1.5) ] 0.25 } ])
+  in
+  let border = periodic_border base in
+  let stencil src k = [ term src (0.75 +. k) [ 0; 0; 0 ]; term src (0.125 +. k) [ 1; 0; 0 ]; term src (0.375 +. k) [ 0; -1; 1 ] ] in
+  let consumer = over_interior shp (stencil border 0.0) [ border ] in
+  let reader = function
+    | Rident -> Ir.genarray shp [ { Ir.gen = Generator.full shp; body = term base 1.25 [ 0; 0; 0 ] } ]
+    | Rpoint -> Ir.genarray shp [ { Ir.gen = Generator.full shp; body = term border 1.75 [ 0; 0; 0 ] } ]
+    | Rstencil -> over_interior shp (stencil base 0.5) [ base ]
+    | Rboth base_first ->
+        let b = stencil base 1.0 and r = stencil border 1.5 in
+        over_interior shp (if base_first then b @ r else r @ b) (if base_first then [ base; border ] else [ border; base ])
+    | Rwrap ->
+        let y = Ir.Node (over_interior shp (stencil border 2.0) [ border ]) in
+        Ir.genarray shp
+          [ { Ir.gen = Generator.full shp; body = Ir.Add (term base 1.125 [ 0; 0; 0 ], term y 0.625 [ 0; 0; 0 ]) } ]
+    | Rwrap_both ->
+        let y = Ir.Node (over_interior shp (stencil border 2.5 @ stencil base 3.0) [ border; base ]) in
+        Ir.genarray shp
+          [ { Ir.gen = Generator.full shp; body = Ir.Add (term base 1.375 [ 0; 0; 0 ], term y 0.875 [ 0; 0; 0 ]) } ]
+    | Rborder2 ->
+        let b2 = periodic_border border in
+        over_interior shp (stencil b2 3.5) [ b2 ]
+  in
+  let roots = Array.of_list (consumer :: List.map reader s.readers) in
+  let ordered = List.map (fun i -> Ir.Node roots.(i)) s.order in
+  let ordered =
+    match s.border_at with
+    | Some i ->
+        List.filteri (fun j _ -> j < i) ordered @ (border :: List.filteri (fun j _ -> j >= i) ordered)
+    | None -> ordered
+  in
+  if s.base_first then base :: ordered else ordered
+
+(* Force the roots in order as user code does ([Wl.force]: the value
+   escapes), keeping a copy of each value as forced. *)
+let force_roots st roots =
+  List.map
+    (fun r ->
+      match r with
+      | Ir.Arr a -> (a, Ndarray.copy a)
+      | Ir.Node n ->
+          Ir.mark_escaped n;
+          let a = Exec.force st n in
+          (a, Ndarray.copy a))
+    roots
+
+let loan_lent = Mg_obs.Metrics.counter "border.lent"
+
+let loan_copied reason = Mg_obs.Metrics.counter ~labels:[ ("reason", reason) ] "border.copied"
+
+let loan_reasons = [ "escaped"; "pinned"; "lent"; "base_held" ]
+let loan_fired = Hashtbl.create 8
+
+let tiers = [ ("generic", false, None); ("cfun", true, None); ("native", true, Some native_dir) ]
+
+let run_loan s =
+  with_mempool_debug (fun () ->
+      let want = List.map (fun r -> Reference.run r) (build_loan s) in
+      let failures = ref [] in
+      let counts () =
+        Mg_obs.Metrics.value loan_lent :: List.map (fun r -> Mg_obs.Metrics.value (loan_copied r)) loan_reasons
+      in
+      let c0 = counts () in
+      let uncacheable = Mg_obs.Metrics.counter "plan_cache.uncacheable" in
+      let u0 = Mg_obs.Metrics.value uncacheable in
+      List.iter
+        (fun (tier, cfun, native) ->
+          List.iter
+            (fun reuse ->
+              List.iter
+                (fun (sname, sched) ->
+                  List.iter
+                    (fun fold ->
+                      let st =
+                        { (exec_settings ~native ~reuse ~cfun sched) with
+                          Exec.fusion = { Fusion.fold; split_strided = fold; split_threshold = 2048 };
+                        }
+                      in
+                      (* Cold, then replayed from the plan cache. *)
+                      List.iter
+                        (fun leg ->
+                          let got = force_roots st (build_loan s) in
+                          List.iteri
+                            (fun i ((a, first), w) ->
+                              let name =
+                                Printf.sprintf "%s reuse=%b sched=%s fold=%b %s root %d" tier reuse sname
+                                  fold leg i
+                              in
+                              if not (arr_bits_equal first w) then
+                                failures := (name ^ ": " ^ first_diff (Rarr first) (Rarr w)) :: !failures
+                              else if not (arr_bits_equal a first) then
+                                failures := (name ^ ": changed after it was forced") :: !failures)
+                            (List.combine got want))
+                        [ "cold"; "replay" ])
+                    [ false; true ])
+                [ List.hd scheds; List.nth scheds 2 ])
+            [ false; true ])
+        tiers;
+      List.iteri
+        (fun i (a, b) -> if b > a then Hashtbl.replace loan_fired i ())
+        (List.combine c0 (counts ()));
+      (* Forces reading a borrower and its lent base stay cacheable:
+         keys bind the two by node, not by their shared buffer. *)
+      if Mg_obs.Metrics.value uncacheable > u0 then failures := "a force was uncacheable" :: !failures;
+      if !failures <> [] then
+        QCheck.Test.fail_reportf "loan programs deviate from the reference interpreter:\n  %s"
+          (String.concat "\n  " (List.rev !failures))
+      else true)
+
+let qcheck_loans_match_reference =
+  QCheck.Test.make ~name:"ghost-shell loans bitwise match the reference interpreter" ~count:60
+    (QCheck.make ~print:print_loan gen_loan) run_loan
+
+(* Every loan event the counters name happens: a lend, and a copy for
+   each reason.  Fixed programs guarantee each one (besides what the
+   random ones fired): the base forced first escapes; a border of the
+   border finds its base already lent; a reader of the base while the
+   border waits for another reader moves the border; a node reading
+   the border and then the base, alone or under a force that held the
+   base first, reads a private copy. *)
+let test_loans_exercised () =
+  let spec readers order ?(base_first = false) () =
+    { lext = 5; readers; order; base_first; border_at = None; lseed = 7 }
+  in
+  List.iter
+    (fun s -> ignore (run_loan s))
+    [ spec [ Rident ] [ 0; 1 ] ();
+      spec [ Rident ] [ 0; 1 ] ~base_first:true ();
+      spec [ Rident; Rborder2 ] [ 2; 1; 0 ] ();
+      spec [ Rpoint; Rident ] [ 0; 2; 1 ] ();
+      spec [ Rboth false ] [ 0; 1 ] ();
+      spec [ Rwrap_both ] [ 1; 0 ] ();
+    ];
+  List.iteri
+    (fun i name ->
+      Alcotest.(check bool) (Printf.sprintf "loan programs fired %s" name) true (Hashtbl.mem loan_fired i))
+    ("lent" :: List.map (fun r -> "copied{reason=" ^ r ^ "}") loan_reasons)
+
+(* The debug tripwire: an interior written while lent fails the
+   restore's checksum. *)
+let test_loan_tripwire () =
+  with_mempool_debug (fun () ->
+      let shp = [| 5; 5; 5 |] in
+      let base = Ir.genarray shp [ { Ir.gen = Generator.full shp; body = lin (Ir.Arr (src_of_seed shp 1)) [ ([ 0; 0; 0 ], 1.5) ] 0.0 } ] in
+      let border = periodic_border (Ir.Node base) in
+      let reader = Ir.genarray shp [ { Ir.gen = Generator.full shp; body = term (Ir.Node base) 2.0 [ 0; 0; 0 ] } ] in
+      let st = exec_settings ~reuse:false ~cfun:true (snd (List.hd scheds)) in
+      let b = Exec.force st base in
+      (match border with
+      | Ir.Node n ->
+          ignore (Exec.force st n);
+          Alcotest.(check bool) "the border borrowed the base's buffer" true (n.Ir.cache = Some b)
+      | Ir.Arr _ -> assert false);
+      Ndarray.set b [| 2; 2; 2 |] 7.0;
+      Alcotest.check_raises "a changed interior fails the restore"
+        (Failure "Exec: a lent base's interior changed during its loan") (fun () ->
+          ignore (Exec.force st reader)))
+
+(* While a loan is live, the shared buffer is neither reused in place
+   nor stolen: a pointwise last reader of the border, and a border of
+   the border that is its only reader, each get a buffer of their own
+   (the steal is counted as a [lent] copy), and the base's later reader
+   still sees its old shell. *)
+let test_loan_exclusive () =
+  with_mempool_debug (fun () ->
+      let shp = [| 5; 6; 7 |] in
+      let program () =
+        let src = src_of_seed shp 11 in
+        let base =
+          Ir.Node
+            (Ir.genarray shp
+               [ { Ir.gen = Generator.full shp; body = lin (Ir.Arr src) [ ([ 0; 0; 0 ], 1.5) ] 0.25 } ])
+        in
+        let border = periodic_border base in
+        let point = Ir.genarray shp [ { Ir.gen = Generator.full shp; body = term border 1.75 [ 0; 0; 0 ] } ] in
+        let consumer b = over_interior shp [ term b 0.75 [ 0; 0; 0 ]; term b 0.125 [ 1; 0; -1 ] ] [ b ] in
+        let reader = Ir.genarray shp [ { Ir.gen = Generator.full shp; body = term base 1.25 [ 0; 0; 0 ] } ] in
+        (* The pointwise reader is the border's last consumer. *)
+        let reused = [ Ir.Node (consumer border); Ir.Node point; Ir.Node reader ] in
+        (* Only the second border reads the first. *)
+        let base2 =
+          Ir.Node
+            (Ir.genarray shp
+               [ { Ir.gen = Generator.full shp; body = lin (Ir.Arr src) [ ([ 0; 0; 0 ], 2.5) ] 0.5 } ])
+        in
+        let reader2 = Ir.genarray shp [ { Ir.gen = Generator.full shp; body = term base2 1.25 [ 0; 0; 0 ] } ] in
+        let stolen = [ Ir.Node (consumer (periodic_border (periodic_border base2))); Ir.Node reader2 ] in
+        reused @ stolen
+      in
+      let want = List.map Reference.run (program ()) in
+      let st = exec_settings ~reuse:true ~cfun:true (snd (List.hd scheds)) in
+      let lent0 = Mg_obs.Metrics.value (loan_copied "lent") in
+      List.iter
+        (fun leg ->
+          List.iteri
+            (fun i ((_, got), w) ->
+              if not (arr_bits_equal got w) then
+                Alcotest.failf "%s root %d: %s" leg i (first_diff (Rarr got) (Rarr w)))
+            (List.combine (force_roots st (program ())) want))
+        [ "cold"; "replay" ];
+      Alcotest.(check int) "the steal fell back to a copy, cold and replayed" 2
+        (Mg_obs.Metrics.value (loan_copied "lent") - lent0))
+
+(* A class-S solve lends every border whose base has other readers:
+   no interior copies are left, nothing falls back to a copy, and all
+   of it is counted on the solving engine's shards. *)
+let test_mg_borders_lent () =
+  let e = Engine.create () in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      let shard name labels = Mg_obs.Metrics.value (Mg_obs.Metrics.counter ~labels:(("engine", string_of_int (Engine.label e)) :: labels) name) in
+      let copies () = List.assoc "copy" (Kernel.counters ()) in
+      let k0 = copies () in
+      let r = Mg_core.Driver.run ~engine:e ~impl:Mg_core.Driver.Sac ~cls:Mg_core.Classes.class_s () in
+      Alcotest.(check bool) "verified" true (Mg_core.Verify.status_ok r.Mg_core.Driver.status);
+      Alcotest.(check int) "no interior copies" 0 (copies () - k0);
+      Alcotest.(check bool) "borders lent, on the engine's shard" true (shard "border.lent" [] > 0);
+      List.iter
+        (fun reason ->
+          Alcotest.(check int) ("no copy: " ^ reason) 0 (shard "border.copied" [ ("reason", reason) ]))
+        loan_reasons)
+
 let suite =
   ( "reference_oracle",
     [ QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
@@ -1011,4 +1413,10 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_fixed_matches_reference;
       Alcotest.test_case "fixed kernels allocate nothing per row" `Quick
         test_fixed_kernels_allocation_free;
+      QCheck_alcotest.to_alcotest qcheck_loans_match_reference;
+      Alcotest.test_case "every ghost-shell loan path exercised" `Quick test_loans_exercised;
+      Alcotest.test_case "a lent buffer is never reused or stolen" `Quick test_loan_exclusive;
+      Alcotest.test_case "debug: a changed lent interior fails the restore" `Quick
+        test_loan_tripwire;
+      Alcotest.test_case "MG borders lend instead of copying" `Quick test_mg_borders_lent;
     ] )
