@@ -62,6 +62,14 @@ profile-smoke: build
 	        if (l+0 == 0) { print "profile-smoke: no border lent its base"; exit 1 }; \
 	        if (s+0 == 0) { print "profile-smoke: the two-stencil kernel never compiled"; exit 1 }; \
 	        print "profile-smoke: borders OK (lent=" l ", copies=0, stencil2 parts=" s ")" }' results/profile-w.txt
+	# Ghost-shell groups: each force's one-thick boundary slabs run as
+	# one kernel, so a class-W solve dispatches under 5000 interp
+	# pieces (24446 with one piece per slab).
+	awk '/^  kernel\.branch\.shell /{g=$$2} /^  kernel\.interp /{i=$$2; seen=1} \
+	  END { if (!seen) { print "profile-smoke: no kernel.interp line in the report"; exit 1 }; \
+	        if (g+0 == 0) { print "profile-smoke: no shell group compiled"; exit 1 }; \
+	        if (i+0 >= 5000) { print "profile-smoke: " i " interp pieces (expected under 5000)"; exit 1 }; \
+	        print "profile-smoke: shell groups OK (groups=" g ", interp pieces=" i ")" }' results/profile-w.txt
 	# Every force of the solve must store or replay a plan.  An
 	# uncacheable force re-runs fusion, lowering, clustering and kernel
 	# choice on every V-cycle; stolen periodic borders and bindings

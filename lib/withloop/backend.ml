@@ -114,7 +114,9 @@ let run_compiled ctx ~run_split (out : Ndarray.t) (c : Plan.compiled) =
   let gen = Plan.compiled_gen c and card = Plan.compiled_card c in
   if card > 0 then begin
     let nworkers = Domain_pool.size ctx.pool in
-    let par = card >= ctx.par_threshold && nworkers > 1 && Generator.rank gen > 0 in
+    let par =
+      card >= ctx.par_threshold && nworkers > 1 && Generator.rank gen > 0 && not (Plan.is_group c)
+    in
     let p = prepare c in
     if par then begin
       let pieces = split_pieces ctx.sched ~nworkers gen in

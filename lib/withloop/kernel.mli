@@ -4,7 +4,8 @@
     compiled, and dispatched to one of the specialised rank-3 nests —
     box stencil, line-buffered box stencil, two box stencils,
     element-wise zip, flat-weighted, row copy — or the generic cluster
-    nest.  The choice
+    nest; the ghost-shell slabs of one force then run as one group
+    kernel ({!shell_group}).  The choice
     is reified as an opaque {!k3} value that the plan cache stores and
     replay rebinds, so recognition never runs twice for the same
     with-loop. *)
@@ -61,11 +62,36 @@ val choose_k3 :
 (** Recognise the part's kernel: identity copy, box stencil (line
     buffered when [line_buffers] and the inner walk is unit), two box
     stencils in box order (in the generic nest's order), zip of
-    single reads, flat-weighted single cluster — and for everything
+    single reads (a constant is a zip of none), flat-weighted single
+    cluster — and for everything
     else the tier ladder: a {!Native}-compiled shared-object kernel
     when [native] carries the AOT cache directory (degrading through
     the ladder when the toolchain refuses), a {!Cfun}-compiled
     closure when [cfun], the interpreted generic nest otherwise. *)
+
+(** {2 Ghost-shell groups} *)
+
+val groupable : k3 -> bool
+(** Element-wise kernels a shell group can run: zips (constants
+    included) and identity copies. *)
+
+val is_shell : k3 -> bool
+
+val shell_group :
+  (float * k3 * Cluster.ccluster array * int * int array * int array) list ->
+  k3 * Cluster.ccluster array
+(** [shell_group members] for members [(const, kernel, clusters, obase,
+    osteps, counts)], each {!groupable}, in run order: one kernel
+    running every member in that order with no allocation, and the
+    group's clusters — one per distinct buffer, the only thing a
+    rebind changes.  Each element computes exactly what its member's
+    own kernel computes.  Bumps [kernel.branch.shell]; a group counts
+    as one [interp] piece. *)
+
+val shell_alias_safe : k3 -> Cluster.ccluster array -> Ndarray.buffer -> bool
+(** For a shell group and its clusters: whether every read of the
+    buffer is an identity read (a member reads an element only while
+    computing that element). *)
 
 val rebind_k3 : Cluster.ccluster array -> koff0:int -> koff1:int -> k3 -> k3
 (** Rebuild a kernel payload against clusters that were rebound to
