@@ -1,12 +1,10 @@
-(* Bechamel micro-benchmark suite: one Test.make group per paper
-   figure/table plus the §5 ablations, on scaled-down problem sizes so
-   the whole suite finishes in minutes.  The full-size reproductions
-   live in bin/fig11.exe, bin/fig12.exe, bin/fig13.exe and
-   bin/ablation.exe; this executable is the quick, statistically
-   sampled view of the same kernels.
+(* Bechamel micro-benchmark suite: the §5 ablations and the Fig. 10
+   array-library primitives, on scaled-down problem sizes so the whole
+   suite finishes in minutes.  Whole-benchmark runs and the machine
+   models are measured by bin/fig11.exe, bin/fig12.exe, bin/fig13.exe
+   and mgbench/; this executable is the quick, statistically sampled
+   view of the kernels.
 
-     fig11/*          sequential whole-benchmark runs (class mini)
-     fig12_sim/*      trace replay through the three machine models
      stencil/*        E4: one residual sweep, four implementation styles
                       (the factored O1 style is `ablation --stencil`'s)
      fusion/*         E6: whole benchmark at O0 vs O3 (class tiny)
@@ -24,43 +22,10 @@ module Engine = Mg_withloop.Engine
 module Json = Mg_bench_util.Bench_util.Json
 module Env = Mg_bench_util.Bench_util.Env
 
-let mini = Classes.mini
 let tiny = Classes.tiny
 
 (* Groups are thunks: each is built when its turn comes, not at module
-   initialisation — building the fig12 traces runs the whole benchmark
-   three times, which must not be paid before the first group has even
-   started (or at all, if the process dies earlier). *)
-
-(* --- fig11: sequential whole-benchmark runs ------------------------- *)
-
-let fig11_tests () =
-  Test.make_grouped ~name:"fig11"
-    [ Test.make ~name:"f77_mini" (Staged.stage (fun () -> ignore (Mg_f77.run mini)));
-      Test.make ~name:"c_mini" (Staged.stage (fun () -> ignore (Mg_c.run mini)));
-      Test.make ~name:"sac_mini" (Staged.stage (fun () -> ignore (Mg_sac.run mini)));
-    ]
-
-(* --- fig12: machine-model replay (simulation itself is the benchmark) *)
-
-let trace_for impl =
-  let r = Driver.traced_run ~impl ~cls:mini in
-  r.Driver.events
-
-let fig12_tests () =
-  let sac_trace = trace_for Driver.Sac in
-  let f77_trace = trace_for Driver.F77 in
-  let c_trace = trace_for Driver.C in
-  let replay model trace () =
-    for p = 1 to 10 do
-      ignore (Mg_smp.Smp_sim.predict model ~procs:p trace)
-    done
-  in
-  Test.make_grouped ~name:"fig12_sim"
-    [ Test.make ~name:"sac_model" (Staged.stage (replay Mg_smp.Models.sac sac_trace));
-      Test.make ~name:"autopar_model" (Staged.stage (replay Mg_smp.Models.f77_autopar f77_trace));
-      Test.make ~name:"openmp_model" (Staged.stage (replay Mg_smp.Models.openmp c_trace));
-    ]
+   initialisation. *)
 
 (* --- E4: stencil styles --------------------------------------------- *)
 
@@ -131,11 +96,8 @@ let quota =
 
 let default_cfg = lazy (Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None ())
 
-(* The fig11 rows run the whole benchmark per sample (1.5-16 ms each),
-   so a 1 s quota yields too few samples for a stable OLS fit — the
-   f77_mini row regressed to r² 0.41.  Give them a long quota.  So does
-   arraylib/elementwise_add, whose 1 s fit read r² 0.62 (0.91 and 0.96
-   at 5 s). *)
+(* arraylib/elementwise_add's 1 s fit read r² 0.62 (0.91 and 0.96 at
+   5 s), so it gets a long quota. *)
 let slow_cfg = lazy (Benchmark.cfg ~limit:2000 ~quota:(Time.second (5.0 *. quota)) ~kde:None ())
 
 let benchmark ~cfg tests =
@@ -181,9 +143,7 @@ let () =
         let tests = tests () in
         Printf.printf "\n%s:\n%!" (Test.name tests);
         report (benchmark ~cfg tests))
-      [ (fig11_tests, slow_cfg);
-        (fig12_tests, default_cfg);
-        (stencil_tests, default_cfg);
+      [ (stencil_tests, default_cfg);
         (fusion_tests, default_cfg);
         (arraylib_tests, default_cfg);
         (arraylib_add_tests, slow_cfg);

@@ -13,7 +13,7 @@
     (they are structural per plan); buffers, bases and counts stay
     runtime arguments so cached-plan replay, piece base-shifting and
     tiling reuse one object unchanged.  The emitted statement
-    sequence replicates {!Kernel.run_generic3}'s accumulation order
+    sequence replicates {!Kernel.run_lin_generic}'s accumulation order
     exactly — compiled with [-ffp-contract=off] and no fast-math the
     results are bitwise identical to the interpreted nest. *)
 

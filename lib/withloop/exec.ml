@@ -605,15 +605,6 @@ and replay st w n ~hold h (p : Plan.cplan) bindings =
 (* A miss, or an uncacheable graph: the full pipeline. *)
 and compile st w (n : Ir.node) ~hold h record =
   let shape = n.Ir.nshape in
-  (* Every node this force materialises, with the buffer it had then,
-     newest first: the plan's slots resolve through these buffers, and
-     their order is the replay's forcing order. *)
-  let recorded = ref [] in
-  let hold_node m =
-    let arr = hold (Ir.Node m) in
-    recorded := (m, arr.Ndarray.data) :: !recorded;
-    arr
-  in
   (* Update-in-place: a barrier modarray (the periodic-border nodes
      of the array library, whose parts provably read outside their
      write sets) whose base node has no consumer other than this
@@ -635,13 +626,13 @@ and compile st w (n : Ir.node) ~hold h record =
                parts)
         in
         if b.Ir.cache = None && b.Ir.refs = 1 + base_readers then begin
-          ignore (hold_node b);
+          ignore (hold (Ir.Node b));
           (Some b, None)
         end
         else if
           shell_parts shape parts && (b.Ir.cache <> None || not (Fusion.wants_fold st.fusion b))
         then begin
-          ignore (hold_node b);
+          ignore (hold (Ir.Node b));
           (None, Some b)
         end
         else (None, None)
@@ -661,7 +652,7 @@ and compile st w (n : Ir.node) ~hold h record =
           (parts @ Lower.complement_parts shape base parts, None, 0.0)
         else (parts, Some base, 0.0)
   in
-  (match base_src with Some (Ir.Node m) -> ignore (hold_node m) | _ -> ());
+  Option.iter (fun src -> ignore (hold src)) base_src;
   (* Optimise and compile.  What a later hit saves is the pipeline's
      own time: fusion's producer forces are timed and subtracted.
      These clock reads run whether or not the force is observed, but
@@ -669,7 +660,7 @@ and compile st w (n : Ir.node) ~hold h record =
   let held = ref 0.0 in
   let fusion_hold m =
     let t = Clock.now () in
-    let arr = hold_node m in
+    let arr = hold (Ir.Node m) in
     held := !held +. (Clock.now () -. t);
     arr
   in
@@ -713,8 +704,11 @@ and compile st w (n : Ir.node) ~hold h record =
   let compiled =
     span_scoped st ~name:"wl:kernel-choice" (fun () -> Plan.group_shell shape ~movable compiled)
   in
+  (* [h.held]: every node this force materialised, with the buffer it
+     had then, newest first.  The plan's slots resolve through these
+     buffers, and their order is the replay's forcing order. *)
   finish st w n ~hold h compiled ~elements mode
-    (Compiled { record; recorded = List.rev !recorded; compile_cost })
+    (Compiled { record; recorded = List.rev h.held; compile_cost })
 
 (* Shared by hits and misses: produce the output, run the parts, store
    a compiled plan, then let the in-place source, the pins and the

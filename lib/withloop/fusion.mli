@@ -49,6 +49,10 @@ val optimize :
     @raise Invalid_argument if a read's index image escapes the
     producer's shape (an out-of-bounds program). *)
 
+val is_selection : Ir.node -> bool
+(** Whether every part body of the node is a constant or a single
+    read: such a node folds into any number of consumers. *)
+
 val wants_fold : config -> Ir.node -> bool
 (** Whether {!optimize} folds a read of this node into its consumer
     rather than materialising it. *)

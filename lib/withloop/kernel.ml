@@ -1026,26 +1026,6 @@ let is_plain_copy ~const (clusters : ccluster array) ~(osteps : int array) =
   && Shape.equal cl.xsteps osteps
   && osteps.(Array.length osteps - 1) = 1
 
-(* Generic rank-3 cluster nest (no recognised kernel). *)
-let run_generic3 ~const (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
-    ~(counts : int array) =
-  let n0 = counts.(0) and n1 = counts.(1) and n2 = counts.(2) in
-  let nc = Array.length clusters in
-  let os0 = osteps.(0) and os1 = osteps.(1) and os2 = osteps.(2) in
-  let cb0 = Array.make nc 0 and cb1 = Array.make nc 0 in
-  for k0 = 0 to n0 - 1 do
-    for ci = 0 to nc - 1 do
-      cb0.(ci) <- clusters.(ci).xbase + (k0 * clusters.(ci).xsteps.(0))
-    done;
-    let ob0 = obase + (k0 * os0) in
-    for k1 = 0 to n1 - 1 do
-      for ci = 0 to nc - 1 do
-        cb1.(ci) <- cb0.(ci) + (k1 * clusters.(ci).xsteps.(1))
-      done;
-      run_row ~const clusters cb1 ~axis:2 ~n:n2 out ~ob:(ob0 + (k1 * os1)) ~os:os2
-    done
-  done
-
 (* The rank-3 kernel choice, decided once when a part is compiled and
    reused on every (possibly cached) execution.  Stencil payloads carry
    the index of their cluster and of each extra within the part's
@@ -1150,7 +1130,7 @@ let choose_k3 ~line_buffers ~cfun ~native ~const (clusters : ccluster array) ~os
             match natively with
             | Some nf -> K3native nf
             | None ->
-                if cfun then K3cfun (Cfun.compile ~const clusters ~osteps) else K3generic)
+                if cfun then K3cfun (Cfun.compile ~const clusters) else K3generic)
         | None -> K3generic)
 
 let groupable = function K3zip | K3copy -> true | _ -> false
@@ -1199,58 +1179,8 @@ let shell_alias_safe k (cls : ccluster array) buf =
         members
   | _ -> invalid_arg "Kernel.shell_alias_safe"
 
-let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
-    ~(counts : int array) =
-  match k with
-  | K3copy ->
-      run_zip3 ~copy:true ~const clusters out ~obase ~osteps ~counts
-  | K3stencil (st, _, _) ->
-      run_stencil3 ~const st out ~obase ~osteps ~counts
-  | K3stencil_lb (st, _, _) ->
-      run_stencil3_linebuf ~const st out ~obase ~osteps ~counts
-  | K3stencil2 (x, y) ->
-      run_stencil2_lex ~const x y out ~obase ~osteps ~counts
-  | K3zip ->
-      run_zip3 ~copy:false ~const clusters out ~obase ~osteps ~counts
-  | K3flat ->
-      run_flat3 ~const clusters.(0) out ~obase ~osteps ~counts
-  | K3shell s ->
-      run_shell s clusters out
-  | K3cfun f ->
-      Cfun.run f clusters out ~obase ~osteps ~counts
-  | K3native nf ->
-      Native.call nf clusters out ~obase ~counts
-  | K3generic ->
-      run_generic3 ~const clusters out ~obase ~osteps ~counts
-
-let path_of = function
-  | K3stencil _ | K3stencil2 _ -> p_stencil
-  | K3stencil_lb _ -> p_linebuf
-  | K3copy -> p_copy
-  | K3generic -> p_generic
-  | K3zip | K3flat | K3shell _ -> p_interp
-  | K3cfun _ -> p_cfun
-  | K3native _ -> p_native
-
-let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
-    ~(counts : int array) =
-  let p = path_of k in
-  Metrics.incr p.hits;
-  if not (Atomic.get timing) then
-    run_k3_untimed ~const k clusters out ~obase ~osteps ~counts
-  else begin
-    let t0 = Mg_smp.Clock.now_ns () in
-    run_k3_untimed ~const k clusters out ~obase ~osteps ~counts;
-    let dt = Int64.to_int (Int64.sub (Mg_smp.Clock.now_ns ()) t0) in
-    let elts =
-      match k with
-      | K3shell ms -> Array.fold_left (fun acc m -> acc + (m.h_nu * m.h_nv * m.h_na)) 0 ms
-      | _ -> counts.(0) * counts.(1) * counts.(2)
-    in
-    if elts > 0 then Metrics.observe (Mg_obs.Scope.here p.ns_elt) (dt / elts)
-  end
-
-(* Generic any-rank cluster nest (parts that are not rank 3). *)
+(* The generic cluster nest, any rank: parts that are not rank 3, and
+   rank-3 parts no fixed kernel or compiled tier takes ([K3generic]). *)
 let run_lin_generic ~const (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
     ~(counts : int array) =
   let rank = Array.length counts in
@@ -1294,6 +1224,57 @@ let run_lin_generic ~const (clusters : ccluster array) (out : Ndarray.buffer) ~o
     in
     let top = Array.init nc (fun ci -> clusters.(ci).xbase) in
     go 0 top obase
+  end
+
+let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
+    ~(counts : int array) =
+  match k with
+  | K3copy ->
+      run_zip3 ~copy:true ~const clusters out ~obase ~osteps ~counts
+  | K3stencil (st, _, _) ->
+      run_stencil3 ~const st out ~obase ~osteps ~counts
+  | K3stencil_lb (st, _, _) ->
+      run_stencil3_linebuf ~const st out ~obase ~osteps ~counts
+  | K3stencil2 (x, y) ->
+      run_stencil2_lex ~const x y out ~obase ~osteps ~counts
+  | K3zip ->
+      run_zip3 ~copy:false ~const clusters out ~obase ~osteps ~counts
+  | K3flat ->
+      run_flat3 ~const clusters.(0) out ~obase ~osteps ~counts
+  | K3shell s ->
+      run_shell s clusters out
+  | K3cfun f ->
+      Cfun.run f clusters out ~obase ~osteps ~counts
+  | K3native nf ->
+      Native.call nf clusters out ~obase ~counts
+  | K3generic ->
+      run_lin_generic ~const clusters out ~obase ~osteps ~counts
+
+let path_of = function
+  | K3stencil _ | K3stencil2 _ -> p_stencil
+  | K3stencil_lb _ -> p_linebuf
+  | K3copy -> p_copy
+  | K3generic -> p_generic
+  | K3zip | K3flat | K3shell _ -> p_interp
+  | K3cfun _ -> p_cfun
+  | K3native _ -> p_native
+
+let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~osteps
+    ~(counts : int array) =
+  let p = path_of k in
+  Metrics.incr p.hits;
+  if not (Atomic.get timing) then
+    run_k3_untimed ~const k clusters out ~obase ~osteps ~counts
+  else begin
+    let t0 = Mg_smp.Clock.now_ns () in
+    run_k3_untimed ~const k clusters out ~obase ~osteps ~counts;
+    let dt = Int64.to_int (Int64.sub (Mg_smp.Clock.now_ns ()) t0) in
+    let elts =
+      match k with
+      | K3shell ms -> Array.fold_left (fun acc m -> acc + (m.h_nu * m.h_nv * m.h_na)) 0 ms
+      | _ -> counts.(0) * counts.(1) * counts.(2)
+    in
+    if elts > 0 then Metrics.observe (Mg_obs.Scope.here p.ns_elt) (dt / elts)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -120,7 +120,10 @@ val run_lin_generic :
   osteps:int array ->
   counts:int array ->
   unit
-(** Any-rank cluster nest for parts that are not rank 3. *)
+(** The generic cluster nest, any rank: parts that are not rank 3,
+    and rank-3 parts on [K3generic].  Per element it computes
+    [const], then each cluster's groups in order, each group sum as
+    [0.0 +. d0 +. d1 …]: the order every other kernel replicates. *)
 
 val fold_lin :
   op:(float -> float -> float) ->

@@ -77,7 +77,8 @@ let compile_part ~factor ~line_buffers ~cfun ~native ~ostrides (p : Ir.part) : c
    neither reads what the other writes: the output is fresh or filled
    (no part reads it), or it aliases a dying operand that every part
    reads only at the element it computes ([OReuse]).  A stolen or lent
-   base is read at wrapped offsets, so there nothing may move.
+   base is the output itself, read at wrapped offsets or at identity:
+   there nothing moves.
 
    A group always runs as one piece, as each member would have on its
    own: a slab of [default_par_threshold] elements or more, which a
@@ -217,19 +218,13 @@ let strip_cpart (cp : cpart) = rebind_cpart cp (fun _ -> dummy_buf)
    that is a cluster whose flat base and per-axis steps coincide with
    the output layout and whose delta sets are all zero (offsets, strided
    windows, transposes and broadcasts all shift base or steps).  Every
-   kernel nest reads a row element's operands before storing that
-   element, and pieces partition the index space, so identity reads stay
-   inside the piece under any backend, policy or tile shape — with one
-   exception: [Cfun] executes a row as a sequence of unrolled *passes*,
-   the first of which overwrites the whole row before later passes
-   accumulate.  An aliased buffer read by any pass but the first would
-   see partially accumulated values, so for [K3cfun] the aliased cluster
-   must be the first cluster and contribute exactly one pass.
-   [K3native] follows the generic nest's discipline — each element's
-   reads complete before its single write — so the per-cluster
-   identity rule alone suffices for it, like the interpreted nest
-   (the emitted C never carries [restrict] on the output pointer, so
-   the C compiler must honour the aliasing too). *)
+   kernel — fixed, cfun, native and generic — reads all of an element's
+   operands before it stores that element, once, and pieces partition
+   the index space, so identity reads stay inside the piece under any
+   backend, policy or tile shape.  (The emitted C never carries
+   [restrict] on the output pointer, so the C compiler must honour the
+   aliasing too.)  A shell group checks each member's reads against
+   that member's own layout. *)
 
 let cluster_identity (cp : cpart) (cl : Cluster.ccluster) =
   cl.Cluster.xbase = cp.kobase
@@ -239,23 +234,10 @@ let cluster_identity (cp : cpart) (cl : Cluster.ccluster) =
 let cpart_alias_safe (cp : cpart) (buf : Ndarray.buffer) =
   match cp.kkernel with
   | Some k when Kernel.is_shell k -> Kernel.shell_alias_safe k cp.kclusters buf
-  | _ -> (
+  | _ ->
       Array.for_all
         (fun (cl : Cluster.ccluster) -> cl.Cluster.xbuf != buf || cluster_identity cp cl)
         cp.kclusters
-      &&
-      match cp.kkernel with
-      | Some k when Kernel.k3_name k = "cfun" ->
-          Array.for_all
-            (fun (cl : Cluster.ccluster) -> cl.Cluster.xbuf != buf)
-            cp.kclusters
-          || (Array.length cp.kclusters > 0
-             && cp.kclusters.(0).Cluster.xbuf == buf
-             && Array.length cp.kclusters.(0).Cluster.xdeltas = 1
-             && Array.for_all
-                  (fun (cl : Cluster.ccluster) -> cl.Cluster.xbuf != buf)
-                  (Array.sub cp.kclusters 1 (Array.length cp.kclusters - 1)))
-      | _ -> true)
 
 (* Closure-path parts interpret the body directly: require an identity
    index map on every read that resolves to the buffer, and reject

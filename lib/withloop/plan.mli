@@ -127,10 +127,9 @@ val safe_to_alias : Ndarray.buffer -> compiled list -> bool
 (** Whether the output of a fully covered sweep may alias [buf]: every
     read of [buf] in every compiled part must be an identity read
     (cluster base and steps equal to the output layout, all deltas
-    zero; identity index map on the closure path), and for a {!Cfun}
-    kernel the aliased cluster must additionally be the first cluster
-    contributing exactly one unrolled pass — later passes read the
-    output buffer mid-accumulation.  Conservative: unknowable reads
+    zero; identity index map on the closure path).  One rule serves
+    every kernel tier: each reads all of an element's operands before
+    it stores that element, once.  Conservative: unknowable reads
     (opaque bodies, unforced node reads) reject. *)
 
 val assemble :

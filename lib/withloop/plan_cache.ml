@@ -124,19 +124,6 @@ let note_uncacheable shards = Metrics.incr (Scope.shard shards uncacheable)
    Floats are printed with %h (hex, exact round trip), so coefficient
    values that differ in any bit produce different keys. *)
 
-(* Mirror of {!Fusion.wants_fold}: only nodes satisfying this can be
-   substituted into a consumer, so only they need structural recursion.
-   Everything else is materialised by fusion and enters the compiled
-   plan as a bare buffer — keyed as a leaf, which bounds the walk to
-   the fold horizon instead of the whole unforced graph. *)
-let is_selection (n : Ir.node) =
-  let parts =
-    match n.Ir.spec with Ir.Genarray { parts; _ } -> parts | Ir.Modarray { parts; _ } -> parts
-  in
-  List.for_all
-    (fun (p : Ir.part) -> match p.Ir.body with Ir.Const _ | Ir.Read _ -> true | _ -> false)
-    parts
-
 let key_of_graph ~env ~fold (root : Ir.node) : (string * Ir.source array) option =
   let buf = Buffer.create 256 in
   Buffer.add_string buf env;
@@ -242,8 +229,12 @@ let key_of_graph ~env ~fold (root : Ir.node) : (string * Ir.source array) option
             | None ->
                 let i = fresh s in
                 node_slots := (n, i) :: !node_slots;
+                (* {!Fusion.wants_fold}'s test: only such a node can be
+                   substituted into a consumer and needs structural
+                   recursion, which bounds the walk to the fold
+                   horizon. *)
                 if
-                  n != root && not (fold && (not n.Ir.barrier) && (n.Ir.refs <= 1 || is_selection n))
+                  n != root && not (fold && (not n.Ir.barrier) && (n.Ir.refs <= 1 || Fusion.is_selection n))
                 then begin
                   (* Fusion will materialise this node, never fold it:
                      its internals cannot reach the compiled plan.  Its

@@ -76,7 +76,11 @@ val genarray : ?barrier:bool -> ?default:float -> Shape.t -> (Generator.t * Expr
 val modarray : ?barrier:bool -> t -> (Generator.t * Expr.e) list -> t
 (** [modarray a parts]: like [a] with the generators overwritten.
     Set [barrier] to forbid folding this node into consumers (used for
-    the periodic-border updates). *)
+    the periodic-border updates).  A barrier's parts must read [a] at
+    identity (element [iv] while computing element [iv]) or outside
+    every part's write region: the executor may then update [a]'s
+    buffer in place, stolen when nothing else reads [a], lent with its
+    ghost shell saved when something does. *)
 
 val fold : op:Exec.fold_op -> neutral:float -> Generator.t -> Expr.e -> float
 (** Eager reduction over a generator (the fold with-loop).  The

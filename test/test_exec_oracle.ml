@@ -186,7 +186,7 @@ let test_cfun_path_exercised () =
    tier, the others on the tier ladder; both must match the generic
    nest, which is evaluated here: the clusters the compiler builds
    (Cluster.clusterize of the factored linear form), walked as
-   [Kernel.run_generic3] walks them — const, then each cluster, each
+   [Kernel.run_lin_generic] walks them — const, then each cluster, each
    group as [acc +. c *. (0.0 +. d0 +. d1 ...)]. *)
 
 type st2_spec = {

@@ -376,6 +376,39 @@ let test_reuse_aliases_dead_operand () =
       Alcotest.(check bool) "overwritten producer recomputes bitwise" true
         (arr_bits_equal (Exec.force st producer) (Reference.run (Ir.Node producer))))
 
+(* A cfun body whose identity read of the dying operand is its second
+   cluster, after a leaf read twice with two coefficients (two groups of
+   one cluster, which no fixed kernel takes): every kernel reads an
+   element's operands before its single write, so the output aliases
+   the operand whatever cluster reads it. *)
+let test_reuse_cfun_later_cluster () =
+  with_mempool_debug (fun () ->
+      let shp = [| 6; 6; 6 |] in
+      let st = exec_settings ~reuse:true ~cfun:true Mg_smp.Sched_policy.Static_block in
+      let producer =
+        Ir.genarray shp
+          [ { Ir.gen = Generator.full shp;
+              body = lin (Ir.Arr (src_of_seed shp 42)) [ ([ 0; 0; 0 ], 1.25) ] 0.5;
+            }
+          ]
+      in
+      let body =
+        Ir.Add
+          ( lin (Ir.Arr (src_of_seed shp 11)) [ ([ 0; 0; 0 ], 0.5); ([ 0; 0; 0 ], -0.25) ] 0.125,
+            Ir.Mul (Ir.Const 1.0625, Ir.Read (Ir.Node producer, Ixmap.identity 3)) )
+      in
+      let consumer = Ir.genarray shp [ { Ir.gen = Generator.full shp; body } ] in
+      let pbuf = (Exec.force st producer).Ndarray.data in
+      let h0 = Mg_obs.Metrics.value c_reuse_hits and c0 = Mg_obs.Metrics.value Kernel.c_cfun in
+      let out = Exec.force st consumer in
+      Alcotest.(check bool) "the body ran on cfun" true (Mg_obs.Metrics.value Kernel.c_cfun > c0);
+      Alcotest.(check bool) "consumer wrote through the dead producer's buffer" true
+        (out.Ndarray.data == pbuf);
+      Alcotest.(check int) "mempool.reuse_hits counted the aliasing" (h0 + 1)
+        (Mg_obs.Metrics.value c_reuse_hits);
+      Alcotest.(check bool) "aliased values bitwise match the reference" true
+        (arr_bits_equal out (Reference.run (Ir.Node consumer))))
+
 (* With reuse off the same program must allocate. *)
 let test_reuse_off_allocates () =
   let st = exec_settings ~reuse:false ~cfun:true Mg_smp.Sched_policy.Static_block in
@@ -1036,7 +1069,8 @@ let qcheck_fixed_matches_reference =
       | failures -> QCheck.Test.fail_reportf "%s" (String.concat "\n  " failures))
 
 (* ------------------------------------------------------------------ *)
-(* Allocation guard: a warm replay of each fixed kernel kind allocates
+(* Allocation guard: a warm replay of each fixed kernel kind, and of a
+   cfun kernel (its row accumulator grows once per domain), allocates
    the same minor words over a 66^3 box as over a 34^3 one — no row
    loop allocates.  The only per-call allocation that grows with the
    box is the line-buffered nest's two row buffers, 2(n+2) floats.  One
@@ -1073,6 +1107,14 @@ let kernel_kinds n =
         build_fixed 5
           (Fzip { offsets = List.filteri (fun j _ -> j < 3) zip_offsets; box; step2 = false }) );
     ("shell", "interp", false, fun () -> build_fixed 5 (Fshell { reads = 3; copy = false; dims }));
+    ( "cfun", "cfun", false,
+      fun () ->
+        (* Three reads of one array that make no box stencil, and a
+           second array: no fixed kernel takes it. *)
+        let a = src_of_seed dims 5 in
+        let reads = sum (List.map (read a) [ [ 0; 0; -1 ]; [ 0; 0; 1 ]; [ 0; -1; 0 ] ]) in
+        let body = axpy (axpy (Ir.Const 0.375) (coeff 0) reads) (coeff 1) (read (src_of_seed dims 6) [ 0; 0; 0 ]) in
+        Ir.genarray dims [ { Ir.gen = Generator.interior dims 1; body } ] );
   ]
 
 let test_fixed_kernels_allocation_free () =
@@ -1495,9 +1537,10 @@ let test_mg_borders_lent () =
    output), a modarray of the base (its complement slabs are copies), and
    a periodic-style border of the base over the 26 regions that is
    lent (the base has another reader), stolen (it has none) or copied
-   (the user forced the base first).  A border reads the base only at
-   the wrap offset: a barrier modarray's parts read outside what they
-   write.  Every forced value must equal the
+   (the user forced the base first).  A border reads the base at the
+   wrap offset or at identity: a barrier modarray's parts read the base
+   outside what they write, or at the element they write.  Every
+   forced value must equal the
    reference interpreter's bitwise, and must not change afterwards,
    under reuse on/off, the generic, cfun and native tiers, cold and
    replayed from the plan cache. *)
@@ -1549,12 +1592,12 @@ let gen_gspec =
     let* gbodies = list_repeat 26 (pair (list_size (0 -- 3) read) (float_range 0.125 1.0)) in
     let* gkeys = list_repeat 27 (0 -- 1000) and* gseed = 0 -- 10000 in
     let border = match gforce with Flent | Fstolen | Fcopied -> true | Fconsumer | Fmod -> false in
-    (* A border reads its base only outside the shell it writes, and
-       cannot read itself. *)
+    (* A border reads its base at identity or outside the shell it
+       writes (the barrier contract), and cannot read itself. *)
     let legal (r, m) =
-      match r with
-      | Gborder when border -> (Gleaf 1, m)
-      | Gbase when border -> (Gbase, Mwrap)
+      match (r, m) with
+      | Gborder, _ when border -> (Gleaf 1, m)
+      | Gbase, Moff _ when border -> (Gbase, Mwrap)
       | _ -> (r, m)
     in
     (* Reads of one array stay adjacent: the kernels sum a cluster's
@@ -1665,6 +1708,51 @@ let qcheck_shell_groups_match_reference =
   QCheck.Test.make ~name:"ghost-shell groups bitwise match the reference interpreter" ~count:100
     (QCheck.make ~print:print_gspec gen_gspec) run_gspec
 
+(* A stolen or lent base read at identity and at the wrap offset
+   through one cluster ([base@wrap+base@ident]), on every tier: a
+   kernel that stored an element before its last read of the base would
+   read the border's own value there. *)
+let identity_border_spec gforce =
+  { gext = [| 6; 3; 6 |];
+    gforce;
+    g26 = true;
+    gbodies =
+      [ ([], 0.539415);
+        ([ (Gbase, Mident); (Gleaf 1, Mwrap) ], 0.375673);
+        ([ (Gbase, Mwrap); (Gleaf 1, Mident); (Gleaf 1, Mident) ], 0.641595);
+        ([ (Gleaf 0, Mwrap); (Gleaf 0, Mident); (Gleaf 0, Mwrap) ], 0.52385);
+        ([ (Gleaf 1, Mident) ], 0.177509);
+        ([ (Gbase, Mwrap) ], 0.713111);
+        ([], 0.746298);
+        ([ (Gleaf 1, Moff [| 1; 1; 1 |]) ], 0.786838);
+        ([ (Gbase, Mwrap); (Gleaf 1, Mident) ], 0.968553);
+        ([ (Gbase, Mwrap); (Gleaf 1, Moff [| 0; 1; 1 |]); (Gleaf 1, Mwrap) ], 0.397251);
+        ([], 0.901621);
+        ([ (Gleaf 1, Mident) ], 0.165891);
+        ([ (Gleaf 0, Mident) ], 0.638902);
+        ([], 0.804373);
+        ([ (Gbase, Mwrap); (Gleaf 0, Moff [| -1; 0; 1 |]); (Gleaf 1, Moff [| 1; -1; 0 |]) ], 0.244747);
+        ([], 0.277372);
+        ([], 0.584833);
+        ([ (Gbase, Mwrap); (Gleaf 1, Moff [| 1; -1; -1 |]) ], 0.738012);
+        ([ (Gleaf 0, Mwrap) ], 0.20026);
+        ([ (Gleaf 1, Mident); (Gleaf 1, Mident) ], 0.628164);
+        ([], 0.66375);
+        ([ (Gbase, Mwrap); (Gbase, Mident); (Gleaf 1, Moff [| 1; 1; 0 |]) ], 0.518823);
+        ([ (Gleaf 0, Moff [| 1; -1; 0 |]); (Gleaf 1, Mident) ], 0.803542);
+        ([], 0.334888);
+        ([], 0.443921);
+        ([ (Gbase, Mwrap) ], 0.811951);
+      ];
+    gkeys =
+      [ 611; 304; 358; 262; 199; 408; 97; 778; 484; 189; 765; 497; 923; 853; 133; 321; 517; 368; 84;
+        225; 587; 804; 96; 116; 686; 167; 866 ];
+    gseed = 8810;
+  }
+
+let test_identity_read_borders () =
+  List.iter (fun f -> ignore (run_gspec (identity_border_spec f))) [ Fstolen; Flent ]
+
 let test_shell_groups_exercised () =
   List.iter
     (fun k ->
@@ -1703,6 +1791,8 @@ let suite =
       Alcotest.test_case "in-place pass exercised by qcheck" `Quick test_reuse_exercised;
       Alcotest.test_case "reuse aliases a dead pointwise operand" `Quick
         test_reuse_aliases_dead_operand;
+      Alcotest.test_case "reuse aliases an operand a later cfun cluster reads" `Quick
+        test_reuse_cfun_later_cluster;
       Alcotest.test_case "reuse off allocates" `Quick test_reuse_off_allocates;
       Alcotest.test_case "hazardous stencil operand never aliased" `Quick
         test_hazard_never_aliased;
@@ -1731,5 +1821,7 @@ let suite =
       Alcotest.test_case "MG borders lend instead of copying" `Quick test_mg_borders_lent;
       QCheck_alcotest.to_alcotest qcheck_shell_groups_match_reference;
       Alcotest.test_case "shell groups exercised by qcheck" `Quick test_shell_groups_exercised;
+      Alcotest.test_case "stolen and lent bases read at identity" `Quick
+        test_identity_read_borders;
       QCheck_alcotest.to_alcotest qcheck_shell_round_trip;
     ] )
