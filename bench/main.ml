@@ -183,7 +183,7 @@ let () =
               (fun e ->
                 let s = Mg_withloop.Engine.cache_stats e in
                 Json.Obj
-                  [ ("id", Json.Int (Mg_withloop.Engine.id e));
+                  [ ("id", Json.Int (Mg_withloop.Engine.label e));
                     ("plans", Json.Int (Mg_withloop.Engine.cache_length e));
                     ("hits", Json.Int s.Mg_withloop.Plan_cache.hits);
                     ("misses", Json.Int s.Mg_withloop.Plan_cache.misses);

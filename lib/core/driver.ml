@@ -71,16 +71,8 @@ let run ?engine ?tenant ?opt ?threads ?sched ?backend ?cfun ?native ?reuse ?pool
                 | C -> Mg_c.run cls
                 | Periodic -> Mg_periodic.run cls)
           in
-          (* One arena scope per request, owned by the one-shot engine:
-             buffers the solve recycles on this domain outside the
-             solver's own V-cycle scopes are held back until the
-             request completes, so two requests multiplexed onto one
-             serving worker can never hand each other's dead buffers
-             around mid-solve — and a request that raises still flushes
-             its trail on the way out (scopes unwind exceptions). *)
           let events, (rnm2, seconds) =
-            Mempool.with_scope ~owner:(Engine.id e) (fun () ->
-                if trace then Trace.with_collector body else ([], body ()))
+            if trace then Trace.with_collector body else ([], body ())
           in
           (* Only the Fortran port preserves the reference code's exact
              floating-point evaluation order; the C port regroups neighbour

@@ -49,10 +49,7 @@ val run :
     Every solve runs under a fresh {!Mg_obs.Scope} (stamped with the
     engine's {!Engine.label} and the optional [tenant], writing to the
     engine's metric shards) and leaves one
-    {!Mg_obs.Flight} record behind — even when spans are off.  It also
-    runs inside a per-request {!Mg_withloop.Mempool} arena scope owned
-    by the one-shot engine, so requests multiplexed onto one serving
-    worker keep their recycle trails isolated from each other. *)
+    {!Mg_obs.Flight} record behind — even when spans are off. *)
 
 val traced_run : impl:impl -> cls:Classes.t -> result
 (** [run ~trace:true] at sequential settings — the input for

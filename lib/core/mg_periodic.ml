@@ -45,13 +45,12 @@ let rec v_cycle ~smoother r =
 let m_grid ~smoother ~v ~iter =
   let u = ref (Ops.genarray_const (Wl.shape v) 0.0) in
   for _ = 1 to iter do
-    (* Per-iteration arena scope: the rotation/level temporaries all
-       die here; the forced iterate escapes the scope (force exempts
-       it) and is carried as a plain array. *)
-    Wl.with_pool_scope (fun () ->
-        let r = Ops.sub v (resid !u) in
-        let u' = Ops.add !u (v_cycle ~smoother r) in
-        u := Wl.of_ndarray (Wl.force u'))
+    (* The rotation/level temporaries return to the pool at their last
+       use; the forced iterate escapes and is carried as a plain
+       array. *)
+    let r = Ops.sub v (resid !u) in
+    let u' = Ops.add !u (v_cycle ~smoother r) in
+    u := Wl.of_ndarray (Wl.force u')
   done;
   !u
 
@@ -60,12 +59,11 @@ let run (cls : Classes.t) =
   let n = cls.Classes.nx in
   let v = stage "init" (fun () -> Wl.of_ndarray (Zran3.generate_compact ~n)) in
   let smoother = Classes.smoother_coeffs cls in
-  Wl.with_pool_scope (fun () ->
-      let t0 = Clock.now () in
-      let u = stage "iterate" (fun () -> m_grid ~smoother ~v ~iter:cls.Classes.nit) in
-      let r = stage "residual" (fun () -> Wl.force (Ops.sub v (resid u))) in
-      let dt = Clock.now () -. t0 in
-      (* norm2u3 over the whole (border-free) grid. *)
-      let s = Ndarray.fold (fun acc x -> acc +. (x *. x)) 0.0 r in
-      let dn = float_of_int n ** 3.0 in
-      (Float.sqrt (s /. dn), dt))
+  let t0 = Clock.now () in
+  let u = stage "iterate" (fun () -> m_grid ~smoother ~v ~iter:cls.Classes.nit) in
+  let r = stage "residual" (fun () -> Wl.force (Ops.sub v (resid u))) in
+  let dt = Clock.now () -. t0 in
+  (* norm2u3 over the whole (border-free) grid. *)
+  let s = Ndarray.fold (fun acc x -> acc +. (x *. x)) 0.0 r in
+  let dn = float_of_int n ** 3.0 in
+  (Float.sqrt (s /. dn), dt)

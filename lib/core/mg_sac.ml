@@ -40,20 +40,15 @@ let rec v_cycle ~smoother r =
 let m_grid ~smoother ~v ~iter =
   let u = ref (Ops.genarray_const (Wl.shape v) 0.0) in
   for _ = 1 to iter do
-    (* One arena scope per V-cycle: every level buffer the engine
-       allocates while forcing this iteration returns to the pool in a
-       single sweep at the end of the body, so iteration 2 onwards
-       runs allocation-free.  The iterate carried to the next
-       iteration survives via [materialize]'s keep-exemption. *)
-    Wl.with_pool_scope (fun () ->
-        let r = Ops.sub v (resid Stencil.a !u) in
-        let u' = Ops.add !u (v_cycle ~smoother r) in
-        (* Materialise once per iteration: u is the loop-carried state.
-           [materialize] (not [force]) keeps the old iterate eligible for
-           the executor's buffer-reuse analysis, so the level buffers
-           ping-pong — [u + VCycle r] writes through the dead previous
-           iterate's buffer instead of allocating per sweep. *)
-        u := Wl.materialize u')
+    let r = Ops.sub v (resid Stencil.a !u) in
+    let u' = Ops.add !u (v_cycle ~smoother r) in
+    (* Materialise once per iteration: u is the loop-carried state.
+       [materialize] (not [force]) keeps the old iterate eligible for
+       the executor's buffer-reuse analysis, so the level buffers
+       ping-pong — [u + VCycle r] writes through the dead previous
+       iterate's buffer instead of allocating per sweep — and every
+       level buffer returns to the pool at its last use. *)
+    u := Wl.materialize u'
   done;
   !u
 
@@ -62,16 +57,12 @@ let run (cls : Classes.t) =
   let n = cls.Classes.nx in
   let v = stage "init" (fun () -> Wl.of_ndarray (Zran3.generate ~n)) in
   let smoother = Classes.smoother_coeffs cls in
-  (* Outer scope around the whole solve: reclaims the stragglers the
-     per-iteration scopes deferred (the final iterate, kept buffers),
-     which keeps [mempool.alloc_bytes] flat across repeated solves. *)
-  Wl.with_pool_scope (fun () ->
-      let t0 = Clock.now () in
-      let u = stage "iterate" (fun () -> m_grid ~smoother ~v ~iter:cls.Classes.nit) in
-      let r = stage "residual" (fun () -> Wl.force (Ops.sub v (resid Stencil.a u))) in
-      let dt = Clock.now () -. t0 in
-      let rnm2, _ = stage "verify" (fun () -> Verify.norm2u3 r ~n) in
-      (rnm2, dt))
+  let t0 = Clock.now () in
+  let u = stage "iterate" (fun () -> m_grid ~smoother ~v ~iter:cls.Classes.nit) in
+  let r = stage "residual" (fun () -> Wl.force (Ops.sub v (resid Stencil.a u))) in
+  let dt = Clock.now () -. t0 in
+  let rnm2, _ = stage "verify" (fun () -> Verify.norm2u3 r ~n) in
+  (rnm2, dt)
 
 (* Per-iteration residual norms (golden-vector tests).  Forcing the
    residual each iteration adds consumer edges on [u] but perturbs no
@@ -83,13 +74,11 @@ let residual_norms (cls : Classes.t) =
   let smoother = Classes.smoother_coeffs cls in
   let u = ref (Ops.genarray_const (Wl.shape v) 0.0) in
   let norms = Array.make cls.Classes.nit 0.0 in
-  Wl.with_pool_scope (fun () ->
-      for i = 0 to cls.Classes.nit - 1 do
-        Wl.with_pool_scope (fun () ->
-            let r = Ops.sub v (resid Stencil.a !u) in
-            let u' = Ops.add !u (v_cycle ~smoother r) in
-            u := Wl.materialize u';
-            let rr = Wl.force (Ops.sub v (resid Stencil.a !u)) in
-            norms.(i) <- fst (Verify.norm2u3 rr ~n))
-      done);
+  for i = 0 to cls.Classes.nit - 1 do
+    let r = Ops.sub v (resid Stencil.a !u) in
+    let u' = Ops.add !u (v_cycle ~smoother r) in
+    u := Wl.materialize u';
+    let rr = Wl.force (Ops.sub v (resid Stencil.a !u)) in
+    norms.(i) <- fst (Verify.norm2u3 rr ~n)
+  done;
   norms

@@ -2,8 +2,8 @@
    a team of serving-worker domains, each solving under its own
    Engine.t.  The engines share one plan cache (Engine.create
    ~share_cache) and, transitively, the on-disk native kernel cache;
-   per-request isolation is the executor's own per-request arena
-   scope (Driver.run) on the worker's per-domain arena.
+   per-request isolation is the executor's own: each worker has its
+   own per-domain arena and runs one request at a time.
 
    Locking discipline: ONE mutex guards the admission queue, the
    outcome table and the lifecycle flags.  Workers hold it only to
@@ -107,7 +107,7 @@ let run_payload t widx (w : work) =
   match w.req.payload with
   | Custom f -> (
       try
-        let v = Engine.with_current eng (fun () -> Mempool.with_scope ~owner:(Engine.id eng) f) in
+        let v = Engine.with_current eng f in
         Ok (v, true)
       with e -> Error (Printexc.to_string e))
   | Solve s -> (

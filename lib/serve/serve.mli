@@ -10,9 +10,10 @@
     for a given graph shape replays the first tenant's plan — while
     each owns a private execution pool, so concurrent solves never
     contend for loop workers.  Per-request isolation comes from the
-    executor itself: every [Driver.run] brackets its solve in a
-    per-request arena scope, and arenas are per-domain, so two
-    requests on two serving workers never share a recycle trail.
+    executor itself: arenas are per-domain and a worker runs one
+    request at a time, so a buffer a request recycles is handed out
+    again only to that worker's later allocations, and never while
+    the request that recycled it still reads it.
 
     Clients {!submit} requests and {!await} outcomes by ticket;
     submission is non-blocking and refuses explicitly (admission
@@ -71,9 +72,9 @@ val spec :
 type payload =
   | Solve of spec
   | Custom of (unit -> float)
-      (** An arbitrary job run on the serving worker under its engine
-          and a per-request arena scope; the float plays the result
-          slot.  The lifecycle tests poison workers through this. *)
+      (** An arbitrary job run on the serving worker under its engine;
+          the float plays the result slot.  The lifecycle tests poison
+          workers through this. *)
 
 type request = { tenant : string; weight : int; payload : payload }
 

@@ -129,5 +129,13 @@ let out_layout_of ~(ostrides : int array) (ax : axes) =
   done;
   (!base, steps)
 
+(* A one-coordinate axis never advances: [read_layout] gives the read
+   step 0 there while [out_layout_of] keeps the output stride. *)
+let walks_output ~counts ~obase ~osteps ~base ~steps =
+  base = obase
+  &&
+  let rec go j = j < 0 || ((counts.(j) <= 1 || steps.(j) = osteps.(j)) && go (j - 1)) in
+  go (Array.length counts - 1)
+
 let shift_base (cl : ccluster) delta = { cl with xbase = cl.xbase + delta }
 let with_buffer (cl : ccluster) buf = { cl with xbuf = buf }

@@ -47,6 +47,14 @@ val out_layout_of : ostrides:int array -> axes -> int * int array
     the output strides alone (cached plans are compiled against
     outputs that do not exist yet on replay). *)
 
+val walks_output :
+  counts:int array -> obase:int -> osteps:int array -> base:int -> steps:int array -> bool
+(** Whether a read at flat [base] with per-axis [steps] visits, over
+    [counts], exactly the positions the output writes from [obase] with
+    [osteps] — the identity read of the buffer-reuse rule.  An axis
+    with at most one coordinate never advances, so its steps are not
+    compared (a read's step there is 0; the output keeps its stride). *)
+
 val shift_base : ccluster -> int -> ccluster
 (** Displace a cluster's flat base (parallel piece offsetting). *)
 

@@ -115,12 +115,11 @@ type pool_ref =
   | Owned of { mutable pool : Domain_pool.t option; pm : Mutex.t }
 
 type t = {
-  id : int;
   label : int;
-      (* Root attribution id: created engines label themselves with
-         their own id; derived engines inherit the parent's, so the
-         one-shot derivations Driver.run makes per solve all share
-         one metric label instead of minting unbounded cardinality. *)
+      (* Root attribution id: each created engine mints its own;
+         derived engines inherit the parent's, so the one-shot
+         derivations Driver.run makes per solve all share one metric
+         label instead of minting unbounded cardinality. *)
   config : config;
   cache : Plan.cache_entry Plan_cache.t;
   shards : Mg_obs.Scope.shards;
@@ -131,8 +130,7 @@ type t = {
   pool_ref : pool_ref;
 }
 
-let id_counter = Atomic.make 0
-let next_id () = Atomic.fetch_and_add id_counter 1
+let label_counter = Atomic.make 0
 
 (* Registry of created (not derived) engines, for diagnostics — the
    bench harness dumps per-engine cache statistics from here. *)
@@ -165,11 +163,10 @@ let all () =
 (* A registered root engine: it labels and interns its own metric
    shards. *)
 let make_root ~config ~cache pool_ref =
-  let id = next_id () in
-  let shards = Mg_obs.Scope.shards ~engine_id:id in
+  let label = Atomic.fetch_and_add label_counter 1 in
+  let shards = Mg_obs.Scope.shards ~engine_id:label in
   let e =
-    { id;
-      label = id;
+    { label;
       config;
       cache;
       shards;
@@ -190,7 +187,7 @@ let create ?(config = config_of_env ()) ?share_cache () =
    execution pool, its label and metric shards, but carries its own
    config record.  This is what [Wl.with_config] and [Driver.run] hand
    out. *)
-let derive parent f = { parent with id = next_id (); config = f parent.config }
+let derive parent f = { parent with config = f parent.config }
 
 let shutdown e =
   (match e.pool_ref with
@@ -239,7 +236,6 @@ let with_current e f =
 (* ------------------------------------------------------------------ *)
 (* Execution plumbing                                                  *)
 
-let id e = e.id
 let label e = e.label
 let config e = e.config
 

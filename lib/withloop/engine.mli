@@ -140,12 +140,8 @@ val with_current : t -> (unit -> 'a) -> 'a
     (restored afterwards, exceptions included).  Domain-local: solves
     on other domains are unaffected. *)
 
-val id : t -> int
-(** Unique per engine (including derived ones); tags mempool scope
-    marks so interleaved scopes of two engines trip the debug guard. *)
-
 val label : t -> int
-(** The engine's root attribution id: [id] for {!create}d engines,
+(** The engine's root attribution id: unique per {!create}d engine,
     the parent's label for {!derive}d ones.  This is the value behind
     the [engine] metric label and flight-recorder [engine_id] — so a
     root engine and its per-solve derivations share one metric shard

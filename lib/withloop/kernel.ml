@@ -1174,7 +1174,12 @@ let shell_alias_safe k (cls : ccluster array) buf =
           Array.for_all
             (fun r ->
               cls.(r.r_cl).xbuf != buf
-              || (r.r_base = m.h_obase && r.r_su = m.h_ou && r.r_sv = m.h_ov && r.r_sa = m.h_oa))
+              || Cluster.walks_output
+                   ~counts:[| m.h_nu; m.h_nv; m.h_na |]
+                   ~obase:m.h_obase
+                   ~osteps:[| m.h_ou; m.h_ov; m.h_oa |]
+                   ~base:r.r_base
+                   ~steps:[| r.r_su; r.r_sv; r.r_sa |])
             m.h_reads)
         members
   | _ -> invalid_arg "Kernel.shell_alias_safe"

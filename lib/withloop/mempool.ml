@@ -14,20 +14,16 @@ module Scope = Mg_obs.Scope
    span precisely so profile traces can prove the hot path never
    appears under it.
 
-   Scopes: [mark] records the pending-trail length; while a scope is
-   open, refcount-driven [recycle] pushes the dead buffer on the trail
-   instead of searching a slot — O(1), and the buffer is provably dead
-   (the executor clears a node's cache in the same step that recycles
-   it).  [reset] flushes the whole segment into the free slots at
-   once.  Deferring availability to the scope boundary is the point:
-   within an iteration a dead buffer is never handed back out, so the
-   executor's recompute paths (which re-read stale caches of buffers
-   whose reference counts never hit zero) always observe intact data —
-   exactly the liveness contract of the old global pool, with the slot
-   insertion batched.  Escaped results ([Wl.force]) are never recycled
-   in the first place (the release hook skips escaped nodes), so they
-   survive any reset by construction; [escape]/[keep] are debug
-   tripwires for that invariant rather than bookkeeping.
+   Recycling happens at the last use: the executor clears a node's
+   cache in the same step that recycles its buffer, so the buffer
+   re-enters its free slot at once and the next allocation of that
+   size may take it — SAC's reference-counting discipline, with no
+   region bracket around the iteration.  Escaped results ([Wl.force])
+   are never recycled in the first place (the release hook skips
+   escaped nodes); [escape]/[keep] are debug tripwires for that
+   invariant rather than bookkeeping, and under debug [recycle] poisons
+   every buffer with NaNs before it enters its slot, so a read after
+   the last use fails at once in any norm.
 
    [clear] must not reach into arenas owned by other domains (their
    owner may be mid-allocation), so it bumps a global epoch instead:
@@ -55,13 +51,6 @@ type arena = {
   epoch : int Atomic.t;
   slots : slot array;  (* nsets * nways, set-major *)
   mutable tick : int;
-  (* scope state: trail of in-scope recycles (dead, pending their
-     return to the slots) + mark stack *)
-  mutable trail : Ndarray.buffer array;
-  mutable trail_len : int;
-  mutable marks : int array;
-  mutable owners : int array;  (* engine id per mark; -1 = anonymous *)
-  mutable nmarks : int;
   (* counters: written by the owning domain only, read by any domain *)
   st_recycled : int Atomic.t;
   st_live : int Atomic.t;
@@ -108,11 +97,6 @@ let new_arena () =
     { epoch = Atomic.make (Atomic.get global_epoch);
       slots = Array.init (nsets * nways) (fun _ -> { klen = -1; stamp = 0; bufs = [||]; nfree = 0 });
       tick = 0;
-      trail = [||];
-      trail_len = 0;
-      marks = [||];
-      owners = [||];
-      nmarks = 0;
       st_recycled = Atomic.make 0;
       st_live = Atomic.make 0;
       st_live_hw = Atomic.make 0;
@@ -135,8 +119,7 @@ let flush_slots a =
     a.slots
 
 (* Lazy reaction to [clear]: drop free stacks and zero counters the
-   next time the owner touches the pool.  Scope state is preserved —
-   outstanding trail entries still belong to live callers. *)
+   next time the owner touches the pool. *)
 let sync_epoch a =
   let e = Atomic.get global_epoch in
   if Atomic.get a.epoch <> e then begin
@@ -252,15 +235,6 @@ let in_free_slot a b =
   in
   go 0
 
-let trail_push a b =
-  if a.trail_len = Array.length a.trail then begin
-    let nt = Array.make (max 64 (2 * Array.length a.trail)) empty_buf in
-    Array.blit a.trail 0 nt 0 a.trail_len;
-    a.trail <- nt
-  end;
-  a.trail.(a.trail_len) <- b;
-  a.trail_len <- a.trail_len + 1
-
 (* [~pooling] is the calling engine's config flag: the engine config is
    the only pooling switch. *)
 let alloc ~pooling shape =
@@ -284,85 +258,29 @@ let alloc ~pooling shape =
     Ndarray.of_buffer shape b
   end
 
-let in_pending a b =
-  let rec scan i = i < a.trail_len && (a.trail.(i) == b || scan (i + 1)) in
-  scan 0
-
 let recycle ~pooling (arr : Ndarray.t) =
   let len = Ndarray.size arr in
   if len > 0 && pooling then begin
     let a = arena () in
     let b = arr.Ndarray.data in
-    if Atomic.get debug && (in_free_slot a b || in_pending a b) then
-      failwith "Mempool: double recycle of a pooled buffer";
-    if a.nmarks > 0 then trail_push a b
-    else begin
-      if put a b then Atomic.set a.st_recycled (Atomic.get a.st_recycled + 1);
-      live_sub a (8 * len)
-    end
+    if Atomic.get debug then begin
+      if in_free_slot a b then failwith "Mempool: double recycle of a pooled buffer";
+      Bigarray.Array1.fill b Float.nan
+    end;
+    if put a b then Atomic.set a.st_recycled (Atomic.get a.st_recycled + 1);
+    live_sub a (8 * len)
   end
 
-(* {2 Scopes} *)
-
-(* Scopes are keyed engine×domain: the trail lives on the calling
-   domain's arena, and [?owner] tags each mark with the engine that
-   opened it.  Under debug, a [reset] whose owner differs from the
-   mark's trips — the guard for interleaved scopes of two engines on
-   one domain, which would flush each other's pending buffers. *)
-let mark ?(owner = -1) () =
-  let a = arena () in
-  if a.nmarks = Array.length a.marks then begin
-    let cap = max 8 (2 * Array.length a.marks) in
-    let nm = Array.make cap 0 in
-    Array.blit a.marks 0 nm 0 a.nmarks;
-    a.marks <- nm;
-    let no = Array.make cap (-1) in
-    Array.blit a.owners 0 no 0 a.nmarks;
-    a.owners <- no
-  end;
-  a.marks.(a.nmarks) <- a.trail_len;
-  a.owners.(a.nmarks) <- owner;
-  a.nmarks <- a.nmarks + 1
-
-let reset ?(owner = -1) () =
-  let a = arena () in
-  if a.nmarks > 0 then begin
-    a.nmarks <- a.nmarks - 1;
-    (if Atomic.get debug then
-       let o = a.owners.(a.nmarks) in
-       if o >= 0 && owner >= 0 && o <> owner then
-         failwith
-           (Printf.sprintf "Mempool: scope owner mismatch (opened by engine %d, reset by %d)" o
-              owner));
-    let base = a.marks.(a.nmarks) in
-    for i = a.trail_len - 1 downto base do
-      let b = a.trail.(i) in
-      a.trail.(i) <- empty_buf;
-      (* Poisoning under debug makes any read through a stale alias of
-         a flushed buffer blow up a norm. *)
-      if Atomic.get debug then Bigarray.Array1.fill b Float.nan;
-      if put a b then Atomic.set a.st_recycled (Atomic.get a.st_recycled + 1);
-      live_sub a (8 * Bigarray.Array1.dim b)
-    done;
-    a.trail_len <- base
-  end
-
-let with_scope ?owner f =
-  mark ?owner ();
-  Fun.protect ~finally:(fun () -> reset ?owner ()) f
-
-let scope_depth () = (arena ()).nmarks
-
-(* A result that leaves the engine, or an iterate carried across
-   scopes, must never sit in a free slot or on the pending trail: the
-   release hook skips escaped nodes and a live iterate's count never
-   reaches zero.  Under debug these verify that invariant at the
-   force/materialize boundary — a hit means a refcount bug upstream. *)
+(* A result that leaves the engine, or a loop-carried iterate, must
+   never sit in a free slot: the release hook skips escaped nodes and a
+   live iterate's count never reaches zero.  Under debug these verify
+   that invariant at the force/materialize boundary — a hit means a
+   refcount bug upstream. *)
 let check_unpooled what (arr : Ndarray.t) =
   if Atomic.get debug && Ndarray.size arr > 0 then begin
     let a = arena () in
     let b = arr.Ndarray.data in
-    if in_free_slot a b || in_pending a b then
+    if in_free_slot a b then
       failwith ("Mempool: " ^ what ^ " of a pooled (free) buffer")
   end
 

@@ -16,21 +16,17 @@
     those paths announce themselves with a ["mempool:lock"] span so
     profile traces can prove the fast path never locks.
 
-    {2 Scopes}
+    {2 Recycling at the last use}
 
-    {!mark}/{!reset} bracket a region (typically one V-cycle
-    iteration): every {!recycle} inside the scope is deferred — the
-    dead buffer sits on a trail instead of re-entering its free slot —
-    and [reset] flushes the whole trail to the free slots at once,
-    O(length of the trail) with a single slot lookup per entry.
-    Deferring availability to scope end guarantees a buffer freed
-    mid-iteration is never handed back out within the same iteration,
-    so executor recompute paths that still hold caches over it stay
-    sound; the next iteration then allocates from the refilled slots
-    instead of the OS.  Escaped results ([Wl.force]) and the
-    loop-carried iterate ([Wl.materialize]) are never recycled at all,
-    so scopes cannot reclaim them — under {!set_debug}, {!escape} and
-    {!keep} additionally verify that invariant.
+    A buffer returns to its free slot the moment the executor runs its
+    last consumer — the step that also clears the node's cache — so
+    the next allocation of that size, in the same V-cycle or the next,
+    takes it instead of the OS.  No region bracket is needed around an
+    iteration.  Escaped results ([Wl.force]) and the loop-carried
+    iterate ([Wl.materialize]) are never recycled at all; under
+    {!set_debug}, {!escape} and {!keep} verify that invariant, and
+    {!recycle} poisons each buffer with NaNs before it enters its slot,
+    so a read after the last use fails at once.
 
     {2 Pooling off}
 
@@ -52,8 +48,7 @@ val recycle : pooling:bool -> Ndarray.t -> unit
 (** Return a dead buffer to the calling domain's arena (no-op unless
     [pooling]).  The caller must guarantee no live reference to the
     array remains; at most {!max_per_class} buffers are kept per size
-    class.  Inside an active scope this is deferred: the buffer sits
-    on the scope trail and {!reset} reclaims it. *)
+    class.  Under {!set_debug} the buffer is NaN-poisoned first. *)
 
 val clear : unit -> unit
 (** Drop every pooled buffer in every arena and zero the {!stats}
@@ -68,7 +63,7 @@ val stats : unit -> int * int
 
 type snapshot = {
   reused : int;  (** allocations served from a free slot ([mempool.pool_hits]) *)
-  recycled : int;  (** buffers returned to a free slot (incl. by reset) *)
+  recycled : int;  (** buffers returned to a free slot *)
   bytes_live : int;  (** bytes currently out of the pool's free slots *)
   bytes_live_hw : int;  (** high-water of [bytes_live] since {!clear} *)
   arenas : int;  (** registered per-domain arenas *)
@@ -81,36 +76,16 @@ val snapshot : unit -> snapshot
 val max_per_class : int
 (** Free-stack depth per size class. *)
 
-(** {1 Scopes} *)
-
-val mark : ?owner:int -> unit -> unit
-(** Open a scope on the calling domain's arena.  [?owner] tags the
-    mark with the opening engine's id (scopes are keyed engine×domain);
-    anonymous when omitted. *)
-
-val reset : ?owner:int -> unit -> unit
-(** Close the innermost scope: flush every {!recycle} deferred since
-    the matching {!mark} into the free slots (under {!set_debug},
-    poisoning each with NaNs first).  No-op without an open scope.
-    Under {!set_debug}, fails if both the mark's recorded owner and
-    [?owner] are given and differ — the tripwire for two engines
-    interleaving scopes on one domain. *)
-
-val with_scope : ?owner:int -> (unit -> 'a) -> 'a
-(** [mark]; run; [reset] (also on exceptions). *)
-
-val scope_depth : unit -> int
-(** Open scopes on the calling domain's arena. *)
-
 val escape : Ndarray.t -> unit
 (** The array left the engine ([Wl.force]): ownership passes to the
     caller and the GC.  Debug-only tripwire — fails if the buffer
-    already sits in a free slot or on a scope trail (the pool could
-    hand it out while the caller reads it); no-op otherwise. *)
+    already sits in a free slot (the pool could hand it out while the
+    caller reads it); no-op otherwise. *)
 
 val keep : Ndarray.t -> unit
-(** The array survives the current scope pool-owned ([Wl.materialize]'s
-    loop-carried iterate).  Debug-only tripwire like {!escape}. *)
+(** The array stays live and pool-owned ([Wl.materialize]'s
+    loop-carried iterate): it is recycled once its last registered
+    consumer runs.  Debug-only tripwire like {!escape}. *)
 
 (** {1 Diagnostics}
 
@@ -133,9 +108,9 @@ val set_debug : bool -> unit
 (** Enable the aliasing guards: [recycle] fails on a buffer already in
     its free slot (double release), the executor cross-checks every
     in-place aliasing decision with {!assert_unpooled} and a
-    structural hazard re-scan of the compiled parts, and {!reset}
-    poisons reclaimed buffers with NaNs so a read through a buffer
-    that escaped its scope fails loudly in any norm. *)
+    structural hazard re-scan of the compiled parts, and [recycle]
+    poisons each buffer with NaNs before it enters its slot, so a read
+    after the last use fails loudly in any norm. *)
 
 val get_debug : unit -> bool
 

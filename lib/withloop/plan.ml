@@ -215,20 +215,21 @@ let strip_cpart (cp : cpart) = rebind_cpart cp (fun _ -> dummy_buf)
    buffer only when no kernel can observe the overwrite: every read of
    that buffer must be an *identity* read — element [e] of the operand
    is read only while computing element [e] of the output.  Structurally
-   that is a cluster whose flat base and per-axis steps coincide with
-   the output layout and whose delta sets are all zero (offsets, strided
-   windows, transposes and broadcasts all shift base or steps).  Every
-   kernel — fixed, cfun, native and generic — reads all of an element's
-   operands before it stores that element, once, and pieces partition
-   the index space, so identity reads stay inside the piece under any
-   backend, policy or tile shape.  (The emitted C never carries
+   that is a cluster whose flat base and steps coincide with the output
+   layout on every axis that advances ({!Cluster.walks_output}) and
+   whose delta sets are all zero (offsets, strided windows, transposes
+   and broadcasts all shift base or steps).  Every kernel — fixed,
+   cfun, native and generic — reads all of an element's operands
+   before it stores that element, once, and pieces partition the index
+   space, so identity reads stay inside the piece under any backend,
+   policy or tile shape.  (The emitted C never carries
    [restrict] on the output pointer, so the C compiler must honour the
    aliasing too.)  A shell group checks each member's reads against
    that member's own layout. *)
 
 let cluster_identity (cp : cpart) (cl : Cluster.ccluster) =
-  cl.Cluster.xbase = cp.kobase
-  && cl.Cluster.xsteps = cp.kosteps
+  Cluster.walks_output ~counts:cp.kcounts ~obase:cp.kobase ~osteps:cp.kosteps
+    ~base:cl.Cluster.xbase ~steps:cl.Cluster.xsteps
   && Array.for_all (fun ds -> Array.for_all (fun d -> d = 0) ds) cl.Cluster.xdeltas
 
 let cpart_alias_safe (cp : cpart) (buf : Ndarray.buffer) =

@@ -43,7 +43,6 @@ let tune_gc () =
    concurrency and unwinds with exceptions. *)
 
 let with_config f k = Engine.with_current (Engine.derive (Engine.current ()) f) k
-let with_pool_scope f = Mempool.with_scope ~owner:(Engine.id (Engine.current ())) f
 let settings () : Exec.settings = Engine.settings (Engine.current ())
 
 (* ------------------------------------------------------------------ *)
@@ -57,9 +56,8 @@ let force : t -> Ndarray.t = function
       tune_gc ();
       Ir.mark_escaped n;
       let a = Exec.force (settings ()) n in
-      (* The result leaves the engine: exempt it from any active arena
-         scope so a bracketing reset cannot reclaim it under the
-         caller. *)
+      (* The result leaves the engine: the release hook never recycles
+         an escaped node, which the debug tripwire checks. *)
       Mempool.escape a;
       a
 
@@ -74,9 +72,8 @@ let materialize : t -> t = function
   | Ir.Node n as s ->
       tune_gc ();
       let a = Exec.force (settings ()) n in
-      (* Loop-carried: the buffer outlives the current arena scope but
-         stays pool-owned, so its reclamation is deferred to the
-         enclosing scope's reset instead of being skipped for good. *)
+      (* Loop-carried: the buffer stays pool-owned and is recycled when
+         its last registered consumer runs, not skipped for good. *)
       Mempool.keep a;
       s
 

@@ -100,17 +100,6 @@ val with_config : (Engine.config -> Engine.config) -> (unit -> 'a) -> 'a
     previous engine is restored afterwards, exceptions included.
     Read the effective config with [Engine.config (Engine.current ())]. *)
 
-val with_pool_scope : (unit -> 'a) -> 'a
-(** Bracket [f] with an arena {!Mempool.mark}/{!Mempool.reset} scope:
-    buffers the engine recycles inside [f] on this domain are held
-    back until [f] returns, then flushed to the free slots in one
-    sweep — a dead buffer is never re-handed within the scope, and the
-    next iteration allocates from the refilled slots instead of the
-    OS.  Results obtained through {!force} and iterates carried
-    through {!materialize} are never recycled, so a scope cannot
-    reclaim them.  The solver drivers wrap each V-cycle iteration (and
-    the whole solve) in one of these.  Empty when pooling is off. *)
-
 val settings : unit -> Exec.settings
 (** The executor settings of the calling domain's current engine
     (= [Engine.settings (Engine.current ())]). *)

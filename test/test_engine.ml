@@ -107,7 +107,7 @@ let test_concurrent_solves_bitwise () =
         (Int64.equal (bits seq_b) (bits con_b));
       (* The two configurations genuinely differ in kernel path, so
          the gate is not vacuous: both verify against the class. *)
-      Alcotest.(check bool) "distinct engine ids" true (Engine.id ea <> Engine.id eb))
+      Alcotest.(check bool) "distinct engine labels" true (Engine.label ea <> Engine.label eb))
 
 
 (* ------------------------------------------------------------------ *)
@@ -465,7 +465,7 @@ let test_derive_shares_cache () =
     (fun () ->
       let d = Engine.derive e (fun c -> { c with Engine.opt_level = Engine.O1 }) in
       Alcotest.(check bool) "same cache" true (Engine.cache d == Engine.cache e);
-      Alcotest.(check bool) "fresh id" true (Engine.id d <> Engine.id e);
+      Alcotest.(check int) "inherited label" (Engine.label e) (Engine.label d);
       let src = src_of_seed [| 10; 10 |] 3 in
       ignore (Engine.with_current d (fun () -> Wl.force (stencil_graph src 1.5)));
       Alcotest.(check bool) "derived force lands in parent stats" true

@@ -1,7 +1,7 @@
-(* The per-domain arena allocator: scope (mark/reset) semantics, stats
-   and clear, capacity caps, pooling off, and — the
+(* The per-domain arena allocator: recycling at the last use, stats
+   and clear, capacity caps, the debug poison, pooling off, and — the
    property that matters — bitwise-identical results with pooling on
-   and off, under arbitrary nestings of scopes. *)
+   and off. *)
 
 open Mg_ndarray
 open Mg_withloop
@@ -52,98 +52,61 @@ let test_capacity_cap () =
   Alcotest.(check int) "reuses capped population" Mempool.max_per_class reused;
   ignore again
 
-(* A buffer recycled inside a scope is pending, not free: it must not
-   be handed back out until the matching [reset]. *)
-let test_scope_defers_recycle () =
+(* A recycled buffer goes straight back to its free slot: the next
+   allocation of its size takes it, and under debug it arrives
+   NaN-poisoned, so a read after the last use cannot pass unnoticed. *)
+let test_recycle_at_last_use () =
   Mempool.clear ();
+  Mempool.set_debug true;
+  Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
   let shp = [| 31; 3 |] in
-  Mempool.mark ();
   let a = alloc shp in
   Ndarray.fill a 42.0;
   recycle a;
   let b = alloc shp in
-  Alcotest.(check bool) "pending buffer not re-handed in scope" false (same_buffer a b);
-  Alcotest.(check (float 0.0)) "dead buffer untouched while pending" 42.0
-    (Ndarray.get a [| 0; 0 |]);
-  recycle b;
-  Mempool.reset ();
-  Alcotest.(check int) "scope closed" 0 (Mempool.scope_depth ());
-  let c = alloc shp in
-  let d = alloc shp in
-  Alcotest.(check bool) "reset refilled the free slots" true
-    (same_buffer c a || same_buffer c b || same_buffer d a || same_buffer d b)
+  Alcotest.(check bool) "recycled buffer handed out next" true (same_buffer a b);
+  Alcotest.(check bool) "recycled buffer poisoned" true (Float.is_nan (Ndarray.get b [| 0; 0 |]))
 
-(* Random interleavings of alloc / recycle / mark / reset against a
-   shadow model: every live allocation keeps its sentinel value (no
-   two live arrays ever share a buffer) and scope depth tracks the
-   model.  Sizes collide in a handful of classes to stress slot
-   claiming and LRU eviction. *)
-let qcheck_scopes_shadow_model =
+(* Random interleavings of alloc / recycle against a shadow model:
+   every live allocation keeps its sentinel value (no two live arrays
+   ever share a buffer).  Sizes collide in a handful of classes to
+   stress slot claiming and LRU eviction. *)
+let qcheck_arena_shadow_model =
   let op =
-    QCheck.Gen.(
-      frequency
-        [ (5, map (fun i -> `Alloc i) (0 -- 2));
-          (4, return `Recycle);
-          (2, return `Mark);
-          (2, return `Reset);
-        ])
+    QCheck.Gen.(frequency [ (5, map (fun i -> `Alloc i) (0 -- 2)); (4, return `Recycle) ])
   in
   let print_ops ops =
     String.concat ""
-      (List.map
-         (function
-           | `Alloc i -> Printf.sprintf "A%d " i
-           | `Recycle -> "R "
-           | `Mark -> "[ "
-           | `Reset -> "] ")
-         ops)
+      (List.map (function `Alloc i -> Printf.sprintf "A%d " i | `Recycle -> "R ") ops)
   in
   let arb = QCheck.make ~print:print_ops QCheck.Gen.(list_size (10 -- 80) op) in
-  QCheck.Test.make ~name:"scoped arena vs shadow model (sentinels intact)" ~count:200 arb
-    (fun ops ->
+  QCheck.Test.make ~name:"arena vs shadow model (sentinels intact)" ~count:200 arb (fun ops ->
       Mempool.clear ();
       let sizes = [| [| 17 |]; [| 17; 2 |]; [| 5; 7 |] |] in
       let live = ref [] in
       let next = ref 0 in
-      let depth = ref 0 in
-      let check_live () =
-        List.for_all (fun (a, v) -> Ndarray.get_flat a 0 = v) !live
-        && Mempool.scope_depth () = !depth
-      in
-      let ok =
-        List.for_all
-          (fun o ->
-            (match o with
-            | `Alloc i ->
-                let a = alloc sizes.(i) in
-                incr next;
-                let v = float_of_int !next in
-                Ndarray.fill a v;
-                live := (a, v) :: !live
-            | `Recycle -> (
-                match !live with
-                | (a, _) :: rest ->
-                    live := rest;
-                    recycle a
-                | [] -> ())
-            | `Mark ->
-                Mempool.mark ();
-                incr depth
-            | `Reset ->
-                Mempool.reset ();
-                if !depth > 0 then decr depth);
-            check_live ())
-          ops
-      in
-      (* Unwind whatever the sequence left open. *)
-      while Mempool.scope_depth () > 0 do
-        Mempool.reset ()
-      done;
-      ok)
+      List.for_all
+        (fun o ->
+          (match o with
+          | `Alloc i ->
+              let a = alloc sizes.(i) in
+              incr next;
+              let v = float_of_int !next in
+              Ndarray.fill a v;
+              live := (a, v) :: !live
+          | `Recycle -> (
+              match !live with
+              | (a, _) :: rest ->
+                  live := rest;
+                  recycle a
+              | [] -> ()));
+          List.for_all (fun (a, v) -> Ndarray.get_flat a 0 = v) !live)
+        ops)
 
 (* Regression: a result that leaves the engine through [Wl.force]
-   inside a scope must survive the [reset] — debug NaN-poisoning of
-   reclaimed buffers turns any violation into a loud failure. *)
+   must survive the recycles of the force's intermediates — debug
+   NaN-poisoning of recycled buffers turns any violation into a loud
+   failure. *)
 let test_escape_through_reset () =
   pooled @@ fun () ->
   Mempool.clear ();
@@ -151,43 +114,40 @@ let test_escape_through_reset () =
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
   let shp = [| 9; 9 |] in
   let src = Wl.of_ndarray (Ndarray.init shp (fun iv -> float_of_int (iv.(0) + (10 * iv.(1))))) in
-  let r =
-    Wl.with_pool_scope (fun () ->
-        (* Chain two sweeps so the intermediate dies (and is recycled
-           onto the scope trail) while the final result escapes. *)
-        let mid = Wl.genarray shp [ (Generator.full shp, E.(read src * const 2.0)) ] in
-        Wl.force (Wl.genarray shp [ (Generator.full shp, E.(read mid + const 1.0)) ]))
-  in
-  Alcotest.(check (float 0.0)) "escaped result intact after reset" (2.0 *. 84.0 +. 1.0)
+  (* Chain two sweeps so the intermediate dies (and is recycled) while
+     the final result escapes. *)
+  let mid = Wl.genarray shp [ (Generator.full shp, E.(read src * const 2.0)) ] in
+  let r = Wl.force (Wl.genarray shp [ (Generator.full shp, E.(read mid + const 1.0)) ]) in
+  ignore (Wl.force (Wl.genarray shp [ (Generator.full shp, E.(read src + const 3.0)) ]));
+  Alcotest.(check (float 0.0)) "escaped result intact after recycles" (2.0 *. 84.0 +. 1.0)
     (Ndarray.get r [| 4; 8 |])
 
 (* Regression: with buffer-reuse on, a result aliasing a dead
    operand's buffer (Plan.OReuse) is still a live, escaped result —
-   the scope reset must not reclaim the aliased buffer. *)
+   the operand's death must not recycle the aliased buffer. *)
 let test_reuse_alias_survives_reset () =
   Wl.with_config (fun c -> { c with Engine.pooling = true; reuse = true }) @@ fun () ->
   Mempool.clear ();
   Mempool.set_debug true;
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
   let shp = [| 8; 8 |] in
-  let r =
-    Wl.with_pool_scope (fun () ->
-        let a = Wl.genarray shp [ (Generator.full shp, E.const 3.0) ] in
-        (* Fully covered sweep over a dying operand with identity
-           reads: the reuse pass aliases the output with [a]. *)
-        Wl.force (Wl.genarray shp [ (Generator.full shp, E.(read a * const 5.0)) ]))
-  in
+  let a = Wl.genarray shp [ (Generator.full shp, E.const 3.0) ] in
+  (* Fully covered sweep over a dying operand with identity reads: the
+     reuse pass aliases the output with [a]. *)
+  let r = Wl.force (Wl.genarray shp [ (Generator.full shp, E.(read a * const 5.0)) ]) in
+  ignore (Wl.force (Wl.genarray shp [ (Generator.full shp, E.const 4.0) ]));
   let expect = Ndarray.fill_value shp 15.0 in
-  Alcotest.(check bool) "aliased result intact after reset" true (Ndarray.equal ~eps:0.0 r expect)
+  Alcotest.(check bool) "aliased result intact after recycles" true
+    (Ndarray.equal ~eps:0.0 r expect)
 
 (* A force may materialise a source and then, in a nested force,
    consume that source's last edge before its own parts have read it.
    Here the root's first part folds the selection [s] and reads the
    barrier [b] directly; the second part is too small to split, so it
-   materialises [s], whose release drops [b]'s last edge.  Outside any
-   scope a recycled buffer goes straight back to the free slots, and
-   the root's output has [b]'s size: [b] must stay pinned until the
-   root's parts have run, on the cold force and on the replay. *)
+   materialises [s], whose release drops [b]'s last edge.  A recycled
+   buffer goes straight back to the free slots, and the root's output
+   has [b]'s size: [b] must stay pinned until the root's parts have
+   run, on the cold force and on the replay. *)
 let pin_graph src =
   let shp = Ndarray.shape src in
   let n = shp.(0) in
@@ -204,7 +164,6 @@ let test_pinned_source_outside_scope () =
   Mempool.set_debug true;
   Fun.protect ~finally:(fun () -> Mempool.set_debug false) @@ fun () ->
   Wl.cache_clear ();
-  Alcotest.(check int) "no scope open" 0 (Mempool.scope_depth ());
   let src = Ndarray.init [| 12; 12 |] (fun iv -> float_of_int (1 + iv.(0) + (16 * iv.(1)))) in
   let want = Wl.run_reference (pin_graph src) in
   let cold = Wl.force (pin_graph src) in
@@ -231,42 +190,38 @@ let test_solver_bitwise_pooling_on_off () =
 let test_kill_switch_inert () =
   Mempool.clear ();
   let shp = [| 13; 13 |] in
-  Mempool.mark ();
   let a = Mempool.alloc ~pooling:false shp in
   Ndarray.fill a 7.0;
   Mempool.recycle ~pooling:false a;
-  Mempool.reset ();
   Alcotest.(check (pair int int)) "pooling off cycles nothing" (0, 0) (Mempool.stats ());
   let s = Mempool.snapshot () in
   Alcotest.(check int) "no live bytes tracked" 0 s.Mempool.bytes_live
 
-(* Satellite: the concurrent hammer, scoped — every worker brackets
-   its batch in nested scopes on its own arena. *)
-let test_scoped_concurrent_hammer () =
+(* The concurrent hammer: every worker allocates, fills and recycles
+   on its own arena, with a nested allocation live across each inner
+   recycle. *)
+let test_concurrent_hammer () =
   Mempool.clear ();
   let pool = Mg_smp.Domain_pool.create 4 in
   let shp = [| 17; 13 |] in
   let intact = Array.make 400 false in
   Mg_smp.Domain_pool.parallel_for ~policy:(Mg_smp.Sched_policy.Dynamic_chunked 8) pool ~lo:0
     ~hi:400 (fun lo hi ->
-      Mempool.with_scope (fun () ->
-          for i = lo to hi - 1 do
-            let a = alloc shp in
-            Ndarray.fill a (float_of_int i);
-            Mempool.with_scope (fun () ->
-                let b = alloc [| 64 |] in
-                Ndarray.fill b (float_of_int (i * 2));
-                intact.(i) <-
-                  Ndarray.get a [| 3; 3 |] = float_of_int i
-                  && Ndarray.get b [| 5 |] = float_of_int (i * 2);
-                recycle b);
-            recycle a
-          done));
+      for i = lo to hi - 1 do
+        let a = alloc shp in
+        Ndarray.fill a (float_of_int i);
+        let b = alloc [| 64 |] in
+        Ndarray.fill b (float_of_int (i * 2));
+        intact.(i) <-
+          Ndarray.get a [| 3; 3 |] = float_of_int i && Ndarray.get b [| 5 |] = float_of_int (i * 2);
+        recycle b;
+        recycle a
+      done);
   Mg_smp.Domain_pool.shutdown pool;
   Alcotest.(check bool) "all live allocations intact" true (Array.for_all Fun.id intact);
   let reused, recycled = Mempool.stats () in
   Alcotest.(check bool)
-    (Printf.sprintf "scoped pool cycled buffers (reused %d, recycled %d)" reused recycled)
+    (Printf.sprintf "pool cycled buffers (reused %d, recycled %d)" reused recycled)
     true
     (reused > 0 && recycled > 0)
 
@@ -274,12 +229,12 @@ let suite =
   ( "mempool",
     [ Alcotest.test_case "clear resets stats" `Quick test_clear_resets_stats;
       Alcotest.test_case "free stack capacity cap" `Quick test_capacity_cap;
-      Alcotest.test_case "scope defers recycle to reset" `Quick test_scope_defers_recycle;
-      QCheck_alcotest.to_alcotest qcheck_scopes_shadow_model;
+      Alcotest.test_case "recycle at the last use" `Quick test_recycle_at_last_use;
+      QCheck_alcotest.to_alcotest qcheck_arena_shadow_model;
       Alcotest.test_case "escape through reset" `Quick test_escape_through_reset;
       Alcotest.test_case "reuse alias survives reset" `Quick test_reuse_alias_survives_reset;
       Alcotest.test_case "pinned source outside a scope" `Quick test_pinned_source_outside_scope;
       Alcotest.test_case "solver bitwise across pooling" `Quick test_solver_bitwise_pooling_on_off;
       Alcotest.test_case "kill-switch inert" `Quick test_kill_switch_inert;
-      Alcotest.test_case "scoped concurrent hammer" `Quick test_scoped_concurrent_hammer;
+      Alcotest.test_case "concurrent hammer" `Quick test_concurrent_hammer;
     ] )

@@ -455,6 +455,54 @@ let test_hazard_never_aliased () =
             (arr_bits_equal out (Reference.run (Ir.Node consumer)))))
     [ false; true ]
 
+(* One-thick parts read at identity too: a 6^3 consumer whose interior
+   and six border slabs each read the dying producer at identity must
+   write through the producer's buffer.  On a slab's one-coordinate
+   axis the read step is 0 while the output keeps its stride, so the
+   identity test compares steps only on axes that advance — for
+   pool-split parts (par_threshold 1) and for the slabs' shell group
+   (par_threshold max_int) alike. *)
+let test_reuse_through_one_thick_parts () =
+  List.iter
+    (fun (cfun, par_threshold) ->
+      with_mempool_debug (fun () ->
+          let shp = [| 6; 6; 6 |] in
+          let producer =
+            Ir.genarray shp
+              [ { Ir.gen = Generator.full shp;
+                  body = lin (Ir.Arr (src_of_seed shp 5)) [ ([ 0; 0; 0 ], 1.5) ] 0.25;
+                }
+              ]
+          in
+          let p = Ir.Node producer in
+          let consumer =
+            Ir.genarray shp
+              (List.mapi
+                 (fun i g ->
+                   { Ir.gen = g; body = lin p [ ([ 0; 0; 0 ], 1.0625 +. float_of_int i) ] 0.125 })
+                 (Generator.interior shp 1 :: border_slabs shp 1))
+          in
+          let st =
+            { (exec_settings ~reuse:true ~cfun Mg_smp.Sched_policy.Static_block) with
+              par_threshold;
+            }
+          in
+          let what = Printf.sprintf "(cfun=%b, par_threshold=%d)" cfun par_threshold in
+          let pbuf = (Exec.force st producer).Ndarray.data in
+          let h0 = Mg_obs.Metrics.value c_reuse_hits
+          and g0 = List.assoc "shell" (Kernel.branch_counts ()) in
+          let out = Exec.force st consumer in
+          Alcotest.(check bool) ("consumer wrote through the dead producer's buffer " ^ what) true
+            (out.Ndarray.data == pbuf);
+          Alcotest.(check int) ("mempool.reuse_hits counted the aliasing " ^ what) (h0 + 1)
+            (Mg_obs.Metrics.value c_reuse_hits);
+          if par_threshold = max_int then
+            Alcotest.(check int) ("the slabs ran as one shell group " ^ what) (g0 + 1)
+              (List.assoc "shell" (Kernel.branch_counts ()));
+          Alcotest.(check bool) ("aliased values bitwise match the reference " ^ what) true
+            (arr_bits_equal out (Reference.run (Ir.Node consumer)))))
+    [ (false, 1); (true, 1); (false, max_int); (true, max_int) ]
+
 (* An operand that escaped through Wl.force belongs to user code and
    must never be overwritten, dead refcount or not. *)
 let test_escaped_operand_not_aliased () =
@@ -1796,6 +1844,8 @@ let suite =
       Alcotest.test_case "reuse off allocates" `Quick test_reuse_off_allocates;
       Alcotest.test_case "hazardous stencil operand never aliased" `Quick
         test_hazard_never_aliased;
+      Alcotest.test_case "reuse through one-thick parts at identity" `Quick
+        test_reuse_through_one_thick_parts;
       Alcotest.test_case "escaped operand never aliased" `Quick test_escaped_operand_not_aliased;
       Alcotest.test_case "debug: double recycle fails" `Quick test_debug_double_recycle;
       Alcotest.test_case "debug: pooled-buffer aliasing fails" `Quick test_assert_unpooled;

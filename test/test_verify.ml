@@ -173,6 +173,24 @@ let test_golden_s () =
   check_golden "c/S" c_s (Mg_c.residual_norms Classes.class_s);
   check_golden "sac/S" sac_s (Mg_sac.residual_norms Classes.class_s)
 
+(* Under the debug flag every recycle NaN-poisons its buffer before the
+   buffer re-enters its free slot, so a path that read a buffer after
+   its last use would turn a norm into NaN or move it off the golden
+   bits.  Pooling is forced on: with it off nothing is recycled. *)
+let test_golden_s_debug_poison () =
+  let open Mg_withloop in
+  Wl.with_config (fun c -> { c with Engine.pooling = true }) @@ fun () ->
+  let saved = Mempool.get_debug () in
+  Mempool.set_debug true;
+  Fun.protect ~finally:(fun () -> Mempool.set_debug saved) @@ fun () ->
+  check_golden "sac/S under the debug poison" sac_s (Mg_sac.residual_norms Classes.class_s);
+  (* [Mg_sac.run]'s final residual is fused differently from the
+     per-iteration forces of [residual_norms], so its rnm2 differs from
+     the history's last entry in the last bits; this is its O3 value. *)
+  let r = Driver.run ~impl:Driver.Sac ~cls:Classes.class_s () in
+  Alcotest.(check int64) "sac/S rnm2 under the debug poison" 0x3f0bd3e23d92190aL
+    (Int64.bits_of_float r.Driver.rnm2)
+
 let test_golden_w () =
   check_golden "f77/W" f77_w (Mg_f77.residual_norms Classes.class_w);
   check_golden "c/W" c_w (Mg_c.residual_norms Classes.class_w);
@@ -188,5 +206,7 @@ let suite =
       Alcotest.test_case "classes table" `Quick test_classes_table;
       Alcotest.test_case "custom class validation" `Quick test_custom_class_validation;
       Alcotest.test_case "golden residual norms (class S)" `Quick test_golden_s;
+      Alcotest.test_case "golden residual norms under the debug poison (class S)" `Quick
+        test_golden_s_debug_poison;
       Alcotest.test_case "golden residual norms (class W)" `Slow test_golden_w;
     ] )
