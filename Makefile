@@ -79,6 +79,16 @@ profile-smoke: build
 	  END { if (!seen) { print "profile-smoke: no plan_cache.uncacheable line in the report"; exit 1 }; \
 	        if (u+0 != 0) { print "profile-smoke: " u " uncacheable forces (expected 0)"; exit 1 }; \
 	        print "profile-smoke: plan cache OK (uncacheable=0)" }' results/profile-w.txt
+	# Staged iterations: m_grid's stepper records the first of a class-W
+	# solve's 40 iterations (one stage.fallback{reason="unrecorded"})
+	# and replays the other 39 with no graph build, key hashing or plan
+	# lookup; no other fallback reason may count.
+	awk '/^  stage\.replays /{r=$$2; seen=1} \
+	  /^  stage\.fallback\{engine=/{ if ($$0 ~ /reason="unrecorded"/) u += $$2; else o += $$2 } \
+	  END { if (!seen) { print "profile-smoke: no stage.replays line in the report"; exit 1 }; \
+	        if (r+0 != 39) { print "profile-smoke: " r+0 " replayed iterations (expected 39)"; exit 1 }; \
+	        if (o+0 != 0) { print "profile-smoke: " o " fallbacks other than unrecorded"; exit 1 }; \
+	        print "profile-smoke: staged iterations OK (replays=" r ", unrecorded=" u+0 ")" }' results/profile-w.txt
 	# The arena alloc/recycle fast path must never take the registry
 	# mutex: the only "mempool:lock" spans a trace may contain are the
 	# cold paths (one arena registration per spawned worker domain,

@@ -42,15 +42,18 @@ let rec v_cycle ~smoother r =
   end
   else smooth smoother r
 
+(* The same stepper as [Mg_sac.m_grid]'s: one recorded iteration,
+   replayed after that; the rotation and level temporaries return to
+   the pool at their last use. *)
 let m_grid ~smoother ~v ~iter =
-  let u = ref (Ops.genarray_const (Wl.shape v) 0.0) in
+  let step =
+    Wl.staged (fun u ->
+        let r = Ops.sub v (resid u) in
+        Ops.add u (v_cycle ~smoother r))
+  in
+  let u = ref (Wl.materialize (Ops.genarray_const (Wl.shape v) 0.0)) in
   for _ = 1 to iter do
-    (* The rotation/level temporaries return to the pool at their last
-       use; the forced iterate escapes and is carried as a plain
-       array. *)
-    let r = Ops.sub v (resid !u) in
-    let u' = Ops.add !u (v_cycle ~smoother r) in
-    u := Wl.of_ndarray (Wl.force u')
+    u := step !u
   done;
   !u
 
@@ -61,9 +64,10 @@ let run (cls : Classes.t) =
   let smoother = Classes.smoother_coeffs cls in
   let t0 = Clock.now () in
   let u = stage "iterate" (fun () -> m_grid ~smoother ~v ~iter:cls.Classes.nit) in
-  let r = stage "residual" (fun () -> Wl.force (Ops.sub v (resid u))) in
-  let dt = Clock.now () -. t0 in
-  (* norm2u3 over the whole (border-free) grid. *)
-  let s = Ndarray.fold (fun acc x -> acc +. (x *. x)) 0.0 r in
-  let dn = float_of_int n ** 3.0 in
-  (Float.sqrt (s /. dn), dt)
+  stage "residual" (fun () ->
+      Wl.read (Ops.sub v (resid u)) (fun r ->
+          let dt = Clock.now () -. t0 in
+          (* norm2u3 over the whole (border-free) grid. *)
+          let s = Ndarray.fold (fun acc x -> acc +. (x *. x)) 0.0 r in
+          let dn = float_of_int n ** 3.0 in
+          (Float.sqrt (s /. dn), dt)))

@@ -38,17 +38,20 @@ let rec v_cycle ~smoother r =
   else smooth smoother r
 
 let m_grid ~smoother ~v ~iter =
-  let u = ref (Ops.genarray_const (Wl.shape v) 0.0) in
+  (* Fig. 4's iteration [u + VCycle (v - Resid u)] as a stepper: the
+     first call records the forces of one iteration, later calls replay
+     them.  The iterate is materialised, not forced: the old iterate
+     stays eligible for the executor's buffer-reuse analysis, so
+     [u + VCycle r] writes through its dead buffer and every level
+     buffer returns to the pool at its last use. *)
+  let step =
+    Wl.staged (fun u ->
+        let r = Ops.sub v (resid Stencil.a u) in
+        Ops.add u (v_cycle ~smoother r))
+  in
+  let u = ref (Wl.materialize (Ops.genarray_const (Wl.shape v) 0.0)) in
   for _ = 1 to iter do
-    let r = Ops.sub v (resid Stencil.a !u) in
-    let u' = Ops.add !u (v_cycle ~smoother r) in
-    (* Materialise once per iteration: u is the loop-carried state.
-       [materialize] (not [force]) keeps the old iterate eligible for
-       the executor's buffer-reuse analysis, so the level buffers
-       ping-pong — [u + VCycle r] writes through the dead previous
-       iterate's buffer instead of allocating per sweep — and every
-       level buffer returns to the pool at its last use. *)
-    u := Wl.materialize u'
+    u := step !u
   done;
   !u
 
@@ -59,15 +62,23 @@ let run (cls : Classes.t) =
   let smoother = Classes.smoother_coeffs cls in
   let t0 = Clock.now () in
   let u = stage "iterate" (fun () -> m_grid ~smoother ~v ~iter:cls.Classes.nit) in
-  let r = stage "residual" (fun () -> Wl.force (Ops.sub v (resid Stencil.a u))) in
-  let dt = Clock.now () -. t0 in
-  let rnm2, _ = stage "verify" (fun () -> Verify.norm2u3 r ~n) in
-  (rnm2, dt)
+  (* The residual is read once, for its norm, and its buffer goes back
+     to the pool. *)
+  stage "residual" (fun () ->
+      Wl.read (Ops.sub v (resid Stencil.a u)) (fun r ->
+          let dt = Clock.now () -. t0 in
+          let rnm2, _ = stage "verify" (fun () -> Verify.norm2u3 r ~n) in
+          (rnm2, dt)))
 
 (* Per-iteration residual norms (golden-vector tests).  Forcing the
-   residual each iteration adds consumer edges on [u] but perturbs no
-   value: forces are deterministic and in-place aliasing never changes
-   results. *)
+   residual each iteration consumes the iterate's last consumer edges,
+   so its buffer is released and the next iteration recomputes it from
+   its graph, folded into that iteration's consumers.  The golden
+   histories from the second iteration on hold that arithmetic, which
+   differs in the last bits from [m_grid]'s (the class-S history ends
+   in ...191a, [run]'s rnm2 is ...190a); a stepper cannot replay it,
+   since its input must be a buffer.  The staged [m_grid] is held to
+   the unstaged loop by its own tests. *)
 let residual_norms (cls : Classes.t) =
   let n = cls.Classes.nx in
   let v = Wl.of_ndarray (Zran3.generate ~n) in

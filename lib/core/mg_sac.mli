@@ -38,8 +38,10 @@ val v_cycle : smoother:Stencil.coeffs -> Wl.t -> Wl.t
 
 val m_grid : smoother:Stencil.coeffs -> v:Wl.t -> iter:int -> Wl.t
 (** Fig. 4's [MGrid]: [iter] iterations of
-    [u <- u + VCycle (v - Resid u)] from [u = 0], forcing [u] once per
-    iteration (the natural materialisation boundary). *)
+    [u <- u + VCycle (v - Resid u)] from [u = 0], materialising [u]
+    once per iteration (the natural materialisation boundary).  The
+    iteration is a {!Wl.staged} stepper: the first is recorded on the
+    per-force path, the others replay it. *)
 
 val run : Classes.t -> float * float
 (** Whole benchmark on the with-loop engine at the current

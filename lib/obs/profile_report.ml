@@ -153,7 +153,11 @@ let pp ?wall_seconds ppf (evs : Span.event list) =
                 | Some s -> String.split_on_char ',' s
                 | None -> []
               in
-              let hit = List.assoc_opt "cache" e.Span.attrs = Some "hit" in
+              let hit =
+                match List.assoc_opt "cache" e.Span.attrs with
+                | Some ("hit" | "replay") -> true
+                | _ -> false
+              in
               let forces, elts, self_ns, kernels, hits =
                 try Hashtbl.find levels extent with Not_found -> (0, 0, 0L, [], 0)
               in

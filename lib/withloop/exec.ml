@@ -54,6 +54,151 @@ let exec_parts st (out : Ndarray.t) (parts : Plan.compiled list) =
   B.run_parts (ctx_of st) parts ~out
 
 (* ------------------------------------------------------------------ *)
+(* Staged calls: the recorder.
+
+   [Wl.staged]'s stepper records one call of its body.  While the
+   body's graph is forced through the per-force path below, every
+   buffer effect of that path is appended, in order, to the calling
+   domain's recorder, over symbolic buffer ids: id 0 is the input, each
+   pool allocation gets a new id, and so does each array the body
+   captured that a kernel reads or a copy sources.  A later call whose
+   input has the same signature runs the tape ([replay], below): the
+   same pool traffic and the same compiled parts, rebound to this
+   call's buffers, in the same order — no graph, no key, no plan lookup,
+   no holds.  Every output mode the per-force path picks (reuse, steal,
+   lend, copy) follows from the graph's reference counts and
+   materialisation states, which the body rebuilds identically from an
+   input of the same signature, so the tape is what that path would do
+   again.
+
+   A recording is refused, and the stepper stays on the per-force path,
+   when the tape could not stand for the call: the graph reaches a
+   materialised node other than the input ([Captured]), a part runs as
+   an interpreted closure ([Opaque] bodies, [Closure] otherwise), a
+   value leaves the graph inside the body ([Escape]: a top-level force
+   or a fold), or the domain is already recording ([Nested]). *)
+
+type reason = Unrecorded | Signature | Captured | Opaque | Closure | Escape | Nested
+
+let stage_replays = Mg_obs.Scope.counter_family "stage.replays"
+
+let stage_fallback =
+  List.map
+    (fun (r, name) ->
+      (r, Mg_obs.Scope.counter_family ~labels:[ ("reason", name) ] "stage.fallback"))
+    [ (Unrecorded, "unrecorded");
+      (Signature, "signature");
+      (Captured, "captured");
+      (Opaque, "opaque");
+      (Closure, "closure");
+      (Escape, "escape");
+      (Nested, "nested");
+    ]
+
+(* What one force shows traces and spans. *)
+type seen = {
+  tag : string;
+  elements : int;
+  extent : int;
+  bytes_alloc : int;
+  kernel : string;
+  out : string;
+}
+
+type op =
+  | Alloc of int * Shape.t
+  | Recycle of int
+  | Fill of int * float
+  | Blit of int * int  (* source, destination *)
+  | Complement of int * int * Shape.t * Shape.t
+  | Save_shell of int * int  (* lent buffer, shell *)
+  | Restore_shell of int * int  (* buffer, shell *)
+  | Reuse of int
+  | Count of Mg_obs.Metrics.counter Mg_obs.Scope.family
+  | Run of int * (Plan.cpart * int array) array  (* output, parts with cluster ids *)
+  | Forced of seen  (* one force is complete *)
+
+type recorder = {
+  rinput : Ir.node option;
+  mutable ops : op list;  (* newest first *)
+  mutable live : (Ndarray.buffer * int) list;  (* buffer -> id, newest first *)
+  mutable captured : (int * Ndarray.t) list;
+  mutable nbufs : int;
+  mutable computed : Ir.node list;  (* the nodes forced inside the recording *)
+  mutable refused : reason option;
+  mutable forcing : bool;  (* the stepper's own force of the body's result is next *)
+}
+
+let recorder_key : recorder option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+(* The calling domain's recorder, unless it has refused. *)
+let recording () =
+  match !(Domain.DLS.get recorder_key) with Some r when r.refused = None -> Some r | _ -> None
+
+let refuse reason = match recording () with Some r -> r.refused <- Some reason | None -> ()
+let is_input r n = match r.rinput with Some m -> m == n | None -> false
+let record f = match recording () with Some r -> r.ops <- f r :: r.ops | None -> ()
+
+let new_id r b =
+  let i = r.nbufs in
+  r.nbufs <- i + 1;
+  r.live <- (b, i) :: r.live;
+  i
+
+(* The id of a buffer the tape touches: a live one, or one the body
+   captured (an array it built its graph over). *)
+let id_of r (a : Ndarray.t) =
+  match List.assq_opt a.Ndarray.data r.live with
+  | Some i -> i
+  | None ->
+      let i = new_id r a.Ndarray.data in
+      r.captured <- (i, a) :: r.captured;
+      i
+
+let id_of_buffer r (b : Ndarray.buffer) =
+  match List.assq_opt b r.live with
+  | Some i -> i
+  | None -> id_of r (Ndarray.of_buffer [| Bigarray.Array1.dim b |] b)
+
+(* The buffer effects of the per-force path, each recorded when a
+   recording is live. *)
+
+let alloc ~pooling shape =
+  let a = Mempool.alloc ~pooling shape in
+  record (fun r -> Alloc (new_id r a.Ndarray.data, Array.copy shape));
+  a
+
+let recycle ~pooling (a : Ndarray.t) =
+  (match recording () with
+  | None -> ()
+  | Some r -> (
+      let b = a.Ndarray.data in
+      match List.assq_opt b r.live with
+      | Some i when not (List.mem_assoc i r.captured) ->
+          r.live <- List.filter (fun (b', _) -> b' != b) r.live;
+          r.ops <- Recycle i :: r.ops
+      | _ -> r.refused <- Some Captured));
+  Mempool.recycle ~pooling a
+
+let fill (a : Ndarray.t) d =
+  record (fun r -> Fill (id_of r a, d));
+  Ndarray.fill a d
+
+let blit ~src ~dst =
+  record (fun r -> Blit (id_of r src, id_of r dst));
+  Ndarray.blit ~src ~dst
+
+let copy_complement src dst lb ub =
+  record (fun r -> Complement (id_of r src, id_of r dst, Array.copy lb, Array.copy ub));
+  Lower.copy_complement src dst lb ub
+
+let note st fam = Mg_obs.Metrics.incr (Mg_obs.Scope.shard st.shards fam)
+
+let count st fam =
+  record (fun _ -> Count fam);
+  note st fam
+
+(* ------------------------------------------------------------------ *)
 (* Ghost-shell loans.
 
    A barrier border node whose parts write only the ghost shell (every
@@ -101,27 +246,35 @@ let border_copied =
       (r, Mg_obs.Scope.counter_family ~labels:[ ("reason", name) ] "border.copied"))
     [ (Escaped, "escaped"); (Pinned, "pinned"); (Lent, "lent"); (Base_held, "base_held") ]
 
-let note_copied st r = Mg_obs.Metrics.incr (Mg_obs.Scope.shard st.shards (List.assoc r border_copied))
+let note_copied st r = count st (List.assoc r border_copied)
 
 let end_loan ~pooling (l : Ir.loan) =
   Ir.set_loan l.Ir.lbase None;
   Ir.set_loan l.Ir.lborrower None;
-  Mempool.recycle ~pooling l.Ir.lshell
+  recycle ~pooling l.Ir.lshell
+
+(* The debug tripwires of a shell save and restore, shared with replay:
+   the lent buffer must not sit in a free slot, and the interior must
+   come back as it was lent. *)
+let check_lent (arr : Ndarray.t) =
+  Mempool.assert_unpooled arr.Ndarray.data ~ctx:"lent base";
+  Lower.interior_checksum arr
+
+let check_restored (arr : Ndarray.t) sum =
+  Mempool.assert_unpooled arr.Ndarray.data ~ctx:"restored ghost shell";
+  if Lower.interior_checksum arr <> sum then
+    failwith "Exec: a lent base's interior changed during its loan"
 
 (* Write the base's shell back into [arr]: the shared buffer, or a copy
-   of it.  The debug tripwire checks that the interior is the one that
-   was lent. *)
+   of it. *)
 let restore (l : Ir.loan) (arr : Ndarray.t) =
+  record (fun r -> Restore_shell (id_of r arr, id_of r l.Ir.lshell));
   Lower.restore_shell arr l.Ir.lshell;
-  if Mempool.get_debug () then begin
-    Mempool.assert_unpooled arr.Ndarray.data ~ctx:"restored ghost shell";
-    if Lower.interior_checksum arr <> l.Ir.lsum then
-      failwith "Exec: a lent base's interior changed during its loan"
-  end
+  if Mempool.get_debug () then check_restored arr l.Ir.lsum
 
 let copy_of ~pooling (a : Ndarray.t) =
-  let c = Mempool.alloc ~pooling (Ndarray.shape a) in
-  Ndarray.blit ~src:a ~dst:c;
+  let c = alloc ~pooling (Ndarray.shape a) in
+  blit ~src:a ~dst:c;
   c
 
 (* End the loan with the borrower on a private copy: the shared buffer
@@ -192,7 +345,7 @@ let drop ~pooling (m : Ir.node) =
   | Some arr -> (
       Ir.clear_cache m;
       match m.Ir.loan with
-      | None -> Mempool.recycle ~pooling arr
+      | None -> recycle ~pooling arr
       | Some l ->
           if l.Ir.lborrower == m then restore l l.Ir.lbuf;
           end_loan ~pooling l)
@@ -204,7 +357,7 @@ let unpin ~pooling h =
       Ir.set_pin m 0;
       if deferred then drop ~pooling m)
     h.pinned;
-  List.iter (Mempool.recycle ~pooling) h.temps
+  List.iter (recycle ~pooling) h.temps
 
 (* [h]'s force holds [m], which takes part in the live loan [l]: settle
    what the loan owes the force, and return the buffer it reads. *)
@@ -430,15 +583,10 @@ let kernels_of (parts : Plan.compiled list) =
    share.  Under debug, the interior's checksum is kept for the
    restore's check, and the buffer must not sit in a free slot. *)
 let lend st (n : Ir.node) (b : Ir.node) arr =
-  let shell = Mempool.alloc ~pooling:st.pooling [| Lower.shell_size (Ndarray.shape arr) |] in
+  let shell = alloc ~pooling:st.pooling [| Lower.shell_size (Ndarray.shape arr) |] in
+  record (fun r -> Save_shell (id_of r arr, id_of r shell));
   Lower.save_shell arr shell;
-  let lsum =
-    if Mempool.get_debug () then begin
-      Mempool.assert_unpooled arr.Ndarray.data ~ctx:"lent base";
-      Lower.interior_checksum arr
-    end
-    else 0
-  in
+  let lsum = if Mempool.get_debug () then check_lent arr else 0 in
   let l =
     { Ir.lbase = b;
       lborrower = n;
@@ -449,7 +597,7 @@ let lend st (n : Ir.node) (b : Ir.node) arr =
   in
   Ir.set_loan b (Some l);
   Ir.set_loan n (Some l);
-  Mg_obs.Metrics.incr (Mg_obs.Scope.shard st.shards border_lent);
+  count st border_lent;
   arr
 
 (* The output buffer of [n]'s force, hit or miss.  [hold] materialises
@@ -469,26 +617,26 @@ let lend st (n : Ir.node) (b : Ir.node) arr =
    (the border's plan has no complement parts, so a copy of the whole
    base is what it needs). *)
 let produce st (n : Ir.node) ~hold parts (mode : Ir.source Plan.out_mode) =
-  let fresh () = Mempool.alloc ~pooling:st.pooling n.Ir.nshape in
+  let fresh () = alloc ~pooling:st.pooling n.Ir.nshape in
   let copy reason src =
     note_copied st reason;
     let out = fresh () in
-    Ndarray.blit ~src ~dst:out;
+    blit ~src ~dst:out;
     out
   in
   match mode with
   | Plan.OFresh -> fresh ()
   | Plan.OFill d ->
       let out = fresh () in
-      Ndarray.fill out d;
+      fill out d;
       out
   | Plan.OBlit src ->
       let out = fresh () in
-      Ndarray.blit ~src:(hold src) ~dst:out;
+      blit ~src:(hold src) ~dst:out;
       out
   | Plan.OComplement (src, lb, ub) ->
       let out = fresh () in
-      Lower.copy_complement (hold src) out lb ub;
+      copy_complement (hold src) out lb ub;
       out
   | Plan.OSteal src -> (
       let arr = hold src in
@@ -504,6 +652,7 @@ let produce st (n : Ir.node) ~hold parts (mode : Ir.source Plan.out_mode) =
     when (not b.Ir.escaped) && b.Ir.refs = edges && b.Ir.loan = None
          && not (pinned_elsewhere b ~owner:n.Ir.nid) ->
       let arr = hold src in
+      record (fun r -> Reuse (id_of r arr));
       if Mempool.get_debug () then begin
         Mempool.assert_unpooled arr.Ndarray.data ~ctx:"reuse output";
         if not (Plan.safe_to_alias arr.Ndarray.data parts) then
@@ -530,6 +679,27 @@ let mode_name : _ Plan.out_mode -> string = function
   | Plan.OLend _ -> "lend"
   | Plan.OReuse _ -> "reuse"
 
+(* Record a force's parts over buffer ids, their templates stripped.  A
+   part on the closure path interprets a graph expression, which no
+   tape can rebind. *)
+let record_run out parts =
+  match recording () with
+  | None -> ()
+  | Some r ->
+      let parts =
+        List.filter_map
+          (function
+            | Plan.Ccompiled cp ->
+                Some
+                  ( Plan.strip_cpart cp,
+                    Array.map (fun (cl : Cluster.ccluster) -> id_of_buffer r cl.Cluster.xbuf) cp.Plan.kclusters )
+            | Plan.Cclosure (_, _, body) ->
+                r.refused <- Some (if Ir.expr_has_opaque body then Opaque else Closure);
+                None)
+          parts
+      in
+      r.ops <- Run (id_of r out, Array.of_list parts) :: r.ops
+
 (* Whether every part writes only the ghost shell of [shape]: each
    generator is a one-thick slab at index 0 or n-1 on some axis. *)
 let shell_parts shape (parts : Ir.part list) =
@@ -554,8 +724,14 @@ type origin =
       compile_cost : float;
     }
 
-(* A force from outside the executor: a lent base must read as itself. *)
+(* A force from outside the executor: a lent base must read as itself.
+   Inside a recording, only the stepper's own force of the body's result
+   is one; any other lets a value leave the body. *)
 let rec force st (n : Ir.node) : Ndarray.t =
+  (match recording () with
+  | Some r when r.forcing -> r.forcing <- false
+  | Some r -> r.refused <- Some Escape
+  | None -> ());
   (match n.Ir.loan with
   | Some l when l.Ir.lbase == n && n.Ir.cache <> None -> reclaim st l
   | _ -> ());
@@ -563,8 +739,13 @@ let rec force st (n : Ir.node) : Ndarray.t =
 
 and compute st (n : Ir.node) =
   match n.Ir.cache with
-  | Some a -> a
+  | Some a ->
+      (match recording () with
+      | Some r when not (List.memq n r.computed || is_input r n) -> r.refused <- Some Captured
+      | _ -> ());
+      a
   | None -> (
+      (match recording () with Some r -> r.computed <- n :: r.computed | None -> ());
       let key = Plan_cache.key_of_graph ~env:(env_of st) ~fold:st.fusion.Fusion.fold n in
       let w = watch st in
       let h = holds n.Ir.nid in
@@ -719,6 +900,7 @@ and finish st w (n : Ir.node) ~hold h parts ~elements mode origin =
   let out = produce st n ~hold parts mode in
   let inplace = taken_over mode out in
   let lent = match n.Ir.loan with Some l -> l.Ir.lborrower == n | None -> false in
+  record_run out parts;
   exec_parts st out parts;
   Ir.set_cache n out;
   (* Store the plan before the pins drop: [unpin] and
@@ -745,20 +927,19 @@ and finish st w (n : Ir.node) ~hold h parts ~elements mode origin =
   Option.iter Ir.clear_cache inplace;
   unpin ~pooling:st.pooling h;
   release_sources ~pooling:st.pooling n;
-  unwatch w ~name:"wl:force"
-    ~tag:(match n.Ir.spec with Ir.Genarray _ -> "wl:genarray" | Ir.Modarray _ -> "wl:modarray")
-    ~elements
-    ~extent:(if Shape.rank shape > 0 then shape.(0) else 0)
-    ~bytes_alloc:(if Option.is_none inplace && not lent then 8 * Shape.num_elements shape else 0)
-    (fun () ->
-      [ ("cache", outcome);
-        ("kernel", kernels_of parts);
-        ( "out",
-          match (mode, inplace) with
-          | Plan.OReuse _, None -> "fresh"
-          | (Plan.OSteal _ | Plan.OLend _), None when not lent -> "blit"
-          | _ -> mode_name mode );
-      ]);
+  let tag = match n.Ir.spec with Ir.Genarray _ -> "wl:genarray" | Ir.Modarray _ -> "wl:modarray" in
+  let extent = if Shape.rank shape > 0 then shape.(0) else 0 in
+  let bytes_alloc = if Option.is_none inplace && not lent then 8 * Shape.num_elements shape else 0 in
+  let out_name () =
+    match (mode, inplace) with
+    | Plan.OReuse _, None -> "fresh"
+    | (Plan.OSteal _ | Plan.OLend _), None when not lent -> "blit"
+    | _ -> mode_name mode
+  in
+  record (fun _ ->
+      Forced { tag; elements; extent; bytes_alloc; kernel = kernels_of parts; out = out_name () });
+  unwatch w ~name:"wl:force" ~tag ~elements ~extent ~bytes_alloc (fun () ->
+      [ ("cache", outcome); ("kernel", kernels_of parts); ("out", out_name ()) ]);
   out
 
 (* ------------------------------------------------------------------ *)
@@ -774,6 +955,7 @@ let apply_op = function
 (* A fold holds and pins the nodes it materialises like a force, until
    its body has been evaluated. *)
 let eval_fold st ~op ~neutral gen body =
+  refuse Escape;
   let w = watch st in
   let h = holds (Ir.next_id ()) in
   let parts =
@@ -813,3 +995,228 @@ let eval_fold st ~op ~neutral gen body =
     ~bytes_alloc:0
     (fun () -> []);
   result
+
+(* ------------------------------------------------------------------ *)
+(* Staged calls: the stepper.
+
+   A call replays the tape when its input has the recorded signature:
+   the input is a buffer (a leaf array, or a materialised node that is
+   not escaped, lent or pinned) of the same shape, strides and
+   reference count, under the same plan-affecting settings ([env_of])
+   and plan cache.  Otherwise it runs the body on the per-force path,
+   recording a new tape unless the recording is refused.  Every call
+   that does not replay counts one [stage.fallback] reason. *)
+
+type signature = {
+  leaf : bool;
+  sshape : Shape.t;
+  sstrides : Shape.t;
+  srefs : int;
+  senv : string;
+  scache : Plan.cache_entry Plan_cache.t;
+}
+
+type tape = {
+  tsig : signature;
+  tops : op array;
+  tbufs : Ndarray.t array;  (* captured arrays at their ids; the rest bound per call *)
+  tresult : int;
+  tinput : int option;  (* the input node's buffer afterwards; [None]: released *)
+  trefs : int;  (* the input node's reference count, afterwards minus before *)
+}
+
+type stepper = { body : Ir.source -> Ir.source; mutable tape : tape option }
+
+let stepper body = { body; tape = None }
+
+let input_buffer = function
+  | Ir.Arr a -> Some a
+  | Ir.Node n -> (
+      match n.Ir.cache with
+      | Some a when (not n.Ir.escaped) && n.Ir.loan = None && n.Ir.pin = 0 -> Some a
+      | _ -> None)
+
+let signature st input (a : Ndarray.t) =
+  { leaf = (match input with Ir.Arr _ -> true | Ir.Node _ -> false);
+    sshape = a.Ndarray.shape;
+    sstrides = a.Ndarray.strides;
+    srefs = (match input with Ir.Arr _ -> 0 | Ir.Node n -> n.Ir.refs);
+    senv = env_of st;
+    scache = st.cache;
+  }
+
+let same_signature a b =
+  a.leaf = b.leaf && a.sshape = b.sshape && a.sstrides = b.sstrides && a.srefs = b.srefs
+  && a.senv = b.senv && a.scache == b.scache
+
+(* Force without escaping, as [Wl.materialize]: the loop-carried value
+   stays pool-owned. *)
+let materialize st n =
+  let a = force st n in
+  Mempool.keep a
+
+(* The tape of a finished recording, or the reason it cannot stand for
+   the call.  Beyond a refusal, a tape needs a result the body computed,
+   in a buffer the tape owns and outside any loan, and an input left
+   unlent and unpinned; otherwise the call shares state with values
+   outside the body ([Captured]). *)
+let tape_of r sg (result : Ir.source) =
+  let live_id (a : Ndarray.t) =
+    match List.assq_opt a.Ndarray.data r.live with
+    | Some i when not (List.mem_assoc i r.captured) -> Some i
+    | _ -> None
+  in
+  match (r.refused, result) with
+  | Some reason, _ -> Error reason
+  | None, Ir.Node n when List.memq n r.computed && n.Ir.loan = None -> (
+      let input_after =
+        match r.rinput with
+        | None -> Some (None, 0)
+        | Some m when m.Ir.loan <> None || m.Ir.pin <> 0 -> None
+        | Some m -> (
+            let refs = m.Ir.refs - sg.srefs in
+            match m.Ir.cache with
+            | None -> Some (None, refs)
+            | Some a -> Option.map (fun i -> (Some i, refs)) (live_id a))
+      in
+      match (Option.bind n.Ir.cache live_id, input_after) with
+      | Some tresult, Some (tinput, trefs) ->
+          let tbufs = Array.make r.nbufs (Ndarray.of_buffer [| 0 |] Plan.dummy_buf) in
+          List.iter (fun (i, a) -> tbufs.(i) <- a) r.captured;
+          Ok
+            { tsig = sg;
+              tops = Array.of_list (List.rev r.ops);
+              tbufs;
+              tresult;
+              tinput;
+              trefs;
+            }
+      | _ -> Error Captured)
+  | None, _ -> Error Captured
+
+(* Run the body on the per-force path with the calling domain
+   recording, and force its result. *)
+let record st s input (a : Ndarray.t) sg =
+  let r =
+    { rinput = (match input with Ir.Node n -> Some n | Ir.Arr _ -> None);
+      ops = [];
+      live = [ (a.Ndarray.data, 0) ];
+      captured = [];
+      nbufs = 1;
+      computed = [];
+      refused = None;
+      forcing = false;
+    }
+  in
+  let cell = Domain.DLS.get recorder_key in
+  cell := Some r;
+  let result =
+    Fun.protect
+      ~finally:(fun () -> cell := None)
+      (fun () ->
+        let result = s.body input in
+        (match result with
+        | Ir.Node n ->
+            r.forcing <- true;
+            materialize st n
+        | Ir.Arr _ -> ());
+        result)
+  in
+  (tape_of r sg result, result)
+
+let replay st t (input : Ir.source) (a : Ndarray.t) =
+  let bufs = Array.copy t.tbufs in
+  bufs.(0) <- a;
+  (* The input gives its buffer up first: should a kernel raise, a stale
+     consumer re-forces it rather than read a recycled buffer. *)
+  (match input with Ir.Node m when t.tinput <> Some 0 -> Ir.clear_cache m | _ -> ());
+  let pooling = st.pooling in
+  let debug = Mempool.get_debug () in
+  let sums = if debug then Array.make (Array.length bufs) 0 else [||] in
+  let w = ref (watch st) in
+  Array.iter
+    (function
+      | Alloc (i, shape) -> bufs.(i) <- Mempool.alloc ~pooling shape
+      | Recycle i -> Mempool.recycle ~pooling bufs.(i)
+      | Fill (i, d) -> Ndarray.fill bufs.(i) d
+      | Blit (src, dst) -> Ndarray.blit ~src:bufs.(src) ~dst:bufs.(dst)
+      | Complement (src, dst, lb, ub) -> Lower.copy_complement bufs.(src) bufs.(dst) lb ub
+      | Save_shell (b, sh) ->
+          Lower.save_shell bufs.(b) bufs.(sh);
+          if debug then sums.(sh) <- check_lent bufs.(b)
+      | Restore_shell (b, sh) ->
+          Lower.restore_shell bufs.(b) bufs.(sh);
+          if debug then check_restored bufs.(b) sums.(sh)
+      | Reuse i ->
+          if debug then Mempool.assert_unpooled bufs.(i).Ndarray.data ~ctx:"reuse output";
+          Mempool.note_reuse ()
+      | Count fam -> note st fam
+      | Run (o, parts) ->
+          exec_parts st bufs.(o)
+            (Array.fold_right
+               (fun (cp, ids) acc ->
+                 Plan.Ccompiled (Plan.rebind_cpart cp (fun j -> bufs.(ids.(j)).Ndarray.data)) :: acc)
+               parts [])
+      | Forced f ->
+          unwatch !w ~name:"wl:force" ~tag:f.tag ~elements:f.elements ~extent:f.extent
+            ~bytes_alloc:f.bytes_alloc (fun () ->
+              [ ("cache", "replay"); ("kernel", f.kernel); ("out", f.out) ]);
+          w := watch st)
+    t.tops;
+  (match input with
+  | Ir.Node m ->
+      Option.iter (fun i -> Ir.set_cache m bufs.(i)) t.tinput;
+      for _ = 1 to t.trefs do
+        Ir.incr_refs input
+      done;
+      for _ = 1 to -t.trefs do
+        Ir.decr_refs input
+      done
+  | Ir.Arr _ -> ());
+  let out = bufs.(t.tresult) in
+  Mempool.keep out;
+  Ir.Node (Ir.value out.Ndarray.shape out)
+
+let step st s input =
+  let fallback reason = note st (List.assoc reason stage_fallback) in
+  let per_force () =
+    let result = s.body input in
+    (match result with Ir.Node n -> materialize st n | Ir.Arr _ -> ());
+    result
+  in
+  if !(Domain.DLS.get recorder_key) <> None then begin
+    fallback Nested;
+    per_force ()
+  end
+  else
+    match input_buffer input with
+    | None ->
+        fallback Signature;
+        per_force ()
+    | Some a -> (
+        let sg = signature st input a in
+        match s.tape with
+        | Some t when same_signature t.tsig sg ->
+            note st stage_replays;
+            replay st t input a
+        | prior ->
+            let tape, result = record st s input a sg in
+            (match tape with
+            | Ok t ->
+                s.tape <- Some t;
+                fallback (if Option.is_none prior then Unrecorded else Signature)
+            | Error reason -> fallback reason);
+            result)
+
+(* ------------------------------------------------------------------ *)
+(* Scoped reads                                                        *)
+
+let read st (n : Ir.node) f =
+  let fresh = n.Ir.cache = None in
+  let a = force st n in
+  let v = f a in
+  (match n.Ir.cache with
+  | Some a' when fresh && a' == a && n.Ir.refs <= 0 && (not n.Ir.escaped) && n.Ir.loan = None && n.Ir.pin = 0 ->
+      drop ~pooling:st.pooling n
+  | _ -> ());
+  v

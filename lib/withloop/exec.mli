@@ -96,6 +96,38 @@ type settings = {
 val force : settings -> Ir.node -> Ndarray.t
 (** Idempotent: cached after the first call. *)
 
+(** {1 Staged calls}
+
+    A {!stepper} holds one recorded call of a body (the tape): every
+    buffer effect the per-force path performed — pool allocations and
+    recycles, fills, blits and complements, ghost-shell saves and
+    restores, each force's compiled parts, the reuse, lent and copied
+    counts — over symbolic buffer ids.  A call whose input has the
+    recorded signature (see {!Wl.staged}) runs the tape with no graph
+    build, key hashing, plan lookup or hold; any other call runs the
+    body on the per-force path, recording a new tape when it can.
+    Replays count in the [stage.replays] shard; every other call counts
+    one [stage.fallback{reason}]: [unrecorded] (no tape yet),
+    [signature] (the input differs, or is no buffer), [captured] (the
+    graph reaches a materialised node other than the input), [opaque],
+    [closure] (a part runs as an interpreted closure), [escape] (a
+    force, escape or fold inside the body) or [nested] (the domain is
+    already recording).  The recorder is domain-local. *)
+
+type stepper
+
+val stepper : (Ir.source -> Ir.source) -> stepper
+
+val step : settings -> stepper -> Ir.source -> Ir.source
+(** One call of the stepper's body on the given input, its result
+    materialised without escaping (as [Wl.materialize]). *)
+
+val read : settings -> Ir.node -> (Ndarray.t -> 'a) -> 'a
+(** [read st n f] forces [n] without escaping and applies [f] to its
+    value; afterwards the buffer is recycled when [n] was not
+    materialised before the call, has no consumers and is neither lent
+    nor pinned. *)
+
 type fold_op = Fadd | Fmul | Fmax | Fmin | Fcustom of (float -> float -> float)
 
 val apply_op : fold_op -> float -> float -> float

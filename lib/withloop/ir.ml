@@ -147,6 +147,13 @@ let modarray ?(barrier = false) base parts =
     loan = None;
   }
 
+let value shp a =
+  let stale _ = invalid_arg "Ir.value: a staged result was forced again after its buffer was released" in
+  let n = genarray shp [ { gen = Generator.full shp; body = Opaque stale } ] in
+  n.cache <- Some a;
+  n.released <- true;
+  n
+
 let rec pp_expr ppf = function
   | Const c -> Format.fprintf ppf "%g" c
   | Read (Arr a, m) -> Format.fprintf ppf "arr%a[%a]" Shape.pp (Ndarray.shape a) Ixmap.pp m

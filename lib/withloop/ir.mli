@@ -92,6 +92,11 @@ val modarray : ?barrier:bool -> source -> part list -> node
 (** @raise Invalid_argument as {!genarray}; the base's shape gives the
     result shape. *)
 
+val value : Shape.t -> Ndarray.t -> node
+(** [value shp a]: a node materialised as [a] with no graph behind it
+    (a staged call's result).  Forcing it again once its buffer has
+    been released raises [Invalid_argument]; it is never recomputed. *)
+
 val source_shape : source -> Shape.t
 
 val node_of_ndarray : Ndarray.t -> source

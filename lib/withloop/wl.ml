@@ -77,6 +77,19 @@ let materialize : t -> t = function
       Mempool.keep a;
       s
 
+let read t f =
+  match t with
+  | Ir.Arr a -> f a
+  | Ir.Node n ->
+      tune_gc ();
+      Exec.read (settings ()) n f
+
+let staged body =
+  let s = Exec.stepper body in
+  fun u ->
+    tune_gc ();
+    Exec.step (settings ()) s u
+
 let run_reference : t -> Ndarray.t = fun s -> Reference.run s
 
 let fold_reference ~op ~neutral gen body =

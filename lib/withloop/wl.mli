@@ -34,6 +34,43 @@ val materialize : t -> t
     handle is consumed exactly by the graphs already (or about to be)
     built from it; call {!force} to keep the value. *)
 
+val read : t -> (Ndarray.t -> 'a) -> 'a
+(** [read v f] forces [v] without escaping it and returns [f] applied
+    to the value, which [f] must not keep.  Once [f] returns, the
+    buffer goes back to the pool when [v] was not materialised before
+    the call, has no consumers and is neither lent nor pinned — a
+    result read once (a norm, a checksum) costs no buffer that
+    outlives it. *)
+
+val staged : (t -> t) -> t -> t
+(** [staged body] is a stepper: [staged body u] is [body u]
+    materialised as by {!materialize}, computed by recording once and
+    replaying after that.  The first call, and any call whose input
+    differs from the recorded one, builds [body]'s graph and forces it
+    on the per-force path while recording every buffer effect (the
+    tape).  A later call replays the tape — the same compiled kernels
+    over this call's buffers — with no graph build, key hashing, plan
+    lookup or hold, when its input has the recorded signature:
+
+    - it is a buffer: an array, or a materialised node that is not
+      escaped, lent or pinned;
+    - of the same shape and strides, with the same number of
+      outstanding consumers, counted before [body] runs;
+    - under the same plan-affecting settings and the same plan cache.
+
+    The contract: [body] must be a function of its input and of values
+    that do not change between calls.  Arrays it captures are read
+    through their buffers as recorded, so they must hold the same
+    values at every call (and must not be the input); a captured
+    materialised node, an opaque ([Expr.of_fun]) or otherwise
+    interpreted part, a force, escape or fold inside [body], or a
+    stepper called inside another's body keeps the call on the
+    per-force path (see {!Exec.step} for the fallback reasons).  The
+    recorder is domain-local: steppers on separate domains do not
+    interfere.  A replayed result cannot be recomputed: forcing it
+    again after its buffer was released raises instead of returning
+    stale data. *)
+
 val run_reference : t -> Ndarray.t
 (** The O0 reference interpreter ({!Reference}): per-element
     tree-walking evaluation with no fusion, clustering, kernels, cfun

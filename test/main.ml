@@ -38,6 +38,7 @@ let () =
       Test_ir.suite;
       Test_driver.suite;
       Test_engine.suite;
+      Test_staged.suite;
       Test_schedule.suite;
       Test_smp_sim.suite;
       Test_bench_util.suite;

@@ -1,0 +1,338 @@
+(* Staged iterations (Wl.staged): a replayed call is bitwise-equal to
+   the unstaged body on the per-force path, in every engine
+   configuration; every call that does not replay falls back to that
+   path, stays bitwise-equal, and reports its reason; the recorder is
+   domain-local; a replay shows traces the same events as the recorded
+   call; and a replayed result is never recomputed. *)
+
+open Mg_ndarray
+open Mg_withloop
+open Mg_arraylib
+open Mg_core
+module E = Wl.Expr
+module Metrics = Mg_obs.Metrics
+
+let same_bits (a : Ndarray.t) (b : Ndarray.t) =
+  Ndarray.shape a = Ndarray.shape b
+  &&
+  let rec go i =
+    i = Ndarray.size a
+    || Int64.equal
+         (Int64.bits_of_float (Ndarray.get_flat a i))
+         (Int64.bits_of_float (Ndarray.get_flat b i))
+       && go (i + 1)
+  in
+  go 0
+
+let check_bits what a b = Alcotest.(check bool) (what ^ " (bitwise)") true (same_bits a b)
+
+(* A copy of a value's buffer, read without escaping. *)
+let snapshot t = Wl.read t Ndarray.copy
+
+let grid shp seed =
+  let st = Mg_nasrand.Nasrand.make ~seed:(float_of_int (3100 + seed)) () in
+  Ndarray.init shp (fun _ -> Mg_nasrand.Nasrand.next st -. 0.5)
+
+(* A materialised, unescaped node holding [a]'s values: the input a
+   stepper replays on. *)
+let node_of a = Wl.materialize (Ops.add_scalar (Wl.of_ndarray a) 0.0)
+
+(* One MG iteration, Fig. 4. *)
+let mg_body ~smoother ~v u =
+  let r = Ops.sub v (Mg_sac.resid Stencil.a u) in
+  Ops.add u (Mg_sac.v_cycle ~smoother r)
+
+let zero v = Wl.materialize (Ops.genarray_const (Wl.shape v) 0.0)
+
+(* A fresh single-threaded engine (unless [config] says otherwise)
+   whose stage counters the test reads. *)
+let with_engine ?(config = fun c -> c) f =
+  let e = Engine.create ~config:(config { (Engine.config_of_env ()) with Engine.threads = 1 }) () in
+  Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () -> Engine.with_current e (fun () -> f e))
+
+let replays e =
+  Metrics.value (Metrics.counter ~labels:[ ("engine", string_of_int (Engine.label e)) ] "stage.replays")
+
+let fallbacks e reason =
+  Metrics.value
+    (Metrics.counter
+       ~labels:[ ("engine", string_of_int (Engine.label e)); ("reason", reason) ]
+       "stage.fallback")
+
+let reasons = [ "unrecorded"; "signature"; "captured"; "opaque"; "closure"; "escape"; "nested" ]
+
+(* The stage counters of [e] as (replays, [reason, count] for the
+   reasons that counted). *)
+let stage_counts e =
+  (replays e, List.filter_map (fun r -> match fallbacks e r with 0 -> None | n -> Some (r, n)) reasons)
+
+let check_counts what e ~replays:n ~fallback =
+  let got_n, got_f = stage_counts e in
+  Alcotest.(check int) (what ^ ": replays") n got_n;
+  Alcotest.(check (list (pair string int))) (what ^ ": fallbacks") fallback got_f
+
+(* ------------------------------------------------------------------ *)
+(* Replay = the per-force path, iteration by iteration.                *)
+
+(* [iters] MG iterations staged and unstaged, side by side: every
+   iterate equal bitwise. *)
+let staged_matches_unstaged (cls : Classes.t) ~iters =
+  let n = cls.Classes.nx in
+  let v = Wl.of_ndarray (Zran3.generate ~n) in
+  let smoother = Classes.smoother_coeffs cls in
+  let step = Wl.staged (mg_body ~smoother ~v) in
+  let us = ref (zero v) and uu = ref (zero v) in
+  for i = 1 to iters do
+    us := step !us;
+    uu := Wl.materialize (mg_body ~smoother ~v !uu);
+    check_bits (Printf.sprintf "%s iterate %d" cls.Classes.name i) (snapshot !uu) (snapshot !us)
+  done
+
+let configs =
+  [ ("default", fun c -> c);
+    ("reuse off", fun c -> { c with Engine.reuse = false });
+    ("pooling off", fun c -> { c with Engine.pooling = false });
+    ("generic tier", Engine.with_tier Engine.Generic);
+    ("O1", fun c -> { c with Engine.opt_level = Engine.O1 });
+    ( "4 threads, tiled",
+      fun c ->
+        { c with Engine.threads = 4; sched = Mg_smp.Sched_policy.Tiled { planes = 2; rows = 8 } } );
+    ("smp_sim backend", fun c -> { c with Engine.threads = 4; backend = Backend.by_name "sim" |> Option.get });
+  ]
+
+let test_replay_matches_configs () =
+  List.iter
+    (fun (name, config) ->
+      with_engine ~config (fun e ->
+          staged_matches_unstaged Classes.mini ~iters:4;
+          check_counts ("mini, " ^ name) e ~replays:3 ~fallback:[ ("unrecorded", 1) ]))
+    configs
+
+let test_replay_matches_s () =
+  with_engine (fun e ->
+      staged_matches_unstaged Classes.class_s ~iters:4;
+      check_counts "class S" e ~replays:3 ~fallback:[ ("unrecorded", 1) ])
+
+let test_replay_matches_w () =
+  with_engine (fun e ->
+      staged_matches_unstaged Classes.class_w ~iters:6;
+      check_counts "class W" e ~replays:5 ~fallback:[ ("unrecorded", 1) ])
+
+(* The solve path: a class-S solve replays 3 of its 4 iterations, and
+   under the debug poison (every recycled buffer NaN-filled, the
+   aliasing and loan tripwires armed) keeps its rnm2. *)
+let test_solve_replays_under_debug () =
+  with_engine ~config:(fun c -> { c with Engine.pooling = true }) (fun e ->
+      let plain = (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ()).Driver.rnm2 in
+      let saved = Mempool.get_debug () in
+      Mempool.set_debug true;
+      let poisoned =
+        Fun.protect
+          ~finally:(fun () -> Mempool.set_debug saved)
+          (fun () -> (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ()).Driver.rnm2)
+      in
+      Alcotest.(check int64) "rnm2 under the poison" (Int64.bits_of_float plain) (Int64.bits_of_float poisoned);
+      check_counts "two class-S solves" e ~replays:6 ~fallback:[ ("unrecorded", 2) ])
+
+(* A warm solve returns every buffer it draws, the final residual
+   included, so it draws nothing from the OS. *)
+let test_warm_solve_allocates_nothing () =
+  with_engine ~config:(fun c -> { c with Engine.pooling = true }) (fun e ->
+      let alloc () =
+        Metrics.value
+          (Metrics.counter ~labels:[ ("engine", string_of_int (Engine.label e)) ] "mempool.alloc_bytes")
+      in
+      ignore (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ());
+      let before = alloc () in
+      ignore (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ());
+      Alcotest.(check int) "bytes drawn from the OS by a warm class-S solve" 0 (alloc () - before))
+
+(* ------------------------------------------------------------------ *)
+(* Fallbacks: each stays bitwise-equal to the unstaged body and counts
+   its reason.                                                         *)
+
+let shp = [| 10; 10; 10 |]
+
+(* Run [body] staged on the inputs in turn, each against the unstaged
+   body on an equal input. *)
+let run_both body inputs =
+  let step = Wl.staged body in
+  List.iteri
+    (fun i a ->
+      let staged = snapshot (step (node_of a)) in
+      let unstaged = snapshot (Wl.materialize (body (node_of a))) in
+      check_bits (Printf.sprintf "call %d" (i + 1)) unstaged staged)
+    inputs
+
+let smooth_body u = Ops.add u (Mg_sac.smooth Stencil.s_a u)
+
+let test_fallback_shape () =
+  with_engine (fun e ->
+      let small = grid shp 1 and big = grid [| 18; 18; 18 |] 2 in
+      run_both smooth_body [ small; small; big; big ];
+      check_counts "a new shape" e ~replays:2 ~fallback:[ ("unrecorded", 1); ("signature", 1) ])
+
+let test_fallback_outside_consumer () =
+  with_engine (fun e ->
+      let step = Wl.staged smooth_body in
+      let a = grid shp 3 in
+      ignore (step (node_of a));
+      (* The input has a consumer outside the body: the body must not
+         release or overwrite it. *)
+      let u = node_of a in
+      let outside = Ops.mul_scalar u 2.0 in
+      let staged = snapshot (step u) in
+      check_bits "the call" (snapshot (Wl.materialize (smooth_body (node_of a)))) staged;
+      check_bits "the outside consumer" (Ndarray.map (fun x -> x *. 2.0) a) (snapshot outside);
+      check_counts "an outside consumer" e ~replays:0 ~fallback:[ ("unrecorded", 1); ("signature", 1) ])
+
+let test_fallback_config () =
+  with_engine (fun e ->
+      let a = grid shp 4 in
+      let step = Wl.staged smooth_body in
+      let call () = snapshot (step (node_of a)) in
+      let first = call () in
+      check_bits "replayed" first (call ());
+      check_bits "under another config"
+        first
+        (Wl.with_config (fun c -> { c with Engine.reuse = not c.Engine.reuse }) call);
+      check_bits "back under the first" first (call ());
+      check_counts "Wl.with_config between calls" e ~replays:1
+        ~fallback:[ ("unrecorded", 1); ("signature", 2) ])
+
+let check_refused reason body =
+  with_engine (fun e ->
+      run_both body [ grid shp 5; grid shp 6 ];
+      check_counts reason e ~replays:0 ~fallback:[ (reason, 2) ])
+
+let test_fallback_captured () =
+  let w = Wl.materialize (Ops.add_scalar (Wl.of_ndarray (grid shp 7)) 1.0) in
+  (* An outside consumer keeps [w] materialised across the calls. *)
+  let _keep = Ops.neg w in
+  check_refused "captured" (fun u -> Ops.add u w)
+
+let test_fallback_force () =
+  check_refused "escape" (fun u ->
+      let c = Wl.force (Ops.genarray_const shp 0.5) in
+      Ops.add u (Wl.of_ndarray c))
+
+let test_fallback_fold () =
+  check_refused "escape" (fun u ->
+      let s = Wl.fold ~op:Exec.Fadd ~neutral:0.0 (Generator.full shp) (E.const 0.25) in
+      Ops.add_scalar u s)
+
+let test_fallback_opaque () =
+  check_refused "opaque" (fun u ->
+      Wl.genarray shp [ (Generator.full shp, E.(read u + of_fun (fun iv -> float_of_int iv.(0)))) ])
+
+let test_fallback_closure () =
+  check_refused "closure" (fun u -> Wl.genarray shp [ (Generator.full shp, E.(read u * read u)) ])
+
+let test_fallback_nested () =
+  with_engine (fun e ->
+      let inner = Wl.staged (fun u -> Ops.add_scalar u 1.0) in
+      run_both
+        (fun u -> Ops.add (inner (Ops.mul_scalar u 3.0)) u)
+        [ grid shp 8; grid shp 9 ];
+      (* The inner stepper runs inside the outer's recording (nested),
+         and its force refuses that recording (escape); called by the
+         unstaged body, its input is no buffer (signature). *)
+      check_counts "nested steppers" e ~replays:0
+        ~fallback:[ ("signature", 2); ("escape", 2); ("nested", 2) ])
+
+(* ------------------------------------------------------------------ *)
+(* The recorder is domain-local: two domains record and replay at once,
+   each bitwise-equal to its sequential run. *)
+
+let test_two_domains () =
+  let solve () =
+    with_engine (fun e ->
+        let cls = Classes.mini in
+        let v = Wl.of_ndarray (Zran3.generate ~n:cls.Classes.nx) in
+        let step = Wl.staged (mg_body ~smoother:(Classes.smoother_coeffs cls) ~v) in
+        let u = ref (zero v) in
+        for _ = 1 to 6 do
+          u := step !u
+        done;
+        (snapshot !u, stage_counts e))
+  in
+  let seq, _ = solve () in
+  let da = Domain.spawn solve and db = Domain.spawn solve in
+  let a, ca = Domain.join da and b, cb = Domain.join db in
+  check_bits "domain A" seq a;
+  check_bits "domain B" seq b;
+  List.iter
+    (fun (what, c) ->
+      Alcotest.(check (pair int (list (pair string int)))) what (5, [ ("unrecorded", 1) ]) c)
+    [ ("domain A counts", ca); ("domain B counts", cb) ]
+
+(* ------------------------------------------------------------------ *)
+(* Observation: a replayed iteration emits the recorded iteration's
+   trace events, and tracing does not change which path runs. *)
+
+let test_traced_iterations () =
+  List.iter
+    (fun (name, config) ->
+      with_engine ~config (fun e ->
+          let cls = Classes.class_s in
+          let v = Wl.of_ndarray (Zran3.generate ~n:cls.Classes.nx) in
+          let step = Wl.staged (mg_body ~smoother:(Classes.smoother_coeffs cls) ~v) in
+          let u = ref (zero v) in
+          let per_iteration =
+            List.init cls.Classes.nit (fun _ ->
+                let evs, () = Mg_smp.Trace.with_collector (fun () -> u := step !u) in
+                List.map
+                  (fun (ev : Mg_smp.Trace.event) ->
+                    (ev.Mg_smp.Trace.tag, ev.elements, ev.level_extent, ev.bytes_alloc))
+                  evs)
+          in
+          let first = List.hd per_iteration in
+          Alcotest.(check bool) (name ^ ": the recorded iteration emitted events") true (first <> []);
+          List.iteri
+            (fun i evs ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: iteration %d emits the recorded events" name (i + 2))
+                true (evs = first))
+            (List.tl per_iteration);
+          check_counts name e ~replays:3 ~fallback:[ ("unrecorded", 1) ]))
+    [ ("pool backend", fun c -> c);
+      ("smp_sim backend", fun c -> { c with Engine.threads = 4; backend = Backend.by_name "sim" |> Option.get });
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* A replayed result has no graph behind it: once a consumer released
+   its buffer, forcing it again raises instead of reading stale or
+   zeroed data. *)
+
+let test_result_not_recomputed () =
+  with_engine (fun _ ->
+      let step = Wl.staged smooth_body in
+      let a = grid shp 10 in
+      ignore (step (node_of a));
+      let u = step (node_of a) in
+      ignore (Wl.read (Ops.neg u) Ndarray.copy);
+      match Wl.read (Ops.neg u) Ndarray.copy with
+      | _ -> Alcotest.fail "a released staged result was recomputed"
+      | exception Invalid_argument _ -> ())
+
+let suite =
+  ( "staged",
+    [ Alcotest.test_case "replay = per-force path across configurations" `Quick
+        test_replay_matches_configs;
+      Alcotest.test_case "replay = per-force path (class S)" `Quick test_replay_matches_s;
+      Alcotest.test_case "replay = per-force path (class W)" `Slow test_replay_matches_w;
+      Alcotest.test_case "solve replays under the debug poison" `Quick test_solve_replays_under_debug;
+      Alcotest.test_case "warm class-S solve allocates nothing" `Quick test_warm_solve_allocates_nothing;
+      Alcotest.test_case "fallback: a new shape" `Quick test_fallback_shape;
+      Alcotest.test_case "fallback: an outside consumer" `Quick test_fallback_outside_consumer;
+      Alcotest.test_case "fallback: with_config between calls" `Quick test_fallback_config;
+      Alcotest.test_case "fallback: a captured materialised node" `Quick test_fallback_captured;
+      Alcotest.test_case "fallback: force in the body" `Quick test_fallback_force;
+      Alcotest.test_case "fallback: fold in the body" `Quick test_fallback_fold;
+      Alcotest.test_case "fallback: opaque body" `Quick test_fallback_opaque;
+      Alcotest.test_case "fallback: closure part" `Quick test_fallback_closure;
+      Alcotest.test_case "fallback: nested steppers" `Quick test_fallback_nested;
+      Alcotest.test_case "two domains stepping at once" `Quick test_two_domains;
+      Alcotest.test_case "traced iterations emit the recorded events" `Quick test_traced_iterations;
+      Alcotest.test_case "a replayed result is never recomputed" `Quick test_result_not_recomputed;
+    ] )
