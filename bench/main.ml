@@ -157,8 +157,6 @@ let () =
         ("suite", Json.String "sac_mg_bench");
         ("unix_time", Json.Float (Unix.time ()));
         ("env", Json.String (Env.description ()));
-        ("sched_policy", Json.String (Mg_smp.Sched_policy.to_string c.Engine.sched));
-        ("backend", Json.String (Mg_withloop.Backend.name c.Engine.backend));
         ("reuse", Json.String (if c.Engine.reuse then "on" else "off"));
         ("pooling", Json.String (if c.Engine.pooling then "on" else "off"));
         ("kernel_tier", Json.String (Engine.tier_to_string kernel_tier));

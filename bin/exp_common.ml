@@ -27,23 +27,15 @@ let classes_conv =
       fun ppf cs ->
         Format.pp_print_string ppf (String.concat "," (List.map (fun (c : Classes.t) -> c.Classes.name) cs)) )
 
-let sched_conv =
+(* A count of at least 1 (threads, workers): anything else is a usage
+   error, reported before any engine or pool is made. *)
+let positive_int =
   let parse s =
-    match Mg_smp.Sched_policy.of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown scheduling policy %S (block|chunked[:M])" s))
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
   in
-  Cmdliner.Arg.conv
-    (parse, fun ppf p -> Format.pp_print_string ppf (Mg_smp.Sched_policy.to_string p))
-
-let sched_arg =
-  Cmdliner.Arg.(
-    value
-    & opt sched_conv Mg_smp.Sched_policy.default
-    & info [ "sched" ] ~docv:"POLICY"
-        ~doc:
-          "Loop scheduling policy for parallel with-loop parts: block (one static chunk per \
-           worker) or chunked:M (M dynamically claimed chunks per worker).")
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
 (* --kernels: the kernel tier for bodies no fixed kernel recognises. *)
 let kernels_arg ~doc =
@@ -65,19 +57,13 @@ let profile_arg =
           "Record executor spans ({!Mg_obs}) during the measured runs and print the \
            span-based profile report after the table.")
 
-(* Span recording has two gates: the process-wide switch and the
-   engine's [observe] config.  Open both for the extent of [f]. *)
-let observed f =
-  Mg_obs.Span.with_enabled true (fun () ->
-      Mg_withloop.Wl.with_config (fun c -> { c with Mg_withloop.Engine.observe = true }) f)
-
 (* Run the whole experiment under span observation and append the
    profile report (per pipeline stage, per V-cycle level, per domain). *)
 let with_profile enabled f =
   if not enabled then f ()
   else begin
     Mg_obs.Span.clear ();
-    let r = observed f in
+    let r = Mg_obs.Span.with_enabled true f in
     Format.printf "@.%s%!" (Mg_obs.Profile_report.render (Mg_obs.Span.events ()));
     r
   end

@@ -24,13 +24,11 @@ let paper_p10 (cls : Classes.t) impl =
   | "A", Driver.C -> Some 9.0
   | _ -> None
 
-let run classes max_procs sched profile csv =
+let run classes max_procs profile csv =
   Exp_common.with_profile profile @@ fun () ->
-  Mg_withloop.Wl.with_config (fun c -> { c with Mg_withloop.Engine.sched }) @@ fun () ->
   Exp_common.header ();
   Printf.printf
-    "# Figure 12: simulated speedups vs own sequential time (trace-driven SMP model)\n";
-  Printf.printf "# with-loop scheduling policy: %s\n\n" (Mg_smp.Sched_policy.to_string sched);
+    "# Figure 12: simulated speedups vs own sequential time (trace-driven SMP model)\n\n";
   let all_rows = ref [] in
   List.iter
     (fun (cls : Classes.t) ->
@@ -81,6 +79,6 @@ let csv_arg = Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" 
 let cmd =
   Cmd.v
     (Cmd.info "fig12" ~doc:"reproduce Fig. 12: speedups vs own sequential time (simulated SMP)")
-    Term.(const run $ classes_arg $ procs_arg $ Exp_common.sched_arg $ Exp_common.profile_arg $ csv_arg)
+    Term.(const run $ classes_arg $ procs_arg $ Exp_common.profile_arg $ csv_arg)
 
 let () = exit (Cmd.eval' cmd)

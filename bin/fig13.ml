@@ -10,12 +10,10 @@ open Mg_core
 module Table = Mg_bench_util.Bench_util.Table
 module Smp_sim = Mg_smp.Smp_sim
 
-let run classes max_procs sched profile csv =
+let run classes max_procs profile csv =
   Exp_common.with_profile profile @@ fun () ->
-  Mg_withloop.Wl.with_config (fun c -> { c with Mg_withloop.Engine.sched }) @@ fun () ->
   Exp_common.header ();
-  Printf.printf "# Figure 13: simulated speedups vs sequential Fortran-77 time\n";
-  Printf.printf "# with-loop scheduling policy: %s\n\n" (Mg_smp.Sched_policy.to_string sched);
+  Printf.printf "# Figure 13: simulated speedups vs sequential Fortran-77 time\n\n";
   let all_rows = ref [] in
   List.iter
     (fun (cls : Classes.t) ->
@@ -131,6 +129,6 @@ let csv_arg = Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" 
 let cmd =
   Cmd.v
     (Cmd.info "fig13" ~doc:"reproduce Fig. 13: speedups vs sequential Fortran-77 (simulated SMP)")
-    Term.(const run $ classes_arg $ procs_arg $ Exp_common.sched_arg $ Exp_common.profile_arg $ csv_arg)
+    Term.(const run $ classes_arg $ procs_arg $ Exp_common.profile_arg $ csv_arg)
 
 let () = exit (Cmd.eval' cmd)

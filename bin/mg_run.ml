@@ -42,8 +42,8 @@ let print_trace (events : Trace.event list) =
   let rows = List.sort (fun (_, a, _) (_, b, _) -> compare b a) rows in
   List.iter (fun (tag, t, c) -> Format.printf "  %-20s %6d calls  %9.4f s@." tag c t) rows
 
-let run impl cls opt threads sched tile backend kernels reuse pooling profile metrics_out flight
-    custom_nx custom_nit =
+let run impl cls opt threads kernels reuse pooling profile metrics_out flight custom_nx
+    custom_nit =
   Mg_obs.Flight.install_sigusr1 ();
   let cls =
     match (custom_nx, custom_nit) with
@@ -52,24 +52,18 @@ let run impl cls opt threads sched tile backend kernels reuse pooling profile me
           ~nit:(Option.value nit ~default:4)
     | None, _ -> cls
   in
-  (* --tile both shapes and implies the tiled policy. *)
-  let sched =
-    match tile with
-    | Some (planes, rows) -> Mg_smp.Sched_policy.Tiled { planes; rows }
-    | None -> sched
-  in
   let modes = Option.value profile ~default:[] in
   let trace = List.mem Ptrace modes in
   let observe = List.exists (function Preport | Pchrome _ -> true | Ptrace -> false) modes in
   if observe then Mg_withloop.Kernel.set_timing true;
   let drive () =
     Exp_common.with_kernels kernels (fun () ->
-        Driver.run ~opt ~threads ~sched ~backend ?reuse ?pooling ~trace ~impl ~cls ())
+        Driver.run ~opt ~threads ?reuse ?pooling ~trace ~impl ~cls ())
   in
   let result =
     if observe then begin
       Span.clear ();
-      Exp_common.observed drive
+      Span.with_enabled true drive
     end
     else drive ()
   in
@@ -130,55 +124,8 @@ let opt_arg =
   Arg.(value & opt opt_conv Mg_withloop.Engine.O3 & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc:"With-loop optimisation level (sac only): O0..O3.")
 
 let threads_arg =
-  Arg.(value & opt int 1 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Worker domains for with-loop execution.")
-
-let sched_conv =
-  let parse s =
-    match Mg_smp.Sched_policy.of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg (Printf.sprintf "unknown scheduling policy %S (block|chunked[:M]|tiled[:P,R])" s))
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Mg_smp.Sched_policy.to_string p))
-
-let sched_arg =
-  Arg.(value & opt sched_conv Mg_smp.Sched_policy.default
-       & info [ "sched" ] ~docv:"POLICY"
-           ~doc:"Loop scheduling policy for parallel with-loop parts: block (one static \
-                 chunk per worker), chunked:M (M dynamically claimed chunks per worker) or \
-                 tiled[:P,R] (cache-blocked P-plane by R-row tiles, claimed one at a time).")
-
-let tile_conv =
-  let parse s =
-    match String.split_on_char ',' s with
-    | [ p; r ] -> (
-        match (int_of_string_opt (String.trim p), int_of_string_opt (String.trim r)) with
-        | Some planes, Some rows when planes >= 1 && rows >= 1 -> Ok (planes, rows)
-        | _ -> Error (`Msg (Printf.sprintf "bad tile shape %S (expected P,R with P,R >= 1)" s)))
-    | _ -> Error (`Msg (Printf.sprintf "bad tile shape %S (expected P,R)" s))
-  in
-  Arg.conv (parse, fun ppf (p, r) -> Format.fprintf ppf "%d,%d" p r)
-
-let tile_arg =
-  Arg.(value & opt (some tile_conv) None
-       & info [ "tile" ] ~docv:"P,R"
-           ~doc:"Tile shape for cache-blocked sweeps: P planes by R rows per tile.  Implies \
-                 $(b,--sched=tiled).")
-
-let backend_conv =
-  let parse s =
-    match Mg_withloop.Backend.by_name s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S (pool|smp_sim)" s))
-  in
-  Arg.conv (parse, fun ppf b -> Format.pp_print_string ppf (Mg_withloop.Backend.name b))
-
-let backend_arg =
-  Arg.(value & opt backend_conv Mg_withloop.Backend.default
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Piece-scheduling backend: pool (real worker domains) or smp_sim (the same \
-                 split run sequentially with per-piece trace events).")
+  Arg.(value & opt Exp_common.positive_int 1
+       & info [ "t"; "threads" ] ~docv:"N" ~doc:"Worker domains for with-loop execution (>= 1).")
 
 let kernels_arg =
   Exp_common.kernels_arg
@@ -254,8 +201,7 @@ let cmd =
   let doc = "run the NAS benchmark MG (SAC-style, Fortran-77-style or C-style)" in
   Cmd.v
     (Cmd.info "mg_run" ~doc)
-    Term.(const run $ impl_arg $ class_arg $ opt_arg $ threads_arg $ sched_arg $ tile_arg
-          $ backend_arg $ kernels_arg $ reuse_arg $ pooling_arg $ profile_arg $ metrics_out_arg
-          $ flight_arg $ nx_arg $ nit_arg)
+    Term.(const run $ impl_arg $ class_arg $ opt_arg $ threads_arg $ kernels_arg $ reuse_arg
+          $ pooling_arg $ profile_arg $ metrics_out_arg $ flight_arg $ nx_arg $ nit_arg)
 
 let () = exit (Cmd.eval' cmd)

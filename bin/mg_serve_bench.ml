@@ -33,23 +33,20 @@ let ms_of_ns ns = ns /. 1e6
 type mix = {
   tenants : (string * int) list;  (* name, weight *)
   tiers : Serve.tier list;
-  scheds : Mg_smp.Sched_policy.t list;
   impl : Driver.impl;
   cls : Classes.t;
 }
 
 (* The k-th request of a client cycles deterministically through the
-   tier × sched mix, so the bitwise spot-check covers every distinct
-   spec that was actually served. *)
+   tier mix, so the bitwise spot-check covers every distinct spec that
+   was actually served. *)
 let spec_of mix k =
   let tier = List.nth mix.tiers (k mod List.length mix.tiers) in
-  let sched = List.nth mix.scheds (k / List.length mix.tiers mod List.length mix.scheds) in
-  Serve.spec ~sched ~tier ~impl:mix.impl ~cls:mix.cls ()
+  Serve.spec ~tier ~impl:mix.impl ~cls:mix.cls ()
 
 let spec_key (s : Serve.spec) =
-  Printf.sprintf "%s/%s/%s/%s" (Driver.impl_to_string s.Serve.impl) s.Serve.cls.Classes.name
+  Printf.sprintf "%s/%s/%s" (Driver.impl_to_string s.Serve.impl) s.Serve.cls.Classes.name
     (match s.Serve.tier with Some t -> Serve.tier_to_string t | None -> "default")
-    (match s.Serve.sched with Some p -> Mg_smp.Sched_policy.to_string p | None -> "default")
 
 (* ------------------------------------------------------------------ *)
 (* Drivers                                                             *)
@@ -165,8 +162,7 @@ let twin_check ~(cfg : Serve.config) responses =
         Fun.protect
           ~finally:(fun () -> Mg_withloop.Engine.shutdown e)
           (fun () ->
-            Driver.run ~engine:e ?opt:spec.Serve.opt ?sched:spec.Serve.sched
-              ~impl:spec.Serve.impl ~cls:spec.Serve.cls ())
+            Driver.run ~engine:e ?opt:spec.Serve.opt ~impl:spec.Serve.impl ~cls:spec.Serve.cls ())
       in
       let mismatches =
         List.filter
@@ -195,9 +191,8 @@ let parse_tenants s =
   if parts <> [] && List.for_all Option.is_some parts then Some (List.filter_map Fun.id parts)
   else None
 
-let run duration workers threads capacity tenants clients rate cls impl kernels scheds out
-    metrics_out =
-  let mix = { tenants; tiers = kernels; scheds; impl; cls } in
+let run duration workers threads capacity tenants clients rate cls impl kernels out metrics_out =
+  let mix = { tenants; tiers = kernels; impl; cls } in
   let cfg =
     { (Serve.default_config ()) with Serve.workers; solver_threads = threads; capacity }
   in
@@ -348,11 +343,12 @@ let duration_arg =
        & info [ "d"; "duration" ] ~docv:"SECS" ~doc:"Load duration in seconds.")
 
 let workers_arg =
-  Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc:"Serving worker domains.")
+  Arg.(value & opt Exp_common.positive_int 2
+       & info [ "workers" ] ~docv:"N" ~doc:"Serving worker domains (>= 1).")
 
 let threads_arg =
-  Arg.(value & opt int 1
-       & info [ "threads" ] ~docv:"N" ~doc:"Execution-pool size of each worker's engine.")
+  Arg.(value & opt Exp_common.positive_int 1
+       & info [ "threads" ] ~docv:"N" ~doc:"Execution-pool size of each worker's engine (>= 1).")
 
 let capacity_arg =
   Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N" ~doc:"Admission queue bound.")
@@ -423,22 +419,6 @@ let kernels_arg =
        & info [ "kernels" ] ~docv:"TIER,..."
            ~doc:"Kernel-tier mix cycled across requests: $(b,generic), $(b,cfun), $(b,native).")
 
-let scheds_conv =
-  let parse s =
-    let parts = List.map Mg_smp.Sched_policy.of_string (String.split_on_char ',' (String.trim s)) in
-    if parts <> [] && List.for_all Option.is_some parts then Ok (List.filter_map Fun.id parts)
-    else Error (`Msg (Printf.sprintf "bad sched mix %S" s))
-  in
-  Arg.conv
-    (parse, fun ppf ps ->
-       Format.pp_print_string ppf
-         (String.concat "," (List.map Mg_smp.Sched_policy.to_string ps)))
-
-let scheds_arg =
-  Arg.(value & opt scheds_conv [ Mg_smp.Sched_policy.default ]
-       & info [ "scheds" ] ~docv:"POLICY,..."
-           ~doc:"Scheduling-policy mix cycled across requests (block|chunked[:M]|tiled[:P,R]).")
-
 let out_arg =
   Arg.(value & opt string "results/serve_bench.json"
        & info [ "o"; "out" ] ~docv:"PATH" ~doc:"Write the results JSON here.")
@@ -454,7 +434,6 @@ let cmd =
   Cmd.v
     (Cmd.info "mg_serve_bench" ~doc)
     Term.(const run $ duration_arg $ workers_arg $ threads_arg $ capacity_arg $ tenants_arg
-          $ clients_arg $ rate_arg $ class_arg $ impl_arg $ kernels_arg $ scheds_arg $ out_arg
-          $ metrics_out_arg)
+          $ clients_arg $ rate_arg $ class_arg $ impl_arg $ kernels_arg $ out_arg $ metrics_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -29,21 +29,18 @@ type result = {
    different configurations are safe when each uses its own created
    engine (derived engines share their parent's execution pool, which
    is not reentrant). *)
-let run ?engine ?tenant ?opt ?threads ?sched ?backend ?cfun ?native ?reuse ?pooling
-    ?line_buffers ?(trace = false) ~impl ~cls () =
+let run ?engine ?tenant ?opt ?threads ?cfun ?native ?reuse ?pooling ?(trace = false) ~impl
+    ~cls () =
   let base = match engine with Some e -> e | None -> Engine.current () in
   let e =
     Engine.derive base (fun c ->
         { c with
           Engine.opt_level = Option.value opt ~default:c.Engine.opt_level;
           threads = Option.value threads ~default:c.Engine.threads;
-          sched = Option.value sched ~default:c.Engine.sched;
-          backend = Option.value backend ~default:c.Engine.backend;
           cfun = Option.value cfun ~default:c.Engine.cfun;
           native = Option.value native ~default:c.Engine.native;
           reuse = Option.value reuse ~default:c.Engine.reuse;
           pooling = Option.value pooling ~default:c.Engine.pooling;
-          line_buffers = Option.value line_buffers ~default:c.Engine.line_buffers;
         })
   in
   Engine.with_current e (fun () ->

@@ -25,13 +25,10 @@ val run :
   ?tenant:string ->
   ?opt:Engine.opt_level ->
   ?threads:int ->
-  ?sched:Sched_policy.t ->
-  ?backend:Backend.t ->
   ?cfun:bool ->
   ?native:bool ->
   ?reuse:bool ->
   ?pooling:bool ->
-  ?line_buffers:bool ->
   ?trace:bool ->
   impl:impl ->
   cls:Classes.t ->

@@ -50,6 +50,9 @@ val run : Classes.t -> float * float
     norm from {!Verify}. *)
 
 val residual_norms : Classes.t -> float array
-(** The residual L2 norm after each of the [nit] iterations (the last
-    equals {!run}'s [rnm2]); frozen bitwise by the golden-vector
-    tests. *)
+(** The residual L2 norm after each of the [nit] iterations; frozen
+    bitwise by the golden-vector tests.  The last entry is {e not}
+    {!run}'s [rnm2] bit for bit (class S: ...191a against ...190a):
+    forcing each iteration's residual releases the iterate, so every
+    later iteration recomputes it folded into its consumers, an
+    association {!run}'s materialised iterates never take. *)

@@ -3,8 +3,8 @@
    propagated to Domain_pool workers by the pool itself (the job
    record carries the submitter's scope).  Everything a concurrent
    serving layer needs to attribute telemetry hangs off it: the solve
-   id, the engine (label) id, an optional tenant tag, the per-engine
-   observation gate, and the engine's shard table.
+   id, the engine (label) id, an optional tenant tag and the engine's
+   shard table.
 
    Shard tables: each instrumented module declares its sharded
    families once, at initialisation, and gets back a handle holding
@@ -77,15 +77,14 @@ type t = {
   solve_id : int;
   engine_id : int;
   tenant : string option;
-  observe : bool;
   shards : shards;
   mutable stages : (string * int64) list;  (* reversed; driver domain only *)
 }
 
 let solve_ids = Atomic.make 0
 
-let make ?tenant ?(observe = true) ?(shards = unattributed) ~engine_id () =
-  { solve_id = Atomic.fetch_and_add solve_ids 1; engine_id; tenant; observe; shards; stages = [] }
+let make ?tenant ?(shards = unattributed) ~engine_id () =
+  { solve_id = Atomic.fetch_and_add solve_ids 1; engine_id; tenant; shards; stages = [] }
 
 let solve_id s = s.solve_id
 let engine_id s = s.engine_id
@@ -97,14 +96,6 @@ let tenant s = s.tenant
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 let current () = !(Domain.DLS.get key)
-
-(* The per-engine observation veto consumed by [Span.enabled]: outside
-   any scope the global switch alone decides (default open), inside a
-   scope the owning engine's [observe] flag gates the domain.  Only
-   read after the global atomic said yes, so the disabled fast path
-   never pays the DLS lookup. *)
-let local_observe () =
-  match !(Domain.DLS.get key) with None -> true | Some s -> s.observe
 
 let with_opt so f =
   let cell = Domain.DLS.get key in

@@ -9,10 +9,6 @@
     - a process-unique {e solve id} and the owning engine's
       {e (label) id} plus an optional {e tenant} tag — stamped onto
       every {!Span.event} and Chrome-trace lane;
-    - the engine's {e observation gate}: [Span.enabled] consults
-      {!local_observe} after the global switch, so an engine with
-      [observe = false] keeps its forces out of the rings even while
-      another engine records;
     - the owning engine's {e shard table} (see {!shards}): the
       executor's mempool, kernel-timing and native instrumentation
       writes its one cell per event through {!here}, giving
@@ -76,10 +72,9 @@ val here : 'a family -> 'a
 
 type t
 
-val make : ?tenant:string -> ?observe:bool -> ?shards:shards -> engine_id:int -> unit -> t
+val make : ?tenant:string -> ?shards:shards -> engine_id:int -> unit -> t
 (** A fresh scope with a new solve id, writing to [shards] (default
-    {!unattributed}; an engine passes its own table).  [observe]
-    (default [true]) is the per-engine span gate. *)
+    {!unattributed}; an engine passes its own table). *)
 
 val solve_id : t -> int
 val engine_id : t -> int
@@ -95,10 +90,6 @@ val with_scope : t -> (unit -> 'a) -> 'a
 val with_opt : t option -> (unit -> 'a) -> 'a
 (** Like {!with_scope} but also able to install "no scope" — the form
     the domain pool uses to mirror the submitting domain. *)
-
-val local_observe : unit -> bool
-(** The current scope's observation gate; [true] outside any scope.
-    Consumed by [Span.enabled] after the global switch. *)
 
 (** {1 Stage timing} *)
 

@@ -1,13 +1,9 @@
 (* The one global switch.  Everything recorded below is behind a single
    [Atomic.get] on this flag, so fully-instrumented code paths cost one
-   load and one branch when observation is off.  When the global switch
-   is on, the current {!Scope}'s per-engine gate is consulted second —
-   an engine configured with [observe = false] keeps its solve out of
-   the rings even while another engine records (the gate travels to
-   pool workers with the scope). *)
+   load and one branch when observation is off. *)
 let flag = Atomic.make false
 
-let enabled () = Atomic.get flag && Scope.local_observe ()
+let enabled () = Atomic.get flag
 let set_enabled b = Atomic.set flag b
 
 let with_enabled b f =
@@ -81,7 +77,7 @@ let record r name attrs start_ns end_ns depth =
 (* Recording                                                           *)
 
 let with_ ?(attrs = []) ~name f =
-  if not (Atomic.get flag && Scope.local_observe ()) then f ()
+  if not (Atomic.get flag) then f ()
   else begin
     let r = get_ring () in
     r.depth <- r.depth + 1;
@@ -105,7 +101,7 @@ let null = Int64.min_int
 let active t = t <> Int64.min_int
 
 let start () =
-  if not (Atomic.get flag && Scope.local_observe ()) then null
+  if not (Atomic.get flag) then null
   else begin
     let r = get_ring () in
     r.depth <- r.depth + 1;

@@ -17,10 +17,7 @@
 (** {1 The global switch} *)
 
 val enabled : unit -> bool
-(** The global switch {e and} the current scope's per-engine gate:
-    recording happens only when both say yes.  The global atomic is
-    read first, so the disabled fast path never pays the domain-local
-    scope lookup. *)
+(** The global switch: recording happens only when it says yes. *)
 
 val set_enabled : bool -> unit
 

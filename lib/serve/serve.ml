@@ -31,11 +31,10 @@ type spec = {
   impl : Driver.impl;
   cls : Classes.t;
   opt : Engine.opt_level option;
-  sched : Mg_smp.Sched_policy.t option;
   tier : tier option;
 }
 
-let spec ?opt ?sched ?tier ~impl ~cls () = { impl; cls; opt; sched; tier }
+let spec ?opt ?tier ~impl ~cls () = { impl; cls; opt; tier }
 
 type payload = Solve of spec | Custom of (unit -> float)
 type request = { tenant : string; weight : int; payload : payload }
@@ -116,7 +115,7 @@ let run_payload t widx (w : work) =
       in
       try
         let r =
-          Driver.run ~engine ~tenant ?opt:s.opt ?sched:s.sched ~impl:s.impl ~cls:s.cls ()
+          Driver.run ~engine ~tenant ?opt:s.opt ~impl:s.impl ~cls:s.cls ()
         in
         Ok (r.Driver.rnm2, Verify.status_ok r.Driver.status)
       with e -> Error (Printexc.to_string e))

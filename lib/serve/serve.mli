@@ -56,13 +56,11 @@ type spec = {
   impl : Driver.impl;
   cls : Classes.t;
   opt : Engine.opt_level option;
-  sched : Mg_smp.Sched_policy.t option;
   tier : tier option;
 }
 
 val spec :
   ?opt:Engine.opt_level ->
-  ?sched:Mg_smp.Sched_policy.t ->
   ?tier:tier ->
   impl:Driver.impl ->
   cls:Classes.t ->

@@ -108,13 +108,20 @@ let create n =
 
 let sequential = create 1
 
-let parallel_for ?(policy = Sched_policy.default) t ~lo ~hi body =
+(* One near-equal contiguous block per domain: the paper's static
+   schedule for its perfectly regular with-loops. *)
+let blocks ~n ~lo ~hi =
+  let len = hi - lo in
+  let n = min n len in
+  Array.init n (fun k -> (lo + (len * k / n), lo + (len * (k + 1) / n)))
+
+let parallel_for t ~lo ~hi body =
   if hi <= lo then ()
   else if t.n = 1 || hi - lo = 1 then body lo hi
   else begin
     let job =
       { body;
-        ranges = Sched_policy.ranges policy ~workers:t.n ~lo ~hi;
+        ranges = blocks ~n:t.n ~lo ~hi;
         next = Atomic.make 0;
         failed = Atomic.make false;
         running = 1 + List.length t.domains;
@@ -147,23 +154,3 @@ let shutdown t =
     List.iter Domain.join t.domains;
     t.domains <- []
   end
-
-let global = ref None
-let global_size = ref 1
-
-let get_global () =
-  match !global with
-  | Some p when p.n = !global_size && not p.stop -> p
-  | Some p ->
-      shutdown p;
-      let p' = create !global_size in
-      global := Some p';
-      p'
-  | None ->
-      let p = create !global_size in
-      global := Some p;
-      p
-
-let set_global_size n =
-  if n < 1 then invalid_arg "Domain_pool.set_global_size: size must be >= 1";
-  global_size := n

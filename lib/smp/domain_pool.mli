@@ -4,13 +4,14 @@
     implicit parallelisation, playing the role of SAC's pthread-based
     multithreaded runtime system (Grelck, IFL'98): a fixed team of
     worker domains is created once and with-loops are distributed over
-    it in contiguous chunks; the calling domain always participates, so
-    a pool of size [n] uses [n] domains in total ([n - 1] workers).
+    it in static contiguous blocks; the calling domain always
+    participates, so a pool of size [n] uses [n] domains in total
+    ([n - 1] workers).
 
     Work items must not raise: an escaping exception from worker code
     is re-raised on the caller after the barrier, but the pool remains
-    usable.  Once a chunk has failed, unclaimed chunks of the same job
-    are abandoned (in-flight chunks on other domains still finish). *)
+    usable.  Once a block has failed, unclaimed blocks of the same job
+    are abandoned (in-flight blocks on other domains still finish). *)
 
 type t
 
@@ -20,16 +21,15 @@ val create : int -> t
 
 val size : t -> int
 
-val parallel_for :
-  ?policy:Sched_policy.t -> t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [parallel_for ?policy pool ~lo ~hi body] partitions the half-open
-    range [lo, hi) into the chunks prescribed by [policy] (default
-    {!Sched_policy.default}: one contiguous block per domain) and runs
-    [body chunk_lo chunk_hi] for each, concurrently; participants claim
-    chunks dynamically.  The calling domain's {!Mg_obs.Scope} (if any)
-    is mirrored onto every participant for the job's duration, so
-    worker-side telemetry attributes to the submitting solve.  Returns
-    when all chunks have completed. *)
+val parallel_for : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+(** [parallel_for pool ~lo ~hi body] cuts the half-open range
+    [lo, hi) into one near-equal contiguous block per domain (never
+    more blocks than range elements) and runs [body block_lo block_hi]
+    for each, concurrently; participants claim blocks as they come
+    free.  The calling domain's {!Mg_obs.Scope} (if any) is mirrored
+    onto every participant for the job's duration, so worker-side
+    telemetry attributes to the submitting solve.  Returns when all
+    blocks have completed. *)
 
 val sequential : t
 (** A pool of size 1 that never spawns domains. *)
@@ -37,13 +37,6 @@ val sequential : t
 val shutdown : t -> unit
 (** Terminate worker domains.  The pool must not be used afterwards;
     calling [shutdown] on {!sequential} is a no-op. *)
-
-val get_global : unit -> t
-(** The process-wide pool, created on first use with a size given by
-    [set_global_size] (default 1). *)
-
-val set_global_size : int -> unit
-(** Resize the global pool (shuts down the previous one). *)
 
 val set_domain_hooks : on_start:(unit -> unit) -> on_exit:(unit -> unit) -> unit
 (** Register per-worker lifecycle callbacks: [on_start] runs on each

@@ -1,46 +1,21 @@
-(** Stage 5 of the executor pipeline: piece scheduling backends.
+(** Stage 5 of the executor pipeline: executing a force's compiled
+    parts into its output buffer.
 
-    A backend owns the last step of a force — executing the compiled
-    parts into the output buffer.  Piece *splitting* (how a part's
-    outer axis is cut, governed by the {!Mg_smp.Sched_policy}) and
-    piece *execution* (the kernel nests) are shared across backends;
-    only the dispatch differs.  {!Pool} runs pieces on the domain
-    pool; {!Smp_sim} runs the identical split sequentially while
-    emitting one trace event per piece for the SMP cost model.
-    Outputs are therefore bitwise identical across backends and
-    policies by construction. *)
+    A part at least [par_threshold] elements large, on a pool of more
+    than one domain, is cut into one static axis-0 slab per domain and
+    the slabs run on the pool; every other part runs whole on the
+    calling domain.  Each element is written once whatever the cut, so
+    outputs are bitwise identical across pool sizes. *)
 
 open Mg_ndarray
 
 (** Per-force execution context. *)
 type ctx = {
   pool : Mg_smp.Domain_pool.t;
-  sched : Mg_smp.Sched_policy.t;  (** Chunk shape for parallel parts. *)
   par_threshold : int;  (** Parts below this cardinality stay sequential. *)
 }
 
-module type S = sig
-  val name : string
-
-  val run_parts : ctx -> Plan.compiled list -> out:Ndarray.t -> unit
-  (** Execute the compiled parts of one force into [out].  Parts run
-      in order; pieces of one part may run concurrently. *)
-end
-
-type t = (module S)
-
-module Pool : S
-(** Pieces dispatched onto the domain pool ({!ctx.pool}), chunked per
-    {!ctx.sched}. *)
-
-module Smp_sim : S
-(** The same split executed sequentially, one ["backend:piece"] trace
-    event per piece when tracing is on. *)
-
-val default : t
-(** {!Pool}. *)
-
-val by_name : string -> t option
-(** ["pool"]/["domains"] and ["smp_sim"]/["sim"]. *)
-
-val name : t -> string
+val run_parts : ctx -> Plan.compiled list -> out:Ndarray.t -> unit
+(** Execute the compiled parts of one force into [out].  Parts run in
+    order; the slabs of one part may run concurrently, each under a
+    ["backend:piece"] span. *)

@@ -24,7 +24,7 @@ open Cluster
    run.  Plan replay rebinds cluster buffers ([Plan.rebind_cpart]) and
    parallel pieces shift cluster bases ([Cluster.shift_base]), so one
    compiled kernel — cached inside its plan in [Plan_cache] — serves
-   every replay, piece and tile unchanged.
+   every replay and piece unchanged.
 
    One write per output element: the passes accumulate into a row
    accumulator off to the side, which starts at [const], and [run]

@@ -1,10 +1,9 @@
 module Domain_pool = Mg_smp.Domain_pool
-module Sched_policy = Mg_smp.Sched_policy
 
 (* The reified engine: everything that used to live in Wl's module
-   globals — optimisation level, threading, scheduling, the plan
-   cache, the pooling/observation gates — bundled into an explicit
-   value that can be threaded through a solve.  Two engines with
+   globals — optimisation level, threading, the plan cache, the
+   pooling gate — bundled into an explicit value that can be
+   threaded through a solve.  Two engines with
    different configurations can run concurrently from separate
    domains without trampling each other.  A config is immutable once
    its engine exists: reconfiguring means deriving a new engine. *)
@@ -33,9 +32,6 @@ type config = {
          default resolved at settings time. *)
   reuse : bool;
   pooling : bool;
-  observe : bool;
-  sched : Sched_policy.t;
-  backend : Backend.t;
 }
 
 (* The kernel tier for bodies no fixed kernel recognises.  Native keeps
@@ -69,9 +65,6 @@ let default_config =
     native_cache = None;
     reuse = true;
     pooling = true;
-    observe = true;
-    sched = Sched_policy.default;
-    backend = Backend.default;
   }
 
 let bool_of_string_opt s =
@@ -104,15 +97,13 @@ let config_of_env ?(getenv = Sys.getenv_opt) () =
     native_cache;
     reuse = flag "MG_REUSE" c.reuse;
     pooling = flag "MG_POOLING" c.pooling;
-    observe = flag "MG_OBSERVE" c.observe;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Engine values                                                       *)
 
-type pool_ref =
-  | Shared_global  (** Execute on {!Domain_pool.get_global}, resized to [config.threads]. *)
-  | Owned of { mutable pool : Domain_pool.t option; pm : Mutex.t }
+(* Spawned on first use, resized to the config's thread count. *)
+type pool_cell = { mutable pool : Domain_pool.t option; pm : Mutex.t }
 
 type t = {
   label : int;
@@ -127,7 +118,8 @@ type t = {
          shared by its derivations like the label itself. *)
   stats_base : Plan_cache.stats Atomic.t;
       (* [Plan_cache.stats shards] at the last [cache_clear]. *)
-  pool_ref : pool_ref;
+  pool_cell : pool_cell;
+      (* The engine's own pool, shared with its derivations. *)
 }
 
 let label_counter = Atomic.make 0
@@ -162,7 +154,7 @@ let all () =
    replays the first tenant's plan. *)
 (* A registered root engine: it labels and interns its own metric
    shards. *)
-let make_root ~config ~cache pool_ref =
+let make_root ~config ~cache =
   let label = Atomic.fetch_and_add label_counter 1 in
   let shards = Mg_obs.Scope.shards ~engine_id:label in
   let e =
@@ -171,7 +163,7 @@ let make_root ~config ~cache pool_ref =
       cache;
       shards;
       stats_base = Atomic.make (Plan_cache.stats shards);
-      pool_ref;
+      pool_cell = { pool = None; pm = Mutex.create () };
     }
   in
   register e;
@@ -179,7 +171,7 @@ let make_root ~config ~cache pool_ref =
 
 let create ?(config = config_of_env ()) ?share_cache () =
   let cache = match share_cache with Some p -> p.cache | None -> Plan_cache.create () in
-  make_root ~config ~cache (Owned { pool = None; pm = Mutex.create () })
+  make_root ~config ~cache
 
 (* A derived engine is a cheap reconfiguration of its parent: it
    shares the parent's plan cache (keys carry the optimisation
@@ -190,13 +182,11 @@ let create ?(config = config_of_env ()) ?share_cache () =
 let derive parent f = { parent with config = f parent.config }
 
 let shutdown e =
-  (match e.pool_ref with
-  | Shared_global -> ()
-  | Owned o ->
-      Mutex.lock o.pm;
-      (match o.pool with Some p -> Domain_pool.shutdown p | None -> ());
-      o.pool <- None;
-      Mutex.unlock o.pm);
+  let o = e.pool_cell in
+  Mutex.lock o.pm;
+  Option.iter Domain_pool.shutdown o.pool;
+  o.pool <- None;
+  Mutex.unlock o.pm;
   unregister e;
   Mg_obs.Scope.retire e.shards
 
@@ -212,7 +202,7 @@ let default () =
     match !default_ref with
     | Some e -> e
     | None ->
-        let e = make_root ~config:(config_of_env ()) ~cache:(Plan_cache.create ()) Shared_global in
+        let e = make_root ~config:(config_of_env ()) ~cache:(Plan_cache.create ()) in
         default_ref := Some e;
         e
   in
@@ -240,31 +230,19 @@ let label e = e.label
 let config e = e.config
 
 let pool e () =
-  match e.pool_ref with
-  | Shared_global ->
-      let p = Domain_pool.get_global () in
-      if Domain_pool.size p = e.config.threads then p
-      else begin
-        Domain_pool.set_global_size e.config.threads;
-        Domain_pool.get_global ()
-      end
-  | Owned o ->
-      Mutex.lock o.pm;
-      let p =
-        match o.pool with
-        | Some p when Domain_pool.size p = e.config.threads -> p
-        | Some p ->
-            Domain_pool.shutdown p;
-            let p = Domain_pool.create e.config.threads in
-            o.pool <- Some p;
-            p
-        | None ->
-            let p = Domain_pool.create e.config.threads in
-            o.pool <- Some p;
-            p
-      in
-      Mutex.unlock o.pm;
-      p
+  let o = e.pool_cell in
+  Mutex.lock o.pm;
+  let p =
+    match o.pool with
+    | Some p when Domain_pool.size p = e.config.threads -> p
+    | stale ->
+        Option.iter Domain_pool.shutdown stale;
+        let p = Domain_pool.create e.config.threads in
+        o.pool <- Some p;
+        p
+  in
+  Mutex.unlock o.pm;
+  p
 
 let settings e : Exec.settings =
   let c = e.config in
@@ -296,13 +274,10 @@ let settings e : Exec.settings =
       (if native_on then Some (Option.value c.native_cache ~default:"_mg_native") else None);
     reuse = reuse_on;
     pooling = c.pooling;
-    observe = c.observe;
     cache = e.cache;
     shards = e.shards;
     pool = pool e;
     par_threshold = c.par_threshold;
-    sched = c.sched;
-    backend = c.backend;
   }
 
 let cache e = e.cache
@@ -331,15 +306,13 @@ let cache_clear e =
 let config_fingerprint e =
   let c = e.config in
   let flag name b = if b then name else "-" ^ name in
-  Printf.sprintf "%s t%d %s %s %s %s %s %s sched=%s backend=%s"
+  Printf.sprintf "%s t%d %s %s %s %s %s"
     (opt_level_to_string c.opt_level)
     c.threads (flag "lb" c.line_buffers) (flag "cfun" c.cfun) (flag "nt" c.native)
-    (flag "reuse" c.reuse) (flag "pool" c.pooling) (flag "obs" c.observe)
-    (Sched_policy.to_string c.sched)
-    (Backend.name c.backend)
+    (flag "reuse" c.reuse) (flag "pool" c.pooling)
 
 let new_scope ?tenant e =
-  Mg_obs.Scope.make ?tenant ~observe:e.config.observe ~shards:e.shards ~engine_id:e.label ()
+  Mg_obs.Scope.make ?tenant ~shards:e.shards ~engine_id:e.label ()
 
 let flight_log e =
   List.filter (fun (r : Mg_obs.Flight.record) -> r.Mg_obs.Flight.engine_id = e.label)

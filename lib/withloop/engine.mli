@@ -47,24 +47,16 @@ type config = {
       (** Draw buffers from the {!Mempool} arenas and recycle dead
           intermediates into them; off allocates every buffer
           fresh.  Orthogonal to [reuse]. *)
-  observe : bool;
-      (** Engine-level observation gate: [false] keeps this engine's
-          forces out of traces/spans even when the process-wide
-          switches are on. *)
-  sched : Mg_smp.Sched_policy.t;  (** Chunk shape for parallel with-loop parts. *)
-  backend : Backend.t;
-      (** Piece-scheduling backend: the real domain pool, or the
-          sequential {!Backend.Smp_sim} split for the SMP cost model. *)
 }
 
 val default_config : config
-(** The literal defaults (O3, 1 thread, pooling on, observation gate
-    open) — independent of the environment. *)
+(** The literal defaults (O3, 1 thread, pooling on) — independent of
+    the environment. *)
 
 val config_of_env : ?getenv:(string -> string option) -> unit -> config
 (** {!default_config} overridden by the environment: [MG_PROCS]
-    (thread count, [>= 1]), [MG_NATIVE], [MG_REUSE], [MG_POOLING],
-    [MG_OBSERVE] (booleans: [0]/[off]/[false]/[no] and
+    (thread count, [>= 1]), [MG_NATIVE], [MG_REUSE], [MG_POOLING]
+    (booleans: [0]/[off]/[false]/[no] and
     [1]/[on]/[true]/[yes]), and [MG_NATIVE_CACHE] (the AOT
     shared-object cache directory; blank is ignored).  These are the
     only environment variables that configure an engine; {!Native}
@@ -98,7 +90,7 @@ type t
 (** One engine: a config, a private plan cache, an execution pool. *)
 
 val create : ?config:config -> ?share_cache:t -> unit -> t
-(** A fresh engine with its own (lazily spawned, owned) domain pool.
+(** A fresh engine with its own (lazily spawned) domain pool.
     Default config: {!config_of_env}.  Registered in {!all} until
     {!shutdown}.
 
@@ -128,7 +120,7 @@ val shutdown : t -> unit
 
 val default : unit -> t
 (** The process-default engine (created on first use from
-    {!config_of_env}; executes on the global domain pool). *)
+    {!config_of_env}; like every engine, it owns its pool). *)
 
 val current : unit -> t
 (** The calling domain's dynamically-bound engine ({!with_current}),
@@ -149,16 +141,14 @@ val label : t -> int
 
 val config_fingerprint : t -> string
 (** A compact human-readable digest of the engine's current config
-    (opt level, threads, feature flags, scheduling policy, backend)
-    for flight-recorder records. *)
+    (opt level, threads, feature flags) for flight-recorder records. *)
 
 val new_scope : ?tenant:string -> t -> Mg_obs.Scope.t
 (** A fresh per-solve trace context attributed to this engine's
     {!label}, carrying the engine's shard table (interned once, at
     {!create}, for every family declared through
-    {!Mg_obs.Scope.counter_family} and its siblings) and its
-    [observe] setting.  [Driver.run] installs one per solve with
-    [Mg_obs.Scope.with_scope]. *)
+    {!Mg_obs.Scope.counter_family} and its siblings).  [Driver.run]
+    installs one per solve with [Mg_obs.Scope.with_scope]. *)
 
 val flight_log : t -> Mg_obs.Flight.record list
 (** Flight-recorder records attributed to this engine's {!label},
@@ -173,8 +163,7 @@ val settings : t -> Exec.settings
 
 val pool : t -> unit -> Mg_smp.Domain_pool.t
 (** The engine's execution pool, created/resized on demand to
-    [config.threads].  {!create}d engines own theirs; {!default} (and
-    engines derived from it) resize the process-global pool. *)
+    [config.threads] and shared with the engine's derivations. *)
 
 (** {1 Per-engine plan cache} *)
 

@@ -2,7 +2,6 @@ open Mg_ndarray
 module Trace = Mg_smp.Trace
 module Clock = Mg_smp.Clock
 module Domain_pool = Mg_smp.Domain_pool
-module Sched_policy = Mg_smp.Sched_policy
 module Span = Mg_obs.Span
 
 (* The executor driver.  The heavy lifting lives in the pipeline
@@ -22,36 +21,22 @@ type settings = {
   native : string option;  (* AOT cache dir; [None] = native tier off *)
   reuse : bool;
   pooling : bool;
-  observe : bool;
   cache : Plan.cache_entry Plan_cache.t;
   shards : Mg_obs.Scope.shards;
   pool : unit -> Domain_pool.t;
   par_threshold : int;
-  sched : Sched_policy.t;
-  backend : Backend.t;
 }
 
 type fold_op = Fadd | Fmul | Fmax | Fmin | Fcustom of (float -> float -> float)
 
 (* Observation gate shared by traces and spans: clock reads and the
    child-time bookkeeping below are skipped entirely unless some
-   consumer is listening AND the engine opted in, so a production
-   force costs no monotonic clock reads (the [Trace.emit] doc
-   promise) and an observing engine never times a silent one's
-   forces. *)
-let observing st = st.observe && (Trace.enabled () || Span.enabled ())
-
-let span_scoped st ~name f = if st.observe then Span.with_ ~name f else f ()
-
-(* ------------------------------------------------------------------ *)
-(* Backend dispatch                                                    *)
-
-let ctx_of st =
-  { Backend.pool = st.pool (); sched = st.sched; par_threshold = st.par_threshold }
+   consumer is listening, so a production force costs no monotonic
+   clock reads (the [Trace.emit] doc promise). *)
+let observing () = Trace.enabled () || Span.enabled ()
 
 let exec_parts st (out : Ndarray.t) (parts : Plan.compiled list) =
-  let module B = (val st.backend : Backend.S) in
-  B.run_parts (ctx_of st) parts ~out
+  Backend.run_parts { Backend.pool = st.pool (); par_threshold = st.par_threshold } parts ~out
 
 (* ------------------------------------------------------------------ *)
 (* Staged calls: the recorder.
@@ -507,9 +492,8 @@ let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
    handed down through [settings].                                     *)
 
 (* The optimisation-configuration fingerprint prefixed to every key.
-   Thread count, scheduling policy and backend are deliberately
-   absent: the parallel split is applied at execution time, so one
-   plan serves any pool size, policy and backend. *)
+   The thread count is deliberately absent: the parallel split is
+   applied at execution time, so one plan serves any pool size. *)
 let env_of st =
   Printf.sprintf "v1;fold=%b;ss=%b;st=%d;fac=%b;lb=%b;cf=%b;ru=%b;nt=%b;"
     st.fusion.Fusion.fold st.fusion.Fusion.split_strided st.fusion.Fusion.split_threshold
@@ -528,8 +512,8 @@ type watch = { sp : Span.timer; t0 : float; saved_child : float }
 
 let unwatched = { sp = Span.null; t0 = 0.0; saved_child = 0.0 }
 
-let watch st =
-  if not (observing st) then unwatched
+let watch () =
+  if not (observing ()) then unwatched
   else begin
     let sp = Span.start () in
     let child_time = Domain.DLS.get child_time_key in
@@ -747,7 +731,7 @@ and compute st (n : Ir.node) =
   | None -> (
       (match recording () with Some r -> r.computed <- n :: r.computed | None -> ());
       let key = Plan_cache.key_of_graph ~env:(env_of st) ~fold:st.fusion.Fusion.fold n in
-      let w = watch st in
+      let w = watch () in
       let h = holds n.Ir.nid in
       let hold = hold st h in
       match Option.map (fun (k, bindings) -> (Plan_cache.find st.cache k, bindings)) key with
@@ -847,7 +831,7 @@ and compile st w (n : Ir.node) ~hold h record =
   in
   let cstart = Clock.now () in
   let parts =
-    span_scoped st ~name:"wl:fusion" (fun () ->
+    Span.with_ ~name:"wl:fusion" (fun () ->
         List.concat_map
           (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:fusion_hold p.Ir.gen p.Ir.body)
           raw_parts)
@@ -883,7 +867,7 @@ and compile st w (n : Ir.node) ~hold h record =
   in
   let movable = match mode with Plan.OSteal _ | Plan.OLend _ -> false | _ -> true in
   let compiled =
-    span_scoped st ~name:"wl:kernel-choice" (fun () -> Plan.group_shell shape ~movable compiled)
+    Span.with_ ~name:"wl:kernel-choice" (fun () -> Plan.group_shell shape ~movable compiled)
   in
   (* [h.held]: every node this force materialised, with the buffer it
      had then, newest first.  The plan's slots resolve through these
@@ -956,10 +940,10 @@ let apply_op = function
    its body has been evaluated. *)
 let eval_fold st ~op ~neutral gen body =
   refuse Escape;
-  let w = watch st in
+  let w = watch () in
   let h = holds (Ir.next_id ()) in
   let parts =
-    span_scoped st ~name:"wl:fusion" (fun () ->
+    Span.with_ ~name:"wl:fusion" (fun () ->
         Fusion.optimize st.fusion ~force:(fun m -> hold st h (Ir.Node m)) gen body)
   in
   settle_loans st h;
@@ -1133,7 +1117,7 @@ let replay st t (input : Ir.source) (a : Ndarray.t) =
   let pooling = st.pooling in
   let debug = Mempool.get_debug () in
   let sums = if debug then Array.make (Array.length bufs) 0 else [||] in
-  let w = ref (watch st) in
+  let w = ref (watch ()) in
   Array.iter
     (function
       | Alloc (i, shape) -> bufs.(i) <- Mempool.alloc ~pooling shape
@@ -1161,7 +1145,7 @@ let replay st t (input : Ir.source) (a : Ndarray.t) =
           unwatch !w ~name:"wl:force" ~tag:f.tag ~elements:f.elements ~extent:f.extent
             ~bytes_alloc:f.bytes_alloc (fun () ->
               [ ("cache", "replay"); ("kernel", f.kernel); ("out", f.out) ]);
-          w := watch st)
+          w := watch ())
     t.tops;
   (match input with
   | Ir.Node m ->

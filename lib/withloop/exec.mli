@@ -68,11 +68,6 @@ type settings = {
       (** Draw buffers from {!Mempool} arenas; [false] degrades every
           allocation to a plain [create_uninit] (the engine config's
           [pooling] flag, the only pooling switch). *)
-  observe : bool;
-      (** Engine-level observation gate: [false] skips trace/span
-          emission and their clock reads even when the process-wide
-          {!Mg_smp.Trace}/{!Mg_obs.Span} switches are on, so a silent
-          engine adds no noise to a concurrent observed one. *)
   cache : Plan.cache_entry Plan_cache.t;
       (** The owning engine's plan store ({!Plan.Cached} compiled
           plans, {!Plan.Uncacheable} negative entries). *)
@@ -85,12 +80,6 @@ type settings = {
       (** Minimum index-space cardinality before a part is run in
           parallel — the paper's "below a certain threshold grid size
           … perform all operations sequentially" (§5). *)
-  sched : Mg_smp.Sched_policy.t;
-      (** Chunk shape for parallel parts (static block vs dynamically
-          claimed finer chunks). *)
-  backend : Backend.t;
-      (** Piece scheduler: the real domain pool or the sequential
-          tracing simulator.  Outputs are bitwise identical. *)
 }
 
 val force : settings -> Ir.node -> Ndarray.t

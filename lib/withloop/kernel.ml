@@ -1055,28 +1055,28 @@ let k3_name = function
   | K3generic -> "generic"
 
 (* Rebuild a stencil payload against (freshly bound and/or base-shifted)
-   clusters; [koff0]/[koff1] are the payload's displacement in whole
-   axis-0/axis-1 steps (tiled pieces displace along both).  Compiled
+   clusters; [koff0] is the payload's displacement in whole axis-0
+   steps (a parallel slab's offset in its part).  Compiled
    cfun kernels and shell groups read buffers from the live cluster
    array at run time, so they need no rebinding at all — and native
    kernels gather buffers and bases from the live clusters at each
    call ([Native.call]), likewise. *)
-let rebind_stencil (clusters : ccluster array) ~koff0 ~koff1 s si eidx =
+let rebind_stencil (clusters : ccluster array) ~koff0 s si eidx =
   { s with
     sbuf = clusters.(si).xbuf;
-    sbase = s.sbase + (koff0 * s.s_st0) + (koff1 * s.s_st1);
+    sbase = s.sbase + (koff0 * s.s_st0);
     extras = Array.map (fun i -> clusters.(i)) eidx;
   }
 
-let rebind_k3 (clusters : ccluster array) ~koff0 ~koff1 = function
+let rebind_k3 (clusters : ccluster array) ~koff0 = function
   | (K3copy | K3zip | K3flat | K3shell _ | K3cfun _ | K3native _ | K3generic) as k -> k
-  | K3stencil (s, si, eidx) -> K3stencil (rebind_stencil clusters ~koff0 ~koff1 s si eidx, si, eidx)
+  | K3stencil (s, si, eidx) -> K3stencil (rebind_stencil clusters ~koff0 s si eidx, si, eidx)
   | K3stencil_lb (s, si, eidx) ->
-      K3stencil_lb (rebind_stencil clusters ~koff0 ~koff1 s si eidx, si, eidx)
+      K3stencil_lb (rebind_stencil clusters ~koff0 s si eidx, si, eidx)
   | K3stencil2 (x, y) ->
       K3stencil2
-        ( rebind_stencil clusters ~koff0 ~koff1 x 0 [||],
-          rebind_stencil clusters ~koff0 ~koff1 y 1 [||] )
+        ( rebind_stencil clusters ~koff0 x 0 [||],
+          rebind_stencil clusters ~koff0 y 1 [||] )
 
 let flat_reads (cl : ccluster) = Array.fold_left (fun acc ds -> acc + Array.length ds) 0 cl.xdeltas
 

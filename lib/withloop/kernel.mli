@@ -26,7 +26,7 @@ open Mg_ndarray
     Rendered by {!Mg_obs.Profile_report} and dumped into [bench.json]. *)
 
 val c_cfun : Mg_obs.Metrics.counter
-(** [kernel.cfun]: also bumped by the backends' closure pieces. *)
+(** [kernel.cfun]: also bumped by {!Backend}'s closure pieces. *)
 
 val counters : unit -> (string * int) list
 (** All counters as [(name, count)] pairs, in a stable order (names
@@ -93,10 +93,9 @@ val shell_alias_safe : k3 -> Cluster.ccluster array -> Ndarray.buffer -> bool
     buffer is an identity read (a member reads an element only while
     computing that element). *)
 
-val rebind_k3 : Cluster.ccluster array -> koff0:int -> koff1:int -> k3 -> k3
+val rebind_k3 : Cluster.ccluster array -> koff0:int -> k3 -> k3
 (** Rebuild a kernel payload against clusters that were rebound to
-    fresh buffers and/or base-shifted by [koff0] axis-0 steps and
-    [koff1] axis-1 steps (tiled pieces displace along both). *)
+    fresh buffers and/or base-shifted by [koff0] axis-0 steps. *)
 
 val run_k3 :
   const:float ->

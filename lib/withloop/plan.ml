@@ -203,7 +203,7 @@ let rebind_cpart (cpt : cpart) (rebuf : int -> Ndarray.buffer) =
   let kclusters = Array.mapi (fun j cl -> Cluster.with_buffer cl (rebuf j)) cpt.kclusters in
   { cpt with
     kclusters;
-    kkernel = Option.map (Kernel.rebind_k3 kclusters ~koff0:0 ~koff1:0) cpt.kkernel;
+    kkernel = Option.map (Kernel.rebind_k3 kclusters ~koff0:0) cpt.kkernel;
   }
 
 let strip_cpart (cp : cpart) = rebind_cpart cp (fun _ -> dummy_buf)
@@ -221,8 +221,8 @@ let strip_cpart (cp : cpart) = rebind_cpart cp (fun _ -> dummy_buf)
    and broadcasts all shift base or steps).  Every kernel — fixed,
    cfun, native and generic — reads all of an element's operands
    before it stores that element, once, and pieces partition the index
-   space, so identity reads stay inside the piece under any backend,
-   policy or tile shape.  (The emitted C never carries
+   space, so identity reads stay inside the piece at any pool size.
+   (The emitted C never carries
    [restrict] on the output pointer, so the C compiler must honour the
    aliasing too.)  A shell group checks each member's reads against
    that member's own layout. *)

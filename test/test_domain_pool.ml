@@ -1,5 +1,4 @@
 module Domain_pool = Mg_smp.Domain_pool
-module Sched_policy = Mg_smp.Sched_policy
 module Trace = Mg_smp.Trace
 
 let test_sequential_pool () =
@@ -51,17 +50,15 @@ let test_exception_propagates () =
   Domain_pool.shutdown pool;
   Alcotest.(check bool) "exception seen" true raised
 
-(* After the first chunk raises, remaining chunks are abandoned: every
-   chunk raises immediately, so each of the 4 participants executes at
-   most one chunk before observing the failure flag — far fewer than
-   the 64 chunks the job was cut into. *)
+(* After the first block raises, unclaimed blocks are abandoned: every
+   block raises immediately, so each of the 4 participants executes at
+   most one block before observing the failure flag. *)
 let test_early_stop_after_failure () =
   let pool = Domain_pool.create 4 in
   let executed = Atomic.make 0 in
   let raised =
     try
-      Domain_pool.parallel_for ~policy:(Sched_policy.Dynamic_chunked 16) pool ~lo:0 ~hi:64
-        (fun _ _ ->
+      Domain_pool.parallel_for pool ~lo:0 ~hi:64 (fun _ _ ->
           Atomic.incr executed;
           failwith "boom");
       false
@@ -71,67 +68,58 @@ let test_early_stop_after_failure () =
   Alcotest.(check bool) "exception seen" true raised;
   let n = Atomic.get executed in
   Alcotest.(check bool)
-    (Printf.sprintf "abandoned remaining chunks (executed %d <= 4 participants)" n)
+    (Printf.sprintf "abandoned remaining blocks (executed %d <= 4 participants)" n)
     true
     (n >= 1 && n <= 4)
 
-(* Both policies at several pool sizes: exact once-each coverage. *)
+(* Several pool sizes, an uneven range: exact once-each coverage. *)
 let test_policy_coverage () =
   List.iter
-    (fun policy ->
-      List.iter
-        (fun np ->
-          let pool = Domain_pool.create np in
-          let hits = Array.make 203 0 in
-          (* Chunks are disjoint, so the unsynchronised writes race only
-             if coverage is already broken. *)
-          Domain_pool.parallel_for ~policy pool ~lo:0 ~hi:203 (fun lo hi ->
-              for i = lo to hi - 1 do
-                hits.(i) <- hits.(i) + 1
-              done);
-          Domain_pool.shutdown pool;
-          Alcotest.(check (array int))
-            (Printf.sprintf "%s at %d domains" (Sched_policy.to_string policy) np)
-            (Array.make 203 1) hits)
-        [ 1; 2; 4 ])
-    [ Sched_policy.Static_block; Sched_policy.Dynamic_chunked 3 ]
+    (fun np ->
+      let pool = Domain_pool.create np in
+      let hits = Array.make 203 0 in
+      (* Blocks are disjoint, so the unsynchronised writes race only if
+         coverage is already broken. *)
+      Domain_pool.parallel_for pool ~lo:0 ~hi:203 (fun lo hi ->
+          for i = lo to hi - 1 do
+            hits.(i) <- hits.(i) + 1
+          done);
+      Domain_pool.shutdown pool;
+      Alcotest.(check (array int)) (Printf.sprintf "%d domains" np) (Array.make 203 1) hits)
+    [ 1; 2; 3; 4 ]
 
+(* The static schedule: one near-equal contiguous block per domain,
+   never more blocks than range elements. *)
 let test_sched_ranges () =
-  let check_partition name policy ~workers ~lo ~hi =
-    let rs = Sched_policy.ranges policy ~workers ~lo ~hi in
+  let blocks pool ~lo ~hi =
+    let m = Mutex.create () and got = ref [] in
+    Domain_pool.parallel_for pool ~lo ~hi (fun a b ->
+        Mutex.lock m;
+        got := (a, b) :: !got;
+        Mutex.unlock m);
+    List.sort compare !got
+  in
+  let check_partition name pool ~lo ~hi =
+    let rs = blocks pool ~lo ~hi in
     let pos = ref lo in
-    Array.iter
+    List.iter
       (fun (a, b) ->
         Alcotest.(check int) (name ^ ": contiguous") !pos a;
-        Alcotest.(check bool) (name ^ ": nonempty chunk") true (b > a);
+        Alcotest.(check bool) (name ^ ": nonempty block") true (b > a);
         pos := b)
       rs;
     Alcotest.(check int) (name ^ ": covers range") hi !pos;
-    Array.length rs
+    List.map (fun (a, b) -> b - a) rs
   in
-  Alcotest.(check int) "block: one chunk per worker" 4
-    (check_partition "block" Sched_policy.Static_block ~workers:4 ~lo:0 ~hi:100);
-  Alcotest.(check int) "chunked: workers*m chunks" 12
-    (check_partition "chunked" (Sched_policy.Dynamic_chunked 3) ~workers:4 ~lo:0 ~hi:100);
-  Alcotest.(check int) "capped at range length" 5
-    (check_partition "capped" (Sched_policy.Dynamic_chunked 8) ~workers:4 ~lo:10 ~hi:15);
-  Alcotest.(check int) "empty range" 0
-    (Array.length (Sched_policy.ranges Sched_policy.Static_block ~workers:4 ~lo:3 ~hi:3))
-
-let test_sched_string_roundtrip () =
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        (Sched_policy.to_string p)
-        true
-        (Sched_policy.of_string (Sched_policy.to_string p) = Some p))
-    [ Sched_policy.Static_block; Sched_policy.Dynamic_chunked 1; Sched_policy.Dynamic_chunked 7 ];
-  Alcotest.(check bool) "static alias" true
-    (Sched_policy.of_string "static" = Some Sched_policy.Static_block);
-  Alcotest.(check bool) "dynamic default factor" true
-    (Sched_policy.of_string "dynamic" = Some (Sched_policy.Dynamic_chunked 4));
-  Alcotest.(check bool) "unknown rejected" true (Sched_policy.of_string "wat" = None);
-  Alcotest.(check bool) "zero factor rejected" true (Sched_policy.of_string "chunked:0" = None)
+  let pool = Domain_pool.create 4 in
+  Alcotest.(check (list int)) "block: one per domain" [ 25; 25; 25; 25 ]
+    (check_partition "block" pool ~lo:0 ~hi:100);
+  Alcotest.(check (list int)) "uneven: near-equal" [ 2; 3; 2; 3 ]
+    (check_partition "uneven" pool ~lo:0 ~hi:10);
+  Alcotest.(check (list int)) "capped at range length" [ 1; 1; 1 ]
+    (check_partition "capped" pool ~lo:10 ~hi:13);
+  Alcotest.(check (list int)) "empty range" [] (check_partition "empty" pool ~lo:3 ~hi:3);
+  Domain_pool.shutdown pool
 
 let test_create_validation () =
   Alcotest.check_raises "zero size" (Invalid_argument "Domain_pool.create: size must be >= 1")
@@ -175,7 +163,6 @@ let suite =
       Alcotest.test_case "early stop after failure" `Quick test_early_stop_after_failure;
       Alcotest.test_case "policy coverage" `Quick test_policy_coverage;
       Alcotest.test_case "sched ranges partition" `Quick test_sched_ranges;
-      Alcotest.test_case "sched policy strings" `Quick test_sched_string_roundtrip;
       Alcotest.test_case "create validation" `Quick test_create_validation;
       Alcotest.test_case "trace collector" `Quick test_trace_collector;
       Alcotest.test_case "trace nesting" `Quick test_trace_nesting;

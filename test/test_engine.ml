@@ -64,22 +64,17 @@ let qcheck_caches_independent =
           && Ndarray.equal a1 a2 && Ndarray.equal a1 b1))
 
 (* ------------------------------------------------------------------ *)
-(* The payoff gate: two engines with different settings (cfun+tiled
-   vs generic+block) solving class S concurrently from two domains
-   produce bitwise-identical norms to their own sequential runs.      *)
+(* The payoff gate: two engines with different settings (cfun without
+   line buffers vs generic with them) solving class S concurrently
+   from two domains produce bitwise-identical norms to their own
+   sequential runs.                                                    *)
 
 let bits = Int64.bits_of_float
 
 let test_concurrent_solves_bitwise () =
   let base = Engine.config_of_env () in
-  let cfg_a =
-    { base with
-      Engine.threads = 2;
-      cfun = true;
-      sched = Mg_smp.Sched_policy.Tiled { planes = 2; rows = 32 };
-    }
-  in
-  let cfg_b = { base with Engine.threads = 2; cfun = false; sched = Mg_smp.Sched_policy.Static_block } in
+  let cfg_a = { base with Engine.threads = 2; cfun = true; line_buffers = false } in
+  let cfg_b = { base with Engine.threads = 2; cfun = false; line_buffers = true } in
   let ea = Engine.create ~config:cfg_a () in
   let eb = Engine.create ~config:cfg_b () in
   Fun.protect
@@ -131,16 +126,8 @@ let shard_delta before after =
 
 let test_concurrent_telemetry_attribution () =
   let base = Engine.config_of_env () in
-  let cfg_a =
-    { base with
-      Engine.threads = 2;
-      cfun = true;
-      sched = Mg_smp.Sched_policy.Tiled { planes = 2; rows = 32 };
-    }
-  in
-  let cfg_b =
-    { base with Engine.threads = 2; cfun = false; sched = Mg_smp.Sched_policy.Static_block }
-  in
+  let cfg_a = { base with Engine.threads = 2; cfun = true; line_buffers = false } in
+  let cfg_b = { base with Engine.threads = 2; cfun = false; line_buffers = true } in
   let ea = Engine.create ~config:cfg_a () in
   let eb = Engine.create ~config:cfg_b () in
   Fun.protect
@@ -424,7 +411,6 @@ let test_config_of_env () =
     | "MG_PROCS" -> Some "4"
     | "MG_REUSE" -> Some "0"
     | "MG_POOLING" -> Some "off"
-    | "MG_OBSERVE" -> Some "1"
     | "MG_NATIVE" -> Some "on"
     | "MG_NATIVE_CACHE" -> Some " /tmp/mg-so-cache "
     | _ -> None
@@ -433,22 +419,11 @@ let test_config_of_env () =
   Alcotest.(check int) "MG_PROCS" 4 c.Engine.threads;
   Alcotest.(check bool) "MG_REUSE=0" false c.Engine.reuse;
   Alcotest.(check bool) "MG_POOLING=off" false c.Engine.pooling;
-  Alcotest.(check bool) "MG_OBSERVE=1" true c.Engine.observe;
   Alcotest.(check bool) "MG_NATIVE=on" true c.Engine.native;
   Alcotest.(check (option string)) "MG_NATIVE_CACHE trimmed" (Some "/tmp/mg-so-cache")
     c.Engine.native_cache;
   let d = Engine.config_of_env ~getenv:(fun _ -> None) () in
-  (* Field-wise: config carries a first-class backend module, so
-     polymorphic equality would be invalid. *)
-  let dd = Engine.default_config in
-  Alcotest.(check bool) "empty env = defaults" true
-    (d.Engine.threads = dd.Engine.threads
-    && d.Engine.reuse = dd.Engine.reuse
-    && d.Engine.pooling = dd.Engine.pooling
-    && d.Engine.observe = dd.Engine.observe
-    && d.Engine.native = dd.Engine.native
-    && d.Engine.native_cache = dd.Engine.native_cache
-    && d.Engine.opt_level = dd.Engine.opt_level);
+  Alcotest.(check bool) "empty env = defaults" true (d = Engine.default_config);
   Alcotest.(check bool) "native off by default" false d.Engine.native;
   (* Garbage values fall back to the defaults rather than raising;
      a blank MG_NATIVE_CACHE is ignored. *)

@@ -361,11 +361,10 @@ let test_escaped_values_stable () =
   Alcotest.(check bool) "escaped array untouched" true (Ndarray.equal a snapshot)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling-policy / backend / domain-count bitwise identity.
-   Parallel execution splits a compiled part along axis 0 into pieces;
-   each element's arithmetic is unchanged by the split, so the output
-   must be bit-for-bit identical for every piece count — i.e. across
-   pool sizes, scheduling policies and backends. *)
+(* Domain-count bitwise identity.  Parallel execution splits a
+   compiled part along axis 0 into one slab per domain; each element's
+   arithmetic is unchanged by the split, so the output must be
+   bit-for-bit identical for every slab count, even and uneven. *)
 
 (* A 27-point box stencil body (the NAS-MG operator shape), which the
    executor recognises and runs through the specialised kernels. *)
@@ -384,8 +383,8 @@ let stencil27 w =
 
 (* A body the fixed kernels do not recognise (9 scattered offsets, not
    a box): at O3 with cfun on it runs through the compiled closures, so
-   the identity matrix also pits cfun against generic under every
-   policy, tile shape, backend and domain count. *)
+   the identity matrix also pits cfun against generic at every domain
+   count. *)
 let scattered9 w =
   List.fold_left
     (fun acc (d, c) -> E.(acc + (const c * read_offset w d)))
@@ -395,61 +394,37 @@ let scattered9 w =
       ([| 1; -1; 0 |], -1.25); ([| 0; 1; -1 |], 0.5); ([| -1; 0; 1 |], 2.0);
     ]
 
-let test_policies_backends_bitwise_identical () =
+let test_domain_counts_bitwise_identical () =
   let n = 24 in
   let shp = [| n; n; n |] in
   let src = src_of_seed shp 42 in
   let gen = Generator.interior shp 1 in
-  let force_with ~threads ~sched ~backend ~cfun body =
+  let force_with ~threads ~cfun body =
     (* Fresh plans per configuration; par_threshold 1 forces the
        parallel split even on this small grid. *)
     Wl.cache_clear ();
     Wl.with_config
-      (fun c -> { c with Engine.threads; par_threshold = 1; cfun; sched; backend })
+      (fun c -> { c with Engine.threads; par_threshold = 1; cfun })
       (fun () ->
         let w = Wl.of_ndarray src in
         Ndarray.copy (Wl.force (Wl.genarray ~default:0.0 shp [ (gen, body w) ])))
-  in
-  let policies =
-    [ Mg_smp.Sched_policy.Static_block;
-      Mg_smp.Sched_policy.Dynamic_chunked 3;
-      (* Tile-shape sweep: degenerate 1×1 tiles, small and default
-         shapes, and tiles larger than the whole iteration space. *)
-      Mg_smp.Sched_policy.Tiled { planes = 1; rows = 1 };
-      Mg_smp.Sched_policy.Tiled { planes = 2; rows = 8 };
-      Mg_smp.Sched_policy.Tiled { planes = 8; rows = 32 };
-      Mg_smp.Sched_policy.Tiled { planes = 64; rows = 64 };
-    ]
   in
   List.iter
     (fun (body_name, body, cfuns) ->
       (* The reference runs sequentially through the interpreted
          generic nest (cfun off), so cfun-on configurations check
          compiled-vs-interpreted identity too. *)
-      let reference =
-        force_with ~threads:1 ~sched:Mg_smp.Sched_policy.Static_block
-          ~backend:Backend.default ~cfun:false body
-      in
+      let reference = force_with ~threads:1 ~cfun:false body in
       List.iter
         (fun cfun ->
           List.iter
             (fun threads ->
-              List.iter
-                (fun sched ->
-                  List.iter
-                    (fun (bname, backend) ->
-                      let got = force_with ~threads ~sched ~backend ~cfun body in
-                      Alcotest.(check bool)
-                        (Printf.sprintf "bitwise identical: %s, cfun=%b, %d domains, %s, %s"
-                           body_name cfun threads
-                           (Mg_smp.Sched_policy.to_string sched)
-                           bname)
-                        true (Ndarray.equal got reference))
-                    [ ("pool", (module Backend.Pool : Backend.S));
-                      ("smp_sim", (module Backend.Smp_sim : Backend.S));
-                    ])
-                policies)
-            [ 1; 2; 4 ])
+              let got = force_with ~threads ~cfun body in
+              Alcotest.(check bool)
+                (Printf.sprintf "bitwise identical: %s, cfun=%b, %d domains" body_name cfun
+                   threads)
+                true (Ndarray.equal got reference))
+            [ 1; 2; 3; 4 ])
         cfuns)
     [ ("stencil27", stencil27, [ true ]); ("scattered9", scattered9, [ false; true ]) ]
 
@@ -464,8 +439,7 @@ let test_mempool_concurrent () =
   (* Workers only record pass/fail; Alcotest.check formats through
      shared Format state and must not be called from other domains. *)
   let intact = Array.make 400 false in
-  Mg_smp.Domain_pool.parallel_for ~policy:(Mg_smp.Sched_policy.Dynamic_chunked 8) pool ~lo:0
-    ~hi:400 (fun lo hi ->
+  Mg_smp.Domain_pool.parallel_for pool ~lo:0 ~hi:400 (fun lo hi ->
       for i = lo to hi - 1 do
         let a = Mempool.alloc ~pooling:true shp in
         Ndarray.fill a (float_of_int i);
@@ -508,8 +482,8 @@ let suite =
       Alcotest.test_case "two-stencil kernel exercised by qcheck" `Quick test_stencil2_exercised;
       Alcotest.test_case "recompute after recycle" `Quick test_recompute_after_recycle;
       Alcotest.test_case "escaped values stable" `Quick test_escaped_values_stable;
-      Alcotest.test_case "policies/backends bitwise identical" `Quick
-        test_policies_backends_bitwise_identical;
+      Alcotest.test_case "domain counts bitwise identical" `Quick
+        test_domain_counts_bitwise_identical;
       Alcotest.test_case "mempool concurrent hammer" `Quick test_mempool_concurrent;
       Alcotest.test_case "force twice, same array" `Quick test_force_twice_same_array;
     ] )

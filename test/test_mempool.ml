@@ -205,8 +205,7 @@ let test_concurrent_hammer () =
   let pool = Mg_smp.Domain_pool.create 4 in
   let shp = [| 17; 13 |] in
   let intact = Array.make 400 false in
-  Mg_smp.Domain_pool.parallel_for ~policy:(Mg_smp.Sched_policy.Dynamic_chunked 8) pool ~lo:0
-    ~hi:400 (fun lo hi ->
+  Mg_smp.Domain_pool.parallel_for pool ~lo:0 ~hi:400 (fun lo hi ->
       for i = lo to hi - 1 do
         let a = alloc shp in
         Ndarray.fill a (float_of_int i);

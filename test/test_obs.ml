@@ -128,8 +128,7 @@ let test_counter_atomicity () =
   Fun.protect
     ~finally:(fun () -> Domain_pool.shutdown pool)
     (fun () ->
-      Domain_pool.parallel_for ~policy:(Mg_smp.Sched_policy.Dynamic_chunked 8) pool
-        ~lo:0 ~hi:n (fun lo hi ->
+      Domain_pool.parallel_for pool ~lo:0 ~hi:n (fun lo hi ->
           for _ = lo to hi - 1 do
             Metrics.incr c
           done));
@@ -275,10 +274,7 @@ let test_observe_bitwise_identity () =
   Wl.cache_clear ();
   let plain = Wl.force (build ()) in
   Wl.cache_clear ();
-  let observed =
-    Span.with_enabled true (fun () ->
-        Wl.with_config (fun c -> { c with Engine.observe = true }) (fun () -> Wl.force (build ())))
-  in
+  let observed = Span.with_enabled true (fun () -> Wl.force (build ())) in
   let n = Shape.num_elements shp in
   let same = ref true in
   for i = 0 to n - 1 do
@@ -475,9 +471,9 @@ let test_flight_note_cost () =
   Flight.clear ()
 
 (* ------------------------------------------------------------------ *)
-(* Scopes: per-solve contexts veto span recording and shard metrics.   *)
+(* Scopes: per-solve contexts stamp spans and shard metrics.           *)
 
-let test_scope_veto () =
+let test_scope_stamps_spans () =
   fresh ();
   (* Pool lifecycle happens outside the enabled window: worker startup
      and teardown record their own (unscoped) spans, which are not
@@ -487,45 +483,36 @@ let test_scope_veto () =
     ~finally:(fun () -> Domain_pool.shutdown pool)
     (fun () ->
       Span.with_enabled true (fun () ->
-          (* Global flag on, scope observe=false: nothing records — on
-             the calling domain or on pool workers (the pool mirrors
-             the scope). *)
-          let dark = Scope.make ~observe:false ~engine_id:97 () in
-          Scope.with_scope dark (fun () ->
-              Span.with_ ~name:"vetoed" (fun () -> ());
+          (* A scope stamps the caller's spans and, mirrored by the
+             pool, every block its workers run. *)
+          let lit = Scope.make ~engine_id:98 () in
+          Scope.with_scope lit (fun () ->
+              Span.with_ ~name:"stamped" (fun () -> ());
               Domain_pool.parallel_for pool ~lo:0 ~hi:16 (fun lo hi ->
                   for _ = lo to hi - 1 do
                     ignore (Sys.opaque_identity 1)
                   done));
-          (* Worker startup (arena registration) may race into this
-             window and record unscoped infrastructure spans; the veto
-             property is that no *scoped* work recorded — neither the
-             caller's span nor any pool chunk. *)
-          Alcotest.(check int) "scope observe=false vetoes all scoped spans" 0
-            (List.length
-               (List.filter
-                  (fun (e : Span.event) ->
-                    e.Span.name = "vetoed" || e.Span.name = "pool:chunk"
-                    || e.Span.scope <> None)
-                  (Span.events ())));
-          Span.clear ();
-          (* And an observing scope stamps its events. *)
-          let lit = Scope.make ~observe:true ~engine_id:98 () in
-          Scope.with_scope lit (fun () -> Span.with_ ~name:"stamped" (fun () -> ()));
-          match List.filter (fun (e : Span.event) -> e.Span.name = "stamped") (Span.events ()) with
-          | [ e ] -> (
+          let scoped =
+            List.filter
+              (fun (e : Span.event) -> e.Span.name = "stamped" || e.Span.name = "pool:chunk")
+              (Span.events ())
+          in
+          Alcotest.(check int) "caller span and both blocks recorded" 3 (List.length scoped);
+          List.iter
+            (fun (e : Span.event) ->
               match e.Span.scope with
               | Some sc ->
-                  Alcotest.(check int) "stamped with engine id" 98 (Scope.engine_id sc)
-              | None -> Alcotest.fail "event not stamped with its scope")
-          | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)));
+                  Alcotest.(check int) (e.Span.name ^ " stamped with engine id") 98
+                    (Scope.engine_id sc)
+              | None -> Alcotest.failf "%s not stamped with its scope" e.Span.name)
+            scoped));
   fresh ()
 
 let test_scope_shards () =
   let counter = Scope.counter_family "test.sc.counter" in
   let histo = Scope.histogram_family "test.sc.histo" in
   let shards = Scope.shards ~engine_id:55 in
-  let sc = Scope.make ~observe:true ~shards ~engine_id:55 () in
+  let sc = Scope.make ~shards ~engine_id:55 () in
   let shard = Metrics.counter ~labels:[ ("engine", "55") ] "test.sc.counter" in
   let total () = Metrics.value (Scope.total counter) in
   (* Outside any scope no engine can be named: the write lands in the
@@ -552,7 +539,7 @@ let test_scope_shards () =
     (List.exists (fun (_, l, _) -> l = [ ("engine", "55") ]) (Metrics.dump_all ()))
 
 let test_scope_stages () =
-  let sc = Scope.make ~observe:true ~engine_id:56 () in
+  let sc = Scope.make ~engine_id:56 () in
   Scope.with_scope sc (fun () ->
       ignore (Scope.time_stage "one" (fun () -> Sys.opaque_identity 1));
       ignore (Scope.time_stage "two" (fun () -> Sys.opaque_identity 2)));
@@ -569,7 +556,7 @@ let test_scope_stages () =
    global flag is read first, so the DLS lookup never happens. *)
 let test_scope_disabled_overhead () =
   fresh ();
-  let sc = Scope.make ~observe:true ~engine_id:57 () in
+  let sc = Scope.make ~engine_id:57 () in
   Scope.with_scope sc (fun () ->
       let n = 200_000 in
       let acc = ref 0 in
@@ -593,7 +580,7 @@ let test_scope_disabled_overhead () =
 let test_chrome_scoped () =
   fresh ();
   Span.with_enabled true (fun () ->
-      let sc = Scope.make ~observe:true ~engine_id:3 () in
+      let sc = Scope.make ~engine_id:3 () in
       Scope.with_scope sc (fun () -> Span.with_ ~name:"scoped-work" (fun () -> ())));
   let json = Chrome_trace.to_string (Span.events ()) in
   Alcotest.(check bool) "engine lane name" true (contains json "engine3/domain-");
@@ -623,7 +610,7 @@ let suite =
       Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
       Alcotest.test_case "flight ring" `Quick test_flight_ring;
       Alcotest.test_case "flight note cost" `Quick test_flight_note_cost;
-      Alcotest.test_case "scope veto" `Quick test_scope_veto;
+      Alcotest.test_case "scope stamps spans" `Quick test_scope_stamps_spans;
       Alcotest.test_case "scope shards" `Quick test_scope_shards;
       Alcotest.test_case "scope stages" `Quick test_scope_stages;
       Alcotest.test_case "scope disabled overhead" `Quick test_scope_disabled_overhead;

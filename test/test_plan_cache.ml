@@ -294,7 +294,7 @@ let test_modes_hit_miss_parity () =
     Alcotest.(check int) (msg "reuse hits") (if mode = "reuse" then 1 else 0) o.reused
   in
   Wl.with_config
-    (fun c -> { c with Engine.opt_level = Engine.O3; reuse = true; observe = true })
+    (fun c -> { c with Engine.opt_level = Engine.O3; reuse = true })
     (fun () ->
       List.iter
         (fun (name, cold_graph, warm_graph, cold_mode, warm_mode) ->

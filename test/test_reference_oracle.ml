@@ -19,9 +19,10 @@
      one buffer into a single group, reassociating the sum);
    - [line_buffers = false]: the line-buffered stencil kernel reorders
      partial sums;
-   - [par_threshold = 1]: every part takes the parallel split, so the
-     scheduling policies actually shape pieces — a piece boundary must
-     never change any element's arithmetic.
+   - [par_threshold = 1] on the oracle's own 3- and 2-domain pools:
+     every part of rank > 0 takes the parallel split, so pool blocks
+     actually shape pieces — a piece boundary must never change any
+     element's arithmetic.
 
    Buffer reuse must be invisible in the values under every
    configuration: the suite also asserts that the in-place pass
@@ -215,7 +216,15 @@ let build s =
 (* ------------------------------------------------------------------ *)
 (* Running both sides                                                   *)
 
-let exec_settings ?(native = None) ~reuse ~cfun sched : Exec.settings =
+(* The oracle's own pools, independent of MG_PROCS and of the global
+   engine: 3 domains cut parts into uneven blocks, 2 domains into the
+   other block shapes.  With [par_threshold = 1] every part of rank > 0
+   takes the parallel split. *)
+let oracle_pool = lazy (Mg_smp.Domain_pool.create 3)
+let pools = [ ("3 domains", oracle_pool); ("2 domains", lazy (Mg_smp.Domain_pool.create 2)) ]
+
+let exec_settings ?(native = None) ~reuse ~cfun pool : Exec.settings =
+  let pool = Lazy.force pool in
   { Exec.fusion = { Fusion.fold = false; split_strided = false; split_threshold = 2048 };
     factor = false;
     line_buffers = false;
@@ -223,13 +232,10 @@ let exec_settings ?(native = None) ~reuse ~cfun sched : Exec.settings =
     native;
     reuse;
     pooling = (Engine.config (Engine.current ())).Engine.pooling;
-    observe = true;
     cache = Plan_cache.create ();
     shards = Mg_obs.Scope.unattributed;
-    pool = Mg_smp.Domain_pool.get_global;
+    pool = (fun () -> pool);
     par_threshold = 1;
-    sched;
-    backend = Backend.default;
   }
 
 type result = Rarr of Ndarray.t | Rscalar of float
@@ -276,12 +282,6 @@ let first_diff a b =
   | Rscalar x, Rscalar y -> Printf.sprintf "fold: engine %h, reference %h" x y
   | _ -> "result kinds differ"
 
-let scheds =
-  [ ("block", Mg_smp.Sched_policy.Static_block);
-    ("chunked", Mg_smp.Sched_policy.Dynamic_chunked 3);
-    ("tiled", Mg_smp.Sched_policy.Tiled { planes = 2; rows = 8 });
-  ]
-
 (* Whether any reuse=on configuration actually aliased a buffer during
    the qcheck run (checked afterwards: the property must not hold
    vacuously with the pass never firing). *)
@@ -307,18 +307,17 @@ let run_spec s =
           List.iter
             (fun cfun ->
               List.iter
-                (fun (sname, sched) ->
+                (fun (pname, pool) ->
                   check
-                    (Printf.sprintf "reuse=%b cfun=%b sched=%s" reuse cfun sname)
-                    (exec_settings ~reuse ~cfun sched))
-                scheds)
+                    (Printf.sprintf "reuse=%b cfun=%b %s" reuse cfun pname)
+                    (exec_settings ~reuse ~cfun pool))
+                pools)
             [ false; true ])
         [ false; true ];
       (* One more leg on the default-style configuration: the second
          structurally identical force replays from the plan cache, so
          the OReuse replay arm is held to the reference too. *)
-      check "replay reuse=true cfun=true sched=block"
-        (exec_settings ~reuse:true ~cfun:true (snd (List.hd scheds)));
+      check "replay reuse=true cfun=true 3 domains" (exec_settings ~reuse:true ~cfun:true oracle_pool);
       if Mg_obs.Metrics.value c_reuse_hits > h0 then incr reuse_fired;
       if !failures <> [] then
         QCheck.Test.fail_reportf "engine deviates from reference interpreter:\n  %s"
@@ -360,7 +359,7 @@ let pointwise_chain shp =
    transparently recomputes (bitwise) if forced again afterwards. *)
 let test_reuse_aliases_dead_operand () =
   with_mempool_debug (fun () ->
-      let st = exec_settings ~reuse:true ~cfun:true Mg_smp.Sched_policy.Static_block in
+      let st = exec_settings ~reuse:true ~cfun:true oracle_pool in
       let producer, consumer = pointwise_chain [| 6; 6; 6 |] in
       let pbuf = (Exec.force st producer).Ndarray.data in
       let h0 = Mg_obs.Metrics.value c_reuse_hits in
@@ -384,7 +383,7 @@ let test_reuse_aliases_dead_operand () =
 let test_reuse_cfun_later_cluster () =
   with_mempool_debug (fun () ->
       let shp = [| 6; 6; 6 |] in
-      let st = exec_settings ~reuse:true ~cfun:true Mg_smp.Sched_policy.Static_block in
+      let st = exec_settings ~reuse:true ~cfun:true oracle_pool in
       let producer =
         Ir.genarray shp
           [ { Ir.gen = Generator.full shp;
@@ -411,7 +410,7 @@ let test_reuse_cfun_later_cluster () =
 
 (* With reuse off the same program must allocate. *)
 let test_reuse_off_allocates () =
-  let st = exec_settings ~reuse:false ~cfun:true Mg_smp.Sched_policy.Static_block in
+  let st = exec_settings ~reuse:false ~cfun:true oracle_pool in
   let producer, consumer = pointwise_chain [| 6; 6; 6 |] in
   let pbuf = (Exec.force st producer).Ndarray.data in
   let h0 = Mg_obs.Metrics.value c_reuse_hits in
@@ -442,7 +441,7 @@ let test_hazard_never_aliased () =
                  (border_slabs shp 1)
           in
           let consumer = Ir.genarray shp parts in
-          let st = exec_settings ~reuse:true ~cfun Mg_smp.Sched_policy.Static_block in
+          let st = exec_settings ~reuse:true ~cfun oracle_pool in
           let pbuf = (Exec.force st producer).Ndarray.data in
           let h0 = Mg_obs.Metrics.value c_reuse_hits in
           let out = Exec.force st consumer in
@@ -483,7 +482,7 @@ let test_reuse_through_one_thick_parts () =
                  (Generator.interior shp 1 :: border_slabs shp 1))
           in
           let st =
-            { (exec_settings ~reuse:true ~cfun Mg_smp.Sched_policy.Static_block) with
+            { (exec_settings ~reuse:true ~cfun oracle_pool) with
               par_threshold;
             }
           in
@@ -506,7 +505,7 @@ let test_reuse_through_one_thick_parts () =
 (* An operand that escaped through Wl.force belongs to user code and
    must never be overwritten, dead refcount or not. *)
 let test_escaped_operand_not_aliased () =
-  let st = exec_settings ~reuse:true ~cfun:true Mg_smp.Sched_policy.Static_block in
+  let st = exec_settings ~reuse:true ~cfun:true oracle_pool in
   let producer, consumer = pointwise_chain [| 5; 5 |] in
   let parr = Exec.force st producer in
   Ir.mark_escaped producer;
@@ -577,15 +576,14 @@ let run_spec_native s =
       List.iter
         (fun reuse ->
           List.iter
-            (fun (sname, sched) ->
-              let st = exec_settings ~native:(Some native_dir) ~reuse ~cfun:true sched in
+            (fun (pname, pool) ->
+              let st = exec_settings ~native:(Some native_dir) ~reuse ~cfun:true pool in
               let got = run_engine st (build s) in
               if not (result_bits_equal got reference) then
                 failures :=
-                  Printf.sprintf "native reuse=%b sched=%s: %s" reuse sname
-                    (first_diff got reference)
+                  Printf.sprintf "native reuse=%b %s: %s" reuse pname (first_diff got reference)
                   :: !failures)
-            scheds)
+            pools)
         [ false; true ];
       if Mg_obs.Metrics.value c_native_kernels > n0 then incr native_fired;
       if !failures <> [] then
@@ -614,6 +612,19 @@ let native_graph shp src c =
     (Ir.genarray shp
        [ { Ir.gen = Generator.interior shp 1; body = lin (Ir.Arr src) terms 0.125 } ])
 
+(* A fresh cache directory under the system temp dir, removed with
+   everything the test compiled into it however the test ends. *)
+let with_cache_dir prefix f =
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  let dir = Filename.temp_dir prefix "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 (* Cold compile, then a simulated process restart: the in-memory memo
    is dropped and the plan recompiled from scratch (fresh settings =
    fresh plan cache), so the kernel must come back from the on-disk
@@ -621,12 +632,11 @@ let native_graph shp src c =
    values. *)
 let test_native_disk_cache_restart () =
   Native.reset_for_tests ();
-  let dir = Printf.sprintf "_mg_native_restart_%d" (Unix.getpid ()) in
+  with_cache_dir "mg_native_restart" @@ fun dir ->
   let shp = [| 8; 8; 8 |] in
   let src = src_of_seed shp 11 in
   let force () =
-    let st = exec_settings ~native:(Some dir) ~reuse:false ~cfun:true
-        Mg_smp.Sched_policy.Static_block in
+    let st = exec_settings ~native:(Some dir) ~reuse:false ~cfun:true oracle_pool in
     match run_engine st (Parr (native_graph shp src 0.5)) with
     | Rarr a -> a
     | Rscalar _ -> assert false
@@ -668,14 +678,13 @@ let test_native_cc_poisoned () =
       Native.reset_for_tests ())
     (fun () ->
       Native.reset_for_tests ();
-      let dir = Printf.sprintf "_mg_native_poison_%d" (Unix.getpid ()) in
+      with_cache_dir "mg_native_poison" @@ fun dir ->
       let shp = [| 8; 8; 8 |] in
       let src = src_of_seed shp 13 in
       (* Fresh coefficient: neither the memo nor any disk cache can
          already hold this kernel. *)
       let g () = Parr (native_graph shp src 0.6180339887) in
-      let st = exec_settings ~native:(Some dir) ~reuse:false ~cfun:true
-          Mg_smp.Sched_policy.Static_block in
+      let st = exec_settings ~native:(Some dir) ~reuse:false ~cfun:true oracle_pool in
       let f0 = Mg_obs.Metrics.value (Mg_obs.Scope.total Native.failures) in
       let n0 = Mg_obs.Metrics.value c_native_kernels in
       let got = run_engine st (g ()) in
@@ -687,34 +696,25 @@ let test_native_cc_poisoned () =
         (result_bits_equal got (run_reference (g ()))))
 
 (* The full-solve acceptance matrix: class-tiny rnm2 is bitwise
-   invariant across {generic,cfun,native} x {1,4} domains, and across
-   the three scheduling policies under the native tier. *)
+   invariant across {generic,cfun,native} x {1,3,4} domains. *)
 let test_driver_tiers_bitwise () =
-  let rnm2 ~cfun ~native ~threads ~sched =
-    (Mg_core.Driver.run ~opt:Engine.O3 ~threads ~sched ~cfun ~native ~impl:Mg_core.Driver.Sac
+  let rnm2 ~cfun ~native ~threads =
+    (Mg_core.Driver.run ~opt:Engine.O3 ~threads ~cfun ~native ~impl:Mg_core.Driver.Sac
        ~cls:Mg_core.Classes.tiny ())
       .Mg_core.Driver.rnm2
   in
-  let want = rnm2 ~cfun:false ~native:false ~threads:1 ~sched:Mg_smp.Sched_policy.Static_block in
+  let want = rnm2 ~cfun:false ~native:false ~threads:1 in
   List.iter
     (fun (cfun, native) ->
       List.iter
         (fun threads ->
-          let got = rnm2 ~cfun ~native ~threads ~sched:Mg_smp.Sched_policy.Static_block in
+          let got = rnm2 ~cfun ~native ~threads in
           Alcotest.(check bool)
             (Printf.sprintf "cfun=%b native=%b t=%d rnm2 bitwise" cfun native threads)
             true
             (Int64.equal (bits got) (bits want)))
-        [ 1; 4 ])
-    [ (false, false); (true, false); (true, true) ];
-  List.iter
-    (fun (sname, sched) ->
-      let got = rnm2 ~cfun:true ~native:true ~threads:4 ~sched in
-      Alcotest.(check bool)
-        (Printf.sprintf "native sched=%s rnm2 bitwise" sname)
-        true
-        (Int64.equal (bits got) (bits want)))
-    scheds
+        [ 1; 3; 4 ])
+    [ (false, false); (true, false); (true, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* The fixed kernels' branches.  Kernel picks one row loop per call
@@ -731,8 +731,8 @@ let test_driver_tiers_bitwise () =
    and flat row selection; output stride 2 (reads divided by 2) and
    extras read at stride 2 walk the rows with non-unit steps. *)
 
-let fixed_settings ~line_buffers sched : Exec.settings =
-  { (exec_settings ~reuse:false ~cfun:true sched) with Exec.factor = true; line_buffers }
+let fixed_settings ~line_buffers pool : Exec.settings =
+  { (exec_settings ~reuse:false ~cfun:true pool) with Exec.factor = true; line_buffers }
 
 (* Output stride along the row axis: [Unit]; [Out2], output step 2
    with reads divided by 2 (the prolongation's layout); [Extras2],
@@ -950,20 +950,20 @@ let build_fixed ?(inf = false) seed = function
       in
       Ir.genarray dims (List.filteri (fun i _ -> i < 3) slabs @ (interior :: List.filteri (fun i _ -> i >= 3) slabs))
 
-let run_fixed ?(scheds = scheds) ?inf seed f =
+let run_fixed ?inf seed f =
   let line_buffers = match f with Fstencil { line_buffers; _ } -> line_buffers | _ -> false in
   let want = Reference.run (Ir.Node (build_fixed ?inf seed f)) in
   List.filter_map
-    (fun (sname, sched) ->
-      let st = fixed_settings ~line_buffers sched in
+    (fun (pname, pool) ->
+      let st = fixed_settings ~line_buffers pool in
       (* Cold compile, then a replay of the cached plan. *)
       let got = List.init 2 (fun _ -> Exec.force st (build_fixed ?inf seed f)) in
       if List.for_all (fun g -> arr_bits_equal g want) got then None
       else
         Some
-          (Printf.sprintf "%s sched=%s: %s" (print_fixed f) sname
+          (Printf.sprintf "%s %s: %s" (print_fixed f) pname
              (first_diff (Rarr (List.find (fun g -> not (arr_bits_equal g want)) got)) (Rarr want))))
-    scheds
+    pools
 
 (* The prolongation's read pattern: its 8-read class, in order. *)
 let cube =
@@ -1171,7 +1171,7 @@ let test_fixed_kernels_allocation_free () =
     List.map
       (fun (kind, path, line_buffers, build) ->
         let st =
-          { (fixed_settings ~line_buffers Mg_smp.Sched_policy.Static_block) with
+          { (fixed_settings ~line_buffers oracle_pool) with
             par_threshold = max_int;
           }
         in
@@ -1219,7 +1219,7 @@ let test_large_slabs_stay_out_of_groups () =
          ])
   in
   let st =
-    { (fixed_settings ~line_buffers:false Mg_smp.Sched_policy.Static_block) with
+    { (fixed_settings ~line_buffers:false oracle_pool) with
       par_threshold = max_int;
     }
   in
@@ -1410,11 +1410,11 @@ let run_loan s =
           List.iter
             (fun reuse ->
               List.iter
-                (fun (sname, sched) ->
+                (fun (pname, pool) ->
                   List.iter
                     (fun fold ->
                       let st =
-                        { (exec_settings ~native ~reuse ~cfun sched) with
+                        { (exec_settings ~native ~reuse ~cfun pool) with
                           Exec.fusion = { Fusion.fold; split_strided = fold; split_threshold = 2048 };
                         }
                       in
@@ -1425,7 +1425,7 @@ let run_loan s =
                           List.iteri
                             (fun i ((a, first), w) ->
                               let name =
-                                Printf.sprintf "%s reuse=%b sched=%s fold=%b %s root %d" tier reuse sname
+                                Printf.sprintf "%s reuse=%b %s fold=%b %s root %d" tier reuse pname
                                   fold leg i
                               in
                               if not (arr_bits_equal first w) then
@@ -1435,7 +1435,7 @@ let run_loan s =
                             (List.combine got want))
                         [ "cold"; "replay" ])
                     [ false; true ])
-                [ List.hd scheds; List.nth scheds 2 ])
+                pools)
             [ false; true ])
         tiers;
       List.iteri
@@ -1486,7 +1486,7 @@ let test_loan_tripwire () =
       let base = Ir.genarray shp [ { Ir.gen = Generator.full shp; body = lin (Ir.Arr (src_of_seed shp 1)) [ ([ 0; 0; 0 ], 1.5) ] 0.0 } ] in
       let border = periodic_border (Ir.Node base) in
       let reader = Ir.genarray shp [ { Ir.gen = Generator.full shp; body = term (Ir.Node base) 2.0 [ 0; 0; 0 ] } ] in
-      let st = exec_settings ~reuse:false ~cfun:true (snd (List.hd scheds)) in
+      let st = exec_settings ~reuse:false ~cfun:true oracle_pool in
       let b = Exec.force st base in
       (match border with
       | Ir.Node n ->
@@ -1530,7 +1530,7 @@ let test_loan_exclusive () =
         reused @ stolen
       in
       let want = List.map Reference.run (program ()) in
-      let st = exec_settings ~reuse:true ~cfun:true (snd (List.hd scheds)) in
+      let st = exec_settings ~reuse:true ~cfun:true oracle_pool in
       let lent0 = Mg_obs.Metrics.value (loan_copied "lent") in
       List.iter
         (fun leg ->
@@ -1732,7 +1732,7 @@ let run_gspec s =
         (fun (tier, cfun, native) ->
           List.iter
             (fun reuse ->
-              let st = exec_settings ~native ~reuse ~cfun (snd (List.hd scheds)) in
+              let st = exec_settings ~native ~reuse ~cfun oracle_pool in
               List.iter
                 (fun leg ->
                   List.iteri

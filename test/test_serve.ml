@@ -286,15 +286,12 @@ let test_wrr_idle_tenant_passes () =
 let bits = Int64.bits_of_float
 
 let soak_specs =
-  (* tier × schedule mix over the fast classes plus class S — every
-     combination the bench's --kernels/--scheds axes expose. *)
-  let open Mg_smp.Sched_policy in
-  [ Serve.spec ~tier:Serve.Generic ~sched:Static_block ~impl:Driver.Sac ~cls:Classes.tiny ();
-    Serve.spec ~tier:Serve.Cfun ~sched:(Dynamic_chunked 2) ~impl:Driver.Sac ~cls:Classes.tiny ();
-    Serve.spec ~tier:Serve.Native
-      ~sched:(Tiled { planes = 2; rows = 8 })
-      ~impl:Driver.Sac ~cls:Classes.mini ();
-    Serve.spec ~tier:Serve.Cfun ~sched:Static_block ~impl:Driver.Sac ~cls:Classes.class_s ();
+  (* tier × optimisation-level mix over the fast classes plus class S:
+     every tier the bench's --kernels axis exposes. *)
+  [ Serve.spec ~tier:Serve.Generic ~impl:Driver.Sac ~cls:Classes.tiny ();
+    Serve.spec ~tier:Serve.Cfun ~opt:Engine.O2 ~impl:Driver.Sac ~cls:Classes.tiny ();
+    Serve.spec ~tier:Serve.Native ~impl:Driver.Sac ~cls:Classes.mini ();
+    Serve.spec ~tier:Serve.Cfun ~impl:Driver.Sac ~cls:Classes.class_s ();
   ]
 
 let test_soak_bitwise () =
@@ -338,8 +335,7 @@ let test_soak_bitwise () =
         Fun.protect
           ~finally:(fun () -> Engine.shutdown e)
           (fun () ->
-            Driver.run ~engine:e ?sched:spec.Serve.sched ~impl:spec.Serve.impl
-              ~cls:spec.Serve.cls ())
+            Driver.run ~engine:e ?opt:spec.Serve.opt ~impl:spec.Serve.impl ~cls:spec.Serve.cls ())
       in
       List.iter
         (fun (r : Serve.response) ->

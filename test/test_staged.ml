@@ -94,10 +94,8 @@ let configs =
     ("pooling off", fun c -> { c with Engine.pooling = false });
     ("generic tier", Engine.with_tier Engine.Generic);
     ("O1", fun c -> { c with Engine.opt_level = Engine.O1 });
-    ( "4 threads, tiled",
-      fun c ->
-        { c with Engine.threads = 4; sched = Mg_smp.Sched_policy.Tiled { planes = 2; rows = 8 } } );
-    ("smp_sim backend", fun c -> { c with Engine.threads = 4; backend = Backend.by_name "sim" |> Option.get });
+    ("4 threads", fun c -> { c with Engine.threads = 4 });
+    ("3 threads", fun c -> { c with Engine.threads = 3 });
   ]
 
 let test_replay_matches_configs () =
@@ -295,9 +293,7 @@ let test_traced_iterations () =
                 true (evs = first))
             (List.tl per_iteration);
           check_counts name e ~replays:3 ~fallback:[ ("unrecorded", 1) ]))
-    [ ("pool backend", fun c -> c);
-      ("smp_sim backend", fun c -> { c with Engine.threads = 4; backend = Backend.by_name "sim" |> Option.get });
-    ]
+    [ ("1 thread", fun c -> c); ("4 threads", fun c -> { c with Engine.threads = 4 }) ]
 
 (* ------------------------------------------------------------------ *)
 (* A replayed result has no graph behind it: once a consumer released
