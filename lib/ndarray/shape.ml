@@ -2,11 +2,11 @@ type t = int array
 
 let rank = Array.length
 
-let equal a b =
-  rank a = rank b
-  &&
-  let rec go i = i = rank a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+(* A top-level loop: a local closure over [a] and [b] would be
+   allocated on every call, and the optimiser compares maps often. *)
+let rec equal_from (a : t) (b : t) i = i = rank a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+let equal a b = rank a = rank b && equal_from a b 0
 
 let is_valid shp = Array.for_all (fun e -> e >= 0) shp
 

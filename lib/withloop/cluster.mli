@@ -32,15 +32,13 @@ type ccluster = {
   xdeltas : int array array;
 }
 
-val read_layout :
-  axes -> Linform.read -> (Ndarray.buffer * int array * int * int array) option
-(** Flat layout [(buffer, strides, base, steps)] of one read on the
-    given axes; [None] when the index map's division does not line up
-    with the axis steps.
-    @raise Invalid_argument when the read image escapes the source. *)
-
-val clusterize : axes -> (float * Linform.read list) list -> ccluster array option
-(** Merge the groups' reads into clusters; [None] as {!read_layout}. *)
+val clusterize : axes -> factor:bool -> Linform.t -> ccluster array option
+(** Merge the reads of the linear form, visited in
+    {!Linform.iter_groups} order, into clusters: a read joins the first
+    cluster on its buffer with its per-axis flat steps, and within it
+    the group of its coefficient, in first-visit order.  [None] when
+    some read's index map divides inexactly on the axes.
+    @raise Invalid_argument when a read image escapes its source. *)
 
 val out_layout_of : ostrides:int array -> axes -> int * int array
 (** Flat base and per-axis steps of the output for these axes, from

@@ -120,7 +120,49 @@ type t = {
       (* [Plan_cache.stats shards] at the last [cache_clear]. *)
   pool_cell : pool_cell;
       (* The engine's own pool, shared with its derivations. *)
+  settings : Exec.settings;
+      (* Built with the engine (every force reads them). *)
 }
+
+let pool_of (o : pool_cell) threads () =
+  Mutex.lock o.pm;
+  let p =
+    match o.pool with
+    | Some p when Domain_pool.size p = threads -> p
+    | stale ->
+        Option.iter Domain_pool.shutdown stale;
+        let p = Domain_pool.create threads in
+        o.pool <- Some p;
+        p
+  in
+  Mutex.unlock o.pm;
+  p
+
+let settings_of (c : config) ~cache ~shards pool_cell : Exec.settings =
+  let t = c.split_threshold in
+  (* Staged kernel compilation and buffer reuse join at O2, like
+     folding: O0/O1 keep the interpreted generic nest and fresh
+     allocations so the ablation harness can isolate each
+     optimisation. *)
+  let fusion, factor, cfun_on, native_on, reuse_on =
+    match c.opt_level with
+    | O0 ->
+        ( { Fusion.fold = false; split_strided = false; split_threshold = t },
+          false, false, false, false )
+    | O1 ->
+        ( { Fusion.fold = false; split_strided = false; split_threshold = t },
+          true, false, false, false )
+    | O2 ->
+        ( { Fusion.fold = true; split_strided = false; split_threshold = t },
+          true, c.cfun, c.native, c.reuse )
+    | O3 ->
+        ( { Fusion.fold = true; split_strided = true; split_threshold = t },
+          true, c.cfun, c.native, c.reuse )
+  in
+  Exec.make_settings ~fusion ~factor ~line_buffers:c.line_buffers ~cfun:cfun_on
+    ~native:(if native_on then Some (Option.value c.native_cache ~default:"_mg_native") else None)
+    ~reuse:reuse_on ~pooling:c.pooling ~cache ~shards ~pool:(pool_of pool_cell c.threads)
+    ~par_threshold:c.par_threshold
 
 let label_counter = Atomic.make 0
 
@@ -157,13 +199,15 @@ let all () =
 let make_root ~config ~cache =
   let label = Atomic.fetch_and_add label_counter 1 in
   let shards = Mg_obs.Scope.shards ~engine_id:label in
+  let pool_cell = { pool = None; pm = Mutex.create () } in
   let e =
     { label;
       config;
       cache;
       shards;
       stats_base = Atomic.make (Plan_cache.stats shards);
-      pool_cell = { pool = None; pm = Mutex.create () };
+      pool_cell;
+      settings = settings_of config ~cache ~shards pool_cell;
     }
   in
   register e;
@@ -179,7 +223,12 @@ let create ?(config = config_of_env ()) ?share_cache () =
    execution pool, its label and metric shards, but carries its own
    config record.  This is what [Wl.with_config] and [Driver.run] hand
    out. *)
-let derive parent f = { parent with config = f parent.config }
+let derive parent f =
+  let config = f parent.config in
+  { parent with
+    config;
+    settings = settings_of config ~cache:parent.cache ~shards:parent.shards parent.pool_cell;
+  }
 
 let shutdown e =
   let o = e.pool_cell in
@@ -228,57 +277,8 @@ let with_current e f =
 
 let label e = e.label
 let config e = e.config
-
-let pool e () =
-  let o = e.pool_cell in
-  Mutex.lock o.pm;
-  let p =
-    match o.pool with
-    | Some p when Domain_pool.size p = e.config.threads -> p
-    | stale ->
-        Option.iter Domain_pool.shutdown stale;
-        let p = Domain_pool.create e.config.threads in
-        o.pool <- Some p;
-        p
-  in
-  Mutex.unlock o.pm;
-  p
-
-let settings e : Exec.settings =
-  let c = e.config in
-  let t = c.split_threshold in
-  (* Staged kernel compilation and buffer reuse join at O2, like
-     folding: O0/O1 keep the interpreted generic nest and fresh
-     allocations so the ablation harness can isolate each
-     optimisation. *)
-  let fusion, factor, cfun_on, native_on, reuse_on =
-    match c.opt_level with
-    | O0 ->
-        ( { Fusion.fold = false; split_strided = false; split_threshold = t },
-          false, false, false, false )
-    | O1 ->
-        ( { Fusion.fold = false; split_strided = false; split_threshold = t },
-          true, false, false, false )
-    | O2 ->
-        ( { Fusion.fold = true; split_strided = false; split_threshold = t },
-          true, c.cfun, c.native, c.reuse )
-    | O3 ->
-        ( { Fusion.fold = true; split_strided = true; split_threshold = t },
-          true, c.cfun, c.native, c.reuse )
-  in
-  { Exec.fusion;
-    factor;
-    line_buffers = c.line_buffers;
-    cfun = cfun_on;
-    native =
-      (if native_on then Some (Option.value c.native_cache ~default:"_mg_native") else None);
-    reuse = reuse_on;
-    pooling = c.pooling;
-    cache = e.cache;
-    shards = e.shards;
-    pool = pool e;
-    par_threshold = c.par_threshold;
-  }
+let pool e = pool_of e.pool_cell e.config.threads
+let settings e = e.settings
 
 let cache e = e.cache
 let cache_length e = Plan_cache.length e.cache

@@ -25,7 +25,31 @@ type settings = {
   shards : Mg_obs.Scope.shards;
   pool : unit -> Domain_pool.t;
   par_threshold : int;
+  env : string;
 }
+
+(* The optimisation-configuration fingerprint prefixed to every plan
+   key, built once per settings value.  The thread count is
+   deliberately absent: the parallel split is applied at execution
+   time, so one plan serves any pool size. *)
+let make_settings ~fusion ~factor ~line_buffers ~cfun ~native ~reuse ~pooling ~cache ~shards ~pool
+    ~par_threshold =
+  { fusion;
+    factor;
+    line_buffers;
+    cfun;
+    native;
+    reuse;
+    pooling;
+    cache;
+    shards;
+    pool;
+    par_threshold;
+    env =
+      Printf.sprintf "v1;fold=%b;ss=%b;st=%d;fac=%b;lb=%b;cf=%b;ru=%b;nt=%b;" fusion.Fusion.fold
+        fusion.Fusion.split_strided fusion.Fusion.split_threshold factor line_buffers cfun reuse
+        (native <> None);
+  }
 
 type fold_op = Fadd | Fmul | Fmax | Fmin | Fcustom of (float -> float -> float)
 
@@ -488,18 +512,6 @@ let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
     srcs
 
 (* ------------------------------------------------------------------ *)
-(* Plan cache — per-engine: [st.cache] is the owning engine's store,
-   handed down through [settings].                                     *)
-
-(* The optimisation-configuration fingerprint prefixed to every key.
-   The thread count is deliberately absent: the parallel split is
-   applied at execution time, so one plan serves any pool size. *)
-let env_of st =
-  Printf.sprintf "v1;fold=%b;ss=%b;st=%d;fac=%b;lb=%b;cf=%b;ru=%b;nt=%b;"
-    st.fusion.Fusion.fold st.fusion.Fusion.split_strided st.fusion.Fusion.split_threshold
-    st.factor st.line_buffers st.cfun st.reuse (st.native <> None)
-
-(* ------------------------------------------------------------------ *)
 (* Observation: one wrapper for forces and folds                       *)
 
 (* Per-domain (DLS, not a plain ref): concurrent engines forcing from
@@ -730,7 +742,7 @@ and compute st (n : Ir.node) =
       a
   | None -> (
       (match recording () with Some r -> r.computed <- n :: r.computed | None -> ());
-      let key = Plan_cache.key_of_graph ~env:(env_of st) ~fold:st.fusion.Fusion.fold n in
+      let key = Plan_cache.key_of_graph ~env:st.env ~fold:st.fusion.Fusion.fold n in
       let w = watch () in
       let h = holds n.Ir.nid in
       let hold = hold st h in
@@ -948,8 +960,8 @@ let eval_fold st ~op ~neutral gen body =
   in
   settle_loans st h;
   let f = apply_op op in
-  let interp acc (p : Ir.part) body =
-    let cf = Lower.closure_of body in
+  let interp acc (p : Ir.part) =
+    let cf = Lower.closure_of p.Ir.body in
     let acc = ref acc in
     Generator.iter p.Ir.gen (fun iv -> acc := f !acc (cf iv));
     !acc
@@ -957,15 +969,16 @@ let eval_fold st ~op ~neutral gen body =
   let result =
     List.fold_left
       (fun acc (p : Ir.part) ->
-        match Lower.plan_of ~factor:st.factor p.Ir.body with
-        | Lower.Plin { const; groups; body } -> (
+        match Lower.plan_of p.Ir.body with
+        | Lower.Plin lf -> (
             match Cluster.axes_of_gen p.Ir.gen with
             | Some ax -> (
-                match Cluster.clusterize ax groups with
+                match Cluster.clusterize ax ~factor:st.factor lf with
                 | Some clusters ->
-                    Kernel.fold_lin ~op:f ~init:acc ~const clusters ~counts:ax.Cluster.counts
-                | None -> interp acc p body)
-            | None -> interp acc p body)
+                    Kernel.fold_lin ~op:f ~init:acc ~const:lf.Linform.const clusters
+                      ~counts:ax.Cluster.counts
+                | None -> interp acc p)
+            | None -> interp acc p)
         | Lower.Pfun cf ->
             let acc = ref acc in
             Generator.iter p.Ir.gen (fun iv -> acc := f !acc (cf iv));
@@ -986,7 +999,7 @@ let eval_fold st ~op ~neutral gen body =
    A call replays the tape when its input has the recorded signature:
    the input is a buffer (a leaf array, or a materialised node that is
    not escaped, lent or pinned) of the same shape, strides and
-   reference count, under the same plan-affecting settings ([env_of])
+   reference count, under the same plan-affecting settings ([env])
    and plan cache.  Otherwise it runs the body on the per-force path,
    recording a new tape unless the recording is refused.  Every call
    that does not replay counts one [stage.fallback] reason. *)
@@ -1025,7 +1038,7 @@ let signature st input (a : Ndarray.t) =
     sshape = a.Ndarray.shape;
     sstrides = a.Ndarray.strides;
     srefs = (match input with Ir.Arr _ -> 0 | Ir.Node n -> n.Ir.refs);
-    senv = env_of st;
+    senv = st.env;
     scache = st.cache;
   }
 

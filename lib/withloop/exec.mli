@@ -80,7 +80,28 @@ type settings = {
       (** Minimum index-space cardinality before a part is run in
           parallel — the paper's "below a certain threshold grid size
           … perform all operations sequentially" (§5). *)
+  env : string;
+      (** The plan-affecting fields above as the fingerprint every plan
+          key and stepper signature starts with (fusion, factoring, line
+          buffers and the tier and reuse bits; not the thread count),
+          built once by {!make_settings}.  A copy that changes one of
+          those fields must be rebuilt through {!make_settings}, or its
+          plans would share keys with the original's. *)
 }
+
+val make_settings :
+  fusion:Fusion.config ->
+  factor:bool ->
+  line_buffers:bool ->
+  cfun:bool ->
+  native:string option ->
+  reuse:bool ->
+  pooling:bool ->
+  cache:Plan.cache_entry Plan_cache.t ->
+  shards:Mg_obs.Scope.shards ->
+  pool:(unit -> Mg_smp.Domain_pool.t) ->
+  par_threshold:int ->
+  settings
 
 val force : settings -> Ir.node -> Ndarray.t
 (** Idempotent: cached after the first call. *)

@@ -5,31 +5,22 @@ type config = { fold : bool; split_strided : bool; split_threshold : int }
 (* ------------------------------------------------------------------ *)
 (* Index substitution                                                  *)
 
-let rec subst_index m : Ir.expr -> Ir.expr = function
-  | Ir.Const c -> Ir.Const c
-  | Ir.Read (s, m') -> Ir.Read (s, Ixmap.compose ~outer:m' ~inner:m)
-  | Ir.Neg e -> Ir.Neg (subst_index m e)
-  | Ir.Sqrt e -> Ir.Sqrt (subst_index m e)
-  | Ir.Absf e -> Ir.Absf (subst_index m e)
-  | Ir.Add (a, b) -> Ir.Add (subst_index m a, subst_index m b)
-  | Ir.Sub (a, b) -> Ir.Sub (subst_index m a, subst_index m b)
-  | Ir.Mul (a, b) -> Ir.Mul (subst_index m a, subst_index m b)
-  | Ir.Divf (a, b) -> Ir.Divf (subst_index m a, subst_index m b)
-  | Ir.Opaque f -> Ir.Opaque (fun iv -> f (Ixmap.apply m iv))
+let subst_index m body =
+  Ir.map_leaves
+    (function
+      | Ir.Read (s, m') as e ->
+          let m'' = Ixmap.compose ~outer:m' ~inner:m in
+          if m'' == m' then e else Ir.Read (s, m'')
+      | Ir.Opaque f -> Ir.Opaque (fun iv -> f (Ixmap.apply m iv))
+      | e -> e)
+    body
+
+(* [body] with every read of [n] replaced by [f map]. *)
+let map_node_reads (n : Ir.node) f body =
+  Ir.map_leaves (function Ir.Read (Ir.Node n', m) when n' == n -> f m | e -> e) body
 
 (* Replace one node source by its materialised array everywhere. *)
-let rec replace_source (n : Ir.node) (arr : Ndarray.t) : Ir.expr -> Ir.expr = function
-  | Ir.Const c -> Ir.Const c
-  | Ir.Read (Ir.Node n', m) when n' == n -> Ir.Read (Ir.Arr arr, m)
-  | Ir.Read (s, m) -> Ir.Read (s, m)
-  | Ir.Neg e -> Ir.Neg (replace_source n arr e)
-  | Ir.Sqrt e -> Ir.Sqrt (replace_source n arr e)
-  | Ir.Absf e -> Ir.Absf (replace_source n arr e)
-  | Ir.Add (a, b) -> Ir.Add (replace_source n arr a, replace_source n arr b)
-  | Ir.Sub (a, b) -> Ir.Sub (replace_source n arr a, replace_source n arr b)
-  | Ir.Mul (a, b) -> Ir.Mul (replace_source n arr a, replace_source n arr b)
-  | Ir.Divf (a, b) -> Ir.Divf (replace_source n arr a, replace_source n arr b)
-  | Ir.Opaque f -> Ir.Opaque f
+let replace_source n arr body = map_node_reads n (fun m -> Ir.Read (Ir.Arr arr, m)) body
 
 (* ------------------------------------------------------------------ *)
 (* Folding policy                                                      *)
@@ -54,9 +45,7 @@ let wants_fold cfg (n : Ir.node) =
 let fold_budget = 64
 
 let producer_read_count (n : Ir.node) =
-  List.fold_left
-    (fun acc (p : Ir.part) -> max acc (List.length (Ir.expr_reads p.Ir.body)))
-    0 (node_parts n)
+  List.fold_left (fun acc (p : Ir.part) -> max acc (Ir.read_count p.Ir.body)) 0 (node_parts n)
 
 (* ------------------------------------------------------------------ *)
 (* Classification of one read against a producer                       *)
@@ -69,67 +58,65 @@ type verdict =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-(* Per-axis image of the consumer generator under the read map.  A
-   single-coordinate axis is reported with istep = 0 so that residue
-   analysis cannot ask for a pointless split. *)
-let image_of_axis (g : Generator.t) m j =
-  let positions = Generator.axis_positions g j in
-  let count = Array.length positions in
-  assert (count > 0);
-  let lo = positions.(0) in
-  if count = 1 then begin
-    let first, _, _ = Ixmap.image_axis m ~axis:j ~lo ~hi:(lo + 1) ~step:1 in
-    (first, first, 0, count)
-  end
-  else begin
-    (* width is 1 on any axis that matters here (checked by caller). *)
-    let step = positions.(1) - positions.(0) in
-    let hi = positions.(count - 1) + 1 in
-    let first, last, istep = Ixmap.image_axis m ~axis:j ~lo ~hi ~step in
-    (first, last, istep, count)
-  end
+(* The image of the consumer generator under the read map, per axis
+   and in closed form: the first and the last coordinate of axis [j]
+   at [j] and [rank + j], its step at [2 rank + j].  A
+   single-coordinate axis has step 0 so that residue analysis cannot
+   ask for a pointless split.  The step is taken between the axis's
+   first two coordinates: width is 1 on any axis where it matters
+   (checked by [classify_axis]).  Computed once per read map, for
+   every producer part. *)
+let image (g : Generator.t) m =
+  let r = Generator.rank g in
+  let img = Array.make (3 * r) 0 in
+  for j = 0 to r - 1 do
+    let count = Generator.axis_count g j and lo = g.Generator.lb.(j) in
+    assert (count > 0);
+    img.(j) <- Ixmap.apply_axis m j lo;
+    img.(r + j) <- Ixmap.apply_axis m j (Generator.axis_position g j (count - 1));
+    img.((2 * r) + j) <-
+      (if count = 1 then 0 else Ixmap.axis_stride m j (Generator.axis_position g j 1 - lo))
+  done;
+  img
 
-type axis_status =
-  | Ax_in
-  | Ax_out
-  | Ax_split_range of int * int  (* producer-part band [plb, pub) *)
-  | Ax_split_residue of int  (* number of consumer residue classes *)
-  | Ax_fail
+(* How the image of axis [j] relates to the producer part [pg]: a split
+   takes its band or its residue classes from [pg] and the image. *)
+type axis_status = Ax_in | Ax_out | Ax_split_range | Ax_split_residue | Ax_fail
 
-let classify_axis (g : Generator.t) m (pg : Generator.t) j =
+let classify_axis (g : Generator.t) img (pg : Generator.t) j =
   if g.Generator.width.(j) <> 1 && g.Generator.step.(j) <> 1 then Ax_fail
   else begin
-    let first, last, istep, _count = image_of_axis g m j in
+    let r = Generator.rank g in
+    let first = img.(j) and last = img.(r + j) and istep = img.((2 * r) + j) in
     let plb = pg.Generator.lb.(j)
     and pub = pg.Generator.ub.(j)
     and ps = pg.Generator.step.(j)
     and pw = pg.Generator.width.(j) in
     if pw > 1 && ps > 1 then Ax_fail
     else if last < plb || first >= pub then Ax_out
-    else if ps > 1 && istep mod ps <> 0 then Ax_split_residue (ps / gcd (abs istep) ps)
+    else if ps > 1 && istep mod ps <> 0 then Ax_split_residue
     else begin
       let residue_ok = ps = 1 || (((first - plb) mod ps) + ps) mod ps = 0 in
       if not residue_ok then Ax_out
       else if first >= plb && last < pub then Ax_in
-      else Ax_split_range (plb, pub)
+      else Ax_split_range
     end
   end
 
 (* Split the consumer generator along axis [j] so that the image either
    stays inside [plb, pub) or outside it on every piece. *)
-let split_range g m j (plb, pub) =
-  let positions = Generator.axis_positions g j in
-  let count = Array.length positions in
-  let lo = positions.(0) in
-  let step = if count = 1 then 1 else positions.(1) - positions.(0) in
-  let first, _, istep, _ = image_of_axis g m j in
+let split_range g img j (plb, pub) =
+  let count = Generator.axis_count g j and r = Generator.rank g in
+  let lo = g.Generator.lb.(j) in
+  let step = if count = 1 then 1 else Generator.axis_position g j 1 - lo in
+  let first = img.(j) and istep = img.((2 * r) + j) in
   assert (istep > 0);
   (* k-index thresholds where the image reaches plb and pub. *)
   let ceil_div a b = if a <= 0 then 0 else (a + b - 1) / b in
   let k_lo = ceil_div (plb - first) istep in
   let k_hi = ceil_div (pub - first) istep in
   let coord k = lo + (k * step) in
-  let c0 = lo and cend = positions.(count - 1) + 1 in
+  let c0 = lo and cend = Generator.axis_position g j (count - 1) + 1 in
   let clamp k = if k <= 0 then c0 else if k >= count then cend else coord k in
   let c_lo = clamp k_lo and c_hi = clamp k_hi in
   let bands = [ (c0, c_lo); (c_lo, c_hi); (c_hi, cend) ] in
@@ -141,10 +128,8 @@ let split_range g m j (plb, pub) =
 (* Split the consumer generator along axis [j] into [classes] residue
    classes of its iteration index. *)
 let split_residue g j classes =
-  let positions = Generator.axis_positions g j in
-  let count = Array.length positions in
-  let lo = positions.(0) in
-  let step = if count = 1 then 1 else positions.(1) - positions.(0) in
+  let lo = g.Generator.lb.(j) in
+  let step = if Generator.axis_count g j = 1 then 1 else Generator.axis_position g j 1 - lo in
   let modulus = classes * step in
   List.filter_map
     (fun r ->
@@ -152,9 +137,10 @@ let split_residue g j classes =
       Generator.refine_axis_mod g ~axis:j ~modulus ~residue)
     (List.init classes (fun r -> r))
 
-let check_in_shape (g : Generator.t) m (shape : Shape.t) =
+let check_in_shape (g : Generator.t) img (shape : Shape.t) =
+  let r = Generator.rank g in
   for j = 0 to Shape.rank shape - 1 do
-    let first, last, _, _ = image_of_axis g m j in
+    let first = img.(j) and last = img.(r + j) in
     if first < 0 || last >= shape.(j) then
       invalid_arg
         (Printf.sprintf
@@ -163,80 +149,94 @@ let check_in_shape (g : Generator.t) m (shape : Shape.t) =
            (Format.asprintf "%a" Generator.pp g))
   done
 
+(* The verdict of one producer part: [Give_up] when some axis fails,
+   else [None] (try the next part) when some axis lies outside it,
+   else a pure read when every axis lies inside, else a split along the
+   first axis that needs one. *)
+let classify_part cfg (g : Generator.t) img (pp : Ir.part) =
+  let pg = pp.Ir.gen and n_axes = Generator.rank g in
+  let rec scan j ~out ~all_in =
+    if j < n_axes then
+      match classify_axis g img pg j with
+      | Ax_fail -> Some Give_up
+      | Ax_out -> scan (j + 1) ~out:true ~all_in:false
+      | Ax_in -> scan (j + 1) ~out ~all_in
+      | Ax_split_range | Ax_split_residue -> scan (j + 1) ~out ~all_in:false
+    else if out then None
+    else if all_in then Some (Pure_part pp)
+    else Some (first_split 0)
+  and first_split j =
+    if j = n_axes then Give_up
+    else
+      match classify_axis g img pg j with
+      | Ax_split_range ->
+          Need_split (split_range g img j (pg.Generator.lb.(j), pg.Generator.ub.(j)))
+      | Ax_split_residue ->
+          let ps = pg.Generator.step.(j) in
+          let classes = ps / gcd (abs img.((2 * n_axes) + j)) ps in
+          if cfg.split_strided then Need_split (split_residue g j classes) else Give_up
+      | Ax_in | Ax_out | Ax_fail -> first_split (j + 1)
+  in
+  scan 0 ~out:false ~all_in:true
+
 let classify cfg (g : Generator.t) m (producer : Ir.node) : verdict =
-  check_in_shape g m producer.Ir.nshape;
-  let parts = node_parts producer in
-  let n_axes = Generator.rank g in
-  let rec over_parts remaining =
-    match remaining with
+  let img = image g m in
+  check_in_shape g img producer.Ir.nshape;
+  let rec over_parts = function
     | [] -> Pure_fallback
     | (pp : Ir.part) :: rest ->
         if Generator.is_empty pp.Ir.gen then over_parts rest
         else begin
-          let statuses = Array.init n_axes (fun j -> classify_axis g m pp.Ir.gen j) in
-          if Array.exists (fun s -> s = Ax_fail) statuses then Give_up
-          else if Array.exists (fun s -> s = Ax_out) statuses then over_parts rest
-          else if Array.for_all (fun s -> s = Ax_in) statuses then Pure_part pp
-          else begin
-            (* First axis that needs splitting decides. *)
-            let rec first_split j =
-              if j = n_axes then Give_up
-              else
-                match statuses.(j) with
-                | Ax_split_range (plb, pub) -> Need_split (split_range g m j (plb, pub))
-                | Ax_split_residue classes ->
-                    if cfg.split_strided then Need_split (split_residue g j classes) else Give_up
-                | Ax_in | Ax_out | Ax_fail -> first_split (j + 1)
-            in
-            first_split 0
-          end
+          match classify_part cfg g img pp with None -> over_parts rest | Some v -> v
         end
   in
-  over_parts parts
+  over_parts (node_parts producer)
 
 (* ------------------------------------------------------------------ *)
 (* The rewriting loop                                                  *)
 
-let first_node_read body =
-  let found = ref None in
-  List.iter
-    (fun (s, _) ->
-      match (s, !found) with Ir.Node n, None -> found := Some n | _ -> ())
-    (Ir.expr_reads body);
-  !found
+let rec mem_map m = function [] -> false | m' :: rest -> Ixmap.equal m m' || mem_map m rest
 
-(* All reads of node [n] in [body], in reading order. *)
+(* One walk over [body]: the number of its reads, the number of reads
+   of node [n], and [n]'s distinct maps, last first (a repeated map
+   gets the verdict of its first occurrence). *)
 let reads_of body n =
-  List.filter_map
-    (fun (s, m) -> match s with Ir.Node n' when n' == n -> Some m | _ -> None)
-    (Ir.expr_reads body)
+  let total = ref 0 and count = ref 0 in
+  let maps =
+    Ir.fold_reads
+      (fun maps s m ->
+        incr total;
+        match s with
+        | Ir.Node n' when n' == n ->
+            incr count;
+            if mem_map m maps then maps else m :: maps
+        | _ -> maps)
+      [] body
+  in
+  (!total, !count, maps)
+
+(* Maps are compared structurally; duplicate (map, verdict) pairs
+   agree by construction. *)
+let rec verdict_of m = function
+  | [] -> Give_up
+  | (m', v) :: rest -> if Ixmap.equal m m' then v else verdict_of m rest
 
 let substitute_reads (n : Ir.node) (verdicts : (Ixmap.t * verdict) list) body =
-  Ir.expr_map_reads
-    (fun s m ->
-      match s with
-      | Ir.Node n' when n' == n -> (
-          let v =
-            (* Maps are compared structurally; duplicate (map, verdict)
-               pairs agree by construction. *)
-            match List.find_opt (fun (m', _) -> Ixmap.equal m m') verdicts with
-            | Some (_, v) -> v
-            | None -> Give_up
-          in
-          match v with
-          | Pure_part pp -> subst_index m pp.Ir.body
-          | Pure_fallback -> (
-              match n.Ir.spec with
-              | Ir.Genarray { default; _ } -> Ir.Const default
-              | Ir.Modarray { base; _ } -> Ir.Read (base, m))
-          | Need_split _ | Give_up -> assert false)
-      | _ -> Ir.Read (s, m))
+  map_node_reads n
+    (fun m ->
+      match verdict_of m verdicts with
+      | Pure_part pp -> subst_index m pp.Ir.body
+      | Pure_fallback -> (
+          match n.Ir.spec with
+          | Ir.Genarray { default; _ } -> Ir.Const default
+          | Ir.Modarray { base; _ } -> Ir.Read (base, m))
+      | Need_split _ | Give_up -> assert false)
     body
 
 type step = Done | Replaced of Ir.expr | Splits of Generator.t list
 
 let rewrite_step cfg ~force (gen : Generator.t) body : step =
-  match first_node_read body with
+  match Ir.first_node_read body with
   | None -> Done
   | Some n ->
       let materialize () =
@@ -245,19 +245,19 @@ let rewrite_step cfg ~force (gen : Generator.t) body : step =
       in
       if not (wants_fold cfg n) then materialize ()
       else begin
-        let maps = reads_of body n in
+        let body_reads, reads, maps = reads_of body n in
+        let per_read = producer_read_count n in
         (* Both checks are needed: the product bounds one substitution's
            blow-up, the total bounds the cascade across a chain of
            producers (a V-cycle fuses level into level into level —
            without the cap the body grows exponentially in depth). *)
-        let body_reads = List.length (Ir.expr_reads body) in
         if
-          List.length maps * producer_read_count n > fold_budget
-          || body_reads + (List.length maps * (producer_read_count n - 1)) > fold_budget
+          reads * per_read > fold_budget
+          || body_reads + (reads * (per_read - 1)) > fold_budget
         then materialize ()
         else begin
         let rec judge acc = function
-          | [] -> Replaced (substitute_reads n (List.rev acc) body)
+          | [] -> Replaced (substitute_reads n acc body)
           | m :: rest ->
               if not (Ixmap.exact_on m gen) then materialize ()
               else begin
@@ -271,7 +271,7 @@ let rewrite_step cfg ~force (gen : Generator.t) body : step =
                 | (Pure_part _ | Pure_fallback) as v -> judge ((m, v) :: acc) rest
               end
         in
-        judge [] maps
+        judge [] (List.rev maps)
         end
       end
 

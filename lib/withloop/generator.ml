@@ -59,14 +59,21 @@ let axis_count g j =
 
 let counts g = Array.init (rank g) (axis_count g)
 
-let cardinal g = Array.fold_left (fun acc c -> acc * c) 1 (counts g)
+let cardinal g =
+  let c = ref 1 in
+  for j = 0 to rank g - 1 do
+    c := !c * axis_count g j
+  done;
+  !c
 
-let is_empty g = cardinal g = 0
+let is_empty g =
+  let rec go j = j < rank g && (axis_count g j = 0 || go (j + 1)) in
+  go 0
 
-let axis_positions g j =
-  let n = axis_count g j in
-  let s = g.step.(j) and w = g.width.(j) and lb = g.lb.(j) in
-  Array.init n (fun k -> lb + ((k / w) * s) + (k mod w))
+(* The k-th coordinate: block [k / w] of [s] steps, [k mod w] into it. *)
+let axis_position g j k = g.lb.(j) + ((k / g.width.(j)) * g.step.(j)) + (k mod g.width.(j))
+
+let axis_positions g j = Array.init (axis_count g j) (axis_position g j)
 
 let iter g f =
   let n = rank g in

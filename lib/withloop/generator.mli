@@ -41,6 +41,14 @@ val is_empty : t -> bool
 val axis_positions : t -> int -> int array
 (** All valid coordinates along one axis, ascending. *)
 
+val axis_count : t -> int -> int
+(** [Array.length (axis_positions g j)], in closed form. *)
+
+val axis_position : t -> int -> int -> int
+(** [axis_position g j k] is [(axis_positions g j).(k)] for
+    [0 <= k < axis_count g j], in closed form: the analyses that need
+    an axis's first, second or last coordinate build no array. *)
+
 val counts : t -> int array
 (** Number of valid coordinates per axis ([cardinal] is their product). *)
 

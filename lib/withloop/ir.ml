@@ -66,30 +66,59 @@ let rec expr_has_opaque = function
   | Add (a, b) | Sub (a, b) | Mul (a, b) | Divf (a, b) ->
       expr_has_opaque a || expr_has_opaque b
 
-let rec expr_map_reads f = function
-  | (Const _ | Opaque _) as e -> e
-  | Read (s, m) -> f s m
-  | Neg e -> Neg (expr_map_reads f e)
-  | Sqrt e -> Sqrt (expr_map_reads f e)
-  | Absf e -> Absf (expr_map_reads f e)
-  | Add (a, b) -> Add (expr_map_reads f a, expr_map_reads f b)
-  | Sub (a, b) -> Sub (expr_map_reads f a, expr_map_reads f b)
-  | Mul (a, b) -> Mul (expr_map_reads f a, expr_map_reads f b)
-  | Divf (a, b) -> Divf (expr_map_reads f a, expr_map_reads f b)
+let rec map_leaves f e =
+  match e with
+  | Const _ | Read _ | Opaque _ -> f e
+  | Neg a ->
+      let a' = map_leaves f a in
+      if a' == a then e else Neg a'
+  | Sqrt a ->
+      let a' = map_leaves f a in
+      if a' == a then e else Sqrt a'
+  | Absf a ->
+      let a' = map_leaves f a in
+      if a' == a then e else Absf a'
+  | Add (a, b) ->
+      let a' = map_leaves f a and b' = map_leaves f b in
+      if a' == a && b' == b then e else Add (a', b')
+  | Sub (a, b) ->
+      let a' = map_leaves f a and b' = map_leaves f b in
+      if a' == a && b' == b then e else Sub (a', b')
+  | Mul (a, b) ->
+      let a' = map_leaves f a and b' = map_leaves f b in
+      if a' == a && b' == b then e else Mul (a', b')
+  | Divf (a, b) ->
+      let a' = map_leaves f a and b' = map_leaves f b in
+      if a' == a && b' == b then e else Divf (a', b')
+
+(* The walks below visit the reads in [expr_reads] order without
+   building its list: fusion runs them on every rewrite step. *)
+let rec fold_reads f acc = function
+  | Const _ | Opaque _ -> acc
+  | Read (s, m) -> f acc s m
+  | Neg e | Sqrt e | Absf e -> fold_reads f acc e
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Divf (a, b) -> fold_reads f (fold_reads f acc a) b
+
+let rec read_count = function
+  | Const _ | Opaque _ -> 0
+  | Read _ -> 1
+  | Neg e | Sqrt e | Absf e -> read_count e
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Divf (a, b) -> read_count a + read_count b
+
+let rec first_node_read = function
+  | Read (Node n, _) -> Some n
+  | Const _ | Opaque _ | Read (Arr _, _) -> None
+  | Neg e | Sqrt e | Absf e -> first_node_read e
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Divf (a, b) -> (
+      match first_node_read a with None -> first_node_read b | found -> found)
+
+let same_source s s' =
+  match (s, s') with Node a, Node b -> a == b | Arr a, Arr b -> a == b | _ -> false
+
+let rec mem_source s = function [] -> false | s' :: rest -> same_source s s' || mem_source s rest
 
 let expr_sources e =
-  let srcs = List.map fst (expr_reads e) in
-  let rec dedup acc = function
-    | [] -> List.rev acc
-    | s :: rest ->
-        let same s' = match (s, s') with
-          | Node a, Node b -> a == b
-          | Arr a, Arr b -> a == b
-          | _ -> false
-        in
-        if List.exists same acc then dedup acc rest else dedup (s :: acc) rest
-  in
-  dedup [] srcs
+  List.rev (fold_reads (fun acc s _ -> if mem_source s acc then acc else s :: acc) [] e)
 
 let incr_refs = function Arr _ -> () | Node n -> n.refs <- n.refs + 1
 let decr_refs = function Arr _ -> () | Node n -> n.refs <- n.refs - 1

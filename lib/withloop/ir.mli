@@ -104,12 +104,24 @@ val node_of_ndarray : Ndarray.t -> source
 val expr_reads : expr -> (source * Ixmap.t) list
 (** All reads in an expression, left to right. *)
 
+val fold_reads : ('a -> source -> Ixmap.t -> 'a) -> 'a -> expr -> 'a
+(** Fold over the reads of {!expr_reads}, in its order, without
+    building the list. *)
+
+val read_count : expr -> int
+(** [List.length (expr_reads e)]. *)
+
+val first_node_read : expr -> node option
+(** The node of the first {!Node} read in {!expr_reads} order. *)
+
 val expr_has_opaque : expr -> bool
 (** Whether the expression contains an {!Opaque} leaf (whose reads
     {!expr_reads} cannot enumerate). *)
 
-val expr_map_reads : (source -> Ixmap.t -> expr) -> expr -> expr
-(** Rebuild an expression, replacing every read. *)
+val map_leaves : (expr -> expr) -> expr -> expr
+(** [map_leaves f e] replaces every leaf ([Const], [Read], [Opaque])
+    [l] of [e] by [f l].  A subtree whose leaves [f] all returns
+    physically unchanged is kept, not rebuilt. *)
 
 val expr_sources : expr -> source list
 (** Distinct node sources (physical identity). *)

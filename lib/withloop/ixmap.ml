@@ -19,10 +19,11 @@ let divide n k = make ~div:(Shape.replicate n k) n
 
 let rank m = Shape.rank m.scale
 
+let rec all_equal (a : Shape.t) v j = j < 0 || (a.(j) = v && all_equal a v (j - 1))
+
 let is_identity m =
-  Array.for_all (fun s -> s = 1) m.scale
-  && Array.for_all (fun o -> o = 0) m.offset
-  && Array.for_all (fun d -> d = 1) m.div
+  let last = Shape.rank m.scale - 1 in
+  all_equal m.scale 1 last && all_equal m.offset 0 last && all_equal m.div 1 last
 
 let has_division m = Array.exists (fun d -> d > 1) m.div
 
@@ -45,7 +46,7 @@ let exact_on m (g : Generator.t) =
     if d > 1 then begin
       let s = m.scale.(j) and o = m.offset.(j) in
       let lb = g.Generator.lb.(j) and step = g.Generator.step.(j) and w = g.Generator.width.(j) in
-      let count = Array.length (Generator.axis_positions g j) in
+      let count = Generator.axis_count g j in
       let first_ok = ((s * lb) + o) mod d = 0 in
       let step_ok = count <= w || s * step mod d = 0 in
       let width_ok = w = 1 || count <= 1 || s mod d = 0 in
@@ -57,21 +58,35 @@ let exact_on m (g : Generator.t) =
 let compose ~outer ~inner =
   let n = rank outer in
   if rank inner <> n then invalid_arg "Ixmap.compose: rank mismatch";
-  { scale = Array.init n (fun j -> outer.scale.(j) * inner.scale.(j));
-    offset =
-      Array.init n (fun j -> (outer.scale.(j) * inner.offset.(j)) + (outer.offset.(j) * inner.div.(j)));
-    div = Array.init n (fun j -> outer.div.(j) * inner.div.(j));
-  }
+  (* Maps are immutable, so an identity side shares the other. *)
+  if is_identity inner then outer
+  else if is_identity outer then inner
+  else if n = 3 then begin
+    (* The grids' rank, spelled out: array literals are allocated
+       inline, where [Array.make] calls into the runtime. *)
+    let os = outer.scale and oo = outer.offset and od = outer.div in
+    let is = inner.scale and io = inner.offset and id = inner.div in
+    { scale = [| os.(0) * is.(0); os.(1) * is.(1); os.(2) * is.(2) |];
+      offset =
+        [| (os.(0) * io.(0)) + (oo.(0) * id.(0));
+           (os.(1) * io.(1)) + (oo.(1) * id.(1));
+           (os.(2) * io.(2)) + (oo.(2) * id.(2));
+        |];
+      div = [| od.(0) * id.(0); od.(1) * id.(1); od.(2) * id.(2) |];
+    }
+  end
+  else begin
+    let scale = Array.make n 0 and offset = Array.make n 0 and div = Array.make n 0 in
+    for j = 0 to n - 1 do
+      scale.(j) <- outer.scale.(j) * inner.scale.(j);
+      offset.(j) <- (outer.scale.(j) * inner.offset.(j)) + (outer.offset.(j) * inner.div.(j));
+      div.(j) <- outer.div.(j) * inner.div.(j)
+    done;
+    { scale; offset; div }
+  end
 
-let image_axis m ~axis ~lo ~hi ~step =
-  let j = axis in
-  let s = m.scale.(j) and o = m.offset.(j) and d = m.div.(j) in
-  if hi <= lo then invalid_arg "Ixmap.image_axis: empty input range";
-  let n = ((hi - 1 - lo) / step) + 1 in
-  let first = ((s * lo) + o) / d in
-  let last = ((s * (lo + ((n - 1) * step))) + o) / d in
-  let istep = s * step / d in
-  (first, last, istep)
+let apply_axis m j x = ((m.scale.(j) * x) + m.offset.(j)) / m.div.(j)
+let axis_stride m j step = m.scale.(j) * step / m.div.(j)
 
 let equal a b = Shape.equal a.scale b.scale && Shape.equal a.offset b.offset && Shape.equal a.div b.div
 

@@ -50,11 +50,17 @@ val compose : outer:t -> inner:t -> t
     exactness of the outer map on the inner image, so a single
     [exact_on] check of the result suffices. *)
 
-val image_axis : t -> axis:int -> lo:int -> hi:int -> step:int -> int * int * int
-(** [(first, last, istep)] of the arithmetic progression that axis
-    [axis] of the map produces on the inputs [{lo, lo+step, ...}] (all
-    [< hi]; the progression must be non-empty and the division exact);
-    [first <= last] and [istep >= 0]. *)
+val apply_axis : t -> int -> int -> int
+(** [apply_axis m j x]: axis [j] of the map at coordinate [x]
+    (truncating division — exact where the map is {!exact_on} the
+    generator [x] comes from).  The image of an ascending progression
+    runs from [apply_axis] of its first to [apply_axis] of its last
+    element. *)
+
+val axis_stride : t -> int -> int -> int
+(** [axis_stride m j step]: the step of that image for an input step
+    [step] on axis [j] ([0 <= result]; exact under the same
+    condition). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -123,21 +123,38 @@ type stencil3 = {
   extras : ccluster array;  (* single-read clusters *)
 }
 
-let class_deltas ~sp ~sr cls =
-  match cls with
-  | 0 -> [ 0 ]
-  | 1 -> [ -1; 1; -sr; sr; -sp; sp ]
-  | 2 ->
-      [ -sr - 1; -sr + 1; sr - 1; sr + 1; -sp - 1; -sp + 1; sp - 1; sp + 1; -sp - sr; -sp + sr;
-        sp - sr; sp + sr ]
-  | _ ->
-      [ -sp - sr - 1; -sp - sr + 1; -sp + sr - 1; -sp + sr + 1; sp - sr - 1; sp - sr + 1;
-        sp + sr - 1; sp + sr + 1 ]
+(* The distance class of a group of [len] deltas: class 0 is the
+   centre, 1 the 6 faces, 2 the 12 edges, 3 the 8 corners — the sizes
+   differ, so a group's size names the only class it can be. *)
+let class_of_size = function 1 -> 0 | 6 -> 1 | 12 -> 2 | 8 -> 3 | _ -> -1
 
-let sorted_copy a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
+(* Whether [d] is a box offset [a·sp + b·sr + c] ([a, b, c] in
+   {-1, 0, 1}) of distance class [cls] ([|a| + |b| + |c| = cls]).  With
+   [sr >= 3] and [sp >= 3·sr] an offset has one such spelling, so the
+   class's offsets are distinct, and [|b·sr + c| < sp / 2] and
+   [|c| < sr / 2]: [a] and [b] are the nearest quotients. *)
+let nearest x q = if x >= 0 then (x + (q / 2)) / q else -((-x + (q / 2)) / q)
+
+let in_class ~sp ~sr cls d =
+  let a = nearest d sp in
+  let b = nearest (d - (a * sp)) sr in
+  let c = d - (a * sp) - (b * sr) in
+  abs a <= 1 && abs b <= 1 && abs c <= 1 && abs a + abs b + abs c = cls
+
+(* Whether the deltas, less [centre], are the offsets of class [cls]:
+   as many, each one of them, no two equal. *)
+let is_class ~sp ~sr ~centre cls (deltas : int array) =
+  let n = Array.length deltas in
+  let ok = ref (class_of_size n = cls) in
+  for i = 0 to n - 1 do
+    if !ok then begin
+      ok := in_class ~sp ~sr cls (deltas.(i) - centre);
+      for k = 0 to i - 1 do
+        if deltas.(k) = deltas.(i) then ok := false
+      done
+    end
+  done;
+  !ok
 
 let is_single_read (cl : ccluster) =
   Array.length cl.xcoeffs = 1 && Array.length cl.xdeltas.(0) = 1
@@ -155,31 +172,24 @@ let box_classes (cl : ccluster) =
     (* Cluster deltas are relative to the first read; a box stencil is
        symmetric, so its centre is the midpoint of the delta range. *)
     let dmin = ref max_int and dmax = ref min_int in
-    Array.iter
-      (Array.iter (fun d ->
-           if d < !dmin then dmin := d;
-           if d > !dmax then dmax := d))
-      cl.xdeltas;
+    for g = 0 to Array.length cl.xdeltas - 1 do
+      for i = 0 to Array.length cl.xdeltas.(g) - 1 do
+        let d = cl.xdeltas.(g).(i) in
+        if d < !dmin then dmin := d;
+        if d > !dmax then dmax := d
+      done
+    done;
     let centre = (!dmin + !dmax) asr 1 in
     let coeffs = [| 0.0; 0.0; 0.0; 0.0 |] in
-    let all_match =
-      Array.for_all2
-        (fun coeff deltas ->
-          let sorted = sorted_copy (Array.map (fun d -> d - centre) deltas) in
-          let rec try_class cls =
-            if cls > 3 then false
-            else if
-              coeffs.(cls) = 0.0 && sorted = sorted_copy (Array.of_list (class_deltas ~sp ~sr cls))
-            then begin
-              coeffs.(cls) <- coeff;
-              true
-            end
-            else try_class (cls + 1)
-          in
-          try_class 0)
-        cl.xcoeffs cl.xdeltas
-    in
-    if all_match then Some (centre, coeffs) else None
+    let all_match = ref true in
+    for g = 0 to Array.length cl.xdeltas - 1 do
+      let ds = cl.xdeltas.(g) in
+      let cls = class_of_size (Array.length ds) in
+      if !all_match && cls >= 0 && coeffs.(cls) = 0.0 && is_class ~sp ~sr ~centre cls ds then
+        coeffs.(cls) <- cl.xcoeffs.(g)
+      else all_match := false
+    done;
+    if !all_match then Some (centre, coeffs) else None
   end
 
 let stencil_payload (cl : ccluster) (centre, coeffs) extras =
@@ -217,19 +227,23 @@ let recognize_stencil3 (clusters : ccluster array) ~(osteps : int array) =
           (box_classes cl)
   end
 
-(* A class's neighbour deltas in the order a box enumerates its
-   offsets, outer axis first — the order [Stencil.body] writes them. *)
-let lex_deltas ~sp ~sr cls =
-  List.concat_map
-    (fun a ->
-      List.concat_map
-        (fun b ->
-          List.filter_map
-            (fun c ->
-              if abs a + abs b + abs c = cls then Some ((a * sp) + (b * sr) + c) else None)
-            [ -1; 0; 1 ])
-        [ -1; 0; 1 ])
-    [ -1; 0; 1 ]
+(* Whether the deltas, less [centre], are class [cls]'s offsets in the
+   order a box enumerates them, outer axis first — the order
+   [Stencil.body] writes them. *)
+let in_lex_order ~sp ~sr ~centre cls (deltas : int array) =
+  let k = ref 0 and ok = ref true in
+  for a = -1 to 1 do
+    for b = -1 to 1 do
+      for c = -1 to 1 do
+        if abs a + abs b + abs c = cls then begin
+          if !k >= Array.length deltas || deltas.(!k) - centre <> (a * sp) + (b * sr) + c then
+            ok := false;
+          incr k
+        end
+      done
+    done
+  done;
+  !ok && !k = Array.length deltas
 
 (* The box stencil of a cluster whose groups are its distance classes
    in decreasing order, each with its deltas in box order and a
@@ -240,17 +254,16 @@ let lex_stencil (cl : ccluster) =
   | None -> None
   | Some ((centre, _) as box) ->
       let sp = cl.xstrides.(0) and sr = cl.xstrides.(1) in
-      let cls_of ds = match Array.length ds with 1 -> 0 | 6 -> 1 | 12 -> 2 | _ -> 3 in
-      let classes = Array.map cls_of cl.xdeltas in
+      let cls_of ds = class_of_size (Array.length ds) in
       let ordered = ref true in
-      Array.iteri
-        (fun g ds ->
-          if
-            (g > 0 && classes.(g) >= classes.(g - 1))
-            || cl.xcoeffs.(g) = 0.0
-            || Array.to_list (Array.map (fun d -> d - centre) ds) <> lex_deltas ~sp ~sr classes.(g)
-          then ordered := false)
-        cl.xdeltas;
+      for g = 0 to Array.length cl.xdeltas - 1 do
+        let cls = cls_of cl.xdeltas.(g) in
+        if
+          (g > 0 && cls >= cls_of cl.xdeltas.(g - 1))
+          || cl.xcoeffs.(g) = 0.0
+          || not (in_lex_order ~sp ~sr ~centre cls cl.xdeltas.(g))
+        then ordered := false
+      done;
       if !ordered then Some (stencil_payload cl box [||]) else None
 
 (* Recognise a body of exactly two box-stencil clusters, each in the

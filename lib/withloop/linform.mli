@@ -17,21 +17,30 @@ open Mg_ndarray
 
 type read = { arr : Ndarray.t; map : Ixmap.t }
 
-type t = { const : float; terms : (float * read) list }
+type t = { const : float; coeffs : float array; reads : read array }
+(** [const + Σ_k coeffs.(k) * reads.(k)], the terms in reading order. *)
 
 val of_expr : Ir.expr -> t option
 (** [None] when the expression is not linear in its reads (products of
     reads, [sqrt], [Opaque], …) or still references an unforced node. *)
 
-val factor : t -> (float * read list) list
-(** Group terms by exact coefficient value, preserving first-occurrence
-    order of groups and of reads within a group; terms with coefficient
-    [0.] are dropped.  Reading order inside one element's computation is
-    part of the optimisation's observable floating-point behaviour and
-    is kept deterministic. *)
+val iter_groups : factor:bool -> t -> (int -> int -> unit) -> unit
+(** [iter_groups ~factor l f] calls [f g t] for every term [t] in
+    coefficient-group order, where term [g] carries the group's
+    coefficient (its first term).  With [factor], terms are grouped by
+    coefficient value ({!same_coeff}): groups in
+    first-occurrence order, terms in term order within a group, terms
+    with coefficient [0.] dropped.  Without, every term is its own
+    group, in term order, zeros included.  Reading order inside one
+    element's computation is part of the optimisation's observable
+    floating-point behaviour and is kept deterministic. *)
+
+val same_coeff : float array -> int -> int -> bool
+(** [same_coeff coeffs i j]: the equality coefficients group by,
+    [compare coeffs.(i) coeffs.(j) = 0] ([-0.] is [0.], and every NaN
+    is every other). *)
 
 val num_terms : t -> int
-val num_groups : (float * read list) list -> int
 
 val to_expr : t -> Ir.expr
 (** Rebuild an equivalent expression (left-to-right sum) — used by

@@ -37,18 +37,10 @@ let rec closure_of (body : Ir.expr) : Shape.t -> float =
 (* ------------------------------------------------------------------ *)
 (* Linear plans                                                        *)
 
-let groups_of ~factor (lf : Linform.t) : (float * Linform.read list) list =
-  if factor then Linform.factor lf
-  else List.map (fun (c, r) -> (c, [ r ])) lf.Linform.terms
+type plan = Plin of Linform.t | Pfun of (Shape.t -> float)
 
-type plan =
-  | Plin of { const : float; groups : (float * Linform.read list) list; body : Ir.expr }
-  | Pfun of (Shape.t -> float)
-
-let plan_of ~factor (body : Ir.expr) : plan =
-  match Linform.of_expr body with
-  | Some lf -> Plin { const = lf.Linform.const; groups = groups_of ~factor lf; body }
-  | None -> Pfun (closure_of body)
+let plan_of (body : Ir.expr) : plan =
+  match Linform.of_expr body with Some lf -> Plin lf | None -> Pfun (closure_of body)
 
 (* ------------------------------------------------------------------ *)
 (* Box copies for modarray bases                                       *)

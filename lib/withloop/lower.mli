@@ -18,16 +18,9 @@ val closure_of : Ir.expr -> Shape.t -> float
     reads must already be forced ({!Ir.Arr} leaves only).
     @raise Invalid_argument on an unforced {!Ir.Node} read. *)
 
-val groups_of : factor:bool -> Linform.t -> (float * Linform.read list) list
-(** Coefficient grouping: with [factor], reads sharing a coefficient
-    are summed once and multiplied once (27 mults → 4 for the NAS-MG
-    stencils); without, one group per read. *)
+type plan = Plin of Linform.t | Pfun of (Shape.t -> float)
 
-type plan =
-  | Plin of { const : float; groups : (float * Linform.read list) list; body : Ir.expr }
-  | Pfun of (Shape.t -> float)
-
-val plan_of : factor:bool -> Ir.expr -> plan
+val plan_of : Ir.expr -> plan
 (** Linear form when one exists, closure otherwise. *)
 
 (** {1 Modarray lowering} *)

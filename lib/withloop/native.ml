@@ -13,7 +13,7 @@ open Cluster
    the structural plan fingerprint, self-contained enough to dedupe
    identical kernels across plans, engines, runs and processes.  The
    plan cache's own env fingerprint separately carries an [nt] bit
-   (Exec.env_of) so cached plans never leak between kernel tiers.
+   (Exec.settings.env) so cached plans never leak between kernel tiers.
 
    Cache layout.  $MG_NATIVE_CACHE or the engine's configured
    directory (default [_mg_native/]); one [mg-v<ABI>-<digest>.so] per

@@ -36,12 +36,11 @@ let compile_part ~factor ~line_buffers ~cfun ~native ~ostrides (p : Ir.part) : c
   match Span.with_ ~name:"wl:linform" (fun () -> Linform.of_expr p.Ir.body) with
   | None -> Cclosure (gen, card, p.Ir.body)
   | Some lf -> (
-      let groups = Span.with_ ~name:"wl:lower" (fun () -> Lower.groups_of ~factor lf) in
       let const = lf.Linform.const in
       match Cluster.axes_of_gen gen with
       | None -> Cclosure (gen, card, p.Ir.body)
       | Some ax -> (
-          match Span.with_ ~name:"wl:cluster" (fun () -> Cluster.clusterize ax groups) with
+          match Span.with_ ~name:"wl:cluster" (fun () -> Cluster.clusterize ax ~factor lf) with
           | None -> Cclosure (gen, card, p.Ir.body)
           | Some clusters ->
               let kobase, kosteps = Cluster.out_layout_of ~ostrides ax in
@@ -87,11 +86,13 @@ let compile_part ~factor ~line_buffers ~cfun ~native ~ostrides (p : Ir.part) : c
 let default_par_threshold = 16_384
 
 let shell_slab shape (g : Generator.t) =
-  let slab j =
-    g.Generator.ub.(j) - g.Generator.lb.(j) = 1
-    && (g.Generator.lb.(j) = 0 || g.Generator.lb.(j) = shape.(j) - 1)
+  let rec slab j =
+    j < Shape.rank shape
+    && ((g.Generator.ub.(j) - g.Generator.lb.(j) = 1
+        && (g.Generator.lb.(j) = 0 || g.Generator.lb.(j) = shape.(j) - 1))
+       || slab (j + 1))
   in
-  List.exists slab (List.init (Shape.rank shape) Fun.id)
+  slab 0
 
 let is_group = function
   | Ccompiled { kkernel = Some k; _ } -> Kernel.is_shell k

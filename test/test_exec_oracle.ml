@@ -268,7 +268,7 @@ let st2_body s =
 let st2_generic shp gen body =
   let lf = Option.get (Linform.of_expr body) in
   let ax = Option.get (Cluster.axes_of_gen gen) in
-  let clusters = Option.get (Cluster.clusterize ax (Lower.groups_of ~factor:true lf)) in
+  let clusters = Option.get (Cluster.clusterize ax ~factor:true lf) in
   let obase, osteps = Cluster.out_layout_of ~ostrides:(Shape.strides shp) ax in
   let out = Ndarray.create shp in
   let c = ax.Cluster.counts in

@@ -124,6 +124,41 @@ let qcheck_refine_partitions =
       in
       Generator.disjoint_union_is classes gen)
 
+(* The closed forms against the enumeration they replace: random
+   axes with 1 <= width <= step, empty (ub <= lb) and one-coordinate
+   axes among them. *)
+let qcheck_closed_forms =
+  let axis = QCheck.Gen.(quad (0 -- 4) (-2 -- 12) (1 -- 4) (1 -- 4)) in
+  QCheck.Test.make ~name:"axis_count/axis_position/cardinal = axis_positions" ~count:300
+    (QCheck.make
+       ~print:(fun axes ->
+         String.concat " "
+           (List.map
+              (fun (lb, ext, s, w) -> Printf.sprintf "(lb %d ext %d step %d width %d)" lb ext s w)
+              axes))
+       QCheck.Gen.(list_size (1 -- 3) axis))
+    (fun axes ->
+      let axes = List.map (fun (lb, ext, s, w) -> (lb, ext, s, 1 + ((w - 1) mod s))) axes in
+      let arr f = Array.of_list (List.map f axes) in
+      let gen =
+        Generator.make
+          ~lb:(arr (fun (lb, _, _, _) -> lb))
+          ~ub:(arr (fun (lb, ext, _, _) -> lb + ext))
+          ~step:(arr (fun (_, _, s, _) -> s)) ~width:(arr (fun (_, _, _, w) -> w)) ()
+      in
+      let positions = Array.init (Generator.rank gen) (Generator.axis_positions gen) in
+      let enumerated = Array.fold_left (fun acc p -> acc * Array.length p) 1 positions in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun j p ->
+             Generator.axis_count gen j = Array.length p
+             && Array.for_all Fun.id
+                  (Array.mapi (fun k c -> Generator.axis_position gen j k = c) p))
+           positions)
+      && Generator.cardinal gen = enumerated
+      && Generator.is_empty gen = (enumerated = 0)
+      && Generator.cardinal gen = List.length (Generator.to_list gen))
+
 let suite =
   ( "generator",
     [ Alcotest.test_case "full" `Quick test_full;
@@ -139,4 +174,5 @@ let suite =
       Alcotest.test_case "validation" `Quick test_make_validation;
       QCheck_alcotest.to_alcotest qcheck_split_partitions;
       QCheck_alcotest.to_alcotest qcheck_refine_partitions;
+      QCheck_alcotest.to_alcotest qcheck_closed_forms;
     ] )

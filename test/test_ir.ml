@@ -64,12 +64,13 @@ let test_expr_reads_order () =
   let e2 = Ir.Add (e, Ir.Read (Ir.Arr a, Ixmap.offset [| 1 |])) in
   check_int "dedup across repeats" 2 (List.length (Ir.expr_sources e2))
 
-let test_expr_map_reads () =
+let test_map_leaves () =
   let a = Ndarray.fill_value [| 3 |] 5.0 in
-  let e = Ir.Add (Ir.Read (Ir.Arr a, Ixmap.identity 1), Ir.Const 1.0) in
-  let e' = Ir.expr_map_reads (fun _ _ -> Ir.Const 9.0) e in
-  match e' with
-  | Ir.Add (Ir.Const 9.0, Ir.Const 1.0) -> ()
+  let consts = Ir.Add (Ir.Const 1.0, Ir.Const 2.0) in
+  let e = Ir.Add (Ir.Read (Ir.Arr a, Ixmap.identity 1), consts) in
+  match Ir.map_leaves (function Ir.Read _ -> Ir.Const 9.0 | l -> l) e with
+  | Ir.Add (Ir.Const 9.0, kept) ->
+      Alcotest.(check bool) "unchanged subtree shared" true (kept == consts)
   | _ -> Alcotest.fail "read replaced"
 
 let test_subst_index_on_opaque () =
@@ -99,14 +100,85 @@ let test_cache_set_clear () =
 
 let _ = node_of
 
+(* Random expressions over a small pool of sources — two nodes, each
+   read from several places, and two arrays — against the list walk
+   the one-pass walks replace. *)
+let walk_pool =
+  lazy
+    (let shp = [| 4 |] in
+     let node v = Ir.Node (Ir.genarray shp [ { Ir.gen = Generator.full shp; body = Ir.Const v } ]) in
+     [| node 1.0; node 2.0; Ir.Arr (Ndarray.create shp); Ir.Arr (Ndarray.create shp) |])
+
+let gen_walk_expr =
+  QCheck.Gen.(
+    sized_size (0 -- 12)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ map (fun c -> Ir.Const (float_of_int c)) (0 -- 3);
+                 map2
+                   (fun i o -> Ir.Read ((Lazy.force walk_pool).(i), Ixmap.offset [| o |]))
+                   (0 -- 3) (-1 -- 1);
+                 return (Ir.Opaque (fun _ -> 0.0));
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [ (1, leaf);
+                 (1, map (fun e -> Ir.Neg e) (self (n - 1)));
+                 (1, map (fun e -> Ir.Sqrt e) (self (n - 1)));
+                 (2, map2 (fun a b -> Ir.Add (a, b)) (self (n / 2)) (self (n / 2)));
+                 (1, map2 (fun a b -> Ir.Sub (a, b)) (self (n / 2)) (self (n / 2)));
+                 (2, map2 (fun a b -> Ir.Mul (a, b)) (self (n / 2)) (self (n / 2)));
+                 (1, map2 (fun a b -> Ir.Divf (a, b)) (self (n / 2)) (self (n / 2)));
+               ]))
+
+let same_source a b =
+  match (a, b) with Ir.Node x, Ir.Node y -> x == y | Ir.Arr x, Ir.Arr y -> x == y | _ -> false
+
+(* The list-walk definition of the source list (dedup, first occurrence). *)
+let sources_by_list e =
+  List.fold_left
+    (fun acc (s, _) -> if List.exists (same_source s) acc then acc else acc @ [ s ])
+    [] (Ir.expr_reads e)
+
+let qcheck_read_walks =
+  QCheck.Test.make ~name:"one-pass read walks = expr_reads" ~count:300
+    (QCheck.make ~print:(Format.asprintf "%a" Ir.pp_expr) gen_walk_expr)
+    (fun e ->
+      let reads = Ir.expr_reads e in
+      let folded = List.rev (Ir.fold_reads (fun acc s m -> (s, m) :: acc) [] e) in
+      let first_node =
+        List.find_map (function Ir.Node n, _ -> Some n | Ir.Arr _, _ -> None) reads
+      in
+      let reads_of n =
+        List.filter_map (fun (s, m) -> if same_source s (Ir.Node n) then Some m else None)
+      in
+      Ir.read_count e = List.length reads
+      && List.length folded = List.length reads
+      && List.for_all2 (fun (s, m) (s', m') -> same_source s s' && m == m') folded reads
+      && (match (Ir.first_node_read e, first_node) with
+         | Some a, Some b -> a == b
+         | None, None -> true
+         | _ -> false)
+      && Array.for_all
+           (function
+             | Ir.Node n ->
+                 List.equal ( == ) (reads_of n folded) (reads_of n reads)
+             | Ir.Arr _ -> true)
+           (Lazy.force walk_pool)
+      && List.equal same_source (Ir.expr_sources e) (sources_by_list e))
+
 let suite =
   ( "ir",
     [ Alcotest.test_case "refcounting edges" `Quick test_refcounting_edges;
       Alcotest.test_case "modarray base edge" `Quick test_modarray_base_edge;
       Alcotest.test_case "generator validation" `Quick test_generator_validation;
       Alcotest.test_case "expr_reads order and dedup" `Quick test_expr_reads_order;
-      Alcotest.test_case "expr_map_reads" `Quick test_expr_map_reads;
+      Alcotest.test_case "map_leaves" `Quick test_map_leaves;
       Alcotest.test_case "subst_index remaps opaque" `Quick test_subst_index_on_opaque;
       Alcotest.test_case "escaped flag" `Quick test_escaped_flag;
       Alcotest.test_case "cache set/clear" `Quick test_cache_set_clear;
+      QCheck_alcotest.to_alcotest qcheck_read_walks;
     ] )

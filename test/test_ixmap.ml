@@ -48,15 +48,15 @@ let test_exact_on () =
   check_bool "shifted not exact on evens" false (Ixmap.exact_on m gen_even);
   check_bool "no division always exact" true (Ixmap.exact_on (Ixmap.offset [| -3 |]) gen_all)
 
-let test_image_axis () =
+let test_apply_axis () =
   (* iv*2 on inputs {1..4} -> 2,4,6,8 *)
   let m = Ixmap.scale 1 2 in
   Alcotest.(check (triple int int int)) "scale image" (2, 8, 2)
-    (Ixmap.image_axis m ~axis:0 ~lo:1 ~hi:5 ~step:1);
+    (Ixmap.apply_axis m 0 1, Ixmap.apply_axis m 0 4, Ixmap.axis_stride m 0 1);
   (* (iv)/2 on evens {0,2,...,8} -> 0..4 *)
   let h = Ixmap.divide 1 2 in
   Alcotest.(check (triple int int int)) "divide image" (0, 4, 1)
-    (Ixmap.image_axis h ~axis:0 ~lo:0 ~hi:9 ~step:2)
+    (Ixmap.apply_axis h 0 0, Ixmap.apply_axis h 0 8, Ixmap.axis_stride h 0 2)
 
 let test_validation () =
   Alcotest.check_raises "negative scale" (Invalid_argument "Ixmap.make: scale must be >= 0")
@@ -85,7 +85,7 @@ let suite =
       Alcotest.test_case "compose affine" `Quick test_compose_affine;
       Alcotest.test_case "compose with division" `Quick test_compose_with_division;
       Alcotest.test_case "exact_on" `Quick test_exact_on;
-      Alcotest.test_case "image_axis" `Quick test_image_axis;
+      Alcotest.test_case "apply_axis and axis_stride" `Quick test_apply_axis;
       Alcotest.test_case "validation" `Quick test_validation;
       QCheck_alcotest.to_alcotest qcheck_compose_matches_two_stage;
     ] )

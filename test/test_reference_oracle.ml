@@ -223,20 +223,16 @@ let build s =
 let oracle_pool = lazy (Mg_smp.Domain_pool.create 3)
 let pools = [ ("3 domains", oracle_pool); ("2 domains", lazy (Mg_smp.Domain_pool.create 2)) ]
 
-let exec_settings ?(native = None) ~reuse ~cfun pool : Exec.settings =
+let exec_settings ?(native = None) ?(par_threshold = 1) ?(fold = false) ~reuse ~cfun pool :
+    Exec.settings =
   let pool = Lazy.force pool in
-  { Exec.fusion = { Fusion.fold = false; split_strided = false; split_threshold = 2048 };
-    factor = false;
-    line_buffers = false;
-    cfun;
-    native;
-    reuse;
-    pooling = (Engine.config (Engine.current ())).Engine.pooling;
-    cache = Plan_cache.create ();
-    shards = Mg_obs.Scope.unattributed;
-    pool = (fun () -> pool);
-    par_threshold = 1;
-  }
+  Exec.make_settings
+    ~fusion:{ Fusion.fold; split_strided = fold; split_threshold = 2048 }
+    ~factor:false ~line_buffers:false ~cfun ~native ~reuse
+    ~pooling:(Engine.config (Engine.current ())).Engine.pooling
+    ~cache:(Plan_cache.create ()) ~shards:Mg_obs.Scope.unattributed
+    ~pool:(fun () -> pool)
+    ~par_threshold
 
 type result = Rarr of Ndarray.t | Rscalar of float
 
@@ -481,11 +477,7 @@ let test_reuse_through_one_thick_parts () =
                    { Ir.gen = g; body = lin p [ ([ 0; 0; 0 ], 1.0625 +. float_of_int i) ] 0.125 })
                  (Generator.interior shp 1 :: border_slabs shp 1))
           in
-          let st =
-            { (exec_settings ~reuse:true ~cfun oracle_pool) with
-              par_threshold;
-            }
-          in
+          let st = exec_settings ~par_threshold ~reuse:true ~cfun oracle_pool in
           let what = Printf.sprintf "(cfun=%b, par_threshold=%d)" cfun par_threshold in
           let pbuf = (Exec.force st producer).Ndarray.data in
           let h0 = Mg_obs.Metrics.value c_reuse_hits
@@ -1413,11 +1405,7 @@ let run_loan s =
                 (fun (pname, pool) ->
                   List.iter
                     (fun fold ->
-                      let st =
-                        { (exec_settings ~native ~reuse ~cfun pool) with
-                          Exec.fusion = { Fusion.fold; split_strided = fold; split_threshold = 2048 };
-                        }
-                      in
+                      let st = exec_settings ~native ~fold ~reuse ~cfun pool in
                       (* Cold, then replayed from the plan cache. *)
                       List.iter
                         (fun leg ->
