@@ -41,8 +41,9 @@ profile-smoke: build
 	# The buffer-reuse pass must have fired (on by default at O2+), and
 	# fresh pool allocation must stay under a regression ceiling.  Every
 	# dead buffer returns to its arena at its last use, so a class-W
-	# solve draws ~8.4 MB from the OS with a ~7.2 MB bytes_live
-	# high-water, on every tier and thread count.  12 MB on both
+	# solve draws ~10.7 MB from the OS with a ~9.5 MB bytes_live
+	# high-water, on every tier and thread count (2.3 MB of each is
+	# the right-hand side, drawn from the pool).  12 MB on both
 	# catches a recycle that is deferred or lost: a buffer held past
 	# its last use raises the high-water, one never recycled raises
 	# both.

@@ -42,18 +42,20 @@ let rec v_cycle ~smoother r =
   end
   else smooth smoother r
 
-(* The same stepper as [Mg_sac.m_grid]'s: one recorded iteration,
-   replayed after that; the rotation and level temporaries return to
+(* The same stepper as [Mg_sac.m_grid]'s, one per smoother for the
+   life of the program; the rotation and level temporaries return to
    the pool at their last use. *)
+let stepper =
+  Stencil.memo (fun smoother ->
+      Wl.staged (fun params u ->
+          let r = Ops.sub params.(0) (resid u) in
+          Ops.add u (v_cycle ~smoother r)))
+
 let m_grid ~smoother ~v ~iter =
-  let step =
-    Wl.staged (fun u ->
-        let r = Ops.sub v (resid u) in
-        Ops.add u (v_cycle ~smoother r))
-  in
+  let step = stepper smoother in
   let u = ref (Wl.materialize (Ops.genarray_const (Wl.shape v) 0.0)) in
   for _ = 1 to iter do
-    u := step !u
+    u := step [| v |] !u
   done;
   !u
 

@@ -43,8 +43,8 @@ val coarse2fine : Wl.t -> Wl.t
 
 val v_cycle : smoother:Stencil.coeffs -> Wl.t -> Wl.t
 val m_grid : smoother:Stencil.coeffs -> v:Wl.t -> iter:int -> Wl.t
-(** [Mg_sac.m_grid]'s loop on bare grids, through a {!Wl.staged}
-    stepper as well. *)
+(** [Mg_sac.m_grid]'s loop on bare grids, through a program-long
+    {!Wl.staged} stepper per smoother as well. *)
 
 val run : Classes.t -> float * float
 (** Whole benchmark on bare periodic grids: [(rnm2, seconds)], input

@@ -40,14 +40,18 @@ val m_grid : smoother:Stencil.coeffs -> v:Wl.t -> iter:int -> Wl.t
 (** Fig. 4's [MGrid]: [iter] iterations of
     [u <- u + VCycle (v - Resid u)] from [u = 0], materialising [u]
     once per iteration (the natural materialisation boundary).  The
-    iteration is a {!Wl.staged} stepper: the first is recorded on the
-    per-force path, the others replay it. *)
+    iteration is a {!Wl.staged} stepper with [v] as its parameter, one
+    per smoother for the life of the program: an engine whose plan
+    cache holds no tape for it records the first iteration on the
+    per-force path, and every other iteration, of this solve and of
+    later solves on the engine, replays the tape. *)
 
 val run : Classes.t -> float * float
 (** Whole benchmark on the with-loop engine at the current
     optimisation level and thread count: [(rnm2, seconds)] with
-    seconds covering the iteration phase, input from {!Zran3} and the
-    norm from {!Verify}. *)
+    seconds covering the iteration phase, input from {!Zran3} (into a
+    pool buffer, recycled after the residual read) and the norm from
+    {!Verify}. *)
 
 val residual_norms : Classes.t -> float array
 (** The residual L2 norm after each of the [nit] iterations; frozen

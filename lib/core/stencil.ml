@@ -42,3 +42,14 @@ let apply_offsets get c ~rank iv =
   List.fold_left
     (fun acc (d, cls) -> acc +. (coeff c cls *. get (Shape.add iv d)))
     0.0 (offsets rank)
+
+let memo f =
+  let m = Mutex.create () and table = ref [] in
+  fun c ->
+    Mutex.protect m (fun () ->
+        match List.assoc_opt c !table with
+        | Some v -> v
+        | None ->
+            let v = f c in
+            table := (c, v) :: !table;
+            v)

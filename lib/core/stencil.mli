@@ -52,3 +52,8 @@ val body : coeffs -> Wl.t -> Wl.Expr.e
 val apply_offsets : (Shape.t -> float) -> coeffs -> rank:int -> Shape.t -> float
 (** Reference evaluator for tests: apply the stencil at one point given
     an element accessor. *)
+
+val memo : (coeffs -> 'a) -> coeffs -> 'a
+(** [memo f] makes [f c] once per coefficient set [c], on its first
+    use, and returns it from then on (domain-safe): the MG programs'
+    per-smoother {!Wl.staged} steppers. *)

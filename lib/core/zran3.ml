@@ -6,9 +6,8 @@ let idx m i3 i2 i1 = ((i3 * m) + i2) * m + i1
 (* Fill the interior of z (extent m = n+2) with the NAS random field,
    exactly replicating the seed jumps of zran3: one vranlc call per
    interior row, row seeds advanced by a^n, plane seeds by a^(n*n). *)
-let random_field ~n =
+let fill_random z ~n =
   let m = n + 2 in
-  let z = Ndarray.create [| m; m; m |] in
   let a = Nasrand.default_multiplier in
   let a1 = Nasrand.power ~a ~n in
   let a2 = Nasrand.power ~a ~n:(n * n) in
@@ -27,7 +26,12 @@ let random_field ~n =
       ignore (Nasrand.randlc x1 ~a:a1)
     done;
     ignore (Nasrand.randlc x0 ~a:a2)
-  done;
+  done
+
+let random_field ~n =
+  let m = n + 2 in
+  let z = Ndarray.create [| m; m; m |] in
+  fill_random z ~n;
   z
 
 (* Keep the [count] largest (resp. smallest) interior values with an
@@ -103,12 +107,19 @@ let generate_compact ~n =
   List.iter (fun (i3, i2, i1) -> Ndarray.set v [| i3 - 1; i2 - 1; i1 - 1 |] 1.0) large;
   v
 
-let generate ~n =
-  let z = random_field ~n in
+(* Only the interior is read before the fill, so [z] may come
+   uninitialised. *)
+let generate_into z ~n =
+  let m = n + 2 in
+  if Ndarray.shape z <> [| m; m; m |] then invalid_arg "Zran3.generate_into: shape";
+  fill_random z ~n;
   let large, small = extremes z ~n ~count:10 in
   Ndarray.fill z 0.0;
-  let m = n + 2 in
   List.iter (fun (i3, i2, i1) -> Ndarray.set_flat z (idx m i3 i2 i1) (-1.0)) small;
   List.iter (fun (i3, i2, i1) -> Ndarray.set_flat z (idx m i3 i2 i1) 1.0) large;
-  comm3 z ~n;
+  comm3 z ~n
+
+let generate ~n =
+  let z = Ndarray.create_uninit [| n + 2; n + 2; n + 2 |] in
+  generate_into z ~n;
   z

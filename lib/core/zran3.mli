@@ -19,6 +19,11 @@ val generate : n:int -> Ndarray.t
 (** The charge field for an [n]³ grid (array extent [(n+2)]³),
     including the periodic border update. *)
 
+val generate_into : Ndarray.t -> n:int -> unit
+(** {!generate} into the given [(n+2)]³ array, whose contents need not
+    be initialised ([Mg_sac.run] draws it from the pool).
+    @raise Invalid_argument on another shape. *)
+
 val generate_compact : n:int -> Ndarray.t
 (** The same charges on a border-free [n]³ array — the input of the
     direct-periodic implementation ({!Mg_periodic}), which realises

@@ -175,11 +175,12 @@ val cache_stats : t -> Plan_cache.stats
     the engine's [plan_cache.*] shards. *)
 
 val cache_length : t -> int
+(** Entries in the engine's plan cache: plans and stepper tapes. *)
 
 val cache_clear : t -> unit
-(** Drop the engine's cached plans, zero its {!cache_stats} (by
-    recording a baseline; the metric families are never lowered), and
-    release the (process-wide) pooled buffers. *)
+(** Drop the engine's cached plans and stepper tapes, zero its
+    {!cache_stats} (by recording a baseline; the metric families are
+    never lowered), and release the (process-wide) pooled buffers. *)
 
 (** {1 Introspection} *)
 

@@ -68,24 +68,25 @@ let exec_parts st (out : Ndarray.t) (parts : Plan.compiled list) =
    [Wl.staged]'s stepper records one call of its body.  While the
    body's graph is forced through the per-force path below, every
    buffer effect of that path is appended, in order, to the calling
-   domain's recorder, over symbolic buffer ids: id 0 is the input, each
-   pool allocation gets a new id, and so does each array the body
-   captured that a kernel reads or a copy sources.  A later call whose
-   input has the same signature runs the tape ([replay], below): the
-   same pool traffic and the same compiled parts, rebound to this
-   call's buffers, in the same order — no graph, no key, no plan lookup,
-   no holds.  Every output mode the per-force path picks (reuse, steal,
-   lend, copy) follows from the graph's reference counts and
-   materialisation states, which the body rebuilds identically from an
-   input of the same signature, so the tape is what that path would do
-   again.
+   domain's recorder, over symbolic buffer ids ([Plan.op]): the call's
+   bound buffers — the input, then the parameters — take the first
+   ids, and each pool allocation gets a new one.  A later call whose
+   bound buffers have the recorded signature runs the tape ([replay],
+   below): the same pool traffic and the same compiled parts, rebound
+   to this call's buffers, in the same order — no graph, no key, no
+   plan lookup, no holds.  Every output mode the per-force path picks
+   (reuse, steal, lend, copy) follows from the graph's reference
+   counts and materialisation states, which the body rebuilds
+   identically from bound buffers of the same signature, so the tape
+   is what that path would do again.
 
-   A recording is refused, and the stepper stays on the per-force path,
+   A recording is refused, and the call stays on the per-force path,
    when the tape could not stand for the call: the graph reaches a
-   materialised node other than the input ([Captured]), a part runs as
-   an interpreted closure ([Opaque] bodies, [Closure] otherwise), a
-   value leaves the graph inside the body ([Escape]: a top-level force
-   or a fold), or the domain is already recording ([Nested]). *)
+   materialised node or an array that is not bound, or writes or
+   releases a parameter ([Captured]), a part runs as an interpreted
+   closure ([Opaque] bodies, [Closure] otherwise), a value leaves the
+   graph inside the body ([Escape]: a top-level force or a fold), or
+   the domain is already recording ([Nested]). *)
 
 type reason = Unrecorded | Signature | Captured | Opaque | Closure | Escape | Nested
 
@@ -104,34 +105,12 @@ let stage_fallback =
       (Nested, "nested");
     ]
 
-(* What one force shows traces and spans. *)
-type seen = {
-  tag : string;
-  elements : int;
-  extent : int;
-  bytes_alloc : int;
-  kernel : string;
-  out : string;
-}
-
-type op =
-  | Alloc of int * Shape.t
-  | Recycle of int
-  | Fill of int * float
-  | Blit of int * int  (* source, destination *)
-  | Complement of int * int * Shape.t * Shape.t
-  | Save_shell of int * int  (* lent buffer, shell *)
-  | Restore_shell of int * int  (* buffer, shell *)
-  | Reuse of int
-  | Count of Mg_obs.Metrics.counter Mg_obs.Scope.family
-  | Run of int * (Plan.cpart * int array) array  (* output, parts with cluster ids *)
-  | Forced of seen  (* one force is complete *)
-
 type recorder = {
-  rinput : Ir.node option;
-  mutable ops : op list;  (* newest first *)
+  bound : Ir.source array;  (* the input, then the parameters *)
+  brefs : int array;  (* each bound source's reference count before the body ran *)
+  roots : int array;  (* each bound source's buffer id *)
+  mutable ops : Plan.op list;  (* newest first *)
   mutable live : (Ndarray.buffer * int) list;  (* buffer -> id, newest first *)
-  mutable captured : (int * Ndarray.t) list;
   mutable nbufs : int;
   mutable computed : Ir.node list;  (* the nodes forced inside the recording *)
   mutable refused : reason option;
@@ -145,7 +124,10 @@ let recording () =
   match !(Domain.DLS.get recorder_key) with Some r when r.refused = None -> Some r | _ -> None
 
 let refuse reason = match recording () with Some r -> r.refused <- Some reason | None -> ()
-let is_input r n = match r.rinput with Some m -> m == n | None -> false
+
+let is_bound r n =
+  Array.exists (function Ir.Node m -> m == n | Ir.Arr _ -> false) r.bound
+
 let record f = match recording () with Some r -> r.ops <- f r :: r.ops | None -> ()
 
 let new_id r b =
@@ -154,57 +136,52 @@ let new_id r b =
   r.live <- (b, i) :: r.live;
   i
 
-(* The id of a buffer the tape touches: a live one, or one the body
-   captured (an array it built its graph over). *)
-let id_of r (a : Ndarray.t) =
-  match List.assq_opt a.Ndarray.data r.live with
-  | Some i -> i
-  | None ->
-      let i = new_id r a.Ndarray.data in
-      r.captured <- (i, a) :: r.captured;
-      i
-
+(* The id of a buffer the tape touches: a bound or allocated one.  Any
+   other buffer belongs to a value outside the call, which no tape may
+   hold. *)
 let id_of_buffer r (b : Ndarray.buffer) =
   match List.assq_opt b r.live with
   | Some i -> i
-  | None -> id_of r (Ndarray.of_buffer [| Bigarray.Array1.dim b |] b)
+  | None ->
+      r.refused <- Some Captured;
+      -1
+
+let id_of r (a : Ndarray.t) = id_of_buffer r a.Ndarray.data
 
 (* The buffer effects of the per-force path, each recorded when a
    recording is live. *)
 
 let alloc ~pooling shape =
   let a = Mempool.alloc ~pooling shape in
-  record (fun r -> Alloc (new_id r a.Ndarray.data, Array.copy shape));
+  record (fun r -> Plan.Alloc (new_id r a.Ndarray.data, Array.copy shape));
   a
 
 let recycle ~pooling (a : Ndarray.t) =
   (match recording () with
   | None -> ()
-  | Some r -> (
+  | Some r ->
       let b = a.Ndarray.data in
-      match List.assq_opt b r.live with
-      | Some i when not (List.mem_assoc i r.captured) ->
-          r.live <- List.filter (fun (b', _) -> b' != b) r.live;
-          r.ops <- Recycle i :: r.ops
-      | _ -> r.refused <- Some Captured));
+      let i = id_of_buffer r b in
+      r.live <- List.filter (fun (b', _) -> b' != b) r.live;
+      r.ops <- Plan.Recycle i :: r.ops);
   Mempool.recycle ~pooling a
 
 let fill (a : Ndarray.t) d =
-  record (fun r -> Fill (id_of r a, d));
+  record (fun r -> Plan.Fill (id_of r a, d));
   Ndarray.fill a d
 
 let blit ~src ~dst =
-  record (fun r -> Blit (id_of r src, id_of r dst));
+  record (fun r -> Plan.Blit (id_of r src, id_of r dst));
   Ndarray.blit ~src ~dst
 
 let copy_complement src dst lb ub =
-  record (fun r -> Complement (id_of r src, id_of r dst, Array.copy lb, Array.copy ub));
+  record (fun r -> Plan.Complement (id_of r src, id_of r dst, Array.copy lb, Array.copy ub));
   Lower.copy_complement src dst lb ub
 
 let note st fam = Mg_obs.Metrics.incr (Mg_obs.Scope.shard st.shards fam)
 
 let count st fam =
-  record (fun _ -> Count fam);
+  record (fun _ -> Plan.Count fam);
   note st fam
 
 (* ------------------------------------------------------------------ *)
@@ -277,7 +254,7 @@ let check_restored (arr : Ndarray.t) sum =
 (* Write the base's shell back into [arr]: the shared buffer, or a copy
    of it. *)
 let restore (l : Ir.loan) (arr : Ndarray.t) =
-  record (fun r -> Restore_shell (id_of r arr, id_of r l.Ir.lshell));
+  record (fun r -> Plan.Restore_shell (id_of r arr, id_of r l.Ir.lshell));
   Lower.restore_shell arr l.Ir.lshell;
   if Mempool.get_debug () then check_restored arr l.Ir.lsum
 
@@ -580,7 +557,7 @@ let kernels_of (parts : Plan.compiled list) =
    restore's check, and the buffer must not sit in a free slot. *)
 let lend st (n : Ir.node) (b : Ir.node) arr =
   let shell = alloc ~pooling:st.pooling [| Lower.shell_size (Ndarray.shape arr) |] in
-  record (fun r -> Save_shell (id_of r arr, id_of r shell));
+  record (fun r -> Plan.Save_shell (id_of r arr, id_of r shell));
   Lower.save_shell arr shell;
   let lsum = if Mempool.get_debug () then check_lent arr else 0 in
   let l =
@@ -648,7 +625,7 @@ let produce st (n : Ir.node) ~hold parts (mode : Ir.source Plan.out_mode) =
     when (not b.Ir.escaped) && b.Ir.refs = edges && b.Ir.loan = None
          && not (pinned_elsewhere b ~owner:n.Ir.nid) ->
       let arr = hold src in
-      record (fun r -> Reuse (id_of r arr));
+      record (fun r -> Plan.Reuse (id_of r arr));
       if Mempool.get_debug () then begin
         Mempool.assert_unpooled arr.Ndarray.data ~ctx:"reuse output";
         if not (Plan.safe_to_alias arr.Ndarray.data parts) then
@@ -694,7 +671,7 @@ let record_run out parts =
                 None)
           parts
       in
-      r.ops <- Run (id_of r out, Array.of_list parts) :: r.ops
+      r.ops <- Plan.Run (id_of r out, Array.of_list parts) :: r.ops
 
 (* Whether every part writes only the ghost shell of [shape]: each
    generator is a one-thick slab at index 0 or n-1 on some axis. *)
@@ -737,7 +714,7 @@ and compute st (n : Ir.node) =
   match n.Ir.cache with
   | Some a ->
       (match recording () with
-      | Some r when not (List.memq n r.computed || is_input r n) -> r.refused <- Some Captured
+      | Some r when not (List.memq n r.computed || is_bound r n) -> r.refused <- Some Captured
       | _ -> ());
       a
   | None -> (
@@ -748,7 +725,7 @@ and compute st (n : Ir.node) =
       let hold = hold st h in
       match Option.map (fun (k, bindings) -> (Plan_cache.find st.cache k, bindings)) key with
       | Some (Some (Plan.Cached p), bindings) -> replay st w n ~hold h p bindings
-      | Some (None, _) -> compile st w n ~hold h key
+      | Some ((None | Some (Plan.Taped _)), _) -> compile st w n ~hold h key
       | Some (Some Plan.Uncacheable, _) | None ->
           Plan_cache.note_uncacheable st.shards;
           compile st w n ~hold h None)
@@ -933,7 +910,7 @@ and finish st w (n : Ir.node) ~hold h parts ~elements mode origin =
     | _ -> mode_name mode
   in
   record (fun _ ->
-      Forced { tag; elements; extent; bytes_alloc; kernel = kernels_of parts; out = out_name () });
+      Plan.Forced { tag; elements; extent; bytes_alloc; kernel = kernels_of parts; out = out_name () });
   unwatch w ~name:"wl:force" ~tag ~elements ~extent ~bytes_alloc (fun () ->
       [ ("cache", outcome); ("kernel", kernels_of parts); ("out", out_name ()) ]);
   out
@@ -996,55 +973,76 @@ let eval_fold st ~op ~neutral gen body =
 (* ------------------------------------------------------------------ *)
 (* Staged calls: the stepper.
 
-   A call replays the tape when its input has the recorded signature:
-   the input is a buffer (a leaf array, or a materialised node that is
-   not escaped, lent or pinned) of the same shape, strides and
-   reference count, under the same plan-affecting settings ([env])
-   and plan cache.  Otherwise it runs the body on the per-force path,
+   A call's bound sources — its input, then its parameters — must each
+   be a buffer: a leaf array, or a materialised node that is not
+   escaped, lent or pinned.  The call's signature is the stepper's id,
+   the plan-affecting settings ([env]) and [pooling], and per bound
+   source its leaf flag, shape, strides, reference count and the first
+   bound source sharing its buffer.  Tapes live in the engine's plan
+   cache under that signature ([tape_key]), next to the plans: they
+   share its lock, its LRU bound, [Engine.cache_clear] and the serving
+   siblings that share the cache.  A call whose signature has a tape
+   replays it; any other runs the body on the per-force path,
    recording a new tape unless the recording is refused.  Every call
    that does not replay counts one [stage.fallback] reason. *)
 
-type signature = {
-  leaf : bool;
-  sshape : Shape.t;
-  sstrides : Shape.t;
-  srefs : int;
-  senv : string;
-  scache : Plan.cache_entry Plan_cache.t;
-}
+type stepper = { sid : int; body : Ir.source array -> Ir.source -> Ir.source }
 
-type tape = {
-  tsig : signature;
-  tops : op array;
-  tbufs : Ndarray.t array;  (* captured arrays at their ids; the rest bound per call *)
-  tresult : int;
-  tinput : int option;  (* the input node's buffer afterwards; [None]: released *)
-  trefs : int;  (* the input node's reference count, afterwards minus before *)
-}
+let stepper_ids = Atomic.make 0
+let stepper body = { sid = Atomic.fetch_and_add stepper_ids 1; body }
 
-type stepper = { body : Ir.source -> Ir.source; mutable tape : tape option }
-
-let stepper body = { body; tape = None }
-
-let input_buffer = function
+let buffer_of = function
   | Ir.Arr a -> Some a
   | Ir.Node n -> (
       match n.Ir.cache with
       | Some a when (not n.Ir.escaped) && n.Ir.loan = None && n.Ir.pin = 0 -> Some a
       | _ -> None)
 
-let signature st input (a : Ndarray.t) =
-  { leaf = (match input with Ir.Arr _ -> true | Ir.Node _ -> false);
-    sshape = a.Ndarray.shape;
-    sstrides = a.Ndarray.strides;
-    srefs = (match input with Ir.Arr _ -> 0 | Ir.Node n -> n.Ir.refs);
-    senv = st.env;
-    scache = st.cache;
-  }
+let no_buffer = Ndarray.of_buffer [| 0 |] Plan.dummy_buf
 
-let same_signature a b =
-  a.leaf = b.leaf && a.sshape = b.sshape && a.sstrides = b.sstrides && a.srefs = b.srefs
-  && a.senv = b.senv && a.scache == b.scache
+(* The buffers of a call's bound sources, when each is one. *)
+let buffers (bound : Ir.source array) =
+  let bufs = Array.make (Array.length bound) no_buffer in
+  let rec go j =
+    j = Array.length bound
+    ||
+    match buffer_of bound.(j) with
+    | Some a ->
+        bufs.(j) <- a;
+        go (j + 1)
+    | None -> false
+  in
+  if go 0 then Some bufs else None
+
+let refs_of = function Ir.Arr _ -> 0 | Ir.Node n -> n.Ir.refs
+
+(* The first bound source sharing slot [j]'s buffer. *)
+let root_of (bufs : Ndarray.t array) j =
+  let rec go k = if bufs.(k).Ndarray.data == bufs.(j).Ndarray.data then k else go (k + 1) in
+  go 0
+
+(* A tape key starts with 'T'; a plan key with the settings' [env]. *)
+let tape_key st s (bound : Ir.source array) (bufs : Ndarray.t array) =
+  let b = Buffer.create 96 in
+  let int i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ','
+  in
+  Buffer.add_char b 'T';
+  int s.sid;
+  Buffer.add_string b st.env;
+  Buffer.add_string b (if st.pooling then "po;" else "-po;");
+  Array.iteri
+    (fun j (a : Ndarray.t) ->
+      Buffer.add_char b (match bound.(j) with Ir.Arr _ -> 'a' | Ir.Node _ -> 'n');
+      int (root_of bufs j);
+      int (refs_of bound.(j));
+      Array.iter int a.Ndarray.shape;
+      Buffer.add_char b '/';
+      Array.iter int a.Ndarray.strides;
+      Buffer.add_char b ';')
+    bufs;
+  Buffer.contents b
 
 (* Force without escaping, as [Wl.materialize]: the loop-carried value
    stays pool-owned. *)
@@ -1054,36 +1052,49 @@ let materialize st n =
 
 (* The tape of a finished recording, or the reason it cannot stand for
    the call.  Beyond a refusal, a tape needs a result the body computed,
-   in a buffer the tape owns and outside any loan, and an input left
-   unlent and unpinned; otherwise the call shares state with values
-   outside the body ([Captured]). *)
-let tape_of r sg (result : Ir.source) =
-  let live_id (a : Ndarray.t) =
-    match List.assq_opt a.Ndarray.data r.live with
-    | Some i when not (List.mem_assoc i r.captured) -> Some i
-    | _ -> None
+   in a buffer the tape owns and outside any loan, an input left unlent
+   and unpinned, and parameters it neither wrote nor released, holding
+   their buffers and reference counts as bound; otherwise the call
+   shares state with values outside the body ([Captured]). *)
+let tape_of r s (result : Ir.source) =
+  let live_id (a : Ndarray.t) = List.assq_opt a.Ndarray.data r.live in
+  let ops = Array.of_list (List.rev r.ops) in
+  let nbound = Array.length r.bound in
+  let rec is_param i j = j < nbound && (r.roots.(j) = i || is_param i (j + 1)) in
+  let param_intact j =
+    match r.bound.(j) with
+    | Ir.Arr _ -> true
+    | Ir.Node m -> (
+        m.Ir.refs = r.brefs.(j) && m.Ir.loan = None
+        && match m.Ir.cache with Some a -> live_id a = Some r.roots.(j) | None -> false)
+  in
+  let params_intact () =
+    let rec go j = j = nbound || (param_intact j && go (j + 1)) in
+    go 1
+    && not
+         (Array.exists
+            (fun op -> match Plan.written op with Some i -> is_param i 1 | None -> false)
+            ops)
   in
   match (r.refused, result) with
   | Some reason, _ -> Error reason
-  | None, Ir.Node n when List.memq n r.computed && n.Ir.loan = None -> (
+  | None, Ir.Node n when List.memq n r.computed && n.Ir.loan = None && params_intact () -> (
       let input_after =
-        match r.rinput with
-        | None -> Some (None, 0)
-        | Some m when m.Ir.loan <> None || m.Ir.pin <> 0 -> None
-        | Some m -> (
-            let refs = m.Ir.refs - sg.srefs in
+        match r.bound.(0) with
+        | Ir.Arr _ -> Some (None, 0)
+        | Ir.Node m when m.Ir.loan <> None || m.Ir.pin <> 0 -> None
+        | Ir.Node m -> (
+            let refs = m.Ir.refs - r.brefs.(0) in
             match m.Ir.cache with
             | None -> Some (None, refs)
             | Some a -> Option.map (fun i -> (Some i, refs)) (live_id a))
       in
       match (Option.bind n.Ir.cache live_id, input_after) with
       | Some tresult, Some (tinput, trefs) ->
-          let tbufs = Array.make r.nbufs (Ndarray.of_buffer [| 0 |] Plan.dummy_buf) in
-          List.iter (fun (i, a) -> tbufs.(i) <- a) r.captured;
           Ok
-            { tsig = sg;
-              tops = Array.of_list (List.rev r.ops);
-              tbufs;
+            { Plan.tstepper = s.sid;
+              tops = ops;
+              tbufs = r.nbufs;
               tresult;
               tinput;
               trefs;
@@ -1091,15 +1102,25 @@ let tape_of r sg (result : Ir.source) =
       | _ -> Error Captured)
   | None, _ -> Error Captured
 
+let fallback st reason = note st (List.assoc reason stage_fallback)
+
 (* Run the body on the per-force path with the calling domain
-   recording, and force its result. *)
-let record st s input (a : Ndarray.t) sg =
+   recording, force its result, and store the tape under [key]. *)
+let record st s (bound : Ir.source array) (bufs : Ndarray.t array) key =
+  let taped =
+    Plan_cache.exists st.cache (function Plan.Taped t -> t.Plan.tstepper = s.sid | _ -> false)
+  in
+  let roots = Array.mapi (fun j _ -> root_of bufs j) bufs in
   let r =
-    { rinput = (match input with Ir.Node n -> Some n | Ir.Arr _ -> None);
+    { bound;
+      brefs = Array.map refs_of bound;
+      roots;
       ops = [];
-      live = [ (a.Ndarray.data, 0) ];
-      captured = [];
-      nbufs = 1;
+      live =
+        List.filter_map
+          (fun j -> if roots.(j) = j then Some (bufs.(j).Ndarray.data, j) else None)
+          (List.init (Array.length bufs) Fun.id);
+      nbufs = Array.length bufs;
       computed = [];
       refused = None;
       forcing = false;
@@ -1111,7 +1132,7 @@ let record st s input (a : Ndarray.t) sg =
     Fun.protect
       ~finally:(fun () -> cell := None)
       (fun () ->
-        let result = s.body input in
+        let result = s.body (Array.sub bound 1 (Array.length bound - 1)) bound.(0) in
         (match result with
         | Ir.Node n ->
             r.forcing <- true;
@@ -1119,91 +1140,89 @@ let record st s input (a : Ndarray.t) sg =
         | Ir.Arr _ -> ());
         result)
   in
-  (tape_of r sg result, result)
+  (match tape_of r s result with
+  | Ok t ->
+      Plan_cache.add st.cache ~shards:st.shards key (Plan.Taped t);
+      fallback st (if taped then Signature else Unrecorded)
+  | Error reason -> fallback st reason);
+  result
 
-let replay st t (input : Ir.source) (a : Ndarray.t) =
-  let bufs = Array.copy t.tbufs in
-  bufs.(0) <- a;
+let replay st (t : Plan.tape) (input : Ir.source) (bound : Ndarray.t array) =
+  let bufs = Array.make t.Plan.tbufs no_buffer in
+  Array.blit bound 0 bufs 0 (Array.length bound);
   (* The input gives its buffer up first: should a kernel raise, a stale
      consumer re-forces it rather than read a recycled buffer. *)
-  (match input with Ir.Node m when t.tinput <> Some 0 -> Ir.clear_cache m | _ -> ());
+  (match input with Ir.Node m when t.Plan.tinput <> Some 0 -> Ir.clear_cache m | _ -> ());
   let pooling = st.pooling in
   let debug = Mempool.get_debug () in
   let sums = if debug then Array.make (Array.length bufs) 0 else [||] in
   let w = ref (watch ()) in
   Array.iter
     (function
-      | Alloc (i, shape) -> bufs.(i) <- Mempool.alloc ~pooling shape
-      | Recycle i -> Mempool.recycle ~pooling bufs.(i)
-      | Fill (i, d) -> Ndarray.fill bufs.(i) d
-      | Blit (src, dst) -> Ndarray.blit ~src:bufs.(src) ~dst:bufs.(dst)
-      | Complement (src, dst, lb, ub) -> Lower.copy_complement bufs.(src) bufs.(dst) lb ub
-      | Save_shell (b, sh) ->
+      | Plan.Alloc (i, shape) -> bufs.(i) <- Mempool.alloc ~pooling shape
+      | Plan.Recycle i -> Mempool.recycle ~pooling bufs.(i)
+      | Plan.Fill (i, d) -> Ndarray.fill bufs.(i) d
+      | Plan.Blit (src, dst) -> Ndarray.blit ~src:bufs.(src) ~dst:bufs.(dst)
+      | Plan.Complement (src, dst, lb, ub) -> Lower.copy_complement bufs.(src) bufs.(dst) lb ub
+      | Plan.Save_shell (b, sh) ->
           Lower.save_shell bufs.(b) bufs.(sh);
           if debug then sums.(sh) <- check_lent bufs.(b)
-      | Restore_shell (b, sh) ->
+      | Plan.Restore_shell (b, sh) ->
           Lower.restore_shell bufs.(b) bufs.(sh);
           if debug then check_restored bufs.(b) sums.(sh)
-      | Reuse i ->
+      | Plan.Reuse i ->
           if debug then Mempool.assert_unpooled bufs.(i).Ndarray.data ~ctx:"reuse output";
           Mempool.note_reuse ()
-      | Count fam -> note st fam
-      | Run (o, parts) ->
+      | Plan.Count fam -> note st fam
+      | Plan.Run (o, parts) ->
           exec_parts st bufs.(o)
             (Array.fold_right
                (fun (cp, ids) acc ->
                  Plan.Ccompiled (Plan.rebind_cpart cp (fun j -> bufs.(ids.(j)).Ndarray.data)) :: acc)
                parts [])
-      | Forced f ->
-          unwatch !w ~name:"wl:force" ~tag:f.tag ~elements:f.elements ~extent:f.extent
-            ~bytes_alloc:f.bytes_alloc (fun () ->
-              [ ("cache", "replay"); ("kernel", f.kernel); ("out", f.out) ]);
+      | Plan.Forced f ->
+          unwatch !w ~name:"wl:force" ~tag:f.Plan.tag ~elements:f.Plan.elements ~extent:f.Plan.extent
+            ~bytes_alloc:f.Plan.bytes_alloc (fun () ->
+              [ ("cache", "replay"); ("kernel", f.Plan.kernel); ("out", f.Plan.out) ]);
           w := watch ())
-    t.tops;
+    t.Plan.tops;
   (match input with
   | Ir.Node m ->
-      Option.iter (fun i -> Ir.set_cache m bufs.(i)) t.tinput;
-      for _ = 1 to t.trefs do
+      Option.iter (fun i -> Ir.set_cache m bufs.(i)) t.Plan.tinput;
+      for _ = 1 to t.Plan.trefs do
         Ir.incr_refs input
       done;
-      for _ = 1 to -t.trefs do
+      for _ = 1 to -t.Plan.trefs do
         Ir.decr_refs input
       done
   | Ir.Arr _ -> ());
-  let out = bufs.(t.tresult) in
+  let out = bufs.(t.Plan.tresult) in
   Mempool.keep out;
   Ir.Node (Ir.value out.Ndarray.shape out)
 
-let step st s input =
-  let fallback reason = note st (List.assoc reason stage_fallback) in
+let step st s params input =
   let per_force () =
-    let result = s.body input in
+    let result = s.body params input in
     (match result with Ir.Node n -> materialize st n | Ir.Arr _ -> ());
     result
   in
   if !(Domain.DLS.get recorder_key) <> None then begin
-    fallback Nested;
+    fallback st Nested;
     per_force ()
   end
   else
-    match input_buffer input with
+    let bound = Array.append [| input |] params in
+    match buffers bound with
     | None ->
-        fallback Signature;
+        fallback st Signature;
         per_force ()
-    | Some a -> (
-        let sg = signature st input a in
-        match s.tape with
-        | Some t when same_signature t.tsig sg ->
+    | Some bufs -> (
+        let key = tape_key st s bound bufs in
+        match Plan_cache.find st.cache key with
+        | Some (Plan.Taped t) ->
             note st stage_replays;
-            replay st t input a
-        | prior ->
-            let tape, result = record st s input a sg in
-            (match tape with
-            | Ok t ->
-                s.tape <- Some t;
-                fallback (if Option.is_none prior then Unrecorded else Signature)
-            | Error reason -> fallback reason);
-            result)
+            replay st t input bufs
+        | _ -> record st s bound bufs key)
 
 (* ------------------------------------------------------------------ *)
 (* Scoped reads                                                        *)

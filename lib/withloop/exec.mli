@@ -108,29 +108,35 @@ val force : settings -> Ir.node -> Ndarray.t
 
 (** {1 Staged calls}
 
-    A {!stepper} holds one recorded call of a body (the tape): every
-    buffer effect the per-force path performed — pool allocations and
+    A {!stepper}'s tape is one recorded call of its body: every buffer
+    effect the per-force path performed — pool allocations and
     recycles, fills, blits and complements, ghost-shell saves and
     restores, each force's compiled parts, the reuse, lent and copied
-    counts — over symbolic buffer ids.  A call whose input has the
-    recorded signature (see {!Wl.staged}) runs the tape with no graph
-    build, key hashing, plan lookup or hold; any other call runs the
-    body on the per-force path, recording a new tape when it can.
+    counts — over symbolic buffer ids ({!Plan.tape}).  A call binds an
+    input and an array of parameters; when each is a buffer, the call's
+    signature (see {!Wl.staged}) keys a tape in the engine's plan cache.
+    A call whose signature has a tape runs it with no graph build, key
+    hashing, plan lookup or hold; any other call runs the body on the
+    per-force path, recording a tape under its signature when it can.
     Replays count in the [stage.replays] shard; every other call counts
-    one [stage.fallback{reason}]: [unrecorded] (no tape yet),
-    [signature] (the input differs, or is no buffer), [captured] (the
-    graph reaches a materialised node other than the input), [opaque],
-    [closure] (a part runs as an interpreted closure), [escape] (a
-    force, escape or fold inside the body) or [nested] (the domain is
-    already recording).  The recorder is domain-local. *)
+    one [stage.fallback{reason}]: [unrecorded] (the cache holds no tape
+    of the stepper), [signature] (it holds one under another signature,
+    or a bound source is no buffer), [captured] (the graph reaches a
+    materialised node or an array that is not bound, or writes or
+    releases a parameter), [opaque], [closure] (a part runs as an
+    interpreted closure), [escape] (a force, escape or fold inside the
+    body) or [nested] (the domain is already recording).  The recorder
+    is domain-local. *)
 
 type stepper
 
-val stepper : (Ir.source -> Ir.source) -> stepper
+val stepper : (Ir.source array -> Ir.source -> Ir.source) -> stepper
+(** A stepper with a fresh id, which its tapes are keyed by. *)
 
-val step : settings -> stepper -> Ir.source -> Ir.source
-(** One call of the stepper's body on the given input, its result
-    materialised without escaping (as [Wl.materialize]). *)
+val step : settings -> stepper -> Ir.source array -> Ir.source -> Ir.source
+(** [step st s params input]: one call of the stepper's body on the
+    given parameters and input, its result materialised without
+    escaping (as [Wl.materialize]). *)
 
 val read : settings -> Ir.node -> (Ndarray.t -> 'a) -> 'a
 (** [read st n f] forces [n] without escaping and applies [f] to its

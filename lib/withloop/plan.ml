@@ -359,7 +359,47 @@ let assemble ~(bindings : Ir.source array) ~(recorded : (Ir.node * Ndarray.buffe
       }
   else None
 
-(* What an engine's plan cache stores per structural key: a replayable
-   plan, or a tombstone recording that this key's graph cannot be
-   assembled (so later forces skip the assembly attempt). *)
-type cache_entry = Cached of cplan | Uncacheable
+(* ------------------------------------------------------------------ *)
+(* Tapes: one recorded call of a [Wl.staged] stepper ([Exec.step]).   *)
+
+type seen = {
+  tag : string;
+  elements : int;
+  extent : int;
+  bytes_alloc : int;
+  kernel : string;
+  out : string;
+}
+
+type op =
+  | Alloc of int * Shape.t
+  | Recycle of int
+  | Fill of int * float
+  | Blit of int * int
+  | Complement of int * int * Shape.t * Shape.t
+  | Save_shell of int * int
+  | Restore_shell of int * int
+  | Reuse of int
+  | Count of Mg_obs.Metrics.counter Mg_obs.Scope.family
+  | Run of int * (cpart * int array) array
+  | Forced of seen
+
+let written = function
+  | Recycle i | Fill (i, _) | Blit (_, i) | Complement (_, i, _, _) | Save_shell (i, _)
+  | Restore_shell (i, _) | Reuse i | Run (i, _) ->
+      Some i
+  | Alloc _ | Count _ | Forced _ -> None
+
+type tape = {
+  tstepper : int;
+  tops : op array;
+  tbufs : int;
+  tresult : int;
+  tinput : int option;
+  trefs : int;
+}
+
+(* What an engine's plan cache stores per key: a replayable plan, a
+   tombstone recording that this key's graph cannot be assembled (so
+   later forces skip the assembly attempt), or a stepper's tape. *)
+type cache_entry = Cached of cplan | Uncacheable | Taped of tape

@@ -151,7 +151,54 @@ val assemble :
     path or a source or buffer is no binding's (the force is
     uncacheable). *)
 
-type cache_entry = Cached of cplan | Uncacheable
-(** One {!Plan_cache} slot of an engine: a stored plan, or a tombstone
-    for a key whose graph failed {!assemble} (replays skip the
-    assembly attempt instead of re-failing it every force). *)
+(** {1 Tapes}
+
+    One recorded call of a [Wl.staged] stepper ({!Exec.step}): every
+    buffer effect of the per-force path, in order, over symbolic buffer
+    ids.  Ids [0 .. k] are the call's bound buffers (the input, then the
+    parameters; a parameter sharing an earlier slot's buffer uses that
+    slot's id), every pool allocation gets the next id.  A tape holds no
+    buffer: every id is bound per replay. *)
+
+(** What one force shows traces and spans. *)
+type seen = {
+  tag : string;
+  elements : int;
+  extent : int;
+  bytes_alloc : int;
+  kernel : string;
+  out : string;
+}
+
+type op =
+  | Alloc of int * Shape.t
+  | Recycle of int
+  | Fill of int * float
+  | Blit of int * int  (** Source, destination. *)
+  | Complement of int * int * Shape.t * Shape.t
+  | Save_shell of int * int  (** Lent buffer, shell. *)
+  | Restore_shell of int * int  (** Buffer, shell. *)
+  | Reuse of int
+  | Count of Mg_obs.Metrics.counter Mg_obs.Scope.family
+  | Run of int * (cpart * int array) array
+      (** Output, stripped parts with the buffer id of each cluster. *)
+  | Forced of seen  (** One force is complete. *)
+
+val written : op -> int option
+(** The buffer an op writes or recycles, if any. *)
+
+type tape = {
+  tstepper : int;  (** The recording stepper's id. *)
+  tops : op array;
+  tbufs : int;  (** Buffer ids the tape uses. *)
+  tresult : int;
+  tinput : int option;  (** The input node's buffer afterwards; [None]: released. *)
+  trefs : int;  (** The input node's reference count, afterwards minus before. *)
+}
+
+type cache_entry = Cached of cplan | Uncacheable | Taped of tape
+(** One {!Plan_cache} slot of an engine: a stored plan, a tombstone for
+    a key whose graph failed {!assemble} (replays skip the assembly
+    attempt instead of re-failing it every force), or a stepper's tape
+    (its key starts with ['T'], a plan key with the engine's
+    fingerprint). *)

@@ -89,6 +89,7 @@ let add c ~shards key value =
       c.tick <- c.tick + 1;
       Hashtbl.replace c.tbl key { value; last = c.tick })
 
+let exists c f = locked c (fun () -> Hashtbl.fold (fun _ e acc -> acc || f e.value) c.tbl false)
 let clear c = locked c (fun () -> Hashtbl.reset c.tbl)
 let length c = locked c (fun () -> Hashtbl.length c.tbl)
 

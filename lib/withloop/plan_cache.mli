@@ -28,7 +28,8 @@ type stats = {
 (** {1 Keyed store}
 
     Each instance belongs to one engine, or is shared by serving
-    siblings; it holds plans only, no statistics.  All operations are
+    siblings; it holds plans (and stepper tapes, see
+    {!Plan.cache_entry}) only, no statistics.  All operations are
     serialised by an internal per-instance mutex, so one cache may be
     shared by engines driven from different domains (the lock is
     uncontended in the one-engine-per-domain regime). *)
@@ -43,6 +44,10 @@ val find : 'a t -> string -> 'a option
 val add : 'a t -> shards:Mg_obs.Scope.shards -> string -> 'a -> unit
 (** Store a plan, evicting the least recently used one when full; an
     eviction counts in [shards] (the storing engine's table). *)
+
+val exists : 'a t -> ('a -> bool) -> bool
+(** Whether some entry satisfies the predicate (a scan: cold paths
+    only). *)
 
 val clear : 'a t -> unit
 (** Drop every entry. *)

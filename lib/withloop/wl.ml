@@ -86,9 +86,9 @@ let read t f =
 
 let staged body =
   let s = Exec.stepper body in
-  fun u ->
+  fun params u ->
     tune_gc ();
-    Exec.step (settings ()) s u
+    Exec.step (settings ()) s params u
 
 let run_reference : t -> Ndarray.t = fun s -> Reference.run s
 

@@ -42,34 +42,51 @@ val read : t -> (Ndarray.t -> 'a) -> 'a
     result read once (a norm, a checksum) costs no buffer that
     outlives it. *)
 
-val staged : (t -> t) -> t -> t
-(** [staged body] is a stepper: [staged body u] is [body u]
-    materialised as by {!materialize}, computed by recording once and
-    replaying after that.  The first call, and any call whose input
-    differs from the recorded one, builds [body]'s graph and forces it
-    on the per-force path while recording every buffer effect (the
-    tape).  A later call replays the tape — the same compiled kernels
-    over this call's buffers — with no graph build, key hashing, plan
-    lookup or hold, when its input has the recorded signature:
+val staged : (t array -> t -> t) -> t array -> t -> t
+(** [staged body] is a stepper: [staged body params u] is
+    [body params u] materialised as by {!materialize}, computed by
+    recording once and replaying after that.  Make the stepper once
+    and call it for the life of the program: its tapes outlive the
+    calls that record them.
 
-    - it is a buffer: an array, or a materialised node that is not
-      escaped, lent or pinned;
-    - of the same shape and strides, with the same number of
-      outstanding consumers, counted before [body] runs;
-    - under the same plan-affecting settings and the same plan cache.
+    {b Parameters.}  [params] and [u] are the call's bound sources,
+    bound afresh at every call; each must be a buffer — an array, or a
+    materialised node that is not escaped, lent or pinned — or the
+    call runs on the per-force path.  The call's signature is:
 
-    The contract: [body] must be a function of its input and of values
-    that do not change between calls.  Arrays it captures are read
-    through their buffers as recorded, so they must hold the same
-    values at every call (and must not be the input); a captured
-    materialised node, an opaque ([Expr.of_fun]) or otherwise
-    interpreted part, a force, escape or fold inside [body], or a
-    stepper called inside another's body keeps the call on the
-    per-force path (see {!Exec.step} for the fallback reasons).  The
-    recorder is domain-local: steppers on separate domains do not
-    interfere.  A replayed result cannot be recomputed: forcing it
-    again after its buffer was released raises instead of returning
-    stale data. *)
+    - the stepper (each [staged] mints an id);
+    - the plan-affecting settings and [pooling] of the current engine;
+    - per bound source: leaf or node, shape, strides and, for a node,
+      its outstanding consumers counted before [body] runs, plus which
+      earlier bound source shares its buffer (aliasing);
+
+    never a buffer's identity.  A call with a new signature builds
+    [body]'s graph and forces it on the per-force path while
+    recording every buffer effect (the tape).  A call whose signature
+    has a tape replays it — the same compiled kernels over this call's
+    buffers — with no graph build, key hashing, plan lookup or hold.
+
+    {b Tape lifetime.}  A tape is stored in the current engine's plan
+    cache, under its signature, next to the plans: engines derived by
+    {!with_config} and serving siblings created with [~share_cache]
+    replay each other's tapes, on their own domains' arenas; a tape
+    counts against the cache's LRU capacity and can be evicted like a
+    plan, and {!cache_clear} drops it; the next call then records
+    again.  A tape holds no buffer, and a body that raises while
+    recording stores none.
+
+    The contract: [body] must be a function of its parameters, its
+    input and of values that do not change between calls, and must
+    neither write nor release a parameter.  A recording is refused
+    (the call stays on the per-force path) when the graph reaches a
+    materialised node or an array that is not bound, writes or
+    releases a parameter, runs an opaque ([Expr.of_fun]) or otherwise
+    interpreted part, forces, escapes or folds inside [body], or when
+    a stepper is called inside another's body (see {!Exec.step} for
+    the fallback reasons).  The recorder is domain-local: steppers on
+    separate domains do not interfere.  A replayed result cannot be
+    recomputed: forcing it again after its buffer was released raises
+    instead of returning stale data. *)
 
 val run_reference : t -> Ndarray.t
 (** The O0 reference interpreter ({!Reference}): per-element
@@ -153,5 +170,5 @@ val settings : unit -> Exec.settings
 
 val cache_stats : unit -> Plan_cache.stats
 val cache_clear : unit -> unit
-(** Drop the current engine's cached plans and zero its statistics
-    (pooled buffers are released too). *)
+(** Drop the current engine's cached plans and stepper tapes and zero
+    its statistics (pooled buffers are released too). *)

@@ -365,6 +365,116 @@ let wait_in_flight server n =
   done;
   Alcotest.(check int) "workers picked up the gates" n (Serve.stats server).Admission.in_flight
 
+(* Tapes across serving siblings: 2 workers on one shared plan cache
+   serve class-S requests that alternate the cfun and native tiers.
+   The first request of a tier records its tape; every later one
+   replays all 4 iterations with no fallback, whichever worker serves
+   it — a tape recorded on one worker's domain replays on the other's
+   arenas — and every response is bitwise equal to its sequential
+   twin.  After [Engine.cache_clear] the next request records again. *)
+let test_tapes_across_workers () =
+  let cfg = { (Serve.default_config ()) with Serve.workers = 2; capacity = 16 } in
+  let server = Serve.create ~config:cfg () in
+  let engines = Serve.engines server in
+  let total name labels =
+    List.fold_left
+      (fun acc e ->
+        acc
+        + Mg_obs.Metrics.value
+            (Mg_obs.Metrics.counter
+               ~labels:(("engine", string_of_int (Engine.label e)) :: labels)
+               name))
+      0 engines
+  in
+  let counts () =
+    ( total "stage.replays" [],
+      List.fold_left
+        (fun acc r -> acc + total "stage.fallback" [ ("reason", r) ])
+        0
+        [ "unrecorded"; "signature"; "captured"; "opaque"; "closure"; "escape"; "nested" ],
+      total "stage.fallback" [ ("reason", "unrecorded") ] )
+  in
+  let spec tier = Serve.spec ~tier ~impl:Driver.Sac ~cls:Classes.class_s () in
+  let submit payload =
+    match Serve.submit server (Serve.request payload) with
+    | Ok t -> t
+    | Error r -> Alcotest.fail (Admission.reject_to_string r)
+  in
+  let await t =
+    match Serve.await server t with
+    | Serve.Done r -> r
+    | Serve.Failed m -> Alcotest.fail m
+    | Serve.Cancelled -> Alcotest.fail "cancelled"
+  in
+  let served = ref [] in
+  (* One request, awaited, with its stage counts. *)
+  let solve ?(release = fun () -> ()) tier =
+    let before = counts () in
+    let t = submit (Serve.Solve (spec tier)) in
+    release ();
+    let r = await t in
+    let r0, f0, u0 = before and r1, f1, u1 = counts () in
+    served := (tier, r) :: !served;
+    (r, (r1 - r0, f1 - f0, u1 - u0))
+  in
+  let check_counts what expected got =
+    Alcotest.(check (triple int int int)) (what ^ ": replays, fallbacks, unrecorded") expected got
+  in
+  let gate () =
+    let g = Semaphore.Counting.make 0 in
+    (g, submit (gate_payload g))
+  in
+  Fun.protect
+    ~finally:(fun () -> Serve.shutdown server)
+    (fun () ->
+      (* Both workers gated; the first one released serves the first
+         request and records. *)
+      let g1, t1 = gate () in
+      let g2, t2 = gate () in
+      wait_in_flight server 2;
+      let first, c = solve ~release:(fun () -> Semaphore.Counting.release g1) Serve.Cfun in
+      check_counts "first cfun request" (3, 1, 1) c;
+      (* Gate the recording worker; the other serves the next request. *)
+      let g3, t3 = gate () in
+      wait_in_flight server 2;
+      let second, c = solve ~release:(fun () -> Semaphore.Counting.release g2) Serve.Cfun in
+      check_counts "warm cfun request on the other worker" (4, 0, 0) c;
+      Alcotest.(check bool) "served by the other worker" true
+        (first.Serve.worker <> second.Serve.worker);
+      Semaphore.Counting.release g3;
+      List.iter (fun t -> ignore (await t)) [ t1; t2; t3 ];
+      (* The native tier keys its own tape; then both tiers alternate
+         warm. *)
+      let _, c = solve Serve.Native in
+      check_counts "first native request" (3, 1, 0) c;
+      List.iter
+        (fun tier ->
+          let _, c = solve tier in
+          check_counts ("warm " ^ Serve.tier_to_string tier ^ " request") (4, 0, 0) c)
+        [ Serve.Cfun; Serve.Native; Serve.Cfun; Serve.Native ];
+      Engine.cache_clear (List.hd engines);
+      let _, c = solve Serve.Cfun in
+      check_counts "first request after cache_clear" (3, 1, 1) c);
+  List.iter
+    (fun tier ->
+      let config =
+        Engine.with_tier tier { cfg.Serve.engine_config with Engine.threads = cfg.Serve.solver_threads }
+      in
+      let e = Engine.create ~config () in
+      let twin =
+        Fun.protect
+          ~finally:(fun () -> Engine.shutdown e)
+          (fun () -> Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ())
+      in
+      List.iter
+        (fun (t, (r : Serve.response)) ->
+          if t = tier then
+            Alcotest.(check int64)
+              (Serve.tier_to_string tier ^ " rnm2 bitwise == sequential twin")
+              (bits twin.Driver.rnm2) (bits r.Serve.rnm2))
+        !served)
+    [ Serve.Cfun; Serve.Native ]
+
 let test_shutdown_drains () =
   let cfg = { (Serve.default_config ()) with Serve.workers = 2; capacity = 16 } in
   let server = Serve.create ~config:cfg () in
@@ -508,6 +618,7 @@ let suite =
       Alcotest.test_case "weighted round-robin order deterministic" `Quick test_wrr_order;
       Alcotest.test_case "idle tenant passes its turn" `Quick test_wrr_idle_tenant_passes;
       Alcotest.test_case "concurrent soak bitwise == sequential twins" `Quick test_soak_bitwise;
+      Alcotest.test_case "tapes replay across serving workers" `Quick test_tapes_across_workers;
       Alcotest.test_case "shutdown drains in-flight and queued work" `Quick test_shutdown_drains;
       Alcotest.test_case "shutdown drain:false cancels queued work" `Quick
         test_shutdown_no_drain_cancels;

@@ -44,6 +44,14 @@ let mg_body ~smoother ~v u =
 
 let zero v = Wl.materialize (Ops.genarray_const (Wl.shape v) 0.0)
 
+(* A stepper of one MG iteration whose parameter is [v]. *)
+let mg_stepper ~smoother = Wl.staged (fun ps u -> mg_body ~smoother ~v:ps.(0) u)
+
+(* A stepper without parameters. *)
+let unary body =
+  let step = Wl.staged (fun _ u -> body u) in
+  fun u -> step [||] u
+
 (* A fresh single-threaded engine (unless [config] says otherwise)
    whose stage counters the test reads. *)
 let with_engine ?(config = fun c -> c) f =
@@ -80,10 +88,10 @@ let staged_matches_unstaged (cls : Classes.t) ~iters =
   let n = cls.Classes.nx in
   let v = Wl.of_ndarray (Zran3.generate ~n) in
   let smoother = Classes.smoother_coeffs cls in
-  let step = Wl.staged (mg_body ~smoother ~v) in
+  let step = mg_stepper ~smoother in
   let us = ref (zero v) and uu = ref (zero v) in
   for i = 1 to iters do
-    us := step !us;
+    us := step [| v |] !us;
     uu := Wl.materialize (mg_body ~smoother ~v !uu);
     check_bits (Printf.sprintf "%s iterate %d" cls.Classes.name i) (snapshot !uu) (snapshot !us)
   done
@@ -116,9 +124,11 @@ let test_replay_matches_w () =
       staged_matches_unstaged Classes.class_w ~iters:6;
       check_counts "class W" e ~replays:5 ~fallback:[ ("unrecorded", 1) ])
 
-(* The solve path: a class-S solve replays 3 of its 4 iterations, and
-   under the debug poison (every recycled buffer NaN-filled, the
-   aliasing and loan tripwires armed) keeps its rnm2. *)
+(* The solve path: a class-S solve on a fresh engine replays 3 of its
+   4 iterations and a warm one all 4 (the tape outlives the first
+   solve), and under the debug poison (every recycled buffer
+   NaN-filled, the right-hand side included, the aliasing and loan
+   tripwires armed) keeps its rnm2. *)
 let test_solve_replays_under_debug () =
   with_engine ~config:(fun c -> { c with Engine.pooling = true }) (fun e ->
       let plain = (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ()).Driver.rnm2 in
@@ -130,7 +140,7 @@ let test_solve_replays_under_debug () =
           (fun () -> (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ()).Driver.rnm2)
       in
       Alcotest.(check int64) "rnm2 under the poison" (Int64.bits_of_float plain) (Int64.bits_of_float poisoned);
-      check_counts "two class-S solves" e ~replays:6 ~fallback:[ ("unrecorded", 2) ])
+      check_counts "two class-S solves" e ~replays:7 ~fallback:[ ("unrecorded", 1) ])
 
 (* A warm solve returns every buffer it draws, the final residual
    included, so it draws nothing from the OS. *)
@@ -154,7 +164,7 @@ let shp = [| 10; 10; 10 |]
 (* Run [body] staged on the inputs in turn, each against the unstaged
    body on an equal input. *)
 let run_both body inputs =
-  let step = Wl.staged body in
+  let step = unary body in
   List.iteri
     (fun i a ->
       let staged = snapshot (step (node_of a)) in
@@ -172,7 +182,7 @@ let test_fallback_shape () =
 
 let test_fallback_outside_consumer () =
   with_engine (fun e ->
-      let step = Wl.staged smooth_body in
+      let step = unary smooth_body in
       let a = grid shp 3 in
       ignore (step (node_of a));
       (* The input has a consumer outside the body: the body must not
@@ -187,16 +197,17 @@ let test_fallback_outside_consumer () =
 let test_fallback_config () =
   with_engine (fun e ->
       let a = grid shp 4 in
-      let step = Wl.staged smooth_body in
+      let step = unary smooth_body in
       let call () = snapshot (step (node_of a)) in
       let first = call () in
       check_bits "replayed" first (call ());
       check_bits "under another config"
         first
         (Wl.with_config (fun c -> { c with Engine.reuse = not c.Engine.reuse }) call);
+      (* The first configuration's tape is still in the cache. *)
       check_bits "back under the first" first (call ());
-      check_counts "Wl.with_config between calls" e ~replays:1
-        ~fallback:[ ("unrecorded", 1); ("signature", 2) ])
+      check_counts "Wl.with_config between calls" e ~replays:2
+        ~fallback:[ ("unrecorded", 1); ("signature", 1) ])
 
 let check_refused reason body =
   with_engine (fun e ->
@@ -228,7 +239,7 @@ let test_fallback_closure () =
 
 let test_fallback_nested () =
   with_engine (fun e ->
-      let inner = Wl.staged (fun u -> Ops.add_scalar u 1.0) in
+      let inner = unary (fun u -> Ops.add_scalar u 1.0) in
       run_both
         (fun u -> Ops.add (inner (Ops.mul_scalar u 3.0)) u)
         [ grid shp 8; grid shp 9 ];
@@ -237,6 +248,192 @@ let test_fallback_nested () =
          unstaged body, its input is no buffer (signature). *)
       check_counts "nested steppers" e ~replays:0
         ~fallback:[ ("signature", 2); ("escape", 2); ("nested", 2) ])
+
+let test_fallback_captured_array () =
+  let c = Wl.of_ndarray (grid shp 15) in
+  check_refused "captured" (fun u -> Ops.add u c)
+
+(* Parameters the body writes: one it consumes, whose buffer is the
+   first dying operand of the sum, so the per-force path writes the sum
+   through it; and one it lends to a border (an outside consumer keeps
+   it materialised), whose ghost shell the border overwrites until the
+   loan ends.  The per-force path may; a tape may not, since the next
+   call binds another parameter. *)
+let test_fallback_param_written () =
+  List.iter
+    (fun (what, keep, body) ->
+      with_engine (fun e ->
+          let step = Wl.staged body in
+          let param b =
+            let p = node_of b in
+            if keep then ignore (Ops.neg p);
+            p
+          in
+          List.iter
+            (fun k ->
+              let a = grid shp k and b = grid shp (k + 1) in
+              let staged = snapshot (step [| param b |] (node_of a)) in
+              let unstaged = snapshot (Wl.materialize (body [| param b |] (node_of a))) in
+              check_bits (Printf.sprintf "%s, call with seed %d" what k) unstaged staged)
+            [ 11; 13 ];
+          check_counts what e ~replays:0 ~fallback:[ ("captured", 2) ]))
+    [ ("a parameter consumed", false, fun ps u -> Ops.add ps.(0) (Ops.mul_scalar u 2.0));
+      ("a parameter lent", true, fun ps u -> Ops.add u (Border.setup_periodic_border ps.(0)));
+    ]
+
+(* A body that raises while recording stores no tape; the next call
+   records and the one after replays, both bitwise. *)
+let test_raise_while_recording () =
+  with_engine (fun e ->
+      let boom = ref true in
+      let body u =
+        let r = smooth_body u in
+        if !boom then begin
+          boom := false;
+          failwith "boom"
+        end;
+        r
+      in
+      let step = unary body in
+      let u = node_of (grid shp 16) in
+      let before = Engine.cache_length e in
+      (match step u with
+      | _ -> Alcotest.fail "the body did not raise"
+      | exception Failure _ -> ());
+      Alcotest.(check int) "no tape stored" before (Engine.cache_length e);
+      List.iter
+        (fun k ->
+          let staged = snapshot (step (node_of (grid shp k))) in
+          check_bits (Printf.sprintf "call with seed %d" k)
+            (snapshot (Wl.materialize (smooth_body (node_of (grid shp k)))))
+            staged)
+        [ 17; 18 ];
+      check_counts "after a raise" e ~replays:1 ~fallback:[ ("unrecorded", 1) ])
+
+(* ------------------------------------------------------------------ *)
+(* Tape signatures (qcheck).  Two calls of one stepper differ in one
+   part of the signature — a parameter's shape and strides, its leaf
+   flag, a parameter aliasing the input, reuse, pooling, the tier or
+   the plan-cache instance — or in none; a third call is like the
+   first.  The second call replays only when nothing differs, and the
+   third always: tapes of several signatures live side by side.  Every
+   result is bitwise equal to the unstaged body on a fresh engine.
+   Ndarray strides are row-major, so they change with the shape:
+   [11;10;10] keeps [10;10;10]'s strides, [10;11;10] and [10;10;12] do
+   not. *)
+
+type call = {
+  pshape : int;
+  leaf : bool;
+  alias : bool;
+  reuse : bool;
+  pooling : bool;
+  generic : bool;
+  cache : int;
+}
+
+let pshapes = [| [| 10; 10; 10 |]; [| 11; 10; 10 |]; [| 10; 11; 10 |]; [| 10; 10; 12 |] |]
+let variants = [ "none"; "shape"; "leaf"; "alias"; "reuse"; "pooling"; "tier"; "cache" ]
+
+let vary c = function
+  | "shape" -> { c with pshape = (c.pshape + 1) mod Array.length pshapes }
+  | "leaf" -> { c with leaf = not c.leaf }
+  | "alias" -> { c with alias = true }
+  | "reuse" -> { c with reuse = not c.reuse }
+  | "pooling" -> { c with pooling = not c.pooling }
+  | "tier" -> { c with generic = not c.generic }
+  | "cache" -> { c with cache = 1 - c.cache }
+  | _ -> c
+
+let config_of c conf =
+  Engine.with_tier
+    (if c.generic then Engine.Generic else Engine.Cfun)
+    { conf with Engine.reuse = c.reuse; pooling = c.pooling; threads = 1 }
+
+let sig_body ps u =
+  Ops.add u (Mg_sac.smooth Stencil.s_a (Ops.sub u (Select.take (Wl.shape u) ps.(0))))
+
+(* The bound sources of a call with seed [k]: a parameter node keeps an
+   outside consumer, so the body does not release it; an aliasing
+   parameter is a leaf array over the input's buffer. *)
+let bind c k =
+  let u = node_of (grid shp k) in
+  if c.alias then ([| Wl.of_ndarray (Wl.read u Fun.id) |], u)
+  else
+    let b = grid pshapes.(c.pshape) (k + 50) in
+    if c.leaf then ([| Wl.of_ndarray b |], u)
+    else begin
+      let p = node_of b in
+      ignore (Ops.neg p);
+      ([| p |], u)
+    end
+
+let unstaged c k =
+  let e = Engine.create ~config:(config_of c (Engine.config_of_env ())) () in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      Engine.with_current e (fun () ->
+          let ps, u = bind c k in
+          snapshot (Wl.materialize (sig_body ps u))))
+
+let show_call c =
+  Printf.sprintf "{param %s%s%s; reuse %b; pooling %b; %s; cache %d}"
+    (Shape.to_string pshapes.(c.pshape))
+    (if c.leaf then " leaf" else " node")
+    (if c.alias then " = input" else "")
+    c.reuse c.pooling
+    (if c.generic then "generic" else "cfun")
+    c.cache
+
+let signature_arb =
+  let open QCheck.Gen in
+  let base =
+    map
+      (fun (pshape, leaf, reuse, pooling, generic, cache) ->
+        { pshape; leaf; alias = false; reuse; pooling; generic; cache })
+      (tup6 (int_bound 3) bool bool bool bool (int_bound 1))
+  in
+  (* An aliasing parameter differs from a leaf of the input's shape in
+     its aliasing only. *)
+  let first (c, v) = if v = "alias" then ({ c with leaf = true; pshape = 0 }, v) else (c, v) in
+  QCheck.make
+    ~print:(fun (c, v) -> Printf.sprintf "%s, then %s" (show_call c) v)
+    (map first (pair base (oneofl variants)))
+
+let signature_prop (first, variant) =
+  let engines =
+    Array.init 2 (fun _ -> Engine.create ~config:(config_of first (Engine.config_of_env ())) ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Array.iter Engine.shutdown engines)
+    (fun () ->
+      let step = Wl.staged sig_body in
+      let total f = f engines.(0) + f engines.(1) in
+      let call c k =
+        let before = total replays and recorded = total (fun e -> fallbacks e "unrecorded") in
+        let r =
+          Engine.with_current
+            (Engine.derive engines.(c.cache) (config_of c))
+            (fun () ->
+              let ps, u = bind c k in
+              snapshot (step ps u))
+        in
+        (r, total replays - before, total (fun e -> fallbacks e "unrecorded") - recorded)
+      in
+      let second = vary first variant in
+      let r1, n1, stored = call first 1 in
+      let r2, n2, _ = call second 2 in
+      let r3, n3, _ = call first 3 in
+      (n1, stored, n2, n3) = (0, 1, (if variant = "none" then 1 else 0), 1)
+      && same_bits (unstaged first 1) r1
+      && same_bits (unstaged second 2) r2
+      && same_bits (unstaged first 3) r3)
+
+let qcheck_signatures =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"tape replays iff the signature is equal" signature_arb
+       signature_prop)
 
 (* ------------------------------------------------------------------ *)
 (* The recorder is domain-local: two domains record and replay at once,
@@ -247,10 +444,10 @@ let test_two_domains () =
     with_engine (fun e ->
         let cls = Classes.mini in
         let v = Wl.of_ndarray (Zran3.generate ~n:cls.Classes.nx) in
-        let step = Wl.staged (mg_body ~smoother:(Classes.smoother_coeffs cls) ~v) in
+        let step = mg_stepper ~smoother:(Classes.smoother_coeffs cls) in
         let u = ref (zero v) in
         for _ = 1 to 6 do
-          u := step !u
+          u := step [| v |] !u
         done;
         (snapshot !u, stage_counts e))
   in
@@ -274,11 +471,11 @@ let test_traced_iterations () =
       with_engine ~config (fun e ->
           let cls = Classes.class_s in
           let v = Wl.of_ndarray (Zran3.generate ~n:cls.Classes.nx) in
-          let step = Wl.staged (mg_body ~smoother:(Classes.smoother_coeffs cls) ~v) in
+          let step = mg_stepper ~smoother:(Classes.smoother_coeffs cls) in
           let u = ref (zero v) in
           let per_iteration =
             List.init cls.Classes.nit (fun _ ->
-                let evs, () = Mg_smp.Trace.with_collector (fun () -> u := step !u) in
+                let evs, () = Mg_smp.Trace.with_collector (fun () -> u := step [| v |] !u) in
                 List.map
                   (fun (ev : Mg_smp.Trace.event) ->
                     (ev.Mg_smp.Trace.tag, ev.elements, ev.level_extent, ev.bytes_alloc))
@@ -302,7 +499,7 @@ let test_traced_iterations () =
 
 let test_result_not_recomputed () =
   with_engine (fun _ ->
-      let step = Wl.staged smooth_body in
+      let step = unary smooth_body in
       let a = grid shp 10 in
       ignore (step (node_of a));
       let u = step (node_of a) in
@@ -328,6 +525,10 @@ let suite =
       Alcotest.test_case "fallback: opaque body" `Quick test_fallback_opaque;
       Alcotest.test_case "fallback: closure part" `Quick test_fallback_closure;
       Alcotest.test_case "fallback: nested steppers" `Quick test_fallback_nested;
+      Alcotest.test_case "fallback: a captured array" `Quick test_fallback_captured_array;
+      Alcotest.test_case "fallback: a parameter written" `Quick test_fallback_param_written;
+      Alcotest.test_case "a raise while recording stores no tape" `Quick test_raise_while_recording;
+      qcheck_signatures;
       Alcotest.test_case "two domains stepping at once" `Quick test_two_domains;
       Alcotest.test_case "traced iterations emit the recorded events" `Quick test_traced_iterations;
       Alcotest.test_case "a replayed result is never recomputed" `Quick test_result_not_recomputed;
