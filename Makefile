@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test smoke profile-smoke metrics-smoke native-smoke serve-smoke check bench clean
+.PHONY: all build test smoke profile-smoke metrics-smoke fig-smoke native-smoke serve-smoke check bench clean
 
 all: build
 
@@ -126,6 +126,34 @@ metrics-smoke: build
 	@grep -q 'solve=' results/metrics-s.txt 	  && echo "metrics-smoke: flight record present" 	  || { echo "metrics-smoke: no flight record in --flight output"; exit 1; }
 	@grep -q 'engine="' results/metrics.om 	  && echo "metrics-smoke: labelled per-engine shards present" 	  || { echo "metrics-smoke: no labelled shard in results/metrics.om"; exit 1; }
 
+# Figs. 12/13 end to end at class S: one traced solve per system, its
+# operations read off its spans and replayed through the Smp_sim
+# machine models.  Every system's row must be there; Fig. 12's P=1
+# column is each system's own sequential time, so it reads 1.00, as
+# does Fig. 13's Fortran-77 row (the reference); SAC must have a
+# parallel fraction (its with-loop ops reached the model); and no span
+# may have been dropped.
+fig-smoke: build
+	mkdir -p results
+	dune exec bin/fig12.exe -- --classes S > results/fig12-s.txt
+	cat results/fig12-s.txt
+	awk '$$1 == "S" { seen[$$2] = 1; if ($$3 != "1.00") { print "fig-smoke: fig12 " $$2 " P=1 reads " $$3; bad = 1 }; \
+	                  if ($$2 == "SAC") frac = $$14 } \
+	  /^# spans dropped: / { dropped = $$4 } \
+	  END { if (bad) exit 1; \
+	        if (!seen["Fortran-77"] || !seen["SAC"] || !seen["C/OpenMP"]) { print "fig-smoke: fig12 lacks a system row"; exit 1 }; \
+	        if (frac == "" || frac + 0 == 0) { print "fig-smoke: SAC par.frac reads " frac; exit 1 }; \
+	        if (dropped != "0") { print "fig-smoke: fig12 dropped spans: " dropped; exit 1 }; \
+	        print "fig-smoke: fig12 OK (SAC par.frac " frac ")" }' results/fig12-s.txt
+	dune exec bin/fig13.exe -- --classes S > results/fig13-s.txt
+	cat results/fig13-s.txt
+	awk '$$1 == "S" { seen[$$2]++; if ($$2 == "Fortran-77" && $$3 != "1.00") { print "fig-smoke: fig13 Fortran-77 P=1 reads " $$3; bad = 1 } } \
+	  /^# spans dropped: / { dropped = $$4 } \
+	  END { if (bad) exit 1; \
+	        if (seen["Fortran-77"] != 2 || seen["SAC"] != 2 || seen["C/OpenMP"] != 2) { print "fig-smoke: fig13 lacks a system row"; exit 1 }; \
+	        if (dropped != "0") { print "fig-smoke: fig13 dropped spans: " dropped; exit 1 }; \
+	        print "fig-smoke: fig13 OK" }' results/fig13-s.txt
+
 # The AOT native backend end to end, from a cold cache: a class-S run
 # with --kernels native must dispatch native kernels (>90% takeover of
 # the staged rung), record zero compile failures, and populate the
@@ -192,7 +220,7 @@ serve-smoke: build
 	  && echo "serve-smoke: per-tenant latency shards present" \
 	  || { echo "serve-smoke: no per-tenant serve_latency_ns shard in results/serve_metrics.om"; exit 1; }
 
-check: build test smoke profile-smoke metrics-smoke native-smoke serve-smoke
+check: build test smoke profile-smoke metrics-smoke fig-smoke native-smoke serve-smoke
 
 bench: build
 	dune exec bench/main.exe

@@ -7,7 +7,7 @@
      buffers (12-20 additions).
 
    --fusion : with-loop folding — the full benchmark at O0..O3 with
-     materialisation counts from the operation trace.
+     materialisation counts from the solve's traced operations.
 
    --memory : dynamic memory management — per-grid-level time and
      per-element cost of the SAC implementation against the Fortran
@@ -30,7 +30,7 @@ module Wl = Mg_withloop.Wl
 module Engine = Mg_withloop.Engine
 module Table = Mg_bench_util.Bench_util.Table
 module Timing = Mg_bench_util.Bench_util.Timing
-module Trace = Mg_smp.Trace
+module Smp_sim = Mg_smp.Smp_sim
 
 let stencil_ablation n =
   Printf.printf "# Stencil ablation: one %d^3 residual sweep (A operator)\n" n;
@@ -125,10 +125,8 @@ let fusion_ablation (cls : Classes.t) =
     List.map
       (fun level ->
         let r = Driver.run ~opt:level ~trace:true ~impl:Driver.Sac ~cls () in
-        let loops = List.length r.Driver.events in
-        let bytes =
-          List.fold_left (fun acc (e : Trace.event) -> acc + e.Trace.bytes_alloc) 0 r.Driver.events
-        in
+        let loops = List.length r.Driver.ops in
+        let bytes = List.fold_left (fun acc (op : Smp_sim.op) -> acc + op.Smp_sim.bytes) 0 r.Driver.ops in
         [ Engine.opt_level_to_string level;
           Printf.sprintf "%.3f" r.Driver.seconds;
           string_of_int loops;
@@ -145,28 +143,28 @@ let memory_ablation (cls : Classes.t) =
   Printf.printf "# Per-level cost: %s (dynamic memory / per-operation overhead)\n" cls.Classes.name;
   Printf.printf "# The paper: overhead is invariant against grid size, so its relative\n";
   Printf.printf "# weight grows towards the coarse grids — SAC's scalability limit.\n\n";
-  (* Normalise both traces to V-cycle levels (interior extents, powers
-     of two): with-loop events report extended extents and scatter
+  (* Normalise both runs to V-cycle levels (interior extents, powers
+     of two): with-loop ops report extended extents and scatter
      intermediates report doubled coarse extents, so take the largest
      power of two not exceeding the interior size. *)
   let pow2_floor x =
     let rec go p = if p * 2 <= x then go (p * 2) else p in
     if x < 1 then 0 else go 1
   in
-  let by_level ~normalise events =
+  let by_level ~normalise ops =
     let tbl = Hashtbl.create 8 in
     List.iter
-      (fun (e : Trace.event) ->
-        let key = if normalise then pow2_floor (max 1 (e.Trace.level_extent - 2)) else e.Trace.level_extent in
+      (fun (op : Smp_sim.op) ->
+        let key = if normalise then pow2_floor (max 1 (op.Smp_sim.extent - 2)) else op.Smp_sim.extent in
         let t, c, el = try Hashtbl.find tbl key with Not_found -> (0.0, 0, 0) in
-        Hashtbl.replace tbl key (t +. e.Trace.seq_seconds, c + 1, el + e.Trace.elements))
-      events;
+        Hashtbl.replace tbl key (t +. op.Smp_sim.seconds, c + 1, el + op.Smp_sim.elements))
+      ops;
     List.sort (fun (a, _) (b, _) -> compare b a) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
   Wl.cache_clear ();
-  let sac = by_level ~normalise:true (fst (Exp_common.traced_events ~impl:Driver.Sac ~cls)) in
+  let sac = by_level ~normalise:true (Exp_common.traced_ops ~impl:Driver.Sac ~cls) in
   let cstats = Wl.cache_stats () in
-  let f77 = by_level ~normalise:false (fst (Exp_common.traced_events ~impl:Driver.F77 ~cls)) in
+  let f77 = by_level ~normalise:false (Exp_common.traced_ops ~impl:Driver.F77 ~cls) in
   let rows =
     List.map
       (fun (lvl, (t, c, el)) ->

@@ -3,7 +3,6 @@
    runs and table output. *)
 
 open Mg_core
-module Trace = Mg_smp.Trace
 module Table = Mg_bench_util.Bench_util.Table
 
 let classes_conv =
@@ -116,10 +115,13 @@ let model_for = function
   | Driver.F77 -> Mg_smp.Models.f77_autopar
   | Driver.C -> Mg_smp.Models.openmp
 
-(* One traced sequential run per implementation (the simulator input). *)
-let traced_events ~impl ~cls =
-  let r = Driver.traced_run ~impl ~cls in
-  (r.Driver.events, r)
+(* One traced sequential run per implementation: its operations are
+   the simulator input. *)
+let traced_ops ~impl ~cls = (Driver.traced_run ~impl ~cls).Driver.ops
+
+(* The figures' last line: a traced run fails rather than return
+   truncated ops, and this says no span was lost anywhere else. *)
+let print_spans_dropped () = Printf.printf "\n# spans dropped: %d\n" (Mg_obs.Span.dropped ())
 
 let all_impls = [ Driver.F77; Driver.Sac; Driver.C ]
 

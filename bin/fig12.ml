@@ -2,8 +2,9 @@
    sequential time, P = 1..10 (paper §5).
 
    The machine is single-core, so parallel execution is simulated: one
-   measured sequential trace per implementation (one event per array
-   operation) is replayed through the corresponding machine model of
+   measured sequential run per implementation, read off its spans as
+   one op per array operation, is replayed through the corresponding
+   machine model of
    Mg_smp.Models — see DESIGN.md §2 for the substitution.  Paper
    end-points at P = 10:
 
@@ -34,10 +35,10 @@ let run classes max_procs profile csv =
     (fun (cls : Classes.t) ->
       List.iter
         (fun impl ->
-          let events, _ = Exp_common.traced_events ~impl ~cls in
+          let ops = Exp_common.traced_ops ~impl ~cls in
           let model = Exp_common.model_for impl in
-          let series = Smp_sim.speedup_series model ~max_procs events in
-          let frac = Smp_sim.parallel_fraction model events in
+          let series = Smp_sim.speedup_series model ~max_procs ops in
+          let frac = Smp_sim.parallel_fraction model ops in
           let cells = Array.to_list (Array.map (fun (_, s) -> Printf.sprintf "%.2f" s) series) in
           let paper =
             match paper_p10 cls impl with Some v -> Printf.sprintf "%.1f" v | None -> "-"
@@ -45,16 +46,17 @@ let run classes max_procs profile csv =
           all_rows :=
             ([ cls.Classes.name; Exp_common.impl_label impl ]
             @ cells
-            @ [ paper; Printf.sprintf "%.0f%%" (100.0 *. frac) ])
+            @ [ paper; Printf.sprintf "%.0f%%" (100.0 *. frac); string_of_int (List.length ops) ])
             :: !all_rows)
         Exp_common.all_impls)
     classes;
   let rows = List.rev !all_rows in
   let pcols = List.init max_procs (fun i -> Printf.sprintf "P=%d" (i + 1)) in
-  let header = [ "class"; "system" ] @ pcols @ [ "paper P=10"; "par.frac" ] in
+  let header = [ "class"; "system" ] @ pcols @ [ "paper P=10"; "par.frac"; "ops" ] in
   Table.render Format.std_formatter ~header
-    ~align:(Table.L :: Table.L :: List.map (fun _ -> Table.R) pcols @ [ Table.R; Table.R ])
+    ~align:(Table.L :: Table.L :: List.map (fun _ -> Table.R) pcols @ [ Table.R; Table.R; Table.R ])
     rows;
+  Exp_common.print_spans_dropped ();
   (match csv with
   | Some path ->
       let oc = open_out path in

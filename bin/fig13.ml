@@ -17,17 +17,17 @@ let run classes max_procs profile csv =
   let all_rows = ref [] in
   List.iter
     (fun (cls : Classes.t) ->
-      (* Reference: the F77 trace replayed at P=1 (its sequential time). *)
-      let traces = List.map (fun impl -> (impl, fst (Exp_common.traced_events ~impl ~cls))) Exp_common.all_impls in
+      (* Reference: the F77 run replayed at P=1 (its sequential time). *)
+      let traces = List.map (fun impl -> (impl, Exp_common.traced_ops ~impl ~cls)) Exp_common.all_impls in
       let f77_seq =
-        let evs = List.assoc Driver.F77 traces in
-        Smp_sim.predict (Exp_common.model_for Driver.F77) ~procs:1 evs
+        let ops = List.assoc Driver.F77 traces in
+        Smp_sim.predict (Exp_common.model_for Driver.F77) ~procs:1 ops
       in
       let crossovers = ref [] in
       let series_for impl =
-        let evs = List.assoc impl traces in
+        let ops = List.assoc impl traces in
         let model = Exp_common.model_for impl in
-        Array.init max_procs (fun i -> f77_seq /. Smp_sim.predict model ~procs:(i + 1) evs)
+        Array.init max_procs (fun i -> f77_seq /. Smp_sim.predict model ~procs:(i + 1) ops)
       in
       let sac = series_for Driver.Sac and f77 = series_for Driver.F77 and c = series_for Driver.C in
       Array.iteri
@@ -85,9 +85,9 @@ let run classes max_procs profile csv =
       let sac_s = ref [||] and f77_s = ref [||] in
       List.iter
         (fun impl ->
-          let events, _ = Exp_common.traced_events ~impl ~cls in
+          let ops = Exp_common.traced_ops ~impl ~cls in
           let model = Exp_common.model_for impl in
-          let series = Smp_sim.speedup_series model ~max_procs events in
+          let series = Smp_sim.speedup_series model ~max_procs ops in
           let series = Array.map (fun (_, s) -> s /. ratio impl) series in
           if impl = Driver.Sac then sac_s := series;
           if impl = Driver.F77 then f77_s := series;
@@ -112,6 +112,7 @@ let run classes max_procs profile csv =
   Table.render Format.std_formatter ~header
     ~align:(Table.L :: Table.L :: List.map (fun _ -> Table.R) pcols)
     (List.rev !rows2);
+  Exp_common.print_spans_dropped ();
   0
 
 open Cmdliner

@@ -5,22 +5,19 @@
             [--profile[=MODE,...]]
 
    Profile modes (comma-combinable):
-     trace        per-operation Trace events with a per-tag summary
      report       the span-based profile report (per stage / level /
                   domain; the default for a bare --profile)
      chrome:PATH  write a Chrome trace_event JSON for chrome://tracing
                   or Perfetto, one lane per domain. *)
 
 open Mg_core
-module Trace = Mg_smp.Trace
 module Span = Mg_obs.Span
 
-type profile_mode = Ptrace | Preport | Pchrome of string
+type profile_mode = Preport | Pchrome of string
 
 let parse_profile s =
   let mode m =
     match m with
-    | "trace" -> Some Ptrace
     | "report" -> Some Preport
     | _ when String.length m > 7 && String.sub m 0 7 = "chrome:" ->
         Some (Pchrome (String.sub m 7 (String.length m - 7)))
@@ -28,19 +25,6 @@ let parse_profile s =
   in
   let ms = List.map mode (String.split_on_char ',' s) in
   if List.for_all Option.is_some ms then Some (List.filter_map Fun.id ms) else None
-
-let print_trace (events : Trace.event list) =
-  Format.printf "@.Per-operation trace (%d events):@." (List.length events);
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (ev : Trace.event) ->
-      let key = Printf.sprintf "%s@%d" ev.Trace.tag ev.Trace.level_extent in
-      let t, c = try Hashtbl.find tbl key with Not_found -> (0.0, 0) in
-      Hashtbl.replace tbl key (t +. ev.Trace.seq_seconds, c + 1))
-    events;
-  let rows = Hashtbl.fold (fun tag (t, c) acc -> (tag, t, c) :: acc) tbl [] in
-  let rows = List.sort (fun (_, a, _) (_, b, _) -> compare b a) rows in
-  List.iter (fun (tag, t, c) -> Format.printf "  %-20s %6d calls  %9.4f s@." tag c t) rows
 
 let run impl cls opt threads kernels reuse pooling profile metrics_out flight custom_nx
     custom_nit =
@@ -53,12 +37,11 @@ let run impl cls opt threads kernels reuse pooling profile metrics_out flight cu
     | None, _ -> cls
   in
   let modes = Option.value profile ~default:[] in
-  let trace = List.mem Ptrace modes in
-  let observe = List.exists (function Preport | Pchrome _ -> true | Ptrace -> false) modes in
+  let observe = modes <> [] in
   if observe then Mg_withloop.Kernel.set_timing true;
   let drive () =
     Exp_common.with_kernels kernels (fun () ->
-        Driver.run ~opt ~threads ?reuse ?pooling ~trace ~impl ~cls ())
+        Driver.run ~opt ~threads ?reuse ?pooling ~impl ~cls ())
   in
   let result =
     if observe then begin
@@ -68,11 +51,9 @@ let run impl cls opt threads kernels reuse pooling profile metrics_out flight cu
     else drive ()
   in
   Format.printf "@[%a@]@." Driver.pp_result result;
-  if trace then print_trace result.Driver.events;
   let spans = if observe then Span.events () else [] in
   List.iter
     (function
-      | Ptrace -> ()
       | Preport ->
           Format.printf "@.%s" (Mg_obs.Profile_report.render ~wall_seconds:result.Driver.seconds spans)
       | Pchrome path ->
@@ -160,13 +141,13 @@ let profile_conv =
     | None ->
         Error
           (`Msg
-            (Printf.sprintf "unknown profile mode in %S (trace|report|chrome:PATH, comma-separated)" s))
+            (Printf.sprintf "unknown profile mode in %S (report|chrome:PATH, comma-separated)" s))
   in
   let print ppf ms =
     Format.pp_print_string ppf
       (String.concat ","
          (List.map
-            (function Ptrace -> "trace" | Preport -> "report" | Pchrome p -> "chrome:" ^ p)
+            (function Preport -> "report" | Pchrome p -> "chrome:" ^ p)
             ms))
   in
   Arg.conv (parse, print)
@@ -175,9 +156,9 @@ let profile_arg =
   Arg.(value
        & opt ~vopt:(Some [ Preport ]) (some profile_conv) None
        & info [ "profile" ] ~docv:"MODE"
-           ~doc:"Profile the run.  $(docv) is a comma-separated subset of: $(b,trace) (the \
-                 per-operation Trace events), $(b,report) (span-based per-stage / per-level / \
-                 per-domain report; the default for a bare $(b,--profile)), and \
+           ~doc:"Profile the run.  $(docv) is a comma-separated subset of: $(b,report) \
+                 (span-based per-stage / per-level / per-domain report; the default for a \
+                 bare $(b,--profile)), and \
                  $(b,chrome:PATH) (write a Chrome trace_event JSON loadable in \
                  chrome://tracing or Perfetto).")
 

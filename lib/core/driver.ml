@@ -1,5 +1,4 @@
 open Mg_withloop
-open Mg_smp
 
 type impl = Sac | F77 | C | Periodic
 
@@ -19,7 +18,7 @@ type result = {
   rnm2 : float;
   seconds : float;
   status : Verify.status;
-  events : Trace.event list;
+  ops : Mg_smp.Smp_sim.op list;
 }
 
 (* Each call derives a one-shot engine from the caller's (or the
@@ -68,8 +67,8 @@ let run ?engine ?tenant ?opt ?threads ?cfun ?native ?reuse ?pooling ?(trace = fa
                 | C -> Mg_c.run cls
                 | Periodic -> Mg_periodic.run cls)
           in
-          let events, (rnm2, seconds) =
-            if trace then Trace.with_collector body else ([], body ())
+          let ops, (rnm2, seconds) =
+            if trace then Mg_smp.Smp_sim.traced scope body else ([], body ())
           in
           (* Only the Fortran port preserves the reference code's exact
              floating-point evaluation order; the C port regroups neighbour
@@ -89,7 +88,7 @@ let run ?engine ?tenant ?opt ?threads ?cfun ?native ?reuse ?pooling ?(trace = fa
             ~alloc_bytes:(cell Mempool.alloc_bytes - a0)
             ~bytes_live_hw:(Mempool.snapshot ()).Mempool.bytes_live_hw
             ~rnm2 ~verified:(Verify.status_ok status) ();
-          { impl; cls; rnm2; seconds; status; events }))
+          { impl; cls; rnm2; seconds; status; ops }))
 
 let traced_run ~impl ~cls = run ~threads:1 ~trace:true ~impl ~cls ()
 

@@ -4,7 +4,6 @@
     binaries and the test-suite integration tests all share. *)
 
 open Mg_withloop
-open Mg_smp
 
 type impl = Sac | F77 | C | Periodic
 
@@ -17,7 +16,10 @@ type result = {
   rnm2 : float;  (** Final residual L2 norm. *)
   seconds : float;  (** Wall time of the iteration phase. *)
   status : Verify.status;
-  events : Trace.event list;  (** Empty unless [trace] was requested. *)
+  ops : Mg_smp.Smp_sim.op list;
+      (** The solve's operations, read off its spans
+          ({!Mg_smp.Smp_sim.traced}); empty unless [trace] was
+          requested. *)
 }
 
 val run :
@@ -50,6 +52,10 @@ val run :
 
 val traced_run : impl:impl -> cls:Classes.t -> result
 (** [run ~trace:true] at sequential settings — the input for
-    {!Mg_smp.Smp_sim}. *)
+    {!Mg_smp.Smp_sim}.  Spans are switched on for the solve only and
+    never cleared, so a caller's span session keeps them; only this
+    solve's spans become its [ops], even while other domains solve.
+    Raises [Failure] rather than return ops a wrapped span ring
+    truncated. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -11,8 +11,9 @@
     (the optimisation §5 singles out as the reference code's edge) —
     see DESIGN.md §2 for this substitution.
 
-    Routines emit trace events tagged [c:<routine>]; the OpenMP machine
-    model of {!Mg_smp} is applied to these traces. *)
+    With spans on, every routine's loop nest records one span named
+    [c:<routine>] ({!Schedule.loop_span}); the OpenMP machine model of
+    {!Mg_smp} is applied to these operations. *)
 
 open Mg_ndarray
 

@@ -1,6 +1,5 @@
 open Mg_ndarray
-module Trace = Mg_smp.Trace
-module Clock = Mg_smp.Clock
+module Span = Mg_obs.Span
 
 let idx m i3 i2 i1 = ((i3 * m) + i2) * m + i1
 
@@ -8,25 +7,6 @@ let cube_extent (g : Ndarray.t) =
   let shp = Ndarray.shape g in
   assert (Shape.rank shp = 3 && shp.(0) = shp.(1) && shp.(1) = shp.(2));
   shp.(0)
-
-let traced tag ~extent f =
-  if Trace.enabled () then begin
-    let t0 = Clock.now () in
-    f ();
-    let dt = Clock.now () -. t0 in
-    let n = extent - 2 in
-    Trace.emit
-      { Trace.tag;
-        elements = n * n * n;
-        seq_seconds = dt;
-        bytes_alloc = 0;
-        parallel = true;
-        level_extent = n;
-      }
-  end
-  else f ()
-
-(* ------------------------------------------------------------------ *)
 
 let comm3_body (g : Ndarray.t) =
   let m = cube_extent g in
@@ -55,24 +35,9 @@ let comm3_body (g : Ndarray.t) =
   done
 
 let comm3 g =
-  (* comm3 is the memory-bound surface update; it is reported with
-     parallel=false — neither the autoparalleliser nor SAC gains from
-     distributing it at these sizes. *)
-  if Trace.enabled () then begin
-    let t0 = Clock.now () in
-    comm3_body g;
-    let m = cube_extent g in
-    let n = m - 2 in
-    Trace.emit
-      { Trace.tag = "f77:comm3";
-        elements = 6 * n * n;
-        seq_seconds = Clock.now () -. t0;
-        bytes_alloc = 0;
-        parallel = false;
-        level_extent = n;
-      }
-  end
-  else comm3_body g
+  let sp = Span.start () in
+  comm3_body g;
+  Schedule.loop_span sp "f77:comm3" ~surface:true g
 
 let zero3 g = Ndarray.fill g 0.0
 
@@ -133,7 +98,9 @@ let resid_body ~(u : Ndarray.t) ~(v : Ndarray.t) ~(r : Ndarray.t) ~(a : float ar
   done
 
 let resid ~u ~v ~r ~a =
-  traced "f77:resid" ~extent:(cube_extent u) (fun () -> resid_body ~u ~v ~r ~a);
+  let sp = Span.start () in
+  resid_body ~u ~v ~r ~a;
+  Schedule.loop_span sp "f77:resid" ~surface:false u;
   comm3 r
 
 let psinv_body ~(r : Ndarray.t) ~(u : Ndarray.t) ~(c : float array) =
@@ -182,7 +149,9 @@ let psinv_body ~(r : Ndarray.t) ~(u : Ndarray.t) ~(c : float array) =
   done
 
 let psinv ~r ~u ~c =
-  traced "f77:psinv" ~extent:(cube_extent r) (fun () -> psinv_body ~r ~u ~c);
+  let sp = Span.start () in
+  psinv_body ~r ~u ~c;
+  Schedule.loop_span sp "f77:psinv" ~surface:false r;
   comm3 u
 
 let rprj3_body ~(fine : Ndarray.t) ~(coarse : Ndarray.t) =
@@ -235,7 +204,9 @@ let rprj3_body ~(fine : Ndarray.t) ~(coarse : Ndarray.t) =
   done
 
 let rprj3 ~fine ~coarse =
-  traced "f77:rprj3" ~extent:(cube_extent coarse) (fun () -> rprj3_body ~fine ~coarse);
+  let sp = Span.start () in
+  rprj3_body ~fine ~coarse;
+  Schedule.loop_span sp "f77:rprj3" ~surface:false coarse;
   comm3 coarse
 
 let interp_body ~(coarse : Ndarray.t) ~(fine : Ndarray.t) =
@@ -286,7 +257,9 @@ let interp_body ~(coarse : Ndarray.t) ~(fine : Ndarray.t) =
   done
 
 let interp ~coarse ~fine =
-  traced "f77:interp" ~extent:(cube_extent fine) (fun () -> interp_body ~coarse ~fine)
+  let sp = Span.start () in
+  interp_body ~coarse ~fine;
+  Schedule.loop_span sp "f77:interp" ~surface:false fine
 
 (* ------------------------------------------------------------------ *)
 

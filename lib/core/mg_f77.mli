@@ -14,9 +14,9 @@
     [(i3, i2, i1)], [i1] contiguous; the Fortran arrays are
     column-major with [i1] contiguous, so memory order is identical.
 
-    When tracing is on, every routine emits one {!Mg_smp.Trace} event
-    tagged [f77:<routine>] with its measured time; periodic-border
-    updates are reported separately as [f77:comm3]. *)
+    With spans on, every routine's loop nest records one span named
+    [f77:<routine>] ({!Schedule.loop_span}); periodic-border updates
+    are recorded separately as [f77:comm3]. *)
 
 open Mg_ndarray
 

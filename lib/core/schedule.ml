@@ -9,6 +9,15 @@ type routines = {
   interp : coarse:Ndarray.t -> fine:Ndarray.t -> unit;
 }
 
+let loop_span sp tag ~surface (g : Ndarray.t) =
+  if Mg_obs.Span.active sp then begin
+    let n = (Ndarray.shape g).(0) - 2 in
+    let elements = if surface then 6 * n * n else n * n * n in
+    Mg_obs.Span.stop
+      ~attrs:[ ("elements", string_of_int elements); ("extent", string_of_int n) ]
+      ~name:tag sp
+  end
+
 type state = { cls : Classes.t; u : Ndarray.t array; r : Ndarray.t array; v : Ndarray.t }
 
 let setup (cls : Classes.t) =

@@ -21,6 +21,16 @@ type routines = {
       (** Add trilinear interpolation of [coarse] into [fine]. *)
 }
 
+val loop_span : Mg_obs.Span.timer -> string -> surface:bool -> Ndarray.t -> unit
+(** [loop_span sp tag ~surface g] closes the span [sp] (opened by
+    {!Mg_obs.Span.start} before a routine's loop nest) as the
+    operation [tag] over the cube [g]: its interior, or with [surface]
+    the six faces a border update writes.  The span carries the
+    operation's [elements] and its [extent], the interior extent — it
+    is one {!Mg_smp.Smp_sim.op} of the solve and one row's worth of
+    the profile report's per-level table.  A dead timer costs one
+    comparison. *)
+
 type state = {
   cls : Classes.t;
   u : Ndarray.t array;  (** Per level [1 .. lt]; index 0 unused. *)

@@ -63,6 +63,10 @@ let sweep ~count_child (evs : Span.event list) =
 
 let self_times evs = sweep ~count_child:(fun _ -> true) evs
 
+let is_op (e : Span.event) = List.mem_assoc "extent" e.Span.attrs
+
+let op_self_times evs = List.filter (fun (e, _) -> is_op e) (sweep ~count_child:is_op evs)
+
 (* ------------------------------------------------------------------ *)
 (* Small table rendering (kept local: this library sits below
    bench_util in the dependency order).                                *)
@@ -130,46 +134,36 @@ let pp ?wall_seconds ppf (evs : Span.event list) =
       in
       Format.fprintf ppf "Pipeline stages (self = child spans subtracted):@.";
       render_table ppf ~header:[ "span"; "calls"; "self ms"; "total ms"; "self/wall" ] stage_rows;
-      (* 2. Per-level table over spans carrying an "extent" attribute.
-         Level cost subtracts only nested level-bearing spans, so plan
-         compilation inside a force is charged to that force's level
-         and the table partitions the whole force-tree time. *)
-      let has_extent (e : Span.event) = List.mem_assoc "extent" e.Span.attrs in
-      let level_selfs = sweep ~count_child:has_extent evs in
+      (* 2. Per-level table over the operations.  Level cost subtracts
+         only nested operations, so plan compilation inside a force is
+         charged to that force's level and the table partitions the
+         whole force-tree time. *)
       let levels = Hashtbl.create 8 in
       List.iter
         (fun ((e : Span.event), self) ->
-          match List.assoc_opt "extent" e.Span.attrs with
-          | None -> ()
-          | Some ext ->
-              let extent = match int_of_string_opt ext with Some n -> n | None -> 0 in
-              let elements =
-                match Option.bind (List.assoc_opt "elements" e.Span.attrs) int_of_string_opt with
-                | Some n -> n
-                | None -> 0
-              in
-              let kernel =
-                match List.assoc_opt "kernel" e.Span.attrs with
-                | Some s -> String.split_on_char ',' s
-                | None -> []
-              in
-              let hit =
-                match List.assoc_opt "cache" e.Span.attrs with
-                | Some ("hit" | "replay") -> true
-                | _ -> false
-              in
-              let forces, elts, self_ns, kernels, hits =
-                try Hashtbl.find levels extent with Not_found -> (0, 0, 0L, [], 0)
-              in
-              let kernels =
-                List.fold_left
-                  (fun acc k -> if k = "" || List.mem k acc then acc else k :: acc)
-                  kernels kernel
-              in
-              Hashtbl.replace levels extent
-                (forces + 1, elts + elements, Int64.add self_ns self, kernels,
-                 if hit then hits + 1 else hits))
-        level_selfs;
+          let extent = Span.int_attr e "extent" and elements = Span.int_attr e "elements" in
+          let kernel =
+            match List.assoc_opt "kernel" e.Span.attrs with
+            | Some s -> String.split_on_char ',' s
+            | None -> []
+          in
+          let hit =
+            match List.assoc_opt "cache" e.Span.attrs with
+            | Some ("hit" | "replay") -> true
+            | _ -> false
+          in
+          let forces, elts, self_ns, kernels, hits =
+            try Hashtbl.find levels extent with Not_found -> (0, 0, 0L, [], 0)
+          in
+          let kernels =
+            List.fold_left
+              (fun acc k -> if k = "" || List.mem k acc then acc else k :: acc)
+              kernels kernel
+          in
+          Hashtbl.replace levels extent
+            (forces + 1, elts + elements, Int64.add self_ns self, kernels,
+             if hit then hits + 1 else hits))
+        (op_self_times evs);
       let level_rows =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) levels []
         |> List.sort (fun (a, _) (b, _) -> compare b a)
@@ -192,9 +186,9 @@ let pp ?wall_seconds ppf (evs : Span.event list) =
               ])
             level_rows
         in
-        Format.fprintf ppf "@.Per-level with-loop cost (V-cycle levels by extent):@.";
+        Format.fprintf ppf "@.Per-level operation cost (V-cycle levels by extent):@.";
         render_table ppf
-          ~header:[ "level n"; "forces"; "elements"; "self ms"; "ns/elt"; "kernels"; "cache" ]
+          ~header:[ "level n"; "ops"; "elements"; "self ms"; "ns/elt"; "kernels"; "cache" ]
           rows;
         Format.fprintf ppf
           "  per-level total %.3f ms = %.1f%% of %s wall %.3f ms@."

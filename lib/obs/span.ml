@@ -1,21 +1,22 @@
 (* The one global switch.  Everything recorded below is behind a single
-   [Atomic.get] on this flag, so fully-instrumented code paths cost one
-   load and one branch when observation is off. *)
-let flag = Atomic.make false
+   [Atomic.get] on this count, so fully-instrumented code paths cost one
+   load and one branch when observation is off.  It counts the holders
+   that want spans on — each open [with_enabled true], plus one for
+   [set_enabled true] — so sessions on different domains that overlap
+   never switch each other off. *)
+let holders = Atomic.make 0
+let base = Atomic.make false
 
-let enabled () = Atomic.get flag
-let set_enabled b = Atomic.set flag b
+let enabled () = Atomic.get holders > 0
+let set_enabled b =
+  if Atomic.exchange base b <> b then if b then Atomic.incr holders else Atomic.decr holders
 
 let with_enabled b f =
-  let saved = Atomic.get flag in
-  Atomic.set flag b;
-  match f () with
-  | r ->
-      Atomic.set flag saved;
-      r
-  | exception e ->
-      Atomic.set flag saved;
-      raise e
+  if not b then f ()
+  else begin
+    Atomic.incr holders;
+    Fun.protect ~finally:(fun () -> Atomic.decr holders) f
+  end
 
 type event = {
   name : string;
@@ -28,6 +29,8 @@ type event = {
 }
 
 let duration_ns e = Int64.sub e.end_ns e.start_ns
+
+let int_attr e k = Option.value (Option.bind (List.assoc_opt k e.attrs) int_of_string_opt) ~default:0
 
 let capacity = 1 lsl 16
 
@@ -77,7 +80,7 @@ let record r name attrs start_ns end_ns depth =
 (* Recording                                                           *)
 
 let with_ ?(attrs = []) ~name f =
-  if not (Atomic.get flag) then f ()
+  if Atomic.get holders = 0 then f ()
   else begin
     let r = get_ring () in
     r.depth <- r.depth + 1;
@@ -101,7 +104,7 @@ let null = Int64.min_int
 let active t = t <> Int64.min_int
 
 let start () =
-  if not (Atomic.get flag) then null
+  if Atomic.get holders = 0 then null
   else begin
     let r = get_ring () in
     r.depth <- r.depth + 1;
@@ -144,6 +147,13 @@ let events () =
 
 let dropped () =
   List.fold_left (fun acc r -> acc + max 0 (r.count - capacity)) 0 (snapshot_rings ())
+
+(* A ring overwrites in record order, and a lane records in end order,
+   so its oldest surviving slot bounds the end of everything it lost. *)
+let lost_since t =
+  List.exists
+    (fun r -> r.count > capacity && Int64.compare r.slots.(r.count land (capacity - 1)).end_ns t >= 0)
+    (snapshot_rings ())
 
 let clear () =
   List.iter

@@ -8,7 +8,7 @@
     without contention; each ring has a single writer (its domain) and
     is only read after the parallel region by {!events}.
 
-    The whole subsystem sits behind {e one} atomic flag: with
+    The whole subsystem sits behind {e one} atomic switch: with
     observation disabled, {!with_} is a single [Atomic.get] and a
     branch — no clock read, no allocation — so instrumented code paths
     cost nothing measurable in production runs (the test suite asserts
@@ -20,10 +20,14 @@ val enabled : unit -> bool
 (** The global switch: recording happens only when it says yes. *)
 
 val set_enabled : bool -> unit
+(** Hold the switch on, or release that hold. *)
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run a thunk with observation switched on/off, restoring the
-    previous state afterwards (exceptions included). *)
+(** [with_enabled true f] holds the switch on for [f]'s extent
+    (exceptions included).  Holds count: recording stays on while any
+    hold is open, so sessions that overlap — on one domain or on
+    several — never switch each other off.  [with_enabled false f] is
+    [f ()]: it takes no hold and releases none. *)
 
 (** {1 Recorded events} *)
 
@@ -41,6 +45,9 @@ type event = {
 }
 
 val duration_ns : event -> int64
+
+val int_attr : event -> string -> int
+(** An attribute read as an integer; 0 when absent or not a number. *)
 
 (** {1 Recording} *)
 
@@ -80,6 +87,13 @@ val events : unit -> event list
 val dropped : unit -> int
 (** Events overwritten because a lane's ring wrapped (per-lane capacity
     {!capacity}). *)
+
+val lost_since : int64 -> bool
+(** Whether a ring may have overwritten an event that ended at or after
+    the given monotonic timestamp (nanoseconds, the clock events are
+    stamped with): true when some wrapped lane's oldest surviving event
+    ended then or later.  Conservative — it never says false of a
+    truncated interval. *)
 
 val clear : unit -> unit
 (** Drop all recorded events and the drop count (keeps the rings). *)

@@ -1,10 +1,10 @@
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-let tag_in prefixes (ev : Trace.event) = List.exists (fun p -> has_prefix p ev.Trace.tag) prefixes
+let tag_in prefixes (op : Smp_sim.op) = List.exists (fun p -> has_prefix p op.Smp_sim.tag) prefixes
 
 let sac =
   { Smp_sim.name = "SAC";
-    can_parallelize = (fun ev -> ev.Trace.parallel && tag_in [ "wl:" ] ev);
+    can_parallelize = tag_in [ "wl:" ];
     min_par_elements = 1024;
     spawn_seconds = 18e-6;
     chunk_seconds = 1.5e-6;

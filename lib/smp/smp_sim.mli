@@ -3,10 +3,10 @@
     The container this repository runs in has a single CPU, so the
     paper's speedup experiments (Figs. 12 and 13, on a 12-processor
     SUN Enterprise 4000) cannot be measured natively.  Instead, a
-    {e measured sequential trace} of array operations (one
-    {!Trace.event} per operation, with real wall-clock cost) is
-    replayed under a {!machine} model that captures exactly the
-    scaling mechanisms §5 of the paper analyses:
+    {e measured sequential run} is replayed as a list of {!op}s — one
+    per array operation, with its real wall-clock cost — under a
+    {!machine} model that captures exactly the scaling mechanisms §5
+    of the paper analyses:
 
     - which loops an implementation's compiler can parallelise at all
       ([can_parallelize] — the automatic paralleliser only handles the
@@ -22,13 +22,44 @@
       ([mem_per_alloc_seconds] — "invariant against grid sizes", the
       reason class W scales worse than class A).
 
-    Machine-model constants are calibrated once (see {!Models}) and
-    then held fixed across size classes and processor counts; the
-    experiment binaries test which curve {e shapes} emerge. *)
+    The ops are read off the run's {!Mg_obs.Span}s ({!traced}), the
+    one record the executor and the low-level ports write per
+    operation.  Machine-model constants are calibrated once (see
+    {!Models}) and then held fixed across size classes and processor
+    counts; the experiment binaries test which curve {e shapes}
+    emerge. *)
+
+(** {1 Operations} *)
+
+type op = {
+  tag : string;
+      (** Operation name: a force's spec (["wl:genarray"],
+          ["wl:modarray"]), ["wl:fold"], or a low-level port's loop
+          (["f77:resid"], ["c:comm3"], …). *)
+  elements : int;  (** Index-space points computed. *)
+  seconds : float;  (** Measured sequential self time (nested operations excluded). *)
+  bytes : int;  (** Fresh bytes allocated for the result (0 when a buffer was reused). *)
+  extent : int;  (** Characteristic grid extent, for per-level analyses. *)
+}
+
+val traced : Mg_obs.Scope.t -> (unit -> 'a) -> op list * 'a
+(** [traced scope f] runs [f] under [scope] with spans switched on and
+    returns, with [f]'s result, the operations [scope]'s solve recorded
+    in end order: every span of that solve carrying an ["extent"]
+    attribute, timed by {!Mg_obs.Profile_report.op_self_times}.  Spans
+    of other solves — another domain's, concurrently — are not
+    counted.  Recorded spans are not cleared, so a span session around
+    the call keeps them.
+    @raise Failure when a span ring wrapped over part of the run
+    ({!Mg_obs.Span.lost_since}): a truncated list is never returned. *)
+
+val total_seconds : op list -> float
+
+(** {1 Machine models} *)
 
 type machine = {
   name : string;
-  can_parallelize : Trace.event -> bool;
+  can_parallelize : op -> bool;
   min_par_elements : int;
   spawn_seconds : float;  (** Fixed fork/join cost per parallel loop. *)
   chunk_seconds : float;  (** Additional per-processor cost per loop. *)
@@ -40,16 +71,16 @@ type machine = {
           never divided by [p]. *)
 }
 
-val predict_event : machine -> procs:int -> Trace.event -> float
+val predict_op : machine -> procs:int -> op -> float
 (** Modelled wall time of one operation on [procs] processors. *)
 
-val predict : machine -> procs:int -> Trace.event list -> float
-(** Modelled wall time of a whole trace (operations are serially
+val predict : machine -> procs:int -> op list -> float
+(** Modelled wall time of a whole run (operations are serially
     dependent in MG, so times add). *)
 
-val speedup_series : machine -> max_procs:int -> Trace.event list -> (int * float) array
+val speedup_series : machine -> max_procs:int -> op list -> (int * float) array
 (** [(p, predict(1) / predict(p))] for p = 1..max_procs. *)
 
-val parallel_fraction : machine -> Trace.event list -> float
+val parallel_fraction : machine -> op list -> float
 (** Fraction of sequential time spent in operations the machine can
     parallelise — the Amdahl bound diagnostic. *)

@@ -138,30 +138,28 @@ let pool_of (o : pool_cell) threads () =
   Mutex.unlock o.pm;
   p
 
+(* What each optimisation level switches on: factoring from O1;
+   folding, and with it staged kernel compilation and buffer reuse,
+   from O2; strided splitting at O3.  O0/O1 keep the interpreted
+   generic nest and fresh allocations so the ablation harness can
+   isolate each optimisation.  [staged] gates the config's own
+   [cfun]/[native]/[reuse] flags. *)
+type level_features = { factor : bool; fold : bool; split_strided : bool; staged : bool }
+
+let level_features = function
+  | O0 -> { factor = false; fold = false; split_strided = false; staged = false }
+  | O1 -> { factor = true; fold = false; split_strided = false; staged = false }
+  | O2 -> { factor = true; fold = true; split_strided = false; staged = true }
+  | O3 -> { factor = true; fold = true; split_strided = true; staged = true }
+
 let settings_of (c : config) ~cache ~shards pool_cell : Exec.settings =
-  let t = c.split_threshold in
-  (* Staged kernel compilation and buffer reuse join at O2, like
-     folding: O0/O1 keep the interpreted generic nest and fresh
-     allocations so the ablation harness can isolate each
-     optimisation. *)
-  let fusion, factor, cfun_on, native_on, reuse_on =
-    match c.opt_level with
-    | O0 ->
-        ( { Fusion.fold = false; split_strided = false; split_threshold = t },
-          false, false, false, false )
-    | O1 ->
-        ( { Fusion.fold = false; split_strided = false; split_threshold = t },
-          true, false, false, false )
-    | O2 ->
-        ( { Fusion.fold = true; split_strided = false; split_threshold = t },
-          true, c.cfun, c.native, c.reuse )
-    | O3 ->
-        ( { Fusion.fold = true; split_strided = true; split_threshold = t },
-          true, c.cfun, c.native, c.reuse )
-  in
-  Exec.make_settings ~fusion ~factor ~line_buffers:c.line_buffers ~cfun:cfun_on
-    ~native:(if native_on then Some (Option.value c.native_cache ~default:"_mg_native") else None)
-    ~reuse:reuse_on ~pooling:c.pooling ~cache ~shards ~pool:(pool_of pool_cell c.threads)
+  let l = level_features c.opt_level in
+  Exec.make_settings
+    ~fusion:{ Fusion.fold = l.fold; split_strided = l.split_strided; split_threshold = c.split_threshold }
+    ~factor:l.factor ~line_buffers:c.line_buffers ~cfun:(l.staged && c.cfun)
+    ~native:
+      (if l.staged && c.native then Some (Option.value c.native_cache ~default:"_mg_native") else None)
+    ~reuse:(l.staged && c.reuse) ~pooling:c.pooling ~cache ~shards ~pool:(pool_of pool_cell c.threads)
     ~par_threshold:c.par_threshold
 
 let label_counter = Atomic.make 0
@@ -302,14 +300,20 @@ let cache_clear e =
 
 (* A compact, human-readable digest of everything that shapes a solve,
    for flight-recorder records (distinct from Exec's structural cache
-   fingerprint, which is engineered for key compactness). *)
+   fingerprint, which is engineered for key compactness).  It names
+   what ran: the flags a level does not stage are left out, as
+   [settings_of] leaves them off. *)
 let config_fingerprint e =
   let c = e.config in
   let flag name b = if b then name else "-" ^ name in
-  Printf.sprintf "%s t%d %s %s %s %s %s"
-    (opt_level_to_string c.opt_level)
-    c.threads (flag "lb" c.line_buffers) (flag "cfun" c.cfun) (flag "nt" c.native)
-    (flag "reuse" c.reuse) (flag "pool" c.pooling)
+  let staged =
+    if (level_features c.opt_level).staged then
+      [ flag "cfun" c.cfun; flag "nt" c.native; flag "reuse" c.reuse ]
+    else []
+  in
+  String.concat " "
+    ([ opt_level_to_string c.opt_level; Printf.sprintf "t%d" c.threads; flag "lb" c.line_buffers ]
+    @ staged @ [ flag "pool" c.pooling ])
 
 let new_scope ?tenant e =
   Mg_obs.Scope.make ?tenant ~shards:e.shards ~engine_id:e.label ()

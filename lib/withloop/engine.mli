@@ -141,7 +141,10 @@ val label : t -> int
 
 val config_fingerprint : t -> string
 (** A compact human-readable digest of the engine's current config
-    (opt level, threads, feature flags) for flight-recorder records. *)
+    for flight-recorder records: opt level, threads and the feature
+    flags the level applies — [cfun], [nt] and [reuse] only from O2,
+    as the executor settings take them (the default reads
+    ["O3 t1 lb cfun -nt reuse pool"], an O1 engine ["O1 t1 lb pool"]). *)
 
 val new_scope : ?tenant:string -> t -> Mg_obs.Scope.t
 (** A fresh per-solve trace context attributed to this engine's

@@ -1,5 +1,4 @@
 open Mg_ndarray
-module Trace = Mg_smp.Trace
 module Clock = Mg_smp.Clock
 module Domain_pool = Mg_smp.Domain_pool
 module Span = Mg_obs.Span
@@ -52,12 +51,6 @@ let make_settings ~fusion ~factor ~line_buffers ~cfun ~native ~reuse ~pooling ~c
   }
 
 type fold_op = Fadd | Fmul | Fmax | Fmin | Fcustom of (float -> float -> float)
-
-(* Observation gate shared by traces and spans: clock reads and the
-   child-time bookkeeping below are skipped entirely unless some
-   consumer is listening, so a production force costs no monotonic
-   clock reads (the [Trace.emit] doc promise). *)
-let observing () = Trace.enabled () || Span.enabled ()
 
 let exec_parts st (out : Ndarray.t) (parts : Plan.compiled list) =
   Backend.run_parts { Backend.pool = st.pool (); par_threshold = st.par_threshold } parts ~out
@@ -489,51 +482,18 @@ let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
     srcs
 
 (* ------------------------------------------------------------------ *)
-(* Observation: one wrapper for forces and folds                       *)
+(* Observation: the span of a force or fold                           *)
 
-(* Per-domain (DLS, not a plain ref): concurrent engines forcing from
-   separate domains each keep their own nested-force accounting. *)
-let child_time_key = Domain.DLS.new_key (fun () -> ref 0.0)
-
-(* An open observation of one force or fold.  Unobserved work shares
-   [unwatched], so it allocates nothing and reads no clock. *)
-type watch = { sp : Span.timer; t0 : float; saved_child : float }
-
-let unwatched = { sp = Span.null; t0 = 0.0; saved_child = 0.0 }
-
-let watch () =
-  if not (observing ()) then unwatched
-  else begin
-    let sp = Span.start () in
-    let child_time = Domain.DLS.get child_time_key in
-    let saved_child = !child_time in
-    child_time := 0.0;
-    { sp; t0 = Clock.now (); saved_child }
-  end
-
-(* Close [w]: emit the trace event with the work's self time (nested
-   forces excluded) and stop its span; [attrs] is only called for an
-   active span. *)
-let unwatch w ~name ~tag ~elements ~extent ~bytes_alloc attrs =
-  if w != unwatched then begin
-    let child_time = Domain.DLS.get child_time_key in
-    let total = Clock.now () -. w.t0 in
-    let self = total -. !child_time in
-    child_time := w.saved_child +. total;
-    if Trace.enabled () then
-      Trace.emit
-        { Trace.tag;
-          elements;
-          seq_seconds = self;
-          bytes_alloc;
-          parallel = true;
-          level_extent = extent;
-        };
-    if Span.active w.sp then
-      Span.stop
-        ~attrs:(("elements", string_of_int elements) :: ("extent", string_of_int extent) :: attrs ())
-        ~name w.sp
-  end
+(* Close the active span of a force or fold opened by [Span.start].
+   Its extent makes it an operation: the per-level report and
+   [Smp_sim] read it, net of nested operations.  Callers test
+   [Span.active] first, so an unobserved force builds no attributes. *)
+let stop_op sp ~name ~tag ~elements ~extent ~bytes attrs =
+  Span.stop
+    ~attrs:
+      (("tag", tag) :: ("elements", string_of_int elements) :: ("extent", string_of_int extent)
+      :: ("bytes", string_of_int bytes) :: attrs)
+    ~name sp
 
 (* Distinct kernel paths of a force, for the span's [kernel] attribute
    (only built when a span is active). *)
@@ -720,15 +680,15 @@ and compute st (n : Ir.node) =
   | None -> (
       (match recording () with Some r -> r.computed <- n :: r.computed | None -> ());
       let key = Plan_cache.key_of_graph ~env:st.env ~fold:st.fusion.Fusion.fold n in
-      let w = watch () in
+      let sp = Span.start () in
       let h = holds n.Ir.nid in
       let hold = hold st h in
       match Option.map (fun (k, bindings) -> (Plan_cache.find st.cache k, bindings)) key with
-      | Some (Some (Plan.Cached p), bindings) -> replay st w n ~hold h p bindings
-      | Some ((None | Some (Plan.Taped _)), _) -> compile st w n ~hold h key
+      | Some (Some (Plan.Cached p), bindings) -> replay st sp n ~hold h p bindings
+      | Some ((None | Some (Plan.Taped _)), _) -> compile st sp n ~hold h key
       | Some (Some Plan.Uncacheable, _) | None ->
           Plan_cache.note_uncacheable st.shards;
-          compile st w n ~hold h None)
+          compile st sp n ~hold h None)
 
 (* Materialise a source for [h]'s force and pin it until the force's
    parts have run. *)
@@ -743,7 +703,7 @@ and hold st h = function
 
 (* A hit: hold the plan's slots in the order the compiling force
    materialised them, then rebind the stored parts to those buffers. *)
-and replay st w n ~hold h (p : Plan.cplan) bindings =
+and replay st sp n ~hold h (p : Plan.cplan) bindings =
   Array.iter (fun i -> ignore (hold bindings.(i))) p.Plan.corder;
   let parts =
     Array.fold_right
@@ -752,12 +712,12 @@ and replay st w n ~hold h (p : Plan.cplan) bindings =
         :: acc)
       p.Plan.cparts []
   in
-  finish st w n ~hold h parts ~elements:p.Plan.celements
+  finish st sp n ~hold h parts ~elements:p.Plan.celements
     (Plan.map_mode (Array.get bindings) p.Plan.cmode)
     (Hit p)
 
 (* A miss, or an uncacheable graph: the full pipeline. *)
-and compile st w (n : Ir.node) ~hold h record =
+and compile st sp (n : Ir.node) ~hold h record =
   let shape = n.Ir.nshape in
   (* Update-in-place: a barrier modarray (the periodic-border nodes
      of the array library, whose parts provably read outside their
@@ -861,13 +821,13 @@ and compile st w (n : Ir.node) ~hold h record =
   (* [h.held]: every node this force materialised, with the buffer it
      had then, newest first.  The plan's slots resolve through these
      buffers, and their order is the replay's forcing order. *)
-  finish st w n ~hold h compiled ~elements mode
+  finish st sp n ~hold h compiled ~elements mode
     (Compiled { record; recorded = List.rev h.held; compile_cost })
 
 (* Shared by hits and misses: produce the output, run the parts, store
    a compiled plan, then let the in-place source, the pins and the
    source edges go. *)
-and finish st w (n : Ir.node) ~hold h parts ~elements mode origin =
+and finish st sp (n : Ir.node) ~hold h parts ~elements mode origin =
   let shape = n.Ir.nshape in
   settle_loans st h;
   let out = produce st n ~hold parts mode in
@@ -911,8 +871,9 @@ and finish st w (n : Ir.node) ~hold h parts ~elements mode origin =
   in
   record (fun _ ->
       Plan.Forced { tag; elements; extent; bytes_alloc; kernel = kernels_of parts; out = out_name () });
-  unwatch w ~name:"wl:force" ~tag ~elements ~extent ~bytes_alloc (fun () ->
-      [ ("cache", outcome); ("kernel", kernels_of parts); ("out", out_name ()) ]);
+  if Span.active sp then
+    stop_op sp ~name:"wl:force" ~tag ~elements ~extent ~bytes:bytes_alloc
+      [ ("cache", outcome); ("kernel", kernels_of parts); ("out", out_name ()) ];
   out
 
 (* ------------------------------------------------------------------ *)
@@ -929,7 +890,7 @@ let apply_op = function
    its body has been evaluated. *)
 let eval_fold st ~op ~neutral gen body =
   refuse Escape;
-  let w = watch () in
+  let sp = Span.start () in
   let h = holds (Ir.next_id ()) in
   let parts =
     Span.with_ ~name:"wl:fusion" (fun () ->
@@ -963,11 +924,12 @@ let eval_fold st ~op ~neutral gen body =
       neutral parts
   in
   unpin ~pooling:st.pooling h;
-  let counts = Generator.counts gen in
-  unwatch w ~name:"wl:fold" ~tag:"wl:fold" ~elements:(Generator.cardinal gen)
-    ~extent:(if Array.length counts = 0 then 0 else counts.(0))
-    ~bytes_alloc:0
-    (fun () -> []);
+  if Span.active sp then begin
+    let counts = Generator.counts gen in
+    stop_op sp ~name:"wl:fold" ~tag:"wl:fold" ~elements:(Generator.cardinal gen)
+      ~extent:(if Array.length counts = 0 then 0 else counts.(0))
+      ~bytes:0 []
+  end;
   result
 
 (* ------------------------------------------------------------------ *)
@@ -1147,6 +1109,10 @@ let record st s (bound : Ir.source array) (bufs : Ndarray.t array) key =
   | Error reason -> fallback st reason);
   result
 
+let last_forced ops =
+  let rec go i = if i < 0 || (match ops.(i) with Plan.Forced _ -> true | _ -> false) then i else go (i - 1) in
+  go (Array.length ops - 1)
+
 let replay st (t : Plan.tape) (input : Ir.source) (bound : Ndarray.t array) =
   let bufs = Array.make t.Plan.tbufs no_buffer in
   Array.blit bound 0 bufs 0 (Array.length bound);
@@ -1156,9 +1122,13 @@ let replay st (t : Plan.tape) (input : Ir.source) (bound : Ndarray.t array) =
   let pooling = st.pooling in
   let debug = Mempool.get_debug () in
   let sums = if debug then Array.make (Array.length bufs) 0 else [||] in
-  let w = ref (watch ()) in
-  Array.iter
-    (function
+  (* Each replayed force's span opens when the previous one closes;
+     none opens after the last, so the tape's trailing recycles leave
+     no span open. *)
+  let sp = ref (Span.start ()) in
+  let last = if Span.active !sp then last_forced t.Plan.tops else -1 in
+  Array.iteri
+    (fun k -> function
       | Plan.Alloc (i, shape) -> bufs.(i) <- Mempool.alloc ~pooling shape
       | Plan.Recycle i -> Mempool.recycle ~pooling bufs.(i)
       | Plan.Fill (i, d) -> Ndarray.fill bufs.(i) d
@@ -1181,10 +1151,11 @@ let replay st (t : Plan.tape) (input : Ir.source) (bound : Ndarray.t array) =
                  Plan.Ccompiled (Plan.rebind_cpart cp (fun j -> bufs.(ids.(j)).Ndarray.data)) :: acc)
                parts [])
       | Plan.Forced f ->
-          unwatch !w ~name:"wl:force" ~tag:f.Plan.tag ~elements:f.Plan.elements ~extent:f.Plan.extent
-            ~bytes_alloc:f.Plan.bytes_alloc (fun () ->
-              [ ("cache", "replay"); ("kernel", f.Plan.kernel); ("out", f.Plan.out) ]);
-          w := watch ())
+          if Span.active !sp then
+            stop_op !sp ~name:"wl:force" ~tag:f.Plan.tag ~elements:f.Plan.elements
+              ~extent:f.Plan.extent ~bytes:f.Plan.bytes_alloc
+              [ ("cache", "replay"); ("kernel", f.Plan.kernel); ("out", f.Plan.out) ];
+          if k < last then sp := Span.start ())
     t.Plan.tops;
   (match input with
   | Ir.Node m ->

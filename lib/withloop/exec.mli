@@ -24,14 +24,15 @@
     stores a newly compiled plan, and releases the force's pins and
     source edges.
 
-    Every force and fold goes through one observation wrapper: it
-    emits one {!Mg_smp.Trace} event carrying the node's own (self)
-    execution time, excluding nested producer forces, and opens one
-    [wl:force] (or [wl:fold]) {!Mg_obs.Span} (attributes: elements,
-    level extent and, for a force, cache outcome, kernel paths and the
-    output mode taken).  With both tracing and spans disabled a hit
-    performs no monotonic-clock reads; a miss reads the clock to time
-    its compilation for {!Plan_cache.stats}' [saved_seconds].
+    Every force and fold records one [wl:force] (or [wl:fold])
+    {!Mg_obs.Span}, its only per-operation record (attributes: tag,
+    elements, level extent, fresh bytes and, for a force, cache
+    outcome, kernel paths and the output mode taken).  Its extent
+    makes it an operation: the profile report's per-level table and
+    {!Mg_smp.Smp_sim} time it net of nested producer forces.  With
+    spans disabled a hit performs no monotonic-clock reads; a miss
+    reads the clock to time its compilation for {!Plan_cache.stats}'
+    [saved_seconds].
     Kernel-path dispatch counts live in {!Kernel.counters} /
     {!Mg_obs.Metrics} ([kernel.*]).  The executor holds no
     module-level mutable state of its own — every per-solve knob

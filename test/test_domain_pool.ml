@@ -1,5 +1,4 @@
 module Domain_pool = Mg_smp.Domain_pool
-module Trace = Mg_smp.Trace
 
 let test_sequential_pool () =
   let hits = Array.make 10 0 in
@@ -125,34 +124,6 @@ let test_create_validation () =
   Alcotest.check_raises "zero size" (Invalid_argument "Domain_pool.create: size must be >= 1")
     (fun () -> ignore (Domain_pool.create 0))
 
-let test_trace_collector () =
-  let ev tag = { Trace.tag; elements = 1; seq_seconds = 0.1; bytes_alloc = 8; parallel = true; level_extent = 4 } in
-  let events, result =
-    Trace.with_collector (fun () ->
-        Trace.emit (ev "a");
-        Trace.emit (ev "b");
-        42)
-  in
-  Alcotest.(check int) "result" 42 result;
-  Alcotest.(check (list string)) "order" [ "a"; "b" ] (List.map (fun e -> e.Trace.tag) events);
-  Alcotest.(check bool) "disabled outside" false (Trace.enabled ())
-
-let test_trace_nesting () =
-  let ev tag = { Trace.tag; elements = 0; seq_seconds = 0.0; bytes_alloc = 0; parallel = false; level_extent = 0 } in
-  let outer, () =
-    Trace.with_collector (fun () ->
-        Trace.emit (ev "outer1");
-        let inner, () = Trace.with_collector (fun () -> Trace.emit (ev "inner")) in
-        Alcotest.(check int) "inner count" 1 (List.length inner);
-        Trace.emit (ev "outer2"))
-  in
-  Alcotest.(check (list string)) "outer events" [ "outer1"; "outer2" ]
-    (List.map (fun e -> e.Trace.tag) outer)
-
-let test_trace_total () =
-  let ev s = { Trace.tag = "x"; elements = 0; seq_seconds = s; bytes_alloc = 0; parallel = false; level_extent = 0 } in
-  Alcotest.(check (float 1e-12)) "total" 0.6 (Trace.total_seconds [ ev 0.1; ev 0.2; ev 0.3 ])
-
 let suite =
   ( "smp",
     [ Alcotest.test_case "sequential pool" `Quick test_sequential_pool;
@@ -164,7 +135,4 @@ let suite =
       Alcotest.test_case "policy coverage" `Quick test_policy_coverage;
       Alcotest.test_case "sched ranges partition" `Quick test_sched_ranges;
       Alcotest.test_case "create validation" `Quick test_create_validation;
-      Alcotest.test_case "trace collector" `Quick test_trace_collector;
-      Alcotest.test_case "trace nesting" `Quick test_trace_nesting;
-      Alcotest.test_case "trace totals" `Quick test_trace_total;
     ] )

@@ -403,6 +403,19 @@ let test_native_in_fingerprint () =
       Alcotest.(check bool) "nt bit splits the fingerprint" true
         (Engine.config_fingerprint on <> Engine.config_fingerprint off))
 
+(* The flight record names the configuration that ran: below O2 the
+   executor runs neither staged kernels nor buffer reuse, whatever the
+   config's flags say, so the digest names neither. *)
+let test_fingerprint_names_what_ran () =
+  let at level =
+    let e = Engine.create ~config:{ Engine.default_config with Engine.opt_level = level } () in
+    Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () -> Engine.config_fingerprint e)
+  in
+  Alcotest.(check string) "O3 default" "O3 t1 lb cfun -nt reuse pool" (at Engine.O3);
+  Alcotest.(check string) "O2" "O2 t1 lb cfun -nt reuse pool" (at Engine.O2);
+  Alcotest.(check string) "O1" "O1 t1 lb pool" (at Engine.O1);
+  Alcotest.(check string) "O0" "O0 t1 lb pool" (at Engine.O0)
+
 (* ------------------------------------------------------------------ *)
 (* Env parsing (hermetic via ~getenv)                                  *)
 
@@ -460,6 +473,7 @@ let suite =
         test_kernel_timing_shards_sum;
       Alcotest.test_case "native flag splits the config fingerprint" `Quick
         test_native_in_fingerprint;
+      Alcotest.test_case "config fingerprint names what ran" `Quick test_fingerprint_names_what_ran;
       Alcotest.test_case "config_of_env parses the matrix vars" `Quick test_config_of_env;
       Alcotest.test_case "derive shares cache, create does not" `Quick test_derive_shares_cache;
       Alcotest.test_case "shutdown retires the engine's series" `Quick test_shutdown_retires;

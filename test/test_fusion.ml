@@ -6,7 +6,6 @@ open Mg_ndarray
 open Mg_withloop
 open Mg_arraylib
 module E = Wl.Expr
-module Trace = Mg_smp.Trace
 
 
 let nd_exact = Alcotest.testable Ndarray.pp (Ndarray.equal ~eps:0.0)
@@ -51,9 +50,12 @@ let test_condense_relax_equivalence () =
   Alcotest.check nd "O2 = O0" r0 r2;
   Alcotest.check nd "O3 = O0" r0 r3
 
+(* The with-loop operations (forces and folds) [f] runs. *)
+let traced_ops f = fst (Mg_smp.Smp_sim.traced (Mg_obs.Scope.make ~engine_id:0 ()) f)
+
 let count_wl_events f =
-  Trace.with_collector f |> fst
-  |> List.filter (fun ev -> String.length ev.Trace.tag >= 3 && String.sub ev.Trace.tag 0 3 = "wl:")
+  traced_ops f
+  |> List.filter (fun (op : Mg_smp.Smp_sim.op) -> String.starts_with ~prefix:"wl:" op.Mg_smp.Smp_sim.tag)
   |> List.length
 
 let test_condense_relax_fuses () =
@@ -144,8 +146,8 @@ let test_shared_node_materialised_once () =
   let r = at_level Engine.O3 (fun () -> relax star a) in
   let c1 = Ops.sub (Wl.of_ndarray (ramp [| 12; 12 |])) r in
   let c2 = Ops.add (Wl.of_ndarray (ramp [| 12; 12 |])) r in
-  let events, _ =
-    Trace.with_collector (fun () ->
+  let events =
+    traced_ops (fun () ->
         at_level Engine.O3 (fun () ->
             ignore (Wl.force c1);
             ignore (Wl.force c2)))

@@ -267,13 +267,11 @@ type observed = { out : Ndarray.t; cache : string; mode : string; bytes : int; r
 let test_modes_hit_miss_parity () =
   let c_reuse = Mg_obs.Metrics.counter "mempool.reuse_hits" in
   (* Force [g] observed; the root force is the first span opened and the
-     last trace event emitted. *)
+     last op to end. *)
   let observed g =
     Mg_obs.Span.clear ();
     let r0 = Mg_obs.Metrics.value c_reuse in
-    let events, out =
-      Mg_smp.Trace.with_collector (fun () -> Mg_obs.Span.with_enabled true (fun () -> Wl.force g))
-    in
+    let ops, out = Mg_smp.Smp_sim.traced (Mg_obs.Scope.make ~engine_id:0 ()) (fun () -> Wl.force g) in
     let span =
       List.find (fun (e : Mg_obs.Span.event) -> e.Mg_obs.Span.name = "wl:force") (Mg_obs.Span.events ())
     in
@@ -281,7 +279,7 @@ let test_modes_hit_miss_parity () =
     { out;
       cache = attr "cache";
       mode = attr "out";
-      bytes = (List.nth events (List.length events - 1)).Mg_smp.Trace.bytes_alloc;
+      bytes = (List.nth ops (List.length ops - 1)).Mg_smp.Smp_sim.bytes;
       reused = Mg_obs.Metrics.value c_reuse - r0;
     }
   in

@@ -2,7 +2,7 @@
    the unstaged body on the per-force path, in every engine
    configuration; every call that does not replay falls back to that
    path, stays bitwise-equal, and reports its reason; the recorder is
-   domain-local; a replay shows traces the same events as the recorded
+   domain-local; a replay records the same operations as the recorded
    call; and a replayed result is never recomputed. *)
 
 open Mg_ndarray
@@ -462,8 +462,8 @@ let test_two_domains () =
     [ ("domain A counts", ca); ("domain B counts", cb) ]
 
 (* ------------------------------------------------------------------ *)
-(* Observation: a replayed iteration emits the recorded iteration's
-   trace events, and tracing does not change which path runs. *)
+(* Observation: a replayed iteration records the recorded iteration's
+   operations, and tracing does not change which path runs. *)
 
 let test_traced_iterations () =
   List.iter
@@ -475,11 +475,14 @@ let test_traced_iterations () =
           let u = ref (zero v) in
           let per_iteration =
             List.init cls.Classes.nit (fun _ ->
-                let evs, () = Mg_smp.Trace.with_collector (fun () -> u := step [| v |] !u) in
+                let ops, () =
+                  Mg_smp.Smp_sim.traced (Mg_obs.Scope.make ~engine_id:0 ()) (fun () ->
+                      u := step [| v |] !u)
+                in
                 List.map
-                  (fun (ev : Mg_smp.Trace.event) ->
-                    (ev.Mg_smp.Trace.tag, ev.elements, ev.level_extent, ev.bytes_alloc))
-                  evs)
+                  (fun (op : Mg_smp.Smp_sim.op) ->
+                    (op.Mg_smp.Smp_sim.tag, op.elements, op.extent, op.bytes))
+                  ops)
           in
           let first = List.hd per_iteration in
           Alcotest.(check bool) (name ^ ": the recorded iteration emitted events") true (first <> []);
