@@ -85,6 +85,11 @@ type reason = Unrecorded | Signature | Captured | Opaque | Closure | Escape | Ne
 
 let stage_replays = Mg_obs.Scope.counter_family "stage.replays"
 
+let stage_elided =
+  Array.map
+    (fun op -> Mg_obs.Scope.counter_family ~labels:[ ("op", op) ] "stage.elided")
+    Plan.elided_ops
+
 let stage_fallback =
   List.map
     (fun (r, name) ->
@@ -785,7 +790,6 @@ and compile st sp (n : Ir.node) ~hold h record =
           (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:fusion_hold p.Ir.gen p.Ir.body)
           raw_parts)
   in
-  let ostrides = Shape.strides shape in
   let compiled =
     List.filter_map
       (fun (p : Ir.part) ->
@@ -793,7 +797,7 @@ and compile st sp (n : Ir.node) ~hold h record =
         else
           Some
             (Plan.compile_part ~factor:st.factor ~line_buffers:st.line_buffers ~cfun:st.cfun
-               ~native:st.native ~ostrides p))
+               ~native:st.native ~oshape:shape p))
       parts
   in
   let compile_cost = Clock.now () -. cstart -. !held in
@@ -1060,6 +1064,7 @@ let tape_of r s (result : Ir.source) =
               tresult;
               tinput;
               trefs;
+              telided = [||];
             }
       | _ -> Error Captured)
   | None, _ -> Error Captured
@@ -1104,6 +1109,7 @@ let record st s (bound : Ir.source array) (bufs : Ndarray.t array) key =
   in
   (match tape_of r s result with
   | Ok t ->
+      let t = Plan.prune ~bound:(Array.map Ndarray.shape bufs) t in
       Plan_cache.add st.cache ~shards:st.shards key (Plan.Taped t);
       fallback st (if taped then Signature else Unrecorded)
   | Error reason -> fallback st reason);
@@ -1119,6 +1125,9 @@ let replay st (t : Plan.tape) (input : Ir.source) (bound : Ndarray.t array) =
   (* The input gives its buffer up first: should a kernel raise, a stale
      consumer re-forces it rather than read a recycled buffer. *)
   (match input with Ir.Node m when t.Plan.tinput <> Some 0 -> Ir.clear_cache m | _ -> ());
+  Array.iteri
+    (fun k n -> if n > 0 then Mg_obs.Metrics.add (Mg_obs.Scope.shard st.shards stage_elided.(k)) n)
+    t.Plan.telided;
   let pooling = st.pooling in
   let debug = Mempool.get_debug () in
   let sums = if debug then Array.make (Array.length bufs) 0 else [||] in

@@ -12,6 +12,20 @@ open Mg_ndarray
 
 (** {1 Compiled parts} *)
 
+(** What a part touches, for {!prune}, computed once when the part is
+    compiled: the generators it writes (its own, or each member's of a
+    shell group); how many of their elements lie in the output's
+    interior (every coordinate in [1, n-2]) and how many in its
+    one-thick ghost shell; and per cluster, the regions of the
+    cluster's buffer the part reads (bit 1 the interior, bit 2 the
+    shell), from the bounding box of each read's image. *)
+type foot = {
+  fwrites : Generator.t array;
+  finner : int;
+  fouter : int;
+  freads : int array;
+}
+
 type cpart = {
   kgen : Generator.t;
   kcard : int;
@@ -21,6 +35,7 @@ type cpart = {
   kobase : int;
   kosteps : int array;
   kcounts : int array;
+  kfoot : foot;
 }
 
 type compiled =
@@ -36,7 +51,7 @@ val compile_part :
   line_buffers:bool ->
   cfun:bool ->
   native:string option ->
-  ostrides:int array ->
+  oshape:Shape.t ->
   Ir.part ->
   compiled
 (** Linear-form extraction, clustering, output layout, kernel choice
@@ -158,7 +173,8 @@ val assemble :
     ids.  Ids [0 .. k] are the call's bound buffers (the input, then the
     parameters; a parameter sharing an earlier slot's buffer uses that
     slot's id), every pool allocation gets the next id.  A tape holds no
-    buffer: every id is bound per replay. *)
+    buffer: every id is bound per replay.  A stored tape has been
+    through {!prune}: it keeps only the effects something reads. *)
 
 (** What one force shows traces and spans. *)
 type seen = {
@@ -194,7 +210,25 @@ type tape = {
   tresult : int;
   tinput : int option;  (** The input node's buffer afterwards; [None]: released. *)
   trefs : int;  (** The input node's reference count, afterwards minus before. *)
+  telided : int array;  (** Ops {!prune} dropped, per {!elided_ops} kind. *)
 }
+
+val elided_ops : string array
+(** The kinds of op {!prune} counts: ["part"] (a [Run] part; a shell
+    group is one), ["save"], ["restore"], ["fill"]. *)
+
+val prune : bound:Shape.t array -> tape -> tape
+(** The backward liveness pass over a recorded tape ([bound]: the
+    shapes of its bound buffer ids).  Per buffer id it tracks whether
+    the interior and the one-thick ghost shell are live; the result and
+    the handed-back input are live in full at the tape's end.  It drops
+    the [Run] parts whose written regions are all dead, the
+    [Save_shell]/[Restore_shell] pairs whose restored shell is dead, the
+    [Fill]s overwritten before any read, and the [Alloc]/[Recycle] of a
+    buffer no kept op touches.  Reads are over-approximated by the
+    bounding boxes of their images ({!foot}); a [Run] kills a region
+    only when its parts cover it exactly with disjoint generators.  Replaying the pruned tape gives
+    bitwise the same result and handed-back input. *)
 
 type cache_entry = Cached of cplan | Uncacheable | Taped of tape
 (** One {!Plan_cache} slot of an engine: a stored plan, a tombstone for

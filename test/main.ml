@@ -39,6 +39,7 @@ let () =
       Test_driver.suite;
       Test_engine.suite;
       Test_staged.suite;
+      Test_tape_liveness.suite;
       Test_cold_solve.suite;
       Test_schedule.suite;
       Test_smp_sim.suite;

@@ -46,7 +46,9 @@ let test_decisions_pinned () =
       List.iter
         (fun (name, expected) ->
           Alcotest.(check int) ("kernel." ^ name) expected (List.assoc name kernels))
-        [ ("stencil", 112); ("linebuf", 69); ("copy", 0); ("generic", 0); ("interp", 207);
+        (* interp: 6 shell groups of each of the 3 replayed iterations
+           are dead stores the tape liveness pass drops. *)
+        [ ("stencil", 112); ("linebuf", 69); ("copy", 0); ("generic", 0); ("interp", 189);
           ("cfun", 216); ("native", 0);
         ];
       Alcotest.(check (list (pair string int)))

@@ -403,6 +403,78 @@ let test_native_in_fingerprint () =
       Alcotest.(check bool) "nt bit splits the fingerprint" true
         (Engine.config_fingerprint on <> Engine.config_fingerprint off))
 
+(* A native cache whose files are corrupt under valid names — each
+   shared object cut to 100 bytes, or replaced by one that lacks the
+   kernel symbol — degrades the solve to the cfun tier: no native
+   dispatch, one counted refusal per cached kernel (memoised, so a
+   second solve counts none) and an rnm2 bitwise equal to the cfun
+   tier's.  Each variant gets its own copy of the cache: a path the
+   process already loaded would be served from memory, not read. *)
+let test_corrupt_native_cache () =
+  let tmp =
+    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "mg-corrupt-%d" (Unix.getpid ()))
+  in
+  let dir name = Filename.concat tmp name in
+  let native_dispatches = Mg_obs.Metrics.counter "kernel.native" in
+  let solve ?cache tier =
+    let config = Engine.with_tier tier { Engine.default_config with Engine.native_cache = cache } in
+    let e = Engine.create ~config () in
+    Fun.protect
+      ~finally:(fun () -> Engine.shutdown e)
+      (fun () ->
+        let n0 = Mg_obs.Metrics.value native_dispatches in
+        let r = Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s () in
+        let failures =
+          Mg_obs.Metrics.value
+            (Mg_obs.Metrics.counter
+               ~labels:[ ("engine", string_of_int (Engine.label e)) ]
+               "native.compile_failures")
+        in
+        (Int64.bits_of_float r.Driver.rnm2, failures, Mg_obs.Metrics.value native_dispatches - n0))
+  in
+  let sos d =
+    List.filter (fun f -> Filename.check_suffix f ".so") (Array.to_list (Sys.readdir d))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path data =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+  in
+  let cfun, _, _ = solve Engine.Cfun in
+  Native.reset_for_tests ();
+  let _, _, dispatched = solve ~cache:(dir "good") Engine.Native in
+  let good = if Sys.file_exists (dir "good") then sos (dir "good") else [] in
+  let stub = dir "stub.c" in
+  let wrong = dir "wrong.so" in
+  if dispatched = 0 || good = [] then print_endline "native toolchain refused: corrupt-cache test not run"
+  else begin
+    write stub "int mg_unrelated_symbol(void) { return 0; }\n";
+    (* The compiler the native tier used ([MG_CC], else [cc]). *)
+    let cc =
+      match Sys.getenv_opt "MG_CC" with Some c when String.trim c <> "" -> String.trim c | _ -> "cc"
+    in
+    let build = Printf.sprintf "%s -shared -fPIC -o %s %s" cc (Filename.quote wrong) (Filename.quote stub) in
+    if Sys.command build <> 0 then Alcotest.fail "the C compiler could not build the stub shared object";
+    List.iter
+      (fun (variant, corrupt) ->
+        Sys.mkdir (dir variant) 0o755;
+        List.iter
+          (fun f ->
+            write (Filename.concat (dir variant) f) (corrupt (Filename.concat (dir "good") f)))
+          good;
+        Native.reset_for_tests ();
+        List.iter
+          (fun (run, refusals) ->
+            let rnm2, failures, dispatched = solve ~cache:(dir variant) Engine.Native in
+            let what = Printf.sprintf "%s, %s solve" variant run in
+            Alcotest.(check int) (what ^ ": native dispatches") 0 dispatched;
+            Alcotest.(check int) (what ^ ": native.compile_failures") refusals failures;
+            Alcotest.(check int64) (what ^ ": rnm2 = cfun tier's") cfun rnm2)
+          [ ("first", List.length good); ("second", 0) ])
+      [ ("truncated", fun f -> String.sub (read f) 0 100); ("no-symbol", fun _ -> read wrong) ];
+    Native.reset_for_tests ()
+  end;
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote tmp)))
+
 (* The flight record names the configuration that ran: below O2 the
    executor runs neither staged kernels nor buffer reuse, whatever the
    config's flags say, so the digest names neither. *)
@@ -474,6 +546,7 @@ let suite =
       Alcotest.test_case "native flag splits the config fingerprint" `Quick
         test_native_in_fingerprint;
       Alcotest.test_case "config fingerprint names what ran" `Quick test_fingerprint_names_what_ran;
+      Alcotest.test_case "a corrupt native cache degrades to cfun" `Quick test_corrupt_native_cache;
       Alcotest.test_case "config_of_env parses the matrix vars" `Quick test_config_of_env;
       Alcotest.test_case "derive shares cache, create does not" `Quick test_derive_shares_cache;
       Alcotest.test_case "shutdown retires the engine's series" `Quick test_shutdown_retires;

@@ -79,6 +79,14 @@ let check_counts what e ~replays:n ~fallback =
   Alcotest.(check int) (what ^ ": replays") n got_n;
   Alcotest.(check (list (pair string int))) (what ^ ": fallbacks") fallback got_f
 
+(* The stores the replays of [e] skipped, per Plan.elided_ops kind. *)
+let elided e =
+  List.map
+    (fun op ->
+      Metrics.value
+        (Metrics.counter ~labels:[ ("engine", string_of_int (Engine.label e)); ("op", op) ] "stage.elided"))
+    (Array.to_list Plan.elided_ops)
+
 (* ------------------------------------------------------------------ *)
 (* Replay = the per-force path, iteration by iteration.                *)
 
@@ -114,15 +122,20 @@ let test_replay_matches_configs () =
           check_counts ("mini, " ^ name) e ~replays:3 ~fallback:[ ("unrecorded", 1) ]))
     configs
 
+(* The replays skip their tapes' dead stores (part, save, restore and
+   fill counts per tape: 6/2/2/1 at class S, 10/3/3/2 at class W), and
+   every iterate, shells included, still equals the unstaged loop's. *)
 let test_replay_matches_s () =
   with_engine (fun e ->
       staged_matches_unstaged Classes.class_s ~iters:4;
-      check_counts "class S" e ~replays:3 ~fallback:[ ("unrecorded", 1) ])
+      check_counts "class S" e ~replays:3 ~fallback:[ ("unrecorded", 1) ];
+      Alcotest.(check (list int)) "class S: stage.elided" [ 18; 6; 6; 3 ] (elided e))
 
 let test_replay_matches_w () =
   with_engine (fun e ->
       staged_matches_unstaged Classes.class_w ~iters:6;
-      check_counts "class W" e ~replays:5 ~fallback:[ ("unrecorded", 1) ])
+      check_counts "class W" e ~replays:5 ~fallback:[ ("unrecorded", 1) ];
+      Alcotest.(check (list int)) "class W: stage.elided" [ 50; 15; 15; 10 ] (elided e))
 
 (* The solve path: a class-S solve on a fresh engine replays 3 of its
    4 iterations and a warm one all 4 (the tape outlives the first
@@ -140,7 +153,11 @@ let test_solve_replays_under_debug () =
           (fun () -> (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ()).Driver.rnm2)
       in
       Alcotest.(check int64) "rnm2 under the poison" (Int64.bits_of_float plain) (Int64.bits_of_float poisoned);
-      check_counts "two class-S solves" e ~replays:7 ~fallback:[ ("unrecorded", 1) ])
+      check_counts "two class-S solves" e ~replays:7 ~fallback:[ ("unrecorded", 1) ];
+      (* Each replay skipped the tape's dead stores (6 shell groups, 2
+         loan saves and restores, 1 fill): a shell left stale or
+         NaN-poisoned by a wrongly skipped store would have moved rnm2. *)
+      Alcotest.(check (list int)) "stage.elided{op} of the 7 replays" [ 42; 14; 14; 7 ] (elided e))
 
 (* A warm solve returns every buffer it draws, the final residual
    included, so it draws nothing from the OS. *)
