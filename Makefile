@@ -91,21 +91,22 @@ profile-smoke: build
 	        if (o+0 != 0) { print "profile-smoke: " o " fallbacks other than unrecorded"; exit 1 }; \
 	        print "profile-smoke: staged iterations OK (replays=" r ", unrecorded=" u+0 ")" }' results/profile-w.txt
 	# Tape liveness: each of the 39 replayed tapes skips the stores no
-	# later op reads (10 parts: 9 dead shell groups and one whole force,
-	# 3 loan saves and restores, 2 fills), on every tier and thread
-	# count.  Every skipped part is an interp piece, so kernel.interp
-	# reads exactly its count without pruning (2963 on 1 thread, 3926
-	# on 4) minus stage.elided{op="part"}.
+	# later op reads (10 parts: dead border walks and shell groups and
+	# one whole force, 3 loan saves and restores, 2 fills), on every
+	# tier and thread count.  Every skipped part is an interp or a
+	# border piece, so kernel.interp + kernel.border reads exactly its
+	# count without pruning (2963 on 1 thread, 3926 on 4) minus
+	# stage.elided{op="part"}.
 	awk -v threads=$(MG_THREADS) \
 	  '/^  stage\.elided\{engine=/{ if (match($$0, /op="[a-z]*"/)) e[substr($$0, RSTART + 4, RLENGTH - 5)] += $$2 } \
-	  /^  kernel\.interp /{i=$$2; seen=1} \
+	  /^  kernel\.interp /{i=$$2; seen=1} /^  kernel\.border /{w=$$2} \
 	  END { if (e["part"] != 390 || e["save"] != 117 || e["restore"] != 117 || e["fill"] != 78) { \
 	          print "profile-smoke: stage.elided part/save/restore/fill " e["part"]+0 "/" e["save"]+0 "/" e["restore"]+0 "/" e["fill"]+0 " (expected 390/117/117/78)"; exit 1 }; \
 	        if (!seen) { print "profile-smoke: no kernel.interp line in the report"; exit 1 }; \
 	        base[1] = 2963; base[4] = 3926; \
 	        if (threads in base) { \
-	          if (i + e["part"] != base[threads]) { print "profile-smoke: kernel.interp " i " + elided parts " e["part"] " != " base[threads]; exit 1 }; \
-	          print "profile-smoke: tape liveness OK (elided 390/117/117/78, interp " i " = " base[threads] " - 390)" } \
+	          if (i + w + e["part"] != base[threads]) { print "profile-smoke: kernel.interp " i " + kernel.border " w+0 " + elided parts " e["part"] " != " base[threads]; exit 1 }; \
+	          print "profile-smoke: tape liveness OK (elided 390/117/117/78, interp " i " + border " w+0 " = " base[threads] " - 390)" } \
 	        else print "profile-smoke: tape liveness OK (elided 390/117/117/78; no interp pin for " threads " threads)" }' results/profile-w.txt
 	# The arena alloc/recycle fast path must never take the registry
 	# mutex: the only "mempool:lock" spans a trace may contain are the

@@ -106,6 +106,7 @@ let run classes max_procs profile csv =
         | _, Driver.Sac -> 1.296
         | _, Driver.C -> 1.48
         | _, Driver.F77 -> 1.0
+        | _, Driver.Periodic -> invalid_arg "fig13: the paper has no ratio for the periodic program"
       in
       let sac_s = ref [||] and f77_s = ref [||] in
       List.iter

@@ -18,12 +18,19 @@ type t = private {
 }
 
 val class_s : t  (** 32³, 4 iterations. *)
+
 val class_w : t  (** 64³, 40 iterations (the paper's "development" size, NPB 2.3). *)
+
 val class_w128 : t  (** 128³, 4 iterations (NPB 3.x's class W — extra anchor). *)
+
 val class_a : t  (** 256³, 4 iterations (the paper's benchmarking size). *)
+
 val class_b : t  (** 256³, 20 iterations. *)
+
 val class_c : t  (** 512³, 20 iterations. *)
+
 val tiny : t  (** 8³, 4 iterations — unit-test size. *)
+
 val mini : t  (** 16³, 4 iterations — quick-check size. *)
 
 val all : t list

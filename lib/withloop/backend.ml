@@ -58,7 +58,10 @@ let run_compiled ctx (out : Ndarray.t) (c : Plan.compiled) =
   if card > 0 then begin
     let nworkers = Domain_pool.size ctx.pool in
     let par =
-      card >= ctx.par_threshold && nworkers > 1 && Generator.rank gen > 0 && not (Plan.is_group c)
+      card >= ctx.par_threshold
+      && nworkers > 1
+      && Generator.rank gen > 0
+      && not (Plan.single_piece c)
     in
     let p = prepare c in
     if par then begin

@@ -713,7 +713,10 @@ and replay st sp n ~hold h (p : Plan.cplan) bindings =
   let parts =
     Array.fold_right
       (fun ((cpt : Plan.cpart), slots) acc ->
-        Plan.Ccompiled (Plan.rebind_cpart cpt (fun j -> (hold bindings.(slots.(j))).Ndarray.data))
+        Plan.Ccompiled
+          (Plan.rebind_cpart cpt (fun j ->
+               let s = slots.(j) in
+               if s = Plan.out_slot then Plan.dummy_buf else (hold bindings.(s)).Ndarray.data))
         :: acc)
       p.Plan.cparts []
   in
@@ -757,6 +760,20 @@ and compile st sp (n : Ir.node) ~hold h record =
         else (None, None)
     | _ -> (None, None)
   in
+  (* From O2, a stolen or lent periodic border ([Plan.periodic_border])
+     runs as one walk ([Plan.border]): its base's interior is already
+     in the output, and the walk copies it into the shell.  A copied
+     border keeps its parts, which may fold the base: each folded face
+     keeps the arithmetic its own kernel gives it. *)
+  let walk =
+    match n.Ir.spec with
+    | Ir.Modarray { base; parts }
+      when (stolen <> None || lent <> None)
+           && st.fusion.Fusion.fold
+           && Plan.periodic_border shape base parts ->
+        Some parts
+    | _ -> None
+  in
   (* Lower modarray to a fully-covering genarray when all parts are
      dense boxes: the complement reads the base element-wise, which
      the optimiser can fold instead of copying.  A stolen or lent base
@@ -765,9 +782,10 @@ and compile st sp (n : Ir.node) ~hold h record =
   let raw_parts, base_src, default =
     match n.Ir.spec with
     | Ir.Genarray { default; parts } -> (parts, None, default)
+    | Ir.Modarray { parts; _ } when stolen <> None || lent <> None ->
+        ((if walk = None then parts else []), None, 0.0)
     | Ir.Modarray { base; parts } ->
-        if stolen <> None || lent <> None then (parts, None, 0.0)
-        else if List.for_all (fun (p : Ir.part) -> Generator.is_dense p.Ir.gen) parts then
+        if List.for_all (fun (p : Ir.part) -> Generator.is_dense p.Ir.gen) parts then
           (parts @ Lower.complement_parts shape base parts, None, 0.0)
         else (parts, Some base, 0.0)
   in
@@ -799,6 +817,7 @@ and compile st sp (n : Ir.node) ~hold h record =
             (Plan.compile_part ~factor:st.factor ~line_buffers:st.line_buffers ~cfun:st.cfun
                ~native:st.native ~oshape:shape p))
       parts
+    @ match walk with Some parts -> [ Plan.border ~oshape:shape parts ] | None -> []
   in
   let compile_cost = Clock.now () -. cstart -. !held in
   let elements = List.fold_left (fun acc c -> acc + Plan.compiled_card c) 0 compiled in
@@ -835,6 +854,7 @@ and finish st sp (n : Ir.node) ~hold h parts ~elements mode origin =
   let shape = n.Ir.nshape in
   settle_loans st h;
   let out = produce st n ~hold parts mode in
+  let parts = Plan.bind_out out.Ndarray.data parts in
   let inplace = taken_over mode out in
   let lent = match n.Ir.loan with Some l -> l.Ir.lborrower == n | None -> false in
   record_run out parts;

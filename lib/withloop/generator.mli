@@ -34,6 +34,7 @@ val face : Shape.t -> axis:int -> pos:int -> t
 
 val rank : t -> int
 val is_dense : t -> bool  (** All steps are 1. *)
+
 val mem : t -> Shape.t -> bool
 val cardinal : t -> int
 val is_empty : t -> bool

@@ -24,7 +24,9 @@ val make : ?scale:Shape.t -> ?offset:Shape.t -> ?div:Shape.t -> int -> t
 
 val identity : int -> t
 val offset : Shape.t -> t  (** [iv + d] — stencil neighbour access. *)
+
 val scale : int -> int -> t  (** [scale rank k]: [iv * k] — condense. *)
+
 val divide : int -> int -> t  (** [divide rank k]: [iv / k] — scatter. *)
 
 val rank : t -> int

@@ -25,7 +25,8 @@ let p_generic = path "generic"
 let p_interp = path "interp"
 let p_cfun = path "cfun"
 let p_native = path "native"
-let paths = [ p_stencil; p_linebuf; p_copy; p_generic; p_interp; p_cfun; p_native ]
+let p_border = path "border"
+let paths = [ p_stencil; p_linebuf; p_copy; p_generic; p_interp; p_cfun; p_native; p_border ]
 let c_cfun = p_cfun.hits
 let counters () = List.map (fun p -> (p.name, Metrics.value p.hits)) paths
 
@@ -1017,13 +1018,53 @@ let run_zip3 ~copy ~const (clusters : ccluster array) (out : Ndarray.buffer) ~ob
    each through {!run_nest}, so every element computes exactly what the
    member's own part computes. *)
 
-(* A bare buffer carrier: a group's clusters only name buffers. *)
+(* A bare buffer carrier: a group's clusters, and a border walk's, only
+   name buffers. *)
 let carrier buf = { xbuf = buf; xbase = 0; xsteps = [||]; xstrides = [||]; xcoeffs = [||]; xdeltas = [||] }
 
 let run_shell (members : zip_nest array) (cls : ccluster array) (out : Ndarray.buffer) =
   for i = 0 to Array.length members - 1 do
     run_nest (Array.unsafe_get members i) cls out
   done
+
+(* ------------------------------------------------------------------ *)
+(* The periodic border walk.  A rank-3 periodic border ([Plan.border],
+   the 26 regions of [Border.setup_periodic_border], each reading its
+   base at the wrap offset) fills its output's ghost shell from the
+   output's own interior, in Fortran MG's comm3 order (mg_f77.ml): both
+   x-faces of every interior row, then the two y rows of every interior
+   plane, then the two z planes, the rows and planes as contiguous runs
+   that include the ghost elements set before them.  Every shell
+   element ends as the interior element at its wrap point, which is
+   what the 26 parts compute, and only bits move.  [counts] are the
+   output's extents and [osteps] its (contiguous) strides. *)
+
+let[@inline never] copy_run (b : Ndarray.buffer) ~src ~dst n =
+  for k = 0 to n - 1 do
+    set b (dst + k) (get b (src + k))
+  done
+
+let run_border (b : Ndarray.buffer) ~(osteps : int array) ~(counts : int array) =
+  let e0 = counts.(0) and e1 = counts.(1) and e2 = counts.(2) in
+  let s0 = osteps.(0) and s1 = osteps.(1) in
+  for i0 = 1 to e0 - 2 do
+    for i1 = 1 to e1 - 2 do
+      let row = (i0 * s0) + (i1 * s1) in
+      set b row (get b (row + e2 - 2));
+      set b (row + e2 - 1) (get b (row + 1))
+    done
+  done;
+  for i0 = 1 to e0 - 2 do
+    let p = i0 * s0 in
+    copy_run b ~src:(p + ((e1 - 2) * s1)) ~dst:p e2;
+    copy_run b ~src:(p + s1) ~dst:(p + ((e1 - 1) * s1)) e2
+  done;
+  copy_run b ~src:((e0 - 2) * s0) ~dst:0 s0;
+  copy_run b ~src:s0 ~dst:((e0 - 1) * s0) s0
+
+let shell_elements (counts : int array) =
+  (counts.(0) * counts.(1) * counts.(2))
+  - ((counts.(0) - 2) * (counts.(1) - 2) * (counts.(2) - 2))
 
 (* Identity-copy detection: a part that just moves a contiguous row of
    one source runs as a copy nest ({!run_zip3}). *)
@@ -1051,6 +1092,7 @@ type k3 =
   | K3zip
   | K3flat
   | K3shell of zip_nest array
+  | K3border
   | K3cfun of Cfun.t
   | K3native of Native.fn
   | K3generic
@@ -1063,6 +1105,7 @@ let k3_name = function
   | K3zip -> "zip"
   | K3flat -> "flat"
   | K3shell _ -> "shell"
+  | K3border -> "border"
   | K3cfun _ -> "cfun"
   | K3native _ -> "native"
   | K3generic -> "generic"
@@ -1082,7 +1125,7 @@ let rebind_stencil (clusters : ccluster array) ~koff0 s si eidx =
   }
 
 let rebind_k3 (clusters : ccluster array) ~koff0 = function
-  | (K3copy | K3zip | K3flat | K3shell _ | K3cfun _ | K3native _ | K3generic) as k -> k
+  | (K3copy | K3zip | K3flat | K3shell _ | K3border | K3cfun _ | K3native _ | K3generic) as k -> k
   | K3stencil (s, si, eidx) -> K3stencil (rebind_stencil clusters ~koff0 s si eidx, si, eidx)
   | K3stencil_lb (s, si, eidx) ->
       K3stencil_lb (rebind_stencil clusters ~koff0 s si eidx, si, eidx)
@@ -1148,8 +1191,14 @@ let choose_k3 ~line_buffers ~cfun ~native ~const (clusters : ccluster array) ~os
 
 let groupable = function K3zip | K3copy -> true | _ -> false
 let is_shell = function K3shell _ -> true | _ -> false
+let is_border = function K3border -> true | _ -> false
 
 let b_shell = branch "shell"
+let b_border = branch "border"
+
+let border () =
+  Metrics.incr b_border;
+  K3border
 
 (* One group from its members' [(const, kernel, clusters, obase,
    osteps, counts)], in run order, each [groupable]: the kernel and the
@@ -1261,6 +1310,9 @@ let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~
       run_flat3 ~const clusters.(0) out ~obase ~osteps ~counts
   | K3shell s ->
       run_shell s clusters out
+  | K3border ->
+      if clusters.(0).xbuf != out then invalid_arg "Kernel: a border walk bound to another buffer";
+      run_border out ~osteps ~counts
   | K3cfun f ->
       Cfun.run f clusters out ~obase ~osteps ~counts
   | K3native nf ->
@@ -1274,6 +1326,7 @@ let path_of = function
   | K3copy -> p_copy
   | K3generic -> p_generic
   | K3zip | K3flat | K3shell _ -> p_interp
+  | K3border -> p_border
   | K3cfun _ -> p_cfun
   | K3native _ -> p_native
 
@@ -1290,6 +1343,7 @@ let run_k3 ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~obase ~o
     let elts =
       match k with
       | K3shell ms -> Array.fold_left (fun acc m -> acc + (m.h_nu * m.h_nv * m.h_na)) 0 ms
+      | K3border -> shell_elements counts
       | _ -> counts.(0) * counts.(1) * counts.(2)
     in
     if elts > 0 then Metrics.observe (Mg_obs.Scope.here p.ns_elt) (dt / elts)

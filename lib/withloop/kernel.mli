@@ -93,6 +93,24 @@ val shell_alias_safe : k3 -> Cluster.ccluster array -> Ndarray.buffer -> bool
     buffer is an identity read (a member reads an element only while
     computing that element). *)
 
+(** {2 The periodic border walk} *)
+
+val border : unit -> k3
+(** The kernel of a rank-3 periodic border compiled as one part
+    ([Plan.border]): it fills the output's ghost shell from the output's
+    own interior in Fortran MG's comm3 order — both x-faces of every
+    interior row, then y rows, then z planes, as contiguous runs — so
+    every shell element ends as the interior element at its wrap point,
+    bit for bit.  Its part has one cluster, a carrier of the output
+    buffer itself, and runs with the output's extents as [counts] and
+    its contiguous strides as [osteps].  Bumps [kernel.branch.border];
+    each run counts one [kernel.border] piece. *)
+
+val is_border : k3 -> bool
+
+val carrier : Ndarray.buffer -> Cluster.ccluster
+(** A cluster that only names a buffer (no reads of its own). *)
+
 val rebind_k3 : Cluster.ccluster array -> koff0:int -> k3 -> k3
 (** Rebuild a kernel payload against clusters that were rebound to
     fresh buffers and/or base-shifted by [koff0] axis-0 steps. *)

@@ -41,6 +41,13 @@ type compiled =
   | Ccompiled of cpart
   | Cclosure of Generator.t * int * Ir.expr  (* gen, cardinal, body *)
 
+(* Stored templates must not pin the buffers of the force that created
+   them (a cached plan for a 258^3 operator would otherwise retain
+   ~500 MB of dead grids), so cluster buffers are replaced by a shared
+   zero-length dummy; replay rebinds before execution. *)
+let dummy_buf : Ndarray.buffer =
+  Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+
 let compiled_card = function Ccompiled c -> c.kcard | Cclosure (_, card, _) -> card
 let compiled_gen = function Ccompiled c -> c.kgen | Cclosure (g, _, _) -> g
 
@@ -140,6 +147,86 @@ let compile_part ~factor ~line_buffers ~cfun ~native ~oshape (p : Ir.part) : com
                 }))
 
 (* ------------------------------------------------------------------ *)
+(* The periodic border walk.
+
+   A barrier border whose parts are exactly the periodic border of its
+   base ([periodic_border]) and which steals or borrows the base's
+   buffer compiles to one part running {!Kernel.border} instead of 26:
+   it fills the output's ghost shell from the output's own interior,
+   which is the base's interior wherever the output comes from (the
+   base's buffer, or a copy of it when the base cannot lend).  The
+   part's one cluster is a carrier of the output buffer: it holds
+   {!dummy_buf} until the executor binds it to the output
+   ([bind_out]), and a stored plan names it by {!out_slot}.  Its [foot]
+   writes the 26 regions (the shell, in distinct cells) and reads the
+   carrier's interior, so the tape liveness pass sees the self-read as
+   any part reading its output. *)
+
+(* The cell, 0..26, of a periodic border region of [shape] read at
+   offset [off], or -1: per axis, [0, 1) read at n-2, [1, n-1) at 0 or
+   [n-1, n) at 2-n. *)
+let border_cell (shape : Shape.t) (g : Generator.t) (off : Shape.t) =
+  let c = ref 0 in
+  for j = 0 to Array.length shape - 1 do
+    let n = shape.(j) and lb = g.Generator.lb.(j) and ub = g.Generator.ub.(j) in
+    let k =
+      if lb = 0 && ub = 1 && off.(j) = n - 2 then 0
+      else if lb = 1 && ub = n - 1 && off.(j) = 0 then 1
+      else if lb = n - 1 && ub = n && off.(j) = 2 - n then 2
+      else -1
+    in
+    c := if !c < 0 || k < 0 then -1 else (!c * 3) + k
+  done;
+  !c
+
+let periodic_border (shape : Shape.t) (base : Ir.source) (parts : Ir.part list) =
+  Shape.rank shape = 3
+  && Array.for_all (fun n -> n >= 3) shape
+  && List.compare_length_with parts 26 = 0
+  &&
+  (* The cells taken; the interior's, 13, counts as taken. *)
+  let seen = ref (1 lsl 13) in
+  List.for_all
+    (fun (p : Ir.part) ->
+      match p.Ir.body with
+      | Ir.Read (Ir.Node src, m)
+        when (match base with Ir.Node b -> src == b | Ir.Arr _ -> false)
+             && Ixmap.is_pure_offset m && Generator.is_dense p.Ir.gen ->
+          let c = border_cell shape p.Ir.gen m.Ixmap.offset in
+          c >= 0
+          && !seen land (1 lsl c) = 0
+          &&
+          (seen := !seen lor (1 lsl c);
+           true)
+      | _ -> false)
+    parts
+
+let border ~oshape (parts : Ir.part list) =
+  let card = Shape.num_elements oshape - interior_size oshape in
+  Ccompiled
+    { kgen = Generator.full oshape;
+      kcard = card;
+      kconst = 0.0;
+      kclusters = [| Kernel.carrier dummy_buf |];
+      kkernel = Some (Kernel.border ());
+      kobase = 0;
+      kosteps = Shape.strides oshape;
+      kcounts = Array.copy oshape;
+      kfoot =
+        { fwrites = Array.of_list (List.map (fun (p : Ir.part) -> p.Ir.gen) parts);
+          finner = 0;
+          fouter = card;
+          freads = [| region_interior |];
+        };
+    }
+
+let is_border = function
+  | Ccompiled { kkernel = Some k; _ } -> Kernel.is_border k
+  | Ccompiled _ | Cclosure _ -> false
+
+let out_slot = -1
+
+(* ------------------------------------------------------------------ *)
 (* Ghost-shell groups.
 
    The parts of a force that each write a dense one-thick slab at index
@@ -170,8 +257,8 @@ let shell_slab shape (g : Generator.t) =
   in
   slab 0
 
-let is_group = function
-  | Ccompiled { kkernel = Some k; _ } -> Kernel.is_shell k
+let single_piece = function
+  | Ccompiled { kkernel = Some k; _ } -> Kernel.is_shell k || Kernel.is_border k
   | Ccompiled _ | Cclosure _ -> false
 
 let rec disjoint_from (a : Generator.t) (b : Generator.t) j =
@@ -290,13 +377,6 @@ type cplan = {
   ccompile : float;  (** Seconds of optimisation/compilation a hit skips. *)
 }
 
-(* Stored templates must not pin the buffers of the force that created
-   them (a cached plan for a 258^3 operator would otherwise retain
-   ~500 MB of dead grids), so cluster buffers are replaced by a shared
-   zero-length dummy; replay rebinds before execution. *)
-let dummy_buf : Ndarray.buffer =
-  Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
-
 let rebind_cpart (cpt : cpart) (rebuf : int -> Ndarray.buffer) =
   let kclusters = Array.mapi (fun j cl -> Cluster.with_buffer cl (rebuf j)) cpt.kclusters in
   { cpt with
@@ -305,6 +385,14 @@ let rebind_cpart (cpt : cpart) (rebuf : int -> Ndarray.buffer) =
   }
 
 let strip_cpart (cp : cpart) = rebind_cpart cp (fun _ -> dummy_buf)
+
+let bind_out (buf : Ndarray.buffer) (compiled : compiled list) =
+  if List.exists is_border compiled then
+    List.map
+      (function
+        | Ccompiled cp as c when is_border c -> Ccompiled (rebind_cpart cp (fun _ -> buf)) | c -> c)
+      compiled
+  else compiled
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-reuse legality (in-place update)
@@ -426,6 +514,7 @@ let assemble ~(bindings : Ir.source array) ~(recorded : (Ir.node * Ndarray.buffe
         | Cclosure _ ->
             ok := false;
             None
+        | Ccompiled cp as c when is_border c -> Some (strip_cpart cp, [| out_slot |])
         | Ccompiled cp ->
             let slots =
               Array.map

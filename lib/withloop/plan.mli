@@ -82,8 +82,35 @@ val default_par_threshold : int
 (** The default part size (16 384 elements) from which a pool of more
     than one worker splits a part into pieces ([Engine.default_config]). *)
 
-val is_group : compiled -> bool
-(** A shell group: always runs as one piece. *)
+val single_piece : compiled -> bool
+(** A shell group or a border walk: always runs as one piece. *)
+
+(** {1 The periodic border walk} *)
+
+val periodic_border : Shape.t -> Ir.source -> Ir.part list -> bool
+(** [periodic_border shape base parts]: whether the parts are exactly
+    the periodic border of [base] ([Border.setup_periodic_border]) —
+    rank 3, every extent at least 3, the 26 one-thick shell regions
+    (per axis [0, 1), [1, n-1) or [n-1, n), not all the middle), each
+    once, each part one read of [base], a node, at its wrap offset
+    (per axis n-2, 0 or 2-n). *)
+
+val border : oshape:Shape.t -> Ir.part list -> compiled
+(** The one part that replaces a {!periodic_border}'s parts: a
+    {!Kernel.border} walk over the output, whose one cluster is a
+    carrier of the output buffer (bound by {!bind_out}).  Its foot
+    writes the parts' 26 regions — the whole shell, in distinct cells
+    — and reads the carrier's interior. *)
+
+val is_border : compiled -> bool
+
+val out_slot : int
+(** The binding slot a stored plan gives a border walk's carrier: the
+    force's own output, bound after it is produced. *)
+
+val bind_out : Ndarray.buffer -> compiled list -> compiled list
+(** Bind every border walk's carrier to the output buffer; the list
+    itself when there is no walk. *)
 
 (** {1 Cached plans} *)
 
@@ -117,7 +144,7 @@ type cplan = {
   cmode : int out_mode;
   cparts : (cpart * int array) array;
       (** Compiled parts with, per cluster, the binding slot its buffer
-          comes from. *)
+          comes from ({!out_slot} for a border walk's carrier). *)
   corder : int array;
       (** Binding slots the compiling force materialised, in the order
           it materialised them.  Replay forces and pins them in this

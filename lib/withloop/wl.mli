@@ -99,6 +99,7 @@ val run_reference : t -> Ndarray.t
 val shape : t -> Shape.t
 val rank : t -> int
 val dim : t -> int  (** SAC's [dim(array)]. *)
+
 val sel : t -> Shape.t -> float
 (** SAC's [array[iv]] on a forced value (forces the argument). *)
 
@@ -109,8 +110,10 @@ module Expr : sig
 
   val const : float -> e
   val read : t -> e  (** The producer element at the consumer's index. *)
+
   val read_at : t -> Ixmap.t -> e
   val read_offset : t -> Shape.t -> e  (** Producer element at [iv + d]. *)
+
   val of_fun : (Shape.t -> float) -> e
   (** Arbitrary OCaml function of the index — opaque to optimisation. *)
 

@@ -10,7 +10,9 @@
      grouping, clustering or kernel decision moves one of them.
    - Its allocation is capped.  The compile path's garbage paces the
      minor and major GC, and the major GC's pacing moves the process's
-     peak resident memory (EXPERIMENTS.md E19, E23). *)
+     peak resident memory (EXPERIMENTS.md E19, E23).
+   - What an engine's plan cache retains is capped: every cached plan
+     and tape keeps its parts and their foots for the engine's life. *)
 
 open Mg_core
 open Mg_withloop
@@ -46,22 +48,23 @@ let test_decisions_pinned () =
       List.iter
         (fun (name, expected) ->
           Alcotest.(check int) ("kernel." ^ name) expected (List.assoc name kernels))
-        (* interp: 6 shell groups of each of the 3 replayed iterations
-           are dead stores the tape liveness pass drops. *)
-        [ ("stencil", 112); ("linebuf", 69); ("copy", 0); ("generic", 0); ("interp", 189);
-          ("cfun", 216); ("native", 0);
+        (* border: the 14 stolen or lent borders compile to one walk
+           each; 6 of each of the 3 replayed iterations' parts are dead
+           stores the tape liveness pass drops (walks and shell groups). *)
+        [ ("stencil", 112); ("linebuf", 69); ("copy", 0); ("generic", 0); ("interp", 128);
+          ("cfun", 216); ("native", 0); ("border", 61);
         ];
       Alcotest.(check (list (pair string int)))
         "kernel.branch.* (non-zero)"
         [ ("stencil.full", 27); ("stencil2.lex", 1); ("linebuf.full", 8); ("linebuf.c023", 2);
           ("linebuf.c012", 3); ("linebuf.resid", 3); ("linebuf.psinv", 1); ("linebuf.psinv2", 1);
-          ("flat.2", 3); ("flat.4", 3); ("flat.8", 1); ("zip.0", 2); ("zip.1", 446); ("zip.2", 31);
-          ("zip.3", 6); ("shell", 32);
+          ("flat.2", 3); ("flat.4", 3); ("flat.8", 1); ("zip.0", 2); ("zip.1", 82); ("zip.2", 31);
+          ("zip.3", 6); ("shell", 18); ("border", 14);
         ]
         (List.filter (fun (_, v) -> v <> 0) branches))
 
-(* 1.2x the 1.02 M minor words one such solve allocates. *)
-let minor_words_ceiling = 1_230_000.
+(* 1.2x the 0.91 M minor words one such solve allocates. *)
+let minor_words_ceiling = 1_090_000.
 
 let test_allocation_ceiling () =
   cold_solve (fun _ solve ->
@@ -72,8 +75,28 @@ let test_allocation_ceiling () =
         Alcotest.failf "a cold class-S solve allocated %.0f minor words (ceiling %.0f)" words
           minor_words_ceiling)
 
+(* What one engine's plan cache retains after two class-S solves: the
+   plans and tapes of the first, all replayed by the second.  1.1x the
+   46 496 words it holds (55 344 when every border compiled 26 parts
+   with their foots). *)
+let retained_words_ceiling = 51_100
+
+let test_retention_ceiling () =
+  let e = Engine.create ~config:Engine.default_config () in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      for _ = 1 to 2 do
+        ignore (Driver.run ~engine:e ~impl:Driver.Sac ~cls:Classes.class_s ())
+      done;
+      let words = Obj.reachable_words (Obj.repr (Engine.cache e)) in
+      if words > retained_words_ceiling then
+        Alcotest.failf "the plan cache retains %d words after two class-S solves (ceiling %d)" words
+          retained_words_ceiling)
+
 let suite =
   ( "cold_solve",
     [ Alcotest.test_case "class S decisions pinned" `Quick test_decisions_pinned;
       Alcotest.test_case "class S allocation ceiling" `Quick test_allocation_ceiling;
+      Alcotest.test_case "class S plan-cache retention ceiling" `Quick test_retention_ceiling;
     ] )

@@ -723,8 +723,8 @@ let test_driver_tiers_bitwise () =
    and flat row selection; output stride 2 (reads divided by 2) and
    extras read at stride 2 walk the rows with non-unit steps. *)
 
-let fixed_settings ~line_buffers pool : Exec.settings =
-  { (exec_settings ~reuse:false ~cfun:true pool) with Exec.factor = true; line_buffers }
+let fixed_settings ?(fold = false) ~line_buffers pool : Exec.settings =
+  { (exec_settings ~fold ~reuse:false ~cfun:true pool) with Exec.factor = true; line_buffers }
 
 (* Output stride along the row axis: [Unit]; [Out2], output step 2
    with reads divided by 2 (the prolongation's layout); [Extras2],
@@ -756,6 +756,9 @@ type fixed =
       (* a genarray's six shell slabs, each a zip of [reads] arrays at
          their wrap offsets (or, with [copy], an identity copy), around
          an interior zip: one shell group *)
+  | Fborder of { dims : int array }
+      (* the periodic border of a node it alone reads: it steals the
+         node's buffer and, with folding on, runs as one walk *)
 
 let print_fixed = function
   | Fstencil { classes = c1, c2, c3; extras; layout; line_buffers; dims } ->
@@ -771,6 +774,7 @@ let print_fixed = function
         step2
   | Fshell { reads; copy; dims } ->
       Printf.sprintf "shell reads=%d copy=%b dims=%s" reads copy (Shape.to_string dims)
+  | Fborder { dims } -> Printf.sprintf "border dims=%s" (Shape.to_string dims)
 
 let sum = function [] -> invalid_arg "sum" | e :: es -> List.fold_left (fun a b -> Ir.Add (a, b)) e es
 let axpy acc c e = Ir.Add (acc, Ir.Mul (Ir.Const c, e))
@@ -827,6 +831,26 @@ let wrap_of shp (g : Generator.t) =
       else if g.Generator.lb.(j) = n - 1 then 2 - n
       else 0)
     shp
+
+(* The 26 regions [Border.setup_periodic_border] writes, in its order. *)
+let regions shp =
+  List.filter_map
+    (fun sign ->
+      if List.for_all (fun x -> x = 0) sign then None
+      else
+        let sign = Array.of_list sign in
+        let lb = Array.mapi (fun i x -> if x > 0 then shp.(i) - 1 else if x = 0 then 1 else 0) sign in
+        let ub = Array.mapi (fun i x -> if x < 0 then 1 else if x = 0 then shp.(i) - 1 else shp.(i)) sign in
+        Some (Generator.make ~lb ~ub ()))
+    neighbours
+
+(* [Border.setup_periodic_border] on the IR: every face, edge and
+   corner slab reads the opposite interior plane. *)
+let periodic_border src =
+  let shp = Ir.source_shape src in
+  Ir.Node
+    (Ir.modarray ~barrier:true src
+       (List.map (fun g -> { Ir.gen = g; body = Ir.Read (src, Ixmap.offset (wrap_of shp g)) }) (regions shp)))
 
 (* With [inf], the stencil's source holds one infinite element. *)
 let build_fixed ?(inf = false) seed = function
@@ -941,13 +965,23 @@ let build_fixed ?(inf = false) seed = function
         }
       in
       Ir.genarray dims (List.filteri (fun i _ -> i < 3) slabs @ (interior :: List.filteri (fun i _ -> i >= 3) slabs))
+  | Fborder { dims } -> (
+      let base =
+        Ir.genarray dims
+          [ { Ir.gen = Generator.full dims;
+              body = axpy (Ir.Const 0.25) (coeff 0) (read (src_of_seed dims seed) [ 0; 0; 0 ]);
+            }
+          ]
+      in
+      match periodic_border (Ir.Node base) with Ir.Node n -> n | Ir.Arr _ -> assert false)
 
 let run_fixed ?inf seed f =
   let line_buffers = match f with Fstencil { line_buffers; _ } -> line_buffers | _ -> false in
+  let fold = match f with Fborder _ -> true | _ -> false in
   let want = Reference.run (Ir.Node (build_fixed ?inf seed f)) in
   List.filter_map
     (fun (pname, pool) ->
-      let st = fixed_settings ~line_buffers pool in
+      let st = fixed_settings ~fold ~line_buffers pool in
       (* Cold compile, then a replay of the cached plan. *)
       let got = List.init 2 (fun _ -> Exec.force st (build_fixed ?inf seed f)) in
       if List.for_all (fun g -> arr_bits_equal g want) got then None
@@ -1022,6 +1056,7 @@ let fixed_cases =
       (degenerate 5)
   @ Fshell { reads = 1; copy = true; dims = [| 4; 5; 6 |] }
     :: List.init 5 (fun reads -> Fshell { reads; copy = false; dims = [| 4; 5; 6 |] })
+  @ [ Fborder { dims = [| 4; 5; 6 |] }; Fborder { dims = [| 3; 3; 3 |] } ]
 
 (* A body without edges goes to the fallback, which skips the absent
    class: adding [0 · edges] instead would turn an infinite edge sum
@@ -1096,6 +1131,9 @@ let gen_fixed =
             let* reads = 0 -- 4 and* copy = bool in
             let* d0 = 3 -- 6 and* d1 = 3 -- 6 and* d2 = 3 -- 6 in
             return (Fshell { reads; copy; dims = [| d0; d1; d2 |] }) );
+          ( 1,
+            let* d0 = 3 -- 7 and* d1 = 3 -- 7 and* d2 = 3 -- 7 in
+            return (Fborder { dims = [| d0; d1; d2 |] }) );
         ]
     in
     return (seed, f))
@@ -1304,26 +1342,6 @@ let over_interior shp terms srcs =
     :: List.map (fun g -> { Ir.gen = g; body = sum ident }) (border_slabs shp 1))
 
 let term src c d = Ir.Mul (Ir.Const c, Ir.Read (src, Ixmap.offset (Array.of_list d)))
-
-(* The 26 regions [Border.setup_periodic_border] writes, in its order. *)
-let regions shp =
-  List.filter_map
-    (fun sign ->
-      if List.for_all (fun x -> x = 0) sign then None
-      else
-        let sign = Array.of_list sign in
-        let lb = Array.mapi (fun i x -> if x > 0 then shp.(i) - 1 else if x = 0 then 1 else 0) sign in
-        let ub = Array.mapi (fun i x -> if x < 0 then 1 else if x = 0 then shp.(i) - 1 else shp.(i)) sign in
-        Some (Generator.make ~lb ~ub ()))
-    neighbours
-
-(* [Border.setup_periodic_border] on the IR: every face, edge and
-   corner slab reads the opposite interior plane. *)
-let periodic_border src =
-  let shp = Ir.source_shape src in
-  Ir.Node
-    (Ir.modarray ~barrier:true src
-       (List.map (fun g -> { Ir.gen = g; body = Ir.Read (src, Ixmap.offset (wrap_of shp g)) }) (regions shp)))
 
 (* The program's graph, fresh per call: the base, its border and the
    roots in forcing order. *)
@@ -1821,6 +1839,175 @@ let qcheck_shell_round_trip =
       Lower.restore_shell a side;
       List.length shell = Lower.shell_size shp && packed = expected && Ndarray.equal a orig)
 
+(* ------------------------------------------------------------------ *)
+(* The periodic border walk.  From O2, a stolen or lent periodic border
+   runs as one walk over its output ([Kernel.border]) instead of its 26
+   parts.  On random non-cubic shapes, a border that steals its base, a
+   border that borrows it, and a border whose escaped base it copies
+   into a fresh buffer must each equal the 26-part border (folding off:
+   no walk) and the reference interpreter bitwise, cold and replayed
+   from the plan cache, on 1 and 2 domains, under the debug poison; and
+   the walk must have run. *)
+
+type walk_mode = Wsteal | Wlend | Wfresh
+
+let walk_mode_name = function Wsteal -> "steal" | Wlend -> "lend" | Wfresh -> "fresh"
+
+(* A base that is no selection: a second reader makes it lend rather
+   than fold. *)
+let walk_base dims seed =
+  let body = axpy (Ir.Const 0.25) 1.5 (read (src_of_seed dims seed) [ 0; 0; 0 ]) in
+  Ir.Node (Ir.genarray dims [ { Ir.gen = Generator.full dims; body } ])
+
+(* The roots in forcing order: the border of a base, with a second
+   reader of the base forced after the border ([Wlend]), or the base
+   forced first ([Wfresh]: it escapes, and the border copies it). *)
+let build_walk mode dims seed =
+  let base = walk_base dims seed in
+  let border = periodic_border base in
+  match mode with
+  | Wsteal -> [ border ]
+  | Wlend ->
+      let body = Ir.Mul (Ir.Const 2.0, Ir.Read (base, Ixmap.identity 3)) in
+      [ border; Ir.Node (Ir.genarray dims [ { Ir.gen = Generator.full dims; body } ]) ]
+  | Wfresh -> [ base; border ]
+
+let walk_pools = [ ("1 domain", lazy (Mg_smp.Domain_pool.create 1)); List.nth pools 1 ]
+let path_count name = List.assoc name (Kernel.counters ())
+
+let run_walk (mode, dims, seed) =
+  with_mempool_debug (fun () ->
+      let want = List.map Reference.run (build_walk mode dims seed) in
+      let lent0 = Mg_obs.Metrics.value loan_lent
+      and copied0 = Mg_obs.Metrics.value (loan_copied "escaped") in
+      let failures = ref [] in
+      List.iter
+        (fun (pname, pool) ->
+          List.iter
+            (fun fold ->
+              let st = exec_settings ~fold ~reuse:true ~cfun:true pool in
+              List.iter
+                (fun leg ->
+                  let w0 = path_count "border" in
+                  let got = force_roots st (build_walk mode dims seed) in
+                  let walked = path_count "border" > w0 in
+                  let name = Printf.sprintf "%s fold=%b %s" pname fold leg in
+                  if walked <> fold then
+                    failures := Printf.sprintf "%s: walk ran %b" name walked :: !failures;
+                  List.iteri
+                    (fun i ((_, first), w) ->
+                      if not (arr_bits_equal first w) then
+                        failures :=
+                          Printf.sprintf "%s root %d: %s" name i (first_diff (Rarr first) (Rarr w))
+                          :: !failures)
+                    (List.combine got want))
+                [ "cold"; "replayed" ])
+            [ true; false ])
+        walk_pools;
+      (match mode with
+      | Wsteal -> ()
+      | Wlend ->
+          if Mg_obs.Metrics.value loan_lent = lent0 then failures := "no border lent" :: !failures
+      | Wfresh ->
+          if Mg_obs.Metrics.value (loan_copied "escaped") = copied0 then
+            failures := "no escaped base copied" :: !failures);
+      !failures)
+
+let gen_walk =
+  QCheck.Gen.(
+    let* d0 = 3 -- 17 and* d1 = 3 -- 17 and* d2 = 3 -- 17 in
+    let d2 = if d0 = d1 && d1 = d2 then if d2 = 17 then 16 else d2 + 1 else d2 in
+    let* mode = oneofl [ Wsteal; Wlend; Wfresh ] and* seed = 0 -- 10000 in
+    return (mode, [| d0; d1; d2 |], seed))
+
+let qcheck_walk_matches_parts =
+  QCheck.Test.make ~name:"the border walk bitwise matches the 26-part border" ~count:60
+    (QCheck.make
+       ~print:(fun (mode, dims, seed) ->
+         Printf.sprintf "%s dims=%s seed=%d" (walk_mode_name mode) (Shape.to_string dims) seed)
+       gen_walk)
+    (fun c ->
+      match run_walk c with
+      | [] -> true
+      | failures -> QCheck.Test.fail_reportf "%s" (String.concat "\n  " failures))
+
+(* Near misses keep the 26 parts: a border missing a region, one
+   reading a region off its wrap offset, a border that is no barrier,
+   and a rank-2 border.  Each still equals the reference. *)
+let test_walk_near_misses () =
+  let dims = [| 5; 6; 7 |] in
+  let base () = walk_base dims 11 in
+  let parts src shp gens =
+    List.map (fun g -> { Ir.gen = g; body = Ir.Read (src, Ixmap.offset (wrap_of shp g)) }) gens
+  in
+  (* The first region reads one plane short of its wrap. *)
+  let off_wrap src =
+    List.mapi
+      (fun i (p : Ir.part) ->
+        if i > 0 then p
+        else
+          let off = Array.map (fun d -> if d > 0 then d - 1 else d) (wrap_of dims p.Ir.gen) in
+          { p with Ir.body = Ir.Read (src, Ixmap.offset off) })
+      (parts src dims (regions dims))
+  in
+  let plane = [| 5; 6 |] in
+  let regions2 =
+    let box j x =
+      if x < 0 then (0, 1) else if x = 0 then (1, plane.(j) - 1) else (plane.(j) - 1, plane.(j))
+    in
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b ->
+            if a = 0 && b = 0 then None
+            else
+              let (l0, u0), (l1, u1) = (box 0 a, box 1 b) in
+              Some (Generator.make ~lb:[| l0; l1 |] ~ub:[| u0; u1 |] ()))
+          [ -1; 0; 1 ])
+      [ -1; 0; 1 ]
+  in
+  let cases =
+    [ ( "a missing region",
+        fun () ->
+          let b = base () in
+          (b, dims, List.tl (parts b dims (regions dims)), true) );
+      ( "an off-wrap offset",
+        fun () ->
+          let b = base () in
+          (b, dims, off_wrap b, true) );
+      ( "no barrier",
+        fun () ->
+          let b = base () in
+          (b, dims, parts b dims (regions dims), false) );
+      ( "rank 2",
+        fun () ->
+          let body = Ir.Add (Ir.Const 0.5, Ir.Read (Ir.Arr (src_of_seed plane 3), Ixmap.identity 2)) in
+          let b = Ir.Node (Ir.genarray plane [ { Ir.gen = Generator.full plane; body } ]) in
+          (b, plane, parts b plane regions2, true) );
+    ]
+  in
+  with_mempool_debug (fun () ->
+      List.iter
+        (fun (what, build) ->
+          let node () =
+            let b, _, ps, barrier = build () in
+            Ir.modarray ~barrier b ps
+          in
+          let b, shp, ps, barrier = build () in
+          (* The parts of the non-barrier node are the border's own. *)
+          Alcotest.(check bool) (what ^ ": parts of a periodic border") (not barrier)
+            (Plan.periodic_border shp b ps);
+          let st = exec_settings ~fold:true ~reuse:true ~cfun:true oracle_pool in
+          let w0 = path_count "border" in
+          let got = Exec.force st (node ()) in
+          Alcotest.(check int) (what ^ ": no walk") 0 (path_count "border" - w0);
+          Alcotest.(check bool) (what ^ ": bitwise the reference") true
+            (arr_bits_equal got (Reference.run (Ir.Node (node ())))))
+        cases;
+      let b = base () in
+      Alcotest.(check bool) "the border itself is one" true
+        (Plan.periodic_border dims b (parts b dims (regions dims))))
+
 let suite =
   ( "reference_oracle",
     [ QCheck_alcotest.to_alcotest qcheck_engine_matches_reference;
@@ -1862,4 +2049,6 @@ let suite =
       Alcotest.test_case "stolen and lent bases read at identity" `Quick
         test_identity_read_borders;
       QCheck_alcotest.to_alcotest qcheck_shell_round_trip;
+      QCheck_alcotest.to_alcotest qcheck_walk_matches_parts;
+      Alcotest.test_case "border near misses keep their parts" `Quick test_walk_near_misses;
     ] )

@@ -164,6 +164,37 @@ let test_dead_fill_elided () =
         (count_ops (function Plan.Fill _ -> true | _ -> false) (tape e));
       check_elided "2 replays" e [ 0; 2; 0; 2 ])
 
+(* x = A·border(u) is stolen by its border, whose walk fills the shell
+   from x's interior; the result reads only that shell.  x's interior
+   is live through the walk's read alone, so x's interior part stays
+   (its shell part is dead: the walk rewrites it). *)
+let test_walk_reads_interior () =
+  with_engine (fun e ->
+      let slabs =
+        let n = shp.(0) in
+        List.concat_map
+          (fun j ->
+            List.map
+              (fun at ->
+                Generator.make
+                  ~lb:(Array.init 3 (fun i -> if i = j then at else if i < j then 1 else 0))
+                  ~ub:(Array.init 3 (fun i -> if i = j then at + 1 else if i < j then n - 1 else n))
+                  ())
+              [ 0; n - 1 ])
+          [ 0; 1; 2 ]
+      in
+      run_staged (fun u ->
+          let b = border (relax Stencil.a (border u)) in
+          Wl.genarray shp
+            ((Generator.interior shp 1, Wl.Expr.const 1.0)
+            :: List.map (fun g -> (g, Wl.Expr.read b)) slabs));
+      let t = tape e in
+      let walk ((cp : Plan.cpart), _) = Plan.is_border (Plan.Ccompiled cp) in
+      Alcotest.(check int)
+        "walks kept" 2
+        (count_ops (function Plan.Run (_, parts) -> Array.exists walk parts | _ -> false) t);
+      check_elided "2 replays" e [ 2; 2; 0; 0 ])
+
 (* ------------------------------------------------------------------ *)
 (* MG: per replayed iteration, class S elides 6 shell groups, 2 loan
    saves and restores and the coarse embed's fill; class W 9 groups and
@@ -190,5 +221,6 @@ let suite =
       Alcotest.test_case "the result's shell is kept" `Quick test_result_shell_kept;
       Alcotest.test_case "the handed-back input's shell is kept" `Quick test_handed_back_shell_kept;
       Alcotest.test_case "a fill overwritten before any read is elided" `Quick test_dead_fill_elided;
+      Alcotest.test_case "a walk keeps the interior it reads" `Quick test_walk_reads_interior;
       Alcotest.test_case "MG tapes elide (classes S and W)" `Quick test_mg_counts;
     ] )
