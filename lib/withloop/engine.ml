@@ -112,7 +112,7 @@ type t = {
          derivations Driver.run makes per solve all share one metric
          label instead of minting unbounded cardinality. *)
   config : config;
-  cache : Plan.cache_entry Plan_cache.t;
+  cache : Tape.cache_entry Plan_cache.t;
   shards : Mg_obs.Scope.shards;
       (* The label's metric cells, interned once by the root engine and
          shared by its derivations like the label itself. *)
@@ -275,7 +275,6 @@ let with_current e f =
 
 let label e = e.label
 let config e = e.config
-let pool e = pool_of e.pool_cell e.config.threads
 let settings e = e.settings
 
 let cache e = e.cache

@@ -164,13 +164,9 @@ val settings : t -> Exec.settings
     opt-level feature table applied, the engine's cache and pool
     handles included. *)
 
-val pool : t -> unit -> Mg_smp.Domain_pool.t
-(** The engine's execution pool, created/resized on demand to
-    [config.threads] and shared with the engine's derivations. *)
-
 (** {1 Per-engine plan cache} *)
 
-val cache : t -> Plan.cache_entry Plan_cache.t
+val cache : t -> Tape.cache_entry Plan_cache.t
 
 val cache_stats : t -> Plan_cache.stats
 (** The plan-cache events of this engine's forces (its derivations'

@@ -7,10 +7,12 @@ module Span = Mg_obs.Span
    stages — Lower (bodies to plans), Cluster (reads to flat-index
    clusters), Kernel (recognition and loop nests), Plan (compiled
    parts and cached plans), Backend (piece scheduling), Mempool
-   (buffer recycling).  This module wires them: it owns graph
-   traversal, the plan-cache lookup, output-buffer production and
-   trace emission.  Hits and misses share one force path: only where
-   the compiled parts come from differs. *)
+   (buffer recycling), Tape (stepper tapes).  This module wires them:
+   it owns graph traversal, the plan-cache lookup, output-buffer
+   production and trace emission.  Hits and misses share one force
+   path: only where the compiled parts come from differs.  Every
+   buffer effect goes through a Tape hook, which records it while a
+   stepper records. *)
 
 type settings = {
   fusion : Fusion.config;
@@ -20,7 +22,7 @@ type settings = {
   native : string option;  (* AOT cache dir; [None] = native tier off *)
   reuse : bool;
   pooling : bool;
-  cache : Plan.cache_entry Plan_cache.t;
+  cache : Tape.cache_entry Plan_cache.t;
   shards : Mg_obs.Scope.shards;
   pool : unit -> Domain_pool.t;
   par_threshold : int;
@@ -52,135 +54,7 @@ let make_settings ~fusion ~factor ~line_buffers ~cfun ~native ~reuse ~pooling ~c
 
 type fold_op = Fadd | Fmul | Fmax | Fmin | Fcustom of (float -> float -> float)
 
-let exec_parts st (out : Ndarray.t) (parts : Plan.compiled list) =
-  Backend.run_parts { Backend.pool = st.pool (); par_threshold = st.par_threshold } parts ~out
-
-(* ------------------------------------------------------------------ *)
-(* Staged calls: the recorder.
-
-   [Wl.staged]'s stepper records one call of its body.  While the
-   body's graph is forced through the per-force path below, every
-   buffer effect of that path is appended, in order, to the calling
-   domain's recorder, over symbolic buffer ids ([Plan.op]): the call's
-   bound buffers — the input, then the parameters — take the first
-   ids, and each pool allocation gets a new one.  A later call whose
-   bound buffers have the recorded signature runs the tape ([replay],
-   below): the same pool traffic and the same compiled parts, rebound
-   to this call's buffers, in the same order — no graph, no key, no
-   plan lookup, no holds.  Every output mode the per-force path picks
-   (reuse, steal, lend, copy) follows from the graph's reference
-   counts and materialisation states, which the body rebuilds
-   identically from bound buffers of the same signature, so the tape
-   is what that path would do again.
-
-   A recording is refused, and the call stays on the per-force path,
-   when the tape could not stand for the call: the graph reaches a
-   materialised node or an array that is not bound, or writes or
-   releases a parameter ([Captured]), a part runs as an interpreted
-   closure ([Opaque] bodies, [Closure] otherwise), a value leaves the
-   graph inside the body ([Escape]: a top-level force or a fold), or
-   the domain is already recording ([Nested]). *)
-
-type reason = Unrecorded | Signature | Captured | Opaque | Closure | Escape | Nested
-
-let stage_replays = Mg_obs.Scope.counter_family "stage.replays"
-
-let stage_elided =
-  Array.map
-    (fun op -> Mg_obs.Scope.counter_family ~labels:[ ("op", op) ] "stage.elided")
-    Plan.elided_ops
-
-let stage_fallback =
-  List.map
-    (fun (r, name) ->
-      (r, Mg_obs.Scope.counter_family ~labels:[ ("reason", name) ] "stage.fallback"))
-    [ (Unrecorded, "unrecorded");
-      (Signature, "signature");
-      (Captured, "captured");
-      (Opaque, "opaque");
-      (Closure, "closure");
-      (Escape, "escape");
-      (Nested, "nested");
-    ]
-
-type recorder = {
-  bound : Ir.source array;  (* the input, then the parameters *)
-  brefs : int array;  (* each bound source's reference count before the body ran *)
-  roots : int array;  (* each bound source's buffer id *)
-  mutable ops : Plan.op list;  (* newest first *)
-  mutable live : (Ndarray.buffer * int) list;  (* buffer -> id, newest first *)
-  mutable nbufs : int;
-  mutable computed : Ir.node list;  (* the nodes forced inside the recording *)
-  mutable refused : reason option;
-  mutable forcing : bool;  (* the stepper's own force of the body's result is next *)
-}
-
-let recorder_key : recorder option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-(* The calling domain's recorder, unless it has refused. *)
-let recording () =
-  match !(Domain.DLS.get recorder_key) with Some r when r.refused = None -> Some r | _ -> None
-
-let refuse reason = match recording () with Some r -> r.refused <- Some reason | None -> ()
-
-let is_bound r n =
-  Array.exists (function Ir.Node m -> m == n | Ir.Arr _ -> false) r.bound
-
-let record f = match recording () with Some r -> r.ops <- f r :: r.ops | None -> ()
-
-let new_id r b =
-  let i = r.nbufs in
-  r.nbufs <- i + 1;
-  r.live <- (b, i) :: r.live;
-  i
-
-(* The id of a buffer the tape touches: a bound or allocated one.  Any
-   other buffer belongs to a value outside the call, which no tape may
-   hold. *)
-let id_of_buffer r (b : Ndarray.buffer) =
-  match List.assq_opt b r.live with
-  | Some i -> i
-  | None ->
-      r.refused <- Some Captured;
-      -1
-
-let id_of r (a : Ndarray.t) = id_of_buffer r a.Ndarray.data
-
-(* The buffer effects of the per-force path, each recorded when a
-   recording is live. *)
-
-let alloc ~pooling shape =
-  let a = Mempool.alloc ~pooling shape in
-  record (fun r -> Plan.Alloc (new_id r a.Ndarray.data, Array.copy shape));
-  a
-
-let recycle ~pooling (a : Ndarray.t) =
-  (match recording () with
-  | None -> ()
-  | Some r ->
-      let b = a.Ndarray.data in
-      let i = id_of_buffer r b in
-      r.live <- List.filter (fun (b', _) -> b' != b) r.live;
-      r.ops <- Plan.Recycle i :: r.ops);
-  Mempool.recycle ~pooling a
-
-let fill (a : Ndarray.t) d =
-  record (fun r -> Plan.Fill (id_of r a, d));
-  Ndarray.fill a d
-
-let blit ~src ~dst =
-  record (fun r -> Plan.Blit (id_of r src, id_of r dst));
-  Ndarray.blit ~src ~dst
-
-let copy_complement src dst lb ub =
-  record (fun r -> Plan.Complement (id_of r src, id_of r dst, Array.copy lb, Array.copy ub));
-  Lower.copy_complement src dst lb ub
-
-let note st fam = Mg_obs.Metrics.incr (Mg_obs.Scope.shard st.shards fam)
-
-let count st fam =
-  record (fun _ -> Plan.Count fam);
-  note st fam
+let backend st = { Backend.pool = st.pool (); par_threshold = st.par_threshold }
 
 (* ------------------------------------------------------------------ *)
 (* Ghost-shell loans.
@@ -230,35 +104,16 @@ let border_copied =
       (r, Mg_obs.Scope.counter_family ~labels:[ ("reason", name) ] "border.copied"))
     [ (Escaped, "escaped"); (Pinned, "pinned"); (Lent, "lent"); (Base_held, "base_held") ]
 
-let note_copied st r = count st (List.assoc r border_copied)
+let note_copied st r = Tape.count st.shards (List.assoc r border_copied)
 
 let end_loan ~pooling (l : Ir.loan) =
   Ir.set_loan l.Ir.lbase None;
   Ir.set_loan l.Ir.lborrower None;
-  recycle ~pooling l.Ir.lshell
-
-(* The debug tripwires of a shell save and restore, shared with replay:
-   the lent buffer must not sit in a free slot, and the interior must
-   come back as it was lent. *)
-let check_lent (arr : Ndarray.t) =
-  Mempool.assert_unpooled arr.Ndarray.data ~ctx:"lent base";
-  Lower.interior_checksum arr
-
-let check_restored (arr : Ndarray.t) sum =
-  Mempool.assert_unpooled arr.Ndarray.data ~ctx:"restored ghost shell";
-  if Lower.interior_checksum arr <> sum then
-    failwith "Exec: a lent base's interior changed during its loan"
-
-(* Write the base's shell back into [arr]: the shared buffer, or a copy
-   of it. *)
-let restore (l : Ir.loan) (arr : Ndarray.t) =
-  record (fun r -> Plan.Restore_shell (id_of r arr, id_of r l.Ir.lshell));
-  Lower.restore_shell arr l.Ir.lshell;
-  if Mempool.get_debug () then check_restored arr l.Ir.lsum
+  Tape.recycle ~pooling l.Ir.lshell
 
 let copy_of ~pooling (a : Ndarray.t) =
-  let c = alloc ~pooling (Ndarray.shape a) in
-  blit ~src:a ~dst:c;
+  let c = Tape.alloc ~pooling (Ndarray.shape a) in
+  Tape.blit ~src:a ~dst:c;
   c
 
 (* End the loan with the borrower on a private copy: the shared buffer
@@ -268,7 +123,7 @@ let move_borrower ~pooling (l : Ir.loan) =
   let b = l.Ir.lborrower in
   if b.Ir.escaped then invalid_arg "Exec: a border escaped while its lent base was held";
   Option.iter (fun a -> Ir.set_cache b (copy_of ~pooling a)) b.Ir.cache;
-  restore l l.Ir.lbuf;
+  Tape.restore_shell l l.Ir.lbuf;
   end_loan ~pooling l
 
 (* End the loan with the base on a private copy, its shell restored:
@@ -276,7 +131,7 @@ let move_borrower ~pooling (l : Ir.loan) =
    pending force holds the base's buffer. *)
 let move_base ~pooling (l : Ir.loan) =
   let c = copy_of ~pooling l.Ir.lbuf in
-  restore l c;
+  Tape.restore_shell l c;
   Ir.set_cache l.Ir.lbase c;
   end_loan ~pooling l
 
@@ -329,9 +184,9 @@ let drop ~pooling (m : Ir.node) =
   | Some arr -> (
       Ir.clear_cache m;
       match m.Ir.loan with
-      | None -> recycle ~pooling arr
+      | None -> Tape.recycle ~pooling arr
       | Some l ->
-          if l.Ir.lborrower == m then restore l l.Ir.lbuf;
+          if l.Ir.lborrower == m then Tape.restore_shell l l.Ir.lbuf;
           end_loan ~pooling l)
 
 let unpin ~pooling h =
@@ -341,7 +196,7 @@ let unpin ~pooling h =
       Ir.set_pin m 0;
       if deferred then drop ~pooling m)
     h.pinned;
-  List.iter (recycle ~pooling) h.temps
+  List.iter (Tape.recycle ~pooling) h.temps
 
 (* [h]'s force holds [m], which takes part in the live loan [l]: settle
    what the loan owes the force, and return the buffer it reads. *)
@@ -365,7 +220,7 @@ let hold_lent st h (m : Ir.node) (l : Ir.loan) =
       | None ->
           note_copied st Pinned;
           let c = copy_of ~pooling l.Ir.lbuf in
-          restore l c;
+          Tape.restore_shell l c;
           h.temps <- c :: h.temps;
           c
   else begin
@@ -487,21 +342,10 @@ let reuse_candidate (n : Ir.node) shape (compiled : Plan.compiled list) =
     srcs
 
 (* ------------------------------------------------------------------ *)
-(* Observation: the span of a force or fold                           *)
-
-(* Close the active span of a force or fold opened by [Span.start].
-   Its extent makes it an operation: the per-level report and
-   [Smp_sim] read it, net of nested operations.  Callers test
-   [Span.active] first, so an unobserved force builds no attributes. *)
-let stop_op sp ~name ~tag ~elements ~extent ~bytes attrs =
-  Span.stop
-    ~attrs:
-      (("tag", tag) :: ("elements", string_of_int elements) :: ("extent", string_of_int extent)
-      :: ("bytes", string_of_int bytes) :: attrs)
-    ~name sp
+(* Observation                                                         *)
 
 (* Distinct kernel paths of a force, for the span's [kernel] attribute
-   (only built when a span is active). *)
+   (only built when a span is active or a stepper records). *)
 let kernels_of (parts : Plan.compiled list) =
   String.concat ","
     (List.sort_uniq compare
@@ -521,10 +365,8 @@ let kernels_of (parts : Plan.compiled list) =
    share.  Under debug, the interior's checksum is kept for the
    restore's check, and the buffer must not sit in a free slot. *)
 let lend st (n : Ir.node) (b : Ir.node) arr =
-  let shell = alloc ~pooling:st.pooling [| Lower.shell_size (Ndarray.shape arr) |] in
-  record (fun r -> Plan.Save_shell (id_of r arr, id_of r shell));
-  Lower.save_shell arr shell;
-  let lsum = if Mempool.get_debug () then check_lent arr else 0 in
+  let shell = Tape.alloc ~pooling:st.pooling [| Lower.shell_size (Ndarray.shape arr) |] in
+  let lsum = Tape.save_shell arr shell in
   let l =
     { Ir.lbase = b;
       lborrower = n;
@@ -535,7 +377,7 @@ let lend st (n : Ir.node) (b : Ir.node) arr =
   in
   Ir.set_loan b (Some l);
   Ir.set_loan n (Some l);
-  count st border_lent;
+  Tape.count st.shards border_lent;
   arr
 
 (* The output buffer of [n]'s force, hit or miss.  [hold] materialises
@@ -555,26 +397,26 @@ let lend st (n : Ir.node) (b : Ir.node) arr =
    (the border's plan has no complement parts, so a copy of the whole
    base is what it needs). *)
 let produce st (n : Ir.node) ~hold parts (mode : Ir.source Plan.out_mode) =
-  let fresh () = alloc ~pooling:st.pooling n.Ir.nshape in
+  let fresh () = Tape.alloc ~pooling:st.pooling n.Ir.nshape in
   let copy reason src =
     note_copied st reason;
     let out = fresh () in
-    blit ~src ~dst:out;
+    Tape.blit ~src ~dst:out;
     out
   in
   match mode with
   | Plan.OFresh -> fresh ()
   | Plan.OFill d ->
       let out = fresh () in
-      fill out d;
+      Tape.fill out d;
       out
   | Plan.OBlit src ->
       let out = fresh () in
-      blit ~src:(hold src) ~dst:out;
+      Tape.blit ~src:(hold src) ~dst:out;
       out
   | Plan.OComplement (src, lb, ub) ->
       let out = fresh () in
-      copy_complement (hold src) out lb ub;
+      Tape.copy_complement (hold src) out lb ub;
       out
   | Plan.OSteal src -> (
       let arr = hold src in
@@ -590,13 +432,9 @@ let produce st (n : Ir.node) ~hold parts (mode : Ir.source Plan.out_mode) =
     when (not b.Ir.escaped) && b.Ir.refs = edges && b.Ir.loan = None
          && not (pinned_elsewhere b ~owner:n.Ir.nid) ->
       let arr = hold src in
-      record (fun r -> Plan.Reuse (id_of r arr));
-      if Mempool.get_debug () then begin
-        Mempool.assert_unpooled arr.Ndarray.data ~ctx:"reuse output";
-        if not (Plan.safe_to_alias arr.Ndarray.data parts) then
-          failwith "Exec: hazardous in-place aliasing decision"
-      end;
-      Mempool.note_reuse ();
+      if Mempool.get_debug () && not (Plan.safe_to_alias arr.Ndarray.data parts) then
+        failwith "Exec: hazardous in-place aliasing decision";
+      Tape.reuse arr;
       arr
   | Plan.OReuse _ -> fresh ()
 
@@ -616,27 +454,6 @@ let mode_name : _ Plan.out_mode -> string = function
   | Plan.OSteal _ -> "steal"
   | Plan.OLend _ -> "lend"
   | Plan.OReuse _ -> "reuse"
-
-(* Record a force's parts over buffer ids, their templates stripped.  A
-   part on the closure path interprets a graph expression, which no
-   tape can rebind. *)
-let record_run out parts =
-  match recording () with
-  | None -> ()
-  | Some r ->
-      let parts =
-        List.filter_map
-          (function
-            | Plan.Ccompiled cp ->
-                Some
-                  ( Plan.strip_cpart cp,
-                    Array.map (fun (cl : Cluster.ccluster) -> id_of_buffer r cl.Cluster.xbuf) cp.Plan.kclusters )
-            | Plan.Cclosure (_, _, body) ->
-                r.refused <- Some (if Ir.expr_has_opaque body then Opaque else Closure);
-                None)
-          parts
-      in
-      r.ops <- Plan.Run (id_of r out, Array.of_list parts) :: r.ops
 
 (* Whether every part writes only the ghost shell of [shape]: each
    generator is a one-thick slab at index 0 or n-1 on some axis. *)
@@ -666,10 +483,7 @@ type origin =
    Inside a recording, only the stepper's own force of the body's result
    is one; any other lets a value leave the body. *)
 let rec force st (n : Ir.node) : Ndarray.t =
-  (match recording () with
-  | Some r when r.forcing -> r.forcing <- false
-  | Some r -> r.refused <- Some Escape
-  | None -> ());
+  Tape.leave ();
   (match n.Ir.loan with
   | Some l when l.Ir.lbase == n && n.Ir.cache <> None -> reclaim st l
   | _ -> ());
@@ -678,20 +492,18 @@ let rec force st (n : Ir.node) : Ndarray.t =
 and compute st (n : Ir.node) =
   match n.Ir.cache with
   | Some a ->
-      (match recording () with
-      | Some r when not (List.memq n r.computed || is_bound r n) -> r.refused <- Some Captured
-      | _ -> ());
+      Tape.reached n;
       a
   | None -> (
-      (match recording () with Some r -> r.computed <- n :: r.computed | None -> ());
+      Tape.computing n;
       let key = Plan_cache.key_of_graph ~env:st.env ~fold:st.fusion.Fusion.fold n in
       let sp = Span.start () in
       let h = holds n.Ir.nid in
       let hold = hold st h in
       match Option.map (fun (k, bindings) -> (Plan_cache.find st.cache k, bindings)) key with
-      | Some (Some (Plan.Cached p), bindings) -> replay st sp n ~hold h p bindings
-      | Some ((None | Some (Plan.Taped _)), _) -> compile st sp n ~hold h key
-      | Some (Some Plan.Uncacheable, _) | None ->
+      | Some (Some (Tape.Cached p), bindings) -> replay st sp n ~hold h p bindings
+      | Some ((None | Some (Tape.Taped _)), _) -> compile st sp n ~hold h key
+      | Some (Some Tape.Uncacheable, _) | None ->
           Plan_cache.note_uncacheable st.shards;
           compile st sp n ~hold h None)
 
@@ -857,8 +669,7 @@ and finish st sp (n : Ir.node) ~hold h parts ~elements mode origin =
   let parts = Plan.bind_out out.Ndarray.data parts in
   let inplace = taken_over mode out in
   let lent = match n.Ir.loan with Some l -> l.Ir.lborrower == n | None -> false in
-  record_run out parts;
-  exec_parts st out parts;
+  Tape.run (backend st) out parts;
   Ir.set_cache n out;
   (* Store the plan before the pins drop: [unpin] and
      [release_sources] may recycle the producers' buffers. *)
@@ -871,11 +682,11 @@ and finish st sp (n : Ir.node) ~hold h parts ~elements mode origin =
     | Compiled { record = Some (key, bindings); recorded; compile_cost } -> (
         match Plan.assemble ~bindings ~recorded ~mode ~elements ~compile_cost parts with
         | Some p ->
-            Plan_cache.add st.cache ~shards:st.shards key (Plan.Cached p);
+            Plan_cache.add st.cache ~shards:st.shards key (Tape.Cached p);
             Plan_cache.note_miss st.shards;
             "miss"
         | None ->
-            Plan_cache.add st.cache ~shards:st.shards key Plan.Uncacheable;
+            Plan_cache.add st.cache ~shards:st.shards key Tape.Uncacheable;
             Plan_cache.note_uncacheable st.shards;
             "uncacheable")
   in
@@ -893,11 +704,9 @@ and finish st sp (n : Ir.node) ~hold h parts ~elements mode origin =
     | (Plan.OSteal _ | Plan.OLend _), None when not lent -> "blit"
     | _ -> mode_name mode
   in
-  record (fun _ ->
-      Plan.Forced { tag; elements; extent; bytes_alloc; kernel = kernels_of parts; out = out_name () });
-  if Span.active sp then
-    stop_op sp ~name:"wl:force" ~tag ~elements ~extent ~bytes:bytes_alloc
-      [ ("cache", outcome); ("kernel", kernels_of parts); ("out", out_name ()) ];
+  if Span.active sp || Tape.live () then
+    Tape.forced sp ~cache:outcome
+      { Tape.tag; elements; extent; bytes_alloc; kernel = kernels_of parts; out = out_name () };
   out
 
 (* ------------------------------------------------------------------ *)
@@ -913,7 +722,7 @@ let apply_op = function
 (* A fold holds and pins the nodes it materialises like a force, until
    its body has been evaluated. *)
 let eval_fold st ~op ~neutral gen body =
-  refuse Escape;
+  Tape.leave ();
   let sp = Span.start () in
   let h = holds (Ir.next_id ()) in
   let parts =
@@ -950,279 +759,22 @@ let eval_fold st ~op ~neutral gen body =
   unpin ~pooling:st.pooling h;
   if Span.active sp then begin
     let counts = Generator.counts gen in
-    stop_op sp ~name:"wl:fold" ~tag:"wl:fold" ~elements:(Generator.cardinal gen)
-      ~extent:(if Array.length counts = 0 then 0 else counts.(0))
-      ~bytes:0 []
+    Span.stop ~name:"wl:fold" sp
+      ~attrs:
+        [ ("tag", "wl:fold"); ("elements", string_of_int (Generator.cardinal gen));
+          ("extent", string_of_int (if Array.length counts = 0 then 0 else counts.(0))); ("bytes", "0") ]
   end;
   result
 
 (* ------------------------------------------------------------------ *)
-(* Staged calls: the stepper.
+(* Staged calls ([Tape.step]): the per-force path forces the body's
+   result without escaping, as [Wl.materialize]. *)
 
-   A call's bound sources — its input, then its parameters — must each
-   be a buffer: a leaf array, or a materialised node that is not
-   escaped, lent or pinned.  The call's signature is the stepper's id,
-   the plan-affecting settings ([env]) and [pooling], and per bound
-   source its leaf flag, shape, strides, reference count and the first
-   bound source sharing its buffer.  Tapes live in the engine's plan
-   cache under that signature ([tape_key]), next to the plans: they
-   share its lock, its LRU bound, [Engine.cache_clear] and the serving
-   siblings that share the cache.  A call whose signature has a tape
-   replays it; any other runs the body on the per-force path,
-   recording a new tape unless the recording is refused.  Every call
-   that does not replay counts one [stage.fallback] reason. *)
-
-type stepper = { sid : int; body : Ir.source array -> Ir.source -> Ir.source }
-
-let stepper_ids = Atomic.make 0
-let stepper body = { sid = Atomic.fetch_and_add stepper_ids 1; body }
-
-let buffer_of = function
-  | Ir.Arr a -> Some a
-  | Ir.Node n -> (
-      match n.Ir.cache with
-      | Some a when (not n.Ir.escaped) && n.Ir.loan = None && n.Ir.pin = 0 -> Some a
-      | _ -> None)
-
-let no_buffer = Ndarray.of_buffer [| 0 |] Plan.dummy_buf
-
-(* The buffers of a call's bound sources, when each is one. *)
-let buffers (bound : Ir.source array) =
-  let bufs = Array.make (Array.length bound) no_buffer in
-  let rec go j =
-    j = Array.length bound
-    ||
-    match buffer_of bound.(j) with
-    | Some a ->
-        bufs.(j) <- a;
-        go (j + 1)
-    | None -> false
-  in
-  if go 0 then Some bufs else None
-
-let refs_of = function Ir.Arr _ -> 0 | Ir.Node n -> n.Ir.refs
-
-(* The first bound source sharing slot [j]'s buffer. *)
-let root_of (bufs : Ndarray.t array) j =
-  let rec go k = if bufs.(k).Ndarray.data == bufs.(j).Ndarray.data then k else go (k + 1) in
-  go 0
-
-(* A tape key starts with 'T'; a plan key with the settings' [env]. *)
-let tape_key st s (bound : Ir.source array) (bufs : Ndarray.t array) =
-  let b = Buffer.create 96 in
-  let int i =
-    Buffer.add_string b (string_of_int i);
-    Buffer.add_char b ','
-  in
-  Buffer.add_char b 'T';
-  int s.sid;
-  Buffer.add_string b st.env;
-  Buffer.add_string b (if st.pooling then "po;" else "-po;");
-  Array.iteri
-    (fun j (a : Ndarray.t) ->
-      Buffer.add_char b (match bound.(j) with Ir.Arr _ -> 'a' | Ir.Node _ -> 'n');
-      int (root_of bufs j);
-      int (refs_of bound.(j));
-      Array.iter int a.Ndarray.shape;
-      Buffer.add_char b '/';
-      Array.iter int a.Ndarray.strides;
-      Buffer.add_char b ';')
-    bufs;
-  Buffer.contents b
-
-(* Force without escaping, as [Wl.materialize]: the loop-carried value
-   stays pool-owned. *)
-let materialize st n =
-  let a = force st n in
-  Mempool.keep a
-
-(* The tape of a finished recording, or the reason it cannot stand for
-   the call.  Beyond a refusal, a tape needs a result the body computed,
-   in a buffer the tape owns and outside any loan, an input left unlent
-   and unpinned, and parameters it neither wrote nor released, holding
-   their buffers and reference counts as bound; otherwise the call
-   shares state with values outside the body ([Captured]). *)
-let tape_of r s (result : Ir.source) =
-  let live_id (a : Ndarray.t) = List.assq_opt a.Ndarray.data r.live in
-  let ops = Array.of_list (List.rev r.ops) in
-  let nbound = Array.length r.bound in
-  let rec is_param i j = j < nbound && (r.roots.(j) = i || is_param i (j + 1)) in
-  let param_intact j =
-    match r.bound.(j) with
-    | Ir.Arr _ -> true
-    | Ir.Node m -> (
-        m.Ir.refs = r.brefs.(j) && m.Ir.loan = None
-        && match m.Ir.cache with Some a -> live_id a = Some r.roots.(j) | None -> false)
-  in
-  let params_intact () =
-    let rec go j = j = nbound || (param_intact j && go (j + 1)) in
-    go 1
-    && not
-         (Array.exists
-            (fun op -> match Plan.written op with Some i -> is_param i 1 | None -> false)
-            ops)
-  in
-  match (r.refused, result) with
-  | Some reason, _ -> Error reason
-  | None, Ir.Node n when List.memq n r.computed && n.Ir.loan = None && params_intact () -> (
-      let input_after =
-        match r.bound.(0) with
-        | Ir.Arr _ -> Some (None, 0)
-        | Ir.Node m when m.Ir.loan <> None || m.Ir.pin <> 0 -> None
-        | Ir.Node m -> (
-            let refs = m.Ir.refs - r.brefs.(0) in
-            match m.Ir.cache with
-            | None -> Some (None, refs)
-            | Some a -> Option.map (fun i -> (Some i, refs)) (live_id a))
-      in
-      match (Option.bind n.Ir.cache live_id, input_after) with
-      | Some tresult, Some (tinput, trefs) ->
-          Ok
-            { Plan.tstepper = s.sid;
-              tops = ops;
-              tbufs = r.nbufs;
-              tresult;
-              tinput;
-              trefs;
-              telided = [||];
-            }
-      | _ -> Error Captured)
-  | None, _ -> Error Captured
-
-let fallback st reason = note st (List.assoc reason stage_fallback)
-
-(* Run the body on the per-force path with the calling domain
-   recording, force its result, and store the tape under [key]. *)
-let record st s (bound : Ir.source array) (bufs : Ndarray.t array) key =
-  let taped =
-    Plan_cache.exists st.cache (function Plan.Taped t -> t.Plan.tstepper = s.sid | _ -> false)
-  in
-  let roots = Array.mapi (fun j _ -> root_of bufs j) bufs in
-  let r =
-    { bound;
-      brefs = Array.map refs_of bound;
-      roots;
-      ops = [];
-      live =
-        List.filter_map
-          (fun j -> if roots.(j) = j then Some (bufs.(j).Ndarray.data, j) else None)
-          (List.init (Array.length bufs) Fun.id);
-      nbufs = Array.length bufs;
-      computed = [];
-      refused = None;
-      forcing = false;
-    }
-  in
-  let cell = Domain.DLS.get recorder_key in
-  cell := Some r;
-  let result =
-    Fun.protect
-      ~finally:(fun () -> cell := None)
-      (fun () ->
-        let result = s.body (Array.sub bound 1 (Array.length bound - 1)) bound.(0) in
-        (match result with
-        | Ir.Node n ->
-            r.forcing <- true;
-            materialize st n
-        | Ir.Arr _ -> ());
-        result)
-  in
-  (match tape_of r s result with
-  | Ok t ->
-      let t = Plan.prune ~bound:(Array.map Ndarray.shape bufs) t in
-      Plan_cache.add st.cache ~shards:st.shards key (Plan.Taped t);
-      fallback st (if taped then Signature else Unrecorded)
-  | Error reason -> fallback st reason);
-  result
-
-let last_forced ops =
-  let rec go i = if i < 0 || (match ops.(i) with Plan.Forced _ -> true | _ -> false) then i else go (i - 1) in
-  go (Array.length ops - 1)
-
-let replay st (t : Plan.tape) (input : Ir.source) (bound : Ndarray.t array) =
-  let bufs = Array.make t.Plan.tbufs no_buffer in
-  Array.blit bound 0 bufs 0 (Array.length bound);
-  (* The input gives its buffer up first: should a kernel raise, a stale
-     consumer re-forces it rather than read a recycled buffer. *)
-  (match input with Ir.Node m when t.Plan.tinput <> Some 0 -> Ir.clear_cache m | _ -> ());
-  Array.iteri
-    (fun k n -> if n > 0 then Mg_obs.Metrics.add (Mg_obs.Scope.shard st.shards stage_elided.(k)) n)
-    t.Plan.telided;
-  let pooling = st.pooling in
-  let debug = Mempool.get_debug () in
-  let sums = if debug then Array.make (Array.length bufs) 0 else [||] in
-  (* Each replayed force's span opens when the previous one closes;
-     none opens after the last, so the tape's trailing recycles leave
-     no span open. *)
-  let sp = ref (Span.start ()) in
-  let last = if Span.active !sp then last_forced t.Plan.tops else -1 in
-  Array.iteri
-    (fun k -> function
-      | Plan.Alloc (i, shape) -> bufs.(i) <- Mempool.alloc ~pooling shape
-      | Plan.Recycle i -> Mempool.recycle ~pooling bufs.(i)
-      | Plan.Fill (i, d) -> Ndarray.fill bufs.(i) d
-      | Plan.Blit (src, dst) -> Ndarray.blit ~src:bufs.(src) ~dst:bufs.(dst)
-      | Plan.Complement (src, dst, lb, ub) -> Lower.copy_complement bufs.(src) bufs.(dst) lb ub
-      | Plan.Save_shell (b, sh) ->
-          Lower.save_shell bufs.(b) bufs.(sh);
-          if debug then sums.(sh) <- check_lent bufs.(b)
-      | Plan.Restore_shell (b, sh) ->
-          Lower.restore_shell bufs.(b) bufs.(sh);
-          if debug then check_restored bufs.(b) sums.(sh)
-      | Plan.Reuse i ->
-          if debug then Mempool.assert_unpooled bufs.(i).Ndarray.data ~ctx:"reuse output";
-          Mempool.note_reuse ()
-      | Plan.Count fam -> note st fam
-      | Plan.Run (o, parts) ->
-          exec_parts st bufs.(o)
-            (Array.fold_right
-               (fun (cp, ids) acc ->
-                 Plan.Ccompiled (Plan.rebind_cpart cp (fun j -> bufs.(ids.(j)).Ndarray.data)) :: acc)
-               parts [])
-      | Plan.Forced f ->
-          if Span.active !sp then
-            stop_op !sp ~name:"wl:force" ~tag:f.Plan.tag ~elements:f.Plan.elements
-              ~extent:f.Plan.extent ~bytes:f.Plan.bytes_alloc
-              [ ("cache", "replay"); ("kernel", f.Plan.kernel); ("out", f.Plan.out) ];
-          if k < last then sp := Span.start ())
-    t.Plan.tops;
-  (match input with
-  | Ir.Node m ->
-      Option.iter (fun i -> Ir.set_cache m bufs.(i)) t.Plan.tinput;
-      for _ = 1 to t.Plan.trefs do
-        Ir.incr_refs input
-      done;
-      for _ = 1 to -t.Plan.trefs do
-        Ir.decr_refs input
-      done
-  | Ir.Arr _ -> ());
-  let out = bufs.(t.Plan.tresult) in
-  Mempool.keep out;
-  Ir.Node (Ir.value out.Ndarray.shape out)
+let materialize st n = Mempool.keep (force st n)
 
 let step st s params input =
-  let per_force () =
-    let result = s.body params input in
-    (match result with Ir.Node n -> materialize st n | Ir.Arr _ -> ());
-    result
-  in
-  if !(Domain.DLS.get recorder_key) <> None then begin
-    fallback st Nested;
-    per_force ()
-  end
-  else
-    let bound = Array.append [| input |] params in
-    match buffers bound with
-    | None ->
-        fallback st Signature;
-        per_force ()
-    | Some bufs -> (
-        let key = tape_key st s bound bufs in
-        match Plan_cache.find st.cache key with
-        | Some (Plan.Taped t) ->
-            note st stage_replays;
-            replay st t input bufs
-        | _ -> record st s bound bufs key)
+  Tape.step ~cache:st.cache ~shards:st.shards ~pooling:st.pooling ~env:st.env ~ctx:(backend st)
+    ~force:(materialize st) s params input
 
 (* ------------------------------------------------------------------ *)
 (* Scoped reads                                                        *)

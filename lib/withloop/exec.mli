@@ -7,9 +7,11 @@
     pipeline modules — {!Lower} (bodies to plans), {!Cluster} (reads
     to flat-index clusters), {!Kernel} (recognition and loop nests),
     {!Plan} (compiled parts and cached plans), {!Backend} (piece
-    scheduling) and {!Mempool} (buffer recycling) — with this module
-    owning graph traversal, the plan-cache fast path, output-buffer
-    production and trace emission.
+    scheduling), {!Mempool} (buffer recycling) and {!Tape} (recorded
+    and replayed stepper calls) — with this module owning graph
+    traversal, the plan-cache fast path, output-buffer production and
+    trace emission.  It reports every buffer effect through {!Tape}'s
+    recording hooks, so a {!Wl.staged} stepper's tape sees them all.
 
     Compiled parts are memoised in the engine's {!Plan_cache} (the
     [cache] field of {!settings}): the second and later forces of a
@@ -37,7 +39,8 @@
     {!Mg_obs.Metrics} ([kernel.*]).  The executor holds no
     module-level mutable state of its own — every per-solve knob
     arrives through {!settings}, so concurrent engines on separate
-    domains never interfere. *)
+    domains never interfere (the tape recorder is {!Tape}'s, and
+    domain-local). *)
 
 open Mg_ndarray
 
@@ -69,9 +72,10 @@ type settings = {
       (** Draw buffers from {!Mempool} arenas; [false] degrades every
           allocation to a plain [create_uninit] (the engine config's
           [pooling] flag, the only pooling switch). *)
-  cache : Plan.cache_entry Plan_cache.t;
-      (** The owning engine's plan store ({!Plan.Cached} compiled
-          plans, {!Plan.Uncacheable} negative entries). *)
+  cache : Tape.cache_entry Plan_cache.t;
+      (** The owning engine's plan store ({!Tape.Cached} compiled
+          plans, {!Tape.Uncacheable} negative entries, {!Tape.Taped}
+          stepper tapes). *)
   shards : Mg_obs.Scope.shards;
       (** The forcing engine's shard table: plan-cache events count
           there, so a force outside any solve scope is attributed
@@ -98,7 +102,7 @@ val make_settings :
   native:string option ->
   reuse:bool ->
   pooling:bool ->
-  cache:Plan.cache_entry Plan_cache.t ->
+  cache:Tape.cache_entry Plan_cache.t ->
   shards:Mg_obs.Scope.shards ->
   pool:(unit -> Mg_smp.Domain_pool.t) ->
   par_threshold:int ->
@@ -107,37 +111,10 @@ val make_settings :
 val force : settings -> Ir.node -> Ndarray.t
 (** Idempotent: cached after the first call. *)
 
-(** {1 Staged calls}
-
-    A {!stepper}'s tape is one recorded call of its body: every buffer
-    effect the per-force path performed — pool allocations and
-    recycles, fills, blits and complements, ghost-shell saves and
-    restores, each force's compiled parts, the reuse, lent and copied
-    counts — over symbolic buffer ids ({!Plan.tape}).  A call binds an
-    input and an array of parameters; when each is a buffer, the call's
-    signature (see {!Wl.staged}) keys a tape in the engine's plan cache.
-    A call whose signature has a tape runs it with no graph build, key
-    hashing, plan lookup or hold; any other call runs the body on the
-    per-force path, recording a tape under its signature when it can.
-    Replays count in the [stage.replays] shard; every other call counts
-    one [stage.fallback{reason}]: [unrecorded] (the cache holds no tape
-    of the stepper), [signature] (it holds one under another signature,
-    or a bound source is no buffer), [captured] (the graph reaches a
-    materialised node or an array that is not bound, or writes or
-    releases a parameter), [opaque], [closure] (a part runs as an
-    interpreted closure), [escape] (a force, escape or fold inside the
-    body) or [nested] (the domain is already recording).  The recorder
-    is domain-local. *)
-
-type stepper
-
-val stepper : (Ir.source array -> Ir.source -> Ir.source) -> stepper
-(** A stepper with a fresh id, which its tapes are keyed by. *)
-
-val step : settings -> stepper -> Ir.source array -> Ir.source -> Ir.source
+val step : settings -> Tape.stepper -> Ir.source array -> Ir.source -> Ir.source
 (** [step st s params input]: one call of the stepper's body on the
-    given parameters and input, its result materialised without
-    escaping (as [Wl.materialize]). *)
+    given parameters and input ({!Tape.step}), its result materialised
+    without escaping (as [Wl.materialize]). *)
 
 val read : settings -> Ir.node -> (Ndarray.t -> 'a) -> 'a
 (** [read st n f] forces [n] without escaping and applies [f] to its

@@ -186,10 +186,6 @@ let split_axis g ~axis ~pieces =
     !result
   end
 
-let equal a b =
-  Shape.equal a.lb b.lb && Shape.equal a.ub b.ub && Shape.equal a.step b.step
-  && Shape.equal a.width b.width
-
 let disjoint_union_is parts whole =
   let tbl = Hashtbl.create 64 in
   iter whole (fun iv -> Hashtbl.replace tbl (Array.copy iv) 0);

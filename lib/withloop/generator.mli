@@ -82,5 +82,4 @@ val disjoint_union_is : t list -> t -> bool
     second argument exactly (each index covered exactly once)?  Works
     by enumeration — small shapes only. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

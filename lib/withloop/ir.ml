@@ -46,12 +46,9 @@ and part = { gen : Generator.t; body : expr }
    but strict global monotonicity is cheap and simpler to reason
    about. *)
 let counter = Atomic.make 0
-let reset_ids () = Atomic.set counter 0
 let next_id () = 1 + Atomic.fetch_and_add counter 1
 
 let source_shape = function Arr a -> Ndarray.shape a | Node n -> n.nshape
-
-let node_of_ndarray a = Arr a
 
 let rec expr_reads = function
   | Const _ | Opaque _ -> []
@@ -195,18 +192,3 @@ let rec pp_expr ppf = function
   | Mul (a, b) -> Format.fprintf ppf "(%a * %a)" pp_expr a pp_expr b
   | Divf (a, b) -> Format.fprintf ppf "(%a / %a)" pp_expr a pp_expr b
   | Opaque _ -> Format.fprintf ppf "<opaque>"
-
-let pp_node ppf n =
-  let pp_parts ppf parts =
-    List.iter
-      (fun p -> Format.fprintf ppf "@,  %a -> %a" Generator.pp p.gen pp_expr p.body)
-      parts
-  in
-  match n.spec with
-  | Genarray { default; parts } ->
-      Format.fprintf ppf "@[<v>n%d = genarray%a default %g refs=%d%a@]" n.nid Shape.pp n.nshape
-        default n.refs pp_parts parts
-  | Modarray { base; parts } ->
-      let base_id = match base with Arr _ -> "arr" | Node m -> Printf.sprintf "n%d" m.nid in
-      Format.fprintf ppf "@[<v>n%d = modarray%a base %s refs=%d%a@]" n.nid Shape.pp n.nshape
-        base_id n.refs pp_parts parts

@@ -99,8 +99,6 @@ val value : Shape.t -> Ndarray.t -> node
 
 val source_shape : source -> Shape.t
 
-val node_of_ndarray : Ndarray.t -> source
-
 val expr_reads : expr -> (source * Ixmap.t) list
 (** All reads in an expression, left to right. *)
 
@@ -150,15 +148,8 @@ val set_pin : node -> int -> unit
 
 val set_loan : node -> loan option -> unit
 
-val validate_part : Shape.t -> part -> unit
-(** @raise Invalid_argument if the generator escapes the shape. *)
-
-val reset_ids : unit -> unit
-(** Reset the id counter (test determinism only). *)
-
 val next_id : unit -> int
 (** A fresh id from the node counter (the executor's folds pin their
     sources under one). *)
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_node : Format.formatter -> node -> unit

@@ -25,7 +25,6 @@ let is_identity m =
   let last = Shape.rank m.scale - 1 in
   all_equal m.scale 1 last && all_equal m.offset 0 last && all_equal m.div 1 last
 
-let has_division m = Array.exists (fun d -> d > 1) m.div
 
 let is_pure_offset m =
   Array.for_all (fun s -> s = 1) m.scale && Array.for_all (fun d -> d = 1) m.div

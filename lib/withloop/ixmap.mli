@@ -31,7 +31,6 @@ val divide : int -> int -> t  (** [divide rank k]: [iv / k] — scatter. *)
 
 val rank : t -> int
 val is_identity : t -> bool
-val has_division : t -> bool
 val is_pure_offset : t -> bool  (** scale 1, div 1. *)
 
 val apply : t -> Shape.t -> Shape.t

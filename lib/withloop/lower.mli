@@ -25,19 +25,8 @@ val plan_of : Ir.expr -> plan
 
 (** {1 Modarray lowering} *)
 
-val copy_box : Ndarray.t -> Ndarray.t -> Shape.t -> Shape.t -> unit
-(** [copy_box src dst lb ub] copies the box [lb, ub) row-blit-wise.
-    Both arrays must have the source's shape. *)
-
 val copy_complement : Ndarray.t -> Ndarray.t -> Shape.t -> Shape.t -> unit
 (** Copy [base] into [out] everywhere outside the box [lb, ub). *)
-
-val subtract_box :
-  Shape.t * Shape.t -> Shape.t * Shape.t -> (Shape.t * Shape.t) list
-(** Box difference as up to [2 * rank] disjoint slabs. *)
-
-val complement_boxes : Shape.t -> Ir.part list -> (Shape.t * Shape.t) list
-(** The complement of the parts' generator boxes within [shape]. *)
 
 (** {1 Ghost shells}
 
@@ -62,5 +51,6 @@ val interior_checksum : Ndarray.t -> int
     tripwire's check that a loan left the interior alone). *)
 
 val complement_parts : Shape.t -> Ir.source -> Ir.part list -> Ir.part list
-(** Explicit identity-read parts covering {!complement_boxes} — the
-    lowered form of a dense modarray's base pass-through. *)
+(** Explicit identity-read parts covering the complement of the parts'
+    generator boxes within the shape — the lowered form of a dense
+    modarray's base pass-through. *)

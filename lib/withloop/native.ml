@@ -47,12 +47,9 @@ external dl_error : unit -> string = "mg_native_dlerror"
 external raw_call : nativeint -> Ndarray.buffer array -> int array -> int -> int -> unit
   = "mg_native_call_bytecode" "mg_native_call"
 
-(* A bound kernel: the function address, plus the digest for
-   diagnostics.  Addresses stay valid for the process lifetime —
-   handles are never dlclosed. *)
-type fn = { addr : nativeint; key : string }
-
-let fn_key f = f.key
+(* A bound kernel: the function address.  Addresses stay valid for
+   the process lifetime — handles are never dlclosed. *)
+type fn = { addr : nativeint }
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -144,14 +141,14 @@ let reset_for_tests () =
   Atomic.set warned false;
   Mutex.unlock memo_mu
 
-let bind_so path key =
+let bind_so path =
   let h = dl_open path in
   if h = Nativeint.zero then fail "dlopen rejected %s (%s)" path (dl_error ())
   else begin
     let addr = dl_sym h Cgen.kernel_symbol in
     if addr = Nativeint.zero then
       fail "dlsym found no %s in %s (%s)" Cgen.kernel_symbol path (dl_error ())
-    else Some { addr; key }
+    else Some { addr }
   end
 
 let uniq = Atomic.make 0
@@ -190,7 +187,7 @@ let build_so ~cc ~dir ~path ~src key =
         Metrics.incr (Mg_obs.Scope.here compiles);
         Metrics.observe h_compile dt;
         trim_cache dir;
-        bind_so path key
+        bind_so path
       end
 
 let load_or_build ~cache_dir ~cc ~src key =
@@ -198,7 +195,7 @@ let load_or_build ~cache_dir ~cc ~src key =
   mkdirs dir;
   let path = Filename.concat dir (so_prefix ^ key ^ ".so") in
   if Sys.file_exists path then begin
-    match bind_so path key with
+    match bind_so path with
     | Some fn ->
         Metrics.incr c_disk_hits;
         touch path;

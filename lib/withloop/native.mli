@@ -20,7 +20,6 @@ open Mg_ndarray
 val compiles : Mg_obs.Metrics.counter Mg_obs.Scope.family
 val failures : Mg_obs.Metrics.counter Mg_obs.Scope.family
 val c_disk_hits : Mg_obs.Metrics.counter
-val c_mem_hits : Mg_obs.Metrics.counter
 
 (** {1 Compilation} *)
 
@@ -29,9 +28,6 @@ type fn
     Valid for the process lifetime (objects are never dlclosed), and
     holds no buffer — layouts are read from the live cluster array at
     each {!call}. *)
-
-val fn_key : fn -> string
-(** The kernel's content digest (cache key), for diagnostics. *)
 
 val compile :
   cache_dir:string -> const:float -> Cluster.ccluster array -> osteps:int array -> fn option

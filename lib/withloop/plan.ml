@@ -12,7 +12,7 @@ module Span = Mg_obs.Span
    shifts the compiled bases by whole outer-axis steps per piece
    instead of re-deriving layouts piece by piece. *)
 
-(* What a part touches, for the tape liveness pass ([prune]), computed
+(* What a part touches, for the tape liveness pass ([Tape.prune]), computed
    once when the part is compiled: the generators it writes (its own,
    or each member's of a shell group), how many of their elements lie
    inside the output's interior and how many in its one-thick ghost
@@ -544,299 +544,3 @@ let assemble ~(bindings : Ir.source array) ~(recorded : (Ir.node * Ndarray.buffe
         ccompile = compile_cost;
       }
   else None
-
-(* ------------------------------------------------------------------ *)
-(* Tapes: one recorded call of a [Wl.staged] stepper ([Exec.step]).   *)
-
-type seen = {
-  tag : string;
-  elements : int;
-  extent : int;
-  bytes_alloc : int;
-  kernel : string;
-  out : string;
-}
-
-type op =
-  | Alloc of int * Shape.t
-  | Recycle of int
-  | Fill of int * float
-  | Blit of int * int
-  | Complement of int * int * Shape.t * Shape.t
-  | Save_shell of int * int
-  | Restore_shell of int * int
-  | Reuse of int
-  | Count of Mg_obs.Metrics.counter Mg_obs.Scope.family
-  | Run of int * (cpart * int array) array
-  | Forced of seen
-
-let written = function
-  | Recycle i | Fill (i, _) | Blit (_, i) | Complement (_, i, _, _) | Save_shell (i, _)
-  | Restore_shell (i, _) | Reuse i | Run (i, _) ->
-      Some i
-  | Alloc _ | Count _ | Forced _ -> None
-
-type tape = {
-  tstepper : int;
-  tops : op array;
-  tbufs : int;
-  tresult : int;
-  tinput : int option;
-  trefs : int;
-  telided : int array;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Tape liveness.
-
-   One backward pass over a recorded tape drops the stores no later op
-   reads.  Per buffer id it tracks two regions, the interior and the
-   one-thick ghost shell, each live or dead.  At the tape's end the
-   result and the handed-back input are live in full; every other
-   buffer is dead (parameters are never written).  Walking backward:
-
-   - a [Run] part (a shell group is one) is dropped when every region
-     it writes is dead; a kept part makes the regions it reads live.
-     The parts of one [Run] are visited last to first, so a part a
-     later part of the same force reads stays;
-   - a [Run] kills a region of its output when its parts cover it
-     exactly: their elements inside it sum to its size, and their
-     generators are pairwise disjoint boxes;
-   - a [Restore_shell] is dropped when the restored shell is dead, a
-     [Save_shell] when no kept restore reads its side buffer, and a
-     [Fill] when its buffer is dead in both regions;
-   - [Blit], [Complement], [Reuse], [Count] and [Forced] stay;
-   - last, the [Alloc] and [Recycle] of a buffer no kept op touches go.
-
-   Reads are over-approximated by their bounding boxes, met with the
-   two regions when the part is compiled ([foot]), so the pass only
-   combines bits.  It drops only stores no later op reads: every value
-   a kept op reads is computed as before, so results are bitwise
-   unchanged.  A [Forced] op keeps its recorded span attributes, so a
-   replay shows the same operations whatever it elides. *)
-
-(* The regions of [shape] outside the box [lb, ub). *)
-let complement_regions (shape : Shape.t) (lb : Shape.t) (ub : Shape.t) =
-  let inner = ref false and shell = ref false in
-  for j = 0 to Array.length shape - 1 do
-    if lb.(j) > 1 || ub.(j) < shape.(j) - 1 then inner := true;
-    if lb.(j) > 0 || ub.(j) < shape.(j) then shell := true
-  done;
-  (if !inner && interior_size shape > 0 then region_interior else 0)
-  lor if !shell then region_shell else 0
-
-(* Boxes lying in distinct cells of [shape]'s partition into {0},
-   [1, n-2] and {n-1} per axis are pairwise disjoint: the test that
-   settles a shell group or a border in one pass over its boxes.
-   [cells shape seen gens] adds the cells of [gens] to the mask [seen]
-   of cells taken; -1 once a box spans cells or takes a cell twice. *)
-let cells (shape : Shape.t) seen (gens : Generator.t array) =
-  let seen = ref seen in
-  for i = 0 to Array.length gens - 1 do
-    if !seen >= 0 then begin
-      let g = gens.(i) and c = ref 0 in
-      for j = 0 to Array.length shape - 1 do
-        let lb = g.Generator.lb.(j) and ub = g.Generator.ub.(j) and n = shape.(j) in
-        let k =
-          if ub <= 1 then 0 else if lb >= n - 1 then 2 else if lb >= 1 && ub <= n - 1 then 1 else -1
-        in
-        c := if !c < 0 || k < 0 then -1 else (!c * 3) + k
-      done;
-      seen := if !c < 0 || !c > 61 || !seen land (1 lsl !c) <> 0 then -1 else !seen lor (1 lsl !c)
-    end
-  done;
-  !seen
-
-let rec disjoint_to (g : Generator.t) (ws : Generator.t array) k =
-  k = Array.length ws || (disjoint g ws.(k) && disjoint_to g ws (k + 1))
-
-let rec all_disjoint (a : Generator.t array) (b : Generator.t array) k =
-  k = Array.length a || (disjoint_to a.(k) b 0 && all_disjoint a b (k + 1))
-
-let rec pairwise_disjoint (ws : Generator.t array) i =
-  i >= Array.length ws || (disjoint_to ws.(i) ws (i + 1) && pairwise_disjoint ws (i + 1))
-
-(* Whether the parts writing into a region ([within] counts a part's
-   elements there) do so through pairwise disjoint boxes: at once when
-   their boxes lie in distinct cells, else pair by pair.  A part
-   writing nothing there cannot overlap another one inside it. *)
-let parts_disjoint oshape (parts : (cpart * int array) array) within =
-  let n = Array.length parts and seen = ref 0 in
-  for p = 0 to n - 1 do
-    let f = (fst parts.(p)).kfoot in
-    if within f > 0 then seen := cells oshape !seen f.fwrites
-  done;
-  !seen >= 0
-  ||
-  let ok = ref true in
-  for p = 0 to n - 1 do
-    let fp = (fst parts.(p)).kfoot in
-    if !ok && within fp > 0 then begin
-      ok := pairwise_disjoint fp.fwrites 0;
-      for q = p + 1 to n - 1 do
-        let fq = (fst parts.(q)).kfoot in
-        if !ok && within fq > 0 then ok := all_disjoint fp.fwrites fq.fwrites 0
-      done
-    end
-  done;
-  !ok
-
-(* The kinds [telided] counts, in order. *)
-let elided_ops = [| "part"; "save"; "restore"; "fill" |]
-
-let e_part = 0
-and e_save = 1
-and e_restore = 2
-and e_fill = 3
-
-let all_regions = region_interior lor region_shell
-
-(* A [Run] writing [o], its parts visited last to first: the kept
-   ones make what they read live.  Returns each part's flag, ['\001']
-   when kept; [live.(o)] becomes what is live before the [Run].  When
-   [o] was allocated by the op before ([fresh]), no op sees what the
-   [Run] kills, and the cover is not computed. *)
-let prune_run ~shapes ~live ~touched ~elided ~fresh o (parts : (cpart * int array) array) =
-  let np = Array.length parts in
-  let kept = Bytes.make np '\000' in
-  let after = live.(o) in
-  (* [seen]: the regions of [o] live after the part visited; [read]:
-     those the kept parts read. *)
-  let seen = ref after and read = ref 0 and inner = ref 0 and outer = ref 0 in
-  for p = np - 1 downto 0 do
-    let cp, ids = parts.(p) in
-    let f = cp.kfoot in
-    inner := !inner + f.finner;
-    outer := !outer + f.fouter;
-    let writes =
-      (if f.finner > 0 then region_interior else 0) lor if f.fouter > 0 then region_shell else 0
-    in
-    if writes land !seen <> 0 then begin
-      Bytes.unsafe_set kept p '\001';
-      Bytes.unsafe_set touched o '\001';
-      for c = 0 to Array.length f.freads - 1 do
-        let r = f.freads.(c) and i = ids.(c) in
-        if r <> 0 then begin
-          Bytes.unsafe_set touched i '\001';
-          if i = o then begin
-            seen := !seen lor r;
-            read := !read lor r
-          end
-          else live.(i) <- live.(i) lor r
-        end
-      done
-    end
-    else elided.(e_part) <- elided.(e_part) + 1
-  done;
-  let oshape = shapes.(o) in
-  let size_in = interior_size oshape in
-  let kill =
-    if fresh then 0
-    else
-      let covered region full within =
-        if after land region <> 0 && full && parts_disjoint oshape parts within then region else 0
-      in
-      covered region_interior (!inner = size_in) (fun f -> f.finner)
-      lor covered region_shell (!outer = Shape.num_elements oshape - size_in) (fun f -> f.fouter)
-  in
-  live.(o) <- (after land lnot kill) lor !read;
-  kept
-
-let prune ~(bound : Shape.t array) (t : tape) =
-  let ops = t.tops and nbufs = t.tbufs and nops = Array.length t.tops in
-  let shapes = Array.make nbufs [||] in
-  Array.blit bound 0 shapes 0 (Array.length bound);
-  for k = 0 to nops - 1 do
-    match ops.(k) with Alloc (i, shape) -> shapes.(i) <- shape | _ -> ()
-  done;
-  let live = Array.make nbufs 0 and touched = Bytes.make nbufs '\000' in
-  let touch i = Bytes.unsafe_set touched i '\001' in
-  live.(t.tresult) <- all_regions;
-  touch t.tresult;
-  (match t.tinput with
-  | Some i ->
-      live.(i) <- all_regions;
-      touch i
-  | None -> ());
-  let keep = Bytes.make nops '\001' in
-  (* The [Run]s that keep some of their parts, with each part's flag,
-     in op order (the walk goes backward). *)
-  let partial = ref [] in
-  let elided = Array.make (Array.length elided_ops) 0 in
-  let drop k e =
-    Bytes.set keep k '\000';
-    elided.(e) <- elided.(e) + 1
-  in
-  for k = nops - 1 downto 0 do
-    match ops.(k) with
-    | Alloc (i, _) | Recycle i -> live.(i) <- 0
-    | Fill (i, _) ->
-        if live.(i) = 0 then drop k e_fill
-        else begin
-          live.(i) <- 0;
-          touch i
-        end
-    | Blit (src, dst) ->
-        live.(dst) <- 0;
-        live.(src) <- all_regions;
-        touch src;
-        touch dst
-    | Complement (src, dst, lb, ub) ->
-        live.(src) <- live.(src) lor complement_regions shapes.(src) lb ub;
-        touch src;
-        touch dst
-    | Save_shell (b, sh) ->
-        if live.(sh) = 0 then drop k e_save
-        else begin
-          live.(sh) <- 0;
-          live.(b) <- live.(b) lor region_shell;
-          touch b;
-          touch sh
-        end
-    | Restore_shell (b, sh) ->
-        if live.(b) land region_shell = 0 then drop k e_restore
-        else begin
-          live.(b) <- live.(b) land lnot region_shell;
-          live.(sh) <- all_regions;
-          touch b;
-          touch sh
-        end
-    | Reuse i -> touch i
-    | Count _ | Forced _ -> ()
-    | Run (o, parts) ->
-        let fresh = k > 0 && match ops.(k - 1) with Alloc (i, _) -> i = o | _ -> false in
-        let kept = prune_run ~shapes ~live ~touched ~elided ~fresh o parts in
-        if not (Bytes.contains kept '\001') then Bytes.set keep k '\000'
-        else if Bytes.contains kept '\000' then partial := (k, kept) :: !partial
-  done;
-  let nbound = Array.length bound in
-  for k = 0 to nops - 1 do
-    match ops.(k) with
-    | (Alloc (i, _) | Recycle i) when i >= nbound && Bytes.get touched i = '\000' ->
-        Bytes.set keep k '\000'
-    | _ -> ()
-  done;
-  if Array.for_all (fun n -> n = 0) elided then { t with telided = elided }
-  else begin
-    let dropped = Bytes.fold_left (fun n c -> if c = '\000' then n + 1 else n) 0 keep in
-    let out = Array.make (nops - dropped) ops.(0) in
-    let n = ref 0 in
-    for k = 0 to nops - 1 do
-      if Bytes.get keep k = '\001' then begin
-        out.(!n) <-
-          (match (ops.(k), !partial) with
-          | Run (o, parts), (k', kept) :: rest when k' = k ->
-              partial := rest;
-              let kept_part p _ = Bytes.get kept p = '\001' in
-              Run (o, Array.of_list (List.filteri kept_part (Array.to_list parts)))
-          | op, _ -> op);
-        incr n
-      end
-    done;
-    { t with tops = out; telided = elided }
-  end
-
-(* What an engine's plan cache stores per key: a replayable plan, a
-   tombstone recording that this key's graph cannot be assembled (so
-   later forces skip the assembly attempt), or a stepper's tape. *)
-type cache_entry = Cached of cplan | Uncacheable | Taped of tape

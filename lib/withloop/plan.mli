@@ -12,19 +12,28 @@ open Mg_ndarray
 
 (** {1 Compiled parts} *)
 
-(** What a part touches, for {!prune}, computed once when the part is
+(** What a part touches, for {!Tape.prune}, computed once when the part is
     compiled: the generators it writes (its own, or each member's of a
     shell group); how many of their elements lie in the output's
     interior (every coordinate in [1, n-2]) and how many in its
     one-thick ghost shell; and per cluster, the regions of the
-    cluster's buffer the part reads (bit 1 the interior, bit 2 the
-    shell), from the bounding box of each read's image. *)
+    cluster's buffer the part reads ({!region_interior},
+    {!region_shell}), from the bounding box of each read's image. *)
 type foot = {
   fwrites : Generator.t array;
   finner : int;
   fouter : int;
   freads : int array;
 }
+
+val region_interior : int
+val region_shell : int
+
+val interior_size : Shape.t -> int
+(** The number of elements with every coordinate in [1, n-2]. *)
+
+val disjoint : Generator.t -> Generator.t -> bool
+(** Whether two generators' bounding boxes are disjoint. *)
 
 type cpart = {
   kgen : Generator.t;
@@ -192,74 +201,3 @@ val assemble :
     plan's {!cplan.corder}.  [None] when a part stayed on the closure
     path or a source or buffer is no binding's (the force is
     uncacheable). *)
-
-(** {1 Tapes}
-
-    One recorded call of a [Wl.staged] stepper ({!Exec.step}): every
-    buffer effect of the per-force path, in order, over symbolic buffer
-    ids.  Ids [0 .. k] are the call's bound buffers (the input, then the
-    parameters; a parameter sharing an earlier slot's buffer uses that
-    slot's id), every pool allocation gets the next id.  A tape holds no
-    buffer: every id is bound per replay.  A stored tape has been
-    through {!prune}: it keeps only the effects something reads. *)
-
-(** What one force shows traces and spans. *)
-type seen = {
-  tag : string;
-  elements : int;
-  extent : int;
-  bytes_alloc : int;
-  kernel : string;
-  out : string;
-}
-
-type op =
-  | Alloc of int * Shape.t
-  | Recycle of int
-  | Fill of int * float
-  | Blit of int * int  (** Source, destination. *)
-  | Complement of int * int * Shape.t * Shape.t
-  | Save_shell of int * int  (** Lent buffer, shell. *)
-  | Restore_shell of int * int  (** Buffer, shell. *)
-  | Reuse of int
-  | Count of Mg_obs.Metrics.counter Mg_obs.Scope.family
-  | Run of int * (cpart * int array) array
-      (** Output, stripped parts with the buffer id of each cluster. *)
-  | Forced of seen  (** One force is complete. *)
-
-val written : op -> int option
-(** The buffer an op writes or recycles, if any. *)
-
-type tape = {
-  tstepper : int;  (** The recording stepper's id. *)
-  tops : op array;
-  tbufs : int;  (** Buffer ids the tape uses. *)
-  tresult : int;
-  tinput : int option;  (** The input node's buffer afterwards; [None]: released. *)
-  trefs : int;  (** The input node's reference count, afterwards minus before. *)
-  telided : int array;  (** Ops {!prune} dropped, per {!elided_ops} kind. *)
-}
-
-val elided_ops : string array
-(** The kinds of op {!prune} counts: ["part"] (a [Run] part; a shell
-    group is one), ["save"], ["restore"], ["fill"]. *)
-
-val prune : bound:Shape.t array -> tape -> tape
-(** The backward liveness pass over a recorded tape ([bound]: the
-    shapes of its bound buffer ids).  Per buffer id it tracks whether
-    the interior and the one-thick ghost shell are live; the result and
-    the handed-back input are live in full at the tape's end.  It drops
-    the [Run] parts whose written regions are all dead, the
-    [Save_shell]/[Restore_shell] pairs whose restored shell is dead, the
-    [Fill]s overwritten before any read, and the [Alloc]/[Recycle] of a
-    buffer no kept op touches.  Reads are over-approximated by the
-    bounding boxes of their images ({!foot}); a [Run] kills a region
-    only when its parts cover it exactly with disjoint generators.  Replaying the pruned tape gives
-    bitwise the same result and handed-back input. *)
-
-type cache_entry = Cached of cplan | Uncacheable | Taped of tape
-(** One {!Plan_cache} slot of an engine: a stored plan, a tombstone for
-    a key whose graph failed {!assemble} (replays skip the assembly
-    attempt instead of re-failing it every force), or a stepper's tape
-    (its key starts with ['T'], a plan key with the engine's
-    fingerprint). *)

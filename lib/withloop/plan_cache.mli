@@ -29,7 +29,7 @@ type stats = {
 
     Each instance belongs to one engine, or is shared by serving
     siblings; it holds plans (and stepper tapes, see
-    {!Plan.cache_entry}) only, no statistics.  All operations are
+    {!Tape.cache_entry}) only, no statistics.  All operations are
     serialised by an internal per-instance mutex, so one cache may be
     shared by engines driven from different domains (the lock is
     uncontended in the one-engine-per-domain regime). *)

@@ -85,15 +85,12 @@ let read t f =
       Exec.read (settings ()) n f
 
 let staged body =
-  let s = Exec.stepper body in
+  let s = Tape.stepper body in
   fun params u ->
     tune_gc ();
     Exec.step (settings ()) s params u
 
 let run_reference : t -> Ndarray.t = fun s -> Reference.run s
-
-let fold_reference ~op ~neutral gen body =
-  Reference.fold ~op:(Exec.apply_op op) ~neutral gen body
 
 let shape = Ir.source_shape
 let rank s = Shape.rank (shape s)

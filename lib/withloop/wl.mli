@@ -82,7 +82,7 @@ val staged : (t array -> t -> t) -> t array -> t -> t
     materialised node or an array that is not bound, writes or
     releases a parameter, runs an opaque ([Expr.of_fun]) or otherwise
     interpreted part, forces, escapes or folds inside [body], or when
-    a stepper is called inside another's body (see {!Exec.step} for
+    a stepper is called inside another's body (see {!Tape} for
     the fallback reasons).  The recorder is domain-local: steppers on
     separate domains do not interfere.  A replayed result cannot be
     recomputed: forcing it again after its buffer was released raises
@@ -143,10 +143,6 @@ val fold : op:Exec.fold_op -> neutral:float -> Generator.t -> Expr.e -> float
 (** Eager reduction over a generator (the fold with-loop).  The
     operator must be associative and commutative, as in SAC — the
     engine may regroup partitions. *)
-
-val fold_reference : op:Exec.fold_op -> neutral:float -> Generator.t -> Expr.e -> float
-(** Reference evaluation of {!fold} (row-major per-element tree walk,
-    see {!run_reference}). *)
 
 (** {1 Compiler configuration} *)
 

@@ -79,13 +79,13 @@ let check_counts what e ~replays:n ~fallback =
   Alcotest.(check int) (what ^ ": replays") n got_n;
   Alcotest.(check (list (pair string int))) (what ^ ": fallbacks") fallback got_f
 
-(* The stores the replays of [e] skipped, per Plan.elided_ops kind. *)
+(* The stores the replays of [e] skipped, per Tape.elided_ops kind. *)
 let elided e =
   List.map
     (fun op ->
       Metrics.value
         (Metrics.counter ~labels:[ ("engine", string_of_int (Engine.label e)); ("op", op) ] "stage.elided"))
-    (Array.to_list Plan.elided_ops)
+    (Array.to_list Tape.elided_ops)
 
 (* ------------------------------------------------------------------ *)
 (* Replay = the per-force path, iteration by iteration.                *)

@@ -1,4 +1,4 @@
-(* The tape liveness pass (Plan.prune): a recorded tape drops the
+(* The tape liveness pass (Tape.prune): a recorded tape drops the
    stores no later op reads — ghost-shell writes a border overwrites,
    loan saves and restores whose shell is dead, fills overwritten
    before any read — and keeps every store something reads: a shell a
@@ -44,16 +44,16 @@ let with_engine ?(config = fun c -> c) f =
 let engine_counter e name labels =
   Metrics.value (Metrics.counter ~labels:(("engine", string_of_int (Engine.label e)) :: labels) name)
 
-(* The stage.elided counts of [e], in Plan.elided_ops order. *)
+(* The stage.elided counts of [e], in Tape.elided_ops order. *)
 let elided e =
   List.map
     (fun op -> (op, engine_counter e "stage.elided" [ ("op", op) ]))
-    (Array.to_list Plan.elided_ops)
+    (Array.to_list Tape.elided_ops)
 
 let check_elided what e expected =
   Alcotest.(check (list (pair string int)))
     (what ^ ": stage.elided")
-    (List.combine (Array.to_list Plan.elided_ops) expected)
+    (List.combine (Array.to_list Tape.elided_ops) expected)
     (elided e)
 
 (* The stored tape of [e]'s only stepper. *)
@@ -61,14 +61,29 @@ let tape e =
   let found = ref None in
   ignore
     (Plan_cache.exists (Engine.cache e) (function
-      | Plan.Taped t ->
+      | Tape.Taped t ->
           found := Some t;
           true
       | _ -> false));
   Option.get !found
 
-let count_ops p (t : Plan.tape) =
-  Array.fold_left (fun acc op -> if p op then acc + 1 else acc) 0 t.Plan.tops
+let count_ops p (t : Tape.tape) =
+  Array.fold_left (fun acc op -> if p op then acc + 1 else acc) 0 t.Tape.tops
+
+(* The pass reaches its fixed point in one run: pruning [e]'s stored
+   (pruned) tape again keeps every op and elides nothing.  [bound]:
+   the shapes of the tape's bound buffers. *)
+let check_pruned what ?(bound = [| shp |]) e =
+  let t = tape e in
+  let again = Tape.prune ~bound t in
+  Alcotest.(check int) (what ^ ": ops kept by a second prune") (Array.length t.Tape.tops)
+    (Array.length again.Tape.tops);
+  Alcotest.(check bool)
+    (what ^ ": the same ops") true
+    (Array.for_all2 ( == ) t.Tape.tops again.Tape.tops);
+  Alcotest.(check (list int))
+    (what ^ ": nothing elided by a second prune")
+    [ 0; 0; 0; 0 ] (Array.to_list again.Tape.telided)
 
 (* Three calls of [body] staged — one recorded, two replayed — each
    against the unstaged body on an equal input. *)
@@ -88,7 +103,8 @@ let run_staged body =
 let test_steal_shell_elided () =
   with_engine (fun e ->
       run_staged (fun u -> relax Stencil.s_a (border (relax Stencil.a (border u))));
-      check_elided "2 replays" e [ 2; 2; 0; 0 ])
+      check_elided "2 replays" e [ 2; 2; 0; 0 ];
+      check_pruned "steal border" e)
 
 (* x's shell is read by a stencil on x itself, and x is lent to its
    border meanwhile: the shell group of x and the loan's save and
@@ -102,11 +118,12 @@ let test_read_shell_kept () =
       let t = tape e in
       Alcotest.(check int)
         "saves kept" 1
-        (count_ops (function Plan.Save_shell _ -> true | _ -> false) t);
+        (count_ops (function Tape.Save_shell _ -> true | _ -> false) t);
       Alcotest.(check int)
         "restores kept" 1
-        (count_ops (function Plan.Restore_shell _ -> true | _ -> false) t);
-      check_elided "2 replays" e [ 0; 2; 0; 0 ])
+        (count_ops (function Tape.Restore_shell _ -> true | _ -> false) t);
+      check_elided "2 replays" e [ 0; 2; 0; 0 ];
+      check_pruned "shell read" e)
 
 (* The result's shell is written by a shell group nothing in the body
    reads: it stays, with every part of the result's force. *)
@@ -118,12 +135,13 @@ let test_result_shell_kept () =
         Array.fold_left
           (fun acc op ->
             match op with
-            | Plan.Run (o, parts) when o = t.Plan.tresult -> Array.length parts
+            | Tape.Run (o, parts) when o = t.Tape.tresult -> Array.length parts
             | _ -> acc)
-          0 t.Plan.tops
+          0 t.Tape.tops
       in
       Alcotest.(check int) "the result's interior and shell parts" 2 result_parts;
-      check_elided "2 replays" e [ 0; 2; 0; 0 ])
+      check_elided "2 replays" e [ 0; 2; 0; 0 ];
+      check_pruned "result shell" e)
 
 (* An input with a consumer outside the body is handed back: its loan
    to the body's border must restore its shell although nothing in the
@@ -146,11 +164,12 @@ let test_handed_back_shell_kept () =
             (snapshot outside))
         [ 1; 2; 3 ];
       let t = tape e in
-      Alcotest.(check (option int)) "the input is handed back" (Some 0) t.Plan.tinput;
+      Alcotest.(check (option int)) "the input is handed back" (Some 0) t.Tape.tinput;
       Alcotest.(check int)
         "its restore is kept" 1
-        (count_ops (function Plan.Restore_shell (0, _) -> true | _ -> false) t);
-      check_elided "2 replays" e [ 0; 0; 0; 0 ])
+        (count_ops (function Tape.Restore_shell (0, _) -> true | _ -> false) t);
+      check_elided "2 replays" e [ 0; 0; 0; 0 ];
+      check_pruned "handed-back input" e)
 
 (* A partial genarray's default fill whose interior the embedded part
    covers and whose shell a stolen border rewrites is dead. *)
@@ -161,8 +180,9 @@ let test_dead_fill_elided () =
           relax Stencil.s_a (border (Select.embed [| 6; 6; 6 |] [| 0; 0; 0 |] c)));
       Alcotest.(check int)
         "no fill left" 0
-        (count_ops (function Plan.Fill _ -> true | _ -> false) (tape e));
-      check_elided "2 replays" e [ 0; 2; 0; 2 ])
+        (count_ops (function Tape.Fill _ -> true | _ -> false) (tape e));
+      check_elided "2 replays" e [ 0; 2; 0; 2 ];
+      check_pruned "dead fill" e)
 
 (* x = A·border(u) is stolen by its border, whose walk fills the shell
    from x's interior; the result reads only that shell.  x's interior
@@ -192,8 +212,9 @@ let test_walk_reads_interior () =
       let walk ((cp : Plan.cpart), _) = Plan.is_border (Plan.Ccompiled cp) in
       Alcotest.(check int)
         "walks kept" 2
-        (count_ops (function Plan.Run (_, parts) -> Array.exists walk parts | _ -> false) t);
-      check_elided "2 replays" e [ 2; 2; 0; 0 ])
+        (count_ops (function Tape.Run (_, parts) -> Array.exists walk parts | _ -> false) t);
+      check_elided "2 replays" e [ 2; 2; 0; 0 ];
+      check_pruned "walk" e)
 
 (* ------------------------------------------------------------------ *)
 (* MG: per replayed iteration, class S elides 6 shell groups, 2 loan
@@ -211,7 +232,9 @@ let test_mg_counts () =
             true
             (Verify.status_ok r.Driver.status);
           let replays = cls.Classes.nit - 1 in
-          check_elided cls.Classes.name e (List.map (fun n -> replays * n) per_tape)))
+          check_elided cls.Classes.name e (List.map (fun n -> replays * n) per_tape);
+          let grid = Shape.replicate 3 (Classes.extent cls) in
+          check_pruned cls.Classes.name ~bound:[| grid; grid |] e))
     [ (Classes.class_s, [ 6; 2; 2; 1 ]); (Classes.class_w, [ 10; 3; 3; 2 ]) ]
 
 let suite =
