@@ -90,24 +90,32 @@ profile-smoke: build
 	        if (r+0 != 39) { print "profile-smoke: " r+0 " replayed iterations (expected 39)"; exit 1 }; \
 	        if (o+0 != 0) { print "profile-smoke: " o " fallbacks other than unrecorded"; exit 1 }; \
 	        print "profile-smoke: staged iterations OK (replays=" r ", unrecorded=" u+0 ")" }' results/profile-w.txt
+	# Paired parity rows: the prolongations at 66^3 and 34^3 each run
+	# their 8 parity classes as 4 pair parts (one 8|4, two 4|2, one
+	# 2|1), compiled once per solve, on every tier and thread count: a
+	# fall-back to the unpaired flat and zip parts fails here.
+	awk '/^  kernel\.branch\.pair\.[248] /{ p[$$1] = $$2 } \
+	  END { if (p["kernel.branch.pair.8"] != 2 || p["kernel.branch.pair.4"] != 4 || p["kernel.branch.pair.2"] != 2) { \
+	          print "profile-smoke: kernel.branch.pair.8/4/2 " p["kernel.branch.pair.8"]+0 "/" p["kernel.branch.pair.4"]+0 "/" p["kernel.branch.pair.2"]+0 " (expected 2/4/2)"; exit 1 }; \
+	        print "profile-smoke: pair rows OK (pair.8/4/2 = 2/4/2)" }' results/profile-w.txt
 	# Tape liveness: each of the 39 replayed tapes skips the stores no
-	# later op reads (10 parts: dead border walks and shell groups and
-	# one whole force, 3 loan saves and restores, 2 fills), on every
-	# tier and thread count.  Every skipped part is an interp or a
-	# border piece, so kernel.interp + kernel.border reads exactly its
-	# count without pruning (2963 on 1 thread, 3926 on 4) minus
-	# stage.elided{op="part"}.
+	# later op reads (18 parts: dead border walks and shell groups and
+	# the 34^3 prolongation's 9 residue shell pieces, 3 loan saves and
+	# restores, 1 fill), on every tier and thread count.  Every skipped
+	# part is an interp or a border piece, so kernel.interp +
+	# kernel.border reads exactly its count without pruning (2963 on 1
+	# thread, 3446 on 4) minus stage.elided{op="part"}.
 	awk -v threads=$(MG_THREADS) \
 	  '/^  stage\.elided\{engine=/{ if (match($$0, /op="[a-z]*"/)) e[substr($$0, RSTART + 4, RLENGTH - 5)] += $$2 } \
 	  /^  kernel\.interp /{i=$$2; seen=1} /^  kernel\.border /{w=$$2} \
-	  END { if (e["part"] != 390 || e["save"] != 117 || e["restore"] != 117 || e["fill"] != 78) { \
-	          print "profile-smoke: stage.elided part/save/restore/fill " e["part"]+0 "/" e["save"]+0 "/" e["restore"]+0 "/" e["fill"]+0 " (expected 390/117/117/78)"; exit 1 }; \
+	  END { if (e["part"] != 702 || e["save"] != 117 || e["restore"] != 117 || e["fill"] != 39) { \
+	          print "profile-smoke: stage.elided part/save/restore/fill " e["part"]+0 "/" e["save"]+0 "/" e["restore"]+0 "/" e["fill"]+0 " (expected 702/117/117/39)"; exit 1 }; \
 	        if (!seen) { print "profile-smoke: no kernel.interp line in the report"; exit 1 }; \
-	        base[1] = 2963; base[4] = 3926; \
+	        base[1] = 2963; base[4] = 3446; \
 	        if (threads in base) { \
 	          if (i + w + e["part"] != base[threads]) { print "profile-smoke: kernel.interp " i " + kernel.border " w+0 " + elided parts " e["part"] " != " base[threads]; exit 1 }; \
-	          print "profile-smoke: tape liveness OK (elided 390/117/117/78, interp " i " + border " w+0 " = " base[threads] " - 390)" } \
-	        else print "profile-smoke: tape liveness OK (elided 390/117/117/78; no interp pin for " threads " threads)" }' results/profile-w.txt
+	          print "profile-smoke: tape liveness OK (elided 702/117/117/39, interp " i " + border " w+0 " = " base[threads] " - 702)" } \
+	        else print "profile-smoke: tape liveness OK (elided 702/117/117/39; no interp pin for " threads " threads)" }' results/profile-w.txt
 	# The arena alloc/recycle fast path must never take the registry
 	# mutex: the only "mempool:lock" spans a trace may contain are the
 	# cold paths (one arena registration per spawned worker domain,

@@ -14,6 +14,10 @@
      port, showing the overhead growing towards the coarse end of the
      V-cycle (the scalability limit of §5).
 
+   --parity : the kernel parity table — each finest-level and 34^3
+     V-cycle operator against its Fortran routine, interleaved, with
+     medians and quartiles.
+
    --kernel-path : the staged-compilation story — one interpolation
      sweep (the bodies no fixed kernel recognises) under the
      interpreted generic cluster nest against the compiled Cfun
@@ -116,6 +120,104 @@ let kernel_ablation n =
   Table.render Format.std_formatter
     ~header:[ "kernel path"; "sweep time"; "per element"; "generic hits"; "cfun hits"; "native hits" ]
     ~align:[ Table.L; Table.R; Table.R; Table.R; Table.R; Table.R ] rows
+
+(* --parity: the kernel parity table.  Each V-cycle operator of the
+   finest (66^3) and the next (34^3) level against its Fortran routine
+   on the same grid in the same process: resid ([v - A·u], then the
+   border of the result) against [resid], the smoother into a sum
+   ([z + S·r]) against [psinv], the prolongation ([coarse2fine], from
+   the coarse grid) against [interp], the restriction ([fine2coarse])
+   against [rprj3], and a border against [comm3].  Each SAC operand is
+   materialised untimed before its round, as the V-cycle's are, so
+   its border borrows the operand's buffer as in a solve, and the
+   timed force replays a cached plan; the result goes back to the pool.
+   The rounds interleave the two sides (SAC first on even rounds); the
+   table reports each side's median and quartiles and the ratio of the
+   medians. *)
+let parity_ablation rounds =
+  Printf.printf "# Kernel parity: SAC operators against the Fortran port, %d interleaved rounds\n"
+    rounds;
+  Printf.printf "# per operator and extent; times in ms, median (q1-q3).\n\n";
+  let smoother = Classes.smoother_coeffs Classes.class_w in
+  let a = Stencil.to_array Stencil.a and c = Stencil.to_array smoother in
+  let grid m seed =
+    Ndarray.init [| m; m; m |] (fun iv ->
+        float_of_int ((((iv.(0) * 13) + (iv.(1) * 7) + iv.(2) + seed) mod 97) - 48) /. 97.0)
+  in
+  let clock f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  let held x = Wl.materialize (Mg_arraylib.Ops.add_scalar (Wl.of_ndarray x) 0.0) in
+  let quartiles xs =
+    let s = Array.of_list (List.sort compare xs) in
+    let q p = s.(min (Array.length s - 1) (int_of_float (p *. float_of_int (Array.length s)))) in
+    (q 0.25, q 0.5, q 0.75)
+  in
+  let rows =
+    List.concat_map
+      (fun m ->
+        let u = grid m 1 and v = grid m 2 and r = grid m 3 and z = grid m 4 in
+        let mc = ((m - 2) / 2) + 2 in
+        let coarse = grid mc 5 and fine = grid m 6 in
+        let ops =
+          [ ( "resid",
+              (fun () -> [ held u ]),
+              (fun x -> Mg_arraylib.Ops.sub (Wl.of_ndarray v) (Mg_sac.resid Stencil.a x.(0))),
+              fun () -> Mg_f77.resid ~u ~v ~r ~a );
+            ( "psinv",
+              (fun () -> [ held r; held z ]),
+              (fun x -> Mg_arraylib.Ops.add x.(1) (Mg_sac.smooth smoother x.(0))),
+              fun () -> Mg_f77.psinv ~r ~u:z ~c );
+            ( "prolongation",
+              (fun () -> [ held coarse ]),
+              (fun x -> Mg_sac.coarse2fine x.(0)),
+              fun () -> Mg_f77.interp ~coarse ~fine );
+            ( "restriction",
+              (fun () -> [ held fine ]),
+              (fun x -> Mg_sac.fine2coarse x.(0)),
+              fun () -> Mg_f77.rprj3 ~fine ~coarse );
+            ( "border",
+              (fun () -> [ held u ]),
+              (fun x -> Mg_arraylib.Border.setup_periodic_border x.(0)),
+              fun () -> Mg_f77.comm3 u );
+          ]
+        in
+        List.map
+          (fun (name, operands, sac, f77) ->
+            let sac () =
+              let x = Array.of_list (operands ()) in
+              clock (fun () -> Wl.read (sac x) ignore)
+            in
+            (* Compile the plan and warm both sides. *)
+            ignore (sac ());
+            f77 ();
+            let ts = ref [] and tf = ref [] in
+            for i = 1 to rounds do
+              if i mod 2 = 0 then begin
+                ts := sac () :: !ts;
+                tf := clock f77 :: !tf
+              end
+              else begin
+                tf := clock f77 :: !tf;
+                ts := sac () :: !ts
+              end
+            done;
+            let s1, s2, s3 = quartiles !ts and f1, f2, f3 = quartiles !tf in
+            let ms x = Printf.sprintf "%.3f" (x *. 1e3) in
+            [ name;
+              Printf.sprintf "%d^3" m;
+              Printf.sprintf "%s (%s-%s)" (ms s2) (ms s1) (ms s3);
+              Printf.sprintf "%s (%s-%s)" (ms f2) (ms f1) (ms f3);
+              Printf.sprintf "%.2f" (s2 /. f2);
+            ])
+          ops)
+      [ 66; 34 ]
+  in
+  Table.render Format.std_formatter
+    ~header:[ "operator"; "grid"; "SAC"; "F77"; "SAC/F77" ]
+    ~align:[ Table.L; Table.R; Table.R; Table.R; Table.R ] rows
 
 let fusion_ablation (cls : Classes.t) =
   Printf.printf "# With-loop folding ablation: %s at O0..O3\n" cls.Classes.name;
@@ -255,10 +357,10 @@ let periodic_ablation (cls : Classes.t) =
   Table.render Format.std_formatter ~header:[ "implementation"; "seconds"; "rnm2"; "verification" ]
     ~align:[ Table.L; Table.R; Table.R; Table.L ] rows
 
-let run stencil fusion memory periodic kernelpath reuse kernels n cls =
+let run stencil fusion memory periodic kernelpath reuse parity kernels n cls =
   Exp_common.header ();
   let run_sections () =
-    let any = stencil || fusion || memory || periodic || kernelpath || reuse in
+    let any = stencil || fusion || memory || periodic || kernelpath || reuse || parity in
   if stencil || not any then stencil_ablation n;
   if kernelpath || not any then begin
     if stencil || not any then Printf.printf "\n";
@@ -279,6 +381,10 @@ let run stencil fusion memory periodic kernelpath reuse kernels n cls =
   if periodic || not any then begin
     Printf.printf "\n";
     periodic_ablation cls
+  end;
+  if parity || not any then begin
+    Printf.printf "\n";
+    parity_ablation 51
   end
   in
   (* A scoped engine derivation: the override is gone when the sections
@@ -298,6 +404,9 @@ let kernelpath_arg =
 
 let reuse_arg =
   Arg.(value & flag & info [ "reuse" ] ~doc:"Buffer-reuse (in-place update) ablation only.")
+
+let parity_arg =
+  Arg.(value & flag & info [ "parity" ] ~doc:"Kernel parity table (SAC operators against the Fortran routines) only.")
 
 let kernels_arg =
   Exp_common.kernels_arg
@@ -322,6 +431,6 @@ let cmd =
   Cmd.v
     (Cmd.info "ablation" ~doc:"ablation studies for the paper's §5 design analysis")
     Term.(const run $ stencil_arg $ fusion_arg $ memory_arg $ periodic_arg $ kernelpath_arg
-          $ reuse_arg $ kernels_arg $ n_arg $ class_arg)
+          $ reuse_arg $ parity_arg $ kernels_arg $ n_arg $ class_arg)
 
 let () = exit (Cmd.eval' cmd)

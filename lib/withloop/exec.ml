@@ -591,15 +591,15 @@ and compile st sp (n : Ir.node) ~hold h record =
      the optimiser can fold instead of copying.  A stolen or lent base
      needs no complement parts at all — its values are already in
      place. *)
-  let raw_parts, base_src, default =
+  let raw_parts, complements, base_src, default =
     match n.Ir.spec with
-    | Ir.Genarray { default; parts } -> (parts, None, default)
+    | Ir.Genarray { default; parts } -> (parts, [], None, default)
     | Ir.Modarray { parts; _ } when stolen <> None || lent <> None ->
-        ((if walk = None then parts else []), None, 0.0)
+        ((if walk = None then parts else []), [], None, 0.0)
     | Ir.Modarray { base; parts } ->
         if List.for_all (fun (p : Ir.part) -> Generator.is_dense p.Ir.gen) parts then
-          (parts @ Lower.complement_parts shape base parts, None, 0.0)
-        else (parts, Some base, 0.0)
+          (parts, Lower.complement_parts shape base parts, None, 0.0)
+        else (parts, [], Some base, 0.0)
   in
   Option.iter (fun src -> ignore (hold src)) base_src;
   (* Optimise and compile.  What a later hit saves is the pipeline's
@@ -614,11 +614,13 @@ and compile st sp (n : Ir.node) ~hold h record =
     arr
   in
   let cstart = Clock.now () in
+  let optimize ~complement (p : Ir.part) =
+    Fusion.optimize st.fusion ~force:fusion_hold ~complement p.Ir.gen p.Ir.body
+  in
   let parts =
     Span.with_ ~name:"wl:fusion" (fun () ->
-        List.concat_map
-          (fun (p : Ir.part) -> Fusion.optimize st.fusion ~force:fusion_hold p.Ir.gen p.Ir.body)
-          raw_parts)
+        let own = List.concat_map (optimize ~complement:false) raw_parts in
+        own @ List.concat_map (optimize ~complement:true) complements)
   in
   let compiled =
     List.filter_map
@@ -650,8 +652,10 @@ and compile st sp (n : Ir.node) ~hold h record =
     | None, None, Some src, _ -> Plan.OBlit src
   in
   let movable = match mode with Plan.OSteal _ | Plan.OLend _ -> false | _ -> true in
+  let fresh = match mode with Plan.OSteal _ | Plan.OLend _ | Plan.OReuse _ -> false | _ -> true in
   let compiled =
-    Span.with_ ~name:"wl:kernel-choice" (fun () -> Plan.group_shell shape ~movable compiled)
+    Span.with_ ~name:"wl:kernel-choice" (fun () ->
+        Plan.group_shell shape ~movable (Plan.pair_rows ~fresh compiled))
   in
   (* [h.held]: every node this force materialised, with the buffer it
      had then, newest first.  The plan's slots resolve through these

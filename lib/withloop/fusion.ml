@@ -235,7 +235,15 @@ let substitute_reads (n : Ir.node) (verdicts : (Ixmap.t * verdict) list) body =
 
 type step = Done | Replaced of Ir.expr | Splits of Generator.t list
 
-let rewrite_step cfg ~force (gen : Generator.t) body : step =
+(* Whether a split of a consumer below [split_threshold] still pays:
+   the consumer is a lowered modarray's complement part and still a
+   bare read, and the producer a selection.  Each piece then copies a
+   copy or takes a constant, exact whatever the split, and the
+   producer is never built for a thin slab of its consumer's shell. *)
+let splits_copy ~complement body n =
+  complement && (match body with Ir.Read _ -> true | _ -> false) && is_selection n
+
+let rewrite_step cfg ~force ~complement (gen : Generator.t) body : step =
   match Ir.first_node_read body with
   | None -> Done
   | Some n ->
@@ -266,7 +274,8 @@ let rewrite_step cfg ~force (gen : Generator.t) body : step =
                 | Need_split gens ->
                     (* Splitting a tiny part costs more than just
                        computing the producer array. *)
-                    if Generator.cardinal gen >= cfg.split_threshold then Splits gens
+                    if Generator.cardinal gen >= cfg.split_threshold || splits_copy ~complement body n
+                    then Splits gens
                     else materialize ()
                 | (Pure_part _ | Pure_fallback) as v -> judge ((m, v) :: acc) rest
               end
@@ -275,13 +284,13 @@ let rewrite_step cfg ~force (gen : Generator.t) body : step =
         end
       end
 
-let optimize cfg ~force gen body =
+let optimize cfg ~force ?(complement = false) gen body =
   let rec go acc = function
     | [] -> List.rev acc
     | (g, b) :: rest ->
         if Generator.is_empty g then go acc rest
         else begin
-          match rewrite_step cfg ~force g b with
+          match rewrite_step cfg ~force ~complement g b with
           | Done -> go ({ Ir.gen = g; body = b } :: acc) rest
           | Replaced b' -> go acc ((g, b') :: rest)
           | Splits gens -> go acc (List.map (fun g' -> (g', b)) gens @ rest)

@@ -40,11 +40,21 @@ type config = {
 }
 
 val optimize :
-  config -> force:(Ir.node -> Ndarray.t) -> Generator.t -> Ir.expr -> Ir.part list
+  config ->
+  force:(Ir.node -> Ndarray.t) ->
+  ?complement:bool ->
+  Generator.t ->
+  Ir.expr ->
+  Ir.part list
 (** [optimize cfg ~force gen body] rewrites one consumer part into
     equivalent parts whose bodies read only materialised arrays
     ([Ir.Arr] sources), folding producers where the policy allows and
-    calling [force] on the rest.
+    calling [force] on the rest.  With [complement] (a lowered
+    modarray's complement part, a copy of its base), a part that is
+    still a bare read splits a selection it straddles at any size,
+    below [split_threshold] too: each piece copies a copy or takes a
+    constant, which is exact, and no thin shell slab materialises a
+    whole producer (the prolongation's scattered grid).
 
     @raise Invalid_argument if a read's index image escapes the
     producer's shape (an out-of-bounds program). *)

@@ -795,13 +795,19 @@ let flat_row reads =
   | 8 -> (b_flat8, flat_row8)
   | _ -> (b_flatn, flat_rown)
 
-let run_flat3 ~const (cl : ccluster) (out : Ndarray.buffer) ~obase ~osteps
-    ~(counts : int array) =
+(* A flat or zip cluster's terms in the order its row adds them: per
+   read, its delta from the cluster's base and its weight. *)
+let flat_terms (cl : ccluster) =
   let d = Array.concat (Array.to_list cl.xdeltas) in
   let w =
     Array.concat
       (Array.to_list (Array.mapi (fun gi ds -> Array.map (fun _ -> cl.xcoeffs.(gi)) ds) cl.xdeltas))
   in
+  (d, w)
+
+let run_flat3 ~const (cl : ccluster) (out : Ndarray.buffer) ~obase ~osteps
+    ~(counts : int array) =
+  let d, w = flat_terms cl in
   let _, row = flat_row (Array.length w) in
   let a = Cfun.row_axis counts in
   let u = if a = 0 then 1 else 0 and v = if a = 2 then 1 else 2 in
@@ -814,6 +820,114 @@ let run_flat3 ~const (cl : ccluster) (out : Ndarray.buffer) ~obase ~osteps
         s out
         (obase + (ku * osu) + (kv * osv))
         os n
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Paired parity rows.  Residue splitting turns the prolongation into
+   one flat or zip part per parity class of the fine grid, each walking
+   the coarse grid at output step 2.  Two classes that are neighbours
+   along the row read the same coarse rows: at each of [m] offsets
+   [e_j], the wider member reads the coarse element and the next one,
+   [x(e_j)] then [x(e_j + d)] ([d] the coarse row step), and the
+   narrower member reads the next one alone.  A pair row walks the
+   coarse row once for both: per step it loads the [m] next elements,
+   keeps the [m] current ones from the step before in registers, and
+   stores both outputs, each the sum of its member's terms in the
+   member's order ([const +. w0·x0 +. w1·x1 …], {!flat_row2}…
+   {!flat_row8}'s and the zip nest's), so every element is its
+   member's bit for bit, and every load is one a member makes.  [ow]
+   and [on] are the wider and the narrower member's first outputs, [os]
+   the output step from one pair to the next. *)
+
+type pair = {
+  q_wide_first : bool;  (* the wider member's element comes first in each output pair *)
+  q_cw : float;  (* the wider member's const and its 2m weights, in its order *)
+  q_ww : float array;
+  q_cn : float;  (* the narrower member's const and its m weights *)
+  q_wn : float array;
+  q_e : int array;  (* the m offsets, from the cluster's base *)
+  q_d : int;  (* from an offset's element to the next one *)
+}
+
+let[@inline never] pair_row2 (buf : Ndarray.buffer) (q : pair) p s out ow on os n =
+  let cw = unboxed q.q_cw and cn = unboxed q.q_cn in
+  let w0 = q.q_ww.(0) and w1 = q.q_ww.(1) and v0 = q.q_wn.(0) and e0 = q.q_e.(0) in
+  let x0 = ref (get buf (p + e0)) and b = ref (p + q.q_d) and o = ref 0 in
+  for _ = 1 to n do
+    let y0 = get buf (!b + e0) in
+    set out (ow + !o) (cw +. (w0 *. !x0) +. (w1 *. y0));
+    set out (on + !o) (cn +. (v0 *. y0));
+    x0 := y0;
+    b := !b + s;
+    o := !o + os
+  done
+
+let[@inline never] pair_row4 (buf : Ndarray.buffer) (q : pair) p s out ow on os n =
+  let cw = unboxed q.q_cw and cn = unboxed q.q_cn in
+  let w0 = q.q_ww.(0) and w1 = q.q_ww.(1) and w2 = q.q_ww.(2) and w3 = q.q_ww.(3) in
+  let v0 = q.q_wn.(0) and v1 = q.q_wn.(1) and e0 = q.q_e.(0) and e1 = q.q_e.(1) in
+  let x0 = ref (get buf (p + e0)) and x1 = ref (get buf (p + e1)) in
+  let b = ref (p + q.q_d) and o = ref 0 in
+  for _ = 1 to n do
+    let y0 = get buf (!b + e0) and y1 = get buf (!b + e1) in
+    set out (ow + !o) (cw +. (w0 *. !x0) +. (w1 *. y0) +. (w2 *. !x1) +. (w3 *. y1));
+    set out (on + !o) (cn +. (v0 *. y0) +. (v1 *. y1));
+    x0 := y0;
+    x1 := y1;
+    b := !b + s;
+    o := !o + os
+  done
+
+let[@inline never] pair_row8 (buf : Ndarray.buffer) (q : pair) p s out ow on os n =
+  let cw = unboxed q.q_cw and cn = unboxed q.q_cn in
+  let w0 = q.q_ww.(0) and w1 = q.q_ww.(1) and w2 = q.q_ww.(2) and w3 = q.q_ww.(3) in
+  let w4 = q.q_ww.(4) and w5 = q.q_ww.(5) and w6 = q.q_ww.(6) and w7 = q.q_ww.(7) in
+  let v0 = q.q_wn.(0) and v1 = q.q_wn.(1) and v2 = q.q_wn.(2) and v3 = q.q_wn.(3) in
+  let e0 = q.q_e.(0) and e1 = q.q_e.(1) and e2 = q.q_e.(2) and e3 = q.q_e.(3) in
+  let x0 = ref (get buf (p + e0)) and x1 = ref (get buf (p + e1)) in
+  let x2 = ref (get buf (p + e2)) and x3 = ref (get buf (p + e3)) in
+  let b = ref (p + q.q_d) and o = ref 0 in
+  for _ = 1 to n do
+    let y0 = get buf (!b + e0) and y1 = get buf (!b + e1) in
+    let y2 = get buf (!b + e2) and y3 = get buf (!b + e3) in
+    set out (ow + !o)
+      (cw +. (w0 *. !x0) +. (w1 *. y0) +. (w2 *. !x1) +. (w3 *. y1) +. (w4 *. !x2) +. (w5 *. y2)
+      +. (w6 *. !x3) +. (w7 *. y3));
+    set out (on + !o) (cn +. (v0 *. y0) +. (v1 *. y1) +. (v2 *. y2) +. (v3 *. y3));
+    x0 := y0;
+    x1 := y1;
+    x2 := y2;
+    x3 := y3;
+    b := !b + s;
+    o := !o + os
+  done
+
+let b_pair2 = branch "pair.2"
+let b_pair4 = branch "pair.4"
+let b_pair8 = branch "pair.8"
+
+(* By the wider member's read count. *)
+let pair_row = function
+  | 8 -> (b_pair8, pair_row8)
+  | 4 -> (b_pair4, pair_row4)
+  | _ -> (b_pair2, pair_row2)
+
+(* A pair part runs over the union of its members' boxes: [counts.(2)]
+   is twice the members' count along the row, [osteps.(2)] the output
+   step between the two members' elements; its one cluster is the
+   wider member's. *)
+let run_pair (q : pair) (cl : ccluster) (out : Ndarray.buffer) ~obase ~(osteps : int array)
+    ~(counts : int array) =
+  let _, row = pair_row (Array.length q.q_ww) in
+  let os = osteps.(2) in
+  let ow = if q.q_wide_first then 0 else os and on = if q.q_wide_first then os else 0 in
+  for k0 = 0 to counts.(0) - 1 do
+    for k1 = 0 to counts.(1) - 1 do
+      let ob = obase + (k0 * osteps.(0)) + (k1 * osteps.(1)) in
+      row cl.xbuf q
+        (cl.xbase + (k0 * cl.xsteps.(0)) + (k1 * cl.xsteps.(1)))
+        cl.xsteps.(2) out (ob + ow) (ob + on) (2 * os) (counts.(2) / 2)
     done
   done
 
@@ -1091,6 +1205,7 @@ type k3 =
   | K3stencil2 of stencil3 * stencil3
   | K3zip
   | K3flat
+  | K3pair of pair
   | K3shell of zip_nest array
   | K3border
   | K3cfun of Cfun.t
@@ -1104,6 +1219,7 @@ let k3_name = function
   | K3stencil2 _ -> "stencil2"
   | K3zip -> "zip"
   | K3flat -> "flat"
+  | K3pair _ -> "pair"
   | K3shell _ -> "shell"
   | K3border -> "border"
   | K3cfun _ -> "cfun"
@@ -1125,7 +1241,9 @@ let rebind_stencil (clusters : ccluster array) ~koff0 s si eidx =
   }
 
 let rebind_k3 (clusters : ccluster array) ~koff0 = function
-  | (K3copy | K3zip | K3flat | K3shell _ | K3border | K3cfun _ | K3native _ | K3generic) as k -> k
+  | (K3copy | K3zip | K3flat | K3pair _ | K3shell _ | K3border | K3cfun _ | K3native _ | K3generic)
+    as k ->
+      k
   | K3stencil (s, si, eidx) -> K3stencil (rebind_stencil clusters ~koff0 s si eidx, si, eidx)
   | K3stencil_lb (s, si, eidx) ->
       K3stencil_lb (rebind_stencil clusters ~koff0 s si eidx, si, eidx)
@@ -1199,6 +1317,59 @@ let b_border = branch "border"
 let border () =
   Metrics.incr b_border;
   K3border
+
+(* The pair row of two interleaved members [(const, kernel, clusters)]
+   ([Plan.pair_rows] checks their boxes and layouts): each a flat or
+   zip part of one cluster, on the same buffer with the same steps, one
+   reading 2m values for m in {1, 2, 4} and the other m, in exactly
+   the order a pair row adds them.  With the wider member's reads
+   [e_0, e_0 + d, e_1, e_1 + d, …] from its base, the narrower's must be
+   [e_0 + d, e_1 + d, …] from the same point.  Any
+   other order or count stays on the members' own kernels.  The next
+   elements of one step are the elements of the next, so the walk's
+   step along the row must be that spacing [d], unless the row holds
+   one pair ([n], the members' count along the row, is 1). *)
+let pair ~n (cf, kf, (clf : ccluster array)) (cs, ks, (cls : ccluster array)) =
+  let member k (cl : ccluster array) =
+    match k with K3flat | K3zip -> Array.length cl = 1 | _ -> false
+  in
+  if not (member kf clf && member ks cls) then None
+  else
+    let a = clf.(0) and b = cls.(0) in
+    let da, wa = flat_terms a and db, wb = flat_terms b in
+    let wide_first = Array.length da = 2 * Array.length db in
+    let (cw, wide, dw, ww), (cn, narrow, dn, wn) =
+      if wide_first then ((cf, a, da, wa), (cs, b, db, wb)) else ((cs, b, db, wb), (cf, a, da, wa))
+    in
+    let m = Array.length dn in
+    let d = if Array.length dw > 1 then dw.(1) - dw.(0) else 0 in
+    let follows j =
+      dw.((2 * j) + 1) = dw.(2 * j) + d && narrow.xbase + dn.(j) = wide.xbase + dw.(2 * j) + d
+    in
+    let rec all j = j = m || (follows j && all (j + 1)) in
+    if
+      a.xbuf == b.xbuf
+      && Shape.equal a.xsteps b.xsteps
+      && Shape.equal a.xstrides b.xstrides
+      && (m = 1 || m = 2 || m = 4)
+      && Array.length dw = 2 * m
+      && (wide.xsteps.(2) = d || n = 1)
+      && all 0
+    then begin
+      Metrics.incr (fst (pair_row (2 * m)));
+      Some
+        ( K3pair
+            { q_wide_first = wide_first;
+              q_cw = cw;
+              q_ww = ww;
+              q_cn = cn;
+              q_wn = wn;
+              q_e = Array.init m (fun j -> dw.(2 * j));
+              q_d = d;
+            },
+          wide )
+    end
+    else None
 
 (* One group from its members' [(const, kernel, clusters, obase,
    osteps, counts)], in run order, each [groupable]: the kernel and the
@@ -1308,6 +1479,8 @@ let run_k3_untimed ~const k (clusters : ccluster array) (out : Ndarray.buffer) ~
       run_zip3 ~copy:false ~const clusters out ~obase ~osteps ~counts
   | K3flat ->
       run_flat3 ~const clusters.(0) out ~obase ~osteps ~counts
+  | K3pair q ->
+      run_pair q clusters.(0) out ~obase ~osteps ~counts
   | K3shell s ->
       run_shell s clusters out
   | K3border ->
@@ -1325,7 +1498,7 @@ let path_of = function
   | K3stencil_lb _ -> p_linebuf
   | K3copy -> p_copy
   | K3generic -> p_generic
-  | K3zip | K3flat | K3shell _ -> p_interp
+  | K3zip | K3flat | K3pair _ | K3shell _ -> p_interp
   | K3border -> p_border
   | K3cfun _ -> p_cfun
   | K3native _ -> p_native

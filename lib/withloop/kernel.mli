@@ -4,7 +4,8 @@
     compiled, and dispatched to one of the specialised rank-3 nests —
     box stencil, line-buffered box stencil, two box stencils,
     element-wise zip, flat-weighted, row copy — or the generic cluster
-    nest; the ghost-shell slabs of one force then run as one group
+    nest; two interleaved parity classes then run as one row walk
+    ({!pair}), and the ghost-shell slabs of one force as one group
     kernel ({!shell_group}).  The choice
     is reified as an opaque {!k3} value that the plan cache stores and
     replay rebinds, so recognition never runs twice for the same
@@ -41,7 +42,9 @@ val branch_counts : unit -> (string * int) list
     [flat.8], [zip.3], [stencil.any]) as
     [(name, count)] pairs, one per row loop: {!choose_k3} bumps the
     counter of the loop a part is compiled to, and every execution of
-    the part (cached replays included) runs that loop. *)
+    the part (cached replays included) runs that loop.  A shell group
+    ([shell]) and a pair ([pair.<2m>]) count once more, on top of
+    their members' own counts. *)
 
 (** {1 Rank-3 kernel dispatch} *)
 
@@ -92,6 +95,30 @@ val shell_alias_safe : k3 -> Cluster.ccluster array -> Ndarray.buffer -> bool
 (** For a shell group and its clusters: whether every read of the
     buffer is an identity read (a member reads an element only while
     computing that element). *)
+
+(** {2 Paired parity rows} *)
+
+val pair :
+  n:int ->
+  float * k3 * Cluster.ccluster array ->
+  float * k3 * Cluster.ccluster array ->
+  (k3 * Cluster.ccluster) option
+(** [pair first second] for two members [(const, kernel, clusters)]
+    whose elements interleave along the row axis, [first]'s at the even
+    positions of the merged row (the caller checks boxes and layouts):
+    when both are flat or zip parts of one cluster on the same buffer
+    with the same steps, one reading [2m] values for [m] in {1, 2, 4}
+    — at each of [m] offsets the element and the next one along the
+    row, [e_0, e_0 + d, e_1, e_1 + d, …], where [d] is the walk's step
+    along the row unless the row holds one pair ([n], the members'
+    count along it, is 1) — and the other the [m] next ones,
+    [e_0 + d, e_1 + d, …], the kernel running both in one walk of the
+    row, and its one cluster (the wider member's).  Per coarse step
+    it loads only the [m] next values; each output sums its member's
+    terms in the member's order, so every element is bitwise the
+    member's own.  A pair part runs over the union box: [counts.(2)]
+    twice the members' count, [osteps.(2)] half their step.  Bumps
+    [kernel.branch.pair.<2m>]; a pair counts as one [interp] piece. *)
 
 (** {2 The periodic border walk} *)
 

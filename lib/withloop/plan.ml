@@ -335,6 +335,68 @@ let group_shell shape ~movable (compiled : compiled list) =
   | _ -> compiled
 
 (* ------------------------------------------------------------------ *)
+(* Paired parity rows.
+
+   Two adjacent rank-3 parts whose boxes interleave along the row axis
+   — the same box on axes 0 and 1, step 2 along axis 2 with the second
+   starting one element after the first, the same counts — and whose
+   reads {!Kernel.pair} takes run as one part over the union of their
+   boxes, which is dense along the row.  What changes is only the order
+   in which the two members' stores reach the output, which no part
+   reads ([fresh]: a fresh, filled, blitted or complemented output), so
+   every element is bitwise its member's.  The part splits on axis 0
+   like any other, cutting both members at the same planes; its [foot]
+   is its members'. *)
+
+let pair_of (a : cpart) (b : cpart) =
+  let ga = a.kgen and gb = b.kgen in
+  match (a.kkernel, b.kkernel) with
+  | Some ka, Some kb
+    when Array.length a.kcounts = 3
+         && Shape.equal a.kcounts b.kcounts
+         && Shape.equal ga.Generator.step gb.Generator.step
+         && ga.Generator.step.(2) = 2
+         && ga.Generator.lb.(0) = gb.Generator.lb.(0)
+         && ga.Generator.lb.(1) = gb.Generator.lb.(1)
+         && gb.Generator.lb.(2) = ga.Generator.lb.(2) + 1
+         && Shape.equal a.kosteps b.kosteps
+         && b.kobase = a.kobase + (a.kosteps.(2) / 2) -> (
+      match Kernel.pair ~n:a.kcounts.(2) (a.kconst, ka, a.kclusters) (b.kconst, kb, b.kclusters) with
+      | None -> None
+      | Some (k, cl) ->
+          let n = a.kcounts.(2) in
+          let step = Array.copy ga.Generator.step and ub = Array.copy ga.Generator.ub in
+          step.(2) <- 1;
+          ub.(2) <- ga.Generator.lb.(2) + (2 * n);
+          let fa = a.kfoot and fb = b.kfoot in
+          Some
+            { kgen = Generator.make ~step ~lb:ga.Generator.lb ~ub ();
+              kcard = a.kcard + b.kcard;
+              kconst = 0.0;
+              kclusters = [| cl |];
+              kkernel = Some k;
+              kobase = a.kobase;
+              kosteps = [| a.kosteps.(0); a.kosteps.(1); a.kosteps.(2) / 2 |];
+              kcounts = [| a.kcounts.(0); a.kcounts.(1); 2 * n |];
+              kfoot =
+                { fwrites = [| ga; gb |];
+                  finner = fa.finner + fb.finner;
+                  fouter = fa.fouter + fb.fouter;
+                  freads = [| fa.freads.(0) lor fb.freads.(0) |];
+                };
+            })
+  | _ -> None
+
+let pair_rows ~fresh compiled =
+  let rec go = function
+    | (Ccompiled a as ca) :: (Ccompiled b :: rest as after) -> (
+        match pair_of a b with Some p -> Ccompiled p :: go rest | None -> ca :: go after)
+    | c :: rest -> c :: go rest
+    | [] -> []
+  in
+  if fresh then go compiled else compiled
+
+(* ------------------------------------------------------------------ *)
 (* Cached plans                                                        *)
 
 (* How the output buffer of a force is produced.  The slot names a base

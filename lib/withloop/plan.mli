@@ -87,6 +87,17 @@ val group_shell : Shape.t -> movable:bool -> compiled list -> compiled list
     Slabs of {!default_par_threshold} elements or more, which a pool
     splits, are never members.  Bitwise-neutral. *)
 
+val pair_rows : fresh:bool -> compiled list -> compiled list
+(** [pair_rows ~fresh parts] runs each two adjacent rank-3 parts whose
+    boxes interleave along the row axis (the same box on axes 0 and 1,
+    step 2 along axis 2, the second starting one element after the
+    first, the same counts) and whose reads {!Kernel.pair} takes as one
+    part over the union of their boxes: the residue-split
+    prolongation's parity classes, two by two.  Only the order of the
+    two members' stores changes, so it needs [fresh]: an output no part
+    reads (fresh, filled, blitted or complemented); otherwise the parts
+    stay as they are.  Bitwise-neutral. *)
+
 val default_par_threshold : int
 (** The default part size (16 384 elements) from which a pool of more
     than one worker splits a part into pieces ([Engine.default_config]). *)

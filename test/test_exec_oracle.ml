@@ -326,6 +326,172 @@ let test_stencil2_exercised () =
     (Printf.sprintf "qcheck samples dispatched the two-stencil kernel (%d did)" !st2_lex_dispatches)
     true (!st2_lex_dispatches > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Paired parity rows (Plan.pair_rows, Kernel.pair): two parts whose
+   boxes interleave along the row, a wider one reading 2m coarse values
+   (each offset's element and the next one along the row) and a
+   narrower one reading the m next ones — the prolongation's parity
+   classes.  A paired body runs as one pair part; it must equal, bit
+   for bit, what each member computes run on its own (a flat or zip
+   part), with any const and weights (repeated weights group reads,
+   which reorders a member's terms and leaves it unpaired), 1, 2 or 4
+   offsets, the wider member first or second along the row, and
+   sources with full significands, signed zeros and an infinity.  The
+   near misses — the wider member's reads permuted, a box or a step
+   that does not match, members reading the output — must stay on the
+   members' own kernels. *)
+
+type pair_miss = Exact | Permuted | Box | Step | Reads_output
+
+type pair_spec = {
+  m : int;  (* the narrower member's reads *)
+  wide_first : bool;
+  pbox : int array;  (* each member's counts *)
+  cw : float;
+  cn : float;
+  weights : float list;  (* the wider member's 2m, then the narrower's m *)
+  miss : pair_miss;
+  pseed : int;
+}
+
+let miss_name = function
+  | Exact -> "exact"
+  | Permuted -> "permuted"
+  | Box -> "box"
+  | Step -> "step"
+  | Reads_output -> "reads-output"
+
+let print_pair s =
+  Printf.sprintf "m=%d wide_first=%b box=%s cw=%h cn=%h weights=[%s] miss=%s seed=%d" s.m
+    s.wide_first (Shape.to_string s.pbox) s.cw s.cn
+    (String.concat ";" (List.map (Printf.sprintf "%h") s.weights))
+    (miss_name s.miss) s.pseed
+
+let gen_pair =
+  QCheck.Gen.(
+    let* m = oneofl [ 1; 2; 4 ] and* wide_first = bool in
+    let* c0 = 1 -- 4 and* c1 = 1 -- 4 and* n = 1 -- 6 in
+    let weight = oneofl [ 0.125; 0.25; 0.5; 1.0; 0.3; -0.7; 1.1; 2.9; -1.3; 0x1.5555555555555p-2 ] in
+    let* cw = oneofl [ 0.0; -0.0; 0.375; -1.1 ] and* cn = oneofl [ 0.0; 0.25; -0.9 ] in
+    let* weights = list_repeat (3 * m) weight in
+    let* miss = frequency [ (6, return Exact); (1, return Permuted); (1, return Box); (1, return Step); (1, return Reads_output) ] in
+    let* pseed = 0 -- 100000 in
+    return { m; wide_first; pbox = [| c0; c1; n |]; cw; cn; weights; miss; pseed })
+
+(* The members' row origin along axis 2: past the coarse rows they read
+   when they read the output, so that no member reads an element a
+   member writes. *)
+let pair_x0 s = if s.miss = Reads_output then (2 * s.pbox.(2)) + 4 else 2
+
+let pair_shape s =
+  let x0 = pair_x0 s in
+  [| (2 * s.pbox.(0)) + 4; (2 * s.pbox.(1)) + 4; x0 + (2 * s.pbox.(2)) + 2 |]
+
+(* A source with full 53-bit significands, two signed zeros and an
+   infinity at seeded places. *)
+let pair_src s =
+  let a = Ndarray.map (fun x -> x /. 3.0) (src_of_seed (pair_shape s) s.pseed) in
+  let size = Ndarray.size a in
+  List.iteri
+    (fun i v -> Ndarray.set_flat a ((s.pseed + (i * 7919)) mod size) v)
+    [ -0.0; 0.0; Float.infinity ];
+  a
+
+(* The two members as (generator, body), first along the row first;
+   each reads the source through [at]. *)
+let pair_members s (at : Ixmap.t -> E.e) =
+  let x0 = pair_x0 s and c = s.pbox in
+  let gen lb2 c1 =
+    Generator.make ~step:[| 2; 2; 2 |] ~lb:[| 2; 2; lb2 |]
+      ~ub:[| 2 + (2 * c.(0)); 2 + (2 * c1); lb2 + (2 * c.(2)) |]
+      ()
+  in
+  (* Offsets (d0, d1) on the outer axes; along the row the left and
+     right coarse elements of output pair k are x0/2 + k and x0/2 + k + 1. *)
+  let outer = List.filteri (fun j _ -> j < s.m) [ (0, 0); (0, 1); (1, 0); (1, 1) ] in
+  let map ?(scale = [| 1; 1; 1 |]) (d0, d1) dx =
+    Ixmap.make ~scale ~offset:[| 2 * d0; 2 * d1; dx |] ~div:[| 2; 2; 2 |] 3
+  in
+  (* The member at the first position reads at offset 0 (left) or 2
+     (right), the second at -1 (left) or +1 (right). *)
+  let left first = if first then 0 else -1 and right first = if first then 2 else 1 in
+  let ww = List.filteri (fun i _ -> i < 2 * s.m) s.weights
+  and wn = List.filteri (fun i _ -> i >= 2 * s.m) s.weights in
+  let wide_at_first = s.wide_first in
+  let wide_reads =
+    List.concat_map
+      (fun d -> [ map d (left wide_at_first); map d (right wide_at_first) ])
+      outer
+  in
+  let wide_reads =
+    match (s.miss, wide_reads) with
+    | Permuted, l :: r :: rest -> r :: l :: rest
+    | _ -> wide_reads
+  in
+  (* [Step]: the narrower member walks axis 0 twice as fast. *)
+  let scale = if s.miss = Step then [| 2; 1; 1 |] else [| 1; 1; 1 |] in
+  let narrow_reads = List.map (fun d -> map ~scale d (right (not wide_at_first))) outer in
+  let body const ws maps =
+    List.fold_left2 (fun acc w m -> E.(acc + (const w * at m))) (E.const const) ws maps
+  in
+  let wide = body s.cw ww wide_reads and narrow = body s.cn wn narrow_reads in
+  let c1_narrow = if s.miss = Box then max 0 (c.(1) - 1) else c.(1) in
+  let first_gen = gen x0 c.(1) and second_gen lb2 = gen lb2 c1_narrow in
+  if s.wide_first then [ (first_gen, wide); (second_gen (x0 + 1), narrow) ]
+  else [ (gen x0 c1_narrow, narrow); (gen (x0 + 1) c.(1), wide) ]
+
+(* The graph of [members] (all of them, or one), over a leaf source or,
+   for [Reads_output], as a barrier modarray reading its own base. *)
+let pair_graph s src pick =
+  let shp = pair_shape s in
+  if s.miss = Reads_output then
+    let base = Wl.genarray shp [ (Generator.full shp, E.read (Wl.of_ndarray src)) ] in
+    Wl.modarray ~barrier:true base (pick (pair_members s (E.read_at base)))
+  else
+    let w = Wl.of_ndarray src in
+    Wl.genarray ~default:0.0 shp (pick (pair_members s (E.read_at w)))
+
+let pair_branch m = Mg_obs.Metrics.counter (Printf.sprintf "kernel.branch.pair.%d" (2 * m))
+let pair_dispatches = ref 0
+let pair_refusals = ref 0
+
+let qcheck_pair_bitwise_members =
+  QCheck.Test.make ~name:"paired parity rows bitwise match their members run alone" ~count:300
+    (QCheck.make ~print:print_pair gen_pair)
+    (fun s ->
+      let src = pair_src s in
+      let members = pair_members s (fun _ -> E.const 0.0) in
+      QCheck.assume (List.for_all (fun (g, _) -> not (Generator.is_empty g)) members);
+      let force pick = Ndarray.copy (Wl.force (pair_graph s src pick)) in
+      let paired = Mg_obs.Metrics.value (pair_branch s.m) in
+      let got = force Fun.id in
+      let moved = Mg_obs.Metrics.value (pair_branch s.m) > paired in
+      (* Each member alone, then its elements laid over the other's. *)
+      let want = force (fun l -> [ List.hd l ]) in
+      let second = force (fun l -> List.tl l) in
+      Generator.iter (fst (List.nth members 1)) (fun iv -> Ndarray.set want iv (Ndarray.get second iv));
+      let bits a = Array.map Int64.bits_of_float (Ndarray.to_flat_array a) in
+      (* With distinct weights the exact shape must pair; a near miss
+         never may. *)
+      let distinct =
+        let ws = List.map Int64.bits_of_float s.weights in
+        List.length (List.sort_uniq compare ws) = List.length ws
+      in
+      if moved then incr pair_dispatches;
+      if s.miss <> Exact then begin
+        if moved then QCheck.Test.fail_reportf "a near miss (%s) ran the pair kernel" (miss_name s.miss);
+        incr pair_refusals
+      end
+      else if distinct && not moved then QCheck.Test.fail_report "an exact pair stayed unpaired";
+      bits got = bits want)
+
+let test_pair_exercised () =
+  Alcotest.(check bool)
+    (Printf.sprintf "qcheck samples paired (%d) and refused near misses (%d)" !pair_dispatches
+       !pair_refusals)
+    true
+    (!pair_dispatches > 0 && !pair_refusals > 0)
+
 (* Buffer recycling: a node whose cache was recycled after its last
    consumer ran must transparently recompute when forced again, and
    results obtained before recycling must never change. *)
@@ -480,6 +646,8 @@ let suite =
       Alcotest.test_case "cfun path exercised by qcheck" `Quick test_cfun_path_exercised;
       QCheck_alcotest.to_alcotest qcheck_stencil2_bitwise_generic;
       Alcotest.test_case "two-stencil kernel exercised by qcheck" `Quick test_stencil2_exercised;
+      QCheck_alcotest.to_alcotest qcheck_pair_bitwise_members;
+      Alcotest.test_case "pair kernel exercised by qcheck" `Quick test_pair_exercised;
       Alcotest.test_case "recompute after recycle" `Quick test_recompute_after_recycle;
       Alcotest.test_case "escaped values stable" `Quick test_escaped_values_stable;
       Alcotest.test_case "domain counts bitwise identical" `Quick

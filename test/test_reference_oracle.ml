@@ -759,6 +759,11 @@ type fixed =
   | Fborder of { dims : int array }
       (* the periodic border of a node it alone reads: it steals the
          node's buffer and, with folding on, runs as one walk *)
+  | Fpair of { wide : int; wide_first : bool; box : int array }
+      (* two parity classes of a prolongation, interleaved along the
+         row: one reads [wide] coarse values (each offset's element and
+         the next one), the other the [wide / 2] next ones; [box] is
+         each one's counts *)
 
 let print_fixed = function
   | Fstencil { classes = c1, c2, c3; extras; layout; line_buffers; dims } ->
@@ -775,6 +780,8 @@ let print_fixed = function
   | Fshell { reads; copy; dims } ->
       Printf.sprintf "shell reads=%d copy=%b dims=%s" reads copy (Shape.to_string dims)
   | Fborder { dims } -> Printf.sprintf "border dims=%s" (Shape.to_string dims)
+  | Fpair { wide; wide_first; box } ->
+      Printf.sprintf "pair wide=%d wide_first=%b box=%s" wide wide_first (Shape.to_string box)
 
 let sum = function [] -> invalid_arg "sum" | e :: es -> List.fold_left (fun a b -> Ir.Add (a, b)) e es
 let axpy acc c e = Ir.Add (acc, Ir.Mul (Ir.Const c, e))
@@ -974,6 +981,44 @@ let build_fixed ?(inf = false) seed = function
           ]
       in
       match periodic_border (Ir.Node base) with Ir.Node n -> n | Ir.Arr _ -> assert false)
+  | Fpair { wide; wide_first; box } ->
+      (* Member origins 2 and 3 along the row, step 2 on every axis;
+         a member reads the coarse source at (iv + offset) / 2, so the
+         first member's left and right coarse elements sit at row
+         offsets 0 and 2, the second's at -1 and +1.  Coefficients are
+         distinct, so each member's tree adds its terms in its flat
+         order. *)
+      let src = src_of_seed (Array.map (fun n -> n + 3) box) seed in
+      let gen lb2 =
+        Generator.make ~step:[| 2; 2; 2 |] ~lb:[| 2; 2; lb2 |]
+          ~ub:[| 2 + (2 * box.(0)); 2 + (2 * box.(1)); lb2 + (2 * box.(2)) |]
+          ()
+      in
+      let at (d0, d1) dx =
+        Ir.Read (Ir.Arr src, Ixmap.make ~offset:[| 2 * d0; 2 * d1; dx |] ~div:[| 2; 2; 2 |] 3)
+      in
+      let outer = List.filteri (fun j _ -> 2 * j < wide) [ (0, 0); (0, 1); (1, 0); (1, 1) ] in
+      let left first = if first then 0 else -1 and right first = if first then 2 else 1 in
+      let wide_body =
+        List.fold_left
+          (fun body (j, d) ->
+            axpy
+              (axpy body (coeff (2 * j)) (at d (left wide_first)))
+              (coeff ((2 * j) + 1))
+              (at d (right wide_first)))
+          (Ir.Const 0.375)
+          (List.mapi (fun j d -> (j, d)) outer)
+      in
+      let narrow_body =
+        List.fold_left
+          (fun body (j, d) -> axpy body (coeff (10 + j)) (at d (right (not wide_first))))
+          (Ir.Const (-0.625))
+          (List.mapi (fun j d -> (j, d)) outer)
+      in
+      let first, second = if wide_first then (wide_body, narrow_body) else (narrow_body, wide_body) in
+      Ir.genarray
+        (Array.map (fun n -> (2 * n) + 4) box)
+        [ { Ir.gen = gen 2; body = first }; { Ir.gen = gen 3; body = second } ]
 
 let run_fixed ?inf seed f =
   let line_buffers = match f with Fstencil { line_buffers; _ } -> line_buffers | _ -> false in
@@ -1057,6 +1102,13 @@ let fixed_cases =
   @ Fshell { reads = 1; copy = true; dims = [| 4; 5; 6 |] }
     :: List.init 5 (fun reads -> Fshell { reads; copy = false; dims = [| 4; 5; 6 |] })
   @ [ Fborder { dims = [| 4; 5; 6 |] }; Fborder { dims = [| 3; 3; 3 |] } ]
+  @ List.concat_map
+      (fun wide ->
+        List.concat_map
+          (fun wide_first ->
+            List.map (fun box -> Fpair { wide; wide_first; box }) [ [| 2; 3; 4 |]; [| 3; 2; 1 |] ])
+          [ true; false ])
+      [ 2; 4; 8 ]
 
 (* A body without edges goes to the fallback, which skips the absent
    class: adding [0 · edges] instead would turn an infinite edge sum
@@ -1134,6 +1186,10 @@ let gen_fixed =
           ( 1,
             let* d0 = 3 -- 7 and* d1 = 3 -- 7 and* d2 = 3 -- 7 in
             return (Fborder { dims = [| d0; d1; d2 |] }) );
+          ( 1,
+            let* wide = oneofl [ 2; 4; 8 ] and* wide_first = bool in
+            let* b0 = 1 -- 5 and* b1 = 1 -- 5 and* b2 = 1 -- 6 in
+            return (Fpair { wide; wide_first; box = [| b0; b1; b2 |] }) );
         ]
     in
     return (seed, f))
@@ -1185,6 +1241,10 @@ let kernel_kinds n =
         build_fixed 5
           (Fzip { offsets = List.filteri (fun j _ -> j < 3) zip_offsets; box; step2 = false }) );
     ("shell", "interp", false, fun () -> build_fixed 5 (Fshell { reads = 3; copy = false; dims }));
+    ( "pair", "interp", false,
+      fun () ->
+        build_fixed 5 (Fpair { wide = 8; wide_first = true; box = [| (n / 2) - 2; (n / 2) - 2; (n / 2) - 2 |] })
+    );
     ( "cfun", "cfun", false,
       fun () ->
         (* Three reads of one array that make no box stencil, and a
@@ -1205,8 +1265,14 @@ let test_fixed_kernels_allocation_free () =
             par_threshold = max_int;
           }
         in
+        let branches = Kernel.branch_counts () in
         ignore (Exec.force st (build ()));
         ignore (Exec.force st (build ()));
+        (* A pair compiles to its own row, not to its members' flat and
+           zip rows (the interp path they share). *)
+        if kind = "pair" then
+          Alcotest.(check bool) "pair.8 compiled" true
+            (List.assoc "pair.8" (Kernel.branch_counts ()) > List.assoc "pair.8" branches);
         let g = build () in
         let hits = path_count path in
         let w0 = Gc.minor_words () in

@@ -123,7 +123,7 @@ let test_replay_matches_configs () =
     configs
 
 (* The replays skip their tapes' dead stores (part, save, restore and
-   fill counts per tape: 6/2/2/1 at class S, 10/3/3/2 at class W), and
+   fill counts per tape: 6/2/2/1 at class S, 18/3/3/1 at class W), and
    every iterate, shells included, still equals the unstaged loop's. *)
 let test_replay_matches_s () =
   with_engine (fun e ->
@@ -135,7 +135,7 @@ let test_replay_matches_w () =
   with_engine (fun e ->
       staged_matches_unstaged Classes.class_w ~iters:6;
       check_counts "class W" e ~replays:5 ~fallback:[ ("unrecorded", 1) ];
-      Alcotest.(check (list int)) "class W: stage.elided" [ 50; 15; 15; 10 ] (elided e))
+      Alcotest.(check (list int)) "class W: stage.elided" [ 90; 15; 15; 5 ] (elided e))
 
 (* The solve path: a class-S solve on a fresh engine replays 3 of its
    4 iterations and a warm one all 4 (the tape outlives the first
